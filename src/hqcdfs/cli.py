@@ -16,7 +16,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .errors import ContractViolation, SingularChainError
@@ -24,6 +24,7 @@ from .gates import realize, no_go_certificate
 from .holonomy import MIN_CHAIN_STEPS, certify, defects_only_report
 from .model import GateRecipe, detune, recipe_hamiltonian
 from .noise import NoiseEnsemble, noisy_realize
+from .operators import Spectrum
 from .subspace import BasisSet, LogicalBlock, logical_basis
 
 EXIT_OK = 0
@@ -43,6 +44,25 @@ TOLERANCES = {
 }
 
 
+# Checked quantities per command: (tolerance name, getter on the command's report).
+_CHECKS = {
+    "gate": (
+        ("distance", lambda g: g.distance),
+        ("dfs_error", lambda g: g.dfs_error),
+        ("invariance_defect", lambda g: g.invariance),
+        ("cyclicity_defect", lambda g: g.holonomy.cyclicity_defect),
+        ("transport_defect", lambda g: g.holonomy.transport_defect),
+        ("reconstruction_distance", lambda g: g.holonomy.reconstruction_distance),
+    ),
+    "holonomy": (
+        ("cyclicity_defect", lambda h: h.cyclicity_defect),
+        ("transport_defect", lambda h: h.transport_defect),
+        ("reconstruction_distance", lambda h: h.reconstruction_distance),
+    ),
+    "noise": (("fidelity_deficit", lambda n: 1.0 - n.min_fidelity),),
+}
+
+
 class InputError(Exception):
     """Unparseable or invalid command input (exit status 2)."""
 
@@ -50,7 +70,6 @@ class InputError(Exception):
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    input_path: str | None = None
     output_path: str | None = None
     steps: int = 4096
     seed: int = 0
@@ -72,8 +91,8 @@ def tolerance_scale() -> float:
         scale = float(raw)
     except ValueError as exc:
         raise InputError(f"HQC_DFS_TOLERANCE_SCALE={raw!r} is not a number") from exc
-    if scale <= 0:
-        raise InputError(f"HQC_DFS_TOLERANCE_SCALE must be positive, got {scale}")
+    if not 0 < scale < float("inf"):
+        raise InputError(f"HQC_DFS_TOLERANCE_SCALE must be positive and finite, got {scale}")
     return scale
 
 
@@ -88,47 +107,25 @@ def _load_json_input(source: str) -> dict:
         raise InputError(f"cannot read JSON input {source!r}: {exc}") from exc
 
 
-def _parse_recipe(source: str) -> GateRecipe:
+def _parse(cls, source: str):
+    """An instance of ``cls`` decoded by its ``from_json_dict`` from a path or inline JSON."""
+    doc = _load_json_input(source)
     try:
-        return GateRecipe.from_json_dict(_load_json_input(source))
+        return cls.from_json_dict(doc)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"invalid gate recipe: {exc}") from exc
+        raise InputError(f"invalid {cls.__name__}: {exc}") from exc
 
 
-def _parse_ensemble(source: str) -> NoiseEnsemble:
-    try:
-        return NoiseEnsemble.from_json_dict(_load_json_input(source))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"invalid noise ensemble: {exc}") from exc
-
-
-def _parse_basis(source: str) -> BasisSet:
-    try:
-        return BasisSet.from_json_dict(_load_json_input(source))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"invalid basis set: {exc}") from exc
-
-
-def _check(violations: list, name: str, value: float | None, bound: float) -> None:
-    if value is not None and value > bound:
+def _check(violations: list, name: str, value: float, bound: float) -> None:
+    if not value <= bound:  # a NaN never passes
         violations.append({"check": name, "value": value, "tolerance": bound})
 
 
-def _envelope(config: RunConfig, input_doc: dict, report: dict, violations: list) -> dict:
-    return {
-        "tool": {"name": "hqcdfs", "version": __version__},
-        "command": config.command,
-        "tolerance_scale": tolerance_scale(),
-        "input": input_doc,
-        "report": report,
-        "violations": violations,
-    }
+def _violations(command: str, report, scale: float) -> list:
+    violations: list = []
+    for name, get in _CHECKS[command]:
+        _check(violations, name, get(report), TOLERANCES[name] * scale)
+    return violations
 
 
 def _emit(config: RunConfig, text: str) -> None:
@@ -142,114 +139,59 @@ def _emit(config: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(config: RunConfig, doc: dict) -> None:
-    _emit(config, json.dumps(doc, indent=2) + "\n")
-
-
-def _run_gate(config: RunConfig) -> int:
-    recipe = _parse_recipe(config.extras["recipe"])
-    scale = tolerance_scale()
-    realization = realize(recipe, steps=config.steps)
-    violations: list = []
-    if not recipe.detuned:
-        _check(violations, "distance", realization.distance, TOLERANCES["distance"] * scale)
-        _check(violations, "dfs_error", realization.dfs_error, TOLERANCES["dfs_error"] * scale)
-        _check(
-            violations,
-            "invariance_defect",
-            realization.invariance,
-            TOLERANCES["invariance_defect"] * scale,
-        )
-        hol = realization.holonomy
-        _check(
-            violations,
-            "cyclicity_defect",
-            hol.cyclicity_defect,
-            TOLERANCES["cyclicity_defect"] * scale,
-        )
-        _check(
-            violations,
-            "transport_defect",
-            hol.transport_defect,
-            TOLERANCES["transport_defect"] * scale,
-        )
-        _check(
-            violations,
-            "reconstruction_distance",
-            hol.reconstruction_distance,
-            TOLERANCES["reconstruction_distance"] * scale,
-        )
-    doc = _envelope(
-        config,
-        {"recipe": recipe.to_json_dict(), "steps": config.steps},
-        realization.to_json_dict(),
-        violations,
-    )
-    _emit_json(config, doc)
+def _emit_report(
+    config: RunConfig, scale: float, input_doc: dict, report: dict, violations: list
+) -> int:
+    """Emit the JSON report envelope; return the exit status it implies."""
+    doc = {
+        "tool": {"name": "hqcdfs", "version": __version__},
+        "command": config.command,
+        "tolerance_scale": scale,
+        "input": input_doc,
+        "report": report,
+        "violations": violations,
+    }
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ContractViolation(f"report holds a non-finite number: {exc}") from exc
+    _emit(config, text + "\n")
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
-def _run_holonomy(config: RunConfig) -> int:
-    recipe = _parse_recipe(config.extras["recipe"])
-    scale = tolerance_scale()
+def _run_gate(config: RunConfig, scale: float) -> int:
+    recipe = _parse(GateRecipe, config.extras["recipe"])
+    realization = realize(recipe, steps=config.steps)
+    violations = [] if recipe.detuned else _violations("gate", realization, scale)
+    input_doc = {"recipe": recipe.to_json_dict(), "steps": config.steps}
+    return _emit_report(config, scale, input_doc, realization.to_json_dict(), violations)
+
+
+def _run_holonomy(config: RunConfig, scale: float) -> int:
+    recipe = _parse(GateRecipe, config.extras["recipe"])
     n_blocks = max(recipe.blocks)
-    h = recipe_hamiltonian(recipe, n_blocks)
+    spectrum = Spectrum(recipe_hamiltonian(recipe, n_blocks))
     if config.extras.get("basis"):
-        basis = _parse_basis(config.extras["basis"])
-        if basis.dim_ambient != h.shape[0]:
+        basis = _parse(BasisSet, config.extras["basis"])
+        if basis.dim_ambient != spectrum.h.shape[0]:
             raise InputError(
                 f"basis ambient dimension {basis.dim_ambient} does not match "
-                f"the {h.shape[0]}-dimensional register of this recipe"
+                f"the {spectrum.h.shape[0]}-dimensional register of this recipe"
             )
     else:
         basis = logical_basis([LogicalBlock(b) for b in recipe.blocks], 3 * n_blocks)
-    if recipe.detuned:
-        report = defects_only_report(h, basis, recipe.duration, config.steps)
-        violations: list = []
-    else:
-        report = certify(h, basis, recipe.duration, config.steps)
-        violations = []
-        _check(
-            violations,
-            "cyclicity_defect",
-            report.cyclicity_defect,
-            TOLERANCES["cyclicity_defect"] * scale,
-        )
-        _check(
-            violations,
-            "transport_defect",
-            report.transport_defect,
-            TOLERANCES["transport_defect"] * scale,
-        )
-        _check(
-            violations,
-            "reconstruction_distance",
-            report.reconstruction_distance,
-            TOLERANCES["reconstruction_distance"] * scale,
-        )
-    doc = _envelope(
-        config,
-        {"recipe": recipe.to_json_dict(), "steps": config.steps},
-        report.to_json_dict(),
-        violations,
-    )
-    _emit_json(config, doc)
-    return EXIT_VIOLATIONS if violations else EXIT_OK
+    assess = defects_only_report if recipe.detuned else certify
+    report = assess(spectrum, basis, recipe.duration, config.steps)
+    violations = [] if recipe.detuned else _violations("holonomy", report, scale)
+    input_doc = {"recipe": recipe.to_json_dict(), "steps": config.steps}
+    return _emit_report(config, scale, input_doc, report.to_json_dict(), violations)
 
 
-def _run_noise(config: RunConfig) -> int:
-    recipe = _parse_recipe(config.extras["recipe"])
-    ensemble = _parse_ensemble(config.extras["ensemble"])
-    scale = tolerance_scale()
+def _run_noise(config: RunConfig, scale: float) -> int:
+    recipe = _parse(GateRecipe, config.extras["recipe"])
+    ensemble = _parse(NoiseEnsemble, config.extras["ensemble"])
     result = noisy_realize(recipe, ensemble)
-    violations: list = []
-    if not recipe.detuned:
-        _check(
-            violations,
-            "fidelity_deficit",
-            1.0 - result.min_fidelity,
-            TOLERANCES["fidelity_deficit"] * scale,
-        )
+    violations = [] if recipe.detuned else _violations("noise", result, scale)
     if config.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)
@@ -257,85 +199,55 @@ def _run_noise(config: RunConfig) -> int:
         for i, fidelity in enumerate(result.per_sample):
             writer.writerow([i, f"{fidelity:.12g}"])
         _emit(config, buffer.getvalue())
-    else:
-        doc = _envelope(
-            config,
-            {"recipe": recipe.to_json_dict(), "ensemble": ensemble.to_json_dict()},
-            result.to_json_dict(),
-            violations,
-        )
-        _emit_json(config, doc)
-    return EXIT_VIOLATIONS if violations else EXIT_OK
+        return EXIT_VIOLATIONS if violations else EXIT_OK
+    input_doc = {"recipe": recipe.to_json_dict(), "ensemble": ensemble.to_json_dict()}
+    return _emit_report(config, scale, input_doc, result.to_json_dict(), violations)
 
 
-def _run_sweep(config: RunConfig) -> int:
-    param = config.extras["param"]
-    start = config.extras["start"]
-    stop = config.extras["stop"]
-    points = config.extras["points"]
+def _run_sweep(config: RunConfig, scale: float) -> int:
+    param, start, stop, points = (config.extras[k] for k in ("param", "start", "stop", "points"))
     if param not in ("phase", "pulse_area_detuning"):
         raise InputError(f"unknown sweep parameter {param!r}")
     if points < 2:
         raise InputError(f"sweep needs at least 2 points, got {points}")
     if param == "pulse_area_detuning" and min(start, stop) <= -1.0:
         raise InputError("detuning must stay above -1 to keep the pulse area positive")
-    template = _parse_recipe(config.extras["recipe"])
-
-    rows = []
-    for i in range(points):
-        value = start + (stop - start) * i / (points - 1)
-        if param == "phase":
-            if template.kind == "CNOT":
-                raise InputError("phase sweep is undefined for CNOT recipes")
-            recipe = GateRecipe(
-                template.kind,
-                value,
-                template.strength,
-                template.duration,
-                template.blocks,
-                template.detuned,
-            )
-        else:
-            recipe = detune(template, 1.0 + value) if value != 0.0 else template
-        realization = realize(recipe, steps=config.steps)
-        hol = realization.holonomy
-        rows.append(
-            (
-                value,
-                realization.distance,
-                hol.cyclicity_defect,
-                hol.transport_defect,
-            )
-        )
+    template = _parse(GateRecipe, config.extras["recipe"])
+    if param == "phase" and template.kind == "CNOT":
+        raise InputError("phase sweep is undefined for CNOT recipes")
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["parameter", "distance", "cyclicity_defect", "transport_defect"])
-    for row in rows:
+    for i in range(points):
+        value = start + (stop - start) * i / (points - 1)
+        try:
+            if param == "phase":
+                recipe = replace(template, phase=value)
+            else:
+                recipe = detune(template, 1.0 + value) if value != 0.0 else template
+        except ValueError as exc:
+            raise InputError(f"invalid sweep point {value!r}: {exc}") from exc
+        realization = realize(recipe, steps=config.steps)
+        hol = realization.holonomy
+        row = (value, realization.distance, hol.cyclicity_defect, hol.transport_defect)
         writer.writerow([f"{v:.12g}" for v in row])
     _emit(config, buffer.getvalue())
     return EXIT_OK
 
 
-def _run_nogo(config: RunConfig) -> int:
+def _run_nogo(config: RunConfig, scale: float) -> int:
     trials = config.extras["trials"]
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
+    if config.seed < 0:
+        raise InputError(f"seed must be >= 0, got {config.seed}")
     report = no_go_certificate(trials, config.seed)
     violations: list = []
-    if report.counterexamples > 0:
-        violations.append(
-            {"check": "counterexamples", "value": report.counterexamples, "tolerance": 0}
-        )
+    _check(violations, "counterexamples", report.counterexamples, 0)
     _check(violations, "witness_error", report.witness_error, 0.0)
-    doc = _envelope(
-        config,
-        {"trials": trials, "seed": config.seed},
-        report.to_json_dict(),
-        violations,
-    )
-    _emit_json(config, doc)
-    return EXIT_VIOLATIONS if violations else EXIT_OK
+    input_doc = {"trials": trials, "seed": config.seed}
+    return _emit_report(config, scale, input_doc, report.to_json_dict(), violations)
 
 
 _RUNNERS = {
@@ -350,9 +262,7 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     """Dispatch one parsed command; returns the process exit status."""
     try:
-        return _RUNNERS[config.command](config)
-    except InputError:
-        raise
+        return _RUNNERS[config.command](config, tolerance_scale())
     except (ContractViolation, SingularChainError) as exc:
         sys.stderr.write(f"contract violation: {exc}\n")
         return EXIT_CONTRACT
@@ -369,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     gate = sub.add_parser("gate", help="realize a gate recipe and report the comparison")
     gate.add_argument("--recipe", required=True, help="recipe file path or inline JSON")
     gate.add_argument("--steps", type=int, default=4096)
-    gate.add_argument("--out", default=None)
 
     hol = sub.add_parser("holonomy", help="certify the holonomic character of a recipe")
     hol.add_argument("--recipe", required=True)
@@ -379,13 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="basis-set JSON (path or inline) to certify instead of the logical basis",
     )
     hol.add_argument("--steps", type=int, default=4096)
-    hol.add_argument("--out", default=None)
 
     noise = sub.add_parser("noise", help="gate fidelity under collective phase kicks")
     noise.add_argument("--recipe", required=True)
     noise.add_argument("--ensemble", required=True, help="ensemble file path or inline JSON")
     noise.add_argument("--format", choices=("json", "csv"), default="json")
-    noise.add_argument("--out", default=None)
 
     sweep = sub.add_parser("sweep", help="sweep a recipe parameter, one CSV row per point")
     sweep.add_argument("--param", required=True, choices=("phase", "pulse_area_detuning"))
@@ -394,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--points", type=int, required=True)
     sweep.add_argument("--recipe", required=True)
     sweep.add_argument("--steps", type=int, default=4096)
-    sweep.add_argument("--out", default=None)
 
     nogo = sub.add_parser("nogo", help="randomized two-qubit no-go certificate")
     nogo.add_argument("--trials", type=int, default=1000)
     nogo.add_argument("--seed", type=int, default=0)
-    nogo.add_argument("--out", default=None)
 
+    for command in sub.choices.values():
+        command.add_argument("--out", default=None)
     return parser
 
 
@@ -411,7 +318,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             extras[key] = getattr(args, key)
     return RunConfig(
         command=args.command,
-        input_path=getattr(args, "recipe", None),
         output_path=getattr(args, "out", None),
         steps=getattr(args, "steps", 4096),
         seed=getattr(args, "seed", 0),

@@ -10,20 +10,14 @@ picks up a physical -1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .holonomy import HolonomyReport, certify, defects_only_report
 from .model import CouplingConfig, GateRecipe, assemble_two_body, recipe_hamiltonian
-from .operators import (
-    SIGMA_X,
-    dagger,
-    evolve,
-    phase_aligned_distance,
-    require_unitary,
-)
+from .operators import SIGMA_X, Spectrum, dagger, evolve, phase_aligned_distance, require_unitary
 from .serialize import matrix_to_json, round_sig
 from .subspace import (
     BasisSet,
@@ -148,8 +142,8 @@ def realize(
         n_blocks = max(recipe.blocks)
     n_total = 3 * n_blocks
     blocks = _blocks_of(recipe)
-    h = recipe_hamiltonian(recipe, n_blocks)
-    propagator = evolve(h, recipe.duration)
+    spectrum = Spectrum(recipe_hamiltonian(recipe, n_blocks))
+    propagator = spectrum.propagator(recipe.duration)
 
     logical = logical_basis(blocks, n_total, spectator)
     restricted = restrict(propagator, logical)
@@ -164,10 +158,8 @@ def realize(
     protected = dfs_product_basis(blocks, n_total, spectator)
     invariance = invariance_defect(propagator, protected)
 
-    if recipe.detuned:
-        holonomy = defects_only_report(h, logical, recipe.duration, steps)
-    else:
-        holonomy = certify(h, logical, recipe.duration, steps)
+    assess = defects_only_report if recipe.detuned else certify
+    holonomy = assess(spectrum, logical, recipe.duration, steps)
 
     return GateRealization(
         recipe=recipe,
@@ -304,19 +296,7 @@ class NoGoReport:
     witness_error: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "trivial_count": self.trivial_count,
-            "nontrivial_count": self.nontrivial_count,
-            "counterexamples": self.counterexamples,
-            "max_dfs_invariance_defect": round_sig(self.max_dfs_invariance_defect),
-            "max_trivial_transport_defect": round_sig(self.max_trivial_transport_defect),
-            "min_nontrivial_transport_defect": round_sig(
-                self.min_nontrivial_transport_defect
-            ),
-            "witness_error": round_sig(self.witness_error),
-        }
+        return {k: round_sig(v) if isinstance(v, float) else v for k, v in asdict(self).items()}
 
 
 def two_qubit_dfs() -> BasisSet:
@@ -360,14 +340,14 @@ def no_go_certificate(trials: int, seed: int) -> NoGoReport:
         config = CouplingConfig(2, two_body={(1, 2, "x"): jx, (1, 2, "y"): jy})
         h = assemble_two_body(config)
 
-        restricted_h = restrict(h, dfs)
-        h_norm = float(np.abs(restricted_h).max())
+        h_norm = float(np.abs(restrict(h, dfs)).max())
+        spectrum = Spectrum(h)
 
         times = rng.uniform(0.25, 3.0, size=4)
         transport = 0.0
         identity_dist = 0.0
         for t in times:
-            u = evolve(h, t)
+            u = spectrum.propagator(t)
             max_invariance = max(max_invariance, invariance_defect(u, dfs))
             frame = u @ dfs.vectors
             transport = max(transport, float(np.abs(dagger(frame) @ h @ frame).max()))

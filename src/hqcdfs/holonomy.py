@@ -4,10 +4,17 @@ A constant-Hamiltonian evolution acts as a pure holonomy on a subspace when
 (i) the subspace returns to itself at the final time and (ii) the
 Hamiltonian's matrix elements vanish on the transported subspace, so no
 dynamical phase accumulates. Both conditions are measured as defects here,
-and the holonomy itself is rebuilt independently of the propagator by
-discrete parallel transport: chaining the evolved projectors over a uniform
-time grid and unitarizing the resulting overlap matrix. The chain needs no
-explicit auxiliary frame, which sidesteps mid-path frame degeneracies.
+and the holonomy itself is rebuilt independently of the frame by discrete
+parallel transport (the overlap-chain, or Wilson-loop, construction of
+Fukui, Hatsugai & Suzuki, JPSJ 74, 1674 (2005)): chaining the evolved
+projectors P(t_N) ... P(t_1) over a uniform time grid and unitarizing the
+resulting overlap matrix.
+
+Because the generator is constant, every link V_{j+1}^dag V_j of that chain
+equals the same small matrix B = V_0^dag U(-tau/N) V_0, so the chain is
+evaluated in closed form as restrict(U(tau)) B^N with O(log N) products.
+The explicit projector product is kept as the reference in the test
+oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .operators import dagger, evolve, phase_aligned_distance, polar_unitary, require_hermitian
+from .operators import Spectrum, dagger, phase_aligned_distance, polar_unitary
 from .serialize import matrix_to_json, round_sig
 from .subspace import BasisSet, restrict
 
@@ -27,15 +34,15 @@ PRECONDITION_TOL = 1e-8
 MIN_CHAIN_STEPS = 8
 
 
-def cyclicity_defect(h: np.ndarray, basis: BasisSet, tau: float) -> float:
+def cyclicity_defect(spectrum: Spectrum, basis: BasisSet, tau: float) -> float:
     """|| P(tau) - P(0) ||_F with P(t) the evolved projector of the span."""
     p0 = basis.projector()
-    u = evolve(h, tau)
+    u = spectrum.propagator(tau)
     return float(np.linalg.norm(u @ p0 @ dagger(u) - p0))
 
 
 def transport_defect(
-    h: np.ndarray, basis: BasisSet, tau: float, samples: int = 101
+    spectrum: Spectrum, basis: BasisSet, tau: float, samples: int = 101
 ) -> float:
     """max over sampled t in [0, tau] and k, l of |<phi_k(t)| h |phi_l(t)>|.
 
@@ -46,60 +53,12 @@ def transport_defect(
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    h = require_hermitian(h)
-    eigvals, eigvecs = np.linalg.eigh(h)
-    coeffs = dagger(eigvecs) @ basis.vectors
+    coeffs = dagger(spectrum.vectors) @ basis.vectors
     times = np.arange(samples) * (tau / (samples - 1))
-    phases = np.exp(-1j * np.outer(times, eigvals))
-    frames = np.einsum("ab,jb,bl->jal", eigvecs, phases, coeffs)
-    couplings = np.einsum("jal,ab,jbm->jlm", frames.conj(), h, frames)
+    phases = np.exp(-1j * np.outer(times, spectrum.values))
+    frames = spectrum.vectors @ (phases[..., None] * coeffs)
+    couplings = frames.conj().swapaxes(1, 2) @ (spectrum.h @ frames)
     return float(np.abs(couplings).max())
-
-
-def _evolved_frames(h: np.ndarray, basis: BasisSet, tau: float, steps: int) -> np.ndarray:
-    """Frames V_j = U(t_j) V_0 on the uniform grid t_j = j tau / steps."""
-    eigvals, eigvecs = np.linalg.eigh(require_hermitian(h))
-    coeffs = dagger(eigvecs) @ basis.vectors
-    times = np.arange(steps + 1) * (tau / steps)
-    phases = np.exp(-1j * np.outer(times, eigvals))
-    return np.einsum("ab,jb,bl->jal", eigvecs, phases, coeffs)
-
-
-def _chain_overlap(frames: np.ndarray) -> np.ndarray:
-    """M_kl = <b_k(0)| P(t_N) ... P(t_1) |b_l(0)> from precomputed frames.
-
-    Expanding each projector P(t_j) = V_j V_j^dag collapses the product to
-    (V_0^dag V_N) (V_N^dag V_{N-1}) ... (V_1^dag V_0), a product of small
-    L x L overlap matrices ordered along the path.
-    """
-    links = np.einsum("jal,jam->jlm", frames[1:].conj(), frames[:-1])
-    m = dagger(frames[0]) @ frames[-1]
-    for j in range(links.shape[0] - 1, -1, -1):
-        m = m @ links[j]
-    return m
-
-
-def projector_chain_holonomy(
-    h: np.ndarray, basis: BasisSet, tau: float, steps: int
-) -> np.ndarray:
-    """Holonomy matrix from discrete parallel transport of the subspace.
-
-    Checks conditions (i) and (ii) first and refuses to certify when they
-    fail; their defects are never assumed away. The chained overlap matrix
-    is unitarized by polar decomposition, which raises SingularChainError
-    instead of silently regularizing a rank-deficient chain.
-    """
-    if steps < MIN_CHAIN_STEPS:
-        raise ValueError(f"steps must be >= {MIN_CHAIN_STEPS}, got {steps}")
-    cyc = cyclicity_defect(h, basis, tau)
-    tra = transport_defect(h, basis, tau)
-    if cyc > PRECONDITION_TOL or tra > PRECONDITION_TOL:
-        raise PreconditionError(
-            f"not a holonomic evolution on this subspace: cyclicity defect "
-            f"{cyc:.3e}, transport defect {tra:.3e} (tolerance {PRECONDITION_TOL:.0e})"
-        )
-    frames = _evolved_frames(h, basis, tau, steps)
-    return polar_unitary(_chain_overlap(frames))
 
 
 @dataclass(frozen=True)
@@ -126,10 +85,8 @@ class HolonomyReport:
         return {
             "cyclicity_defect": round_sig(self.cyclicity_defect),
             "transport_defect": round_sig(self.transport_defect),
-            "reconstruction_distance": None
-            if self.reconstruction_distance is None
-            else round_sig(self.reconstruction_distance),
-            "chain_defect": None if self.chain_defect is None else round_sig(self.chain_defect),
+            "reconstruction_distance": round_sig(self.reconstruction_distance),
+            "chain_defect": round_sig(self.chain_defect),
             "holonomy_matrix": None
             if self.holonomy_matrix is None
             else matrix_to_json(self.holonomy_matrix),
@@ -138,51 +95,50 @@ class HolonomyReport:
         }
 
 
-def condition_defects(
-    h: np.ndarray, basis: BasisSet, tau: float, samples: int = 101
-) -> tuple[float, float]:
-    """(cyclicity, transport) defects without attempting reconstruction."""
-    return cyclicity_defect(h, basis, tau), transport_defect(h, basis, tau, samples)
+def defects_only_report(
+    spectrum: Spectrum, basis: BasisSet, tau: float, steps: int, samples: int = 101
+) -> HolonomyReport:
+    """Report carrying only the condition defects (reconstruction skipped)."""
+    return HolonomyReport(
+        cyclicity_defect=cyclicity_defect(spectrum, basis, tau),
+        transport_defect=transport_defect(spectrum, basis, tau, samples),
+        holonomy_matrix=None,
+        reconstruction_distance=None,
+        chain_defect=None,
+        steps=steps,
+        tau=tau,
+    )
 
 
 def certify(
-    h: np.ndarray, basis: BasisSet, tau: float, steps: int, samples: int = 101
+    spectrum: Spectrum, basis: BasisSet, tau: float, steps: int, samples: int = 101
 ) -> HolonomyReport:
-    """Full certification: condition defects plus independent reconstruction."""
-    cyc, tra = condition_defects(h, basis, tau, samples)
+    """Condition defects plus the holonomy rebuilt by the projector chain.
+
+    Refuses to reconstruct (PreconditionError) when conditions (i) or (ii)
+    fail; their defects are never assumed away. The chained overlap matrix
+    is unitarized by polar decomposition, which raises SingularChainError
+    instead of silently regularizing a rank-deficient chain.
+    """
+    if steps < MIN_CHAIN_STEPS:
+        raise ValueError(f"steps must be >= {MIN_CHAIN_STEPS}, got {steps}")
+    report = defects_only_report(spectrum, basis, tau, steps, samples)
+    cyc, tra = report.cyclicity_defect, report.transport_defect
     if cyc > PRECONDITION_TOL or tra > PRECONDITION_TOL:
         raise PreconditionError(
             f"not a holonomic evolution on this subspace: cyclicity defect "
             f"{cyc:.3e}, transport defect {tra:.3e} (tolerance {PRECONDITION_TOL:.0e})"
         )
-    if steps < MIN_CHAIN_STEPS:
-        raise ValueError(f"steps must be >= {MIN_CHAIN_STEPS}, got {steps}")
-    frames = _evolved_frames(h, basis, tau, steps)
-    raw = _chain_overlap(frames)
+    restricted = restrict(spectrum.propagator(tau), basis)
+    link = restrict(spectrum.propagator(-tau / steps), basis)
+    raw = restricted @ np.linalg.matrix_power(link, steps)
     holonomy_matrix = polar_unitary(raw)
-    restricted = restrict(evolve(h, tau), basis)
     return HolonomyReport(
         cyclicity_defect=cyc,
         transport_defect=tra,
         holonomy_matrix=holonomy_matrix,
         reconstruction_distance=phase_aligned_distance(holonomy_matrix, restricted),
         chain_defect=float(np.linalg.norm(raw - restricted)),
-        steps=steps,
-        tau=tau,
-    )
-
-
-def defects_only_report(
-    h: np.ndarray, basis: BasisSet, tau: float, steps: int, samples: int = 101
-) -> HolonomyReport:
-    """Report carrying only the condition defects (reconstruction skipped)."""
-    cyc, tra = condition_defects(h, basis, tau, samples)
-    return HolonomyReport(
-        cyclicity_defect=cyc,
-        transport_defect=tra,
-        holonomy_matrix=None,
-        reconstruction_distance=None,
-        chain_defect=None,
         steps=steps,
         tau=tau,
     )

@@ -19,7 +19,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .operators import DIMENSION_CAP, DimensionCapError, pauli_on
+from .operators import check_dimension_cap, pauli_on
+from .serialize import as_int, require_finite
+from .subspace import LogicalBlock
 
 TwoBodyKey = tuple[int, int, str]          # (k, l, axis in {x, y})
 FourBodyKey = tuple[int, int, int, int, str]  # (k, l, p, q, axes in {xx, xy, yx, yy})
@@ -54,6 +56,7 @@ class CouplingConfig:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        check_dimension_cap(self.n_qubits)
         for (k, l, axis), value in self.two_body.items():
             self._check_pair(k, l)
             if axis not in _TWO_AXES:
@@ -121,14 +124,16 @@ class GateRecipe:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"kind must be one of {GATE_KINDS}, got {self.kind!r}")
+        require_finite(phase=self.phase, strength=self.strength, duration=self.duration)
         if self.strength <= 0 or self.duration <= 0:
             raise ValueError("strength and duration must be positive")
-        object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
+        object.__setattr__(self, "blocks", tuple(as_int(b, "block index") for b in self.blocks))
         expected = 2 if self.kind == "CNOT" else 1
         if len(self.blocks) != expected:
             raise ValueError(f"{self.kind} recipe needs {expected} block index(es)")
         if any(b < 1 for b in self.blocks):
             raise IndexError(f"block indices must be >= 1, got {self.blocks}")
+        check_dimension_cap(3 * max(self.blocks))
         if self.kind == "CNOT" and self.blocks[0] == self.blocks[1]:
             raise ValueError("CNOT control and target blocks must differ")
         if not self.detuned:
@@ -168,14 +173,12 @@ class GateRecipe:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "GateRecipe":
         blocks = data["blocks"]
-        if isinstance(blocks, int):
-            blocks = (blocks,)
         return cls(
             kind=str(data["kind"]),
             phase=float(data.get("phase", 0.0)),
             strength=float(data["strength"]),
             duration=float(data["duration"]),
-            blocks=tuple(int(b) for b in blocks),
+            blocks=(blocks,) if isinstance(blocks, int) else blocks,
             detuned=bool(data.get("detuned", False)),
         )
 
@@ -205,13 +208,12 @@ def r_op(axis: str, k: int, l: int, n: int) -> np.ndarray:
 
 
 def collective_z(n: int) -> np.ndarray:
-    """Collective dephasing generator sum_k sz_k (diagonal, integer spectrum)."""
+    """Collective dephasing generator sum_k sz_k: diagonal n - 2 * popcount."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
-    total = pauli_on("z", 1, n)
-    for k in range(2, n + 1):
-        total = total + pauli_on("z", k, n)
-    return total
+    check_dimension_cap(n)
+    popcounts = np.array([bin(i).count("1") for i in range(2 ** n)])
+    return np.diag((n - 2 * popcounts).astype(np.complex128))
 
 
 def assemble_two_body(config: CouplingConfig) -> np.ndarray:
@@ -230,8 +232,6 @@ def assemble_four_body(config: CouplingConfig) -> np.ndarray:
     commute.
     """
     n = config.n_qubits
-    if 2 ** n > DIMENSION_CAP:
-        raise DimensionCapError(f"2^{n} exceeds dimension cap {DIMENSION_CAP}")
     h = np.zeros((2 ** n, 2 ** n), dtype=np.complex128)
     for (k, l, p, q, axes), value in config.four_body.items():
         h += value * (r_op(axes[0], k, l, n) @ r_op(axes[1], p, q, n))
@@ -240,10 +240,6 @@ def assemble_four_body(config: CouplingConfig) -> np.ndarray:
 
 def assemble(config: CouplingConfig) -> np.ndarray:
     return assemble_two_body(config) + assemble_four_body(config)
-
-
-def _block_qubits(block: int) -> tuple[int, int, int]:
-    return (3 * block - 2, 3 * block - 1, 3 * block)
 
 
 def recipe_coupling_config(recipe: GateRecipe, n_blocks: int) -> CouplingConfig:
@@ -258,7 +254,7 @@ def recipe_coupling_config(recipe: GateRecipe, n_blocks: int) -> CouplingConfig:
     n = 3 * n_blocks
     J = recipe.strength
     if recipe.kind == "XZ":
-        q1, q2, q3 = _block_qubits(recipe.blocks[0])
+        q1, q2, q3 = LogicalBlock(recipe.blocks[0]).physical_qubits
         c = math.cos(recipe.phase / 2.0)
         s = math.sin(recipe.phase / 2.0)
         two_body = {
@@ -269,14 +265,14 @@ def recipe_coupling_config(recipe: GateRecipe, n_blocks: int) -> CouplingConfig:
         }
         return CouplingConfig(n, two_body=two_body)
     if recipe.kind == "ZX":
-        q1, q2, q3 = _block_qubits(recipe.blocks[0])
+        q1, q2, q3 = LogicalBlock(recipe.blocks[0]).physical_qubits
         two_body = {
             (q1, q2, "y"): J * math.sin(recipe.phase / 2.0),
             (q1, q3, "x"): -J * math.cos(recipe.phase / 2.0),
         }
         return CouplingConfig(n, two_body=two_body)
-    m1, _, m3 = _block_qubits(recipe.blocks[0])
-    n1, n2, n3 = _block_qubits(recipe.blocks[1])
+    m1, _, m3 = LogicalBlock(recipe.blocks[0]).physical_qubits
+    n1, n2, n3 = LogicalBlock(recipe.blocks[1]).physical_qubits
     four_body = {
         (m1, m3, n1, n2, "xx"): J,
         (m1, m3, n1, n3, "xx"): -J,

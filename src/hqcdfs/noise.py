@@ -16,9 +16,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import GateRecipe, recipe_hamiltonian
+from .model import GateRecipe, collective_z, recipe_hamiltonian
 from .operators import dagger, evolve
-from .serialize import round_sig
+from .serialize import as_int, require_finite, round_sig
 from .subspace import LogicalBlock, logical_basis
 
 _DIST_KINDS = ("uniform", "gaussian", "fixed")
@@ -36,6 +36,7 @@ class KickDistribution:
     def __post_init__(self):
         if self.kind not in _DIST_KINDS:
             raise ValueError(f"kind must be one of {_DIST_KINDS}, got {self.kind!r}")
+        require_finite(mean=self.mean, stddev=self.stddev, theta=self.value)
         if self.stddev < 0:
             raise ValueError("stddev must be >= 0")
 
@@ -75,7 +76,7 @@ class KickDistribution:
             return cls.gaussian(float(params["mean"]), float(params["stddev"]))
         if kind == "fixed":
             return cls.fixed(float(params["theta"]))
-        return cls.uniform()
+        return cls(kind)
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,14 @@ class NoiseEnsemble:
     seed: int
 
     def __post_init__(self):
+        for name in ("kick_count", "samples", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.kick_count < 0:
             raise ValueError("kick_count must be >= 0")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,24 +110,11 @@ class NoiseEnsemble:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "NoiseEnsemble":
         return cls(
-            kick_count=int(data["kick_count"]),
+            kick_count=data["kick_count"],
             distribution=KickDistribution.from_json_dict(data["distribution"]),
-            samples=int(data["samples"]),
-            seed=int(data["seed"]),
+            samples=data["samples"],
+            seed=data["seed"],
         )
-
-
-def _collective_z_diagonal(n: int) -> np.ndarray:
-    """Eigenvalues of sum_k sz_k along the computational basis: n - 2 * popcount."""
-    indices = np.arange(2 ** n)
-    popcounts = np.array([bin(i).count("1") for i in indices])
-    return (n - 2 * popcounts).astype(np.float64)
-
-
-def collective_kick(theta: float, n: int) -> np.ndarray:
-    """exp(-i theta sum_k sz_k): diagonal, a single global phase on any
-    common-eigenvalue (protected) subspace."""
-    return np.diag(np.exp(-1j * theta * _collective_z_diagonal(n)))
 
 
 @dataclass(frozen=True)
@@ -159,10 +151,9 @@ def noisy_realize(
     if n_blocks is None:
         n_blocks = max(recipe.blocks)
     n_total = 3 * n_blocks
-    h = recipe_hamiltonian(recipe, n_blocks)
     segments = ensemble.kick_count + 1
-    u_segment = evolve(h, recipe.duration / segments)
-    z_diag = _collective_z_diagonal(n_total)
+    u_segment = evolve(recipe_hamiltonian(recipe, n_blocks), recipe.duration / segments)
+    z_diag = np.diagonal(collective_z(n_total)).real
 
     basis = logical_basis([LogicalBlock(b) for b in recipe.blocks], n_total)
     target = target_for(recipe)

@@ -32,10 +32,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a finite 2-d complex matrix; reject NaN/Inf entries."""
     out = np.asarray(m, dtype=np.complex128)
@@ -76,21 +72,10 @@ def require_unitary(m, tol: float | None = None) -> np.ndarray:
     return u
 
 
-def tensor_product(a, b, *, max_dim: int = DIMENSION_CAP) -> np.ndarray:
-    """Kronecker product with an explicit dimension cap.
-
-    Fails loudly (DimensionCapError) instead of allocating matrices beyond
-    the design envelope.
-    """
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > max_dim or cols > max_dim:
-        raise DimensionCapError(
-            f"tensor product of {a.shape} and {b.shape} exceeds dimension cap {max_dim}"
-        )
-    return np.kron(a, b)
+def check_dimension_cap(n_qubits: int) -> None:
+    """Raise DimensionCapError before a 2^n_qubits register is allocated."""
+    if n_qubits >= DIMENSION_CAP.bit_length():
+        raise DimensionCapError(f"2^{n_qubits} exceeds dimension cap {DIMENSION_CAP}")
 
 
 def pauli_on(axis: str, k: int, n: int) -> np.ndarray:
@@ -101,24 +86,35 @@ def pauli_on(axis: str, k: int, n: int) -> np.ndarray:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     if not 1 <= k <= n:
         raise IndexError(f"qubit index {k} out of range 1..{n}")
-    if 2 ** n > DIMENSION_CAP:
-        raise DimensionCapError(f"2^{n} exceeds dimension cap {DIMENSION_CAP}")
+    check_dimension_cap(n)
     op = np.ones((1, 1), dtype=np.complex128)
     for slot in range(1, n + 1):
         op = np.kron(op, _PAULI[axis] if slot == k else IDENTITY_2)
     return op
 
 
-def evolve(h, t: float, tol: float | None = None) -> np.ndarray:
-    """Propagator exp(-i h t) of a constant Hermitian generator (hbar = 1).
+class Spectrum:
+    """Eigendecomposition of one constant Hermitian generator (hbar = 1).
 
-    Computed by spectral decomposition, exact to roundoff for constant
-    generators. The result is checked unitary before being returned.
+    Hermiticity is validated and ``np.linalg.eigh`` runs once, at
+    construction; every propagator and evolved frame of the generator is
+    then read off ``values`` and ``vectors``.
     """
-    h = require_hermitian(h, tol)
-    eigvals, eigvecs = np.linalg.eigh(h)
-    u = (eigvecs * np.exp(-1j * eigvals * t)) @ dagger(eigvecs)
-    return require_unitary(u)
+
+    def __init__(self, h):
+        self.h = require_hermitian(h)
+        self.values, self.vectors = np.linalg.eigh(self.h)
+
+    def propagator(self, t: float) -> np.ndarray:
+        """exp(-i h t), exact to roundoff and checked unitary."""
+        u = (self.vectors * np.exp(-1j * self.values * t)) @ dagger(self.vectors)
+        return require_unitary(u)
+
+
+def evolve(h, t: float) -> np.ndarray:
+    """Propagator exp(-i h t) of a constant Hermitian generator, for a
+    single time; build a ``Spectrum`` to evolve one generator repeatedly."""
+    return Spectrum(h).propagator(t)
 
 
 def polar_unitary(m, *, min_singular: float = 1e-12) -> np.ndarray:

@@ -1,7 +1,10 @@
-"""JSON encoding helpers for report documents.
+"""JSON encoding helpers for report documents and input validation.
 
 Complex matrices are encoded as nested [re, im] pairs; all floats are
-rounded to 12 significant digits so emitted reports diff stably.
+rounded to 12 significant digits so emitted reports diff stably. Input
+records validate their numeric fields with ``require_finite`` and
+``as_int``, so NaN, Inf, bools, strings and fractional counts are rejected
+where the record is built.
 """
 
 from __future__ import annotations
@@ -15,6 +18,22 @@ def round_sig(x: float, sig: int = 12) -> float:
     if x is None or not math.isfinite(x):
         return x
     return float(f"{x:.{sig}g}")
+
+
+def require_finite(**values: float) -> None:
+    """Raise ValueError naming the first value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as an int; rejects bools, strings and non-integral numbers."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def matrix_to_json(m: np.ndarray, sig: int = 12) -> list:

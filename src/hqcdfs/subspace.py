@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .operators import as_complex_matrix, dagger, evolve
+from .operators import Spectrum, as_complex_matrix, dagger
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -110,26 +110,45 @@ class BasisSet:
         return cls(np.column_stack(cols), tuple(data["labels"]))
 
 
-def _register_pattern(n_total: int, assignments: dict[int, str]) -> str:
-    """Bit pattern of a 3-qubit-per-block register with every block assigned
-    one of the named single-block states."""
-    if n_total % 3 != 0:
-        raise ValueError(f"register size must be a multiple of 3, got {n_total}")
-    n_blocks = n_total // 3
-    parts = []
-    for b in range(1, n_blocks + 1):
-        name = assignments.get(b)
-        if name is None:
-            raise ValueError(f"no state assigned to block {b}")
-        parts.append(_BLOCK_PATTERNS[name])
-    return "".join(parts)
-
-
 def _check_block_fits(block: LogicalBlock, n_total: int) -> None:
     if 3 * block.index > n_total:
         raise IndexError(
             f"block {block.index} needs qubits up to {3 * block.index}, register has {n_total}"
         )
+
+
+# Single-block states a basis ranges over, mapped to their label tokens.
+_DFS_STATES = {"a": "a", "0L": "0L", "1L": "1L"}
+_LOGICAL_STATES = {"0L": "0", "1L": "1"}
+
+
+def _product_basis(
+    blocks: Sequence[LogicalBlock], n_total: int, spectator: str, states: dict[str, str]
+) -> BasisSet:
+    """Every assignment of ``states`` to ``blocks``, other blocks in ``spectator``.
+
+    Lexicographic order with the first listed block most significant; each
+    label joins the blocks' tokens.
+    """
+    if not blocks or len({b.index for b in blocks}) != len(blocks):
+        raise ValueError(f"blocks must be nonempty and distinct, got {[b.index for b in blocks]}")
+    for block in blocks:
+        _check_block_fits(block, n_total)
+    if n_total % 3 != 0:
+        raise ValueError(f"register size must be a multiple of 3, got {n_total}")
+    if spectator not in _BLOCK_PATTERNS:
+        raise ValueError(f"spectator must be one of {sorted(_BLOCK_PATTERNS)}")
+    assignments = [()]
+    for _ in blocks:
+        assignments = [a + (name,) for a in assignments for name in states]
+    columns = []
+    for assignment in assignments:
+        pattern = [_BLOCK_PATTERNS[spectator]] * (n_total // 3)
+        for block, name in zip(blocks, assignment):
+            pattern[block.index - 1] = _BLOCK_PATTERNS[name]
+        columns.append(bit_state("".join(pattern)))
+    labels = tuple("".join(states[name] for name in a) for a in assignments)
+    return BasisSet(np.column_stack(columns), labels)
 
 
 def dfs_basis(block: LogicalBlock, n_total: int, spectator: str = "0L") -> BasisSet:
@@ -138,16 +157,7 @@ def dfs_basis(block: LogicalBlock, n_total: int, spectator: str = "0L") -> Basis
     Other blocks are held in the ``spectator`` reference state (one of
     'a', '0L', '1L'); the default is every other block in |0>_L.
     """
-    _check_block_fits(block, n_total)
-    if spectator not in _BLOCK_PATTERNS:
-        raise ValueError(f"spectator must be one of {sorted(_BLOCK_PATTERNS)}")
-    n_blocks = n_total // 3
-    columns = []
-    for name in ("a", "0L", "1L"):
-        assignments = {b: spectator for b in range(1, n_blocks + 1)}
-        assignments[block.index] = name
-        columns.append(bit_state(_register_pattern(n_total, assignments)))
-    return BasisSet(np.column_stack(columns), ("a", "0L", "1L"))
+    return _product_basis([block], n_total, spectator, _DFS_STATES)
 
 
 def logical_basis(
@@ -159,22 +169,7 @@ def logical_basis(
     significant logical qubit: one block gives (|0>_L, |1>_L), two give
     (|00>_L, |01>_L, |10>_L, |11>_L).
     """
-    if len(set(b.index for b in blocks)) != len(blocks):
-        raise ValueError("duplicate logical blocks")
-    if not blocks:
-        raise ValueError("need at least one logical block")
-    for block in blocks:
-        _check_block_fits(block, n_total)
-    n_blocks = n_total // 3
-    columns, labels = [], []
-    for bits in range(2 ** len(blocks)):
-        word = format(bits, f"0{len(blocks)}b")
-        assignments = {b: spectator for b in range(1, n_blocks + 1)}
-        for block, bit in zip(blocks, word):
-            assignments[block.index] = "0L" if bit == "0" else "1L"
-        columns.append(bit_state(_register_pattern(n_total, assignments)))
-        labels.append(word)
-    return BasisSet(np.column_stack(columns), tuple(labels))
+    return _product_basis(blocks, n_total, spectator, _LOGICAL_STATES)
 
 
 def invariant_check_basis(
@@ -189,15 +184,10 @@ def invariant_check_basis(
         return dfs_basis(blocks[0], n_total, spectator)
     if len(blocks) != 2:
         raise ValueError("invariant check basis is defined for 1 or 2 blocks")
+    ancilla = _product_basis(blocks, n_total, spectator, {"a": "a"})
     logical = logical_basis(blocks, n_total, spectator)
-    n_blocks = n_total // 3
-    assignments = {b: spectator for b in range(1, n_blocks + 1)}
-    for block in blocks:
-        assignments[block.index] = "a"
-    ancilla = bit_state(_register_pattern(n_total, assignments))
     return BasisSet(
-        np.column_stack([ancilla, logical.vectors]),
-        ("aa",) + logical.labels,
+        np.column_stack([ancilla.vectors, logical.vectors]), ancilla.labels + logical.labels
     )
 
 
@@ -205,27 +195,7 @@ def dfs_product_basis(
     blocks: Sequence[LogicalBlock], n_total: int, spectator: str = "0L"
 ) -> BasisSet:
     """Full protected space of several blocks (3^len(blocks) states)."""
-    if len(set(b.index for b in blocks)) != len(blocks) or not blocks:
-        raise ValueError("blocks must be nonempty and distinct")
-    for block in blocks:
-        _check_block_fits(block, n_total)
-    n_blocks = n_total // 3
-    names = ("a", "0L", "1L")
-    columns, labels = [], []
-
-    def build(prefix: list[str]):
-        if len(prefix) == len(blocks):
-            assignments = {b: spectator for b in range(1, n_blocks + 1)}
-            for block, name in zip(blocks, prefix):
-                assignments[block.index] = name
-            columns.append(bit_state(_register_pattern(n_total, assignments)))
-            labels.append("".join(prefix))
-            return
-        for name in names:
-            build(prefix + [name])
-
-    build([])
-    return BasisSet(np.column_stack(columns), tuple(labels))
+    return _product_basis(blocks, n_total, spectator, _DFS_STATES)
 
 
 def restrict(op: np.ndarray, basis: BasisSet) -> np.ndarray:
@@ -276,10 +246,11 @@ def leakage_profile(
         raise ValueError(
             f"inner basis is not contained in outer span (defect {nesting:.3e})"
         )
+    spectrum = Spectrum(h)
     profile = []
     for j in range(steps + 1):
         t = tau * j / steps
-        evolved = evolve(h, t) @ basis_inner.vectors
+        evolved = spectrum.propagator(t) @ basis_inner.vectors
         pop_outer = 1.0 - np.sum(np.abs(dagger(basis_outer.vectors) @ evolved) ** 2, axis=0)
         pop_inner = 1.0 - np.sum(np.abs(dagger(basis_inner.vectors) @ evolved) ** 2, axis=0)
         profile.append((t, float(pop_outer.max()), float(pop_inner.max())))

@@ -61,6 +61,36 @@ def expm_oracle(h: np.ndarray, t: float) -> np.ndarray:
     return scipy.linalg.expm(-1j * t * np.asarray(h, dtype=complex))
 
 
+def projector_chain(h: np.ndarray, vectors: np.ndarray, tau: float, steps: int) -> np.ndarray:
+    """Raw discrete parallel-transport chain <b(0)| P(t_N) ... P(t_1) |b(0)>.
+
+    The explicit overlap-chain (Wilson-loop) product of Fukui, Hatsugai &
+    Suzuki, JPSJ 74, 1674 (2005), on the non-adiabatic path of Sjoqvist et
+    al., NJP 14, 103035 (2012). Every link V_{j+1}^dag V_j is formed from
+    the frames V_j = U(t_j) V_0, t_j = j tau / steps, and multiplied in path
+    order, with no use of the links being equal. Each frame is the product of
+    two Pade propagators, U(a k dt) U(b dt) V_0 with j = a k + b, so frame
+    errors stay at roundoff instead of growing along the path as they would
+    under repeated stepping.
+    """
+    dt = tau / steps
+    k = int(np.ceil(np.sqrt(steps + 1)))
+    fine = np.stack([expm_oracle(h, b * dt) @ vectors for b in range(k)])
+    coarse = np.stack([expm_oracle(h, a * k * dt) for a in range(steps // k + 1)])
+    frames = (coarse[:, None] @ fine[None]).reshape(-1, *fine.shape[1:])[: steps + 1]
+    links = frames[1:].conj().swapaxes(1, 2) @ frames[:-1]
+    chain = frames[0].conj().T @ frames[-1]
+    for link in links[::-1]:
+        chain = chain @ link
+    return chain
+
+
+def collective_kick(theta: float, n: int) -> np.ndarray:
+    """exp(-i theta sum_k sz_k) from brute-force embedded Paulis and Pade."""
+    total = sum(embed_bruteforce(PAULI["z"], k, n) for k in range(1, n + 1))
+    return expm_oracle(total, theta)
+
+
 def polar_newton(m: np.ndarray, iterations: int = 100, tol: float = 1e-14) -> np.ndarray:
     """Unitary polar factor by Newton iteration X <- (X + X^-dag)/2."""
     x = np.asarray(m, dtype=complex)

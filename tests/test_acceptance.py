@@ -32,7 +32,7 @@ from hqcdfs.model import (
     universal_recipes,
 )
 from hqcdfs.noise import KickDistribution, NoiseEnsemble, bare_baseline, noisy_realize
-from hqcdfs.operators import SIGMA_X, phase_aligned_distance
+from hqcdfs.operators import SIGMA_X, Spectrum, phase_aligned_distance
 from hqcdfs.subspace import LogicalBlock, logical_basis, restrict
 
 from oracles import loglog_slope, random_unitary
@@ -91,13 +91,13 @@ def test_criterion_4_holonomy_certification():
     details = []
     for recipe in universal_recipes(strength=1.0, phase=0.3):
         n_blocks = max(recipe.blocks)
-        h = recipe_hamiltonian(recipe, n_blocks)
+        spectrum = Spectrum(recipe_hamiltonian(recipe, n_blocks))
         basis = logical_basis([LogicalBlock(b) for b in recipe.blocks], 3 * n_blocks)
 
         step_grid = (512, 1024, 2048, 4096, 8192)
         chain_defects = []
         for steps in step_grid:
-            report = certify(h, basis, recipe.duration, steps)
+            report = certify(spectrum, basis, recipe.duration, steps)
             chain_defects.append(report.chain_defect)
             if steps == 4096:
                 if report.cyclicity_defect > 1e-10:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from hqcdfs import __version__
 from hqcdfs.cli import main
@@ -265,6 +266,64 @@ class TestNogoCommand:
         assert doc["report"]["trials"] == 1000
 
 
+XZ = GateRecipe.xz(0.3).to_json_dict()
+ENSEMBLE = {
+    "kick_count": 1,
+    "distribution": {"type": "uniform", "params": {}},
+    "samples": 3,
+    "seed": 1,
+}
+
+
+def gate_argv(**changes):
+    return ["gate", "--recipe", json.dumps({**XZ, **changes}), "--steps", "64"]
+
+
+def noise_argv(distribution=None, **changes):
+    ensemble = {**ENSEMBLE, **changes}
+    if distribution is not None:
+        ensemble["distribution"] = distribution
+    return ["noise", "--recipe", json.dumps(XZ), "--ensemble", json.dumps(ensemble)]
+
+
+def gaussian(**params):
+    return {"type": "gaussian", "params": {"mean": 0.0, "stddev": 1.0, **params}}
+
+
+BAD_INPUT = {
+    "blocks-over-dimension-cap": (gate_argv(blocks=[5]), None),
+    "blocks-string": (gate_argv(blocks="1"), None),
+    "blocks-fractional": (gate_argv(blocks=[1.7]), None),
+    "phase-nan": (gate_argv(phase=float("nan")), None),
+    "phase-inf": (gate_argv(phase=float("inf")), None),
+    "strength-nan": (gate_argv(strength=float("nan")), None),
+    "strength-inf": (gate_argv(strength=float("inf")), None),
+    "duration-nan": (gate_argv(duration=float("nan")), None),
+    "ensemble-seed-negative": (noise_argv(seed=-1), None),
+    "ensemble-seed-fractional": (noise_argv(seed=1.5), None),
+    "distribution-unknown": (noise_argv({"type": "cauchy", "params": {}}), None),
+    "mean-nan": (noise_argv(gaussian(mean=float("nan"))), None),
+    "mean-inf": (noise_argv(gaussian(mean=float("inf"))), None),
+    "stddev-nan": (noise_argv(gaussian(stddev=float("nan"))), None),
+    "stddev-inf": (noise_argv(gaussian(stddev=float("inf"))), None),
+    "nogo-seed-negative": (["nogo", "--trials", "3", "--seed", "-1"], None),
+    "tolerance-scale-nan": (gate_argv(), "nan"),
+    "tolerance-scale-inf": (gate_argv(), "inf"),
+}
+
+
+class TestBadInputExits2:
+    @pytest.mark.parametrize("argv, scale", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+    def test_one_line_error(self, argv, scale, capsys, monkeypatch):
+        if scale is not None:
+            monkeypatch.setenv("HQC_DFS_TOLERANCE_SCALE", scale)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestExitStatusContract:
     def test_internal_contract_violation_exits_3(self, tmp_path, monkeypatch):
         from hqcdfs import cli
@@ -276,6 +335,13 @@ class TestExitStatusContract:
         monkeypatch.setattr(cli, "realize", explode)
         recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.1))
         assert main(["gate", "--recipe", recipe_path]) == 3
+
+    def test_nan_never_passes_a_check(self):
+        from hqcdfs.cli import _check
+
+        violations: list = []
+        _check(violations, "distance", float("nan"), 1.0)
+        assert [v["check"] for v in violations] == ["distance"]
 
 
 class TestConsoleScript:

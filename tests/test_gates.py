@@ -23,7 +23,8 @@ from hqcdfs.gates import (
 )
 from hqcdfs.holonomy import transport_defect
 from hqcdfs.model import CouplingConfig, GateRecipe, assemble_two_body, detune, recipe_hamiltonian
-from hqcdfs.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, evolve, phase_aligned_distance
+from hqcdfs.noise import KickDistribution, NoiseEnsemble, noisy_realize
+from hqcdfs.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, Spectrum, evolve, phase_aligned_distance
 from hqcdfs.serialize import matrix_from_json
 from hqcdfs.subspace import LogicalBlock, invariant_check_basis, restrict
 
@@ -187,12 +188,12 @@ class TestNoGo:
         h = assemble_two_body(CouplingConfig(2, two_body={(1, 2, "x"): 1.0}))
         restricted = restrict(h, dfs)
         assert np.array_equal(restricted, SIGMA_X)
-        assert abs(transport_defect(h, dfs, 2.0, 21) - 1.0) <= 1e-12
+        assert abs(transport_defect(Spectrum(h), dfs, 2.0, 21) - 1.0) <= 1e-12
 
     def test_zero_config_is_trivial(self):
         dfs = two_qubit_dfs()
         h = assemble_two_body(CouplingConfig(2))
-        assert transport_defect(h, dfs, 2.0, 11) == 0.0
+        assert transport_defect(Spectrum(h), dfs, 2.0, 11) == 0.0
         assert np.abs(restrict(evolve(h, 1.7), dfs) - np.eye(2)).max() <= 1e-14
 
     def test_randomized_equivalence_holds(self):
@@ -206,6 +207,33 @@ class TestNoGo:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             no_go_certificate(0, seed=1)
+
+
+class TestOneSpectrumPerHamiltonian:
+    """Each Hamiltonian is diagonalized once, whatever consumes its spectrum."""
+
+    @pytest.mark.parametrize(
+        "run, hamiltonians",
+        [
+            (lambda: realize(GateRecipe.xz(0.4), steps=512), 1),
+            (lambda: realize(GateRecipe.cnot(), steps=512), 1),
+            (lambda: realize(detune(GateRecipe.zx(0.4), 1.05), steps=512), 1),
+            (
+                lambda: noisy_realize(
+                    GateRecipe.cnot(), NoiseEnsemble(4, KickDistribution.uniform(), 20, 5)
+                ),
+                1,
+            ),
+            (lambda: no_go_certificate(25, seed=3), 25),
+        ],
+        ids=["realize-XZ", "realize-CNOT", "realize-detuned", "noisy_realize", "nogo-trials"],
+    )
+    def test_eigh_calls(self, run, hamiltonians, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
+        run()
+        assert len(calls) == hamiltonians
 
 
 class TestGateProperties:

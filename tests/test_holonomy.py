@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 
 from hqcdfs.errors import PreconditionError, SingularChainError
-from hqcdfs.holonomy import (
-    certify,
-    cyclicity_defect,
-    defects_only_report,
-    projector_chain_holonomy,
-    transport_defect,
-)
+from hqcdfs import holonomy
+from hqcdfs.holonomy import certify, cyclicity_defect, defects_only_report, transport_defect
 from hqcdfs.model import GateRecipe, detune, recipe_hamiltonian, universal_recipes
-from hqcdfs.operators import evolve, phase_aligned_distance
+from hqcdfs.operators import Spectrum, evolve, phase_aligned_distance, polar_unitary
 from hqcdfs.serialize import matrix_from_json
 from hqcdfs.subspace import BasisSet, LogicalBlock, dfs_basis, logical_basis, restrict
 
-from oracles import random_unitary, three_level_rotation
+from oracles import polar_newton, projector_chain, random_unitary, three_level_rotation
 
 
 def xz_setup(phi=0.3, strength=1.0):
@@ -39,7 +34,7 @@ ZERO_8 = np.zeros((8, 8), dtype=complex)
 class TestCyclicityDefect:
     def test_full_pulse_closes_the_loop(self):
         recipe, h, basis = xz_setup()
-        assert cyclicity_defect(h, basis, recipe.duration) <= 1e-10
+        assert cyclicity_defect(Spectrum(h), basis, recipe.duration) <= 1e-10
 
     def test_half_pulse_leaves_subspace_open(self):
         # Closed-form three-level rotation oracle: build the evolved logical
@@ -52,17 +47,17 @@ class TestCyclicityDefect:
         p_start = np.diag([0.0, 1.0, 1.0]).astype(complex)
         expected = float(np.linalg.norm(p_evolved - p_start))
         assert expected > 0.5
-        assert abs(cyclicity_defect(h, basis, t) - expected) < 1e-12
+        assert abs(cyclicity_defect(Spectrum(h), basis, t) - expected) < 1e-12
 
     def test_zero_hamiltonian(self):
         basis = logical_basis([LogicalBlock(1)], 3)
-        assert cyclicity_defect(ZERO_8, basis, 2.7) <= 1e-15
+        assert cyclicity_defect(Spectrum(ZERO_8), basis, 2.7) <= 1e-15
 
 
 class TestTransportDefect:
     def test_logical_subspace_carries_no_coupling(self):
         recipe, h, basis = xz_setup(phi=0.9)
-        assert transport_defect(h, basis, recipe.duration, 101) <= 1e-12
+        assert transport_defect(Spectrum(h), basis, recipe.duration, 101) <= 1e-12
 
     def test_ancilla_logical_pair_couples_at_strength(self):
         j = 1.4
@@ -70,29 +65,29 @@ class TestTransportDefect:
         h = recipe_hamiltonian(recipe, 1)
         full = dfs_basis(LogicalBlock(1), 3)
         pair = BasisSet(full.vectors[:, :2], ("a", "0L"))
-        assert abs(transport_defect(h, pair, recipe.duration, 101) - j) < 1e-12
+        assert abs(transport_defect(Spectrum(h), pair, recipe.duration, 101) - j) < 1e-12
 
     def test_zero_hamiltonian(self):
         basis = dfs_basis(LogicalBlock(1), 3)
-        assert transport_defect(ZERO_8, basis, 1.0, 11) == 0.0
+        assert transport_defect(Spectrum(ZERO_8), basis, 1.0, 11) == 0.0
 
     def test_needs_two_samples(self):
         _, h, basis = xz_setup()
         with pytest.raises(ValueError):
-            transport_defect(h, basis, 1.0, 1)
+            transport_defect(Spectrum(h), basis, 1.0, 1)
 
 
 class TestProjectorChain:
     def test_reconstructs_quoted_logical_gate(self):
         phi = 0.7
         recipe, h, basis = xz_setup(phi=phi)
-        chain = projector_chain_holonomy(h, basis, recipe.duration, 4096)
+        chain = certify(Spectrum(h), basis, recipe.duration, 4096).holonomy_matrix
         quoted = np.array([[0, np.exp(-1j * phi)], [np.exp(1j * phi), 0]])
         assert phase_aligned_distance(chain, quoted) <= 1e-3
 
     def test_zero_hamiltonian_gives_identity_exactly(self):
         basis = logical_basis([LogicalBlock(1)], 3)
-        chain = projector_chain_holonomy(ZERO_8, basis, 1.0, 16)
+        chain = certify(Spectrum(ZERO_8), basis, 1.0, 16).holonomy_matrix
         assert np.abs(chain - np.eye(2)).max() == 0.0
 
     def test_step_halving_behavior(self):
@@ -102,17 +97,32 @@ class TestProjectorChain:
         # step count because the even-order contraction is the only error the
         # chain makes on these constant generators (see decision ledger).
         recipe, h, basis = xz_setup(phi=0.3)
-        fine = certify(h, basis, recipe.duration, 4096)
-        coarse = certify(h, basis, recipe.duration, 2048)
+        fine = certify(Spectrum(h), basis, recipe.duration, 4096)
+        coarse = certify(Spectrum(h), basis, recipe.duration, 2048)
         ratio = coarse.chain_defect / fine.chain_defect
         assert 1.5 <= ratio <= 2.5
         assert fine.reconstruction_distance <= 1e-9
         assert coarse.reconstruction_distance <= 1e-9
 
+    @pytest.mark.parametrize("steps", [8, 256, 4096, 8192])
+    @pytest.mark.parametrize("recipe", universal_recipes(strength=1.0, phase=0.3))
+    def test_closed_form_matches_explicit_chain(self, recipe, steps, monkeypatch):
+        # certify evaluates the chain as restrict(U(tau)) B^N; the oracle
+        # forms and multiplies every link of the projector product.
+        h, basis = recipe_setup(recipe)
+        raw = []
+        monkeypatch.setattr(
+            holonomy, "polar_unitary", lambda m: raw.append(m) or polar_unitary(m)
+        )
+        report = certify(Spectrum(h), basis, recipe.duration, steps)
+        explicit = projector_chain(h, basis.vectors, recipe.duration, steps)
+        assert np.abs(raw[0] - explicit).max() <= 1e-10
+        assert np.abs(report.holonomy_matrix - polar_newton(explicit)).max() <= 1e-10
+
     def test_rejects_non_cyclic_window(self):
         recipe, h, basis = xz_setup()
         with pytest.raises(PreconditionError):
-            projector_chain_holonomy(h, basis, recipe.duration / 2, 64)
+            certify(Spectrum(h), basis, recipe.duration / 2, 64)
 
     def test_rejects_coupled_subspace(self):
         recipe = GateRecipe.xz(0.2)
@@ -120,26 +130,26 @@ class TestProjectorChain:
         full = dfs_basis(LogicalBlock(1), 3)
         pair = BasisSet(full.vectors[:, :2], ("a", "0L"))
         with pytest.raises(PreconditionError):
-            projector_chain_holonomy(h, pair, recipe.duration, 64)
+            certify(Spectrum(h), pair, recipe.duration, 64)
 
     def test_rejects_too_few_steps(self):
         recipe, h, basis = xz_setup()
         with pytest.raises(ValueError):
-            projector_chain_holonomy(h, basis, recipe.duration, 4)
+            certify(Spectrum(h), basis, recipe.duration, 4)
 
     def test_singular_chain_raises(self):
         # Four full loops across 8 steps put consecutive planes at right
         # angles, so the chained overlap is exactly rank-deficient.
         recipe, h, basis = xz_setup()
         with pytest.raises(SingularChainError):
-            projector_chain_holonomy(h, basis, 4 * recipe.duration, 8)
+            certify(Spectrum(h), basis, 4 * recipe.duration, 8)
 
 
 class TestCertify:
     @pytest.mark.parametrize("recipe", universal_recipes(strength=1.2, phase=0.8))
     def test_gate_recipes_certify(self, recipe):
         h, basis = recipe_setup(recipe)
-        report = certify(h, basis, recipe.duration, 1024)
+        report = certify(Spectrum(h), basis, recipe.duration, 1024)
         assert report.cyclicity_defect <= 1e-10
         assert report.transport_defect <= 1e-12
         assert report.reconstruction_distance <= 1e-3
@@ -149,14 +159,14 @@ class TestCertify:
     def test_detuned_report_has_defects_only(self):
         recipe = detune(GateRecipe.xz(0.5), 1.07)
         h, basis = recipe_setup(recipe)
-        report = defects_only_report(h, basis, recipe.duration, 512)
+        report = defects_only_report(Spectrum(h), basis, recipe.duration, 512)
         assert report.cyclicity_defect > 1e-3
         assert report.holonomy_matrix is None
         assert report.reconstruction_distance is None
 
     def test_report_json_round_trip(self):
         recipe, h, basis = xz_setup(phi=1.1)
-        report = certify(h, basis, recipe.duration, 512)
+        report = certify(Spectrum(h), basis, recipe.duration, 512)
         doc = json.loads(json.dumps(report.to_json_dict()))
         matrix = matrix_from_json(doc["holonomy_matrix"])
         defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(2))
@@ -167,20 +177,20 @@ class TestCertify:
 class TestHolonomyProperties:
     def test_gauge_covariance_of_reconstruction(self):
         recipe, h, basis = xz_setup(phi=0.45)
-        reference = projector_chain_holonomy(h, basis, recipe.duration, 256)
+        reference = certify(Spectrum(h), basis, recipe.duration, 256).holonomy_matrix
         rng = np.random.default_rng(71)
         for _ in range(20):
             gauge = random_unitary(rng, 2)
-            rotated = projector_chain_holonomy(
-                h, basis.transformed(gauge), recipe.duration, 256
-            )
+            rotated = certify(
+                Spectrum(h), basis.transformed(gauge), recipe.duration, 256
+            ).holonomy_matrix
             expected = gauge.conj().T @ reference @ gauge
             assert np.abs(rotated - expected).max() <= 1e-8
 
     @pytest.mark.parametrize("recipe", universal_recipes(strength=0.9, phase=1.3))
     def test_sampled_transport_equals_initial_restriction(self, recipe):
         h, basis = recipe_setup(recipe)
-        sampled = transport_defect(h, basis, recipe.duration, 101)
+        sampled = transport_defect(Spectrum(h), basis, recipe.duration, 101)
         initial = float(np.abs(restrict(h, basis)).max())
         assert abs(sampled - initial) <= 1e-12
 
@@ -189,7 +199,7 @@ class TestHolonomyProperties:
         h, basis = recipe_setup(recipe)
         products = []
         for steps in (256, 512, 1024, 2048, 4096, 8192):
-            report = certify(h, basis, recipe.duration, steps)
+            report = certify(Spectrum(h), basis, recipe.duration, steps)
             products.append(report.chain_defect * steps)
             assert report.reconstruction_distance * steps <= 1e-3
         assert max(products) <= 2.0 * np.pi ** 2  # bounded by a constant
@@ -199,9 +209,10 @@ class TestHolonomyProperties:
         phases = np.exp(1j * np.array([0.4, -1.9]))
         rephased = BasisSet(basis.vectors * phases, basis.labels)
         t = recipe.duration / 3
+        spectrum = Spectrum(h)
         assert abs(
-            cyclicity_defect(h, basis, t) - cyclicity_defect(h, rephased, t)
+            cyclicity_defect(spectrum, basis, t) - cyclicity_defect(spectrum, rephased, t)
         ) <= 1e-12
         assert abs(
-            transport_defect(h, basis, t, 31) - transport_defect(h, rephased, t, 31)
+            transport_defect(spectrum, basis, t, 31) - transport_defect(spectrum, rephased, t, 31)
         ) <= 1e-12

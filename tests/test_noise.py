@@ -3,28 +3,30 @@ import pytest
 
 from hqcdfs.gates import realized_logical, target_for
 from hqcdfs.model import GateRecipe, collective_z, recipe_hamiltonian, universal_recipes
-from hqcdfs.noise import (
-    KickDistribution,
-    NoiseEnsemble,
-    bare_baseline,
-    collective_kick,
-    noisy_realize,
-)
+from hqcdfs.noise import KickDistribution, NoiseEnsemble, bare_baseline, noisy_realize
 from hqcdfs.operators import evolve, phase_aligned_distance
 from hqcdfs.subspace import LogicalBlock, bit_state, dfs_product_basis, restrict
+
+from oracles import collective_kick
 
 
 def uniform_ensemble(kick_count=4, samples=50, seed=5):
     return NoiseEnsemble(kick_count, KickDistribution.uniform(), samples, seed)
 
 
+def package_kick(theta: float, n: int) -> np.ndarray:
+    """The kick exp(-i theta sum_k sz_k) as noisy_realize applies it."""
+    return np.diag(np.exp(-1j * theta * np.diagonal(collective_z(n)).real))
+
+
 class TestCollectiveKick:
     def test_zero_angle_is_identity(self):
-        assert np.array_equal(collective_kick(0.0, 3), np.eye(8))
+        assert np.array_equal(package_kick(0.0, 3), np.eye(8))
 
     def test_common_phase_on_single_excitation_states(self):
         theta = 0.9
-        kick = collective_kick(theta, 3)
+        kick = package_kick(theta, 3)
+        assert np.abs(kick - collective_kick(theta, 3)).max() <= 1e-14
         for bits in ("100", "010", "001"):
             v = bit_state(bits)
             assert np.allclose(kick @ v, np.exp(-1j * theta) * v, atol=1e-15)
@@ -32,9 +34,10 @@ class TestCollectiveKick:
     def test_diagonal_action_on_superposition(self):
         theta = 1.3
         plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-        kicked = collective_kick(theta, 1) @ plus
+        kicked = package_kick(theta, 1) @ plus
         expected = np.array([np.exp(-1j * theta), np.exp(1j * theta)]) / np.sqrt(2)
         assert np.allclose(kicked, expected, atol=1e-15)
+        assert np.allclose(collective_kick(theta, 1) @ plus, expected, atol=1e-14)
 
 
 class TestNoisyRealize:

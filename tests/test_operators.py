@@ -14,11 +14,12 @@ from hqcdfs.operators import (
     phase_aligned_distance,
     polar_unitary,
     require_unitary,
-    tensor_product,
 )
 
 from oracles import (
+    PAULI,
     bitstring_state,
+    embed_bruteforce,
     expm_oracle,
     kron_bruteforce,
     phase_min_scan,
@@ -27,39 +28,6 @@ from oracles import (
     random_unitaries,
     random_unitary,
 )
-
-
-class TestTensorProduct:
-    def test_identity_factors(self):
-        assert np.array_equal(tensor_product(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-    def test_sigma_z_with_identity(self):
-        assert np.array_equal(
-            tensor_product(SIGMA_Z, IDENTITY_2), np.diag([1.0, 1.0, -1.0, -1.0])
-        )
-
-    def test_xx_flips_both_qubits(self):
-        # Expected matrix recomputed entrywise by the brute-force oracle.
-        xx = kron_bruteforce(SIGMA_X, SIGMA_X)
-        assert np.allclose(tensor_product(SIGMA_X, SIGMA_X), xx)
-        assert np.allclose(xx @ bitstring_state("01"), bitstring_state("10"))
-
-    def test_rectangular_factors(self):
-        a = np.array([[1, 2, 3]], dtype=complex)
-        b = np.array([[1], [1j]], dtype=complex)
-        assert np.allclose(tensor_product(a, b), kron_bruteforce(a, b))
-
-    def test_dimension_cap(self):
-        tall = np.ones((2 ** 13, 1), dtype=complex)
-        with pytest.raises(DimensionCapError):
-            tensor_product(tall, np.ones((4, 1), dtype=complex))
-        with pytest.raises(DimensionCapError):
-            tensor_product(tall, tall, max_dim=2 ** 13)
-
-    def test_rejects_non_finite(self):
-        bad = np.array([[np.nan, 0], [0, 1]])
-        with pytest.raises(ContractViolation):
-            tensor_product(bad, IDENTITY_2)
 
 
 class TestPauliOn:
@@ -83,6 +51,11 @@ class TestPauliOn:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             pauli_on("w", 1, 1)
+
+    def test_dimension_cap(self):
+        # Rejected from the qubit count, before any 2^15 register exists.
+        with pytest.raises(DimensionCapError):
+            pauli_on("z", 1, 15)
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_hermitian_unitary_involutory(self, axis):
@@ -121,6 +94,10 @@ class TestEvolve:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractViolation):
             evolve(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ContractViolation):
+            evolve(np.array([[np.nan, 0], [0, 1]]), 1.0)
 
 
 class TestPolarUnitary:
@@ -210,13 +187,14 @@ class TestAlgebraProperties:
                 assert np.abs(lhs - rhs).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2 ** 16))
-    def test_mixed_product_property(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4))
-        lhs = tensor_product(a, b) @ tensor_product(c, d)
-        rhs = tensor_product(a @ c, b @ d)
-        assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
+    @given(
+        axis=st.sampled_from(["x", "y", "z"]),
+        n=st.integers(min_value=1, max_value=4),
+        data=st.data(),
+    )
+    def test_pauli_on_matches_bruteforce_embedding(self, axis, n, data):
+        k = data.draw(st.integers(min_value=1, max_value=n))
+        assert np.array_equal(pauli_on(axis, k, n), embed_bruteforce(PAULI[axis], k, n))
 
     def test_polar_factor_minimizes_frobenius_distance(self):
         rng = np.random.default_rng(31)
