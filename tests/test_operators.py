@@ -30,6 +30,27 @@ from oracles import (
 )
 
 
+class TestTensorProduct:
+    """Kronecker embeddings as ``pauli_on`` builds them, the package's one
+    tensor-product constructor."""
+
+    def test_identity_factors(self):
+        # Every Pauli squares to I, so the embedded product is the identity
+        # on all factors, exactly.
+        for k in (1, 2):
+            op = pauli_on("x", k, 2)
+            assert np.array_equal(op @ op, np.eye(4))
+
+    def test_sigma_z_with_identity(self):
+        assert np.array_equal(pauli_on("z", 1, 2), np.diag([1.0, 1.0, -1.0, -1.0]))
+
+    def test_xx_flips_both_qubits(self):
+        # Expected matrix recomputed entrywise by the brute-force oracle.
+        xx = kron_bruteforce(SIGMA_X, SIGMA_X)
+        assert np.allclose(pauli_on("x", 1, 2) @ pauli_on("x", 2, 2), xx)
+        assert np.allclose(xx @ bitstring_state("01"), bitstring_state("10"))
+
+
 class TestPauliOn:
     def test_single_qubit_z(self):
         assert np.array_equal(pauli_on("z", 1, 1), np.diag([1.0, -1.0]))
@@ -185,6 +206,24 @@ class TestAlgebraProperties:
                 lhs = pauli_on("x", k, n) @ pauli_on("y", k, n)
                 rhs = 1j * pauli_on("z", k, n)
                 assert np.abs(lhs - rhs).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.sampled_from(["x", "y", "z"]),
+        b=st.sampled_from(["x", "y", "z"]),
+        n=st.integers(min_value=2, max_value=4),
+        data=st.data(),
+    )
+    def test_mixed_product_property(self, a, b, n, data):
+        # (A (x) B)(C (x) D) = AC (x) BD on embedded operators: Paulis on two
+        # distinct qubits multiply into one Kronecker product of both.
+        k, l = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        expected = np.eye(1, dtype=complex)
+        for slot in range(1, n + 1):
+            factor = PAULI[a] if slot == k else PAULI[b] if slot == l else IDENTITY_2
+            expected = kron_bruteforce(expected, factor)
+        lhs = pauli_on(a, k, n) @ pauli_on(b, l, n)
+        assert np.abs(lhs - expected).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
