@@ -3,7 +3,8 @@
 Commands: ``gate``, ``holonomy``, ``noise``, ``sweep``, ``nogo``. Every
 report embeds the full input configuration and the tool version. Exit
 status contract: 0 all checks within tolerance, 1 tolerance violations
-(listed in the report), 2 unparseable input, 3 internal contract violation.
+(listed in the report), 2 unparseable input, 3 internal contract violation
+or any other internal failure (one stderr line, no traceback).
 The environment variable HQC_DFS_TOLERANCE_SCALE (default 1) multiplies
 every documented tolerance for exploratory runs and is recorded in reports.
 """
@@ -260,12 +261,22 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> int:
-    """Dispatch one parsed command; returns the process exit status."""
+    """Dispatch one parsed command; returns the process exit status.
+
+    Bad input propagates as InputError (exit 2). Any other failure, such as
+    an exhausted allocation, exits 3 with one line on stderr and no
+    traceback, so exit 1 keeps meaning tolerance violations only.
+    """
     try:
         return _RUNNERS[config.command](config, tolerance_scale())
+    except InputError:
+        raise
     except (ContractViolation, SingularChainError) as exc:
         sys.stderr.write(f"contract violation: {exc}\n")
-        return EXIT_CONTRACT
+    except Exception as exc:
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        sys.stderr.write(f"internal error: {message}\n")
+    return EXIT_CONTRACT
 
 
 def build_parser() -> argparse.ArgumentParser:

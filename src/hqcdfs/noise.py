@@ -7,17 +7,24 @@ here commutes with the kick generator, and the encoded states share one
 kick eigenvalue, so a kick acts on the protected space as a global phase;
 that exact mechanism is what the simulations certify. An unencoded
 single-qubit baseline quantifies what the same kicks do without protection.
+
+Sample i draws its kick angles from its own generator, the i-th child of
+``SeedSequence(seed)``, so the angles do not depend on how samples are
+grouped. Samples are evaluated in chunks: each kick is one matrix product
+over the chunk's propagated logical columns, and memory stays flat in the
+sample count. ``ENSEMBLE_CAP`` bounds the sample and total kick counts
+before anything is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .model import GateRecipe, collective_z, recipe_hamiltonian
-from .operators import dagger, evolve
+from .operators import chunk_length, evolve
 from .serialize import as_int, require_finite, round_sig
 from .subspace import LogicalBlock, logical_basis
 
@@ -52,7 +59,8 @@ class KickDistribution:
     def fixed(cls, value: float) -> "KickDistribution":
         return cls("fixed", value=value)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator | None, size) -> np.ndarray:
+        """Angles of shape ``size``; a fixed distribution ignores ``rng``."""
         if self.kind == "uniform":
             return rng.uniform(0.0, 2.0 * np.pi, size)
         if self.kind == "gaussian":
@@ -79,6 +87,13 @@ class KickDistribution:
         return cls(kind)
 
 
+# Largest sample count, and largest total kick count samples * kick_count,
+# that an ensemble may ask for. Propagation memory is flat in both (samples
+# run in chunks), but the per-sample fidelities and their report grow with
+# the sample count and one chunk's angles with the kick count.
+ENSEMBLE_CAP = 2 ** 20
+
+
 @dataclass(frozen=True)
 class NoiseEnsemble:
     """Kick schedule: how many kicks per gate, their distribution, and the
@@ -98,6 +113,34 @@ class NoiseEnsemble:
             raise ValueError("samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if max(self.samples, self.samples * self.kick_count) > ENSEMBLE_CAP:
+            raise ValueError(
+                f"samples ({self.samples}) and samples * kick_count "
+                f"({self.samples * self.kick_count}) must not exceed {ENSEMBLE_CAP}"
+            )
+
+    def angle_chunks(self, chunk: int) -> Iterator[np.ndarray]:
+        """Kick angles of consecutive chunks of at most ``chunk`` samples,
+        each shaped (samples in the chunk, kick_count).
+
+        Sample i draws from its own generator, seeded by the i-th child of
+        ``SeedSequence(seed)``. Each ``spawn`` continues the parent's child
+        count, so the angles do not depend on the chunk size. A fixed
+        distribution reads no generator, so none is made.
+        """
+        parent = np.random.SeedSequence(self.seed)
+        dist = self.distribution
+        for start in range(0, self.samples, chunk):
+            size = min(chunk, self.samples - start)
+            if dist.kind == "fixed":
+                yield dist.sample(None, (size, self.kick_count))
+            else:
+                yield np.array(
+                    [
+                        dist.sample(np.random.default_rng(child), self.kick_count)
+                        for child in parent.spawn(size)
+                    ]
+                )
 
     def to_json_dict(self) -> dict:
         return {
@@ -131,12 +174,6 @@ class NoisyGateResult:
         }
 
 
-def _sample_rngs(seed: int, samples: int) -> list[np.random.Generator]:
-    # Per-sample generators split from one seed, so serial and parallel
-    # evaluation orders agree bit-exactly.
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(samples)]
-
-
 def noisy_realize(
     recipe: GateRecipe, ensemble: NoiseEnsemble, n_blocks: int | None = None
 ) -> NoisyGateResult:
@@ -145,6 +182,10 @@ def noisy_realize(
     The evolution is sliced into kick_count + 1 equal-time segments with an
     independent collective kick between consecutive segments; each sample
     reports F = |Tr(target^dag restricted)| / L on the logical basis.
+
+    Only the L logical columns are propagated: psi = U_seg V, then
+    psi <- U_seg (kick * psi) for each kick, as one (d, d) x (d, chunk * L)
+    product over a chunk of samples; F = |sum conj(V target) * psi| / L.
     """
     from .gates import target_for  # local import to avoid a module cycle
 
@@ -156,17 +197,19 @@ def noisy_realize(
     z_diag = np.diagonal(collective_z(n_total)).real
 
     basis = logical_basis([LogicalBlock(b) for b in recipe.blocks], n_total)
-    target = target_for(recipe)
-    dim_logical = target.shape[0]
+    dim, dim_logical = basis.vectors.shape
+    overlap = (basis.vectors @ target_for(recipe)).conj()
+    first = u_segment @ basis.vectors
 
     fidelities = []
-    for rng in _sample_rngs(ensemble.seed, ensemble.samples):
-        thetas = ensemble.distribution.sample(rng, ensemble.kick_count)
-        u = u_segment
-        for theta in thetas:
-            u = u_segment @ (np.exp(-1j * theta * z_diag)[:, None] * u)
-        restricted = dagger(basis.vectors) @ u @ basis.vectors
-        fidelities.append(float(np.abs(np.trace(dagger(target) @ restricted)) / dim_logical))
+    for thetas in ensemble.angle_chunks(chunk_length(dim * dim_logical)):
+        size = len(thetas)
+        psi = np.broadcast_to(first[:, None, :], (dim, size, dim_logical))
+        for kick in thetas.T:
+            kicked = np.exp(-1j * z_diag[:, None] * kick)[:, :, None] * psi
+            psi = (u_segment @ kicked.reshape(dim, -1)).reshape(dim, size, dim_logical)
+        traces = np.einsum("al,asl->s", overlap, psi)
+        fidelities.extend((np.abs(traces) / dim_logical).tolist())
 
     return NoisyGateResult(
         mean_fidelity=float(np.mean(fidelities)),
@@ -180,7 +223,8 @@ def bare_baseline(theta_gate: float, ensemble: NoiseEnsemble) -> float:
 
     One physical qubit performs an x-rotation by ``theta_gate`` sliced into
     equal segments with sz kicks in between; the initial state is
-    (|0> + |1>)/sqrt(2). Contrast experiment for the encoded case.
+    (|0> + |1>)/sqrt(2). Contrast experiment for the encoded case. The
+    samples run in chunks, one (2, chunk) state block each.
     """
     segments = ensemble.kick_count + 1
     half = theta_gate / (2.0 * segments)
@@ -189,12 +233,12 @@ def bare_baseline(theta_gate: float, ensemble: NoiseEnsemble) -> float:
         dtype=np.complex128,
     )
     plus = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
+    sz = np.array([1.0, -1.0])
 
     total = 0.0
-    for rng in _sample_rngs(ensemble.seed, ensemble.samples):
-        thetas = ensemble.distribution.sample(rng, ensemble.kick_count)
-        psi = u_segment @ plus
-        for theta in thetas:
-            psi = u_segment @ (np.exp(-1j * theta * np.array([1.0, -1.0])) * psi)
-        total += float(np.abs(np.vdot(plus, psi)) ** 2)
+    for thetas in ensemble.angle_chunks(chunk_length(2)):
+        psi = np.repeat((u_segment @ plus)[:, None], len(thetas), axis=1)
+        for kick in thetas.T:
+            psi = u_segment @ (np.exp(-1j * kick * sz[:, None]) * psi)
+        total += float(np.sum(np.abs(plus.conj() @ psi) ** 2))
     return total / ensemble.samples

@@ -199,13 +199,14 @@ def dfs_product_basis(
 
 
 def restrict(op: np.ndarray, basis: BasisSet) -> np.ndarray:
-    """Matrix of entries <b_i| op |b_j> in basis order.
+    """Matrix of entries <b_i| op |b_j> in basis order, for one operator or
+    for each in a stack.
 
     The restriction of a unitary is unitary exactly when the span is
     invariant; see :func:`invariance_defect`.
     """
-    op = as_complex_matrix(op)
-    if op.shape != (basis.dim_ambient, basis.dim_ambient):
+    op = as_complex_matrix(op, stacked=True)
+    if op.shape[-2:] != (basis.dim_ambient, basis.dim_ambient):
         raise ValueError(
             f"operator shape {op.shape} does not match ambient dimension {basis.dim_ambient}"
         )

@@ -170,3 +170,115 @@ def random_unitaries(rng: np.random.Generator, count: int, dim: int) -> np.ndarr
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * 0.5 * (x + x.conj().T)
+
+
+def no_go_trials(trials: int, seed: int) -> dict:
+    """The randomized two-qubit no-go check, one 4x4 problem per trial.
+
+    Draws exactly what ``gates.no_go_certificate`` draws, in the same order,
+    but assembles, diagonalizes and checks each trial on its own, one time
+    at a time. Returns the ``NoGoReport`` fields that the trials determine.
+    """
+    from hqcdfs.gates import NO_GO_TOL, two_qubit_dfs
+    from hqcdfs.model import CouplingConfig, assemble_two_body
+    from hqcdfs.operators import Spectrum
+    from hqcdfs.subspace import invariance_defect, restrict
+
+    rng = np.random.default_rng(seed)
+    dfs = two_qubit_dfs()
+    eye = np.eye(2)
+    trivial = nontrivial = counterexamples = 0
+    max_invariance = max_trivial_transport = 0.0
+    min_nontrivial_transport = np.inf
+    for _ in range(trials):
+        if rng.random() < 0.25:
+            jx = jy = 0.0
+        else:
+            jx = 0.0 if rng.random() < 0.2 else rng.uniform(0.1, 2.0) * rng.choice([-1, 1])
+            jy = 0.0 if rng.random() < 0.2 else rng.uniform(0.1, 2.0) * rng.choice([-1, 1])
+        h = assemble_two_body(CouplingConfig(2, two_body={(1, 2, "x"): jx, (1, 2, "y"): jy}))
+        h_norm = float(np.abs(restrict(h, dfs)).max())
+        spectrum = Spectrum(h)
+        transport = identity_dist = 0.0
+        for t in rng.uniform(0.25, 3.0, size=4):
+            u = spectrum.propagator(t)
+            max_invariance = max(max_invariance, invariance_defect(u, dfs))
+            frame = u @ dfs.vectors
+            transport = max(transport, float(np.abs(frame.conj().T @ h @ frame).max()))
+            identity_dist = max(identity_dist, float(np.linalg.norm(restrict(u, dfs) - eye)))
+        flags = (transport <= NO_GO_TOL, h_norm <= NO_GO_TOL, identity_dist <= NO_GO_TOL)
+        if len(set(flags)) != 1:
+            counterexamples += 1
+        if h_norm <= NO_GO_TOL:
+            trivial += 1
+            max_trivial_transport = max(max_trivial_transport, transport)
+        else:
+            nontrivial += 1
+            min_nontrivial_transport = min(min_nontrivial_transport, transport)
+    return {
+        "trivial_count": trivial,
+        "nontrivial_count": nontrivial,
+        "counterexamples": counterexamples,
+        "max_dfs_invariance_defect": max_invariance,
+        "max_trivial_transport_defect": max_trivial_transport,
+        "min_nontrivial_transport_defect": min_nontrivial_transport if nontrivial else 0.0,
+    }
+
+
+def _sample_generators(seed: int, samples: int) -> list:
+    """One generator per sample, all spawned from ``SeedSequence(seed)`` at once."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(samples)]
+
+
+def _kick_angles(distribution, rng, count: int) -> np.ndarray:
+    if distribution.kind == "uniform":
+        return rng.uniform(0.0, 2.0 * np.pi, count)
+    if distribution.kind == "gaussian":
+        return rng.normal(distribution.mean, distribution.stddev, count)
+    return np.full(count, distribution.value)
+
+
+def noisy_fidelities(recipe, ensemble) -> list[float]:
+    """Per-sample logical process fidelities, one sample and one kick at a time.
+
+    The full d x d propagator is built kick by kick from the package's
+    segment propagator and the brute-force collective-kick diagonal, then
+    restricted to the logical basis and traced against the target.
+    """
+    from hqcdfs.gates import target_for
+    from hqcdfs.model import recipe_hamiltonian
+    from hqcdfs.operators import evolve
+    from hqcdfs.subspace import LogicalBlock, logical_basis
+
+    n_blocks = max(recipe.blocks)
+    n = 3 * n_blocks
+    segments = ensemble.kick_count + 1
+    u_segment = evolve(recipe_hamiltonian(recipe, n_blocks), recipe.duration / segments)
+    z_diag = np.diagonal(sum(embed_bruteforce(PAULI["z"], k, n) for k in range(1, n + 1))).real
+    vectors = logical_basis([LogicalBlock(b) for b in recipe.blocks], n).vectors
+    target = target_for(recipe)
+    fidelities = []
+    for rng in _sample_generators(ensemble.seed, ensemble.samples):
+        u = u_segment
+        for theta in _kick_angles(ensemble.distribution, rng, ensemble.kick_count):
+            u = u_segment @ (np.exp(-1j * theta * z_diag)[:, None] * u)
+        restricted = vectors.conj().T @ u @ vectors
+        fidelities.append(float(np.abs(np.trace(target.conj().T @ restricted)) / target.shape[0]))
+    return fidelities
+
+
+def bare_fidelity(theta_gate: float, ensemble) -> float:
+    """Mean |<+|psi>|^2 of one unencoded qubit, one sample and one kick at a time."""
+    segments = ensemble.kick_count + 1
+    half = theta_gate / (2.0 * segments)
+    u_segment = np.array(
+        [[np.cos(half), -1j * np.sin(half)], [-1j * np.sin(half), np.cos(half)]]
+    )
+    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    total = 0.0
+    for rng in _sample_generators(ensemble.seed, ensemble.samples):
+        psi = u_segment @ plus
+        for theta in _kick_angles(ensemble.distribution, rng, ensemble.kick_count):
+            psi = u_segment @ (np.exp(-1j * theta * np.array([1.0, -1.0])) * psi)
+        total += float(np.abs(np.vdot(plus, psi)) ** 2)
+    return total / ensemble.samples

@@ -10,6 +10,7 @@ import pytest
 from hqcdfs import __version__
 from hqcdfs.cli import main
 from hqcdfs.model import GateRecipe, detune
+from hqcdfs.noise import ENSEMBLE_CAP
 from hqcdfs.serialize import matrix_from_json
 
 
@@ -306,6 +307,9 @@ BAD_INPUT = {
     "mean-inf": (noise_argv(gaussian(mean=float("inf"))), None),
     "stddev-nan": (noise_argv(gaussian(stddev=float("nan"))), None),
     "stddev-inf": (noise_argv(gaussian(stddev=float("inf"))), None),
+    "samples-over-cap": (noise_argv(kick_count=0, samples=ENSEMBLE_CAP + 1), None),
+    "kicks-over-cap": (noise_argv(kick_count=4, samples=ENSEMBLE_CAP // 4 + 1), None),
+    "kick-count-1e18": (noise_argv(kick_count=1e18), None),
     "nogo-seed-negative": (["nogo", "--trials", "3", "--seed", "-1"], None),
     "tolerance-scale-nan": (gate_argv(), "nan"),
     "tolerance-scale-inf": (gate_argv(), "inf"),
@@ -335,6 +339,25 @@ class TestExitStatusContract:
         monkeypatch.setattr(cli, "realize", explode)
         recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.1))
         assert main(["gate", "--recipe", recipe_path]) == 3
+
+    @pytest.mark.parametrize(
+        "error",
+        [RuntimeError("synthetic failure\nsecond line"), MemoryError()],
+        ids=["RuntimeError", "MemoryError"],
+    )
+    def test_any_other_exception_exits_3(self, error, capsys, monkeypatch):
+        from hqcdfs import cli
+
+        def explode(*args, **kwargs):
+            raise error
+
+        monkeypatch.setitem(cli._RUNNERS, "nogo", explode)
+        assert main(["nogo", "--trials", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"internal error: {type(error).__name__}")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     def test_nan_never_passes_a_check(self):
         from hqcdfs.cli import _check

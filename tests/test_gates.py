@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from hqcdfs.gates import (
+    _NO_GO_CHUNK,
     ancilla_completed_target,
     compose_realized,
     compose_targets,
@@ -28,7 +30,7 @@ from hqcdfs.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, Spectrum, evolve, phase_
 from hqcdfs.serialize import matrix_from_json
 from hqcdfs.subspace import LogicalBlock, invariant_check_basis, restrict
 
-from oracles import qubit_permutation_matrix, random_unitary
+from oracles import no_go_trials, qubit_permutation_matrix, random_unitary
 
 
 class TestTargets:
@@ -208,6 +210,20 @@ class TestNoGo:
         with pytest.raises(ValueError):
             no_go_certificate(0, seed=1)
 
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize(
+        "trials",
+        [1, _NO_GO_CHUNK - 1, _NO_GO_CHUNK, _NO_GO_CHUNK + 1],
+        ids=["one", "chunk-1", "chunk", "chunk+1"],
+    )
+    def test_batched_matches_per_trial_oracle(self, seed, trials):
+        report = asdict(no_go_certificate(trials, seed))
+        for name, expected in no_go_trials(trials, seed).items():
+            if isinstance(expected, int):
+                assert report[name] == expected, name
+            else:
+                assert abs(report[name] - expected) <= 1e-15, name
+
 
 class TestOneSpectrumPerHamiltonian:
     """Each Hamiltonian is diagonalized once, whatever consumes its spectrum."""
@@ -229,11 +245,17 @@ class TestOneSpectrumPerHamiltonian:
         ids=["realize-XZ", "realize-CNOT", "realize-detuned", "noisy_realize", "nogo-trials"],
     )
     def test_eigh_calls(self, run, hamiltonians, monkeypatch):
-        calls = []
+        # Counts diagonalized matrices, so one stacked call over T
+        # Hamiltonians counts T.
+        diagonalized = []
         eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
+        monkeypatch.setattr(
+            np.linalg,
+            "eigh",
+            lambda h: diagonalized.append(int(np.prod(np.shape(h)[:-2]))) or eigh(h),
+        )
         run()
-        assert len(calls) == hamiltonians
+        assert sum(diagonalized) == hamiltonians
 
 
 class TestGateProperties:

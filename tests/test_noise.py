@@ -3,11 +3,18 @@ import pytest
 
 from hqcdfs.gates import realized_logical, target_for
 from hqcdfs.model import GateRecipe, collective_z, recipe_hamiltonian, universal_recipes
-from hqcdfs.noise import KickDistribution, NoiseEnsemble, bare_baseline, noisy_realize
+from hqcdfs import noise
+from hqcdfs.noise import (
+    ENSEMBLE_CAP,
+    KickDistribution,
+    NoiseEnsemble,
+    bare_baseline,
+    noisy_realize,
+)
 from hqcdfs.operators import evolve, phase_aligned_distance
 from hqcdfs.subspace import LogicalBlock, bit_state, dfs_product_basis, restrict
 
-from oracles import collective_kick
+from oracles import bare_fidelity, collective_kick, noisy_fidelities
 
 
 def uniform_ensemble(kick_count=4, samples=50, seed=5):
@@ -73,6 +80,16 @@ class TestNoisyRealize:
             NoiseEnsemble(1, KickDistribution.uniform(), 0, 0)
         with pytest.raises(ValueError):
             KickDistribution.gaussian(0.0, -1.0)
+
+    def test_ensemble_cap(self):
+        NoiseEnsemble(0, KickDistribution.uniform(), ENSEMBLE_CAP, 0)
+        NoiseEnsemble(ENSEMBLE_CAP, KickDistribution.uniform(), 1, 0)
+        with pytest.raises(ValueError, match="must not exceed"):
+            NoiseEnsemble(0, KickDistribution.uniform(), ENSEMBLE_CAP + 1, 0)
+        with pytest.raises(ValueError, match="must not exceed"):
+            NoiseEnsemble(2, KickDistribution.uniform(), ENSEMBLE_CAP // 2 + 1, 0)
+        with pytest.raises(ValueError, match="must not exceed"):
+            NoiseEnsemble(10**18, KickDistribution.uniform(), 1, 0)
 
     def test_json_round_trip(self):
         for ensemble in (
@@ -145,3 +162,45 @@ class TestNoiseProperties:
             for theta in rng.uniform(0, 2 * np.pi, segments - 1):
                 u = u_segment @ (collective_kick(theta, 3) @ u)
             assert phase_aligned_distance(restrict(u, protected), noiseless) <= 1e-10
+
+
+DISTRIBUTIONS = {
+    "uniform": KickDistribution.uniform(),
+    "gaussian": KickDistribution.gaussian(0.3, 1.7),
+    "fixed": KickDistribution.fixed(2.2),
+}
+
+
+class TestBatchedAgainstOracle:
+    """The chunked column propagation against the per-sample, per-kick loop
+    on the same sample streams. 70 samples span several CNOT chunks."""
+
+    @pytest.mark.parametrize("kick_count", [0, 1, 4, 16])
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS.values(), ids=DISTRIBUTIONS.keys())
+    @pytest.mark.parametrize(
+        "recipe",
+        [GateRecipe.xz(0.8), GateRecipe.zx(1.4), GateRecipe.cnot()],
+        ids=["XZ", "ZX", "CNOT"],
+    )
+    def test_noisy_realize(self, recipe, dist, kick_count):
+        ensemble = NoiseEnsemble(kick_count, dist, samples=70, seed=13)
+        batched = noisy_realize(recipe, ensemble).per_sample
+        expected = noisy_fidelities(recipe, ensemble)
+        assert len(batched) == len(expected)
+        assert np.abs(np.subtract(batched, expected)).max() <= 1e-14
+
+    @pytest.mark.parametrize("kick_count", [0, 1, 4, 16])
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS.values(), ids=DISTRIBUTIONS.keys())
+    def test_bare_baseline(self, dist, kick_count):
+        ensemble = NoiseEnsemble(kick_count, dist, samples=70, seed=13)
+        assert abs(bare_baseline(0.7, ensemble) - bare_fidelity(0.7, ensemble)) <= 1e-14
+
+    def test_chunk_size_does_not_change_the_samples(self, monkeypatch):
+        ensemble = NoiseEnsemble(4, KickDistribution.uniform(), samples=50, seed=19)
+        recipe = GateRecipe.zx(0.6)
+        whole = noisy_realize(recipe, ensemble).per_sample
+        whole_bare = bare_baseline(0.4, ensemble)
+        monkeypatch.setattr(noise, "chunk_length", lambda entries_per_item: 7)
+        chunked = noisy_realize(recipe, ensemble).per_sample
+        assert np.abs(np.subtract(chunked, whole)).max() <= 1e-15
+        assert abs(bare_baseline(0.4, ensemble) - whole_bare) <= 1e-15

@@ -9,10 +9,12 @@ from hqcdfs.operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    Spectrum,
     evolve,
     pauli_on,
     phase_aligned_distance,
     polar_unitary,
+    require_hermitian,
     require_unitary,
 )
 
@@ -119,6 +121,49 @@ class TestEvolve:
     def test_rejects_non_finite(self):
         with pytest.raises(ContractViolation):
             evolve(np.array([[np.nan, 0], [0, 1]]), 1.0)
+
+
+class TestStackedSpectrum:
+    def hermitian_stack(self, count=5, dim=6, seed=41):
+        rng = np.random.default_rng(seed)
+        return np.stack([random_hermitian(rng, dim) for _ in range(count)])
+
+    def test_propagators_match_per_matrix_spectra(self):
+        h = self.hermitian_stack()
+        times = np.random.default_rng(42).uniform(-3, 3, size=(len(h), 3))
+        stacked = Spectrum(h).propagator(times)
+        assert stacked.shape == (5, 3, 6, 6)
+        for i, hi in enumerate(h):
+            single = Spectrum(hi)
+            for j, t in enumerate(times[i]):
+                assert np.abs(stacked[i, j] - single.propagator(t)).max() <= 1e-14
+
+    def test_one_non_hermitian_matrix_fails_the_stack(self):
+        h = self.hermitian_stack()
+        h[3, 0, 1] += 1e-6
+        with pytest.raises(ContractViolation, match="not Hermitian"):
+            Spectrum(h)
+        with pytest.raises(ContractViolation, match="not Hermitian"):
+            require_hermitian(h)
+
+    def test_one_non_unitary_matrix_fails_the_stack(self):
+        u = random_unitaries(np.random.default_rng(43), 4, 3)
+        require_unitary(u)
+        u[2] *= 1.001
+        with pytest.raises(ContractViolation, match="not unitary"):
+            require_unitary(u)
+
+    def test_non_finite_entry_fails_the_stack(self):
+        h = self.hermitian_stack()
+        h[1, 2, 2] = np.nan
+        with pytest.raises(ContractViolation):
+            Spectrum(h)
+
+    def test_times_must_match_the_stack(self):
+        spectrum = Spectrum(self.hermitian_stack())
+        for times in (0.5, np.zeros(5), np.zeros((4, 2))):
+            with pytest.raises(ValueError):
+                spectrum.propagator(times)
 
 
 class TestPolarUnitary:
