@@ -113,7 +113,7 @@ def _parse(cls, source: str):
     doc = _load_json_input(source)
     try:
         return cls.from_json_dict(doc)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InputError(f"invalid {cls.__name__}: {exc}") from exc
 
 
@@ -152,11 +152,14 @@ def _emit_report(
         "report": report,
         "violations": violations,
     }
+    # One buffer, not a joined list of every small chunk: less peak memory.
+    buffer = io.StringIO()
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
+        buffer.writelines(json.JSONEncoder(indent=2, allow_nan=False).iterencode(doc))
     except ValueError as exc:
         raise ContractViolation(f"report holds a non-finite number: {exc}") from exc
-    _emit(config, text + "\n")
+    buffer.write("\n")
+    _emit(config, buffer.getvalue())
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 

@@ -8,12 +8,12 @@ kick eigenvalue, so a kick acts on the protected space as a global phase;
 that exact mechanism is what the simulations certify. An unencoded
 single-qubit baseline quantifies what the same kicks do without protection.
 
-Sample i draws its kick angles from its own generator, the i-th child of
-``SeedSequence(seed)``, so the angles do not depend on how samples are
-grouped. Samples are evaluated in chunks: each kick is one matrix product
-over the chunk's propagated logical columns, and memory stays flat in the
-sample count. ``ENSEMBLE_CAP`` bounds the sample and total kick counts
-before anything is allocated.
+An ensemble reads one generator, ``default_rng(seed)``: sample i takes row i
+of a row-major (samples, kick_count) stream of angles, so the angles do not
+depend on how samples are grouped and a longer ensemble begins with a shorter
+one. Samples run in chunks: each kick is one matrix product over the chunk's
+propagated logical columns, so memory stays flat in the sample count.
+``ENSEMBLE_CAP`` bounds the sample and total kick counts before allocating.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class KickDistribution:
     def fixed(cls, value: float) -> "KickDistribution":
         return cls("fixed", value=value)
 
-    def sample(self, rng: np.random.Generator | None, size) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """Angles of shape ``size``; a fixed distribution ignores ``rng``."""
         if self.kind == "uniform":
             return rng.uniform(0.0, 2.0 * np.pi, size)
@@ -123,24 +123,15 @@ class NoiseEnsemble:
         """Kick angles of consecutive chunks of at most ``chunk`` samples,
         each shaped (samples in the chunk, kick_count).
 
-        Sample i draws from its own generator, seeded by the i-th child of
-        ``SeedSequence(seed)``. Each ``spawn`` continues the parent's child
-        count, so the angles do not depend on the chunk size. A fixed
-        distribution reads no generator, so none is made.
+        One generator, ``default_rng(seed)``, is read in row-major order:
+        sample i is row i of the (samples, kick_count) stream. The angles
+        therefore do not depend on the chunk size, and an ensemble of n
+        samples begins with the m-sample ensemble of the same seed (m <= n).
         """
-        parent = np.random.SeedSequence(self.seed)
-        dist = self.distribution
+        rng = np.random.default_rng(self.seed)
         for start in range(0, self.samples, chunk):
             size = min(chunk, self.samples - start)
-            if dist.kind == "fixed":
-                yield dist.sample(None, (size, self.kick_count))
-            else:
-                yield np.array(
-                    [
-                        dist.sample(np.random.default_rng(child), self.kick_count)
-                        for child in parent.spawn(size)
-                    ]
-                )
+            yield self.distribution.sample(rng, (size, self.kick_count))
 
     def to_json_dict(self) -> dict:
         return {

@@ -23,7 +23,6 @@ UNITARITY_TOL = 1e-10
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-IDENTITY_2 = np.eye(2, dtype=np.complex128)
 
 _PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
@@ -109,7 +108,11 @@ def check_dimension_cap(n_qubits: int) -> None:
 
 
 def pauli_on(axis: str, k: int, n: int) -> np.ndarray:
-    """Pauli operator on qubit ``k`` (1-based) of an ``n``-qubit register."""
+    """Pauli operator on qubit ``k`` (1-based) of an ``n``-qubit register.
+
+    Built by index, not by Kronecker products: column c holds one entry, in
+    row c with bit n - k flipped for x and y, read off the single-qubit Pauli.
+    """
     if axis not in _PAULI:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
     if n < 1:
@@ -117,9 +120,12 @@ def pauli_on(axis: str, k: int, n: int) -> np.ndarray:
     if not 1 <= k <= n:
         raise IndexError(f"qubit index {k} out of range 1..{n}")
     check_dimension_cap(n)
-    op = np.ones((1, 1), dtype=np.complex128)
-    for slot in range(1, n + 1):
-        op = np.kron(op, _PAULI[axis] if slot == k else IDENTITY_2)
+    shift = n - k
+    cols = np.arange(2 ** n)
+    bits = (cols >> shift) & 1
+    flip = int(axis != "z")
+    op = np.zeros((2 ** n, 2 ** n), dtype=np.complex128)
+    op[cols ^ (flip << shift), cols] = _PAULI[axis][bits ^ flip, bits]
     return op
 
 

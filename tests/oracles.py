@@ -1,10 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 Everything here recomputes expected values by a different route than the
-package: explicit index loops instead of vectorized Kronecker products,
-Pade approximation instead of spectral exponentials, Newton iteration
-instead of SVD polar factors, closed-form three-level rotations instead of
-generic propagators, and grid scans instead of closed-form phase minima.
+package: explicit index loops and Kronecker chains instead of index-built
+Pauli embeddings, Pade approximation instead of spectral exponentials,
+Newton iteration instead of SVD polar factors, closed-form three-level
+rotations instead of generic propagators, and grid scans instead of
+closed-form phase minima.
 """
 
 from __future__ import annotations
@@ -37,6 +38,16 @@ def embed_bruteforce(op: np.ndarray, k: int, n: int) -> np.ndarray:
     out = np.eye(1, dtype=complex)
     for slot in range(1, n + 1):
         out = kron_bruteforce(out, op if slot == k else EYE2)
+    return out
+
+
+def pauli_kron(axis: str, k: int, n: int) -> np.ndarray:
+    """Pauli on qubit k (1-based, qubit 1 = MSB) of n qubits as a chain of
+    ``np.kron`` products: fast enough for the package's 9-qubit registers,
+    where ``embed_bruteforce`` is not."""
+    out = np.ones((1, 1), dtype=complex)
+    for slot in range(1, n + 1):
+        out = np.kron(out, PAULI[axis] if slot == k else EYE2)
     return out
 
 
@@ -225,17 +236,18 @@ def no_go_trials(trials: int, seed: int) -> dict:
     }
 
 
-def _sample_generators(seed: int, samples: int) -> list:
-    """One generator per sample, all spawned from ``SeedSequence(seed)`` at once."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(samples)]
-
-
-def _kick_angles(distribution, rng, count: int) -> np.ndarray:
-    if distribution.kind == "uniform":
-        return rng.uniform(0.0, 2.0 * np.pi, count)
-    if distribution.kind == "gaussian":
-        return rng.normal(distribution.mean, distribution.stddev, count)
-    return np.full(count, distribution.value)
+def _sample_angles(ensemble):
+    """Each sample's kick angles, drawn one sample at a time from one
+    ``default_rng(seed)``: sample i reads the i-th run of kick_count draws."""
+    rng = np.random.default_rng(ensemble.seed)
+    distribution, count = ensemble.distribution, ensemble.kick_count
+    for _ in range(ensemble.samples):
+        if distribution.kind == "uniform":
+            yield rng.uniform(0.0, 2.0 * np.pi, count)
+        elif distribution.kind == "gaussian":
+            yield rng.normal(distribution.mean, distribution.stddev, count)
+        else:
+            yield np.full(count, distribution.value)
 
 
 def noisy_fidelities(recipe, ensemble) -> list[float]:
@@ -258,9 +270,9 @@ def noisy_fidelities(recipe, ensemble) -> list[float]:
     vectors = logical_basis([LogicalBlock(b) for b in recipe.blocks], n).vectors
     target = target_for(recipe)
     fidelities = []
-    for rng in _sample_generators(ensemble.seed, ensemble.samples):
+    for angles in _sample_angles(ensemble):
         u = u_segment
-        for theta in _kick_angles(ensemble.distribution, rng, ensemble.kick_count):
+        for theta in angles:
             u = u_segment @ (np.exp(-1j * theta * z_diag)[:, None] * u)
         restricted = vectors.conj().T @ u @ vectors
         fidelities.append(float(np.abs(np.trace(target.conj().T @ restricted)) / target.shape[0]))
@@ -276,9 +288,9 @@ def bare_fidelity(theta_gate: float, ensemble) -> float:
     )
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     total = 0.0
-    for rng in _sample_generators(ensemble.seed, ensemble.samples):
+    for angles in _sample_angles(ensemble):
         psi = u_segment @ plus
-        for theta in _kick_angles(ensemble.distribution, rng, ensemble.kick_count):
+        for theta in angles:
             psi = u_segment @ (np.exp(-1j * theta * np.array([1.0, -1.0])) * psi)
         total += float(np.abs(np.vdot(plus, psi)) ** 2)
     return total / ensemble.samples

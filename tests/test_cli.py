@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqcdfs import __version__
 from hqcdfs.cli import main
@@ -300,6 +304,7 @@ BAD_INPUT = {
     "strength-nan": (gate_argv(strength=float("nan")), None),
     "strength-inf": (gate_argv(strength=float("inf")), None),
     "duration-nan": (gate_argv(duration=float("nan")), None),
+    "phase-int-beyond-float": (gate_argv(phase=10 ** 400), None),
     "ensemble-seed-negative": (noise_argv(seed=-1), None),
     "ensemble-seed-fractional": (noise_argv(seed=1.5), None),
     "distribution-unknown": (noise_argv({"type": "cauchy", "params": {}}), None),
@@ -307,6 +312,7 @@ BAD_INPUT = {
     "mean-inf": (noise_argv(gaussian(mean=float("inf"))), None),
     "stddev-nan": (noise_argv(gaussian(stddev=float("nan"))), None),
     "stddev-inf": (noise_argv(gaussian(stddev=float("inf"))), None),
+    "mean-int-beyond-float": (noise_argv(gaussian(mean=-(10 ** 400))), None),
     "samples-over-cap": (noise_argv(kick_count=0, samples=ENSEMBLE_CAP + 1), None),
     "kicks-over-cap": (noise_argv(kick_count=4, samples=ENSEMBLE_CAP // 4 + 1), None),
     "kick-count-1e18": (noise_argv(kick_count=1e18), None),
@@ -365,6 +371,123 @@ class TestExitStatusContract:
         violations: list = []
         _check(violations, "distance", float("nan"), 1.0)
         assert [v["check"] for v in violations] == ["distance"]
+
+
+def run_captured(argv):
+    """Exit status, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestReportEnvelope:
+    def test_envelope_is_indented_json(self):
+        status, out, _ = run_captured(noise_argv(samples=40))
+        assert status == 0
+        assert out == json.dumps(strict_json(out), indent=2) + "\n"
+
+    def test_non_finite_report_writes_nothing(self, monkeypatch):
+        from hqcdfs import cli
+        from hqcdfs.noise import NoisyGateResult
+
+        per_sample = (1.0,) * 50 + (float("nan"),)
+        result = NoisyGateResult(float("nan"), float("nan"), per_sample)
+        monkeypatch.setattr(cli, "noisy_realize", lambda recipe, ensemble: result)
+        status, out, err = run_captured(noise_argv())
+        assert status == 3
+        assert out == ""
+        assert err.startswith("contract violation: report holds a non-finite number")
+
+
+# Wrong values a field of the JSON input may take instead of a valid one:
+# missing (see ``mutated``), mistyped, non-finite, negative, or huge. Huge
+# counts exceed a cap, so a fuzzed run never allocates much.
+BAD_VALUES = [None, "1", [], True, float("nan"), float("inf"), -1, -2.5, 1e300, 10 ** 400]
+
+
+@st.composite
+def mutated(draw, doc, counts=(0, 1, 1, 2)):
+    """``doc`` with some of its fields, as many as drawn from ``counts``,
+    dropped or given a bad value."""
+    out = dict(doc)
+    count = draw(st.sampled_from(counts))
+    for key in draw(st.permutations(sorted(doc)))[:count]:
+        if draw(st.booleans()):
+            del out[key]
+        else:
+            out[key] = draw(st.sampled_from(BAD_VALUES))
+    return out
+
+
+@st.composite
+def recipes(draw, counts=(0, 1, 1, 2)):
+    kind = draw(st.sampled_from(["XZ", "ZX", "CNOT"]))
+    strength = draw(st.floats(0.5, 2.0))
+    if kind == "CNOT":
+        recipe = GateRecipe.cnot(strength, draw(st.sampled_from([(1, 2), (2, 1)])))
+    else:
+        factory = GateRecipe.xz if kind == "XZ" else GateRecipe.zx
+        recipe = factory(draw(st.floats(-math.pi, math.pi)), strength, draw(st.sampled_from([1, 2])))
+    if draw(st.booleans()):
+        recipe = detune(recipe, draw(st.floats(0.5, 1.5)))
+    return draw(mutated(recipe.to_json_dict(), counts))
+
+
+@st.composite
+def ensembles(draw):
+    distribution = draw(
+        st.sampled_from(
+            [
+                {"type": "uniform", "params": {}},
+                {"type": "gaussian", "params": {"mean": 0.4, "stddev": 1.3}},
+                {"type": "fixed", "params": {"theta": 2.1}},
+            ]
+        )
+    )
+    distribution = draw(mutated({**distribution, "params": draw(mutated(distribution["params"]))}))
+    doc = {
+        "kick_count": draw(st.integers(0, 8)),
+        "distribution": distribution,
+        "samples": draw(st.integers(1, 64)),
+        "seed": draw(st.integers(0, 2 ** 32)),
+    }
+    return draw(mutated(doc))
+
+
+class TestExitStatusFuzz:
+    """Whatever the recipe and ensemble JSON hold, the exit status keeps its
+    contract, stdout is strict JSON or empty, and no failure is reported as
+    an internal error: bad input exits 2, a failed numerical contract 3."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        case=st.one_of(
+            st.tuples(st.just("gate"), recipes(), st.none()),
+            st.tuples(st.just("noise"), recipes(counts=(0, 0, 0, 1)), ensembles()),
+        )
+    )
+    def test_exit_status_and_stdout(self, case):
+        command, recipe, ensemble = case
+        argv = [command, "--recipe", json.dumps(recipe)]
+        argv += ["--steps", "64"] if command == "gate" else ["--ensemble", json.dumps(ensemble)]
+        with np.errstate(all="ignore"):
+            status, out, err = run_captured(argv)
+        assert status in (0, 1, 2, 3)
+        if status in (0, 1):
+            assert isinstance(strict_json(out), dict)
+        else:
+            assert out == ""
+            assert err.count("\n") == 1
+        assert "internal error" not in err
+        assert "Traceback" not in err
 
 
 class TestConsoleScript:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hqcdfs import model
 from hqcdfs.model import (
     PULSE_AREAS,
     CouplingConfig,
@@ -20,6 +21,7 @@ from hqcdfs.subspace import bit_state
 
 from oracles import (
     bitstring_state,
+    pauli_kron,
     qubit_permutation_matrix,
     r_op_bruteforce,
 )
@@ -229,6 +231,13 @@ class TestRecipeHamiltonian:
     def test_block_out_of_range(self):
         with pytest.raises(IndexError):
             recipe_hamiltonian(GateRecipe.xz(0.0, block=3), 2)
+
+    @pytest.mark.parametrize("recipe", list(universal_recipes(1.3, 0.7)), ids=["XZ", "ZX", "CNOT"])
+    def test_bit_identical_to_kron_chain_assembly(self, recipe, monkeypatch):
+        n_blocks = max(recipe.blocks)
+        h = recipe_hamiltonian(recipe, n_blocks)
+        monkeypatch.setattr(model, "pauli_on", pauli_kron)
+        assert h.tobytes() == recipe_hamiltonian(recipe, n_blocks).tobytes()
 
     def test_coupling_config_layout(self):
         config = recipe_coupling_config(GateRecipe.zx(0.4, block=2), 2)

@@ -204,3 +204,34 @@ class TestBatchedAgainstOracle:
         chunked = noisy_realize(recipe, ensemble).per_sample
         assert np.abs(np.subtract(chunked, whole)).max() <= 1e-15
         assert abs(bare_baseline(0.4, ensemble) - whole_bare) <= 1e-15
+
+
+def stream_draws(dist: KickDistribution, seed: int, shape: tuple[int, int]) -> np.ndarray:
+    """The whole ensemble's angles drawn at once from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    if dist.kind == "uniform":
+        return rng.uniform(0.0, 2.0 * np.pi, size=shape)
+    if dist.kind == "gaussian":
+        return rng.normal(dist.mean, dist.stddev, size=shape)
+    return np.full(shape, dist.value)
+
+
+class TestAngleStream:
+    """Sample i is row i of one row-major stream from ``default_rng(seed)``."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 30])
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS.values(), ids=DISTRIBUTIONS.keys())
+    def test_chunks_concatenate_to_one_stream(self, dist, chunk):
+        ensemble = NoiseEnsemble(3, dist, samples=30, seed=21)
+        angles = np.concatenate(list(ensemble.angle_chunks(chunk)))
+        assert np.array_equal(angles, stream_draws(dist, 21, (30, 3)))
+
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS.values(), ids=DISTRIBUTIONS.keys())
+    def test_longer_ensemble_extends_shorter_one(self, dist):
+        short = NoiseEnsemble(4, dist, samples=9, seed=8)
+        long = NoiseEnsemble(4, dist, samples=40, seed=8)
+        head = np.concatenate(list(long.angle_chunks(16)))[:9]
+        assert np.array_equal(head, np.concatenate(list(short.angle_chunks(16))))
+        recipe = GateRecipe.cnot()
+        per_sample = noisy_realize(recipe, long).per_sample[:9]
+        assert np.abs(np.subtract(per_sample, noisy_realize(recipe, short).per_sample)).max() <= 1e-15

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from hqcdfs.errors import ContractViolation, DimensionCapError, SingularChainError
 from hqcdfs.operators import (
-    IDENTITY_2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -19,11 +18,13 @@ from hqcdfs.operators import (
 )
 
 from oracles import (
+    EYE2,
     PAULI,
     bitstring_state,
     embed_bruteforce,
     expm_oracle,
     kron_bruteforce,
+    pauli_kron,
     phase_min_scan,
     polar_newton,
     random_hermitian,
@@ -61,7 +62,7 @@ class TestPauliOn:
         assert np.array_equal(pauli_on("z", 2, 2), np.diag([1.0, -1.0, 1.0, -1.0]))
 
     def test_x_on_second_flips_low_bit(self):
-        expected = kron_bruteforce(IDENTITY_2, SIGMA_X)
+        expected = kron_bruteforce(EYE2, SIGMA_X)
         assert np.allclose(pauli_on("x", 2, 2), expected)
         assert np.allclose(pauli_on("x", 2, 2) @ bitstring_state("00"), bitstring_state("01"))
 
@@ -204,7 +205,7 @@ class TestPhaseAlignedDistance:
         assert phase_aligned_distance(u, np.exp(1j * np.pi / 7) * u) <= 1e-12
 
     def test_identity_vs_sigma_x(self):
-        assert abs(phase_aligned_distance(IDENTITY_2, SIGMA_X) - 2.0) < 1e-12
+        assert abs(phase_aligned_distance(EYE2, SIGMA_X) - 2.0) < 1e-12
 
     def test_matches_grid_scan(self):
         rng = np.random.default_rng(8)
@@ -265,7 +266,7 @@ class TestAlgebraProperties:
         k, l = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
         expected = np.eye(1, dtype=complex)
         for slot in range(1, n + 1):
-            factor = PAULI[a] if slot == k else PAULI[b] if slot == l else IDENTITY_2
+            factor = PAULI[a] if slot == k else PAULI[b] if slot == l else EYE2
             expected = kron_bruteforce(expected, factor)
         lhs = pauli_on(a, k, n) @ pauli_on(b, l, n)
         assert np.abs(lhs - expected).max() <= 1e-12
@@ -279,6 +280,12 @@ class TestAlgebraProperties:
     def test_pauli_on_matches_bruteforce_embedding(self, axis, n, data):
         k = data.draw(st.integers(min_value=1, max_value=n))
         assert np.array_equal(pauli_on(axis, k, n), embed_bruteforce(PAULI[axis], k, n))
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_pauli_on_equals_kron_chain_on_package_registers(self, n):
+        for axis in "xyz":
+            for k in range(1, n + 1):
+                assert np.array_equal(pauli_on(axis, k, n), pauli_kron(axis, k, n))
 
     def test_polar_factor_minimizes_frobenius_distance(self):
         rng = np.random.default_rng(31)
