@@ -197,11 +197,10 @@ def _run_noise(config: RunConfig, scale: float) -> int:
     result = noisy_realize(recipe, ensemble)
     violations = [] if recipe.detuned else _violations("noise", result, scale)
     if config.format == "csv":
+        # csv.writer's bytes (nothing needs quoting, "\r\n" ends rows), streamed.
         buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["sample", "fidelity"])
-        for i, fidelity in enumerate(result.per_sample):
-            writer.writerow([i, f"{fidelity:.12g}"])
+        buffer.write("sample,fidelity\r\n")
+        buffer.writelines(f"{i},{f:.12g}\r\n" for i, f in enumerate(result.per_sample))
         _emit(config, buffer.getvalue())
         return EXIT_VIOLATIONS if violations else EXIT_OK
     input_doc = {"recipe": recipe.to_json_dict(), "ensemble": ensemble.to_json_dict()}

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .operators import check_dimension_cap, pauli_on
-from .serialize import as_int, require_finite
+from .serialize import as_float, as_int
 from .subspace import LogicalBlock
 
 TwoBodyKey = tuple[int, int, str]          # (k, l, axis in {x, y})
@@ -124,7 +124,10 @@ class GateRecipe:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"kind must be one of {GATE_KINDS}, got {self.kind!r}")
-        require_finite(phase=self.phase, strength=self.strength, duration=self.duration)
+        if not isinstance(self.detuned, bool):
+            raise ValueError(f"detuned must be true or false, got {self.detuned!r}")
+        for name in ("phase", "strength", "duration"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if self.strength <= 0 or self.duration <= 0:
             raise ValueError("strength and duration must be positive")
         object.__setattr__(self, "blocks", tuple(as_int(b, "block index") for b in self.blocks))
@@ -163,9 +166,9 @@ class GateRecipe:
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "phase": float(self.phase),
-            "strength": float(self.strength),
-            "duration": float(self.duration),
+            "phase": self.phase,
+            "strength": self.strength,
+            "duration": self.duration,
             "blocks": list(self.blocks),
             "detuned": self.detuned,
         }
@@ -174,12 +177,12 @@ class GateRecipe:
     def from_json_dict(cls, data: Mapping) -> "GateRecipe":
         blocks = data["blocks"]
         return cls(
-            kind=str(data["kind"]),
-            phase=float(data.get("phase", 0.0)),
-            strength=float(data["strength"]),
-            duration=float(data["duration"]),
+            kind=data["kind"],
+            phase=data.get("phase", 0.0),
+            strength=data["strength"],
+            duration=data["duration"],
             blocks=(blocks,) if isinstance(blocks, int) else blocks,
-            detuned=bool(data.get("detuned", False)),
+            detuned=data.get("detuned", False),
         )
 
 

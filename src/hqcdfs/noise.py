@@ -11,8 +11,9 @@ single-qubit baseline quantifies what the same kicks do without protection.
 An ensemble reads one generator, ``default_rng(seed)``: sample i takes row i
 of a row-major (samples, kick_count) stream of angles, so the angles do not
 depend on how samples are grouped and a longer ensemble begins with a shorter
-one. Samples run in chunks: each kick is one matrix product over the chunk's
-propagated logical columns, so memory stays flat in the sample count.
+one. Samples run in chunks, each kick one matrix product over the chunk's
+logical columns in their collective-Z sector, so memory stays flat in the
+sample count.
 ``ENSEMBLE_CAP`` bounds the sample and total kick counts before allocating.
 """
 
@@ -23,9 +24,10 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from .errors import ContractViolation
 from .model import GateRecipe, collective_z, recipe_hamiltonian
-from .operators import chunk_length, evolve
-from .serialize import as_int, require_finite, round_sig
+from .operators import ALGEBRA_TOL, chunk_length, evolve
+from .serialize import as_float, as_int, round_sig
 from .subspace import LogicalBlock, logical_basis
 
 _DIST_KINDS = ("uniform", "gaussian", "fixed")
@@ -43,7 +45,8 @@ class KickDistribution:
     def __post_init__(self):
         if self.kind not in _DIST_KINDS:
             raise ValueError(f"kind must be one of {_DIST_KINDS}, got {self.kind!r}")
-        require_finite(mean=self.mean, stddev=self.stddev, theta=self.value)
+        for name in ("mean", "stddev", "value"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if self.stddev < 0:
             raise ValueError("stddev must be >= 0")
 
@@ -78,12 +81,12 @@ class KickDistribution:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "KickDistribution":
-        kind = str(data["type"])
+        kind = data["type"]
         params = data.get("params", {})
         if kind == "gaussian":
-            return cls.gaussian(float(params["mean"]), float(params["stddev"]))
+            return cls.gaussian(params["mean"], params["stddev"])
         if kind == "fixed":
-            return cls.fixed(float(params["theta"]))
+            return cls.fixed(params["theta"])
         return cls(kind)
 
 
@@ -161,7 +164,8 @@ class NoisyGateResult:
         return {
             "mean_fidelity": round_sig(self.mean_fidelity),
             "min_fidelity": round_sig(self.min_fidelity),
-            "per_sample": [round_sig(f) for f in self.per_sample],
+            # One formatting pass; the same 12 digits as round_sig.
+            "per_sample": list(map(float, map("{:.12g}".format, self.per_sample))),
         }
 
 
@@ -174,25 +178,34 @@ def noisy_realize(
     independent collective kick between consecutive segments; each sample
     reports F = |Tr(target^dag restricted)| / L on the logical basis.
 
-    Only the L logical columns are propagated: psi = U_seg V, then
-    psi <- U_seg (kick * psi) for each kick, as one (d, d) x (d, chunk * L)
-    product over a chunk of samples; F = |sum conj(V target) * psi| / L.
+    Gate and kicks commute with collective Z, so only its sector holding the
+    logical basis is propagated (15 of 64 states for CNOT); a Hamiltonian
+    entry coupling it to the rest raises ContractViolation. There the L
+    logical columns evolve as psi = U_seg V, then psi <- U_seg (kick * psi)
+    per kick, one (d, d) x (d, chunk * L) product over a chunk of samples;
+    F = |sum conj(V target) * psi| / L.
     """
     from .gates import target_for  # local import to avoid a module cycle
 
     if n_blocks is None:
         n_blocks = max(recipe.blocks)
     n_total = 3 * n_blocks
-    segments = ensemble.kick_count + 1
-    u_segment = evolve(recipe_hamiltonian(recipe, n_blocks), recipe.duration / segments)
+    h = recipe_hamiltonian(recipe, n_blocks)
     z_diag = np.diagonal(collective_z(n_total)).real
-
     basis = logical_basis([LogicalBlock(b) for b in recipe.blocks], n_total)
-    dim, dim_logical = basis.vectors.shape
-    overlap = (basis.vectors @ target_for(recipe)).conj()
-    first = u_segment @ basis.vectors
+    sector = np.isin(z_diag, z_diag[np.any(basis.vectors != 0, axis=1)])
+    leak = np.abs(h[np.not_equal.outer(sector, sector)]).max(initial=0.0)
+    if leak > ALGEBRA_TOL:
+        raise ContractViolation(f"Hamiltonian couples the collective-Z sector out by {leak:.3e}")
+    segments = ensemble.kick_count + 1
+    u_segment = evolve(h[np.ix_(sector, sector)], recipe.duration / segments)
+    z_diag, vectors = z_diag[sector], basis.vectors[sector]
+    dim, dim_logical = vectors.shape
+    overlap = (vectors @ target_for(recipe)).conj()
+    first = u_segment @ vectors
 
-    fidelities = []
+    fidelities = np.empty(ensemble.samples)
+    start = 0
     for thetas in ensemble.angle_chunks(chunk_length(dim * dim_logical)):
         size = len(thetas)
         psi = np.broadcast_to(first[:, None, :], (dim, size, dim_logical))
@@ -200,12 +213,13 @@ def noisy_realize(
             kicked = np.exp(-1j * z_diag[:, None] * kick)[:, :, None] * psi
             psi = (u_segment @ kicked.reshape(dim, -1)).reshape(dim, size, dim_logical)
         traces = np.einsum("al,asl->s", overlap, psi)
-        fidelities.extend((np.abs(traces) / dim_logical).tolist())
+        fidelities[start:start + size] = np.abs(traces) / dim_logical
+        start += size
 
     return NoisyGateResult(
         mean_fidelity=float(np.mean(fidelities)),
         min_fidelity=float(np.min(fidelities)),
-        per_sample=tuple(fidelities),
+        per_sample=tuple(fidelities.tolist()),
     )
 
 

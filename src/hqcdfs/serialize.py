@@ -2,14 +2,15 @@
 
 Complex matrices are encoded as nested [re, im] pairs; all floats are
 rounded to 12 significant digits so emitted reports diff stably. Input
-records validate their numeric fields with ``require_finite`` and
-``as_int``, so NaN, Inf, bools, strings and fractional counts are rejected
-where the record is built.
+records validate their numeric fields with ``as_float`` and ``as_int``, so
+NaN, Inf, bools, strings and fractional counts are rejected where the
+record is built.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -20,13 +21,6 @@ def round_sig(x: float, sig: int = 12) -> float:
     return float(f"{x:.{sig}g}")
 
 
-def require_finite(**values: float) -> None:
-    """Raise ValueError naming the first value that is NaN or infinite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def as_int(value, name: str) -> int:
     """``value`` as an int; rejects bools, strings and non-integral numbers."""
     if isinstance(value, float) and value.is_integer():
@@ -34,6 +28,13 @@ def as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_float(value, name: str) -> float:
+    """``value`` as a finite float; rejects bools, strings, NaN and Inf."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def matrix_to_json(m: np.ndarray, sig: int = 12) -> list:

@@ -250,19 +250,22 @@ def _sample_angles(ensemble):
             yield np.full(count, distribution.value)
 
 
-def noisy_fidelities(recipe, ensemble) -> list[float]:
+def noisy_fidelities(recipe, ensemble, n_blocks=None) -> list[float]:
     """Per-sample logical process fidelities, one sample and one kick at a time.
 
-    The full d x d propagator is built kick by kick from the package's
-    segment propagator and the brute-force collective-kick diagonal, then
-    restricted to the logical basis and traced against the target.
+    The full d x d propagator of the 3 * n_blocks qubit register (default:
+    just large enough for the recipe) is built kick by kick from the
+    package's segment propagator and the brute-force collective-kick
+    diagonal, then restricted to the logical basis and traced against the
+    target.
     """
     from hqcdfs.gates import target_for
     from hqcdfs.model import recipe_hamiltonian
     from hqcdfs.operators import evolve
     from hqcdfs.subspace import LogicalBlock, logical_basis
 
-    n_blocks = max(recipe.blocks)
+    if n_blocks is None:
+        n_blocks = max(recipe.blocks)
     n = 3 * n_blocks
     segments = ensemble.kick_count + 1
     u_segment = evolve(recipe_hamiltonian(recipe, n_blocks), recipe.duration / segments)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -316,6 +317,10 @@ BAD_INPUT = {
     "samples-over-cap": (noise_argv(kick_count=0, samples=ENSEMBLE_CAP + 1), None),
     "kicks-over-cap": (noise_argv(kick_count=4, samples=ENSEMBLE_CAP // 4 + 1), None),
     "kick-count-1e18": (noise_argv(kick_count=1e18), None),
+    "detuned-string": (gate_argv(duration=0.5, detuned="false"), None),
+    "strength-string": (gate_argv(strength="1.0"), None),
+    "mean-bool": (noise_argv(gaussian(mean=True)), None),
+    "kind-int": (gate_argv(kind=1), None),
     "nogo-seed-negative": (["nogo", "--trials", "3", "--seed", "-1"], None),
     "tolerance-scale-nan": (gate_argv(), "nan"),
     "tolerance-scale-inf": (gate_argv(), "inf"),
@@ -365,6 +370,20 @@ class TestExitStatusContract:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
+    def test_hamiltonian_leaving_the_noise_sector_exits_3(self, monkeypatch):
+        from hqcdfs import noise
+        from hqcdfs.model import recipe_hamiltonian
+        from hqcdfs.operators import pauli_on
+
+        def leaky(recipe, n_blocks):
+            return recipe_hamiltonian(recipe, n_blocks) + pauli_on("x", 1, 3 * n_blocks)
+
+        monkeypatch.setattr(noise, "recipe_hamiltonian", leaky)
+        status, out, err = run_captured(noise_argv())
+        assert status == 3
+        assert out == ""
+        assert err.startswith("contract violation: Hamiltonian couples the collective-Z sector")
+
     def test_nan_never_passes_a_check(self):
         from hqcdfs.cli import _check
 
@@ -405,6 +424,64 @@ class TestReportEnvelope:
         assert status == 3
         assert out == ""
         assert err.startswith("contract violation: report holds a non-finite number")
+
+
+# ``hqcdfs noise`` cases whose stdout is pinned byte for byte: exact and
+# detuned recipes under each kick distribution, 3 kicks, 25 samples.
+PINNED_RECIPES = {
+    "XZ": GateRecipe.xz(0.3, 0.7),
+    "ZX": GateRecipe.zx(1.4),
+    "CNOT": GateRecipe.cnot(1.3, (2, 1)),
+    "XZ-detuned": detune(GateRecipe.xz(0.3, 0.7), 1.05),
+    "CNOT-detuned": detune(GateRecipe.cnot(1.3, (2, 1)), 0.97),
+}
+PINNED_DISTRIBUTIONS = {
+    "uniform": ({"type": "uniform", "params": {}}, 5),
+    "gaussian": ({"type": "gaussian", "params": {"mean": 0.3, "stddev": 1.7}}, 6),
+    "fixed": ({"type": "fixed", "params": {"theta": 2.2}}, 7),
+}
+# SHA-256 of stdout as the full-register propagation printed it, with one
+# round_sig call per float and one csv.writer row per sample. The envelope
+# holds the tool version, so a version bump changes the JSON hashes.
+PINNED_NOISE_SHA256 = {
+    ("XZ", "uniform", "json"): "e2ac9935747dfb547c8e32450abcd9a95ce5a64880b4b4177e2064dacf5263f9",
+    ("XZ", "uniform", "csv"): "98f0f6c9b10b53ccb0888b5e5d7e25d07de0050deac499cb9bf43f6038854325",
+    ("XZ", "gaussian", "json"): "babcd147ba2896dd056fefef5b054de244415e4957db30ce7c06161297311731",
+    ("XZ", "gaussian", "csv"): "98f0f6c9b10b53ccb0888b5e5d7e25d07de0050deac499cb9bf43f6038854325",
+    ("XZ", "fixed", "json"): "aae684e1ed3c0ecb2a53d12f560d830e5f8c5e5fd5a9c0e032b98a8c28ef4c5b",
+    ("XZ", "fixed", "csv"): "98f0f6c9b10b53ccb0888b5e5d7e25d07de0050deac499cb9bf43f6038854325",
+    ("ZX", "uniform", "json"): "fb4743ac86794c1e28786cb4e23348987b1605ec38819cef206383a0c59b66c7",
+    ("ZX", "uniform", "csv"): "98f0f6c9b10b53ccb0888b5e5d7e25d07de0050deac499cb9bf43f6038854325",
+    ("ZX", "gaussian", "json"): "b9404ec4a7452ad61672460caca847d7e1af538ddee5c7e1a8cc5fe2f04143d5",
+    ("ZX", "gaussian", "csv"): "98f0f6c9b10b53ccb0888b5e5d7e25d07de0050deac499cb9bf43f6038854325",
+    ("ZX", "fixed", "json"): "2104ca7e15b3d1ea99c213784b6373c6db448a47a057aef89fc2a2bf1bea2825",
+    ("ZX", "fixed", "csv"): "98f0f6c9b10b53ccb0888b5e5d7e25d07de0050deac499cb9bf43f6038854325",
+    ("CNOT", "uniform", "json"): "8fe4a2c704ba882b544adf4bdb7a09ad3bb315127141c21202524044fef6043a",
+    ("CNOT", "uniform", "csv"): "98f0f6c9b10b53ccb0888b5e5d7e25d07de0050deac499cb9bf43f6038854325",
+    ("CNOT", "gaussian", "json"): "1da6e0eb02277f8552e1186950626f1a14dd30439ce438abe6a56bf16f8a97e1",
+    ("CNOT", "gaussian", "csv"): "98f0f6c9b10b53ccb0888b5e5d7e25d07de0050deac499cb9bf43f6038854325",
+    ("CNOT", "fixed", "json"): "a224762c799f92a4cc555993562eb4b86072f2885d149595b182c14cf88c8a5f",
+    ("CNOT", "fixed", "csv"): "98f0f6c9b10b53ccb0888b5e5d7e25d07de0050deac499cb9bf43f6038854325",
+    ("XZ-detuned", "uniform", "json"): "57401fd5c61597daca4a258316cb692a2c22ea97c5be5e78d7704b9e96977a0d",
+    ("XZ-detuned", "uniform", "csv"): "5b353f1f847c5a639f0acb0266ebd41006c277e19e9e772e3a6c1f1866a4179b",
+    ("CNOT-detuned", "uniform", "json"): "95c90d5b05421239cf78123d4f35fd6ad8a5c93226bc51459bb40addfca9e4ab",
+    ("CNOT-detuned", "uniform", "csv"): "2403bac8788e0cb46fa637d4abac74f8b5419119b8cd6ca82e70c42b261dd418",
+}
+
+
+class TestPinnedNoiseReports:
+    @pytest.mark.parametrize(
+        "gate, dist, fmt", PINNED_NOISE_SHA256, ids=["-".join(k) for k in PINNED_NOISE_SHA256]
+    )
+    def test_stdout_bytes(self, gate, dist, fmt, monkeypatch):
+        monkeypatch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
+        distribution, seed = PINNED_DISTRIBUTIONS[dist]
+        ensemble = {"kick_count": 3, "distribution": distribution, "samples": 25, "seed": seed}
+        recipe = PINNED_RECIPES[gate].to_json_dict()
+        argv = ["noise", "--recipe", json.dumps(recipe), "--ensemble", json.dumps(ensemble)]
+        status, out, _ = run_captured(argv + ["--format", fmt])
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_NOISE_SHA256[gate, dist, fmt]
 
 
 # Wrong values a field of the JSON input may take instead of a valid one:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from hqcdfs.errors import ContractViolation
 from hqcdfs.gates import realized_logical, target_for
-from hqcdfs.model import GateRecipe, collective_z, recipe_hamiltonian, universal_recipes
+from hqcdfs.model import GateRecipe, collective_z, detune, recipe_hamiltonian, universal_recipes
 from hqcdfs import noise
 from hqcdfs.noise import (
     ENSEMBLE_CAP,
@@ -11,7 +12,7 @@ from hqcdfs.noise import (
     bare_baseline,
     noisy_realize,
 )
-from hqcdfs.operators import evolve, phase_aligned_distance
+from hqcdfs.operators import evolve, pauli_on, phase_aligned_distance
 from hqcdfs.subspace import LogicalBlock, bit_state, dfs_product_basis, restrict
 
 from oracles import bare_fidelity, collective_kick, noisy_fidelities
@@ -204,6 +205,43 @@ class TestBatchedAgainstOracle:
         chunked = noisy_realize(recipe, ensemble).per_sample
         assert np.abs(np.subtract(chunked, whole)).max() <= 1e-15
         assert abs(bare_baseline(0.4, ensemble) - whole_bare) <= 1e-15
+
+
+class TestSectorPropagation:
+    """noisy_realize propagates only the collective-Z sector that holds the
+    logical basis; the full-register oracle stays the reference."""
+
+    @pytest.mark.parametrize(
+        "recipe, n_blocks",
+        [
+            (GateRecipe.cnot(blocks=(2, 1)), None),
+            (detune(GateRecipe.cnot(1.3, (2, 1)), 1.1), None),
+            (GateRecipe.xz(0.8), 2),
+            (GateRecipe.zx(1.4, block=2), 2),
+        ],
+        ids=["CNOT-blocks-2-1", "CNOT-detuned", "XZ-block-1-of-2", "ZX-block-2-of-2"],
+    )
+    def test_matches_full_register_oracle(self, recipe, n_blocks):
+        ensemble = NoiseEnsemble(4, KickDistribution.gaussian(0.3, 1.7), samples=70, seed=13)
+        sector = noisy_realize(recipe, ensemble, n_blocks).per_sample
+        expected = noisy_fidelities(recipe, ensemble, n_blocks)
+        assert len(sector) == len(expected)
+        assert np.abs(np.subtract(sector, expected)).max() <= 1e-14
+
+    def test_coupling_out_of_the_sector_is_a_contract_violation(self, monkeypatch):
+        def leaky(recipe, n_blocks):
+            return recipe_hamiltonian(recipe, n_blocks) + pauli_on("x", 1, 3 * n_blocks)
+
+        monkeypatch.setattr(noise, "recipe_hamiltonian", leaky)
+        with pytest.raises(ContractViolation, match="couples the collective-Z sector"):
+            noisy_realize(GateRecipe.cnot(), uniform_ensemble())
+
+    def test_cnot_diagonalizes_one_15_dim_block(self, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: shapes.append(np.shape(h)) or eigh(h))
+        noisy_realize(GateRecipe.cnot(), uniform_ensemble())
+        assert shapes == [(15, 15)]
 
 
 def stream_draws(dist: KickDistribution, seed: int, shape: tuple[int, int]) -> np.ndarray:
