@@ -14,14 +14,8 @@ from .errors import (
 from .gates import (
     GateRealization,
     NoGoReport,
-    compose_realized,
-    compose_targets,
-    euler_angles,
-    euler_compose,
     no_go_certificate,
     realize,
-    realized_logical,
-    rotation_sequence,
     target_cnot,
     target_for,
     target_uxz,
@@ -67,7 +61,6 @@ from .subspace import (
     dfs_product_basis,
     invariance_defect,
     invariant_check_basis,
-    leakage_profile,
     logical_basis,
     restrict,
 )
@@ -96,18 +89,13 @@ __all__ = [
     "bit_state",
     "certify",
     "collective_z",
-    "compose_realized",
-    "compose_targets",
     "cyclicity_defect",
     "detune",
     "dfs_basis",
     "dfs_product_basis",
-    "euler_angles",
-    "euler_compose",
     "evolve",
     "invariance_defect",
     "invariant_check_basis",
-    "leakage_profile",
     "logical_basis",
     "no_go_certificate",
     "noisy_realize",
@@ -116,11 +104,9 @@ __all__ = [
     "polar_unitary",
     "r_op",
     "realize",
-    "realized_logical",
     "recipe_coupling_config",
     "recipe_hamiltonian",
     "restrict",
-    "rotation_sequence",
     "target_cnot",
     "target_for",
     "target_uxz",

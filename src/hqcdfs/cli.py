@@ -17,7 +17,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .errors import ContractViolation, SingularChainError
@@ -26,6 +25,7 @@ from .holonomy import MIN_CHAIN_STEPS, certify, defects_only_report
 from .model import GateRecipe, detune, recipe_hamiltonian
 from .noise import NoiseEnsemble, noisy_realize
 from .operators import Spectrum
+from .serialize import Record, encode_json, replace
 from .subspace import BasisSet, LogicalBlock, logical_basis
 
 EXIT_OK = 0
@@ -42,6 +42,7 @@ TOLERANCES = {
     "transport_defect": 1e-12,
     "reconstruction_distance": 1e-3,
     "fidelity_deficit": 1e-10,
+    "excess_fidelity": 1e-10,
 }
 
 
@@ -60,7 +61,11 @@ _CHECKS = {
         ("transport_defect", lambda h: h.transport_defect),
         ("reconstruction_distance", lambda h: h.reconstruction_distance),
     ),
-    "noise": (("fidelity_deficit", lambda n: 1.0 - n.min_fidelity),),
+    "noise": (
+        ("fidelity_deficit", lambda n: 1.0 - n.min_fidelity),
+        # F > 1 means the propagation inflated the norm; the deficit passes it.
+        ("excess_fidelity", lambda n: max(n.per_sample) - 1.0),
+    ),
 }
 
 
@@ -68,14 +73,13 @@ class InputError(Exception):
     """Unparseable or invalid command input (exit status 2)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     command: str
     output_path: str | None = None
     steps: int = 4096
     seed: int = 0
     format: str = "json"
-    extras: dict = field(default_factory=dict)
+    extras: dict = {}
 
     def __post_init__(self):
         if self.format not in ("json", "csv"):
@@ -129,15 +133,15 @@ def _violations(command: str, report, scale: float) -> list:
     return violations
 
 
-def _emit(config: RunConfig, text: str) -> None:
+def _emit(config: RunConfig, *parts: str) -> None:
     if config.output_path:
         try:
             with open(config.output_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(parts)
         except OSError as exc:
             raise InputError(f"cannot write report to {config.output_path!r}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _emit_report(
@@ -152,14 +156,11 @@ def _emit_report(
         "report": report,
         "violations": violations,
     }
-    # One buffer, not a joined list of every small chunk: less peak memory.
-    buffer = io.StringIO()
     try:
-        buffer.writelines(json.JSONEncoder(indent=2, allow_nan=False).iterencode(doc))
+        chunks = encode_json(doc)
     except ValueError as exc:
         raise ContractViolation(f"report holds a non-finite number: {exc}") from exc
-    buffer.write("\n")
-    _emit(config, buffer.getvalue())
+    _emit(config, *chunks, "\n")
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 

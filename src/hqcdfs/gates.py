@@ -1,4 +1,4 @@
-"""Target gates, end-to-end realizations, and composition tools.
+"""Target gates, end-to-end realizations, and the two-qubit no-go check.
 
 ``realize`` runs the full pipeline for one recipe: assemble the Hamiltonian,
 exponentiate, restrict to the logical basis, certify the holonomic
@@ -10,8 +10,6 @@ picks up a physical -1).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,11 +20,9 @@ from .operators import (
     Spectrum,
     chunk_length,
     dagger,
-    evolve,
     phase_aligned_distance,
-    require_unitary,
 )
-from .serialize import matrix_to_json, round_sig
+from .serialize import Record, matrix_to_json, round_sig
 from .subspace import (
     BasisSet,
     LogicalBlock,
@@ -85,8 +81,7 @@ def ancilla_completed_target(recipe: GateRecipe) -> np.ndarray:
     return full
 
 
-@dataclass(frozen=True)
-class GateRealization:
+class GateRealization(Record):
     """Everything measured about one realized gate."""
 
     recipe: GateRecipe
@@ -119,19 +114,6 @@ class GateRealization:
         }
 
 
-def _blocks_of(recipe: GateRecipe) -> list[LogicalBlock]:
-    return [LogicalBlock(b) for b in recipe.blocks]
-
-
-def realized_logical(recipe: GateRecipe, n_blocks: int | None = None) -> np.ndarray:
-    """Fast path: the propagator restricted to the logical basis only."""
-    if n_blocks is None:
-        n_blocks = max(recipe.blocks)
-    h = recipe_hamiltonian(recipe, n_blocks)
-    basis = logical_basis(_blocks_of(recipe), 3 * n_blocks)
-    return restrict(evolve(h, recipe.duration), basis)
-
-
 def realize(
     recipe: GateRecipe,
     n_blocks: int | None = None,
@@ -149,7 +131,7 @@ def realize(
     if n_blocks is None:
         n_blocks = max(recipe.blocks)
     n_total = 3 * n_blocks
-    blocks = _blocks_of(recipe)
+    blocks = [LogicalBlock(b) for b in recipe.blocks]
     spectrum = Spectrum(recipe_hamiltonian(recipe, n_blocks))
     propagator = spectrum.propagator(recipe.duration)
 
@@ -185,110 +167,7 @@ def realize(
     )
 
 
-def rotation_sequence(axis: str, angle: float) -> list[GateRecipe]:
-    """Two-pulse sequence composing to a rotation about z or x.
-
-    The list is in application (chronological) order; composing the
-    corresponding gate matrices right-to-left yields exp(-i angle/2 Z_L) for
-    axis 'z' and exp(-i angle/2 X_L) for axis 'x'.
-    """
-    if axis == "z":
-        return [GateRecipe.xz(-angle / 2.0), GateRecipe.xz(0.0)]
-    if axis == "x":
-        return [GateRecipe.zx(-angle / 2.0), GateRecipe.zx(0.0)]
-    raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
-
-
-def compose_targets(recipes: Sequence[GateRecipe]) -> np.ndarray:
-    """Product of target matrices, recipes given in application order."""
-    out = np.eye(2, dtype=np.complex128)
-    for recipe in recipes:
-        out = target_for(recipe) @ out
-    return out
-
-
-def compose_realized(
-    recipes: Sequence[GateRecipe], n_blocks: int | None = None
-) -> np.ndarray:
-    """Product of realized logical gates, recipes in application order."""
-    out = realized_logical(recipes[0], n_blocks)
-    for recipe in recipes[1:]:
-        out = realized_logical(recipe, n_blocks) @ out
-    return out
-
-
-def rz_matrix(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]],
-        dtype=np.complex128,
-    )
-
-
-def rx_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-
-
-def _wrap_angle(x: float) -> float:
-    """Wrap to the canonical branch (-pi, pi]."""
-    w = math.remainder(x, 2.0 * math.pi)
-    return math.pi if w <= -math.pi else w
-
-
-_AXIS_TOL = 1e-12
-
-
-def euler_angles(target: np.ndarray) -> tuple[float, float, float, float]:
-    """(alpha, beta, gamma, delta) with target = e^{i delta} Rz(a) Rx(b) Rz(g).
-
-    Canonical branch: beta in [0, pi], alpha and gamma in (-pi, pi], and
-    gamma = 0 whenever beta is 0 or pi (where only alpha + gamma or
-    alpha - gamma is defined).
-    """
-    u = require_unitary(target)
-    if u.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 unitary, got {u.shape}")
-    v = np.exp(-0.5j * np.angle(np.linalg.det(u))) * u
-    beta = 2.0 * math.atan2(abs(v[0, 1]), abs(v[0, 0]))
-    if abs(v[0, 1]) <= _AXIS_TOL:
-        alpha, beta, gamma = _wrap_angle(-2.0 * np.angle(v[0, 0])), 0.0, 0.0
-    elif abs(v[0, 0]) <= _AXIS_TOL:
-        alpha = _wrap_angle(-2.0 * (np.angle(v[0, 1]) + math.pi / 2.0))
-        beta, gamma = math.pi, 0.0
-    else:
-        total = -2.0 * np.angle(v[0, 0])
-        diff = -2.0 * (np.angle(v[0, 1]) + math.pi / 2.0)
-        alpha = _wrap_angle(0.5 * (total + diff))
-        gamma = _wrap_angle(0.5 * (total - diff))
-    # Wrapping alpha and gamma independently can move the rotation product
-    # to the other sheet of the SU(2) double cover; the sign belongs to the
-    # discarded global phase, so read delta off the finished product.
-    rebuilt = rz_matrix(alpha) @ rx_matrix(beta) @ rz_matrix(gamma)
-    delta = float(np.angle(np.trace(dagger(rebuilt) @ u)))
-    return alpha, beta, gamma, delta
-
-
-def euler_compose(target: np.ndarray) -> list[GateRecipe]:
-    """Recipes whose composed gates reproduce ``target`` up to global phase.
-
-    Axis-aligned targets collapse to a single two-pulse sequence; the
-    general case emits the six-pulse z-x-z chain. The returned list is in
-    application order.
-    """
-    alpha, beta, gamma, _ = euler_angles(target)
-    if beta <= _AXIS_TOL:
-        return rotation_sequence("z", _wrap_angle(alpha + gamma))
-    if abs(alpha) <= _AXIS_TOL and abs(gamma) <= _AXIS_TOL:
-        return rotation_sequence("x", beta)
-    return (
-        rotation_sequence("z", gamma)
-        + rotation_sequence("x", beta)
-        + rotation_sequence("z", alpha)
-    )
-
-
-@dataclass(frozen=True)
-class NoGoReport:
+class NoGoReport(Record):
     """Randomized evidence that two physical qubits cannot host a holonomic
     gate under this interaction family: on their protected two-state space,
     transporting without dynamical phase forces a trivial evolution."""
@@ -304,7 +183,7 @@ class NoGoReport:
     witness_error: float
 
     def to_json_dict(self) -> dict:
-        return {k: round_sig(v) if isinstance(v, float) else v for k, v in asdict(self).items()}
+        return {k: round_sig(v) if isinstance(v, float) else v for k, v in self.as_dict().items()}
 
 
 def two_qubit_dfs() -> BasisSet:

@@ -19,13 +19,11 @@ oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import PreconditionError
 from .operators import Spectrum, dagger, phase_aligned_distance, polar_unitary
-from .serialize import matrix_to_json, round_sig
+from .serialize import Record, matrix_to_json, round_sig
 from .subspace import BasisSet, restrict
 
 # Conditions (i)/(ii) must hold at this level before reconstruction runs.
@@ -61,8 +59,7 @@ def transport_defect(
     return float(np.abs(couplings).max())
 
 
-@dataclass(frozen=True)
-class HolonomyReport:
+class HolonomyReport(Record):
     """Certification artifact for one (hamiltonian, basis, tau) triple.
 
     ``reconstruction_distance`` is the phase-aligned distance between the

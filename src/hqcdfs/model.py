@@ -14,13 +14,12 @@ occupies the contiguous physical qubits (3n-2, 3n-1, 3n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .operators import check_dimension_cap, pauli_on
-from .serialize import as_float, as_int
+from .serialize import Record, as_float, as_int, replace
 from .subspace import LogicalBlock
 
 TwoBodyKey = tuple[int, int, str]          # (k, l, axis in {x, y})
@@ -41,8 +40,7 @@ _TWO_AXES = ("x", "y")
 _FOUR_AXES = ("xx", "xy", "yx", "yy")
 
 
-@dataclass(frozen=True)
-class CouplingConfig:
+class CouplingConfig(Record):
     """Coupling constants of one Hamiltonian instance (energy units, hbar=1).
 
     Absent keys mean zero coupling. Four-body keys require k < l, p < q and
@@ -50,8 +48,8 @@ class CouplingConfig:
     """
 
     n_qubits: int
-    two_body: Mapping[TwoBodyKey, float] = field(default_factory=dict)
-    four_body: Mapping[FourBodyKey, float] = field(default_factory=dict)
+    two_body: Mapping[TwoBodyKey, float] = {}
+    four_body: Mapping[FourBodyKey, float] = {}
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -105,8 +103,7 @@ class CouplingConfig:
         return cls(n_qubits=int(data["n_qubits"]), two_body=two, four_body=four)
 
 
-@dataclass(frozen=True)
-class GateRecipe:
+class GateRecipe(Record):
     """Pulse prescription for one gate: kind, phase, strength, duration, blocks.
 
     The constructor enforces the exact pulse-area condition for the kind

@@ -19,22 +19,20 @@ sample count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from .errors import ContractViolation
 from .model import GateRecipe, collective_z, recipe_hamiltonian
-from .operators import ALGEBRA_TOL, chunk_length, evolve
-from .serialize import as_float, as_int, round_sig
+from .operators import ALGEBRA_TOL, chunk_length, dagger, evolve
+from .serialize import Record, as_float, as_int, round_all, round_sig
 from .subspace import LogicalBlock, logical_basis
 
 _DIST_KINDS = ("uniform", "gaussian", "fixed")
 
 
-@dataclass(frozen=True)
-class KickDistribution:
+class KickDistribution(Record):
     """Distribution of one kick angle: uniform(0, 2pi), gaussian, or fixed."""
 
     kind: str
@@ -97,8 +95,7 @@ class KickDistribution:
 ENSEMBLE_CAP = 2 ** 20
 
 
-@dataclass(frozen=True)
-class NoiseEnsemble:
+class NoiseEnsemble(Record):
     """Kick schedule: how many kicks per gate, their distribution, and the
     Monte-Carlo sample count under a reproducible seed."""
 
@@ -154,8 +151,7 @@ class NoiseEnsemble:
         )
 
 
-@dataclass(frozen=True)
-class NoisyGateResult:
+class NoisyGateResult(Record):
     mean_fidelity: float
     min_fidelity: float
     per_sample: tuple[float, ...]
@@ -164,8 +160,7 @@ class NoisyGateResult:
         return {
             "mean_fidelity": round_sig(self.mean_fidelity),
             "min_fidelity": round_sig(self.min_fidelity),
-            # One formatting pass; the same 12 digits as round_sig.
-            "per_sample": list(map(float, map("{:.12g}".format, self.per_sample))),
+            "per_sample": round_all(self.per_sample),
         }
 
 
@@ -199,6 +194,10 @@ def noisy_realize(
         raise ContractViolation(f"Hamiltonian couples the collective-Z sector out by {leak:.3e}")
     segments = ensemble.kick_count + 1
     u_segment = evolve(h[np.ix_(sector, sector)], recipe.duration / segments)
+    # One Newton-Schulz step toward the nearest unitary (Higham, Functions of
+    # Matrices, ch. 8): the segment's unitarity roundoff compounds once per
+    # kick, and 2^20 kicks would otherwise drift F by about 3e-10.
+    u_segment = u_segment @ (3.0 * np.eye(len(u_segment)) - dagger(u_segment) @ u_segment) / 2.0
     z_diag, vectors = z_diag[sector], basis.vectors[sector]
     dim, dim_logical = vectors.shape
     overlap = (vectors @ target_for(recipe)).conj()

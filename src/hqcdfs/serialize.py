@@ -1,24 +1,110 @@
-"""JSON encoding helpers for report documents and input validation.
+"""Immutable records, input validation and the JSON report encoder.
 
-Complex matrices are encoded as nested [re, im] pairs; all floats are
-rounded to 12 significant digits so emitted reports diff stably. Input
-records validate their numeric fields with ``as_float`` and ``as_int``, so
-NaN, Inf, bools, strings and fractional counts are rejected where the
-record is built.
+Records validate in ``__post_init__``, also when ``replace`` derives one
+from another; ``as_float`` and ``as_int`` reject NaN, Inf, bools, strings
+and fractional counts there. Complex matrices are encoded as nested
+[re, im] pairs, every float rounded to 12 significant digits so emitted
+reports diff stably; ``encode_json`` writes the indent-2 report text.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
+
+
+class Record:
+    """Immutable record whose fields are the class annotations, in order.
+
+    Fields are given positionally or by keyword. A field with a class-level
+    value defaults to it; a ``dict`` default is copied for each instance.
+    ``__post_init__`` then validates the fields and may normalise them with
+    ``object.__setattr__``. Records compare equal field by field, and
+    assigning or deleting an attribute raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        name = type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name} takes {len(self._fields)} fields, got {len(args)}")
+        values = dict(zip(self._fields, args))
+        unknown = kwargs.keys() - set(self._fields[len(args):])
+        if unknown:
+            raise TypeError(f"{name} got unexpected or repeated fields {sorted(unknown)}")
+        values.update(kwargs)
+        for field in self._fields:
+            if field in values:
+                value = values[field]
+            elif field in self._defaults:
+                value = self._defaults[field]
+                value = dict(value) if isinstance(value, dict) else value
+            else:
+                raise TypeError(f"{name} is missing field {field!r}")
+            object.__setattr__(self, field, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+    def as_dict(self) -> dict:
+        """Field name to value, in field order."""
+        return {field: getattr(self, field) for field in self._fields}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return tuple(self.as_dict().values()) == tuple(other.as_dict().values())
+
+    def __hash__(self):
+        return hash(tuple(self.as_dict().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
+        return f"{type(self).__name__}({fields})"
+
+
+def replace(record: Record, **changes) -> Record:
+    """A new record of the same type with ``changes`` applied, validated again."""
+    return type(record)(**{**record.as_dict(), **changes})
 
 
 def round_sig(x: float, sig: int = 12) -> float:
     if x is None or not math.isfinite(x):
         return x
     return float(f"{x:.{sig}g}")
+
+
+# Floats formatted per pass, so that bulk formatting keeps memory flat.
+_CHUNK = 2 ** 12
+_NON_FINITE = "Out of range float values are not JSON compliant: "
+
+
+def round_all(values, sig: int = 12) -> list[float]:
+    """``round_sig`` of every float in a sequence, formatted in bulk."""
+    out: list[float] = []
+    fmt = f"%.{sig}g "
+    for start in range(0, len(values), _CHUNK):
+        part = tuple(values[start:start + _CHUNK])
+        out += map(float, ((fmt * len(part)) % part).split())
+    return out
 
 
 def as_int(value, name: str) -> int:
@@ -38,13 +124,103 @@ def as_float(value, name: str) -> float:
 
 
 def matrix_to_json(m: np.ndarray, sig: int = 12) -> list:
-    return [
-        [[round_sig(float(z.real), sig), round_sig(float(z.imag), sig)] for z in row]
-        for row in np.asarray(m, dtype=np.complex128)
-    ]
+    m = np.asarray(m, dtype=np.complex128)
+    pairs = np.stack([m.real, m.imag], axis=-1)
+    return np.reshape(round_all(pairs.ravel().tolist(), sig), pairs.shape).tolist()
 
 
-def matrix_from_json(data) -> np.ndarray:
-    return np.array(
-        [[complex(re, im) for re, im in row] for row in data], dtype=np.complex128
-    )
+def _float_block(items: list) -> tuple[list[int], list] | None:
+    """(shape, leaves in row-major order) when ``items`` nests lists (or
+    tuples) of equal nonzero lengths down to floats only, else None."""
+    shape = [len(items)]
+    leaves = items
+    while type(leaves[0]) in (list, tuple):
+        if not set(map(type, leaves)) <= {list, tuple}:
+            return None
+        lengths = set(map(len, leaves))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        leaves = list(chain.from_iterable(leaves))
+    if not all(issubclass(kind, float) for kind in set(map(type, leaves))):
+        return None
+    return shape, leaves
+
+
+def _template(shape: list[int], level: int) -> str:
+    """Indent-2 layout of a float block of ``shape`` at ``level``, one %s per float."""
+    if not shape:
+        return "%s"
+    inner = "\n" + "  " * (level + 1)
+    items = ("," + inner).join([_template(shape[1:], level + 1)] * shape[0])
+    return "[" + inner + items + "\n" + "  " * level + "]"
+
+
+def _encode_block(shape: list[int], leaves: list, level: int, out: list) -> None:
+    """Append the layout of a float block, formatting whole rows at a time."""
+    row = _template(shape[1:], level + 1)
+    per_row = len(leaves) // shape[0]
+    rows = max(1, _CHUNK // per_row)
+    inner = "\n" + "  " * (level + 1)
+    out.append("[" + inner)
+    for start in range(0, shape[0], rows):
+        count = min(rows, shape[0] - start)
+        part = leaves[start * per_row:(start + count) * per_row]
+        text = ("," + inner).join([row] * count) % tuple(map(float.__repr__, part))
+        if "n" in text:  # only nan and inf put an "n" in a float block
+            raise ValueError(_NON_FINITE + repr(next(x for x in part if not math.isfinite(x))))
+        out.append(text if start == 0 else "," + inner + text)
+    out.append("\n" + "  " * level + "]")
+
+
+def _encode(o, level: int, out: list) -> None:
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError(_NON_FINITE + repr(o))
+        out.append(float.__repr__(o))
+    elif isinstance(o, (list, tuple, dict)):
+        block = _float_block(o) if o and not isinstance(o, dict) else None
+        if block:
+            _encode_block(*block, level, out)
+            return
+        if isinstance(o, dict):  # a non-str key raises TypeError here
+            items, close = [(encode_basestring_ascii(k) + ": ", v) for k, v in o.items()], "}"
+        else:
+            items, close = [("", item) for item in o], "]"
+        opening = "{" if close == "}" else "["
+        if not items:
+            out.append(opening + close)
+            return
+        inner = "\n" + "  " * (level + 1)
+        for i, (prefix, item) in enumerate(items):
+            out.append((opening + inner if i == 0 else "," + inner) + prefix)
+            _encode(item, level + 1, out)
+        out.append("\n" + "  " * level + close)
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def encode_json(doc) -> list[str]:
+    """Chunks of the text that ``json.JSONEncoder(indent=2, allow_nan=False)``
+    makes of ``doc``, for documents of dicts with string keys, lists, tuples,
+    strings, ints, floats, bools and None.
+
+    A float list, or a nest of equal-length lists of floats such as an
+    [re, im] matrix, is formatted in bulk: one ``float.__repr__`` pass and one
+    layout template per chunk of rows. A NaN or an infinity anywhere raises
+    ValueError, before anything is returned. The chunks are not joined, so
+    a large report is not held twice.
+    """
+    out: list[str] = []
+    _encode(doc, 0, out)
+    return out

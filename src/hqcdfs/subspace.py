@@ -8,13 +8,13 @@ with |a> = |100> as the ancilla through which gate evolution transits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolation
-from .operators import Spectrum, as_complex_matrix, dagger
+from .operators import as_complex_matrix, dagger
+from .serialize import Record
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -22,8 +22,7 @@ ORTHONORMALITY_TOL = 1e-12
 _BLOCK_PATTERNS = {"a": "100", "0L": "010", "1L": "001"}
 
 
-@dataclass(frozen=True)
-class LogicalBlock:
+class LogicalBlock(Record):
     """Logical qubit ``index`` on physical qubits (3n-2, 3n-1, 3n)."""
 
     index: int
@@ -46,8 +45,7 @@ def bit_state(bits: str) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
-class BasisSet:
+class BasisSet(Record):
     """Ordered orthonormal vectors spanning a subspace, with unique labels.
 
     ``vectors`` holds the basis as columns of a (dim_ambient, size) array.
@@ -223,36 +221,3 @@ def invariance_defect(u: np.ndarray, basis: BasisSet) -> float:
     mapped = u @ basis.vectors                      # u P, column form
     outside = mapped - basis.vectors @ (dagger(basis.vectors) @ mapped)
     return float(np.linalg.norm(outside))
-
-
-def leakage_profile(
-    h: np.ndarray,
-    basis_inner: BasisSet,
-    basis_outer: BasisSet,
-    tau: float,
-    steps: int,
-) -> list[tuple[float, float, float]]:
-    """Worst-case populations leaving the nested subspaces during evolution.
-
-    Returns (t, outer_leakage, inner_leakage) on a uniform grid of
-    ``steps + 1`` times in [0, tau]: for each time the max over initial
-    inner-basis states of the population outside span(basis_outer) and
-    outside span(basis_inner). Requires span(inner) within span(outer).
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    inside = basis_outer.projector() @ basis_inner.vectors
-    nesting = np.linalg.norm(basis_inner.vectors - inside)
-    if nesting > ORTHONORMALITY_TOL * basis_inner.dim_ambient:
-        raise ValueError(
-            f"inner basis is not contained in outer span (defect {nesting:.3e})"
-        )
-    spectrum = Spectrum(h)
-    profile = []
-    for j in range(steps + 1):
-        t = tau * j / steps
-        evolved = spectrum.propagator(t) @ basis_inner.vectors
-        pop_outer = 1.0 - np.sum(np.abs(dagger(basis_outer.vectors) @ evolved) ** 2, axis=0)
-        pop_inner = 1.0 - np.sum(np.abs(dagger(basis_inner.vectors) @ evolved) ** 2, axis=0)
-        profile.append((t, float(pop_outer.max()), float(pop_inner.max())))
-    return profile

@@ -1,0 +1,169 @@
+"""Test-side tools that compose or inspect gates ``hqcdfs`` already certifies.
+
+No command reports them: the rotation and Euler compositions of the
+realized gates (acceptance criterion 5, universality by composition), the
+leakage profile of an evolution, and the decoder of report matrices.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from hqcdfs.gates import target_for
+from hqcdfs.model import GateRecipe, recipe_hamiltonian
+from hqcdfs.operators import Spectrum, dagger, evolve, require_unitary
+from hqcdfs.subspace import ORTHONORMALITY_TOL, BasisSet, LogicalBlock, logical_basis, restrict
+
+
+def matrix_from_json(data) -> np.ndarray:
+    """The complex matrix of a report's nested [re, im] pairs."""
+    return np.array(
+        [[complex(re, im) for re, im in row] for row in data], dtype=np.complex128
+    )
+
+
+def realized_logical(recipe: GateRecipe, n_blocks: int | None = None) -> np.ndarray:
+    """Fast path: the propagator restricted to the logical basis only."""
+    if n_blocks is None:
+        n_blocks = max(recipe.blocks)
+    h = recipe_hamiltonian(recipe, n_blocks)
+    basis = logical_basis([LogicalBlock(b) for b in recipe.blocks], 3 * n_blocks)
+    return restrict(evolve(h, recipe.duration), basis)
+
+
+def rotation_sequence(axis: str, angle: float) -> list[GateRecipe]:
+    """Two-pulse sequence composing to a rotation about z or x.
+
+    The list is in application (chronological) order; composing the
+    corresponding gate matrices right-to-left yields exp(-i angle/2 Z_L) for
+    axis 'z' and exp(-i angle/2 X_L) for axis 'x'.
+    """
+    if axis == "z":
+        return [GateRecipe.xz(-angle / 2.0), GateRecipe.xz(0.0)]
+    if axis == "x":
+        return [GateRecipe.zx(-angle / 2.0), GateRecipe.zx(0.0)]
+    raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
+
+
+def compose_targets(recipes: Sequence[GateRecipe]) -> np.ndarray:
+    """Product of target matrices, recipes given in application order."""
+    out = np.eye(2, dtype=np.complex128)
+    for recipe in recipes:
+        out = target_for(recipe) @ out
+    return out
+
+
+def compose_realized(
+    recipes: Sequence[GateRecipe], n_blocks: int | None = None
+) -> np.ndarray:
+    """Product of realized logical gates, recipes in application order."""
+    out = realized_logical(recipes[0], n_blocks)
+    for recipe in recipes[1:]:
+        out = realized_logical(recipe, n_blocks) @ out
+    return out
+
+
+def rz_matrix(theta: float) -> np.ndarray:
+    return np.array(
+        [[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]],
+        dtype=np.complex128,
+    )
+
+
+def rx_matrix(theta: float) -> np.ndarray:
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+
+
+def _wrap_angle(x: float) -> float:
+    """Wrap to the canonical branch (-pi, pi]."""
+    w = math.remainder(x, 2.0 * math.pi)
+    return math.pi if w <= -math.pi else w
+
+
+_AXIS_TOL = 1e-12
+
+
+def euler_angles(target: np.ndarray) -> tuple[float, float, float, float]:
+    """(alpha, beta, gamma, delta) with target = e^{i delta} Rz(a) Rx(b) Rz(g).
+
+    Canonical branch: beta in [0, pi], alpha and gamma in (-pi, pi], and
+    gamma = 0 whenever beta is 0 or pi (where only alpha + gamma or
+    alpha - gamma is defined).
+    """
+    u = require_unitary(target)
+    if u.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 unitary, got {u.shape}")
+    v = np.exp(-0.5j * np.angle(np.linalg.det(u))) * u
+    beta = 2.0 * math.atan2(abs(v[0, 1]), abs(v[0, 0]))
+    if abs(v[0, 1]) <= _AXIS_TOL:
+        alpha, beta, gamma = _wrap_angle(-2.0 * np.angle(v[0, 0])), 0.0, 0.0
+    elif abs(v[0, 0]) <= _AXIS_TOL:
+        alpha = _wrap_angle(-2.0 * (np.angle(v[0, 1]) + math.pi / 2.0))
+        beta, gamma = math.pi, 0.0
+    else:
+        total = -2.0 * np.angle(v[0, 0])
+        diff = -2.0 * (np.angle(v[0, 1]) + math.pi / 2.0)
+        alpha = _wrap_angle(0.5 * (total + diff))
+        gamma = _wrap_angle(0.5 * (total - diff))
+    # Wrapping alpha and gamma independently can move the rotation product
+    # to the other sheet of the SU(2) double cover; the sign belongs to the
+    # discarded global phase, so read delta off the finished product.
+    rebuilt = rz_matrix(alpha) @ rx_matrix(beta) @ rz_matrix(gamma)
+    delta = float(np.angle(np.trace(dagger(rebuilt) @ u)))
+    return alpha, beta, gamma, delta
+
+
+def euler_compose(target: np.ndarray) -> list[GateRecipe]:
+    """Recipes whose composed gates reproduce ``target`` up to global phase.
+
+    Axis-aligned targets collapse to a single two-pulse sequence; the
+    general case emits the six-pulse z-x-z chain. The returned list is in
+    application order.
+    """
+    alpha, beta, gamma, _ = euler_angles(target)
+    if beta <= _AXIS_TOL:
+        return rotation_sequence("z", _wrap_angle(alpha + gamma))
+    if abs(alpha) <= _AXIS_TOL and abs(gamma) <= _AXIS_TOL:
+        return rotation_sequence("x", beta)
+    return (
+        rotation_sequence("z", gamma)
+        + rotation_sequence("x", beta)
+        + rotation_sequence("z", alpha)
+    )
+
+
+def leakage_profile(
+    h: np.ndarray,
+    basis_inner: BasisSet,
+    basis_outer: BasisSet,
+    tau: float,
+    steps: int,
+) -> list[tuple[float, float, float]]:
+    """Worst-case populations leaving the nested subspaces during evolution.
+
+    Returns (t, outer_leakage, inner_leakage) on a uniform grid of
+    ``steps + 1`` times in [0, tau]: for each time the max over initial
+    inner-basis states of the population outside span(basis_outer) and
+    outside span(basis_inner). Requires span(inner) within span(outer).
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    inside = basis_outer.projector() @ basis_inner.vectors
+    nesting = np.linalg.norm(basis_inner.vectors - inside)
+    if nesting > ORTHONORMALITY_TOL * basis_inner.dim_ambient:
+        raise ValueError(
+            f"inner basis is not contained in outer span (defect {nesting:.3e})"
+        )
+    spectrum = Spectrum(h)
+    profile = []
+    for j in range(steps + 1):
+        t = tau * j / steps
+        evolved = spectrum.propagator(t) @ basis_inner.vectors
+        pop_outer = 1.0 - np.sum(np.abs(dagger(basis_outer.vectors) @ evolved) ** 2, axis=0)
+        pop_inner = 1.0 - np.sum(np.abs(dagger(basis_inner.vectors) @ evolved) ** 2, axis=0)
+        profile.append((t, float(pop_outer.max()), float(pop_inner.max())))
+    return profile

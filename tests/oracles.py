@@ -250,14 +250,14 @@ def _sample_angles(ensemble):
             yield np.full(count, distribution.value)
 
 
-def noisy_fidelities(recipe, ensemble, n_blocks=None) -> list[float]:
+def noisy_fidelities(recipe, ensemble, n_blocks=None, generator=None) -> list[float]:
     """Per-sample logical process fidelities, one sample and one kick at a time.
 
     The full d x d propagator of the 3 * n_blocks qubit register (default:
     just large enough for the recipe) is built kick by kick from the
-    package's segment propagator and the brute-force collective-kick
-    diagonal, then restricted to the logical basis and traced against the
-    target.
+    package's segment propagator and kicks exp(-i theta G), then restricted
+    to the logical basis and traced against the target. ``generator`` is the
+    diagonal of G; the default is the brute-force collective sum_k sz_k.
     """
     from hqcdfs.gates import target_for
     from hqcdfs.model import recipe_hamiltonian
@@ -269,14 +269,15 @@ def noisy_fidelities(recipe, ensemble, n_blocks=None) -> list[float]:
     n = 3 * n_blocks
     segments = ensemble.kick_count + 1
     u_segment = evolve(recipe_hamiltonian(recipe, n_blocks), recipe.duration / segments)
-    z_diag = np.diagonal(sum(embed_bruteforce(PAULI["z"], k, n) for k in range(1, n + 1))).real
+    if generator is None:
+        generator = np.diagonal(sum(embed_bruteforce(PAULI["z"], k, n) for k in range(1, n + 1))).real
     vectors = logical_basis([LogicalBlock(b) for b in recipe.blocks], n).vectors
     target = target_for(recipe)
     fidelities = []
     for angles in _sample_angles(ensemble):
         u = u_segment
         for theta in angles:
-            u = u_segment @ (np.exp(-1j * theta * z_diag)[:, None] * u)
+            u = u_segment @ (np.exp(-1j * theta * generator)[:, None] * u)
         restricted = vectors.conj().T @ u @ vectors
         fidelities.append(float(np.abs(np.trace(target.conj().T @ restricted)) / target.shape[0]))
     return fidelities

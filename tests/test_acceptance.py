@@ -12,16 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hqcdfs.gates import (
-    compose_realized,
-    euler_compose,
-    no_go_certificate,
-    realize,
-    rotation_sequence,
-    rx_matrix,
-    rz_matrix,
-    two_qubit_dfs,
-)
+from hqcdfs.gates import no_go_certificate, realize, two_qubit_dfs
 from hqcdfs.holonomy import certify
 from hqcdfs.model import (
     CouplingConfig,
@@ -35,6 +26,7 @@ from hqcdfs.noise import KickDistribution, NoiseEnsemble, bare_baseline, noisy_r
 from hqcdfs.operators import SIGMA_X, Spectrum, phase_aligned_distance
 from hqcdfs.subspace import LogicalBlock, logical_basis, restrict
 
+from gate_tools import compose_realized, euler_compose, rotation_sequence, rx_matrix, rz_matrix
 from oracles import loglog_slope, random_unitary
 
 

@@ -16,7 +16,8 @@ from hqcdfs import __version__
 from hqcdfs.cli import main
 from hqcdfs.model import GateRecipe, detune
 from hqcdfs.noise import ENSEMBLE_CAP
-from hqcdfs.serialize import matrix_from_json
+
+from gate_tools import matrix_from_json
 
 
 def write_recipe(path, recipe):
@@ -384,6 +385,16 @@ class TestExitStatusContract:
         assert out == ""
         assert err.startswith("contract violation: Hamiltonian couples the collective-Z sector")
 
+    def test_fidelity_above_one_is_a_violation(self, monkeypatch):
+        from hqcdfs import cli
+        from hqcdfs.noise import NoisyGateResult
+
+        result = NoisyGateResult(1.0, 1.0, (1.0, 1.0 + 1e-9))
+        monkeypatch.setattr(cli, "noisy_realize", lambda recipe, ensemble: result)
+        status, out, _ = run_captured(noise_argv())
+        assert status == 1
+        assert [v["check"] for v in json.loads(out)["violations"]] == ["excess_fidelity"]
+
     def test_nan_never_passes_a_check(self):
         from hqcdfs.cli import _check
 
@@ -482,6 +493,45 @@ class TestPinnedNoiseReports:
         status, out, _ = run_captured(argv + ["--format", fmt])
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_NOISE_SHA256[gate, dist, fmt]
+
+
+# ``hqcdfs gate`` and ``hqcdfs holonomy`` cases whose stdout is pinned byte for
+# byte at the default 4096 chain steps: the CNOT on both block orders, and
+# one detuned recipe per command.
+PINNED_CERTIFY_RECIPES = {
+    "XZ": PINNED_RECIPES["XZ"],
+    "ZX": PINNED_RECIPES["ZX"],
+    "CNOT-12": GateRecipe.cnot(1.3, (1, 2)),
+    "CNOT-21": PINNED_RECIPES["CNOT"],
+    "XZ-detuned": PINNED_RECIPES["XZ-detuned"],
+    "CNOT-detuned": PINNED_RECIPES["CNOT-detuned"],
+}
+# SHA-256 of stdout as the pure-Python indent-2 JSON encoder printed it, with
+# one round_sig call per float.
+PINNED_CERTIFY_SHA256 = {
+    ("gate", "XZ"): "4a251ec34fdd151e46654f7a645346a3ace2c14195f7c2f408d6bfa4429021da",
+    ("gate", "ZX"): "95f4f12e06dfd15dc9c6718ef3d77b30a53660f5b1fd5eab645cda6845463081",
+    ("gate", "CNOT-12"): "fa2b7673895b1a3bcd2cd08882e483545ec02f8da30f8dd84b3debafe13952b0",
+    ("gate", "CNOT-21"): "c098e56048de15b3174eb57de496d5e0cba36483850f0074b3a05a791be5c094",
+    ("gate", "XZ-detuned"): "0e0ffb13c1ce9fe773aa418b5c69c3c4ff2dc04b40e06e78f1faa545903ba3cc",
+    ("holonomy", "XZ"): "90ca5c92834ac5396847df7fc1d1232c01a058b863cf37d8b1a5d8d4e26ca7df",
+    ("holonomy", "ZX"): "7a02016df112896a9d3b4cc4421b69b8f1b6d32034dacaf57d105e4ce962537d",
+    ("holonomy", "CNOT-12"): "553fefbd5a995e7f76dbf9986e32bae91ea7bb205622497a3626a7b8f673f3f4",
+    ("holonomy", "CNOT-21"): "e440c8f9dbc0998df4d38c2f4958f34f9100a8db5b959cdc84f33ca1c97d04da",
+    ("holonomy", "CNOT-detuned"): "3596b2c15270b5a4949e02f580dffd12dc48e3750f643f9cf8b0fe2a40bbf2fb",
+}
+
+
+class TestPinnedCertifyReports:
+    @pytest.mark.parametrize(
+        "command, gate", PINNED_CERTIFY_SHA256, ids=["-".join(k) for k in PINNED_CERTIFY_SHA256]
+    )
+    def test_stdout_bytes(self, command, gate, monkeypatch):
+        monkeypatch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
+        recipe = json.dumps(PINNED_CERTIFY_RECIPES[gate].to_json_dict())
+        status, out, _ = run_captured([command, "--recipe", recipe])
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CERTIFY_SHA256[command, gate]
 
 
 # Wrong values a field of the JSON input may take instead of a valid one:

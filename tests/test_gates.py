@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,16 +7,8 @@ import pytest
 from hqcdfs.gates import (
     _NO_GO_CHUNK,
     ancilla_completed_target,
-    compose_realized,
-    compose_targets,
-    euler_angles,
-    euler_compose,
     no_go_certificate,
     realize,
-    realized_logical,
-    rotation_sequence,
-    rx_matrix,
-    rz_matrix,
     target_cnot,
     target_uxz,
     target_uzx,
@@ -27,9 +18,19 @@ from hqcdfs.holonomy import transport_defect
 from hqcdfs.model import CouplingConfig, GateRecipe, assemble_two_body, detune, recipe_hamiltonian
 from hqcdfs.noise import KickDistribution, NoiseEnsemble, noisy_realize
 from hqcdfs.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, Spectrum, evolve, phase_aligned_distance
-from hqcdfs.serialize import matrix_from_json
 from hqcdfs.subspace import LogicalBlock, invariant_check_basis, restrict
 
+from gate_tools import (
+    compose_realized,
+    compose_targets,
+    euler_angles,
+    euler_compose,
+    matrix_from_json,
+    realized_logical,
+    rotation_sequence,
+    rx_matrix,
+    rz_matrix,
+)
 from oracles import no_go_trials, qubit_permutation_matrix, random_unitary
 
 
@@ -217,7 +218,7 @@ class TestNoGo:
         ids=["one", "chunk-1", "chunk", "chunk+1"],
     )
     def test_batched_matches_per_trial_oracle(self, seed, trials):
-        report = asdict(no_go_certificate(trials, seed))
+        report = no_go_certificate(trials, seed).as_dict()
         for name, expected in no_go_trials(trials, seed).items():
             if isinstance(expected, int):
                 assert report[name] == expected, name

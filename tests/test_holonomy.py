@@ -8,9 +8,9 @@ from hqcdfs import holonomy
 from hqcdfs.holonomy import certify, cyclicity_defect, defects_only_report, transport_defect
 from hqcdfs.model import GateRecipe, detune, recipe_hamiltonian, universal_recipes
 from hqcdfs.operators import Spectrum, evolve, phase_aligned_distance, polar_unitary
-from hqcdfs.serialize import matrix_from_json
 from hqcdfs.subspace import BasisSet, LogicalBlock, dfs_basis, logical_basis, restrict
 
+from gate_tools import matrix_from_json
 from oracles import polar_newton, projector_chain, random_unitary, three_level_rotation
 
 

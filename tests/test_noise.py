@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hqcdfs.errors import ContractViolation
-from hqcdfs.gates import realized_logical, target_for
+from hqcdfs.gates import target_for
 from hqcdfs.model import GateRecipe, collective_z, detune, recipe_hamiltonian, universal_recipes
 from hqcdfs import noise
 from hqcdfs.noise import (
@@ -15,7 +15,8 @@ from hqcdfs.noise import (
 from hqcdfs.operators import evolve, pauli_on, phase_aligned_distance
 from hqcdfs.subspace import LogicalBlock, bit_state, dfs_product_basis, restrict
 
-from oracles import bare_fidelity, collective_kick, noisy_fidelities
+from gate_tools import realized_logical
+from oracles import PAULI, bare_fidelity, collective_kick, embed_bruteforce, noisy_fidelities
 
 
 def uniform_ensemble(kick_count=4, samples=50, seed=5):
@@ -273,3 +274,48 @@ class TestAngleStream:
         recipe = GateRecipe.cnot()
         per_sample = noisy_realize(recipe, long).per_sample[:9]
         assert np.abs(np.subtract(per_sample, noisy_realize(recipe, short).per_sample)).max() <= 1e-15
+
+
+class TestKickCountDrift:
+    """The segment propagator's unitarity roundoff must not compound with the
+    kick count: at 1e5 kicks an unrenormalized segment drifts 1 - F to
+    3e-11 to 5e-11, and at the 2^20 cap past the 1e-10 tolerance."""
+
+    @pytest.mark.parametrize(
+        "recipe", [GateRecipe.xz(0.3), GateRecipe.zx(0.3), GateRecipe.cnot()], ids=["XZ", "ZX", "CNOT"]
+    )
+    def test_fidelity_at_1e5_kicks(self, recipe):
+        ensemble = NoiseEnsemble(100_000, KickDistribution.uniform(), samples=1, seed=5)
+        assert abs(1.0 - noisy_realize(recipe, ensemble).min_fidelity) <= 1e-11
+
+
+class TestNonCollectiveKickControl:
+    """Negative control: the encoded fidelity of 1 holds because the kicks are
+    collective. The same oracle with a kick generator that singles out one
+    qubit must see the dephasing."""
+
+    RECIPE = GateRecipe.xz(0.3)
+
+    @staticmethod
+    def deficits(generator, dist=KickDistribution.uniform()):
+        ensemble = NoiseEnsemble(4, dist, samples=40, seed=5)
+        return 1.0 - np.array(noisy_fidelities(TestNonCollectiveKickControl.RECIPE, ensemble, generator=generator))
+
+    def test_collective_generator_keeps_fidelity(self):
+        collective = np.diagonal(collective_z(3)).real
+        assert np.abs(self.deficits(collective)).max() <= 1e-12
+
+    def test_one_qubit_generator_dephases(self):
+        sz_2 = np.diagonal(embed_bruteforce(PAULI["z"], 2, 3)).real
+        assert self.deficits(sz_2).mean() >= 0.1
+
+    def test_weighted_generator_deficit_grows_as_delta_squared(self):
+        # Kicks exp(-i theta sum_k (1 + delta_k) sz_k) with delta_2 = delta
+        # split |0>_L = |010> from |1>_L = |001> by a phase of order delta, so
+        # 1 - F grows as delta^2 for small delta.
+        collective = np.diagonal(collective_z(3)).real
+        sz_2 = np.diagonal(embed_bruteforce(PAULI["z"], 2, 3)).real
+        fixed = KickDistribution.fixed(0.7)
+        small, double = (self.deficits(collective + d * sz_2, fixed).mean() for d in (1e-3, 2e-3))
+        assert small >= 1e-8
+        assert abs(double / small - 4.0) <= 0.05

@@ -1,0 +1,183 @@
+"""The report encoder against the stdlib encoder, and the immutable records."""
+
+import json
+import math
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hqcdfs.model import CouplingConfig, GateRecipe, detune
+from hqcdfs.noise import KickDistribution, NoisyGateResult
+from hqcdfs.serialize import Record, matrix_to_json, replace, round_all, round_sig
+from hqcdfs.serialize import encode_json as encode_chunks
+
+STDLIB = json.JSONEncoder(indent=2, allow_nan=False)
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e300, 1.7976931348623157e308, 0.1, 1e-7]
+EDGE_STRINGS = ["", '"quoted" \\ back', "line\nbreak\ttab\x00\x1f", "é ß 中文 😀", " ﻿"]
+
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2 ** 53, 2 ** 200),
+    floats,
+    st.sampled_from(EDGE_STRINGS),
+    st.text(max_size=8),
+)
+# Regular float blocks, the bulk path: float lists and [re, im] matrices
+# of any shape, the 1 x 1 and non-square ones included.
+blocks = st.one_of(
+    st.lists(floats, min_size=1, max_size=8),
+    st.integers(1, 4).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.tuples(floats, floats).map(list), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=4,
+        )
+    ),
+)
+documents = st.recursive(
+    st.one_of(scalars, blocks),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=8), st.sampled_from(EDGE_STRINGS)), children, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+def stdlib(doc):
+    return "".join(STDLIB.iterencode(doc))
+
+
+def encode_json(doc):
+    return "".join(encode_chunks(doc))
+
+
+class TestEncoderMatchesStdlib:
+    @settings(max_examples=200, deadline=None)
+    @given(documents)
+    def test_identical_text(self, doc):
+        assert encode_json(doc) == stdlib(doc)
+
+    @settings(max_examples=50, deadline=None)
+    @given(documents, st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 4))
+    def test_non_finite_anywhere_raises(self, doc, bad, where):
+        wrapped = [
+            [doc, bad],
+            {"a": doc, "b": bad},
+            [0.5, 1.5, bad],
+            [[[0.5, bad]], [[1.0, 2.0]]],
+            [1, 2.5, [bad]],
+        ][where]
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            stdlib(wrapped)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            encode_json(wrapped)
+
+    @pytest.mark.parametrize("shape", [(3 * 4096 + 5,), (2, 5000), (700, 9, 2), (1, 1, 2), (3, 1, 2), (1, 4, 2)])
+    def test_blocks_across_chunk_boundaries(self, shape):
+        rng = np.random.default_rng(3)
+        block = rng.normal(size=shape).tolist()
+        assert encode_json({"block": block}) == stdlib({"block": block})
+
+    def test_non_finite_in_a_late_chunk_raises(self):
+        values = [0.25] * 9000 + [math.inf]
+        with pytest.raises(ValueError, match="compliant: inf"):
+            encode_json({"per_sample": values})
+
+    def test_unsupported_values_raise_type_error(self):
+        with pytest.raises(TypeError):
+            encode_json({"a": np.int64(3)})
+        with pytest.raises(TypeError):
+            encode_json({1: 2.0})
+
+
+class TestBulkRounding:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(floats, st.sampled_from([math.nan, math.inf, -math.inf])), max_size=50))
+    def test_round_all_is_round_sig_per_value(self, values):
+        expected = [round_sig(v) for v in values]
+        assert [repr(v) for v in round_all(values)] == [repr(v) for v in expected]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 5), (5, 2), (64, 64)])
+    def test_matrix_to_json_rounds_each_part(self, shape):
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+        expected = [[[round_sig(float(z.real)), round_sig(float(z.imag))] for z in row] for row in m]
+        assert json.dumps(matrix_to_json(m)) == json.dumps(expected)
+
+    def test_per_sample_report_values(self):
+        per_sample = (1.0, 0.1234567890123456, 1.0 - 3e-16, 5e-324)
+        report = NoisyGateResult(0.5, 0.1, per_sample).to_json_dict()
+        assert report["per_sample"] == [round_sig(f) for f in per_sample]
+
+
+class TestRecords:
+    def test_equal_field_by_field(self):
+        assert GateRecipe.xz(0.3) == GateRecipe.xz(0.3)
+        assert hash(GateRecipe.xz(0.3)) == hash(GateRecipe.xz(0.3))
+        assert GateRecipe.xz(0.3) != GateRecipe.xz(0.4)
+        assert GateRecipe.xz(0.3) != ("XZ", 0.3)
+
+    def test_positional_keyword_and_default_fields(self):
+        by_position = KickDistribution("gaussian", 0.1, 0.5)
+        assert by_position == KickDistribution(kind="gaussian", stddev=0.5, mean=0.1)
+        assert by_position.value == 0.0
+        assert by_position.as_dict() == {"kind": "gaussian", "mean": 0.1, "stddev": 0.5, "value": 0.0}
+
+    def test_dict_default_is_fresh_per_instance(self):
+        a, b = CouplingConfig(3), CouplingConfig(3)
+        assert a.two_body == {} and a.two_body is not b.two_body
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [(("uniform", 0.0, 0.0, 0.0, 1.0), {}), (("uniform",), {"kind": "fixed"}), ((), {"angle": 1.0}), ((), {})],
+        ids=["too-many", "repeated", "unknown", "missing"],
+    )
+    def test_bad_field_sets_raise_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            KickDistribution(*args, **kwargs)
+
+    def test_assignment_and_deletion_raise(self):
+        recipe = GateRecipe.xz(0.3)
+        with pytest.raises(AttributeError):
+            recipe.phase = 1.0
+        with pytest.raises(AttributeError):
+            del recipe.phase
+        assert recipe.phase == 0.3
+
+    def test_replace_validates_again(self):
+        with pytest.raises(ValueError):
+            replace(GateRecipe.xz(0.3), duration=-1.0)
+        with pytest.raises(ValueError, match="pulse area"):
+            replace(GateRecipe.xz(0.3), strength=2.0)
+        moved = replace(GateRecipe.xz(0.3), phase=0.5)
+        assert moved == GateRecipe.xz(0.5)
+        assert detune(GateRecipe.xz(0.3), 1.1).detuned
+
+    def test_post_init_normalizes(self):
+        recipe = GateRecipe("CNOT", 0, 1, GateRecipe.cnot().duration, [1, 2])
+        assert recipe.blocks == (1, 2) and isinstance(recipe.phase, float)
+
+    def test_record_subclass_without_validation(self):
+        class Pair(Record):
+            left: int
+            right: int = 2
+
+        assert Pair(1) == Pair(left=1, right=2)
+        assert repr(Pair(1)) == "Pair(left=1, right=2)"
+
+
+def test_cli_import_does_not_load_dataclasses():
+    code = "import sys, hqcdfs.cli; print('dataclasses' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

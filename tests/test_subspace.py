@@ -12,11 +12,11 @@ from hqcdfs.subspace import (
     dfs_product_basis,
     invariance_defect,
     invariant_check_basis,
-    leakage_profile,
     logical_basis,
     restrict,
 )
 
+from gate_tools import leakage_profile
 from oracles import bitstring_state, kron_bruteforce, random_unitary, three_level_rotation
 
 
