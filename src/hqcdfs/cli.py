@@ -12,7 +12,6 @@ every documented tolerance for exploratory runs and is recorded in reports.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -220,9 +219,9 @@ def _run_sweep(config: RunConfig, scale: float) -> int:
     if param == "phase" and template.kind == "CNOT":
         raise InputError("phase sweep is undefined for CNOT recipes")
 
+    # csv.writer's bytes, as for ``noise --format csv``.
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["parameter", "distance", "cyclicity_defect", "transport_defect"])
+    buffer.write("parameter,distance,cyclicity_defect,transport_defect\r\n")
     for i in range(points):
         value = start + (stop - start) * i / (points - 1)
         try:
@@ -234,8 +233,10 @@ def _run_sweep(config: RunConfig, scale: float) -> int:
             raise InputError(f"invalid sweep point {value!r}: {exc}") from exc
         realization = realize(recipe, steps=config.steps)
         hol = realization.holonomy
-        row = (value, realization.distance, hol.cyclicity_defect, hol.transport_defect)
-        writer.writerow([f"{v:.12g}" for v in row])
+        buffer.write(
+            f"{value:.12g},{realization.distance:.12g},"
+            f"{hol.cyclicity_defect:.12g},{hol.transport_defect:.12g}\r\n"
+        )
     _emit(config, buffer.getvalue())
     return EXIT_OK
 

@@ -197,6 +197,53 @@ NO_GO_TOL = 1e-10
 # Evolution times sampled per no-go trial, and the trials stacked per chunk.
 _NO_GO_TIMES = 4
 _NO_GO_CHUNK = chunk_length(_NO_GO_TIMES * 4 * 4)
+# Raw words one trial can take: its coupling flag, a zero flag and a
+# magnitude per axis, one fresh word for its two signs, and its times.
+_NO_GO_WORDS = 1 + 2 * 2 + 1 + _NO_GO_TIMES
+
+
+def _no_go_draws(trials: int, seed: int):
+    """Yield the couplings and evolution times of each chunk of trials.
+
+    They equal, bit for bit, the per-trial ``default_rng(seed)`` draws:
+    ``random() >= 0.25`` couples the trial; then per axis J is zero if
+    ``random() < 0.2``, else ``uniform(0.1, 2.0) * choice([-1, 1])``; then
+    ``uniform(0.25, 3.0, size=4)`` gives the times. They are read in that
+    order from raw PCG64 words w: a double is ``(w >> 11) * 2**-53``; a sign
+    is the top bit of the next 32-bit half (Lemire's bounded draw), the low
+    half of a fresh word first and the high half kept for the next sign.
+    Each chunk reads at most ``_NO_GO_WORDS`` words per trial; unused words
+    carry over.
+    """
+    bits = np.random.PCG64(seed)
+    words, high = np.empty(0, dtype=np.uint64), None
+    for start in range(0, trials, _NO_GO_CHUNK):
+        size = min(_NO_GO_CHUNK, trials - start)
+        words = np.concatenate([words, bits.random_raw(max(0, _NO_GO_WORDS * size - len(words)))])
+        unit = (words >> 11) * 2.0**-53
+        flags, raw = unit.tolist(), words.tolist()
+        couplings, time_at, pos = [], [], 0
+        for _ in range(size):
+            pair = [0.0, 0.0]
+            pos += 1
+            if flags[pos - 1] >= 0.25:
+                for axis in (0, 1):
+                    pos += 1
+                    if flags[pos - 1] >= 0.2:
+                        magnitude = 0.1 + (2.0 - 0.1) * flags[pos]
+                        pos += 1
+                        if high is None:
+                            sign, high = raw[pos] >> 31 & 1, raw[pos] >> 63
+                            pos += 1
+                        else:
+                            sign, high = high, None
+                        pair[axis] = magnitude if sign else -magnitude
+            couplings.append(pair)
+            time_at.append(pos)
+            pos += _NO_GO_TIMES
+        times = 0.25 + (3.0 - 0.25) * unit[np.add.outer(time_at, range(_NO_GO_TIMES))]
+        words = words[pos:]
+        yield np.array(couplings), times
 
 
 def no_go_certificate(trials: int, seed: int) -> NoGoReport:
@@ -210,15 +257,13 @@ def no_go_certificate(trials: int, seed: int) -> NoGoReport:
     configurations and counterexamples; also evaluates the explicit witness
     with unit XY coupling, whose restricted Hamiltonian is exactly sigma_x.
 
-    Each trial draws its couplings and four evolution times from one
-    generator in a fixed order. The draws are then stacked into chunks of
-    at most ``_NO_GO_CHUNK`` trials: one stacked ``Spectrum`` and one
-    stacked propagator call per chunk, with every check an array
-    reduction, so memory stays the same whatever the trial count.
+    The trials arrive from ``_no_go_draws`` in chunks of at most
+    ``_NO_GO_CHUNK``: one stacked ``Spectrum`` and one stacked propagator
+    call per chunk, with every check an array reduction, so memory stays
+    the same whatever the trial count.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
     dfs = two_qubit_dfs()
     v = dfs.vectors
     r_x, r_y = r_op("x", 1, 2, 2), r_op("y", 1, 2, 2)
@@ -229,30 +274,19 @@ def no_go_certificate(trials: int, seed: int) -> NoGoReport:
     max_trivial_transport = 0.0
     min_nontrivial_transport = math.inf
 
-    for start in range(0, trials, _NO_GO_CHUNK):
-        size = min(_NO_GO_CHUNK, trials - start)
-        couplings = np.zeros((size, 2))
-        times = np.empty((size, _NO_GO_TIMES))
-        for i in range(size):
-            # A quarter of the trials is uncoupled; otherwise J^x, then J^y,
-            # is zero with probability 0.2, else of random sign and size.
-            if rng.random() >= 0.25:
-                couplings[i] = [
-                    0.0 if rng.random() < 0.2 else rng.uniform(0.1, 2.0) * rng.choice([-1, 1])
-                    for _ in "xy"
-                ]
-            times[i] = rng.uniform(0.25, 3.0, size=_NO_GO_TIMES)
+    for couplings, times in _no_go_draws(trials, seed):
         # Summed onto zeros in the order assemble_two_body uses.
-        h = np.zeros((size, 4, 4), dtype=np.complex128)
+        h = np.zeros((len(couplings), 4, 4), dtype=np.complex128)
         h += couplings[:, 0, None, None] * r_x
         h += couplings[:, 1, None, None] * r_y
 
         h_norm = np.abs(restrict(h, dfs)).max(axis=(1, 2))
         u = Spectrum(h).propagator(times)
         frames = u @ v
-        outside = frames - v @ (dagger(v) @ frames)
+        inside = dagger(v) @ frames
+        outside = frames - v @ inside
         transport = np.abs(dagger(frames) @ h[:, None] @ frames).max(axis=(1, 2, 3))
-        identity_dist = np.linalg.norm(restrict(u, dfs) - eye, axis=(2, 3)).max(axis=1)
+        identity_dist = np.linalg.norm(inside - eye, axis=(2, 3)).max(axis=1)
 
         zero_h = h_norm <= NO_GO_TOL
         agree = (zero_h == (transport <= NO_GO_TOL)) & (zero_h == (identity_dist <= NO_GO_TOL))

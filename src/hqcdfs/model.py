@@ -90,18 +90,6 @@ class CouplingConfig(Record):
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "CouplingConfig":
-        two = {
-            (int(e["k"]), int(e["l"]), str(e["axis"])): float(e["value"])
-            for e in data.get("two_body", [])
-        }
-        four = {
-            (int(e["k"]), int(e["l"]), int(e["p"]), int(e["q"]), str(e["axes"])): float(e["value"])
-            for e in data.get("four_body", [])
-        }
-        return cls(n_qubits=int(data["n_qubits"]), two_body=two, four_body=four)
-
 
 class GateRecipe(Record):
     """Pulse prescription for one gate: kind, phase, strength, duration, blocks.

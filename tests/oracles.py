@@ -183,35 +183,47 @@ def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> 
     return scale * 0.5 * (x + x.conj().T)
 
 
+def no_go_draws(trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Couplings (trials x 2) and evolution times (trials x 4) of the
+    randomized two-qubit no-go check, drawn with one ``Generator`` call per
+    value in trial order: the stream ``gates.no_go_certificate`` reads in
+    bulk from raw PCG64 output.
+    """
+    rng = np.random.default_rng(seed)
+    couplings = np.zeros((trials, 2))
+    times = np.empty((trials, 4))
+    for i in range(trials):
+        if rng.random() >= 0.25:
+            for axis in range(2):
+                if rng.random() >= 0.2:
+                    couplings[i, axis] = rng.uniform(0.1, 2.0) * rng.choice([-1, 1])
+        times[i] = rng.uniform(0.25, 3.0, size=4)
+    return couplings, times
+
+
 def no_go_trials(trials: int, seed: int) -> dict:
     """The randomized two-qubit no-go check, one 4x4 problem per trial.
 
-    Draws exactly what ``gates.no_go_certificate`` draws, in the same order,
-    but assembles, diagonalizes and checks each trial on its own, one time
-    at a time. Returns the ``NoGoReport`` fields that the trials determine.
+    Takes the draws of ``no_go_draws`` but assembles, diagonalizes and
+    checks each trial on its own, one time at a time. Returns the
+    ``NoGoReport`` fields that the trials determine.
     """
     from hqcdfs.gates import NO_GO_TOL, two_qubit_dfs
     from hqcdfs.model import CouplingConfig, assemble_two_body
     from hqcdfs.operators import Spectrum
     from hqcdfs.subspace import invariance_defect, restrict
 
-    rng = np.random.default_rng(seed)
     dfs = two_qubit_dfs()
     eye = np.eye(2)
     trivial = nontrivial = counterexamples = 0
     max_invariance = max_trivial_transport = 0.0
     min_nontrivial_transport = np.inf
-    for _ in range(trials):
-        if rng.random() < 0.25:
-            jx = jy = 0.0
-        else:
-            jx = 0.0 if rng.random() < 0.2 else rng.uniform(0.1, 2.0) * rng.choice([-1, 1])
-            jy = 0.0 if rng.random() < 0.2 else rng.uniform(0.1, 2.0) * rng.choice([-1, 1])
+    for (jx, jy), trial_times in zip(*no_go_draws(trials, seed)):
         h = assemble_two_body(CouplingConfig(2, two_body={(1, 2, "x"): jx, (1, 2, "y"): jy}))
         h_norm = float(np.abs(restrict(h, dfs)).max())
         spectrum = Spectrum(h)
         transport = identity_dist = 0.0
-        for t in rng.uniform(0.25, 3.0, size=4):
+        for t in trial_times:
             u = spectrum.propagator(t)
             max_invariance = max(max_invariance, invariance_defect(u, dfs))
             frame = u @ dfs.vectors

@@ -534,6 +534,70 @@ class TestPinnedCertifyReports:
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CERTIFY_SHA256[command, gate]
 
 
+# ``hqcdfs nogo`` stdout pinned byte for byte across chunk boundaries
+# (64 trials per chunk), as the per-trial ``Generator`` draws printed it.
+PINNED_NOGO_SHA256 = {
+    (0, 1): "68acbd0a581e70a78f2a99f1ad55b78d599adf19a22560c9cf73eda300d66d98",
+    (0, 63): "ccbab7855c4e140e37cfbdd8f9a51c3a6945cc3a1f04ca90efa4ef5b83c7677c",
+    (0, 64): "080bc32835950f7926e7c91192574dfd8c37962faca952e430ddcf68bb8306a5",
+    (0, 65): "cddc90b0a7076accac2dfa0365d86f7a76a1aa8b4b141918eb23edf46f61c34d",
+    (0, 500): "cec661cf0f34f34474e6106ff2c3ffb8539cc869f4285c644822c66486f8b1b5",
+    (0, 1000): "7dbea3ace519a68976df15c0be4e7e12c82149ab42215723195130d45f4ddb03",
+    (3, 1): "a3d6554aec7afed7443865df79aa25dec894128f82a146c2d04341ac8652c79a",
+    (3, 63): "b4ae634e026f57eb21fa102e6f1998d7bd51b119db664fde04818221b8b79af8",
+    (3, 64): "ccb9424b9727c009e879860f53841fdeb0bb71e3c3852c244ea3ff76e6b014a6",
+    (3, 65): "f7b6c8c0cb05e145a868d840fc23c48df37f810856891d97e12af2ab81657793",
+    (3, 500): "63f69c28728db54bfb36c097989bc66686057db26e901cd4b88d09b088854335",
+    (3, 1000): "3282630f36f6f6e8f97eb2e8b06ecebee8125c3d41e8a759e21307bbc765de44",
+    (7, 1): "27ede75afb65f63b577e78f0573884e629bee48115b3c2e49b299b79c34b4c67",
+    (7, 63): "aaf29d51a35ba62e7563d36db83b5cf8d399a6d769afb101be648b0b802e524d",
+    (7, 64): "79acc87e92dd7d2bd9d620d0c9ed2549f2bc7770c7b3b9de1366d5a4f1451726",
+    (7, 65): "0db5ee46063520f77eea4a81ea1a5b7737fdf9b508df978106fe7af16c36b368",
+    (7, 500): "0bf57b0887ae29812a29ef44255f899436dd4363785a8fa28b876b46985ab451",
+    (7, 1000): "59fd1e414ea5228ff345e83b36b03f2855748acfe2adf877d41f98bb5fd75137",
+    (11, 1): "fdc0a38609d152e87831061a142c7a89df1fca0cb1be5b1cbf65aa154226dc54",
+    (11, 63): "0fefae9f99a86262ec9872ce63b4861075b6c95bf6532c387b00bf2f2a7f2d42",
+    (11, 64): "2d5d90a0ac0caff3fb34cba5718bfe345f9d416d5fee9089a65932760d8967b0",
+    (11, 65): "76e882e737c24000ed38b7bbf56298ff9b5a77e60ca449b5b1c5f1dc00f73abb",
+    (11, 500): "475c37fe5d2169a1835326a7208684e44e10006e97cc648f73f0dd459898927c",
+    (11, 1000): "46b079bc621dd98a053cb3da98541205235cb2a141c74a8de253c652342873bd",
+}
+
+
+class TestPinnedNoGoReports:
+    @pytest.mark.parametrize(
+        "seed, trials", PINNED_NOGO_SHA256, ids=[f"seed{s}-trials{t}" for s, t in PINNED_NOGO_SHA256]
+    )
+    def test_stdout_bytes(self, seed, trials, monkeypatch):
+        monkeypatch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
+        status, out, _ = run_captured(["nogo", "--trials", str(trials), "--seed", str(seed)])
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_NOGO_SHA256[seed, trials]
+
+
+# One ``hqcdfs sweep`` per parameter, five points at the default chain steps;
+# stdout pinned byte for byte as csv.writer printed it.
+PINNED_SWEEPS = {
+    "phase": (PINNED_RECIPES["XZ"], "0", "6.283185307179586"),
+    "pulse_area_detuning": (PINNED_RECIPES["CNOT"], "-0.05", "0.05"),
+}
+PINNED_SWEEP_SHA256 = {
+    "phase": "edb5e8c2c58a2cba8a1354c026d3ca5891207a868123c3fedc8822e809c0ced4",
+    "pulse_area_detuning": "a334e6cbfbe22213946ebed241109fbec3ad8efe6a5eb4e8102b615f3b018885",
+}
+
+
+class TestPinnedSweepReports:
+    @pytest.mark.parametrize("param", PINNED_SWEEP_SHA256)
+    def test_stdout_bytes(self, param, monkeypatch):
+        monkeypatch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
+        recipe, start, stop = PINNED_SWEEPS[param]
+        argv = ["sweep", "--param", param, "--from", start, "--to", stop, "--points", "5"]
+        status, out, _ = run_captured(argv + ["--recipe", json.dumps(recipe.to_json_dict())])
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP_SHA256[param]
+
+
 # Wrong values a field of the JSON input may take instead of a valid one:
 # missing (see ``mutated``), mistyped, non-finite, negative, or huge. Huge
 # counts exceed a cap, so a fuzzed run never allocates much.

@@ -6,6 +6,8 @@ import pytest
 
 from hqcdfs.gates import (
     _NO_GO_CHUNK,
+    _NO_GO_WORDS,
+    _no_go_draws,
     ancilla_completed_target,
     no_go_certificate,
     realize,
@@ -31,7 +33,7 @@ from gate_tools import (
     rx_matrix,
     rz_matrix,
 )
-from oracles import no_go_trials, qubit_permutation_matrix, random_unitary
+from oracles import no_go_draws, no_go_trials, qubit_permutation_matrix, random_unitary
 
 
 class TestTargets:
@@ -224,6 +226,50 @@ class TestNoGo:
                 assert report[name] == expected, name
             else:
                 assert abs(report[name] - expected) <= 1e-15, name
+
+
+class TestNoGoDraws:
+    """The bulk read of raw PCG64 output yields, bit for bit, what one
+    ``Generator`` call per value draws."""
+
+    CASES = [
+        (seed, trials)
+        for seed in (0, 1, 3, 7, 11)
+        for trials in (1, _NO_GO_CHUNK - 1, _NO_GO_CHUNK, _NO_GO_CHUNK + 1, 10 * _NO_GO_CHUNK + 3)
+    ]
+
+    @pytest.mark.parametrize("seed, trials", CASES)
+    def test_draws_bit_equal_to_generator_calls(self, seed, trials):
+        chunks = list(_no_go_draws(trials, seed))
+        assert [len(c) for c, _ in chunks[:-1]] == [_NO_GO_CHUNK] * (len(chunks) - 1)
+        couplings, times = no_go_draws(trials, seed)
+        assert np.concatenate([c for c, _ in chunks]).tobytes() == couplings.tobytes()
+        assert np.concatenate([t for _, t in chunks]).tobytes() == times.tobytes()
+
+    def test_cases_cover_the_stream_edges(self):
+        # A first trial coupled on both axes takes all _NO_GO_WORDS words.
+        assert any(np.all(no_go_draws(1, seed)[0][0] != 0) for seed, _ in self.CASES)
+        # An odd sign count in the first chunk leaves a high half buffered
+        # for the next chunk's first sign.
+        assert any(
+            trials > _NO_GO_CHUNK
+            and np.count_nonzero(no_go_draws(trials, seed)[0][:_NO_GO_CHUNK]) % 2
+            for seed, trials in self.CASES
+        )
+
+    def test_raw_reads_stay_within_one_chunk(self, monkeypatch):
+        requests = []
+
+        class CountingPCG64(np.random.PCG64):
+            def random_raw(self, size=None, output=True):
+                requests.append(size)
+                return super().random_raw(size, output)
+
+        monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
+        for _ in _no_go_draws(10_000, seed=5):
+            pass
+        assert len(requests) == -(-10_000 // _NO_GO_CHUNK)
+        assert max(requests) <= _NO_GO_WORDS * _NO_GO_CHUNK == 10 * _NO_GO_CHUNK
 
 
 class TestOneSpectrumPerHamiltonian:

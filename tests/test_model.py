@@ -203,14 +203,21 @@ class TestRecipes:
         ):
             assert GateRecipe.from_json_dict(recipe.to_json_dict()) == recipe
 
-    def test_config_json_round_trip(self):
+    def test_config_json_layout(self):
         config = CouplingConfig(
             6,
-            two_body={(1, 2, "x"): 0.5, (4, 6, "y"): -1.25},
+            two_body={(4, 6, "y"): -1.25, (1, 2, "x"): 1},
             four_body={(1, 3, 4, 5, "xx"): 2.0},
         )
-        rebuilt = CouplingConfig.from_json_dict(config.to_json_dict())
-        assert rebuilt == config
+        assert config.to_json_dict() == {
+            "n_qubits": 6,
+            "two_body": [
+                {"k": 1, "l": 2, "axis": "x", "value": 1.0},
+                {"k": 4, "l": 6, "axis": "y", "value": -1.25},
+            ],
+            "four_body": [{"k": 1, "l": 3, "p": 4, "q": 5, "axes": "xx", "value": 2.0}],
+        }
+        assert isinstance(config.to_json_dict()["two_body"][0]["value"], float)
 
 
 class TestRecipeHamiltonian:

@@ -177,7 +177,7 @@ class TestRecords:
 
 
 def test_cli_import_does_not_load_dataclasses():
-    code = "import sys, hqcdfs.cli; print('dataclasses' in sys.modules)"
+    code = "import sys, hqcdfs.cli; print('dataclasses' in sys.modules, 'csv' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
