@@ -37,13 +37,11 @@ from .model import (
     r_op,
     recipe_coupling_config,
     recipe_hamiltonian,
-    universal_recipes,
 )
 from .noise import (
     KickDistribution,
     NoiseEnsemble,
     NoisyGateResult,
-    bare_baseline,
     noisy_realize,
 )
 from .operators import (
@@ -57,7 +55,6 @@ from .subspace import (
     BasisSet,
     LogicalBlock,
     bit_state,
-    dfs_basis,
     dfs_product_basis,
     invariance_defect,
     invariant_check_basis,
@@ -85,13 +82,11 @@ __all__ = [
     "Spectrum",
     "assemble_four_body",
     "assemble_two_body",
-    "bare_baseline",
     "bit_state",
     "certify",
     "collective_z",
     "cyclicity_defect",
     "detune",
-    "dfs_basis",
     "dfs_product_basis",
     "evolve",
     "invariance_defect",
@@ -112,5 +107,4 @@ __all__ = [
     "target_uxz",
     "target_uzx",
     "transport_defect",
-    "universal_recipes",
 ]

@@ -17,14 +17,16 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .errors import ContractViolation, SingularChainError
-from .gates import realize, no_go_certificate
+from .gates import DEFAULT_CHAIN_STEPS, realize, no_go_certificate
 from .holonomy import MIN_CHAIN_STEPS, certify, defects_only_report
 from .model import GateRecipe, detune, recipe_hamiltonian
 from .noise import NoiseEnsemble, noisy_realize
 from .operators import Spectrum
-from .serialize import Record, encode_json, replace
+from .serialize import FORMAT_CHUNK, encode_json, replace
 from .subspace import BasisSet, LogicalBlock, logical_basis
 
 EXIT_OK = 0
@@ -63,30 +65,13 @@ _CHECKS = {
     "noise": (
         ("fidelity_deficit", lambda n: 1.0 - n.min_fidelity),
         # F > 1 means the propagation inflated the norm; the deficit passes it.
-        ("excess_fidelity", lambda n: max(n.per_sample) - 1.0),
+        ("excess_fidelity", lambda n: float(np.max(n.per_sample)) - 1.0),
     ),
 }
 
 
 class InputError(Exception):
     """Unparseable or invalid command input (exit status 2)."""
-
-
-class RunConfig(Record):
-    command: str
-    output_path: str | None = None
-    steps: int = 4096
-    seed: int = 0
-    format: str = "json"
-    extras: dict = {}
-
-    def __post_init__(self):
-        if self.format not in ("json", "csv"):
-            raise InputError(f"format must be json or csv, got {self.format!r}")
-        if self.command in ("gate", "holonomy") and self.steps < MIN_CHAIN_STEPS:
-            raise InputError(
-                f"steps must be >= {MIN_CHAIN_STEPS} for {self.command}, got {self.steps}"
-            )
 
 
 def tolerance_scale() -> float:
@@ -132,24 +117,24 @@ def _violations(command: str, report, scale: float) -> list:
     return violations
 
 
-def _emit(config: RunConfig, *parts: str) -> None:
-    if config.output_path:
+def _emit(args: argparse.Namespace, *parts: str) -> None:
+    if args.out:
         try:
-            with open(config.output_path, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(parts)
         except OSError as exc:
-            raise InputError(f"cannot write report to {config.output_path!r}: {exc}") from exc
+            raise InputError(f"cannot write report to {args.out!r}: {exc}") from exc
     else:
         sys.stdout.writelines(parts)
 
 
 def _emit_report(
-    config: RunConfig, scale: float, input_doc: dict, report: dict, violations: list
+    args: argparse.Namespace, scale: float, input_doc: dict, report: dict, violations: list
 ) -> int:
     """Emit the JSON report envelope; return the exit status it implies."""
     doc = {
         "tool": {"name": "hqcdfs", "version": __version__},
-        "command": config.command,
+        "command": args.command,
         "tolerance_scale": scale,
         "input": input_doc,
         "report": report,
@@ -159,24 +144,24 @@ def _emit_report(
         chunks = encode_json(doc)
     except ValueError as exc:
         raise ContractViolation(f"report holds a non-finite number: {exc}") from exc
-    _emit(config, *chunks, "\n")
+    _emit(args, *chunks, "\n")
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
-def _run_gate(config: RunConfig, scale: float) -> int:
-    recipe = _parse(GateRecipe, config.extras["recipe"])
-    realization = realize(recipe, steps=config.steps)
+def _run_gate(args: argparse.Namespace, scale: float) -> int:
+    recipe = _parse(GateRecipe, args.recipe)
+    realization = realize(recipe, steps=args.steps)
     violations = [] if recipe.detuned else _violations("gate", realization, scale)
-    input_doc = {"recipe": recipe.to_json_dict(), "steps": config.steps}
-    return _emit_report(config, scale, input_doc, realization.to_json_dict(), violations)
+    input_doc = {"recipe": recipe.to_json_dict(), "steps": args.steps}
+    return _emit_report(args, scale, input_doc, realization.to_json_dict(), violations)
 
 
-def _run_holonomy(config: RunConfig, scale: float) -> int:
-    recipe = _parse(GateRecipe, config.extras["recipe"])
+def _run_holonomy(args: argparse.Namespace, scale: float) -> int:
+    recipe = _parse(GateRecipe, args.recipe)
     n_blocks = max(recipe.blocks)
     spectrum = Spectrum(recipe_hamiltonian(recipe, n_blocks))
-    if config.extras.get("basis"):
-        basis = _parse(BasisSet, config.extras["basis"])
+    if args.basis:
+        basis = _parse(BasisSet, args.basis)
         if basis.dim_ambient != spectrum.h.shape[0]:
             raise InputError(
                 f"basis ambient dimension {basis.dim_ambient} does not match "
@@ -185,37 +170,37 @@ def _run_holonomy(config: RunConfig, scale: float) -> int:
     else:
         basis = logical_basis([LogicalBlock(b) for b in recipe.blocks], 3 * n_blocks)
     assess = defects_only_report if recipe.detuned else certify
-    report = assess(spectrum, basis, recipe.duration, config.steps)
+    report = assess(spectrum, basis, recipe.duration, args.steps)
     violations = [] if recipe.detuned else _violations("holonomy", report, scale)
-    input_doc = {"recipe": recipe.to_json_dict(), "steps": config.steps}
-    return _emit_report(config, scale, input_doc, report.to_json_dict(), violations)
+    input_doc = {"recipe": recipe.to_json_dict(), "steps": args.steps}
+    return _emit_report(args, scale, input_doc, report.to_json_dict(), violations)
 
 
-def _run_noise(config: RunConfig, scale: float) -> int:
-    recipe = _parse(GateRecipe, config.extras["recipe"])
-    ensemble = _parse(NoiseEnsemble, config.extras["ensemble"])
+def _run_noise(args: argparse.Namespace, scale: float) -> int:
+    recipe = _parse(GateRecipe, args.recipe)
+    ensemble = _parse(NoiseEnsemble, args.ensemble)
     result = noisy_realize(recipe, ensemble)
     violations = [] if recipe.detuned else _violations("noise", result, scale)
-    if config.format == "csv":
-        # csv.writer's bytes (nothing needs quoting, "\r\n" ends rows), streamed.
-        buffer = io.StringIO()
-        buffer.write("sample,fidelity\r\n")
-        buffer.writelines(f"{i},{f:.12g}\r\n" for i, f in enumerate(result.per_sample))
-        _emit(config, buffer.getvalue())
+    if args.format == "csv":
+        # csv.writer's bytes (nothing needs quoting, "\r\n" ends rows), one
+        # part per chunk of the fidelity array, so the text is held once.
+        parts = ["sample,fidelity\r\n"]
+        for start in range(0, ensemble.samples, FORMAT_CHUNK):
+            rows = enumerate(result.per_sample[start:start + FORMAT_CHUNK].tolist(), start)
+            parts.append("".join(f"{i},{f:.12g}\r\n" for i, f in rows))
+        _emit(args, *parts)
         return EXIT_VIOLATIONS if violations else EXIT_OK
     input_doc = {"recipe": recipe.to_json_dict(), "ensemble": ensemble.to_json_dict()}
-    return _emit_report(config, scale, input_doc, result.to_json_dict(), violations)
+    return _emit_report(args, scale, input_doc, result.to_json_dict(), violations)
 
 
-def _run_sweep(config: RunConfig, scale: float) -> int:
-    param, start, stop, points = (config.extras[k] for k in ("param", "start", "stop", "points"))
-    if param not in ("phase", "pulse_area_detuning"):
-        raise InputError(f"unknown sweep parameter {param!r}")
+def _run_sweep(args: argparse.Namespace, scale: float) -> int:
+    param, start, stop, points = args.param, args.start, args.stop, args.points
     if points < 2:
         raise InputError(f"sweep needs at least 2 points, got {points}")
     if param == "pulse_area_detuning" and min(start, stop) <= -1.0:
         raise InputError("detuning must stay above -1 to keep the pulse area positive")
-    template = _parse(GateRecipe, config.extras["recipe"])
+    template = _parse(GateRecipe, args.recipe)
     if param == "phase" and template.kind == "CNOT":
         raise InputError("phase sweep is undefined for CNOT recipes")
 
@@ -231,28 +216,27 @@ def _run_sweep(config: RunConfig, scale: float) -> int:
                 recipe = detune(template, 1.0 + value) if value != 0.0 else template
         except ValueError as exc:
             raise InputError(f"invalid sweep point {value!r}: {exc}") from exc
-        realization = realize(recipe, steps=config.steps)
+        realization = realize(recipe, steps=args.steps)
         hol = realization.holonomy
         buffer.write(
             f"{value:.12g},{realization.distance:.12g},"
             f"{hol.cyclicity_defect:.12g},{hol.transport_defect:.12g}\r\n"
         )
-    _emit(config, buffer.getvalue())
+    _emit(args, buffer.getvalue())
     return EXIT_OK
 
 
-def _run_nogo(config: RunConfig, scale: float) -> int:
-    trials = config.extras["trials"]
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
-    if config.seed < 0:
-        raise InputError(f"seed must be >= 0, got {config.seed}")
-    report = no_go_certificate(trials, config.seed)
+def _run_nogo(args: argparse.Namespace, scale: float) -> int:
+    if args.trials < 1:
+        raise InputError(f"trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise InputError(f"seed must be >= 0, got {args.seed}")
+    report = no_go_certificate(args.trials, args.seed)
     violations: list = []
     _check(violations, "counterexamples", report.counterexamples, 0)
     _check(violations, "witness_error", report.witness_error, 0.0)
-    input_doc = {"trials": trials, "seed": config.seed}
-    return _emit_report(config, scale, input_doc, report.to_json_dict(), violations)
+    input_doc = {"trials": args.trials, "seed": args.seed}
+    return _emit_report(args, scale, input_doc, report.to_json_dict(), violations)
 
 
 _RUNNERS = {
@@ -262,25 +246,6 @@ _RUNNERS = {
     "sweep": _run_sweep,
     "nogo": _run_nogo,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch one parsed command; returns the process exit status.
-
-    Bad input propagates as InputError (exit 2). Any other failure, such as
-    an exhausted allocation, exits 3 with one line on stderr and no
-    traceback, so exit 1 keeps meaning tolerance violations only.
-    """
-    try:
-        return _RUNNERS[config.command](config, tolerance_scale())
-    except InputError:
-        raise
-    except (ContractViolation, SingularChainError) as exc:
-        sys.stderr.write(f"contract violation: {exc}\n")
-    except Exception as exc:
-        message = " ".join(f"{type(exc).__name__}: {exc}".split())
-        sys.stderr.write(f"internal error: {message}\n")
-    return EXIT_CONTRACT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gate = sub.add_parser("gate", help="realize a gate recipe and report the comparison")
     gate.add_argument("--recipe", required=True, help="recipe file path or inline JSON")
-    gate.add_argument("--steps", type=int, default=4096)
+    gate.add_argument("--steps", type=int, default=DEFAULT_CHAIN_STEPS)
 
     hol = sub.add_parser("holonomy", help="certify the holonomic character of a recipe")
     hol.add_argument("--recipe", required=True)
@@ -302,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="basis-set JSON (path or inline) to certify instead of the logical basis",
     )
-    hol.add_argument("--steps", type=int, default=4096)
+    hol.add_argument("--steps", type=int, default=DEFAULT_CHAIN_STEPS)
 
     noise = sub.add_parser("noise", help="gate fidelity under collective phase kicks")
     noise.add_argument("--recipe", required=True)
@@ -315,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--to", dest="stop", type=float, required=True)
     sweep.add_argument("--points", type=int, required=True)
     sweep.add_argument("--recipe", required=True)
-    sweep.add_argument("--steps", type=int, default=4096)
+    sweep.add_argument("--steps", type=int, default=DEFAULT_CHAIN_STEPS)
 
     nogo = sub.add_parser("nogo", help="randomized two-qubit no-go certificate")
     nogo.add_argument("--trials", type=int, default=1000)
@@ -326,30 +291,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    extras = {}
-    for key in ("recipe", "ensemble", "basis", "param", "start", "stop", "points", "trials"):
-        if hasattr(args, key):
-            extras[key] = getattr(args, key)
-    return RunConfig(
-        command=args.command,
-        output_path=getattr(args, "out", None),
-        steps=getattr(args, "steps", 4096),
-        seed=getattr(args, "seed", 0),
-        format=getattr(args, "format", "json"),
-        extras=extras,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse and run one command; returns the process exit status.
+
+    Bad input exits 2. Any other failure, such as an exhausted allocation,
+    exits 3 with one line on stderr and no traceback, so exit 1 keeps
+    meaning tolerance violations only.
+    """
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return run(config)
+        if "steps" in args and args.steps < MIN_CHAIN_STEPS:
+            raise InputError(
+                f"steps must be >= {MIN_CHAIN_STEPS} for {args.command}, got {args.steps}"
+            )
+        return _RUNNERS[args.command](args, tolerance_scale())
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
+    except (ContractViolation, SingularChainError) as exc:
+        sys.stderr.write(f"contract violation: {exc}\n")
+    except Exception as exc:
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        sys.stderr.write(f"internal error: {message}\n")
+    return EXIT_CONTRACT
 
 
 def entry() -> None:

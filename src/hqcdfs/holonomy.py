@@ -31,6 +31,9 @@ PRECONDITION_TOL = 1e-8
 
 MIN_CHAIN_STEPS = 8
 
+# Times in [0, tau] at which the transport defect is sampled.
+TRANSPORT_SAMPLES = 101
+
 
 def cyclicity_defect(spectrum: Spectrum, basis: BasisSet, tau: float) -> float:
     """|| P(tau) - P(0) ||_F with P(t) the evolved projector of the span."""
@@ -39,20 +42,17 @@ def cyclicity_defect(spectrum: Spectrum, basis: BasisSet, tau: float) -> float:
     return float(np.linalg.norm(u @ p0 @ dagger(u) - p0))
 
 
-def transport_defect(
-    spectrum: Spectrum, basis: BasisSet, tau: float, samples: int = 101
-) -> float:
-    """max over sampled t in [0, tau] and k, l of |<phi_k(t)| h |phi_l(t)>|.
+def transport_defect(spectrum: Spectrum, basis: BasisSet, tau: float) -> float:
+    """max over TRANSPORT_SAMPLES times t in [0, tau] and k, l of
+    |<phi_k(t)| h |phi_l(t)>|.
 
     The transported states are phi_k(t) = exp(-i h t) b_k. For a constant
     generator this equals the t = 0 value because h commutes with its own
     propagator; the time sampling keeps the check honest against that very
     assumption.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
     coeffs = dagger(spectrum.vectors) @ basis.vectors
-    times = np.arange(samples) * (tau / (samples - 1))
+    times = np.arange(TRANSPORT_SAMPLES) * (tau / (TRANSPORT_SAMPLES - 1))
     phases = np.exp(-1j * np.outer(times, spectrum.values))
     frames = spectrum.vectors @ (phases[..., None] * coeffs)
     couplings = frames.conj().swapaxes(1, 2) @ (spectrum.h @ frames)
@@ -93,12 +93,12 @@ class HolonomyReport(Record):
 
 
 def defects_only_report(
-    spectrum: Spectrum, basis: BasisSet, tau: float, steps: int, samples: int = 101
+    spectrum: Spectrum, basis: BasisSet, tau: float, steps: int
 ) -> HolonomyReport:
     """Report carrying only the condition defects (reconstruction skipped)."""
     return HolonomyReport(
         cyclicity_defect=cyclicity_defect(spectrum, basis, tau),
-        transport_defect=transport_defect(spectrum, basis, tau, samples),
+        transport_defect=transport_defect(spectrum, basis, tau),
         holonomy_matrix=None,
         reconstruction_distance=None,
         chain_defect=None,
@@ -107,9 +107,7 @@ def defects_only_report(
     )
 
 
-def certify(
-    spectrum: Spectrum, basis: BasisSet, tau: float, steps: int, samples: int = 101
-) -> HolonomyReport:
+def certify(spectrum: Spectrum, basis: BasisSet, tau: float, steps: int) -> HolonomyReport:
     """Condition defects plus the holonomy rebuilt by the projector chain.
 
     Refuses to reconstruct (PreconditionError) when conditions (i) or (ii)
@@ -119,7 +117,7 @@ def certify(
     """
     if steps < MIN_CHAIN_STEPS:
         raise ValueError(f"steps must be >= {MIN_CHAIN_STEPS}, got {steps}")
-    report = defects_only_report(spectrum, basis, tau, steps, samples)
+    report = defects_only_report(spectrum, basis, tau, steps)
     cyc, tra = report.cyclicity_defect, report.transport_defect
     if cyc > PRECONDITION_TOL or tra > PRECONDITION_TOL:
         raise PreconditionError(

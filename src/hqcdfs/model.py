@@ -14,7 +14,7 @@ occupies the contiguous physical qubits (3n-2, 3n-1, 3n).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -131,10 +131,6 @@ class GateRecipe(Record):
                     f"pulse area {area!r} violates the {self.kind} condition "
                     f"{PULSE_AREAS[self.kind]!r}; use detune() for deliberate offsets"
                 )
-
-    @property
-    def pulse_area(self) -> float:
-        return self.strength * self.duration
 
     @classmethod
     def xz(cls, phase: float, strength: float = 1.0, block: int = 1) -> "GateRecipe":
@@ -272,11 +268,3 @@ def recipe_hamiltonian(recipe: GateRecipe, n_blocks: int) -> np.ndarray:
     """Gate Hamiltonian of ``recipe`` on the full 2^(3 n_blocks) register."""
     return assemble(recipe_coupling_config(recipe, n_blocks))
 
-
-def universal_recipes(strength: float = 1.0, phase: float = 0.0) -> Iterable[GateRecipe]:
-    """The three gate recipes at a common coupling strength (CNOT on blocks 1,2)."""
-    return (
-        GateRecipe.xz(phase, strength),
-        GateRecipe.zx(phase, strength),
-        GateRecipe.cnot(strength),
-    )

@@ -5,8 +5,7 @@ by unitary kicks exp(-i theta sum_k sz_k) with random angles interleaved
 between equal-time slices of the gate evolution. Every gate Hamiltonian
 here commutes with the kick generator, and the encoded states share one
 kick eigenvalue, so a kick acts on the protected space as a global phase;
-that exact mechanism is what the simulations certify. An unencoded
-single-qubit baseline quantifies what the same kicks do without protection.
+that exact mechanism is what the simulations certify.
 
 An ensemble reads one generator, ``default_rng(seed)``: sample i takes row i
 of a row-major (samples, kick_count) stream of angles, so the angles do not
@@ -152,9 +151,12 @@ class NoiseEnsemble(Record):
 
 
 class NoisyGateResult(Record):
+    """Fidelity summary of one ensemble; ``per_sample`` is the float64 array
+    of every sample's fidelity, in sample order."""
+
     mean_fidelity: float
     min_fidelity: float
-    per_sample: tuple[float, ...]
+    per_sample: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,31 +220,6 @@ def noisy_realize(
     return NoisyGateResult(
         mean_fidelity=float(np.mean(fidelities)),
         min_fidelity=float(np.min(fidelities)),
-        per_sample=tuple(fidelities.tolist()),
+        per_sample=fidelities,
     )
 
-
-def bare_baseline(theta_gate: float, ensemble: NoiseEnsemble) -> float:
-    """Mean state fidelity of an unencoded qubit under the same kick schedule.
-
-    One physical qubit performs an x-rotation by ``theta_gate`` sliced into
-    equal segments with sz kicks in between; the initial state is
-    (|0> + |1>)/sqrt(2). Contrast experiment for the encoded case. The
-    samples run in chunks, one (2, chunk) state block each.
-    """
-    segments = ensemble.kick_count + 1
-    half = theta_gate / (2.0 * segments)
-    u_segment = np.array(
-        [[np.cos(half), -1j * np.sin(half)], [-1j * np.sin(half), np.cos(half)]],
-        dtype=np.complex128,
-    )
-    plus = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
-    sz = np.array([1.0, -1.0])
-
-    total = 0.0
-    for thetas in ensemble.angle_chunks(chunk_length(2)):
-        psi = np.repeat((u_segment @ plus)[:, None], len(thetas), axis=1)
-        for kick in thetas.T:
-            psi = u_segment @ (np.exp(-1j * kick * sz[:, None]) * psi)
-        total += float(np.sum(np.abs(plus.conj() @ psi) ** 2))
-    return total / ensemble.samples

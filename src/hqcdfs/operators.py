@@ -19,6 +19,8 @@ DIMENSION_CAP = 2 ** 14
 # Per-dimension tolerance scales for double-precision spectral methods.
 ALGEBRA_TOL = 1e-12
 UNITARITY_TOL = 1e-10
+# Smallest singular value a matrix may have and still be unitarized.
+MIN_SINGULAR = 1e-12
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -53,16 +55,15 @@ def _worst_frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, axis=(-2, -1)).max())
 
 
-def require_hermitian(m, tol: float | None = None) -> np.ndarray:
-    """Validate ``||m - m^dag||_F <= tol`` (default ALGEBRA_TOL * dim).
+def require_hermitian(m) -> np.ndarray:
+    """Validate ``||m - m^dag||_F <= ALGEBRA_TOL * dim``.
 
     For a stack every matrix is checked and the worst defect is reported.
     """
     h = as_complex_matrix(m, stacked=True)
     if h.shape[-2] != h.shape[-1]:
         raise ValueError(f"Hermitian operator must be square, got {h.shape}")
-    if tol is None:
-        tol = ALGEBRA_TOL * h.shape[-1]
+    tol = ALGEBRA_TOL * h.shape[-1]
     defect = _worst_frobenius(h - dagger(h))
     if defect > tol:
         raise ContractViolation(
@@ -71,16 +72,15 @@ def require_hermitian(m, tol: float | None = None) -> np.ndarray:
     return h
 
 
-def require_unitary(m, tol: float | None = None) -> np.ndarray:
-    """Validate ``||U^dag U - I||_F <= tol`` (default UNITARITY_TOL * dim).
+def require_unitary(m) -> np.ndarray:
+    """Validate ``||U^dag U - I||_F <= UNITARITY_TOL * dim``.
 
     For a stack every matrix is checked and the worst defect is reported.
     """
     u = as_complex_matrix(m, stacked=True)
     if u.shape[-2] != u.shape[-1]:
         raise ValueError(f"unitary operator must be square, got {u.shape}")
-    if tol is None:
-        tol = UNITARITY_TOL * u.shape[-1]
+    tol = UNITARITY_TOL * u.shape[-1]
     defect = _worst_frobenius(dagger(u) @ u - np.eye(u.shape[-1]))
     if defect > tol:
         raise ContractViolation(
@@ -170,18 +170,18 @@ def evolve(h, t: float) -> np.ndarray:
     return Spectrum(h).propagator(t)
 
 
-def polar_unitary(m, *, min_singular: float = 1e-12) -> np.ndarray:
+def polar_unitary(m) -> np.ndarray:
     """Unitary factor of the polar decomposition m = U P, P positive.
 
     U is the Frobenius-closest unitary to m. Raises SingularChainError when
-    m is (numerically) rank-deficient, in which case no meaningful unitary
-    factor exists.
+    m is (numerically) rank-deficient, its smallest singular value at most
+    MIN_SINGULAR, in which case no meaningful unitary factor exists.
     """
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"polar decomposition needs a square matrix, got {m.shape}")
     u, s, vh = np.linalg.svd(m)
-    if s.min() <= min_singular:
+    if s.min() <= MIN_SINGULAR:
         raise SingularChainError(
             f"matrix is rank-deficient (smallest singular value {s.min():.3e})"
         )

@@ -86,23 +86,28 @@ def replace(record: Record, **changes) -> Record:
     return type(record)(**{**record.as_dict(), **changes})
 
 
-def round_sig(x: float, sig: int = 12) -> float:
+# Significant digits of every float in a report.
+SIG_DIGITS = 12
+
+
+def round_sig(x: float) -> float:
     if x is None or not math.isfinite(x):
         return x
-    return float(f"{x:.{sig}g}")
+    return float(f"{x:.{SIG_DIGITS}g}")
 
 
 # Floats formatted per pass, so that bulk formatting keeps memory flat.
-_CHUNK = 2 ** 12
+FORMAT_CHUNK = 2 ** 12
 _NON_FINITE = "Out of range float values are not JSON compliant: "
 
 
-def round_all(values, sig: int = 12) -> list[float]:
-    """``round_sig`` of every float in a sequence, formatted in bulk."""
+def round_all(values) -> list[float]:
+    """``round_sig`` of every float in a sequence or array, formatted in bulk."""
+    values = np.asarray(values, dtype=np.float64)
     out: list[float] = []
-    fmt = f"%.{sig}g "
-    for start in range(0, len(values), _CHUNK):
-        part = tuple(values[start:start + _CHUNK])
+    fmt = f"%.{SIG_DIGITS}g "
+    for start in range(0, len(values), FORMAT_CHUNK):
+        part = tuple(values[start:start + FORMAT_CHUNK].tolist())
         out += map(float, ((fmt * len(part)) % part).split())
     return out
 
@@ -123,10 +128,10 @@ def as_float(value, name: str) -> float:
     return float(value)
 
 
-def matrix_to_json(m: np.ndarray, sig: int = 12) -> list:
+def matrix_to_json(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=np.complex128)
     pairs = np.stack([m.real, m.imag], axis=-1)
-    return np.reshape(round_all(pairs.ravel().tolist(), sig), pairs.shape).tolist()
+    return np.reshape(round_all(pairs.ravel()), pairs.shape).tolist()
 
 
 def _float_block(items: list) -> tuple[list[int], list] | None:
@@ -160,7 +165,7 @@ def _encode_block(shape: list[int], leaves: list, level: int, out: list) -> None
     """Append the layout of a float block, formatting whole rows at a time."""
     row = _template(shape[1:], level + 1)
     per_row = len(leaves) // shape[0]
-    rows = max(1, _CHUNK // per_row)
+    rows = max(1, FORMAT_CHUNK // per_row)
     inner = "\n" + "  " * (level + 1)
     out.append("[" + inner)
     for start in range(0, shape[0], rows):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .operators import as_complex_matrix, dagger
-from .serialize import Record
+from .serialize import Record, as_float
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -57,7 +57,9 @@ class BasisSet(Record):
     def __post_init__(self):
         v = as_complex_matrix(self.vectors)
         object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        if isinstance(self.labels, str) or not all(isinstance(s, str) for s in self.labels):
+            raise ValueError(f"labels must be a sequence of strings, got {self.labels!r}")
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != v.shape[1]:
             raise ValueError(
                 f"{v.shape[1]} vectors but {len(self.labels)} labels"
@@ -85,10 +87,6 @@ class BasisSet(Record):
         """P = sum |b_i><b_i| built from the stored vectors."""
         return self.vectors @ dagger(self.vectors)
 
-    def transformed(self, gauge: np.ndarray) -> "BasisSet":
-        """Same span with columns mixed by a size x size unitary."""
-        return BasisSet(self.vectors @ gauge, self.labels)
-
     def to_json_dict(self) -> dict:
         return {
             "dim_ambient": self.dim_ambient,
@@ -102,10 +100,10 @@ class BasisSet(Record):
     @classmethod
     def from_json_dict(cls, data) -> "BasisSet":
         cols = [
-            np.array([complex(re, im) for re, im in column], dtype=np.complex128)
+            np.array([complex(as_float(re, "re"), as_float(im, "im")) for re, im in column])
             for column in data["vectors"]
         ]
-        return cls(np.column_stack(cols), tuple(data["labels"]))
+        return cls(np.column_stack(cols), data["labels"])
 
 
 def _check_block_fits(block: LogicalBlock, n_total: int) -> None:
@@ -149,15 +147,6 @@ def _product_basis(
     return BasisSet(np.column_stack(columns), labels)
 
 
-def dfs_basis(block: LogicalBlock, n_total: int, spectator: str = "0L") -> BasisSet:
-    """Protected-space basis (|a>, |0>_L, |1>_L) of one block.
-
-    Other blocks are held in the ``spectator`` reference state (one of
-    'a', '0L', '1L'); the default is every other block in |0>_L.
-    """
-    return _product_basis([block], n_total, spectator, _DFS_STATES)
-
-
 def logical_basis(
     blocks: Sequence[LogicalBlock], n_total: int, spectator: str = "0L"
 ) -> BasisSet:
@@ -179,7 +168,7 @@ def invariant_check_basis(
     family (|aa>, |00>_L, |01>_L, |10>_L, |11>_L).
     """
     if len(blocks) == 1:
-        return dfs_basis(blocks[0], n_total, spectator)
+        return dfs_product_basis(blocks, n_total, spectator)
     if len(blocks) != 2:
         raise ValueError("invariant check basis is defined for 1 or 2 blocks")
     ancilla = _product_basis(blocks, n_total, spectator, {"a": "a"})

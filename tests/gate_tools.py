@@ -1,8 +1,9 @@
 """Test-side tools that compose or inspect gates ``hqcdfs`` already certifies.
 
-No command reports them: the rotation and Euler compositions of the
-realized gates (acceptance criterion 5, universality by composition), the
-leakage profile of an evolution, and the decoder of report matrices.
+No command reports them: the three gate recipes at one strength, the
+rotation and Euler compositions of the realized gates (acceptance criterion
+5, universality by composition), the leakage profile of an evolution, and
+the decoder of report matrices.
 """
 
 from __future__ import annotations
@@ -22,6 +23,15 @@ def matrix_from_json(data) -> np.ndarray:
     """The complex matrix of a report's nested [re, im] pairs."""
     return np.array(
         [[complex(re, im) for re, im in row] for row in data], dtype=np.complex128
+    )
+
+
+def universal_recipes(strength: float = 1.0, phase: float = 0.0) -> tuple[GateRecipe, ...]:
+    """The three gate recipes at a common coupling strength (CNOT on blocks 1,2)."""
+    return (
+        GateRecipe.xz(phase, strength),
+        GateRecipe.zx(phase, strength),
+        GateRecipe.cnot(strength),
     )
 
 

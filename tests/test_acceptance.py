@@ -20,14 +20,20 @@ from hqcdfs.model import (
     assemble_two_body,
     collective_z,
     recipe_hamiltonian,
-    universal_recipes,
 )
-from hqcdfs.noise import KickDistribution, NoiseEnsemble, bare_baseline, noisy_realize
+from hqcdfs.noise import KickDistribution, NoiseEnsemble, noisy_realize
 from hqcdfs.operators import SIGMA_X, Spectrum, phase_aligned_distance
 from hqcdfs.subspace import LogicalBlock, logical_basis, restrict
 
-from gate_tools import compose_realized, euler_compose, rotation_sequence, rx_matrix, rz_matrix
-from oracles import loglog_slope, random_unitary
+from gate_tools import (
+    compose_realized,
+    euler_compose,
+    rotation_sequence,
+    rx_matrix,
+    rz_matrix,
+    universal_recipes,
+)
+from oracles import bare_fidelity, loglog_slope, random_unitary
 
 
 def _report(criterion: int, description: str, passed: bool, detail: str) -> None:
@@ -164,7 +170,7 @@ def test_criterion_6_dfs_protection():
                     f"{recipe.kind} kicks={kick_count} min fidelity {result.min_fidelity:.12f}"
                 )
 
-    baseline = bare_baseline(
+    baseline = bare_fidelity(
         0.0, NoiseEnsemble(1, KickDistribution.uniform(), samples=10_000, seed=9)
     )
     if abs(baseline - 0.5) > 0.02:

@@ -16,6 +16,7 @@ from hqcdfs import __version__
 from hqcdfs.cli import main
 from hqcdfs.model import GateRecipe, detune
 from hqcdfs.noise import ENSEMBLE_CAP
+from hqcdfs.subspace import LogicalBlock, logical_basis
 
 from gate_tools import matrix_from_json
 
@@ -151,9 +152,9 @@ class TestHolonomyCommand:
         # The ancilla/logical pair carries Hamiltonian coupling, so
         # certification refuses it: an in-run contract failure, not a
         # parse error.
-        from hqcdfs.subspace import BasisSet, LogicalBlock, dfs_basis
+        from hqcdfs.subspace import BasisSet, LogicalBlock, dfs_product_basis
 
-        full = dfs_basis(LogicalBlock(1), 3)
+        full = dfs_product_basis([LogicalBlock(1)], 3)
         pair = BasisSet(full.vectors[:, :2], ("a", "0L"))
         recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.4))
         basis_path = tmp_path / "basis.json"
@@ -293,6 +294,21 @@ def noise_argv(distribution=None, **changes):
     return ["noise", "--recipe", json.dumps(XZ), "--ensemble", json.dumps(ensemble)]
 
 
+def sweep_argv(start, stop, points, steps):
+    return [
+        "sweep", "--param", "pulse_area_detuning", "--from", start, "--to", stop,
+        "--points", str(points), "--recipe", json.dumps(XZ), "--steps", steps,
+    ]
+
+
+LOGICAL_BASIS = logical_basis([LogicalBlock(1)], 3).to_json_dict()
+
+
+def basis_argv(**changes):
+    basis = json.dumps({**LOGICAL_BASIS, **changes})
+    return ["holonomy", "--recipe", json.dumps(XZ), "--basis", basis, "--steps", "64"]
+
+
 def gaussian(**params):
     return {"type": "gaussian", "params": {"mean": 0.0, "stddev": 1.0, **params}}
 
@@ -323,6 +339,19 @@ BAD_INPUT = {
     "mean-bool": (noise_argv(gaussian(mean=True)), None),
     "kind-int": (gate_argv(kind=1), None),
     "nogo-seed-negative": (["nogo", "--trials", "3", "--seed", "-1"], None),
+    "sweep-steps-exact-point": (sweep_argv("-0.1", "0.1", 3, "4"), None),
+    "sweep-steps-all-detuned": (sweep_argv("-0.1", "0.1", 2, "4"), None),
+    "sweep-steps-negative": (sweep_argv("-0.1", "0.1", 3, "-5"), None),
+    "basis-component-bool": (
+        basis_argv(
+            vectors=[
+                [[True, 0] if z == [1.0, 0.0] else z for z in column]
+                for column in LOGICAL_BASIS["vectors"]
+            ]
+        ),
+        None,
+    ),
+    "basis-labels-int": (basis_argv(labels=[0, 1]), None),
     "tolerance-scale-nan": (gate_argv(), "nan"),
     "tolerance-scale-inf": (gate_argv(), "inf"),
 }

@@ -193,12 +193,12 @@ class TestNoGo:
         h = assemble_two_body(CouplingConfig(2, two_body={(1, 2, "x"): 1.0}))
         restricted = restrict(h, dfs)
         assert np.array_equal(restricted, SIGMA_X)
-        assert abs(transport_defect(Spectrum(h), dfs, 2.0, 21) - 1.0) <= 1e-12
+        assert abs(transport_defect(Spectrum(h), dfs, 2.0) - 1.0) <= 1e-12
 
     def test_zero_config_is_trivial(self):
         dfs = two_qubit_dfs()
         h = assemble_two_body(CouplingConfig(2))
-        assert transport_defect(Spectrum(h), dfs, 2.0, 11) == 0.0
+        assert transport_defect(Spectrum(h), dfs, 2.0) == 0.0
         assert np.abs(restrict(evolve(h, 1.7), dfs) - np.eye(2)).max() <= 1e-14
 
     def test_randomized_equivalence_holds(self):

@@ -15,7 +15,6 @@ from hqcdfs.model import (
     r_op,
     recipe_coupling_config,
     recipe_hamiltonian,
-    universal_recipes,
 )
 from hqcdfs.subspace import bit_state
 
@@ -25,6 +24,7 @@ from oracles import (
     qubit_permutation_matrix,
     r_op_bruteforce,
 )
+from gate_tools import universal_recipes
 
 SQRT2 = math.sqrt(2.0)
 
@@ -180,12 +180,12 @@ class TestRecipes:
 
     def test_factories_hit_exact_area(self):
         for recipe in universal_recipes(strength=1.7, phase=0.3):
-            assert abs(recipe.pulse_area - PULSE_AREAS[recipe.kind]) < 1e-12
+            assert abs(recipe.strength * recipe.duration - PULSE_AREAS[recipe.kind]) < 1e-12
 
     def test_detune_escape_hatch(self):
         recipe = detune(GateRecipe.xz(0.1), 1.05)
         assert recipe.detuned
-        assert abs(recipe.pulse_area - 1.05 * PULSE_AREAS["XZ"]) < 1e-12
+        assert abs(recipe.strength * recipe.duration - 1.05 * PULSE_AREAS["XZ"]) < 1e-12
 
     def test_cnot_needs_distinct_blocks(self):
         with pytest.raises(ValueError):

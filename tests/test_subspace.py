@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from hqcdfs.errors import ContractViolation
-from hqcdfs.model import GateRecipe, collective_z, recipe_hamiltonian, universal_recipes
+from hqcdfs.model import GateRecipe, collective_z, recipe_hamiltonian
 from hqcdfs.operators import evolve, pauli_on
 from hqcdfs.subspace import (
     BasisSet,
     LogicalBlock,
     bit_state,
-    dfs_basis,
     dfs_product_basis,
     invariance_defect,
     invariant_check_basis,
@@ -16,7 +15,7 @@ from hqcdfs.subspace import (
     restrict,
 )
 
-from gate_tools import leakage_profile
+from gate_tools import leakage_profile, universal_recipes
 from oracles import bitstring_state, kron_bruteforce, random_unitary, three_level_rotation
 
 
@@ -42,12 +41,12 @@ class TestBasisSet:
             BasisSet(v, ("a", "a"))
 
     def test_projector_idempotent(self):
-        basis = dfs_basis(LogicalBlock(1), 3)
+        basis = dfs_product_basis([LogicalBlock(1)], 3)
         p = basis.projector()
         assert np.abs(p @ p - p).max() < 1e-14
 
     def test_json_round_trip(self):
-        basis = dfs_basis(LogicalBlock(1), 3)
+        basis = dfs_product_basis([LogicalBlock(1)], 3)
         rebuilt = BasisSet.from_json_dict(basis.to_json_dict())
         assert rebuilt.labels == basis.labels
         assert np.allclose(rebuilt.vectors, basis.vectors)
@@ -55,18 +54,18 @@ class TestBasisSet:
 
 class TestDfsBasis:
     def test_single_block_states(self):
-        basis = dfs_basis(LogicalBlock(1), 3)
+        basis = dfs_product_basis([LogicalBlock(1)], 3)
         expected = np.column_stack(
             [bitstring_state("100"), bitstring_state("010"), bitstring_state("001")]
         )
         assert np.array_equal(basis.vectors, expected)
 
     def test_labels(self):
-        assert dfs_basis(LogicalBlock(1), 3).labels == ("a", "0L", "1L")
+        assert dfs_product_basis([LogicalBlock(1)], 3).labels == ("a", "0L", "1L")
 
     def test_second_block_with_spectator(self):
         # Tensor-construction oracle: block 1 pinned to |0>_L = |010>.
-        basis = dfs_basis(LogicalBlock(2), 6)
+        basis = dfs_product_basis([LogicalBlock(2)], 6)
         spectator = bitstring_state("010")
         for column, bits in zip(basis.vectors.T, ("100", "010", "001")):
             assert np.array_equal(column, kron_bruteforce(
@@ -74,12 +73,12 @@ class TestDfsBasis:
             ).ravel())
 
     def test_spectator_choice(self):
-        basis = dfs_basis(LogicalBlock(2), 6, spectator="1L")
+        basis = dfs_product_basis([LogicalBlock(2)], 6, spectator="1L")
         assert np.array_equal(basis.vectors[:, 0], bit_state("001100"))
 
     def test_index_overflow(self):
         with pytest.raises(IndexError):
-            dfs_basis(LogicalBlock(2), 3)
+            dfs_product_basis([LogicalBlock(2)], 3)
 
 
 class TestLogicalBasis:
@@ -112,7 +111,7 @@ class TestRestrict:
     def test_quoted_gate_generator_matrix(self):
         phi, j = 1.3, 0.9
         h = recipe_hamiltonian(GateRecipe.xz(phi, strength=j), 1)
-        restricted = restrict(h, dfs_basis(LogicalBlock(1), 3))
+        restricted = restrict(h, dfs_product_basis([LogicalBlock(1)], 3))
         quoted = j * np.array(
             [
                 [0, np.exp(1j * phi / 2), -np.exp(-1j * phi / 2)],
@@ -123,7 +122,7 @@ class TestRestrict:
         assert np.abs(restricted - quoted).max() < 1e-12
 
     def test_collective_z_restricts_to_identity(self):
-        restricted = restrict(collective_z(3), dfs_basis(LogicalBlock(1), 3))
+        restricted = restrict(collective_z(3), dfs_product_basis([LogicalBlock(1)], 3))
         assert np.abs(restricted - np.eye(3)).max() < 1e-14
 
     def test_identity_restricts_to_identity(self):
@@ -132,24 +131,24 @@ class TestRestrict:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            restrict(np.eye(4), dfs_basis(LogicalBlock(1), 3))
+            restrict(np.eye(4), dfs_product_basis([LogicalBlock(1)], 3))
 
 
 class TestInvarianceDefect:
     def test_gate_evolution_keeps_protected_space(self):
         rng = np.random.default_rng(13)
         h = recipe_hamiltonian(GateRecipe.xz(0.4), 1)
-        basis = dfs_basis(LogicalBlock(1), 3)
+        basis = dfs_product_basis([LogicalBlock(1)], 3)
         for _ in range(10):
             u = evolve(h, rng.uniform(0, 5))
             assert invariance_defect(u, basis) <= 1e-10
 
     def test_single_pauli_leaves_protected_space(self):
-        basis = dfs_basis(LogicalBlock(1), 3)
+        basis = dfs_product_basis([LogicalBlock(1)], 3)
         assert invariance_defect(pauli_on("x", 1, 3), basis) > 0.9
 
     def test_identity_has_zero_defect(self):
-        basis = dfs_basis(LogicalBlock(1), 3)
+        basis = dfs_product_basis([LogicalBlock(1)], 3)
         assert invariance_defect(np.eye(8), basis) == 0.0
 
 
@@ -158,7 +157,7 @@ class TestLeakageProfile:
         recipe = GateRecipe.xz(0.8, strength=1.2)
         h = recipe_hamiltonian(recipe, 1)
         inner = logical_basis([LogicalBlock(1)], 3)
-        outer = dfs_basis(LogicalBlock(1), 3)
+        outer = dfs_product_basis([LogicalBlock(1)], 3)
         profile = leakage_profile(h, inner, outer, recipe.duration, 50)
         assert max(point[1] for point in profile) <= 1e-10
 
@@ -170,7 +169,7 @@ class TestLeakageProfile:
         recipe = GateRecipe.xz(0.0, strength=j)
         h = recipe_hamiltonian(recipe, 1)
         inner = logical_basis([LogicalBlock(1)], 3)
-        outer = dfs_basis(LogicalBlock(1), 3)
+        outer = dfs_product_basis([LogicalBlock(1)], 3)
         profile = leakage_profile(h, inner, outer, recipe.duration, 2)
         t_mid, _, inner_leak = profile[1]
         assert abs(t_mid - recipe.duration / 2) < 1e-15
@@ -185,12 +184,12 @@ class TestLeakageProfile:
     def test_zero_hamiltonian_never_leaks(self):
         h = np.zeros((8, 8), dtype=complex)
         inner = logical_basis([LogicalBlock(1)], 3)
-        outer = dfs_basis(LogicalBlock(1), 3)
+        outer = dfs_product_basis([LogicalBlock(1)], 3)
         profile = leakage_profile(h, inner, outer, 1.0, 10)
         assert max(point[2] for point in profile) == 0.0
 
     def test_non_nested_bases_rejected(self):
-        inner = dfs_basis(LogicalBlock(1), 3)
+        inner = dfs_product_basis([LogicalBlock(1)], 3)
         outer = logical_basis([LogicalBlock(1)], 3)
         with pytest.raises(ValueError):
             leakage_profile(np.zeros((8, 8)), inner, outer, 1.0, 4)
@@ -201,7 +200,7 @@ class TestSubspaceProperties:
         for n_blocks, block in ((1, 1), (2, 1), (2, 2)):
             n = 3 * n_blocks
             z = collective_z(n)
-            basis = dfs_basis(LogicalBlock(block), n)
+            basis = dfs_product_basis([LogicalBlock(block)], n)
             eigenvalue = n - 2 * n_blocks  # one excitation per block
             for column in basis.vectors.T:
                 assert np.array_equal(z @ column, float(eigenvalue) * column)
@@ -209,7 +208,7 @@ class TestSubspaceProperties:
     def test_restrict_is_homomorphism_on_invariant_subspaces(self):
         rng = np.random.default_rng(29)
         h = recipe_hamiltonian(GateRecipe.zx(0.7), 1)
-        basis = dfs_basis(LogicalBlock(1), 3)
+        basis = dfs_product_basis([LogicalBlock(1)], 3)
         for _ in range(10):
             u = evolve(h, rng.uniform(0, 4))
             v = evolve(h, rng.uniform(0, 4))
@@ -237,6 +236,7 @@ class TestSubspaceProperties:
         rng = np.random.default_rng(3)
         for _ in range(5):
             gauge = random_unitary(rng, 3)
-            basis = dfs_basis(LogicalBlock(1), 3).transformed(gauge)
+            full = dfs_product_basis([LogicalBlock(1)], 3)
+            basis = BasisSet(full.vectors @ gauge, full.labels)
             gram = basis.vectors.conj().T @ basis.vectors
             assert np.linalg.norm(gram - np.eye(3)) <= 1e-12
