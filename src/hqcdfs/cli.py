@@ -12,6 +12,7 @@ every documented tolerance for exploratory runs and is recorded in reports.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -203,6 +204,10 @@ def _run_sweep(args: argparse.Namespace, scale: float) -> int:
     template = _parse(GateRecipe, args.recipe)
     if param == "phase" and template.kind == "CNOT":
         raise InputError("phase sweep is undefined for CNOT recipes")
+    # ``detune`` changes only the duration: every point shares one spectrum.
+    spectrum = None
+    if param == "pulse_area_detuning":
+        spectrum = Spectrum(recipe_hamiltonian(template, max(template.blocks)))
 
     # csv.writer's bytes, as for ``noise --format csv``.
     buffer = io.StringIO()
@@ -216,7 +221,7 @@ def _run_sweep(args: argparse.Namespace, scale: float) -> int:
                 recipe = detune(template, 1.0 + value) if value != 0.0 else template
         except ValueError as exc:
             raise InputError(f"invalid sweep point {value!r}: {exc}") from exc
-        realization = realize(recipe, steps=args.steps)
+        realization = realize(recipe, steps=args.steps, spectrum=spectrum)
         hol = realization.holonomy
         buffer.write(
             f"{value:.12g},{realization.distance:.12g},"
@@ -317,7 +322,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    status = main()
+    # Frozen objects skip the shutdown's cycle collection; the OS frees them.
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

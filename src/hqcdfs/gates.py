@@ -119,20 +119,24 @@ def realize(
     n_blocks: int | None = None,
     steps: int = DEFAULT_CHAIN_STEPS,
     spectator: str = "0L",
+    spectrum: Spectrum | None = None,
 ) -> GateRealization:
     """Recipe -> propagator -> restriction -> certification -> comparison.
 
     Spectator blocks (present when n_blocks exceeds the recipe's span) sit
     in the ``spectator`` reference state; the logical action must not depend
-    on that choice. Detuned recipes are reported, not rejected: the holonomy
-    preconditions genuinely fail off the pulse-area condition, so their
-    report carries the condition defects without a reconstruction.
+    on that choice. A given ``spectrum`` is that of the recipe's Hamiltonian,
+    shared by recipes differing only in duration. Detuned recipes are
+    reported, not rejected: the holonomy preconditions genuinely fail off the
+    pulse-area condition, so their report carries the condition defects
+    without a reconstruction.
     """
     if n_blocks is None:
         n_blocks = max(recipe.blocks)
     n_total = 3 * n_blocks
     blocks = [LogicalBlock(b) for b in recipe.blocks]
-    spectrum = Spectrum(recipe_hamiltonian(recipe, n_blocks))
+    if spectrum is None:
+        spectrum = Spectrum(recipe_hamiltonian(recipe, n_blocks))
     propagator = spectrum.propagator(recipe.duration)
 
     logical = logical_basis(blocks, n_total, spectator)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ContractViolation
 from .model import GateRecipe, collective_z, recipe_hamiltonian
 from .operators import ALGEBRA_TOL, chunk_length, dagger, evolve
-from .serialize import Record, as_float, as_int, round_all, round_sig
+from .serialize import Record, as_float, as_int, round_sig
 from .subspace import LogicalBlock, logical_basis
 
 _DIST_KINDS = ("uniform", "gaussian", "fixed")
@@ -162,7 +162,8 @@ class NoisyGateResult(Record):
         return {
             "mean_fidelity": round_sig(self.mean_fidelity),
             "min_fidelity": round_sig(self.min_fidelity),
-            "per_sample": round_all(self.per_sample),
+            # ``encode_json`` rounds an array as it writes it: no list of floats.
+            "per_sample": np.asarray(self.per_sample, dtype=np.float64),
         }
 
 
@@ -200,7 +201,9 @@ def noisy_realize(
     # Matrices, ch. 8): the segment's unitarity roundoff compounds once per
     # kick, and 2^20 kicks would otherwise drift F by about 3e-10.
     u_segment = u_segment @ (3.0 * np.eye(len(u_segment)) - dagger(u_segment) @ u_segment) / 2.0
-    z_diag, vectors = z_diag[sector], basis.vectors[sector]
+    # One kick phase per distinct collective-Z value, gathered per state.
+    z_values, z_index = np.unique(z_diag[sector], return_inverse=True)
+    vectors = basis.vectors[sector]
     dim, dim_logical = vectors.shape
     overlap = (vectors @ target_for(recipe)).conj()
     first = u_segment @ vectors
@@ -211,7 +214,7 @@ def noisy_realize(
         size = len(thetas)
         psi = np.broadcast_to(first[:, None, :], (dim, size, dim_logical))
         for kick in thetas.T:
-            kicked = np.exp(-1j * z_diag[:, None] * kick)[:, :, None] * psi
+            kicked = np.exp(-1j * z_values[:, None] * kick)[z_index, :, None] * psi
             psi = (u_segment @ kicked.reshape(dim, -1)).reshape(dim, size, dim_logical)
         traces = np.einsum("al,asl->s", overlap, psi)
         fidelities[start:start + size] = np.abs(traces) / dim_logical

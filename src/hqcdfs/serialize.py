@@ -161,8 +161,20 @@ def _template(shape: list[int], level: int) -> str:
     return "[" + inner + items + "\n" + "  " * level + "]"
 
 
-def _encode_block(shape: list[int], leaves: list, level: int, out: list) -> None:
-    """Append the layout of a float block, formatting whole rows at a time."""
+def _rounded_reprs(values: np.ndarray) -> list[str]:
+    """``float.__repr__(round_sig(x))`` of each value, from its "%.12g" text.
+    The texts differ only for whole numbers ("1", not "1.0") and exponent
+    forms (1e+12 to 1e+15, subnormals), which take the round trip."""
+    text = (f"%.{SIG_DIGITS}g " * len(values)) % tuple(values.tolist())
+    return [
+        t + ".0" if t.lstrip("-").isdigit() else float.__repr__(float(t)) if "e" in t else t
+        for t in text.split()
+    ]
+
+
+def _encode_block(shape: list[int], leaves, level: int, out: list, rounded=False) -> None:
+    """Append the layout of a float block, formatting whole rows at a time;
+    ``rounded`` writes each float as ``round_sig`` of it."""
     row = _template(shape[1:], level + 1)
     per_row = len(leaves) // shape[0]
     rows = max(1, FORMAT_CHUNK // per_row)
@@ -171,9 +183,11 @@ def _encode_block(shape: list[int], leaves: list, level: int, out: list) -> None
     for start in range(0, shape[0], rows):
         count = min(rows, shape[0] - start)
         part = leaves[start * per_row:(start + count) * per_row]
-        text = ("," + inner).join([row] * count) % tuple(map(float.__repr__, part))
+        texts = _rounded_reprs(part) if rounded else map(float.__repr__, part)
+        text = ("," + inner).join([row] * count) % tuple(texts)
         if "n" in text:  # only nan and inf put an "n" in a float block
-            raise ValueError(_NON_FINITE + repr(next(x for x in part if not math.isfinite(x))))
+            bad = next(x for x in part if not math.isfinite(x))
+            raise ValueError(_NON_FINITE + repr(float(bad)))
         out.append(text if start == 0 else "," + inner + text)
     out.append("\n" + "  " * level + "]")
 
@@ -193,6 +207,8 @@ def _encode(o, level: int, out: list) -> None:
         if not math.isfinite(o):
             raise ValueError(_NON_FINITE + repr(o))
         out.append(float.__repr__(o))
+    elif isinstance(o, np.ndarray) and o.size:
+        _encode_block(list(o.shape), o.ravel(), level, out, rounded=True)
     elif isinstance(o, (list, tuple, dict)):
         block = _float_block(o) if o and not isinstance(o, dict) else None
         if block:
@@ -222,7 +238,9 @@ def encode_json(doc) -> list[str]:
 
     A float list, or a nest of equal-length lists of floats such as an
     [re, im] matrix, is formatted in bulk: one ``float.__repr__`` pass and one
-    layout template per chunk of rows. A NaN or an infinity anywhere raises
+    layout template per chunk of rows. A nonempty float64 array is written
+    as the nested list ``round_all`` makes of it, straight from its "%.12g"
+    text, so that list is never built. A NaN or an infinity anywhere raises
     ValueError, before anything is returned. The chunks are not joined, so
     a large report is not held twice.
     """

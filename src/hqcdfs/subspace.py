@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .operators import as_complex_matrix, dagger
-from .serialize import Record, as_float
+from .serialize import Record, as_float, as_int
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -103,7 +103,10 @@ class BasisSet(Record):
             np.array([complex(as_float(re, "re"), as_float(im, "im")) for re, im in column])
             for column in data["vectors"]
         ]
-        return cls(np.column_stack(cols), data["labels"])
+        basis = cls(np.column_stack(cols), data["labels"])
+        if as_int(data["dim_ambient"], "dim_ambient") != basis.dim_ambient:
+            raise ValueError(f"dim_ambient {data['dim_ambient']!r} is not {basis.dim_ambient}")
+        return basis
 
 
 def _check_block_fits(block: LogicalBlock, n_total: int) -> None:

@@ -1,22 +1,26 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hqcdfs
 from hqcdfs import __version__
 from hqcdfs.cli import main
 from hqcdfs.model import GateRecipe, detune
 from hqcdfs.noise import ENSEMBLE_CAP
-from hqcdfs.subspace import LogicalBlock, logical_basis
+from hqcdfs.subspace import BasisSet, LogicalBlock, dfs_product_basis, logical_basis
 
 from gate_tools import matrix_from_json
 
@@ -352,6 +356,8 @@ BAD_INPUT = {
         None,
     ),
     "basis-labels-int": (basis_argv(labels=[0, 1]), None),
+    "basis-dim-ambient-64": (basis_argv(dim_ambient=64), None),
+    "basis-dim-ambient-string": (basis_argv(dim_ambient="3"), None),
     "tolerance-scale-nan": (gate_argv(), "nan"),
     "tolerance-scale-inf": (gate_argv(), "inf"),
 }
@@ -719,3 +725,80 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert __version__ in result.stdout
+
+
+ANCILLA_PAIR_BASIS = BasisSet(
+    dfs_product_basis([LogicalBlock(1)], 3).vectors[:, :2], ("a", "0L")
+).to_json_dict()
+
+# One small call per command, and one per failing exit status: (argv,
+# HQC_DFS_TOLERANCE_SCALE or None, exit status).
+ENTRY_CASES = {
+    "gate": (gate_argv(), None, 0),
+    "holonomy": (basis_argv(), None, 0),
+    "noise-csv": (noise_argv() + ["--format", "csv"], None, 0),
+    "sweep": (sweep_argv("-0.1", "0.1", 3, "64"), None, 0),
+    "nogo": (["nogo", "--trials", "20", "--seed", "3"], None, 0),
+    "exit-1": (gate_argv(), "1e-30", 1),
+    "exit-2": (basis_argv(dim_ambient=64), None, 2),
+    # Certification refuses the ancilla/logical pair, which the recipe couples.
+    "exit-3": (basis_argv(**ANCILLA_PAIR_BASIS), None, 3),
+}
+
+
+def run_entry(argv):
+    """Exit status, stdout bytes and stderr text of ``python -m hqcdfs.cli``."""
+    src = str(Path(hqcdfs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "hqcdfs.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return result.returncode, result.stdout, result.stderr.decode()
+
+
+class TestEntryPoint:
+    """The console entry point (``cli.entry``, which freezes the collector
+    before the interpreter exits) prints, writes and exits as ``main``."""
+
+    @pytest.mark.parametrize("argv, scale, status", ENTRY_CASES.values(), ids=ENTRY_CASES.keys())
+    def test_matches_in_process_main(self, argv, scale, status, monkeypatch):
+        monkeypatch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
+        if scale is not None:
+            monkeypatch.setenv("HQC_DFS_TOLERANCE_SCALE", scale)
+        expected_status, out, err = run_captured(argv)
+        assert expected_status == status
+        assert run_entry(argv) == (status, out.encode(), err)
+        assert "Traceback" not in err
+        # Exit 1 lists its violations in the report; 2 and 3 print one line.
+        assert err.count("\n") == (status >= 2)
+        assert (out == "") == (status >= 2)
+
+    @pytest.mark.parametrize("name", ["gate", "noise-csv", "sweep", "nogo", "exit-1"])
+    def test_out_writes_the_whole_report(self, name, tmp_path, monkeypatch):
+        argv, scale, status = ENTRY_CASES[name]
+        monkeypatch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
+        if scale is not None:
+            monkeypatch.setenv("HQC_DFS_TOLERANCE_SCALE", scale)
+        _, out, _ = run_captured(argv)
+        path = tmp_path / "report"
+        assert run_entry(argv + ["--out", str(path)]) == (status, b"", "")
+        assert path.read_bytes() == out.encode()
+
+    def test_entry_freezes_after_main_returns(self, monkeypatch):
+        from hqcdfs import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 1)
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entry()
+        assert exit_info.value.code == 1
+        assert calls == ["main", "freeze"]
+
+    def test_main_leaves_the_collector_unfrozen(self):
+        before = gc.get_freeze_count()
+        for argv, _, _ in ENTRY_CASES.values():
+            run_captured(argv)
+        assert gc.get_freeze_count() == before

@@ -304,6 +304,29 @@ class TestOneSpectrumPerHamiltonian:
         run()
         assert sum(diagonalized) == hamiltonians
 
+    @pytest.mark.parametrize(
+        "param, recipe, shapes",
+        [
+            ("pulse_area_detuning", GateRecipe.cnot(), [(64, 64)]),
+            ("phase", GateRecipe.xz(0.4), [(8, 8)] * 6),
+        ],
+        ids=["detuning-CNOT", "phase-XZ"],
+    )
+    def test_sweep_eigh_shapes(self, param, recipe, shapes, monkeypatch, capsys):
+        # A detuning sweep changes only the duration, so its six points
+        # share one spectrum; each phase point has its own Hamiltonian.
+        from hqcdfs.cli import main
+
+        diagonalized = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda h: diagonalized.append(np.shape(h)) or eigh(h)
+        )
+        argv = ["sweep", "--param", param, "--from", "-0.1", "--to", "0.1", "--points", "6"]
+        assert main(argv + ["--recipe", json.dumps(recipe.to_json_dict()), "--steps", "64"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 7
+        assert diagonalized == shapes
+
 
 class TestGateProperties:
     def test_random_phases_realize_cleanly(self):

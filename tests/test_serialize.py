@@ -117,7 +117,35 @@ class TestBulkRounding:
     def test_per_sample_report_values(self):
         per_sample = (1.0, 0.1234567890123456, 1.0 - 3e-16, 5e-324)
         report = NoisyGateResult(0.5, 0.1, per_sample).to_json_dict()
-        assert report["per_sample"] == [round_sig(f) for f in per_sample]
+        rounded = [round_sig(f) for f in per_sample]
+        assert json.loads(encode_json(report))["per_sample"] == rounded
+        assert encode_json(report) == stdlib({**report, "per_sample": rounded})
+
+    # Whole numbers, exponents 12 to 16 (where "%.12g" and repr lay out
+    # differently), subnormals and values that round up to 1.
+    ARRAY_EDGES = [1.0, -0.0, 3.0, 1e12, 123456789012.0, 1.5e15, -1e16, 5e-324, 1e-5, 0.9999999999995]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(floats, st.sampled_from(ARRAY_EDGES)), min_size=1, max_size=50))
+    def test_array_is_encoded_as_its_round_all_list(self, values):
+        for shape in [(len(values),), (1, len(values)), (len(values), 1)]:
+            array = np.reshape(values, shape)
+            expected = np.reshape(round_all(values), shape).tolist()
+            assert encode_json({"a": array}) == stdlib({"a": expected})
+
+    @pytest.mark.parametrize("shape", [(3 * 4096 + 5,), (2, 5000), (700, 9, 2)])
+    def test_array_across_chunk_boundaries(self, shape):
+        array = 1.0 - np.random.default_rng(5).exponential(1e-9, size=shape)
+        array.flat[::7] = 1.0
+        expected = np.reshape(round_all(array.ravel()), shape).tolist()
+        assert encode_json({"a": array}) == stdlib({"a": expected})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_array_raises(self, bad):
+        array = np.full(9000, 0.25)
+        array[-1] = bad
+        with pytest.raises(ValueError, match=f"compliant: {bad!r}"):
+            encode_json({"per_sample": array})
 
 
 class TestRecords:
