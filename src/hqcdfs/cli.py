@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import ContractViolation, SingularChainError
 from .gates import DEFAULT_CHAIN_STEPS, realize, no_go_certificate
-from .holonomy import MIN_CHAIN_STEPS, certify, defects_only_report
+from .holonomy import MAX_CHAIN_STEPS, MIN_CHAIN_STEPS, certify, defects_only_report
 from .model import GateRecipe, detune, recipe_hamiltonian
 from .noise import NoiseEnsemble, noisy_realize
 from .operators import Spectrum
@@ -305,9 +305,10 @@ def main(argv: list[str] | None = None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        if "steps" in args and args.steps < MIN_CHAIN_STEPS:
+        if "steps" in args and not MIN_CHAIN_STEPS <= args.steps <= MAX_CHAIN_STEPS:
             raise InputError(
-                f"steps must be >= {MIN_CHAIN_STEPS} for {args.command}, got {args.steps}"
+                f"steps must be in [{MIN_CHAIN_STEPS}, {MAX_CHAIN_STEPS}] "
+                f"for {args.command}, got {args.steps}"
             )
         return _RUNNERS[args.command](args, tolerance_scale())
     except InputError as exc:

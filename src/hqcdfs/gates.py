@@ -217,9 +217,12 @@ def _no_go_draws(trials: int, seed: int):
     is the top bit of the next 32-bit half (Lemire's bounded draw), the low
     half of a fresh word first and the high half kept for the next sign.
     Each chunk reads at most ``_NO_GO_WORDS`` words per trial; unused words
-    carry over.
+    carry over. The words are those of ``numpy.random.PCG64(seed)``, read by
+    ``PCG64Words`` so that ``numpy.random`` is never imported.
     """
-    bits = np.random.PCG64(seed)
+    from .pcg64 import PCG64Words  # local: only nogo compiles the reader
+
+    bits = PCG64Words(seed, _NO_GO_WORDS * _NO_GO_CHUNK)
     words, high = np.empty(0, dtype=np.uint64), None
     for start in range(0, trials, _NO_GO_CHUNK):
         size = min(_NO_GO_CHUNK, trials - start)

@@ -30,6 +30,10 @@ from .subspace import BasisSet, restrict
 PRECONDITION_TOL = 1e-8
 
 MIN_CHAIN_STEPS = 8
+# Above about 1e15 steps the roundoff of the link, raised to the power steps,
+# swamps the chain (XZ at 1e15 reads reconstruction distance 0.039); at 2^30
+# the chain defect of XZ, ZX and CNOT is at most 9.3e-7.
+MAX_CHAIN_STEPS = 2 ** 30
 
 # Times in [0, tau] at which the transport defect is sampled.
 TRANSPORT_SAMPLES = 101
@@ -115,8 +119,8 @@ def certify(spectrum: Spectrum, basis: BasisSet, tau: float, steps: int) -> Holo
     is unitarized by polar decomposition, which raises SingularChainError
     instead of silently regularizing a rank-deficient chain.
     """
-    if steps < MIN_CHAIN_STEPS:
-        raise ValueError(f"steps must be >= {MIN_CHAIN_STEPS}, got {steps}")
+    if not MIN_CHAIN_STEPS <= steps <= MAX_CHAIN_STEPS:
+        raise ValueError(f"steps must be in [{MIN_CHAIN_STEPS}, {MAX_CHAIN_STEPS}], got {steps}")
     report = defects_only_report(spectrum, basis, tau, steps)
     cyc, tra = report.cyclicity_defect, report.transport_defect
     if cyc > PRECONDITION_TOL or tra > PRECONDITION_TOL:

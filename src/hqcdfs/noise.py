@@ -59,7 +59,7 @@ class KickDistribution(Record):
     def fixed(cls, value: float) -> "KickDistribution":
         return cls("fixed", value=value)
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+    def sample(self, rng: np.random.Generator | None, size) -> np.ndarray:
         """Angles of shape ``size``; a fixed distribution ignores ``rng``."""
         if self.kind == "uniform":
             return rng.uniform(0.0, 2.0 * np.pi, size)
@@ -126,8 +126,10 @@ class NoiseEnsemble(Record):
         sample i is row i of the (samples, kick_count) stream. The angles
         therefore do not depend on the chunk size, and an ensemble of n
         samples begins with the m-sample ensemble of the same seed (m <= n).
+        Fixed kicks draw nothing, so they build no generator and never
+        import ``numpy.random``.
         """
-        rng = np.random.default_rng(self.seed)
+        rng = None if self.distribution.kind == "fixed" else np.random.default_rng(self.seed)
         for start in range(0, self.samples, chunk):
             size = min(chunk, self.samples - start)
             yield self.distribution.sample(rng, (size, self.kick_count))

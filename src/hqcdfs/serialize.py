@@ -4,7 +4,8 @@ Records validate in ``__post_init__``, also when ``replace`` derives one
 from another; ``as_float`` and ``as_int`` reject NaN, Inf, bools, strings
 and fractional counts there. Complex matrices are encoded as nested
 [re, im] pairs, every float rounded to 12 significant digits so emitted
-reports diff stably; ``encode_json`` writes the indent-2 report text.
+reports diff stably; ``encode_json`` writes the indent-2 report text and
+rounds float64 arrays, such as those of ``matrix_to_json``, as it writes them.
 """
 
 from __future__ import annotations
@@ -101,17 +102,6 @@ FORMAT_CHUNK = 2 ** 12
 _NON_FINITE = "Out of range float values are not JSON compliant: "
 
 
-def round_all(values) -> list[float]:
-    """``round_sig`` of every float in a sequence or array, formatted in bulk."""
-    values = np.asarray(values, dtype=np.float64)
-    out: list[float] = []
-    fmt = f"%.{SIG_DIGITS}g "
-    for start in range(0, len(values), FORMAT_CHUNK):
-        part = tuple(values[start:start + FORMAT_CHUNK].tolist())
-        out += map(float, ((fmt * len(part)) % part).split())
-    return out
-
-
 def as_int(value, name: str) -> int:
     """``value`` as an int; rejects bools, strings and non-integral numbers."""
     if isinstance(value, float) and value.is_integer():
@@ -128,10 +118,11 @@ def as_float(value, name: str) -> float:
     return float(value)
 
 
-def matrix_to_json(m: np.ndarray) -> list:
+def matrix_to_json(m: np.ndarray) -> np.ndarray:
+    """The float64 array of [re, im] pairs; ``encode_json`` rounds it as it
+    writes it, so no nested list of rounded floats is built."""
     m = np.asarray(m, dtype=np.complex128)
-    pairs = np.stack([m.real, m.imag], axis=-1)
-    return np.reshape(round_all(pairs.ravel()), pairs.shape).tolist()
+    return np.stack([m.real, m.imag], axis=-1)
 
 
 def _float_block(items: list) -> tuple[list[int], list] | None:
@@ -236,13 +227,13 @@ def encode_json(doc) -> list[str]:
     makes of ``doc``, for documents of dicts with string keys, lists, tuples,
     strings, ints, floats, bools and None.
 
-    A float list, or a nest of equal-length lists of floats such as an
-    [re, im] matrix, is formatted in bulk: one ``float.__repr__`` pass and one
-    layout template per chunk of rows. A nonempty float64 array is written
-    as the nested list ``round_all`` makes of it, straight from its "%.12g"
-    text, so that list is never built. A NaN or an infinity anywhere raises
-    ValueError, before anything is returned. The chunks are not joined, so
-    a large report is not held twice.
+    A float list, or a nest of equal-length lists of floats, is formatted in
+    bulk: one ``float.__repr__`` pass and one layout template per chunk of
+    rows. A nonempty float64 array, such as an [re, im] matrix of
+    ``matrix_to_json``, is written as the nested list of ``round_sig`` of its
+    values, straight from its "%.12g" text, so that list is never built. A
+    NaN or an infinity anywhere raises ValueError, before anything is
+    returned. The chunks are not joined, so a large report is not held twice.
     """
     out: list[str] = []
     _encode(doc, 0, out)

@@ -310,3 +310,10 @@ def bare_fidelity(theta_gate: float, ensemble) -> float:
             psi = u_segment @ (np.exp(-1j * theta * np.array([1.0, -1.0])) * psi)
         total += float(np.abs(np.vdot(plus, psi)) ** 2)
     return total / ensemble.samples
+
+
+def round_all(values) -> list[float]:
+    """Every float of a sequence rounded to 12 significant digits, one value
+    at a time through its "%.12g" text: what a report holds for a float
+    array that ``serialize.encode_json`` rounds in bulk."""
+    return [float("%.12g" % v) for v in np.asarray(values, dtype=np.float64).tolist()]

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import hqcdfs
 from hqcdfs import __version__
 from hqcdfs.cli import main
+from hqcdfs.holonomy import MAX_CHAIN_STEPS
 from hqcdfs.model import GateRecipe, detune
 from hqcdfs.noise import ENSEMBLE_CAP
 from hqcdfs.subspace import BasisSet, LogicalBlock, dfs_product_basis, logical_basis
@@ -346,6 +347,10 @@ BAD_INPUT = {
     "sweep-steps-exact-point": (sweep_argv("-0.1", "0.1", 3, "4"), None),
     "sweep-steps-all-detuned": (sweep_argv("-0.1", "0.1", 2, "4"), None),
     "sweep-steps-negative": (sweep_argv("-0.1", "0.1", 3, "-5"), None),
+    "sweep-steps-over-max": (sweep_argv("-0.1", "0.1", 3, str(MAX_CHAIN_STEPS + 1)), None),
+    "gate-steps-over-max": (gate_argv() + ["--steps", str(MAX_CHAIN_STEPS + 1)], None),
+    "holonomy-steps-1e15": (basis_argv() + ["--steps", str(10 ** 15)], None),
+    "holonomy-steps-1e18": (basis_argv() + ["--steps", str(10 ** 18)], None),
     "basis-component-bool": (
         basis_argv(
             vectors=[
@@ -746,15 +751,16 @@ ENTRY_CASES = {
 }
 
 
-def run_entry(argv):
-    """Exit status, stdout bytes and stderr text of ``python -m hqcdfs.cli``."""
+def run_python(args):
+    """The finished ``python *args`` process, with the package on its path."""
     src = str(Path(hqcdfs.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "hqcdfs.cli", *argv],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_entry(argv):
+    """Exit status, stdout bytes and stderr text of ``python -m hqcdfs.cli``."""
+    result = run_python(["-m", "hqcdfs.cli", *argv])
     return result.returncode, result.stdout, result.stderr.decode()
 
 
@@ -802,3 +808,39 @@ class TestEntryPoint:
         for argv, _, _ in ENTRY_CASES.values():
             run_captured(argv)
         assert gc.get_freeze_count() == before
+
+
+def imported_modules(args):
+    """Exit status and the names of every module ``python -X importtime *args`` imports."""
+    result = run_python(["-X", "importtime", *args])
+    lines = result.stderr.decode().splitlines()
+    return result.returncode, {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+
+
+class TestImportGuard:
+    """Only a command that draws from a ``Generator`` imports ``numpy.random``
+    (and OpenSSL under it); only ``nogo`` compiles the PCG64 reader."""
+
+    @pytest.mark.parametrize(
+        "argv, loads_random",
+        [
+            (["nogo", "--trials", "20", "--seed", "3"], False),
+            (noise_argv({"type": "fixed", "params": {"theta": 0.4}}), False),
+            (noise_argv(), True),
+            (noise_argv(gaussian()), True),
+        ],
+        ids=["nogo", "noise-fixed", "noise-uniform", "noise-gaussian"],
+    )
+    def test_numpy_random_only_where_drawn(self, argv, loads_random):
+        status, modules = imported_modules(["-m", "hqcdfs.cli", *argv])
+        assert status == 0
+        assert "numpy" in modules
+        assert ("numpy.random" in modules) == loads_random
+        assert ("hqcdfs.pcg64" in modules) == (argv[0] == "nogo")
+
+    def test_cli_import_skips_the_reader(self):
+        status, modules = imported_modules(["-c", "import hqcdfs.cli"])
+        assert status == 0
+        assert "hqcdfs.cli" in modules
+        assert "hqcdfs.pcg64" not in modules
+        assert "numpy.random" not in modules

@@ -8,6 +8,7 @@ from hqcdfs import holonomy
 from hqcdfs.holonomy import certify, cyclicity_defect, defects_only_report, transport_defect
 from hqcdfs.model import GateRecipe, detune, recipe_hamiltonian
 from hqcdfs.operators import Spectrum, evolve, phase_aligned_distance, polar_unitary
+from hqcdfs.serialize import encode_json
 from hqcdfs.subspace import BasisSet, LogicalBlock, dfs_product_basis, logical_basis, restrict
 
 from gate_tools import matrix_from_json, universal_recipes
@@ -132,6 +133,11 @@ class TestProjectorChain:
         with pytest.raises(ValueError):
             certify(Spectrum(h), basis, recipe.duration, 4)
 
+    def test_rejects_steps_above_the_bound(self):
+        recipe, h, basis = xz_setup()
+        with pytest.raises(ValueError):
+            certify(Spectrum(h), basis, recipe.duration, holonomy.MAX_CHAIN_STEPS + 1)
+
     def test_singular_chain_raises(self):
         # Four full loops across 8 steps put consecutive planes at right
         # angles, so the chained overlap is exactly rank-deficient.
@@ -162,7 +168,7 @@ class TestCertify:
     def test_report_json_round_trip(self):
         recipe, h, basis = xz_setup(phi=1.1)
         report = certify(Spectrum(h), basis, recipe.duration, 512)
-        doc = json.loads(json.dumps(report.to_json_dict()))
+        doc = json.loads("".join(encode_json(report.to_json_dict())))
         matrix = matrix_from_json(doc["holonomy_matrix"])
         defect = np.linalg.norm(matrix.conj().T @ matrix - np.eye(2))
         assert defect <= 1e-10 * 2
