@@ -3,28 +3,23 @@
 The environment couples through the total sz only, so its effect is modeled
 by unitary kicks exp(-i theta sum_k sz_k) with random angles interleaved
 between equal-time slices of the gate evolution. Every gate Hamiltonian
-here commutes with the kick generator, and the encoded states share one
-kick eigenvalue, so a kick acts on the protected space as a global phase;
-that exact mechanism is what the simulations certify.
-
-An ensemble reads one generator, ``default_rng(seed)``: sample i takes row i
-of a row-major (samples, kick_count) stream of angles, so the angles do not
-depend on how samples are grouped and a longer ensemble begins with a shorter
-one. Samples run in chunks, each kick one matrix product over the chunk's
-logical columns in their collective-Z sector, so memory stays flat in the
-sample count.
-``ENSEMBLE_CAP`` bounds the sample and total kick counts before allocating.
+here commutes with the kick generator, and the logical basis states lie in
+one collective-Z eigenspace, so a kick multiplies the propagated sector by
+one global phase and |Tr| removes it. ``noisy_realize`` checks both premises
+and then computes F once: the ensemble is validated and echoed, but it
+cannot change F, and ``per_sample`` repeats it. ``tests/oracles.py`` keeps
+the per-sample, per-kick loop as the reference.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ContractViolation
 from .model import GateRecipe, collective_z, recipe_hamiltonian
-from .operators import ALGEBRA_TOL, chunk_length, dagger, evolve
+from .operators import ALGEBRA_TOL, evolve
 from .serialize import Record, as_float, as_int, round_sig
 from .subspace import LogicalBlock, logical_basis
 
@@ -59,14 +54,6 @@ class KickDistribution(Record):
     def fixed(cls, value: float) -> "KickDistribution":
         return cls("fixed", value=value)
 
-    def sample(self, rng: np.random.Generator | None, size) -> np.ndarray:
-        """Angles of shape ``size``; a fixed distribution ignores ``rng``."""
-        if self.kind == "uniform":
-            return rng.uniform(0.0, 2.0 * np.pi, size)
-        if self.kind == "gaussian":
-            return rng.normal(self.mean, self.stddev, size)
-        return np.full(size, self.value)
-
     def to_json_dict(self) -> dict:
         if self.kind == "uniform":
             params: dict = {}
@@ -88,15 +75,16 @@ class KickDistribution(Record):
 
 
 # Largest sample count, and largest total kick count samples * kick_count,
-# that an ensemble may ask for. Propagation memory is flat in both (samples
-# run in chunks), but the per-sample fidelities and their report grow with
-# the sample count and one chunk's angles with the kick count.
+# that an ensemble may ask for, checked before anything is allocated. The
+# per-sample fidelities and their report grow with the sample count. Kicks
+# are never drawn, since they cannot change F; their bound only fixes which
+# ensembles a report may echo.
 ENSEMBLE_CAP = 2 ** 20
 
 
 class NoiseEnsemble(Record):
     """Kick schedule: how many kicks per gate, their distribution, and the
-    Monte-Carlo sample count under a reproducible seed."""
+    sample count under a seed."""
 
     kick_count: int
     distribution: KickDistribution
@@ -117,22 +105,6 @@ class NoiseEnsemble(Record):
                 f"samples ({self.samples}) and samples * kick_count "
                 f"({self.samples * self.kick_count}) must not exceed {ENSEMBLE_CAP}"
             )
-
-    def angle_chunks(self, chunk: int) -> Iterator[np.ndarray]:
-        """Kick angles of consecutive chunks of at most ``chunk`` samples,
-        each shaped (samples in the chunk, kick_count).
-
-        One generator, ``default_rng(seed)``, is read in row-major order:
-        sample i is row i of the (samples, kick_count) stream. The angles
-        therefore do not depend on the chunk size, and an ensemble of n
-        samples begins with the m-sample ensemble of the same seed (m <= n).
-        Fixed kicks draw nothing, so they build no generator and never
-        import ``numpy.random``.
-        """
-        rng = None if self.distribution.kind == "fixed" else np.random.default_rng(self.seed)
-        for start in range(0, self.samples, chunk):
-            size = min(chunk, self.samples - start)
-            yield self.distribution.sample(rng, (size, self.kick_count))
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,10 +152,11 @@ def noisy_realize(
 
     Gate and kicks commute with collective Z, so only its sector holding the
     logical basis is propagated (15 of 64 states for CNOT); a Hamiltonian
-    entry coupling it to the rest raises ContractViolation. There the L
-    logical columns evolve as psi = U_seg V, then psi <- U_seg (kick * psi)
-    per kick, one (d, d) x (d, chunk * L) product over a chunk of samples;
-    F = |sum conj(V target) * psi| / L.
+    entry coupling it to the rest, or logical rows with more than one
+    collective-Z value, raise ContractViolation. Every kick is then one
+    global phase on the sector, so each sample's F equals the noiseless
+    F = |sum conj(V target) * (U V)| / L, computed once from one
+    eigendecomposition of the sector block and repeated ``samples`` times.
     """
     from .gates import target_for  # local import to avoid a module cycle
 
@@ -193,38 +166,22 @@ def noisy_realize(
     h = recipe_hamiltonian(recipe, n_blocks)
     z_diag = np.diagonal(collective_z(n_total)).real
     basis = logical_basis([LogicalBlock(b) for b in recipe.blocks], n_total)
-    sector = np.isin(z_diag, z_diag[np.any(basis.vectors != 0, axis=1)])
+    # min/max rather than np.unique, which would import numpy.ma.
+    z_logical = z_diag[np.any(basis.vectors != 0, axis=1)]
+    if z_logical.min() != z_logical.max():
+        raise ContractViolation(
+            f"logical basis spans collective-Z values {z_logical.min():g} to {z_logical.max():g}"
+        )
+    sector = z_diag == z_logical[0]
     leak = np.abs(h[np.not_equal.outer(sector, sector)]).max(initial=0.0)
     if leak > ALGEBRA_TOL:
         raise ContractViolation(f"Hamiltonian couples the collective-Z sector out by {leak:.3e}")
-    segments = ensemble.kick_count + 1
-    u_segment = evolve(h[np.ix_(sector, sector)], recipe.duration / segments)
-    # One Newton-Schulz step toward the nearest unitary (Higham, Functions of
-    # Matrices, ch. 8): the segment's unitarity roundoff compounds once per
-    # kick, and 2^20 kicks would otherwise drift F by about 3e-10.
-    u_segment = u_segment @ (3.0 * np.eye(len(u_segment)) - dagger(u_segment) @ u_segment) / 2.0
-    # One kick phase per distinct collective-Z value, gathered per state.
-    z_values, z_index = np.unique(z_diag[sector], return_inverse=True)
     vectors = basis.vectors[sector]
-    dim, dim_logical = vectors.shape
     overlap = (vectors @ target_for(recipe)).conj()
-    first = u_segment @ vectors
-
-    fidelities = np.empty(ensemble.samples)
-    start = 0
-    for thetas in ensemble.angle_chunks(chunk_length(dim * dim_logical)):
-        size = len(thetas)
-        psi = np.broadcast_to(first[:, None, :], (dim, size, dim_logical))
-        for kick in thetas.T:
-            kicked = np.exp(-1j * z_values[:, None] * kick)[z_index, :, None] * psi
-            psi = (u_segment @ kicked.reshape(dim, -1)).reshape(dim, size, dim_logical)
-        traces = np.einsum("al,asl->s", overlap, psi)
-        fidelities[start:start + size] = np.abs(traces) / dim_logical
-        start += size
-
+    evolved = evolve(h[np.ix_(sector, sector)], recipe.duration) @ vectors
+    fidelity = float(np.abs(np.sum(overlap * evolved))) / vectors.shape[1]
     return NoisyGateResult(
-        mean_fidelity=float(np.mean(fidelities)),
-        min_fidelity=float(np.min(fidelities)),
-        per_sample=fidelities,
+        mean_fidelity=fidelity,
+        min_fidelity=fidelity,
+        per_sample=np.full(ensemble.samples, fidelity),
     )
-

@@ -89,19 +89,6 @@ def require_unitary(m) -> np.ndarray:
     return u
 
 
-# Complex entries one chunk of a stacked Monte-Carlo loop may hold: 64
-# no-go trials, or 256 XZ or 16 CNOT noise samples. With bulk no-go draws,
-# 128- to 512-trial chunks saved at most about 1 ms of a 500-trial call and
-# raised its peak RSS from 37.4 to 38.2-40.3 MB. Memory stays flat whatever
-# the sample count.
-CHUNK_ENTRIES = 2 ** 12
-
-
-def chunk_length(entries_per_item: int) -> int:
-    """Items per chunk: as many as CHUNK_ENTRIES entries hold, at least one."""
-    return max(1, CHUNK_ENTRIES // entries_per_item)
-
-
 def check_dimension_cap(n_qubits: int) -> None:
     """Raise DimensionCapError before a 2^n_qubits register is allocated."""
     if n_qubits >= DIMENSION_CAP.bit_length():

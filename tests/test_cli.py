@@ -425,6 +425,19 @@ class TestExitStatusContract:
         assert out == ""
         assert err.startswith("contract violation: Hamiltonian couples the collective-Z sector")
 
+    def test_logical_rows_in_two_noise_sectors_exit_3(self, monkeypatch):
+        from hqcdfs import noise
+        from hqcdfs.subspace import bit_state
+
+        def split(blocks, n_total):
+            return BasisSet(np.column_stack([bit_state("010"), bit_state("011")]), ("0L", "1L"))
+
+        monkeypatch.setattr(noise, "logical_basis", split)
+        status, out, err = run_captured(noise_argv())
+        assert status == 3
+        assert out == ""
+        assert err.startswith("contract violation: logical basis spans collective-Z values")
+
     def test_fidelity_above_one_is_a_violation(self, monkeypatch):
         from hqcdfs import cli
         from hqcdfs.noise import NoisyGateResult
@@ -818,24 +831,29 @@ def imported_modules(args):
 
 
 class TestImportGuard:
-    """Only a command that draws from a ``Generator`` imports ``numpy.random``
-    (and OpenSSL under it); only ``nogo`` compiles the PCG64 reader."""
+    """No command imports ``numpy.random`` (and OpenSSL under it) or
+    ``numpy.ma``: ``nogo`` reads its words through the PCG64 reader, which
+    only it compiles, and ``noise`` draws no angles at all."""
 
     @pytest.mark.parametrize(
-        "argv, loads_random",
+        "argv",
         [
-            (["nogo", "--trials", "20", "--seed", "3"], False),
-            (noise_argv({"type": "fixed", "params": {"theta": 0.4}}), False),
-            (noise_argv(), True),
-            (noise_argv(gaussian()), True),
+            ["nogo", "--trials", "20", "--seed", "3"],
+            noise_argv({"type": "fixed", "params": {"theta": 0.4}}),
+            noise_argv(),
+            noise_argv(gaussian()),
+            ENTRY_CASES["gate"][0],
+            ENTRY_CASES["holonomy"][0],
+            ENTRY_CASES["sweep"][0],
         ],
-        ids=["nogo", "noise-fixed", "noise-uniform", "noise-gaussian"],
+        ids=["nogo", "noise-fixed", "noise-uniform", "noise-gaussian", "gate", "holonomy", "sweep"],
     )
-    def test_numpy_random_only_where_drawn(self, argv, loads_random):
+    def test_numpy_random_only_where_drawn(self, argv):
         status, modules = imported_modules(["-m", "hqcdfs.cli", *argv])
         assert status == 0
         assert "numpy" in modules
-        assert ("numpy.random" in modules) == loads_random
+        assert "numpy.random" not in modules
+        assert "numpy.ma" not in modules
         assert ("hqcdfs.pcg64" in modules) == (argv[0] == "nogo")
 
     def test_cli_import_skips_the_reader(self):
