@@ -12,10 +12,10 @@ from hqcdfs.noise import (
     noisy_realize,
 )
 from hqcdfs.operators import evolve, pauli_on, phase_aligned_distance
-from hqcdfs.subspace import BasisSet, LogicalBlock, bit_state, dfs_product_basis, restrict
+from hqcdfs.subspace import BasisSet, LogicalBlock, bit_state, dfs_product_basis, logical_basis, restrict
 
 from gate_tools import realized_logical, universal_recipes
-from oracles import PAULI, bare_fidelity, collective_kick, embed_bruteforce, noisy_fidelities
+from oracles import PAULI, _sample_angles, bare_fidelity, collective_kick, embed_bruteforce, noisy_fidelities
 
 
 def uniform_ensemble(kick_count=4, samples=50, seed=5):
@@ -244,9 +244,48 @@ class TestSectorPropagation:
         assert shapes == [(15, 15)]
 
 
+def stream_draws(dist: KickDistribution, seed: int, shape: tuple[int, int]) -> np.ndarray:
+    """The whole ensemble's angles drawn at once from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    if dist.kind == "uniform":
+        return rng.uniform(0.0, 2.0 * np.pi, size=shape)
+    if dist.kind == "gaussian":
+        return rng.normal(dist.mean, dist.stddev, size=shape)
+    return np.full(shape, dist.value)
+
+
+def kicked_fidelity(recipe: GateRecipe, angles: np.ndarray) -> float:
+    """F of a one-block recipe with one Pade collective kick per angle between
+    equal segments, propagated on the full register and then restricted."""
+    u_segment = evolve(recipe_hamiltonian(recipe, 1), recipe.duration / (len(angles) + 1))
+    u = u_segment
+    for theta in angles:
+        u = u_segment @ (collective_kick(theta, 3) @ u)
+    realized = restrict(u, logical_basis([LogicalBlock(1)], 3))
+    target = target_for(recipe)
+    return float(np.abs(np.trace(target.conj().T @ realized)) / target.shape[0])
+
+
 class TestAngleStream:
-    """The kick angles cannot change F, so ``per_sample`` repeats one value
+    """Sample i is row i of one row-major stream from ``default_rng(seed)``;
+    the kick angles cannot change F, so ``per_sample`` repeats one value
     whatever the distribution, seed, kick count or sample count."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 30])
+    @pytest.mark.parametrize("dist", DISTRIBUTIONS.values(), ids=DISTRIBUTIONS.keys())
+    def test_chunks_concatenate_to_one_stream(self, dist, chunk):
+        # The per-sample reference reads its angles one sample at a time;
+        # read in chunks of rows, they concatenate to the one stream, and
+        # the package's per_sample matches each chunk of rows kick by kick.
+        ensemble = NoiseEnsemble(3, dist, samples=30, seed=21)
+        rows = list(_sample_angles(ensemble))
+        chunks = [np.stack(rows[start : start + chunk]) for start in range(0, 30, chunk)]
+        angles = np.concatenate(chunks)
+        assert np.array_equal(angles, stream_draws(dist, 21, (30, 3)))
+        recipe = GateRecipe.xz(0.8)
+        per_sample = noisy_realize(recipe, ensemble).per_sample
+        expected = [kicked_fidelity(recipe, row) for block in chunks for row in block]
+        assert np.abs(np.subtract(per_sample, expected)).max() <= 1e-14
 
     @pytest.mark.parametrize("dist", DISTRIBUTIONS.values(), ids=DISTRIBUTIONS.keys())
     def test_per_sample_bytes_ignore_the_kicks(self, dist):
