@@ -147,7 +147,7 @@ def realize(
     invariance = invariance_defect(propagator, protected)
 
     assess = defects_only_report if recipe.detuned else certify
-    holonomy = assess(spectrum, logical, recipe.duration, steps)
+    holonomy = assess(spectrum, logical, recipe.duration, steps, propagator)
 
     return GateRealization(
         recipe=recipe,

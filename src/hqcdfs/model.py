@@ -192,12 +192,13 @@ def r_op(axis: str, k: int, l: int, n: int) -> np.ndarray:
 
 
 def collective_z(n: int) -> np.ndarray:
-    """Collective dephasing generator sum_k sz_k: diagonal n - 2 * popcount."""
+    """Diagonal of the collective dephasing generator sum_k sz_k, which is
+    diagonal: the float64 array n - 2 * popcount of each basis index."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     check_dimension_cap(n)
-    popcounts = np.array([bin(i).count("1") for i in range(2 ** n)])
-    return np.diag((n - 2 * popcounts).astype(np.complex128))
+    popcounts = (np.arange(2 ** n)[:, None] >> np.arange(n) & 1).sum(axis=1)
+    return (n - 2 * popcounts).astype(np.float64)
 
 
 def assemble_two_body(config: CouplingConfig) -> np.ndarray:

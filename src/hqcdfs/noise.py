@@ -74,11 +74,11 @@ class KickDistribution(Record):
         return cls(kind)
 
 
-# Largest sample count, and largest total kick count samples * kick_count,
-# that an ensemble may ask for, checked before anything is allocated. The
-# per-sample fidelities and their report grow with the sample count. Kicks
-# are never drawn, since they cannot change F; their bound only fixes which
-# ensembles a report may echo.
+# Largest sample count, and largest kick count, that an ensemble may ask
+# for, each checked on its own before anything is allocated. The per-sample
+# fidelities and their report grow with the sample count. Kicks are never
+# drawn, since they cannot change F; their bound only fixes which ensembles
+# a report may echo.
 ENSEMBLE_CAP = 2 ** 20
 
 
@@ -100,10 +100,10 @@ class NoiseEnsemble(Record):
             raise ValueError("samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if max(self.samples, self.samples * self.kick_count) > ENSEMBLE_CAP:
+        if max(self.samples, self.kick_count) > ENSEMBLE_CAP:
             raise ValueError(
-                f"samples ({self.samples}) and samples * kick_count "
-                f"({self.samples * self.kick_count}) must not exceed {ENSEMBLE_CAP}"
+                f"samples ({self.samples}) and kick_count ({self.kick_count}) "
+                f"must not exceed {ENSEMBLE_CAP}"
             )
 
     def to_json_dict(self) -> dict:
@@ -164,7 +164,7 @@ def noisy_realize(
         n_blocks = max(recipe.blocks)
     n_total = 3 * n_blocks
     h = recipe_hamiltonian(recipe, n_blocks)
-    z_diag = np.diagonal(collective_z(n_total)).real
+    z_diag = collective_z(n_total)
     basis = logical_basis([LogicalBlock(b) for b in recipe.blocks], n_total)
     # min/max rather than np.unique, which would import numpy.ma.
     z_logical = z_diag[np.any(basis.vectors != 0, axis=1)]

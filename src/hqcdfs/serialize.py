@@ -97,8 +97,11 @@ def round_sig(x: float) -> float:
     return float(f"{x:.{SIG_DIGITS}g}")
 
 
-# Floats formatted per pass, so that bulk formatting keeps memory flat.
-FORMAT_CHUNK = 2 ** 12
+# Floats formatted per pass, so that bulk formatting keeps memory flat. A
+# pass holds its floats, their texts and the joined text: encoding a 64 x 64
+# [re, im] matrix traces about 0.17 MB beyond its text at 2^10 floats, and
+# 0.55 MB at 2^12.
+FORMAT_CHUNK = 2 ** 10
 _NON_FINITE = "Out of range float values are not JSON compliant: "
 
 

@@ -5,7 +5,8 @@ package: explicit index loops and Kronecker chains instead of index-built
 Pauli embeddings, Pade approximation instead of spectral exponentials,
 Newton iteration instead of SVD polar factors, closed-form three-level
 rotations instead of generic propagators, and grid scans instead of
-closed-form phase minima.
+closed-form phase minima. Where the package takes work in blocks to bound
+its memory, the reference takes it in one shot.
 """
 
 from __future__ import annotations
@@ -94,6 +95,21 @@ def projector_chain(h: np.ndarray, vectors: np.ndarray, tau: float, steps: int) 
     for link in links[::-1]:
         chain = chain @ link
     return chain
+
+
+def transport_defect_stacked(spectrum, basis, tau: float) -> float:
+    """``holonomy.transport_defect`` with all TRANSPORT_SAMPLES times at once:
+    four (times, d, k) complex stacks built in one shot, the same per-slice
+    products and one ``max``, so the package's blocked maximum must equal
+    it bit for bit."""
+    from hqcdfs.holonomy import TRANSPORT_SAMPLES
+
+    coeffs = spectrum.vectors.conj().T @ basis.vectors
+    times = np.arange(TRANSPORT_SAMPLES) * (tau / (TRANSPORT_SAMPLES - 1))
+    phases = np.exp(-1j * np.outer(times, spectrum.values))
+    frames = spectrum.vectors @ (phases[..., None] * coeffs)
+    couplings = frames.conj().swapaxes(1, 2) @ (spectrum.h @ frames)
+    return float(np.abs(couplings).max())
 
 
 def collective_kick(theta: float, n: int) -> np.ndarray:

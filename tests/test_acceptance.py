@@ -180,7 +180,7 @@ def test_criterion_6_dfs_protection():
     for recipe in universal_recipes(strength=1.0, phase=0.7):
         n = 3 * max(recipe.blocks)
         h = recipe_hamiltonian(recipe, max(recipe.blocks))
-        z = collective_z(n)
+        z = np.diag(collective_z(n))
         comm = np.linalg.norm(h @ z - z @ h) / 2 ** n
         worst_comm = max(worst_comm, comm)
         if comm > 1e-12:

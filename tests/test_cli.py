@@ -195,6 +195,24 @@ class TestNoiseCommand:
         recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.2))
         assert main(["noise", "--recipe", recipe_path, "--ensemble", '{"kick_count": 1}']) == 2
 
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "default"])
+    def test_csv_text_ignores_the_chunk(self, chunk, monkeypatch):
+        from hqcdfs import cli, serialize
+        from hqcdfs.noise import NoiseEnsemble, noisy_realize
+
+        ensemble = {**ENSEMBLE, "samples": 2500}
+        result = noisy_realize(GateRecipe.from_json_dict(XZ), NoiseEnsemble.from_json_dict(ensemble))
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["sample", "fidelity"])
+        writer.writerows((i, f"{f:.12g}") for i, f in enumerate(result.per_sample.tolist()))
+        if chunk is not None:
+            monkeypatch.setattr(serialize, "FORMAT_CHUNK", chunk)
+            monkeypatch.setattr(cli, "FORMAT_CHUNK", chunk)
+        status, out, _ = run_captured(noise_argv(samples=2500) + ["--format", "csv"])
+        assert status == 0
+        assert out == expected.getvalue()
+
 
 class TestSweepCommand:
     def test_phase_sweep(self, tmp_path):
@@ -337,7 +355,7 @@ BAD_INPUT = {
     "stddev-inf": (noise_argv(gaussian(stddev=float("inf"))), None),
     "mean-int-beyond-float": (noise_argv(gaussian(mean=-(10 ** 400))), None),
     "samples-over-cap": (noise_argv(kick_count=0, samples=ENSEMBLE_CAP + 1), None),
-    "kicks-over-cap": (noise_argv(kick_count=4, samples=ENSEMBLE_CAP // 4 + 1), None),
+    "kicks-over-cap": (noise_argv(kick_count=ENSEMBLE_CAP + 1), None),
     "kick-count-1e18": (noise_argv(kick_count=1e18), None),
     "detuned-string": (gate_argv(duration=0.5, detuned="false"), None),
     "strength-string": (gate_argv(strength="1.0"), None),

@@ -329,6 +329,23 @@ class TestOneSpectrumPerHamiltonian:
         assert len(capsys.readouterr().out.splitlines()) == 7
         assert diagonalized == shapes
 
+    @pytest.mark.parametrize(
+        "recipe",
+        [GateRecipe.xz(0.4), GateRecipe.cnot(), detune(GateRecipe.cnot(), 1.05)],
+        ids=["XZ", "CNOT", "CNOT-detuned"],
+    )
+    def test_one_propagator_per_realization(self, recipe, monkeypatch):
+        # U(tau) serves the comparison, the cyclicity check and the chain;
+        # only the chain's link U(-tau / steps) is a second propagator.
+        times = []
+        propagator = Spectrum.propagator
+        monkeypatch.setattr(
+            Spectrum, "propagator", lambda self, t: times.append(t) or propagator(self, t)
+        )
+        realize(recipe, steps=512)
+        link = [] if recipe.detuned else [-recipe.duration / 512]
+        assert times == [recipe.duration] + link
+
 
 class TestGateProperties:
     def test_random_phases_realize_cleanly(self):

@@ -1,4 +1,6 @@
+import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,13 @@ from hqcdfs.serialize import encode_json
 from hqcdfs.subspace import BasisSet, LogicalBlock, dfs_product_basis, logical_basis, restrict
 
 from gate_tools import matrix_from_json, universal_recipes
-from oracles import polar_newton, projector_chain, random_unitary, three_level_rotation
+from oracles import (
+    polar_newton,
+    projector_chain,
+    random_unitary,
+    three_level_rotation,
+    transport_defect_stacked,
+)
 
 
 def xz_setup(phi=0.3, strength=1.0):
@@ -35,7 +43,7 @@ ZERO_8 = np.zeros((8, 8), dtype=complex)
 class TestCyclicityDefect:
     def test_full_pulse_closes_the_loop(self):
         recipe, h, basis = xz_setup()
-        assert cyclicity_defect(Spectrum(h), basis, recipe.duration) <= 1e-10
+        assert cyclicity_defect(Spectrum(h).propagator(recipe.duration), basis) <= 1e-10
 
     def test_half_pulse_leaves_subspace_open(self):
         # Closed-form three-level rotation oracle: build the evolved logical
@@ -48,11 +56,11 @@ class TestCyclicityDefect:
         p_start = np.diag([0.0, 1.0, 1.0]).astype(complex)
         expected = float(np.linalg.norm(p_evolved - p_start))
         assert expected > 0.5
-        assert abs(cyclicity_defect(Spectrum(h), basis, t) - expected) < 1e-12
+        assert abs(cyclicity_defect(Spectrum(h).propagator(t), basis) - expected) < 1e-12
 
     def test_zero_hamiltonian(self):
         basis = logical_basis([LogicalBlock(1)], 3)
-        assert cyclicity_defect(Spectrum(ZERO_8), basis, 2.7) <= 1e-15
+        assert cyclicity_defect(Spectrum(ZERO_8).propagator(2.7), basis) <= 1e-15
 
 
 class TestTransportDefect:
@@ -71,6 +79,95 @@ class TestTransportDefect:
     def test_zero_hamiltonian(self):
         basis = dfs_product_basis([LogicalBlock(1)], 3)
         assert transport_defect(Spectrum(ZERO_8), basis, 1.0) == 0.0
+
+
+# Registers and bases for the blocked transport check: (recipe, basis,
+# blocks of transport times at the default TRANSPORT_BLOCK_BYTES). "dfs"
+# adds the ancilla, so the defect reads a coupling, not roundoff.
+TRANSPORT_CASES = {
+    "XZ-1": (GateRecipe.xz(0.3, 0.7), "logical", 1),
+    "XZ-1-dfs": (GateRecipe.xz(0.3, 0.7), "dfs", 1),
+    "ZX-2": (GateRecipe.zx(1.4, block=2), "logical", 4),
+    "ZX-2-one-vector": (GateRecipe.zx(1.4, block=2), "first", 2),
+    "ZX-2-dfs": (GateRecipe.zx(1.4, block=2), "dfs", 5),
+    "CNOT-12": (GateRecipe.cnot(1.3, (1, 2)), "logical", 7),
+    "CNOT-21": (GateRecipe.cnot(1.3, (2, 1)), "logical", 7),
+    "CNOT-13": (GateRecipe.cnot(0.9, (1, 3)), "logical", 51),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def transport_case(name):
+    recipe, kind, _ = TRANSPORT_CASES[name]
+    n_blocks = max(recipe.blocks)
+    blocks = [LogicalBlock(b) for b in recipe.blocks]
+    if kind == "dfs":
+        basis = dfs_product_basis(blocks, 3 * n_blocks)
+    else:
+        basis = logical_basis(blocks, 3 * n_blocks)
+        if kind == "first":
+            basis = BasisSet(basis.vectors[:, :1], basis.labels[:1])
+    return recipe, Spectrum(recipe_hamiltonian(recipe, n_blocks)), basis
+
+
+def transport_blocks(basis):
+    d, k = basis.vectors.shape
+    per_block = max(1, holonomy.TRANSPORT_BLOCK_BYTES // (16 * d * k))
+    return -(-holonomy.TRANSPORT_SAMPLES // per_block)
+
+
+class TestTransportBlocks:
+    """The blocked transport check against the one-shot stacked oracle."""
+
+    @pytest.mark.parametrize("detuned", [False, True], ids=["pulse-area", "detuned"])
+    @pytest.mark.parametrize("name", TRANSPORT_CASES)
+    def test_equals_one_shot_oracle(self, name, detuned):
+        recipe, spectrum, basis = transport_case(name)
+        assert transport_blocks(basis) == TRANSPORT_CASES[name][2]
+        tau = detune(recipe, 1.37).duration if detuned else recipe.duration
+        blocked = transport_defect(spectrum, basis, tau)
+        assert blocked == transport_defect_stacked(spectrum, basis, tau)
+        if TRANSPORT_CASES[name][1] == "dfs":
+            assert blocked > 0.5  # a coupling to the ancilla, not roundoff
+
+    @pytest.mark.parametrize("times_per_block", [1, 2, 7, 50, 100, 101, 1000])
+    def test_any_block_size_equals_one_shot_oracle(self, times_per_block, monkeypatch):
+        recipe, spectrum, basis = transport_case("CNOT-12")
+        d, k = basis.vectors.shape
+        monkeypatch.setattr(holonomy, "TRANSPORT_BLOCK_BYTES", 16 * d * k * times_per_block)
+        tau = detune(recipe, 0.81).duration
+        assert transport_defect(spectrum, basis, tau) == transport_defect_stacked(
+            spectrum, basis, tau
+        )
+
+    def test_budget_below_one_time_takes_one_time_per_block(self, monkeypatch):
+        recipe, spectrum, basis = transport_case("XZ-1-dfs")
+        monkeypatch.setattr(holonomy, "TRANSPORT_BLOCK_BYTES", 1)
+        assert transport_blocks(basis) == holonomy.TRANSPORT_SAMPLES
+        expected = transport_defect_stacked(spectrum, basis, recipe.duration)
+        assert transport_defect(spectrum, basis, recipe.duration) == expected
+
+    def test_nan_in_a_late_block_is_reported(self, monkeypatch):
+        _, spectrum, basis = transport_case("CNOT-12")
+        values = spectrum.values.copy()
+        # t * 1e308 overflows, and exp(-i inf) is NaN, only for t > 1.8. At
+        # tau = 10 the first block of 16 times ends at t = 1.5.
+        values[-1] = 1e308
+        monkeypatch.setattr(spectrum, "values", values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(transport_defect(spectrum, basis, 1.5))
+            assert np.isnan(transport_defect(spectrum, basis, 10.0))
+
+    def test_traced_peak_on_cnot_register(self):
+        # The one-shot evaluation traced 1.31 MB on this 64-dim register.
+        recipe, spectrum, basis = transport_case("CNOT-12")
+        tracemalloc.start()
+        try:
+            transport_defect(spectrum, basis, recipe.duration)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
 
 class TestProjectorChain:
@@ -211,9 +308,8 @@ class TestHolonomyProperties:
         rephased = BasisSet(basis.vectors * phases, basis.labels)
         t = recipe.duration / 3
         spectrum = Spectrum(h)
-        assert abs(
-            cyclicity_defect(spectrum, basis, t) - cyclicity_defect(spectrum, rephased, t)
-        ) <= 1e-12
+        u = spectrum.propagator(t)
+        assert abs(cyclicity_defect(u, basis) - cyclicity_defect(u, rephased)) <= 1e-12
         assert abs(
             transport_defect(spectrum, basis, t) - transport_defect(spectrum, rephased, t)
         ) <= 1e-12

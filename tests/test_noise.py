@@ -24,7 +24,7 @@ def uniform_ensemble(kick_count=4, samples=50, seed=5):
 
 def package_kick(theta: float, n: int) -> np.ndarray:
     """The kick exp(-i theta sum_k sz_k), read off the package's collective_z."""
-    return np.diag(np.exp(-1j * theta * np.diagonal(collective_z(n)).real))
+    return np.diag(np.exp(-1j * theta * collective_z(n)))
 
 
 class TestCollectiveKick:
@@ -85,10 +85,13 @@ class TestNoisyRealize:
     def test_ensemble_cap(self):
         NoiseEnsemble(0, KickDistribution.uniform(), ENSEMBLE_CAP, 0)
         NoiseEnsemble(ENSEMBLE_CAP, KickDistribution.uniform(), 1, 0)
+        # Each count is bounded on its own: kicks are never drawn.
+        NoiseEnsemble(2, KickDistribution.uniform(), ENSEMBLE_CAP // 2 + 1, 0)
+        NoiseEnsemble(ENSEMBLE_CAP, KickDistribution.uniform(), ENSEMBLE_CAP, 0)
         with pytest.raises(ValueError, match="must not exceed"):
             NoiseEnsemble(0, KickDistribution.uniform(), ENSEMBLE_CAP + 1, 0)
         with pytest.raises(ValueError, match="must not exceed"):
-            NoiseEnsemble(2, KickDistribution.uniform(), ENSEMBLE_CAP // 2 + 1, 0)
+            NoiseEnsemble(ENSEMBLE_CAP + 1, KickDistribution.uniform(), 1, 0)
         with pytest.raises(ValueError, match="must not exceed"):
             NoiseEnsemble(10**18, KickDistribution.uniform(), 1, 0)
 
@@ -130,7 +133,7 @@ class TestNoiseProperties:
             n_blocks = max(recipe.blocks)
             n = 3 * n_blocks
             h = recipe_hamiltonian(recipe, n_blocks)
-            z = collective_z(n)
+            z = np.diag(collective_z(n))
             assert np.linalg.norm(h @ z - z @ h) <= 1e-12 * 2 ** n
 
     def test_protection_independent_of_kick_schedule(self):
@@ -337,7 +340,7 @@ class TestNonCollectiveKickControl:
         return 1.0 - np.array(noisy_fidelities(TestNonCollectiveKickControl.RECIPE, ensemble, generator=generator))
 
     def test_collective_generator_keeps_fidelity(self):
-        collective = np.diagonal(collective_z(3)).real
+        collective = collective_z(3)
         assert np.abs(self.deficits(collective)).max() <= 1e-12
 
     def test_one_qubit_generator_dephases(self):
@@ -348,7 +351,7 @@ class TestNonCollectiveKickControl:
         # Kicks exp(-i theta sum_k (1 + delta_k) sz_k) with delta_2 = delta
         # split |0>_L = |010> from |1>_L = |001> by a phase of order delta, so
         # 1 - F grows as delta^2 for small delta.
-        collective = np.diagonal(collective_z(3)).real
+        collective = collective_z(3)
         sz_2 = np.diagonal(embed_bruteforce(PAULI["z"], 2, 3)).real
         fixed = KickDistribution.fixed(0.7)
         small, double = (self.deficits(collective + d * sz_2, fixed).mean() for d in (1e-3, 2e-3))

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqcdfs import cli, serialize
+from hqcdfs.gates import realize
 from hqcdfs.model import CouplingConfig, GateRecipe, detune
 from hqcdfs.noise import KickDistribution, NoisyGateResult
 from hqcdfs.serialize import Record, matrix_to_json, replace, round_sig
@@ -148,6 +150,35 @@ class TestBulkRounding:
         array[-1] = bad
         with pytest.raises(ValueError, match=f"compliant: {bad!r}"):
             encode_json({"per_sample": array})
+
+
+def as_rounded_lists(doc):
+    """``doc`` with every float64 array replaced by its ``round_all`` nested
+    list: what the stdlib encoder needs to print the same text."""
+    if isinstance(doc, np.ndarray):
+        return np.reshape(round_all(doc.ravel()), doc.shape).tolist()
+    if isinstance(doc, dict):
+        return {k: as_rounded_lists(v) for k, v in doc.items()}
+    return doc
+
+
+class TestFormatChunk:
+    """The report text does not depend on how many floats a pass formats."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "default"])
+    def test_report_text_ignores_the_chunk(self, chunk, monkeypatch):
+        rng = np.random.default_rng(8)
+        doc = {
+            "gate": realize(GateRecipe.cnot(1.3, (1, 2)), steps=64).to_json_dict(),
+            "per_sample": 1.0 - rng.exponential(1e-9, size=2500),
+            "list": rng.normal(size=2500).tolist(),
+            "rows": rng.normal(size=(300, 5)).tolist(),
+        }
+        expected = stdlib(as_rounded_lists(doc))
+        if chunk is not None:
+            monkeypatch.setattr(serialize, "FORMAT_CHUNK", chunk)
+            monkeypatch.setattr(cli, "FORMAT_CHUNK", chunk)
+        assert encode_json(doc) == expected
 
 
 class TestRecords:

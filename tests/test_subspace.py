@@ -122,7 +122,7 @@ class TestRestrict:
         assert np.abs(restricted - quoted).max() < 1e-12
 
     def test_collective_z_restricts_to_identity(self):
-        restricted = restrict(collective_z(3), dfs_product_basis([LogicalBlock(1)], 3))
+        restricted = restrict(np.diag(collective_z(3)), dfs_product_basis([LogicalBlock(1)], 3))
         assert np.abs(restricted - np.eye(3)).max() < 1e-14
 
     def test_identity_restricts_to_identity(self):
@@ -199,7 +199,7 @@ class TestSubspaceProperties:
     def test_protected_basis_shares_integer_collective_eigenvalue(self):
         for n_blocks, block in ((1, 1), (2, 1), (2, 2)):
             n = 3 * n_blocks
-            z = collective_z(n)
+            z = np.diag(collective_z(n))
             basis = dfs_product_basis([LogicalBlock(block)], n)
             eigenvalue = n - 2 * n_blocks  # one excitation per block
             for column in basis.vectors.T:
