@@ -1,6 +1,6 @@
 """Target gates, end-to-end realizations, and the two-qubit no-go check.
 
-``realize`` runs the full pipeline for one recipe: assemble the Hamiltonian,
+``realize`` runs the full pipeline for one recipe: build the Hamiltonian,
 exponentiate, restrict to the logical basis, certify the holonomic
 character, and compare against the target both phase-aligned on the logical
 subspace and entrywise on the ancilla-completed basis (where the ancilla
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .holonomy import HolonomyReport, certify, defects_only_report
-from .model import CouplingConfig, GateRecipe, assemble_two_body, r_op, recipe_hamiltonian
+from .model import GateRecipe, exchange_term, recipe_hamiltonian
 from .operators import SIGMA_X, Spectrum, dagger, phase_aligned_distance
 from .serialize import Record, matrix_to_json, round_sig
 from .subspace import (
@@ -270,7 +270,7 @@ def no_go_certificate(trials: int, seed: int) -> NoGoReport:
         raise ValueError(f"trials must be >= 1, got {trials}")
     dfs = two_qubit_dfs()
     v = dfs.vectors
-    r_x, r_y = r_op("x", 1, 2, 2), r_op("y", 1, 2, 2)
+    r_x, r_y = exchange_term(2, ("x", 1, 2)), exchange_term(2, ("y", 1, 2))
     eye = np.eye(2)
 
     trivial = counterexamples = 0
@@ -279,7 +279,7 @@ def no_go_certificate(trials: int, seed: int) -> NoGoReport:
     min_nontrivial_transport = math.inf
 
     for couplings, times in _no_go_draws(trials, seed):
-        # Summed onto zeros in the order assemble_two_body uses.
+        # Summed onto zeros, as recipe_hamiltonian sums its terms.
         h = np.zeros((len(couplings), 4, 4), dtype=np.complex128)
         h += couplings[:, 0, None, None] * r_x
         h += couplings[:, 1, None, None] * r_y
@@ -300,9 +300,7 @@ def no_go_certificate(trials: int, seed: int) -> NoGoReport:
         max_trivial_transport = float(transport[zero_h].max(initial=max_trivial_transport))
         min_nontrivial_transport = float(transport[~zero_h].min(initial=min_nontrivial_transport))
 
-    witness = restrict(
-        assemble_two_body(CouplingConfig(2, two_body={(1, 2, "x"): 1.0})), dfs
-    )
+    witness = restrict(r_x, dfs)
     witness_error = float(np.abs(witness - SIGMA_X).max())
 
     nontrivial = trials - trivial

@@ -9,6 +9,9 @@ plus four-body products of two such terms on disjoint qubit pairs. All of
 them commute with the collective dephasing generator sum_k sz_k, which is
 what makes the single-excitation encoding decoherence-free. Logical qubit n
 occupies the contiguous physical qubits (3n-2, 3n-1, 3n).
+
+``exchange_term`` writes any product of these terms by index, and
+``recipe_hamiltonian`` sums a gate recipe's terms straight from the recipe.
 """
 
 from __future__ import annotations
@@ -18,12 +21,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .operators import check_dimension_cap, pauli_on
+from .operators import check_dimension_cap
 from .serialize import Record, as_float, as_int, replace
 from .subspace import LogicalBlock
-
-TwoBodyKey = tuple[int, int, str]          # (k, l, axis in {x, y})
-FourBodyKey = tuple[int, int, int, int, str]  # (k, l, p, q, axes in {xx, xy, yx, yy})
 
 GATE_KINDS = ("XZ", "ZX", "CNOT")
 
@@ -35,60 +35,6 @@ PULSE_AREAS = {
 }
 
 PULSE_AREA_TOL = 1e-12
-
-_TWO_AXES = ("x", "y")
-_FOUR_AXES = ("xx", "xy", "yx", "yy")
-
-
-class CouplingConfig(Record):
-    """Coupling constants of one Hamiltonian instance (energy units, hbar=1).
-
-    Absent keys mean zero coupling. Four-body keys require k < l, p < q and
-    disjoint pairs.
-    """
-
-    n_qubits: int
-    two_body: Mapping[TwoBodyKey, float] = {}
-    four_body: Mapping[FourBodyKey, float] = {}
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        check_dimension_cap(self.n_qubits)
-        for (k, l, axis), value in self.two_body.items():
-            self._check_pair(k, l)
-            if axis not in _TWO_AXES:
-                raise ValueError(f"two-body axis must be 'x' or 'y', got {axis!r}")
-            float(value)
-        for (k, l, p, q, axes), value in self.four_body.items():
-            self._check_pair(k, l)
-            self._check_pair(p, q)
-            if {k, l} & {p, q}:
-                raise ValueError(
-                    f"four-body pairs ({k},{l}) and ({p},{q}) must be disjoint"
-                )
-            if axes not in _FOUR_AXES:
-                raise ValueError(f"four-body axes must be one of {_FOUR_AXES}, got {axes!r}")
-            float(value)
-
-    def _check_pair(self, k: int, l: int) -> None:
-        if not (1 <= k < l <= self.n_qubits):
-            raise ValueError(
-                f"coupling indices must satisfy 1 <= k < l <= {self.n_qubits}, got ({k},{l})"
-            )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "two_body": [
-                {"k": k, "l": l, "axis": axis, "value": float(v)}
-                for (k, l, axis), v in sorted(self.two_body.items())
-            ],
-            "four_body": [
-                {"k": k, "l": l, "p": p, "q": q, "axes": axes, "value": float(v)}
-                for (k, l, p, q, axes), v in sorted(self.four_body.items())
-            ],
-        }
 
 
 class GateRecipe(Record):
@@ -174,21 +120,32 @@ def detune(recipe: GateRecipe, area_scale: float) -> GateRecipe:
     return replace(recipe, duration=recipe.duration * area_scale, detuned=True)
 
 
-def r_op(axis: str, k: int, l: int, n: int) -> np.ndarray:
-    """Two-body exchange term R^axis_kl on an n-qubit register.
+def exchange_term(n: int, *hops: tuple[str, int, int]) -> np.ndarray:
+    """Product of exchange terms R^axis_kl, one per ``(axis, k, l)`` hop, on
+    an n-qubit register; the rightmost hop acts first.
 
-    Both variants annihilate states where qubits k and l are equal and hop a
-    single excitation between them; they conserve total excitation number.
+    Built by index. A hop annihilates the basis states where qubits k and l
+    are equal and flips both bits otherwise, so it moves the one excitation
+    (a 1 bit) between them: with amplitude 1 for R^x, and for R^y with +i
+    when qubit k holds the excitation and -i when qubit l does. Every column
+    of the product therefore holds at most one entry, and the product
+    conserves total excitation number.
     """
-    if axis not in _TWO_AXES:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    if not (1 <= k < l <= n):
-        raise IndexError(f"need 1 <= k < l <= n, got k={k}, l={l}, n={n}")
-    if axis == "x":
-        term = pauli_on("x", k, n) @ pauli_on("x", l, n) + pauli_on("y", k, n) @ pauli_on("y", l, n)
-    else:
-        term = pauli_on("x", k, n) @ pauli_on("y", l, n) - pauli_on("y", k, n) @ pauli_on("x", l, n)
-    return 0.5 * term
+    for axis, k, l in hops:
+        if axis not in ("x", "y"):
+            raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        if not (1 <= k < l <= n):
+            raise IndexError(f"need 1 <= k < l <= n, got k={k}, l={l}, n={n}")
+    check_dimension_cap(n)
+    rows = np.arange(2 ** n)
+    amplitudes = np.ones(2 ** n, dtype=np.complex128)
+    for axis, k, l in reversed(hops):
+        on_k, on_l = rows >> (n - k) & 1, rows >> (n - l) & 1
+        amplitudes *= on_k ^ on_l if axis == "x" else 1j * (on_k - on_l)
+        rows ^= (1 << (n - k)) | (1 << (n - l))
+    term = np.zeros((2 ** n, 2 ** n), dtype=np.complex128)
+    term[rows, np.arange(2 ** n)] = amplitudes
+    return term
 
 
 def collective_z(n: int) -> np.ndarray:
@@ -201,71 +158,43 @@ def collective_z(n: int) -> np.ndarray:
     return (n - 2 * popcounts).astype(np.float64)
 
 
-def assemble_two_body(config: CouplingConfig) -> np.ndarray:
-    """H = sum over two-body couplings of J^axis_kl R^axis_kl."""
-    n = config.n_qubits
-    h = np.zeros((2 ** n, 2 ** n), dtype=np.complex128)
-    for (k, l, axis), value in config.two_body.items():
-        h += value * r_op(axis, k, l, n)
-    return h
+def recipe_hamiltonian(recipe: GateRecipe, n_blocks: int) -> np.ndarray:
+    """Gate Hamiltonian of ``recipe`` on the full 2^(3 n_blocks) register.
 
-
-def assemble_four_body(config: CouplingConfig) -> np.ndarray:
-    """Sum of coupling * R^a_kl R^b_pq products over the four-body entries.
-
-    Hermitian because the two factors act on disjoint qubit pairs and hence
-    commute.
-    """
-    n = config.n_qubits
-    h = np.zeros((2 ** n, 2 ** n), dtype=np.complex128)
-    for (k, l, p, q, axes), value in config.four_body.items():
-        h += value * (r_op(axes[0], k, l, n) @ r_op(axes[1], p, q, n))
-    return h
-
-
-def assemble(config: CouplingConfig) -> np.ndarray:
-    return assemble_two_body(config) + assemble_four_body(config)
-
-
-def recipe_coupling_config(recipe: GateRecipe, n_blocks: int) -> CouplingConfig:
-    """Coupling constants realizing ``recipe`` on a 3*n_blocks qubit register.
-
-    Single-block gates use the pattern on couplings (3n-2, 3n-1) and
-    (3n-2, 3n); the CNOT on blocks (m, n) couples (3m-2, 3m) with
-    (3n-2, 3n-1) and (3n-2, 3n).
+    Single-block gates couple qubits (3n-2, 3n-1) and (3n-2, 3n) of block
+    n; the CNOT on blocks (m, n) couples (3m-2, 3m) with (3n-2, 3n-1) and
+    (3n-2, 3n). The terms are summed onto one zero matrix in the order
+    listed.
     """
     if any(b > n_blocks for b in recipe.blocks):
         raise IndexError(f"recipe blocks {recipe.blocks} exceed n_blocks={n_blocks}")
     n = 3 * n_blocks
+    check_dimension_cap(n)
     J = recipe.strength
-    if recipe.kind == "XZ":
+    if recipe.kind == "CNOT":
+        m1, _, m3 = LogicalBlock(recipe.blocks[0]).physical_qubits
+        n1, n2, n3 = LogicalBlock(recipe.blocks[1]).physical_qubits
+        terms = [
+            (J, [("x", m1, m3), ("x", n1, n2)]),
+            (-J, [("x", m1, m3), ("x", n1, n3)]),
+        ]
+    else:
         q1, q2, q3 = LogicalBlock(recipe.blocks[0]).physical_qubits
         c = math.cos(recipe.phase / 2.0)
         s = math.sin(recipe.phase / 2.0)
-        two_body = {
-            (q1, q2, "x"): J * c,
-            (q1, q2, "y"): -J * s,
-            (q1, q3, "x"): -J * c,
-            (q1, q3, "y"): -J * s,
-        }
-        return CouplingConfig(n, two_body=two_body)
-    if recipe.kind == "ZX":
-        q1, q2, q3 = LogicalBlock(recipe.blocks[0]).physical_qubits
-        two_body = {
-            (q1, q2, "y"): J * math.sin(recipe.phase / 2.0),
-            (q1, q3, "x"): -J * math.cos(recipe.phase / 2.0),
-        }
-        return CouplingConfig(n, two_body=two_body)
-    m1, _, m3 = LogicalBlock(recipe.blocks[0]).physical_qubits
-    n1, n2, n3 = LogicalBlock(recipe.blocks[1]).physical_qubits
-    four_body = {
-        (m1, m3, n1, n2, "xx"): J,
-        (m1, m3, n1, n3, "xx"): -J,
-    }
-    return CouplingConfig(n, four_body=four_body)
-
-
-def recipe_hamiltonian(recipe: GateRecipe, n_blocks: int) -> np.ndarray:
-    """Gate Hamiltonian of ``recipe`` on the full 2^(3 n_blocks) register."""
-    return assemble(recipe_coupling_config(recipe, n_blocks))
-
+        if recipe.kind == "XZ":
+            terms = [
+                (J * c, [("x", q1, q2)]),
+                (-J * s, [("y", q1, q2)]),
+                (-J * c, [("x", q1, q3)]),
+                (-J * s, [("y", q1, q3)]),
+            ]
+        else:
+            terms = [
+                (J * s, [("y", q1, q2)]),
+                (-J * c, [("x", q1, q3)]),
+            ]
+    h = np.zeros((2 ** n, 2 ** n), dtype=np.complex128)
+    for value, hops in terms:
+        h += value * exchange_term(n, *hops)
+    return h

@@ -1,8 +1,10 @@
-"""Dense complex operator algebra for multi-qubit systems.
+"""Validated dense operator algebra for multi-qubit systems.
 
-All operators are plain ``numpy.ndarray`` values of dtype complex128;
-constructors and propagators validate their algebraic contracts and raise
-:class:`~hqcdfs.errors.ContractViolation` on failure. Basis-state indexing
+All operators are plain ``numpy.ndarray`` values of dtype complex128. The
+checks here enforce their algebraic contracts (finite, Hermitian, unitary)
+and raise :class:`~hqcdfs.errors.ContractViolation` on failure;
+``check_dimension_cap`` bounds a register before it is allocated, and
+``Spectrum`` turns one generator into its propagators. Basis-state indexing
 convention, fixed package-wide: qubit 1 is the most significant bit of the
 computational-basis index, so for three qubits ``|100>`` is index 4.
 """
@@ -22,11 +24,8 @@ UNITARITY_TOL = 1e-10
 # Smallest singular value a matrix may have and still be unitarized.
 MIN_SINGULAR = 1e-12
 
+# Pauli X: the no-go witness restricts to it exactly.
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-_PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -93,28 +92,6 @@ def check_dimension_cap(n_qubits: int) -> None:
     """Raise DimensionCapError before a 2^n_qubits register is allocated."""
     if n_qubits >= DIMENSION_CAP.bit_length():
         raise DimensionCapError(f"2^{n_qubits} exceeds dimension cap {DIMENSION_CAP}")
-
-
-def pauli_on(axis: str, k: int, n: int) -> np.ndarray:
-    """Pauli operator on qubit ``k`` (1-based) of an ``n``-qubit register.
-
-    Built by index, not by Kronecker products: column c holds one entry, in
-    row c with bit n - k flipped for x and y, read off the single-qubit Pauli.
-    """
-    if axis not in _PAULI:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
-    if not 1 <= k <= n:
-        raise IndexError(f"qubit index {k} out of range 1..{n}")
-    check_dimension_cap(n)
-    shift = n - k
-    cols = np.arange(2 ** n)
-    bits = (cols >> shift) & 1
-    flip = int(axis != "z")
-    op = np.zeros((2 ** n, 2 ** n), dtype=np.complex128)
-    op[cols ^ (flip << shift), cols] = _PAULI[axis][bits ^ flip, bits]
-    return op
 
 
 class Spectrum:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -128,24 +127,6 @@ def matrix_to_json(m: np.ndarray) -> np.ndarray:
     return np.stack([m.real, m.imag], axis=-1)
 
 
-def _float_block(items: list) -> tuple[list[int], list] | None:
-    """(shape, leaves in row-major order) when ``items`` nests lists (or
-    tuples) of equal nonzero lengths down to floats only, else None."""
-    shape = [len(items)]
-    leaves = items
-    while type(leaves[0]) in (list, tuple):
-        if not set(map(type, leaves)) <= {list, tuple}:
-            return None
-        lengths = set(map(len, leaves))
-        if len(lengths) != 1 or 0 in lengths:
-            return None
-        shape.append(lengths.pop())
-        leaves = list(chain.from_iterable(leaves))
-    if not all(issubclass(kind, float) for kind in set(map(type, leaves))):
-        return None
-    return shape, leaves
-
-
 def _template(shape: list[int], level: int) -> str:
     """Indent-2 layout of a float block of ``shape`` at ``level``, one %s per float."""
     if not shape:
@@ -166,9 +147,9 @@ def _rounded_reprs(values: np.ndarray) -> list[str]:
     ]
 
 
-def _encode_block(shape: list[int], leaves, level: int, out: list, rounded=False) -> None:
-    """Append the layout of a float block, formatting whole rows at a time;
-    ``rounded`` writes each float as ``round_sig`` of it."""
+def _encode_block(shape: list[int], leaves: np.ndarray, level: int, out: list) -> None:
+    """Append the layout of a float64 array, formatting whole rows at a
+    time and writing each float as ``round_sig`` of it."""
     row = _template(shape[1:], level + 1)
     per_row = len(leaves) // shape[0]
     rows = max(1, FORMAT_CHUNK // per_row)
@@ -177,8 +158,7 @@ def _encode_block(shape: list[int], leaves, level: int, out: list, rounded=False
     for start in range(0, shape[0], rows):
         count = min(rows, shape[0] - start)
         part = leaves[start * per_row:(start + count) * per_row]
-        texts = _rounded_reprs(part) if rounded else map(float.__repr__, part)
-        text = ("," + inner).join([row] * count) % tuple(texts)
+        text = ("," + inner).join([row] * count) % tuple(_rounded_reprs(part))
         if "n" in text:  # only nan and inf put an "n" in a float block
             bad = next(x for x in part if not math.isfinite(x))
             raise ValueError(_NON_FINITE + repr(float(bad)))
@@ -202,12 +182,8 @@ def _encode(o, level: int, out: list) -> None:
             raise ValueError(_NON_FINITE + repr(o))
         out.append(float.__repr__(o))
     elif isinstance(o, np.ndarray) and o.size:
-        _encode_block(list(o.shape), o.ravel(), level, out, rounded=True)
+        _encode_block(list(o.shape), o.ravel(), level, out)
     elif isinstance(o, (list, tuple, dict)):
-        block = _float_block(o) if o and not isinstance(o, dict) else None
-        if block:
-            _encode_block(*block, level, out)
-            return
         if isinstance(o, dict):  # a non-str key raises TypeError here
             items, close = [(encode_basestring_ascii(k) + ": ", v) for k, v in o.items()], "}"
         else:
@@ -230,13 +206,13 @@ def encode_json(doc) -> list[str]:
     makes of ``doc``, for documents of dicts with string keys, lists, tuples,
     strings, ints, floats, bools and None.
 
-    A float list, or a nest of equal-length lists of floats, is formatted in
-    bulk: one ``float.__repr__`` pass and one layout template per chunk of
-    rows. A nonempty float64 array, such as an [re, im] matrix of
-    ``matrix_to_json``, is written as the nested list of ``round_sig`` of its
-    values, straight from its "%.12g" text, so that list is never built. A
-    NaN or an infinity anywhere raises ValueError, before anything is
-    returned. The chunks are not joined, so a large report is not held twice.
+    Lists and tuples are written item by item, each float as ``json``
+    writes it. A nonempty float64 array, such as an [re, im] matrix of
+    ``matrix_to_json``, is written in bulk, one layout template per chunk of
+    rows, as the nested list of ``round_sig`` of its values, straight from
+    its "%.12g" text, so that list is never built. A NaN or an infinity
+    anywhere raises ValueError, before anything is returned. The chunks are
+    not joined, so a large report is not held twice.
     """
     out: list[str] = []
     _encode(doc, 0, out)

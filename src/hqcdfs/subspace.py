@@ -48,7 +48,8 @@ def bit_state(bits: str) -> np.ndarray:
 class BasisSet(Record):
     """Ordered orthonormal vectors spanning a subspace, with unique labels.
 
-    ``vectors`` holds the basis as columns of a (dim_ambient, size) array.
+    ``vectors`` holds the k basis vectors as the columns of a
+    (dim_ambient, k) array.
     """
 
     vectors: np.ndarray
@@ -79,23 +80,9 @@ class BasisSet(Record):
     def dim_ambient(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def size(self) -> int:
-        return self.vectors.shape[1]
-
     def projector(self) -> np.ndarray:
         """P = sum |b_i><b_i| built from the stored vectors."""
         return self.vectors @ dagger(self.vectors)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim_ambient": self.dim_ambient,
-            "labels": list(self.labels),
-            "vectors": [
-                [[float(z.real), float(z.imag)] for z in self.vectors[:, j]]
-                for j in range(self.size)
-            ],
-        }
 
     @classmethod
     def from_json_dict(cls, data) -> "BasisSet":

@@ -2,8 +2,8 @@
 
 No command reports them: the three gate recipes at one strength, the
 rotation and Euler compositions of the realized gates (acceptance criterion
-5, universality by composition), the leakage profile of an evolution, and
-the decoder of report matrices.
+5, universality by composition), the leakage profile of an evolution, the
+decoder of report matrices and the encoder of ``--basis`` documents.
 """
 
 from __future__ import annotations
@@ -24,6 +24,16 @@ def matrix_from_json(data) -> np.ndarray:
     return np.array(
         [[complex(re, im) for re, im in row] for row in data], dtype=np.complex128
     )
+
+
+def basis_to_json(basis: BasisSet) -> dict:
+    """The ``--basis`` document of ``basis``, which ``BasisSet.from_json_dict``
+    reads back: each vector a list of [re, im] pairs."""
+    return {
+        "dim_ambient": basis.dim_ambient,
+        "labels": list(basis.labels),
+        "vectors": [[[float(z.real), float(z.imag)] for z in column] for column in basis.vectors.T],
+    }
 
 
 def universal_recipes(strength: float = 1.0, phase: float = 0.0) -> tuple[GateRecipe, ...]:

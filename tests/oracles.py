@@ -2,7 +2,7 @@
 
 Everything here recomputes expected values by a different route than the
 package: explicit index loops and Kronecker chains instead of index-built
-Pauli embeddings, Pade approximation instead of spectral exponentials,
+exchange terms, Pade approximation instead of spectral exponentials,
 Newton iteration instead of SVD polar factors, closed-form three-level
 rotations instead of generic propagators, and grid scans instead of
 closed-form phase minima. Where the package takes work in blocks to bound
@@ -10,6 +10,8 @@ its memory, the reference takes it in one shot.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -60,6 +62,47 @@ def r_op_bruteforce(axis: str, k: int, l: int, n: int) -> np.ndarray:
     if axis == "x":
         return 0.5 * (sx_k @ sx_l + sy_k @ sy_l)
     return 0.5 * (sx_k @ sy_l - sy_k @ sx_l)
+
+
+def r_op_kron(axis: str, k: int, l: int, n: int) -> np.ndarray:
+    """R^axis_kl from ``pauli_kron`` products, as ``r_op_bruteforce`` forms it."""
+    sx_k, sy_k = pauli_kron("x", k, n), pauli_kron("y", k, n)
+    sx_l, sy_l = pauli_kron("x", l, n), pauli_kron("y", l, n)
+    if axis == "x":
+        return 0.5 * (sx_k @ sx_l + sy_k @ sy_l)
+    return 0.5 * (sx_k @ sy_l - sy_k @ sx_l)
+
+
+def recipe_hamiltonian_kron(recipe, n_blocks: int) -> np.ndarray:
+    """Gate Hamiltonian of ``recipe`` on 3 * n_blocks qubits, assembled from
+    Kronecker chains: every exchange term is a sum of ``pauli_kron``
+    products, a four-body term is the matrix product of two such terms, and
+    each coupling times its term is summed onto zeros in the order
+    ``model.recipe_hamiltonian`` lists them. The sums agree byte for byte."""
+    n = 3 * n_blocks
+    j = recipe.strength
+    c, s = math.cos(recipe.phase / 2.0), math.sin(recipe.phase / 2.0)
+    q1, q2, q3 = (3 * recipe.blocks[0] - 2 + i for i in range(3))
+    if recipe.kind == "XZ":
+        terms = [
+            (j * c, r_op_kron("x", q1, q2, n)),
+            (-j * s, r_op_kron("y", q1, q2, n)),
+            (-j * c, r_op_kron("x", q1, q3, n)),
+            (-j * s, r_op_kron("y", q1, q3, n)),
+        ]
+    elif recipe.kind == "ZX":
+        terms = [(j * s, r_op_kron("y", q1, q2, n)), (-j * c, r_op_kron("x", q1, q3, n))]
+    else:
+        n1, n2, n3 = (3 * recipe.blocks[1] - 2 + i for i in range(3))
+        control = r_op_kron("x", q1, q3, n)
+        terms = [
+            (j, control @ r_op_kron("x", n1, n2, n)),
+            (-j, control @ r_op_kron("x", n1, n3, n)),
+        ]
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for value, term in terms:
+        h += value * term
+    return h
 
 
 def bitstring_state(bits: str) -> np.ndarray:
@@ -220,12 +263,12 @@ def no_go_draws(trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def no_go_trials(trials: int, seed: int) -> dict:
     """The randomized two-qubit no-go check, one 4x4 problem per trial.
 
-    Takes the draws of ``no_go_draws`` but assembles, diagonalizes and
-    checks each trial on its own, one time at a time. Returns the
-    ``NoGoReport`` fields that the trials determine.
+    Takes the draws of ``no_go_draws`` but builds each Hamiltonian from the
+    brute-force exchange terms, and diagonalizes and checks each trial on
+    its own, one time at a time. Returns the ``NoGoReport`` fields that the
+    trials determine.
     """
     from hqcdfs.gates import NO_GO_TOL, two_qubit_dfs
-    from hqcdfs.model import CouplingConfig, assemble_two_body
     from hqcdfs.operators import Spectrum
     from hqcdfs.subspace import invariance_defect, restrict
 
@@ -234,8 +277,9 @@ def no_go_trials(trials: int, seed: int) -> dict:
     trivial = nontrivial = counterexamples = 0
     max_invariance = max_trivial_transport = 0.0
     min_nontrivial_transport = np.inf
+    r_x, r_y = r_op_bruteforce("x", 1, 2, 2), r_op_bruteforce("y", 1, 2, 2)
     for (jx, jy), trial_times in zip(*no_go_draws(trials, seed)):
-        h = assemble_two_body(CouplingConfig(2, two_body={(1, 2, "x"): jx, (1, 2, "y"): jy}))
+        h = jx * r_x + jy * r_y
         h_norm = float(np.abs(restrict(h, dfs)).max())
         spectrum = Spectrum(h)
         transport = identity_dist = 0.0

@@ -14,15 +14,9 @@ import numpy as np
 
 from hqcdfs.gates import no_go_certificate, realize, two_qubit_dfs
 from hqcdfs.holonomy import certify
-from hqcdfs.model import (
-    CouplingConfig,
-    GateRecipe,
-    assemble_two_body,
-    collective_z,
-    recipe_hamiltonian,
-)
+from hqcdfs.model import GateRecipe, collective_z, recipe_hamiltonian
 from hqcdfs.noise import KickDistribution, NoiseEnsemble, noisy_realize
-from hqcdfs.operators import SIGMA_X, Spectrum, phase_aligned_distance
+from hqcdfs.operators import Spectrum, phase_aligned_distance
 from hqcdfs.subspace import LogicalBlock, logical_basis, restrict
 
 from gate_tools import (
@@ -33,7 +27,7 @@ from gate_tools import (
     rz_matrix,
     universal_recipes,
 )
-from oracles import bare_fidelity, loglog_slope, random_unitary
+from oracles import PAULI, bare_fidelity, loglog_slope, r_op_bruteforce, random_unitary
 
 
 def _report(criterion: int, description: str, passed: bool, detail: str) -> None:
@@ -197,18 +191,15 @@ def test_criterion_6_dfs_protection():
 
 def test_criterion_7_two_qubit_no_go():
     report = no_go_certificate(1000, seed=7)
-    witness = restrict(
-        assemble_two_body(CouplingConfig(2, two_body={(1, 2, "x"): 1.0})),
-        two_qubit_dfs(),
-    )
-    exact_witness = np.array_equal(witness, SIGMA_X)
-    passed = report.counterexamples == 0 and exact_witness
+    witness = restrict(r_op_bruteforce("x", 1, 2, 2), two_qubit_dfs())
+    exact_witness = np.array_equal(witness, PAULI["x"])
+    passed = report.counterexamples == 0 and exact_witness and report.witness_error == 0.0
     _report(
         7,
         "transport-free two-qubit evolutions are exactly trivial",
         passed,
         f"{report.trials} trials, {report.counterexamples} counterexamples, "
-        f"witness exact: {exact_witness}",
+        f"witness exact: {exact_witness}, reported witness error {report.witness_error}",
     )
 
 

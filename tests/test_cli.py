@@ -23,7 +23,8 @@ from hqcdfs.model import GateRecipe, detune
 from hqcdfs.noise import ENSEMBLE_CAP
 from hqcdfs.subspace import BasisSet, LogicalBlock, dfs_product_basis, logical_basis
 
-from gate_tools import matrix_from_json
+from gate_tools import basis_to_json, matrix_from_json
+from oracles import pauli_kron
 
 
 def write_recipe(path, recipe):
@@ -137,7 +138,7 @@ class TestHolonomyCommand:
         recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.4))
         basis = logical_basis([LogicalBlock(1)], 3)
         basis_path = tmp_path / "basis.json"
-        basis_path.write_text(json.dumps(basis.to_json_dict()))
+        basis_path.write_text(json.dumps(basis_to_json(basis)))
         status = main(
             ["holonomy", "--recipe", recipe_path, "--basis", str(basis_path), "--steps", "512"]
         )
@@ -150,7 +151,7 @@ class TestHolonomyCommand:
 
         recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.4))
         basis_path = tmp_path / "basis.json"
-        basis_path.write_text(json.dumps(two_qubit_dfs().to_json_dict()))
+        basis_path.write_text(json.dumps(basis_to_json(two_qubit_dfs())))
         assert main(["holonomy", "--recipe", recipe_path, "--basis", str(basis_path)]) == 2
 
     def test_non_holonomic_basis_exits_3(self, tmp_path):
@@ -163,7 +164,7 @@ class TestHolonomyCommand:
         pair = BasisSet(full.vectors[:, :2], ("a", "0L"))
         recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.4))
         basis_path = tmp_path / "basis.json"
-        basis_path.write_text(json.dumps(pair.to_json_dict()))
+        basis_path.write_text(json.dumps(basis_to_json(pair)))
         status = main(
             ["holonomy", "--recipe", recipe_path, "--basis", str(basis_path), "--steps", "512"]
         )
@@ -296,6 +297,22 @@ class TestNogoCommand:
         assert doc["report"]["witness_error"] == 0.0
         assert doc["report"]["trials"] == 1000
 
+    def test_witness_error_is_a_violation(self, monkeypatch):
+        # Against -sigma_x the exact witness misses by 2 in every entry.
+        from hqcdfs import gates
+
+        monkeypatch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
+        monkeypatch.setattr(gates, "SIGMA_X", -gates.SIGMA_X)
+        status, out, _ = run_captured(["nogo", "--trials", "5", "--seed", "3"])
+        assert status == 1
+        doc = json.loads(out)
+        assert doc["report"]["counterexamples"] == 0
+        assert doc["violations"] == [{"check": "witness_error", "value": 2.0, "tolerance": 0.0}]
+        # The whole report, pinned byte for byte.
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b389f7054781152df4a03e289770ea07d216292f4adcff8c3a2ccd9d1e566ad1"
+        )
+
 
 XZ = GateRecipe.xz(0.3).to_json_dict()
 ENSEMBLE = {
@@ -324,7 +341,7 @@ def sweep_argv(start, stop, points, steps):
     ]
 
 
-LOGICAL_BASIS = logical_basis([LogicalBlock(1)], 3).to_json_dict()
+LOGICAL_BASIS = basis_to_json(logical_basis([LogicalBlock(1)], 3))
 
 
 def basis_argv(**changes):
@@ -432,10 +449,9 @@ class TestExitStatusContract:
     def test_hamiltonian_leaving_the_noise_sector_exits_3(self, monkeypatch):
         from hqcdfs import noise
         from hqcdfs.model import recipe_hamiltonian
-        from hqcdfs.operators import pauli_on
 
         def leaky(recipe, n_blocks):
-            return recipe_hamiltonian(recipe, n_blocks) + pauli_on("x", 1, 3 * n_blocks)
+            return recipe_hamiltonian(recipe, n_blocks) + pauli_kron("x", 1, 3 * n_blocks)
 
         monkeypatch.setattr(noise, "recipe_hamiltonian", leaky)
         status, out, err = run_captured(noise_argv())
@@ -763,9 +779,9 @@ class TestConsoleScript:
         assert __version__ in result.stdout
 
 
-ANCILLA_PAIR_BASIS = BasisSet(
-    dfs_product_basis([LogicalBlock(1)], 3).vectors[:, :2], ("a", "0L")
-).to_json_dict()
+ANCILLA_PAIR_BASIS = basis_to_json(
+    BasisSet(dfs_product_basis([LogicalBlock(1)], 3).vectors[:, :2], ("a", "0L"))
+)
 
 # One small call per command, and one per failing exit status: (argv,
 # HQC_DFS_TOLERANCE_SCALE or None, exit status).

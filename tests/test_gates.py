@@ -17,9 +17,9 @@ from hqcdfs.gates import (
     two_qubit_dfs,
 )
 from hqcdfs.holonomy import transport_defect
-from hqcdfs.model import CouplingConfig, GateRecipe, assemble_two_body, detune, recipe_hamiltonian
+from hqcdfs.model import GateRecipe, detune, recipe_hamiltonian
 from hqcdfs.noise import KickDistribution, NoiseEnsemble, noisy_realize
-from hqcdfs.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, Spectrum, evolve, phase_aligned_distance
+from hqcdfs.operators import Spectrum, evolve, phase_aligned_distance
 from hqcdfs.pcg64 import PCG64Words
 from hqcdfs.serialize import encode_json
 from hqcdfs.subspace import LogicalBlock, invariant_check_basis, restrict
@@ -35,7 +35,16 @@ from gate_tools import (
     rx_matrix,
     rz_matrix,
 )
-from oracles import no_go_draws, no_go_trials, qubit_permutation_matrix, random_unitary
+from oracles import (
+    PAULI,
+    no_go_draws,
+    no_go_trials,
+    qubit_permutation_matrix,
+    r_op_bruteforce,
+    random_unitary,
+)
+
+SIGMA_X, SIGMA_Y, SIGMA_Z = PAULI["x"], PAULI["y"], PAULI["z"]
 
 
 class TestTargets:
@@ -192,14 +201,14 @@ class TestEulerCompose:
 class TestNoGo:
     def test_unit_coupling_witness(self):
         dfs = two_qubit_dfs()
-        h = assemble_two_body(CouplingConfig(2, two_body={(1, 2, "x"): 1.0}))
+        h = r_op_bruteforce("x", 1, 2, 2)
         restricted = restrict(h, dfs)
         assert np.array_equal(restricted, SIGMA_X)
         assert abs(transport_defect(Spectrum(h), dfs, 2.0) - 1.0) <= 1e-12
 
     def test_zero_config_is_trivial(self):
         dfs = two_qubit_dfs()
-        h = assemble_two_body(CouplingConfig(2))
+        h = np.zeros((4, 4), dtype=complex)
         assert transport_defect(Spectrum(h), dfs, 2.0) == 0.0
         assert np.abs(restrict(evolve(h, 1.7), dfs) - np.eye(2)).max() <= 1e-14
 

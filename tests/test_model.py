@@ -1,19 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hqcdfs import model
+from hqcdfs.errors import DimensionCapError
 from hqcdfs.model import (
     PULSE_AREAS,
-    CouplingConfig,
     GateRecipe,
-    assemble_four_body,
-    assemble_two_body,
     collective_z,
     detune,
-    r_op,
-    recipe_coupling_config,
+    exchange_term,
     recipe_hamiltonian,
 )
 from hqcdfs.subspace import bit_state
@@ -23,6 +20,8 @@ from oracles import (
     pauli_kron,
     qubit_permutation_matrix,
     r_op_bruteforce,
+    r_op_kron,
+    recipe_hamiltonian_kron,
 )
 from gate_tools import universal_recipes
 
@@ -54,15 +53,17 @@ def cnot_generator(strength: float, n: int = 6):
 
 
 class TestRop:
+    """``exchange_term`` with one hop is R^axis_kl; with more, their product."""
+
     def test_x_entries_on_two_qubits(self):
-        m = r_op("x", 1, 2, 2)
+        m = exchange_term(2, ("x", 1, 2))
         expected = np.zeros((4, 4), dtype=complex)
         expected[1, 2] = expected[2, 1] = 1.0  # |01><10| + |10><01|
         assert np.array_equal(m, expected)
         assert np.allclose(m, r_op_bruteforce("x", 1, 2, 2))
 
     def test_y_entries_on_two_qubits(self):
-        m = r_op("y", 1, 2, 2)
+        m = exchange_term(2, ("y", 1, 2))
         assert m[2, 1] == -1j  # <10| R^y |01>
         assert m[1, 2] == 1j
         assert np.count_nonzero(m) == 2
@@ -70,60 +71,79 @@ class TestRop:
 
     def test_annihilates_aligned_pairs(self):
         for axis in ("x", "y"):
-            m = r_op(axis, 1, 2, 2)
+            m = exchange_term(2, (axis, 1, 2))
             assert np.abs(m @ bitstring_state("00")).max() == 0.0
             assert np.abs(m @ bitstring_state("11")).max() == 0.0
 
     def test_embedded_in_larger_register(self):
-        assert np.allclose(r_op("y", 2, 4, 4), r_op_bruteforce("y", 2, 4, 4))
+        assert np.allclose(exchange_term(4, ("y", 2, 4)), r_op_bruteforce("y", 2, 4, 4))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_pair_equals_bruteforce(self, n):
+        for axis in ("x", "y"):
+            for k in range(1, n):
+                for l in range(k + 1, n + 1):
+                    term = exchange_term(n, (axis, k, l))
+                    assert np.array_equal(term, r_op_bruteforce(axis, k, l, n)), (axis, k, l)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_every_pair_equals_kron_chain_on_package_registers(self, n):
+        # The exchange terms of the kron-chain oracle that
+        # test_bit_identical_to_kron_chain_assembly compares against; the
+        # 9-qubit register is covered there by CNOT on blocks 1 and 3.
+        for axis in ("x", "y"):
+            for k in range(1, n):
+                for l in range(k + 1, n + 1):
+                    term = exchange_term(n, (axis, k, l))
+                    assert np.array_equal(term, r_op_kron(axis, k, l, n)), (axis, k, l)
+
+    @pytest.mark.parametrize("a", ["x", "y"])
+    @pytest.mark.parametrize("b", ["x", "y"])
+    def test_product_of_hops_is_the_matrix_product(self, a, b):
+        # Disjoint pairs, as in the CNOT term, and pairs sharing a qubit,
+        # where only "the rightmost hop acts first" gives the right order.
+        for (k, l), (p, q), n in (((1, 3), (4, 5), 6), ((1, 2), (2, 3), 3), ((2, 3), (1, 2), 3)):
+            expected = r_op_bruteforce(a, k, l, n) @ r_op_bruteforce(b, p, q, n)
+            assert np.array_equal(exchange_term(n, (a, k, l), (b, p, q)), expected)
 
     def test_index_errors(self):
-        with pytest.raises(IndexError):
-            r_op("x", 2, 1, 3)
-        with pytest.raises(IndexError):
-            r_op("x", 1, 4, 3)
+        for n, hops in (
+            (3, [("x", 2, 1)]),
+            (3, [("x", 1, 4)]),
+            (6, [("x", 2, 2)]),
+            (6, [("y", 0, 1)]),
+            (6, [("x", 1, 3), ("x", 5, 4)]),
+            (6, [("y", 4, 7), ("x", 1, 3)]),
+        ):
+            with pytest.raises(IndexError, match="need 1 <= k < l <= n"):
+                exchange_term(n, *hops)
+
+    @pytest.mark.parametrize("hops", [[("z", 1, 2)], [("x", 1, 3), ("xy", 4, 5)]], ids=["z", "xy"])
+    def test_axis_errors_raise_value_error(self, hops):
+        with pytest.raises(ValueError, match="axis must be 'x' or 'y'"):
+            exchange_term(6, *hops)
+
+    def test_dimension_cap(self):
+        with pytest.raises(DimensionCapError):
+            exchange_term(15, ("x", 1, 2))
 
 
 class TestAssembly:
-    def test_empty_config_is_zero(self):
-        h = assemble_two_body(CouplingConfig(3))
-        assert np.abs(h).max() == 0.0
-
     def test_xz_couplings_reproduce_gate_generator(self):
         phi, j = 0.9, 1.7
-        c, s = math.cos(phi / 2), math.sin(phi / 2)
-        config = CouplingConfig(
-            3,
-            two_body={
-                (1, 2, "x"): j * c,
-                (1, 2, "y"): -j * s,
-                (1, 3, "x"): -j * c,
-                (1, 3, "y"): -j * s,
-            },
-        )
-        assert np.abs(assemble_two_body(config) - xz_generator(phi, j)).max() < 1e-14
+        h = recipe_hamiltonian(GateRecipe.xz(phi, strength=j), 1)
+        assert np.abs(h - xz_generator(phi, j)).max() < 1e-14
 
     def test_zx_couplings_reproduce_gate_generator(self):
         phi, j = 2.1, 0.4
-        config = CouplingConfig(
-            3,
-            two_body={
-                (1, 2, "y"): j * math.sin(phi / 2),
-                (1, 3, "x"): -j * math.cos(phi / 2),
-            },
-        )
-        assert np.abs(assemble_two_body(config) - zx_generator(phi, j)).max() < 1e-14
+        h = recipe_hamiltonian(GateRecipe.zx(phi, strength=j), 1)
+        assert np.abs(h - zx_generator(phi, j)).max() < 1e-14
 
     def test_four_body_pair(self):
         j = 1.3
-        config = CouplingConfig(
-            6,
-            four_body={(1, 3, 4, 5, "xx"): j, (1, 3, 4, 6, "xx"): -j},
-        )
-        assert np.abs(assemble_four_body(config) - cnot_generator(j)).max() < 1e-14
-
-    def test_empty_four_body_is_zero(self):
-        assert np.abs(assemble_four_body(CouplingConfig(6))).max() == 0.0
+        h = j * exchange_term(6, ("x", 1, 3), ("x", 4, 5))
+        h -= j * exchange_term(6, ("x", 1, 3), ("x", 4, 6))
+        assert np.abs(h - cnot_generator(j)).max() < 1e-14
 
     def test_four_body_restriction_is_arrow_generator(self):
         # Brute-force 64x64 construction restricted to the five-state family
@@ -149,10 +169,6 @@ class TestAssembly:
         arrow[0, 4] = arrow[4, 0] = -j
         assert np.abs(restricted - arrow).max() < 1e-14
         assert abs(restricted[3, 4]) == 0.0  # no direct logical-logical coupling
-
-    def test_overlapping_four_body_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            CouplingConfig(6, four_body={(1, 3, 3, 5, "xx"): 1.0})
 
 
 class TestCollectiveZ:
@@ -203,22 +219,6 @@ class TestRecipes:
         ):
             assert GateRecipe.from_json_dict(recipe.to_json_dict()) == recipe
 
-    def test_config_json_layout(self):
-        config = CouplingConfig(
-            6,
-            two_body={(4, 6, "y"): -1.25, (1, 2, "x"): 1},
-            four_body={(1, 3, 4, 5, "xx"): 2.0},
-        )
-        assert config.to_json_dict() == {
-            "n_qubits": 6,
-            "two_body": [
-                {"k": 1, "l": 2, "axis": "x", "value": 1.0},
-                {"k": 4, "l": 6, "axis": "y", "value": -1.25},
-            ],
-            "four_body": [{"k": 1, "l": 3, "p": 4, "q": 5, "axes": "xx", "value": 2.0}],
-        }
-        assert isinstance(config.to_json_dict()["two_body"][0]["value"], float)
-
 
 class TestRecipeHamiltonian:
     def test_xz_block_one(self):
@@ -239,17 +239,44 @@ class TestRecipeHamiltonian:
         with pytest.raises(IndexError):
             recipe_hamiltonian(GateRecipe.xz(0.0, block=3), 2)
 
-    @pytest.mark.parametrize("recipe", list(universal_recipes(1.3, 0.7)), ids=["XZ", "ZX", "CNOT"])
-    def test_bit_identical_to_kron_chain_assembly(self, recipe, monkeypatch):
-        n_blocks = max(recipe.blocks)
+    @pytest.mark.parametrize(
+        "recipe, n_blocks",
+        [(recipe, max(recipe.blocks)) for recipe in universal_recipes(1.3, 0.7)]
+        + [
+            (GateRecipe.cnot(0.9, (2, 1)), 2),
+            (GateRecipe.xz(2.2, 1.6, block=2), 2),
+            (GateRecipe.xz(0.8), 2),
+            (GateRecipe.zx(1.4, block=2), 2),
+            (GateRecipe.cnot(1.1, (1, 3)), 3),
+        ],
+        ids=["XZ", "ZX", "CNOT", "CNOT-blocks-2-1", "XZ-block-2-of-2", "XZ-block-1-of-2",
+             "ZX-block-2-of-2", "CNOT-blocks-1-3"],
+    )
+    def test_bit_identical_to_kron_chain_assembly(self, recipe, n_blocks):
         h = recipe_hamiltonian(recipe, n_blocks)
-        monkeypatch.setattr(model, "pauli_on", pauli_kron)
-        assert h.tobytes() == recipe_hamiltonian(recipe, n_blocks).tobytes()
+        assert h.tobytes() == recipe_hamiltonian_kron(recipe, n_blocks).tobytes()
 
     def test_coupling_config_layout(self):
-        config = recipe_coupling_config(GateRecipe.zx(0.4, block=2), 2)
-        assert config.n_qubits == 6
-        assert set(config.two_body) == {(4, 5, "y"), (4, 6, "x")}
+        # ZX on block 2 of 2 couples qubits (4, 5) by R^y and (4, 6) by R^x.
+        phi, j = 0.4, 1.0
+        expected = j * (
+            math.sin(phi / 2) * r_op_bruteforce("y", 4, 5, 6)
+            - math.cos(phi / 2) * r_op_bruteforce("x", 4, 6, 6)
+        )
+        h = recipe_hamiltonian(GateRecipe.zx(phi, strength=j, block=2), 2)
+        assert np.abs(h - expected).max() < 1e-14
+
+    def test_dimension_cap_before_allocation(self):
+        # 5 blocks are 15 qubits: rejected from the qubit count, before any
+        # 2^15 x 2^15 matrix exists.
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCapError):
+                recipe_hamiltonian(GateRecipe.xz(0.3), 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestModelProperties:
@@ -257,11 +284,13 @@ class TestModelProperties:
         rng = np.random.default_rng(41)
         for _ in range(20):
             n = int(rng.integers(2, 5))
-            two = {}
+            h = np.zeros((2 ** n, 2 ** n), dtype=complex)
             for _ in range(rng.integers(1, 5)):
-                k, l = sorted(rng.choice(np.arange(1, n + 1), size=2, replace=False))
-                two[(int(k), int(l), rng.choice(["x", "y"]))] = float(rng.normal())
-            h = assemble_two_body(CouplingConfig(n, two_body=two))
+                hops = []
+                for _ in range(rng.integers(1, 3)):
+                    k, l = sorted(rng.choice(np.arange(1, n + 1), size=2, replace=False))
+                    hops.append((str(rng.choice(["x", "y"])), int(k), int(l)))
+                h += float(rng.normal()) * exchange_term(n, *hops)
             z = np.diag(collective_z(n))
             assert np.linalg.norm(h @ z - z @ h) <= 1e-12 * 2 ** n
 

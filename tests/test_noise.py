@@ -11,11 +11,19 @@ from hqcdfs.noise import (
     NoiseEnsemble,
     noisy_realize,
 )
-from hqcdfs.operators import evolve, pauli_on, phase_aligned_distance
+from hqcdfs.operators import evolve, phase_aligned_distance
 from hqcdfs.subspace import BasisSet, LogicalBlock, bit_state, dfs_product_basis, logical_basis, restrict
 
 from gate_tools import realized_logical, universal_recipes
-from oracles import PAULI, _sample_angles, bare_fidelity, collective_kick, embed_bruteforce, noisy_fidelities
+from oracles import (
+    PAULI,
+    _sample_angles,
+    bare_fidelity,
+    collective_kick,
+    embed_bruteforce,
+    noisy_fidelities,
+    pauli_kron,
+)
 
 
 def uniform_ensemble(kick_count=4, samples=50, seed=5):
@@ -223,7 +231,7 @@ class TestSectorPropagation:
 
     def test_coupling_out_of_the_sector_is_a_contract_violation(self, monkeypatch):
         def leaky(recipe, n_blocks):
-            return recipe_hamiltonian(recipe, n_blocks) + pauli_on("x", 1, 3 * n_blocks)
+            return recipe_hamiltonian(recipe, n_blocks) + pauli_kron("x", 1, 3 * n_blocks)
 
         monkeypatch.setattr(noise, "recipe_hamiltonian", leaky)
         with pytest.raises(ContractViolation, match="couples the collective-Z sector"):

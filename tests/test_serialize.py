@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hqcdfs import cli, serialize
 from hqcdfs.gates import realize
-from hqcdfs.model import CouplingConfig, GateRecipe, detune
+from hqcdfs.model import GateRecipe, detune
 from hqcdfs.noise import KickDistribution, NoisyGateResult
 from hqcdfs.serialize import Record, matrix_to_json, replace, round_sig
 from hqcdfs.serialize import encode_json as encode_chunks
@@ -195,7 +195,10 @@ class TestRecords:
         assert by_position.as_dict() == {"kind": "gaussian", "mean": 0.1, "stddev": 0.5, "value": 0.0}
 
     def test_dict_default_is_fresh_per_instance(self):
-        a, b = CouplingConfig(3), CouplingConfig(3)
+        class Couplings(Record):
+            two_body: dict = {}
+
+        a, b = Couplings(), Couplings()
         assert a.two_body == {} and a.two_body is not b.two_body
 
     @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import pytest
 
 from hqcdfs.errors import ContractViolation
 from hqcdfs.model import GateRecipe, collective_z, recipe_hamiltonian
-from hqcdfs.operators import evolve, pauli_on
+from hqcdfs.operators import evolve
 from hqcdfs.subspace import (
     BasisSet,
     LogicalBlock,
@@ -15,8 +15,14 @@ from hqcdfs.subspace import (
     restrict,
 )
 
-from gate_tools import leakage_profile, universal_recipes
-from oracles import bitstring_state, kron_bruteforce, random_unitary, three_level_rotation
+from gate_tools import basis_to_json, leakage_profile, universal_recipes
+from oracles import (
+    bitstring_state,
+    kron_bruteforce,
+    pauli_kron,
+    random_unitary,
+    three_level_rotation,
+)
 
 
 class TestLogicalBlock:
@@ -47,7 +53,7 @@ class TestBasisSet:
 
     def test_json_round_trip(self):
         basis = dfs_product_basis([LogicalBlock(1)], 3)
-        rebuilt = BasisSet.from_json_dict(basis.to_json_dict())
+        rebuilt = BasisSet.from_json_dict(basis_to_json(basis))
         assert rebuilt.labels == basis.labels
         assert np.allclose(rebuilt.vectors, basis.vectors)
 
@@ -145,7 +151,7 @@ class TestInvarianceDefect:
 
     def test_single_pauli_leaves_protected_space(self):
         basis = dfs_product_basis([LogicalBlock(1)], 3)
-        assert invariance_defect(pauli_on("x", 1, 3), basis) > 0.9
+        assert invariance_defect(pauli_kron("x", 1, 3), basis) > 0.9
 
     def test_identity_has_zero_defect(self):
         basis = dfs_product_basis([LogicalBlock(1)], 3)
