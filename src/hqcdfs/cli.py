@@ -45,6 +45,8 @@ TOLERANCES = {
     "reconstruction_distance": 1e-3,
     "fidelity_deficit": 1e-10,
     "excess_fidelity": 1e-10,
+    "counterexamples": 0,
+    "witness_error": 0.0,
 }
 
 
@@ -53,7 +55,7 @@ _CHECKS = {
     "gate": (
         ("distance", lambda g: g.distance),
         ("dfs_error", lambda g: g.dfs_error),
-        ("invariance_defect", lambda g: g.invariance),
+        ("invariance_defect", lambda g: g.invariance_defect),
         ("cyclicity_defect", lambda g: g.holonomy.cyclicity_defect),
         ("transport_defect", lambda g: g.holonomy.transport_defect),
         ("reconstruction_distance", lambda g: g.holonomy.reconstruction_distance),
@@ -67,6 +69,10 @@ _CHECKS = {
         ("fidelity_deficit", lambda n: 1.0 - n.min_fidelity),
         # F > 1 means the propagation inflated the norm; the deficit passes it.
         ("excess_fidelity", lambda n: float(np.max(n.per_sample)) - 1.0),
+    ),
+    "nogo": (
+        ("counterexamples", lambda r: r.counterexamples),
+        ("witness_error", lambda r: r.witness_error),
     ),
 }
 
@@ -106,15 +112,15 @@ def _parse(cls, source: str):
         raise InputError(f"invalid {cls.__name__}: {exc}") from exc
 
 
-def _check(violations: list, name: str, value: float, bound: float) -> None:
-    if not value <= bound:  # a NaN never passes
-        violations.append({"check": name, "value": value, "tolerance": bound})
-
-
 def _violations(command: str, report, scale: float) -> list:
-    violations: list = []
+    """The checks of ``command`` that ``report`` fails. A zero tolerance is
+    exact and keeps its type, so the integer bound on counterexamples is
+    reported as 0."""
+    violations = []
     for name, get in _CHECKS[command]:
-        _check(violations, name, get(report), TOLERANCES[name] * scale)
+        value, bound = get(report), TOLERANCES[name] and TOLERANCES[name] * scale
+        if not value <= bound:  # a NaN never passes
+            violations.append({"check": name, "value": value, "tolerance": bound})
     return violations
 
 
@@ -237,9 +243,7 @@ def _run_nogo(args: argparse.Namespace, scale: float) -> int:
     if args.seed < 0:
         raise InputError(f"seed must be >= 0, got {args.seed}")
     report = no_go_certificate(args.trials, args.seed)
-    violations: list = []
-    _check(violations, "counterexamples", report.counterexamples, 0)
-    _check(violations, "witness_error", report.witness_error, 0.0)
+    violations = _violations("nogo", report, scale)
     input_doc = {"trials": args.trials, "seed": args.seed}
     return _emit_report(args, scale, input_doc, report.to_json_dict(), violations)
 

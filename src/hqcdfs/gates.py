@@ -16,7 +16,7 @@ import numpy as np
 from .holonomy import HolonomyReport, certify, defects_only_report
 from .model import GateRecipe, exchange_term, recipe_hamiltonian
 from .operators import SIGMA_X, Spectrum, dagger, phase_aligned_distance
-from .serialize import Record, matrix_to_json, round_sig
+from .serialize import Record
 from .subspace import (
     BasisSet,
     LogicalBlock,
@@ -80,32 +80,16 @@ class GateRealization(Record):
 
     recipe: GateRecipe
     n_blocks: int
-    propagator: np.ndarray
+    spectator: str
+    distance: float
+    invariance_defect: float
+    dfs_error: float
     restricted: np.ndarray
     target: np.ndarray
-    distance: float
-    holonomy: HolonomyReport
-    invariance: float
     dfs_restricted: np.ndarray
     dfs_target: np.ndarray
-    dfs_error: float
-    spectator: str = "0L"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "recipe": self.recipe.to_json_dict(),
-            "n_blocks": self.n_blocks,
-            "spectator": self.spectator,
-            "distance": round_sig(self.distance),
-            "invariance_defect": round_sig(self.invariance),
-            "dfs_error": round_sig(self.dfs_error),
-            "restricted": matrix_to_json(self.restricted),
-            "target": matrix_to_json(self.target),
-            "dfs_restricted": matrix_to_json(self.dfs_restricted),
-            "dfs_target": matrix_to_json(self.dfs_target),
-            "propagator": matrix_to_json(self.propagator),
-            "holonomy": self.holonomy.to_json_dict(),
-        }
+    propagator: np.ndarray
+    holonomy: HolonomyReport
 
 
 def realize(
@@ -144,7 +128,6 @@ def realize(
     dfs_error = float(np.abs(dfs_restricted - dfs_target).max())
 
     protected = dfs_product_basis(blocks, n_total, spectator)
-    invariance = invariance_defect(propagator, protected)
 
     assess = defects_only_report if recipe.detuned else certify
     holonomy = assess(spectrum, logical, recipe.duration, steps, propagator)
@@ -152,16 +135,16 @@ def realize(
     return GateRealization(
         recipe=recipe,
         n_blocks=n_blocks,
-        propagator=propagator,
+        spectator=spectator,
+        distance=distance,
+        invariance_defect=invariance_defect(propagator, protected),
+        dfs_error=dfs_error,
         restricted=restricted,
         target=target,
-        distance=distance,
-        holonomy=holonomy,
-        invariance=invariance,
         dfs_restricted=dfs_restricted,
         dfs_target=dfs_target,
-        dfs_error=dfs_error,
-        spectator=spectator,
+        propagator=propagator,
+        holonomy=holonomy,
     )
 
 
@@ -179,9 +162,6 @@ class NoGoReport(Record):
     max_trivial_transport_defect: float
     min_nontrivial_transport_defect: float
     witness_error: float
-
-    def to_json_dict(self) -> dict:
-        return {k: round_sig(v) if isinstance(v, float) else v for k, v in self.as_dict().items()}
 
 
 def two_qubit_dfs() -> BasisSet:

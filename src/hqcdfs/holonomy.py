@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .operators import Spectrum, dagger, phase_aligned_distance, polar_unitary
-from .serialize import Record, matrix_to_json, round_sig
+from .serialize import Record
 from .subspace import BasisSet, restrict
 
 # Conditions (i)/(ii) must hold at this level before reconstruction runs.
@@ -92,24 +92,11 @@ class HolonomyReport(Record):
 
     cyclicity_defect: float
     transport_defect: float
-    holonomy_matrix: np.ndarray | None
     reconstruction_distance: float | None
     chain_defect: float | None
+    holonomy_matrix: np.ndarray | None
     steps: int
     tau: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cyclicity_defect": round_sig(self.cyclicity_defect),
-            "transport_defect": round_sig(self.transport_defect),
-            "reconstruction_distance": round_sig(self.reconstruction_distance),
-            "chain_defect": round_sig(self.chain_defect),
-            "holonomy_matrix": None
-            if self.holonomy_matrix is None
-            else matrix_to_json(self.holonomy_matrix),
-            "steps": self.steps,
-            "tau": round_sig(self.tau),
-        }
 
 
 def defects_only_report(

@@ -90,6 +90,7 @@ class GateRecipe(Record):
     def cnot(cls, strength: float = 1.0, blocks: tuple[int, int] = (1, 2)) -> "GateRecipe":
         return cls("CNOT", 0.0, strength, PULSE_AREAS["CNOT"] / strength, tuple(blocks))
 
+    # Overrides the record layout: the input echoed as given, floats unrounded.
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ContractViolation
 from .model import GateRecipe, collective_z, recipe_hamiltonian
 from .operators import ALGEBRA_TOL, evolve
-from .serialize import Record, as_float, as_int, round_sig
+from .serialize import Record, as_float, as_int
 from .subspace import LogicalBlock, logical_basis
 
 _DIST_KINDS = ("uniform", "gaussian", "fixed")
@@ -42,18 +42,7 @@ class KickDistribution(Record):
         if self.stddev < 0:
             raise ValueError("stddev must be >= 0")
 
-    @classmethod
-    def uniform(cls) -> "KickDistribution":
-        return cls("uniform")
-
-    @classmethod
-    def gaussian(cls, mean: float, stddev: float) -> "KickDistribution":
-        return cls("gaussian", mean=mean, stddev=stddev)
-
-    @classmethod
-    def fixed(cls, value: float) -> "KickDistribution":
-        return cls("fixed", value=value)
-
+    # Overrides the record layout: the input document's {"type", "params"}.
     def to_json_dict(self) -> dict:
         if self.kind == "uniform":
             params: dict = {}
@@ -68,9 +57,9 @@ class KickDistribution(Record):
         kind = data["type"]
         params = data.get("params", {})
         if kind == "gaussian":
-            return cls.gaussian(params["mean"], params["stddev"])
+            return cls("gaussian", mean=params["mean"], stddev=params["stddev"])
         if kind == "fixed":
-            return cls.fixed(params["theta"])
+            return cls("fixed", value=params["theta"])
         return cls(kind)
 
 
@@ -106,14 +95,6 @@ class NoiseEnsemble(Record):
                 f"must not exceed {ENSEMBLE_CAP}"
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kick_count": self.kick_count,
-            "distribution": self.distribution.to_json_dict(),
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "NoiseEnsemble":
         return cls(
@@ -132,13 +113,9 @@ class NoisyGateResult(Record):
     min_fidelity: float
     per_sample: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mean_fidelity": round_sig(self.mean_fidelity),
-            "min_fidelity": round_sig(self.min_fidelity),
-            # ``encode_json`` rounds an array as it writes it: no list of floats.
-            "per_sample": np.asarray(self.per_sample, dtype=np.float64),
-        }
+    def __post_init__(self):
+        # ``encode_json`` rounds an array as it writes it: no list of floats.
+        object.__setattr__(self, "per_sample", np.asarray(self.per_sample, dtype=np.float64))
 
 
 def noisy_realize(

@@ -2,10 +2,11 @@
 
 Records validate in ``__post_init__``, also when ``replace`` derives one
 from another; ``as_float`` and ``as_int`` reject NaN, Inf, bools, strings
-and fractional counts there. Complex matrices are encoded as nested
-[re, im] pairs, every float rounded to 12 significant digits so emitted
-reports diff stably; ``encode_json`` writes the indent-2 report text and
-rounds float64 arrays, such as those of ``matrix_to_json``, as it writes them.
+and fractional counts there. ``Record.to_json_dict`` is the one report
+layout: complex matrices become nested [re, im] pairs and every float is
+rounded to 12 significant digits so emitted reports diff stably.
+``encode_json`` writes the indent-2 report text and rounds float64 arrays,
+such as those of ``matrix_to_json``, as it writes them.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ class Record:
     """Immutable record whose fields are the class annotations, in order.
 
     Fields are given positionally or by keyword. A field with a class-level
-    value defaults to it; a ``dict`` default is copied for each instance.
-    ``__post_init__`` then validates the fields and may normalise them with
-    ``object.__setattr__``. Records compare equal field by field, and
-    assigning or deleting an attribute raises AttributeError.
+    value defaults to it. ``__post_init__`` then validates the fields and
+    may normalise them with ``object.__setattr__``. Records compare equal
+    field by field, and assigning or deleting an attribute raises
+    AttributeError.
     """
 
     _fields: tuple[str, ...] = ()
@@ -49,7 +50,6 @@ class Record:
                 value = values[field]
             elif field in self._defaults:
                 value = self._defaults[field]
-                value = dict(value) if isinstance(value, dict) else value
             else:
                 raise TypeError(f"{name} is missing field {field!r}")
             object.__setattr__(self, field, value)
@@ -67,6 +67,22 @@ class Record:
     def as_dict(self) -> dict:
         """Field name to value, in field order."""
         return {field: getattr(self, field) for field in self._fields}
+
+    def to_json_dict(self) -> dict:
+        """The report layout: each field under its name, in field order. A
+        float is rounded by ``round_sig``, a complex array becomes the
+        [re, im] pairs of ``matrix_to_json``, a nested record writes its own
+        ``to_json_dict``, and anything else is left as it is."""
+        doc = {}
+        for field, value in self.as_dict().items():
+            if isinstance(value, float):
+                value = round_sig(value)
+            elif isinstance(value, np.ndarray) and np.iscomplexobj(value):
+                value = matrix_to_json(value)
+            elif isinstance(value, Record):
+                value = value.to_json_dict()
+            doc[field] = value
+        return doc
 
     def __eq__(self, other):
         if type(other) is not type(self):

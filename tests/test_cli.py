@@ -483,11 +483,12 @@ class TestExitStatusContract:
         assert [v["check"] for v in json.loads(out)["violations"]] == ["excess_fidelity"]
 
     def test_nan_never_passes_a_check(self):
-        from hqcdfs.cli import _check
+        from hqcdfs.cli import _violations
+        from hqcdfs.noise import NoisyGateResult
 
-        violations: list = []
-        _check(violations, "distance", float("nan"), 1.0)
-        assert [v["check"] for v in violations] == ["distance"]
+        result = NoisyGateResult(float("nan"), float("nan"), (1.0,))
+        violations = _violations("noise", result, 1e6)
+        assert [v["check"] for v in violations] == ["fidelity_deficit"]
 
 
 def run_captured(argv):

@@ -90,7 +90,7 @@ class TestRealize:
         )
         assert np.abs(real.dfs_restricted - expected).max() <= 1e-10
         assert real.distance <= 1e-10
-        assert real.invariance <= 1e-10
+        assert real.invariance_defect <= 1e-10
 
     def test_zx_full_restriction(self):
         phi = 1.9
@@ -111,7 +111,7 @@ class TestRealize:
         expected[3, 4] = expected[4, 3] = 1.0
         assert np.abs(real.dfs_restricted - expected).max() <= 1e-10
         assert real.distance <= 1e-10
-        assert real.invariance <= 1e-10
+        assert real.invariance_defect <= 1e-10
         assert np.abs(ancilla_completed_target(GateRecipe.cnot()) - expected).max() == 0.0
 
     def test_detuned_recipe_reported_not_rejected(self):
@@ -294,7 +294,7 @@ class TestOneSpectrumPerHamiltonian:
             (lambda: realize(detune(GateRecipe.zx(0.4), 1.05), steps=512), 1),
             (
                 lambda: noisy_realize(
-                    GateRecipe.cnot(), NoiseEnsemble(4, KickDistribution.uniform(), 20, 5)
+                    GateRecipe.cnot(), NoiseEnsemble(4, KickDistribution("uniform"), 20, 5)
                 ),
                 1,
             ),

@@ -27,7 +27,7 @@ from oracles import (
 
 
 def uniform_ensemble(kick_count=4, samples=50, seed=5):
-    return NoiseEnsemble(kick_count, KickDistribution.uniform(), samples, seed)
+    return NoiseEnsemble(kick_count, KickDistribution("uniform"), samples, seed)
 
 
 def package_kick(theta: float, n: int) -> np.ndarray:
@@ -59,9 +59,9 @@ class TestCollectiveKick:
 class TestNoisyRealize:
     def test_encoded_gate_is_immune(self):
         for dist in (
-            KickDistribution.uniform(),
-            KickDistribution.gaussian(0.3, 1.7),
-            KickDistribution.fixed(2.2),
+            KickDistribution("uniform"),
+            KickDistribution("gaussian", 0.3, 1.7),
+            KickDistribution("fixed", value=2.2),
         ):
             ensemble = NoiseEnsemble(3, dist, samples=25, seed=9)
             result = noisy_realize(GateRecipe.xz(0.8), ensemble)
@@ -69,7 +69,7 @@ class TestNoisyRealize:
 
     def test_zero_kicks_reduce_to_plain_realization(self):
         recipe = GateRecipe.zx(1.4)
-        ensemble = NoiseEnsemble(0, KickDistribution.uniform(), samples=3, seed=1)
+        ensemble = NoiseEnsemble(0, KickDistribution("uniform"), samples=3, seed=1)
         result = noisy_realize(recipe, ensemble)
         restricted = realized_logical(recipe)
         target = target_for(recipe)
@@ -78,36 +78,36 @@ class TestNoisyRealize:
             assert abs(fidelity - plain) < 1e-14
 
     def test_cnot_under_uniform_kicks(self):
-        ensemble = NoiseEnsemble(4, KickDistribution.uniform(), samples=200, seed=3)
+        ensemble = NoiseEnsemble(4, KickDistribution("uniform"), samples=200, seed=3)
         result = noisy_realize(GateRecipe.cnot(), ensemble)
         assert result.min_fidelity >= 1.0 - 1e-10
 
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):
-            NoiseEnsemble(-1, KickDistribution.uniform(), 10, 0)
+            NoiseEnsemble(-1, KickDistribution("uniform"), 10, 0)
         with pytest.raises(ValueError):
-            NoiseEnsemble(1, KickDistribution.uniform(), 0, 0)
+            NoiseEnsemble(1, KickDistribution("uniform"), 0, 0)
         with pytest.raises(ValueError):
-            KickDistribution.gaussian(0.0, -1.0)
+            KickDistribution("gaussian", 0.0, -1.0)
 
     def test_ensemble_cap(self):
-        NoiseEnsemble(0, KickDistribution.uniform(), ENSEMBLE_CAP, 0)
-        NoiseEnsemble(ENSEMBLE_CAP, KickDistribution.uniform(), 1, 0)
+        NoiseEnsemble(0, KickDistribution("uniform"), ENSEMBLE_CAP, 0)
+        NoiseEnsemble(ENSEMBLE_CAP, KickDistribution("uniform"), 1, 0)
         # Each count is bounded on its own: kicks are never drawn.
-        NoiseEnsemble(2, KickDistribution.uniform(), ENSEMBLE_CAP // 2 + 1, 0)
-        NoiseEnsemble(ENSEMBLE_CAP, KickDistribution.uniform(), ENSEMBLE_CAP, 0)
+        NoiseEnsemble(2, KickDistribution("uniform"), ENSEMBLE_CAP // 2 + 1, 0)
+        NoiseEnsemble(ENSEMBLE_CAP, KickDistribution("uniform"), ENSEMBLE_CAP, 0)
         with pytest.raises(ValueError, match="must not exceed"):
-            NoiseEnsemble(0, KickDistribution.uniform(), ENSEMBLE_CAP + 1, 0)
+            NoiseEnsemble(0, KickDistribution("uniform"), ENSEMBLE_CAP + 1, 0)
         with pytest.raises(ValueError, match="must not exceed"):
-            NoiseEnsemble(ENSEMBLE_CAP + 1, KickDistribution.uniform(), 1, 0)
+            NoiseEnsemble(ENSEMBLE_CAP + 1, KickDistribution("uniform"), 1, 0)
         with pytest.raises(ValueError, match="must not exceed"):
-            NoiseEnsemble(10**18, KickDistribution.uniform(), 1, 0)
+            NoiseEnsemble(10**18, KickDistribution("uniform"), 1, 0)
 
     def test_json_round_trip(self):
         for ensemble in (
             uniform_ensemble(),
-            NoiseEnsemble(2, KickDistribution.gaussian(0.1, 0.5), 7, 42),
-            NoiseEnsemble(0, KickDistribution.fixed(1.2), 3, 8),
+            NoiseEnsemble(2, KickDistribution("gaussian", 0.1, 0.5), 7, 42),
+            NoiseEnsemble(0, KickDistribution("fixed", value=1.2), 3, 8),
         ):
             assert NoiseEnsemble.from_json_dict(ensemble.to_json_dict()) == ensemble
 
@@ -117,7 +117,7 @@ class TestBareBaseline:
     same kick schedule, read off the per-sample oracle."""
 
     def test_no_kick_angle_keeps_state(self):
-        ensemble = NoiseEnsemble(1, KickDistribution.fixed(0.0), samples=10, seed=2)
+        ensemble = NoiseEnsemble(1, KickDistribution("fixed", value=0.0), samples=10, seed=2)
         assert abs(bare_fidelity(0.7, ensemble) - 1.0) < 1e-12
 
     def test_uniform_kick_halves_mean_fidelity(self):
@@ -126,12 +126,12 @@ class TestBareBaseline:
         # variance of cos^2 equal to 1/8.
         samples = 10_000
         sigma = np.sqrt(1.0 / 8.0 / samples)
-        ensemble = NoiseEnsemble(1, KickDistribution.uniform(), samples=samples, seed=17)
+        ensemble = NoiseEnsemble(1, KickDistribution("uniform"), samples=samples, seed=17)
         mean = bare_fidelity(0.0, ensemble)
         assert abs(mean - 0.5) <= 3.0 * sigma
 
     def test_quarter_turn_kick_orthogonalizes(self):
-        ensemble = NoiseEnsemble(1, KickDistribution.fixed(np.pi / 2), samples=4, seed=0)
+        ensemble = NoiseEnsemble(1, KickDistribution("fixed", value=np.pi / 2), samples=4, seed=0)
         assert bare_fidelity(0.0, ensemble) < 1e-24
 
 
@@ -146,13 +146,13 @@ class TestNoiseProperties:
 
     def test_protection_independent_of_kick_schedule(self):
         for kick_count in (1, 4, 16):
-            for dist in (KickDistribution.uniform(), KickDistribution.gaussian(0.0, 2.5)):
+            for dist in (KickDistribution("uniform"), KickDistribution("gaussian", 0.0, 2.5)):
                 ensemble = NoiseEnsemble(kick_count, dist, samples=20, seed=23)
                 result = noisy_realize(GateRecipe.xz(0.3), ensemble)
                 assert min(result.per_sample) >= 1.0 - 1e-10
 
     def test_bare_qubit_degrades(self):
-        ensemble = NoiseEnsemble(1, KickDistribution.uniform(), samples=10_000, seed=29)
+        ensemble = NoiseEnsemble(1, KickDistribution("uniform"), samples=10_000, seed=29)
         assert bare_fidelity(0.0, ensemble) <= 0.55
 
     def test_identical_seeds_reproduce_bit_exactly(self):
@@ -183,9 +183,9 @@ class TestNoiseProperties:
 
 
 DISTRIBUTIONS = {
-    "uniform": KickDistribution.uniform(),
-    "gaussian": KickDistribution.gaussian(0.3, 1.7),
-    "fixed": KickDistribution.fixed(2.2),
+    "uniform": KickDistribution("uniform"),
+    "gaussian": KickDistribution("gaussian", 0.3, 1.7),
+    "fixed": KickDistribution("fixed", value=2.2),
 }
 
 
@@ -223,7 +223,7 @@ class TestSectorPropagation:
         ids=["CNOT-blocks-2-1", "CNOT-detuned", "XZ-block-1-of-2", "ZX-block-2-of-2"],
     )
     def test_matches_full_register_oracle(self, recipe, n_blocks):
-        ensemble = NoiseEnsemble(4, KickDistribution.gaussian(0.3, 1.7), samples=70, seed=13)
+        ensemble = NoiseEnsemble(4, KickDistribution("gaussian", 0.3, 1.7), samples=70, seed=13)
         sector = noisy_realize(recipe, ensemble, n_blocks).per_sample
         expected = noisy_fidelities(recipe, ensemble, n_blocks)
         assert len(sector) == len(expected)
@@ -300,7 +300,7 @@ class TestAngleStream:
 
     @pytest.mark.parametrize("dist", DISTRIBUTIONS.values(), ids=DISTRIBUTIONS.keys())
     def test_per_sample_bytes_ignore_the_kicks(self, dist):
-        still = NoiseEnsemble(0, KickDistribution.fixed(0.0), samples=30, seed=0)
+        still = NoiseEnsemble(0, KickDistribution("fixed", value=0.0), samples=30, seed=0)
         for recipe in (GateRecipe.xz(0.8), GateRecipe.zx(1.4), GateRecipe.cnot()):
             expected = noisy_realize(recipe, still).per_sample.tobytes()
             for seed in (0, 21, 78):
@@ -331,7 +331,7 @@ class TestKickCountDrift:
         ],
     )
     def test_fidelity_at_1e5_kicks(self, recipe, kick_count):
-        ensemble = NoiseEnsemble(kick_count, KickDistribution.uniform(), samples=1, seed=5)
+        ensemble = NoiseEnsemble(kick_count, KickDistribution("uniform"), samples=1, seed=5)
         assert abs(1.0 - noisy_realize(recipe, ensemble).min_fidelity) <= 1e-11
 
 
@@ -343,7 +343,7 @@ class TestNonCollectiveKickControl:
     RECIPE = GateRecipe.xz(0.3)
 
     @staticmethod
-    def deficits(generator, dist=KickDistribution.uniform()):
+    def deficits(generator, dist=KickDistribution("uniform")):
         ensemble = NoiseEnsemble(4, dist, samples=40, seed=5)
         return 1.0 - np.array(noisy_fidelities(TestNonCollectiveKickControl.RECIPE, ensemble, generator=generator))
 
@@ -361,7 +361,7 @@ class TestNonCollectiveKickControl:
         # 1 - F grows as delta^2 for small delta.
         collective = collective_z(3)
         sz_2 = np.diagonal(embed_bruteforce(PAULI["z"], 2, 3)).real
-        fixed = KickDistribution.fixed(0.7)
+        fixed = KickDistribution("fixed", value=0.7)
         small, double = (self.deficits(collective + d * sz_2, fixed).mean() for d in (1e-3, 2e-3))
         assert small >= 1e-8
         assert abs(double / small - 4.0) <= 0.05

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqcdfs import cli, serialize
-from hqcdfs.gates import realize
+from hqcdfs.gates import no_go_certificate, realize
 from hqcdfs.model import GateRecipe, detune
-from hqcdfs.noise import KickDistribution, NoisyGateResult
+from hqcdfs.noise import KickDistribution, NoiseEnsemble, NoisyGateResult
 from hqcdfs.serialize import Record, matrix_to_json, replace, round_sig
 from hqcdfs.serialize import encode_json as encode_chunks
 
@@ -194,13 +194,6 @@ class TestRecords:
         assert by_position.value == 0.0
         assert by_position.as_dict() == {"kind": "gaussian", "mean": 0.1, "stddev": 0.5, "value": 0.0}
 
-    def test_dict_default_is_fresh_per_instance(self):
-        class Couplings(Record):
-            two_body: dict = {}
-
-        a, b = Couplings(), Couplings()
-        assert a.two_body == {} and a.two_body is not b.two_body
-
     @pytest.mark.parametrize(
         "args, kwargs",
         [(("uniform", 0.0, 0.0, 0.0, 1.0), {}), (("uniform",), {"kind": "fixed"}), ((), {"angle": 1.0}), ((), {})],
@@ -238,6 +231,34 @@ class TestRecords:
 
         assert Pair(1) == Pair(left=1, right=2)
         assert repr(Pair(1)) == "Pair(left=1, right=2)"
+
+
+# Every result record a command reports, built as the commands build it.
+RESULT_RECORDS = {
+    "holonomy-certified": lambda: realize(GateRecipe.xz(0.3), steps=64).holonomy,
+    "holonomy-defects-only": lambda: realize(detune(GateRecipe.xz(0.3), 1.04), steps=64).holonomy,
+    "gate-xz": lambda: realize(GateRecipe.xz(0.3), steps=64),
+    "gate-cnot": lambda: realize(GateRecipe.cnot(), steps=64),
+    "nogo": lambda: no_go_certificate(5, 3),
+    "noisy-gate-result": lambda: NoisyGateResult(0.5, 0.25, (0.25, 0.75)),
+    "noise-ensemble": lambda: NoiseEnsemble(3, KickDistribution("gaussian", 0.1, 0.5), 7, 2),
+}
+
+
+class TestReportLayout:
+    @pytest.mark.parametrize("build", RESULT_RECORDS.values(), ids=RESULT_RECORDS.keys())
+    def test_keys_are_the_fields_in_order(self, build):
+        record = build()
+        doc = record.to_json_dict()
+        assert list(doc) == list(record._fields)
+        for field, value in record.as_dict().items():
+            if isinstance(value, Record):
+                assert encode_json(doc[field]) == encode_json(value.to_json_dict())
+        assert list(json.loads(encode_json(doc))) == list(record._fields)
+
+    def test_per_sample_is_float64(self):
+        result = RESULT_RECORDS["noisy-gate-result"]()
+        assert isinstance(result.per_sample, np.ndarray) and result.per_sample.dtype == np.float64
 
 
 def test_cli_import_does_not_load_dataclasses():
