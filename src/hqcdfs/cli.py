@@ -28,7 +28,7 @@ from .model import GateRecipe, detune, recipe_hamiltonian
 from .noise import NoiseEnsemble, noisy_realize
 from .operators import Spectrum
 from .serialize import FORMAT_CHUNK, encode_json, replace
-from .subspace import BasisSet, LogicalBlock, logical_basis
+from .subspace import BasisSet, dfs_product_basis
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -175,7 +175,7 @@ def _run_holonomy(args: argparse.Namespace, scale: float) -> int:
                 f"the {spectrum.h.shape[0]}-dimensional register of this recipe"
             )
     else:
-        basis = logical_basis([LogicalBlock(b) for b in recipe.blocks], 3 * n_blocks)
+        basis = dfs_product_basis(recipe.blocks, n_blocks, "01")
     assess = defects_only_report if recipe.detuned else certify
     report = assess(spectrum, basis, recipe.duration, args.steps)
     violations = [] if recipe.detuned else _violations("holonomy", report, scale)

@@ -17,16 +17,7 @@ from .holonomy import HolonomyReport, certify, defects_only_report
 from .model import GateRecipe, exchange_term, recipe_hamiltonian
 from .operators import SIGMA_X, Spectrum, dagger, phase_aligned_distance
 from .serialize import Record
-from .subspace import (
-    BasisSet,
-    LogicalBlock,
-    bit_state,
-    dfs_product_basis,
-    invariance_defect,
-    invariant_check_basis,
-    logical_basis,
-    restrict,
-)
+from .subspace import BasisSet, dfs_product_basis, invariance_defect, restrict
 
 DEFAULT_CHAIN_STEPS = 4096
 
@@ -76,7 +67,8 @@ def ancilla_completed_target(recipe: GateRecipe) -> np.ndarray:
 
 
 class GateRealization(Record):
-    """Everything measured about one realized gate."""
+    """Everything measured about one realized gate; ``spectator`` names the
+    state of the idle blocks, always "0L"."""
 
     recipe: GateRecipe
     n_blocks: int
@@ -94,40 +86,37 @@ class GateRealization(Record):
 
 def realize(
     recipe: GateRecipe,
-    n_blocks: int | None = None,
     steps: int = DEFAULT_CHAIN_STEPS,
-    spectator: str = "0L",
     spectrum: Spectrum | None = None,
 ) -> GateRealization:
     """Recipe -> propagator -> restriction -> certification -> comparison.
 
-    Spectator blocks (present when n_blocks exceeds the recipe's span) sit
-    in the ``spectator`` reference state; the logical action must not depend
-    on that choice. A given ``spectrum`` is that of the recipe's Hamiltonian,
-    shared by recipes differing only in duration. Detuned recipes are
-    reported, not rejected: the holonomy preconditions genuinely fail off the
-    pulse-area condition, so their report carries the condition defects
-    without a reconstruction.
+    The register holds ``max(recipe.blocks)`` blocks, those the recipe does
+    not name idle in |0>_L. A given ``spectrum`` is that of the recipe's
+    Hamiltonian, shared by recipes differing only in duration. Detuned
+    recipes are reported, not rejected: the holonomy preconditions genuinely
+    fail off the pulse-area condition, so their report carries the
+    condition defects without a reconstruction.
     """
-    if n_blocks is None:
-        n_blocks = max(recipe.blocks)
-    n_total = 3 * n_blocks
-    blocks = [LogicalBlock(b) for b in recipe.blocks]
+    n_blocks = max(recipe.blocks)
     if spectrum is None:
         spectrum = Spectrum(recipe_hamiltonian(recipe, n_blocks))
     propagator = spectrum.propagator(recipe.duration)
 
-    logical = logical_basis(blocks, n_total, spectator)
+    protected = dfs_product_basis(recipe.blocks, n_blocks)
+    logical = dfs_product_basis(recipe.blocks, n_blocks, "01")
     restricted = restrict(propagator, logical)
     target = target_for(recipe)
     distance = phase_aligned_distance(restricted, target)
 
-    check_basis = invariant_check_basis(blocks, n_total, spectator)
+    # Ancilla-completed: the all-ancilla state, then the logical basis.
+    check_basis = BasisSet(
+        np.column_stack([protected.vectors[:, 0], logical.vectors]),
+        protected.labels[:1] + logical.labels,
+    )
     dfs_restricted = restrict(propagator, check_basis)
     dfs_target = ancilla_completed_target(recipe)
     dfs_error = float(np.abs(dfs_restricted - dfs_target).max())
-
-    protected = dfs_product_basis(blocks, n_total, spectator)
 
     assess = defects_only_report if recipe.detuned else certify
     holonomy = assess(spectrum, logical, recipe.duration, steps, propagator)
@@ -135,7 +124,7 @@ def realize(
     return GateRealization(
         recipe=recipe,
         n_blocks=n_blocks,
-        spectator=spectator,
+        spectator="0L",
         distance=distance,
         invariance_defect=invariance_defect(propagator, protected),
         dfs_error=dfs_error,
@@ -166,9 +155,7 @@ class NoGoReport(Record):
 
 def two_qubit_dfs() -> BasisSet:
     """The protected two-state space of two collectively dephasing qubits."""
-    return BasisSet(
-        np.column_stack([bit_state("01"), bit_state("10")]), ("01", "10")
-    )
+    return BasisSet(np.eye(4)[:, 1:3], ("01", "10"))
 
 
 NO_GO_TOL = 1e-10

@@ -23,7 +23,6 @@ import numpy as np
 
 from .operators import check_dimension_cap
 from .serialize import Record, as_float, as_int, replace
-from .subspace import LogicalBlock
 
 GATE_KINDS = ("XZ", "ZX", "CNOT")
 
@@ -162,10 +161,10 @@ def collective_z(n: int) -> np.ndarray:
 def recipe_hamiltonian(recipe: GateRecipe, n_blocks: int) -> np.ndarray:
     """Gate Hamiltonian of ``recipe`` on the full 2^(3 n_blocks) register.
 
-    Single-block gates couple qubits (3n-2, 3n-1) and (3n-2, 3n) of block
-    n; the CNOT on blocks (m, n) couples (3m-2, 3m) with (3n-2, 3n-1) and
-    (3n-2, 3n). The terms are summed onto one zero matrix in the order
-    listed.
+    Single-block gates couple qubits (3b-2, 3b-1) and (3b-2, 3b) of block
+    b; the CNOT with control block c and target block t couples (3c-2, 3c)
+    with (3t-2, 3t-1) and (3t-2, 3t). The terms are summed onto one zero
+    matrix in the order listed.
     """
     if any(b > n_blocks for b in recipe.blocks):
         raise IndexError(f"recipe blocks {recipe.blocks} exceed n_blocks={n_blocks}")
@@ -173,14 +172,14 @@ def recipe_hamiltonian(recipe: GateRecipe, n_blocks: int) -> np.ndarray:
     check_dimension_cap(n)
     J = recipe.strength
     if recipe.kind == "CNOT":
-        m1, _, m3 = LogicalBlock(recipe.blocks[0]).physical_qubits
-        n1, n2, n3 = LogicalBlock(recipe.blocks[1]).physical_qubits
+        ctl, tgt = recipe.blocks
         terms = [
-            (J, [("x", m1, m3), ("x", n1, n2)]),
-            (-J, [("x", m1, m3), ("x", n1, n3)]),
+            (J, [("x", 3 * ctl - 2, 3 * ctl), ("x", 3 * tgt - 2, 3 * tgt - 1)]),
+            (-J, [("x", 3 * ctl - 2, 3 * ctl), ("x", 3 * tgt - 2, 3 * tgt)]),
         ]
     else:
-        q1, q2, q3 = LogicalBlock(recipe.blocks[0]).physical_qubits
+        (b,) = recipe.blocks
+        q1, q2, q3 = 3 * b - 2, 3 * b - 1, 3 * b
         c = math.cos(recipe.phase / 2.0)
         s = math.sin(recipe.phase / 2.0)
         if recipe.kind == "XZ":

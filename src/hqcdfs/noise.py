@@ -4,10 +4,10 @@ The environment couples through the total sz only, so its effect is modeled
 by unitary kicks exp(-i theta sum_k sz_k) with random angles interleaved
 between equal-time slices of the gate evolution. Every gate Hamiltonian
 here commutes with the kick generator, and the logical basis states lie in
-one collective-Z eigenspace, so a kick multiplies the propagated sector by
-one global phase and |Tr| removes it. ``noisy_realize`` checks both premises
-and then computes F once: the ensemble is validated and echoed, but it
-cannot change F, and ``per_sample`` repeats it. ``tests/oracles.py`` keeps
+one collective-Z eigenspace, so a kick multiplies the evolved logical
+states by one global phase and |Tr| removes it. ``noisy_realize`` checks
+both premises and then computes F once: the ensemble is validated and
+echoed, but it cannot change F, and ``per_sample`` repeats it. ``tests/oracles.py`` keeps
 the per-sample, per-kick loop as the reference.
 """
 
@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import ContractViolation
 from .model import GateRecipe, collective_z, recipe_hamiltonian
-from .operators import ALGEBRA_TOL, evolve
+from .operators import ALGEBRA_TOL, Spectrum, dagger
 from .serialize import Record, as_float, as_int
-from .subspace import LogicalBlock, logical_basis
+from .subspace import dfs_product_basis, restrict
 
 _DIST_KINDS = ("uniform", "gaussian", "fixed")
 
@@ -118,31 +118,26 @@ class NoisyGateResult(Record):
         object.__setattr__(self, "per_sample", np.asarray(self.per_sample, dtype=np.float64))
 
 
-def noisy_realize(
-    recipe: GateRecipe, ensemble: NoiseEnsemble, n_blocks: int | None = None
-) -> NoisyGateResult:
+def noisy_realize(recipe: GateRecipe, ensemble: NoiseEnsemble) -> NoisyGateResult:
     """Logical process fidelity of the gate under interleaved phase kicks.
 
     The evolution is sliced into kick_count + 1 equal-time segments with an
     independent collective kick between consecutive segments; each sample
     reports F = |Tr(target^dag restricted)| / L on the logical basis.
 
-    Gate and kicks commute with collective Z, so only its sector holding the
-    logical basis is propagated (15 of 64 states for CNOT); a Hamiltonian
-    entry coupling it to the rest, or logical rows with more than one
-    collective-Z value, raise ContractViolation. Every kick is then one
-    global phase on the sector, so each sample's F equals the noiseless
-    F = |sum conj(V target) * (U V)| / L, computed once from one
-    eigendecomposition of the sector block and repeated ``samples`` times.
+    Two premises make every kick one global phase on the logical basis, and
+    each raises ContractViolation when it fails: the logical rows carry one
+    collective-Z value, and no Hamiltonian entry couples that collective-Z
+    sector to the rest of the register. Each sample's F then equals the
+    noiseless F, computed once from the register's shared ``Spectrum``,
+    restricted as ``realize`` restricts, and repeated ``samples`` times.
     """
     from .gates import target_for  # local import to avoid a module cycle
 
-    if n_blocks is None:
-        n_blocks = max(recipe.blocks)
-    n_total = 3 * n_blocks
+    n_blocks = max(recipe.blocks)
     h = recipe_hamiltonian(recipe, n_blocks)
-    z_diag = collective_z(n_total)
-    basis = logical_basis([LogicalBlock(b) for b in recipe.blocks], n_total)
+    z_diag = collective_z(3 * n_blocks)
+    basis = dfs_product_basis(recipe.blocks, n_blocks, "01")
     # min/max rather than np.unique, which would import numpy.ma.
     z_logical = z_diag[np.any(basis.vectors != 0, axis=1)]
     if z_logical.min() != z_logical.max():
@@ -153,10 +148,9 @@ def noisy_realize(
     leak = np.abs(h[np.not_equal.outer(sector, sector)]).max(initial=0.0)
     if leak > ALGEBRA_TOL:
         raise ContractViolation(f"Hamiltonian couples the collective-Z sector out by {leak:.3e}")
-    vectors = basis.vectors[sector]
-    overlap = (vectors @ target_for(recipe)).conj()
-    evolved = evolve(h[np.ix_(sector, sector)], recipe.duration) @ vectors
-    fidelity = float(np.abs(np.sum(overlap * evolved))) / vectors.shape[1]
+    target = target_for(recipe)
+    restricted = restrict(Spectrum(h).propagator(recipe.duration), basis)
+    fidelity = float(np.abs(np.trace(dagger(target) @ restricted))) / target.shape[0]
     return NoisyGateResult(
         mean_fidelity=fidelity,
         min_fidelity=fidelity,

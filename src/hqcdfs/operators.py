@@ -128,12 +128,6 @@ class Spectrum:
         return require_unitary((vectors * phases[..., None, :]) @ dagger(vectors))
 
 
-def evolve(h, t: float) -> np.ndarray:
-    """Propagator exp(-i h t) of a constant Hermitian generator, for a
-    single time; build a ``Spectrum`` to evolve one generator repeatedly."""
-    return Spectrum(h).propagator(t)
-
-
 def polar_unitary(m) -> np.ndarray:
     """Unitary factor of the polar decomposition m = U P, P positive.
 

@@ -4,6 +4,8 @@ One logical qubit lives on three physical qubits. The single-excitation
 states |100>, |010>, |001> share the collective-dephasing eigenvalue +1 and
 span the protected space; the logical basis is |0>_L = |010>, |1>_L = |001>
 with |a> = |100> as the ancilla through which gate evolution transits.
+Every basis the package certifies on is a product of these states over a
+recipe's blocks, built by ``dfs_product_basis``.
 """
 
 from __future__ import annotations
@@ -17,32 +19,6 @@ from .operators import as_complex_matrix, dagger
 from .serialize import Record, as_float, as_int
 
 ORTHONORMALITY_TOL = 1e-12
-
-# Bit patterns of the protected-space basis on one block, qubit 1 = MSB.
-_BLOCK_PATTERNS = {"a": "100", "0L": "010", "1L": "001"}
-
-
-class LogicalBlock(Record):
-    """Logical qubit ``index`` on physical qubits (3n-2, 3n-1, 3n)."""
-
-    index: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise IndexError(f"block index must be >= 1, got {self.index}")
-
-    @property
-    def physical_qubits(self) -> tuple[int, int, int]:
-        return (3 * self.index - 2, 3 * self.index - 1, 3 * self.index)
-
-
-def bit_state(bits: str) -> np.ndarray:
-    """Computational basis vector for a bitstring, qubit 1 = most significant."""
-    if not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"expected a nonempty bitstring, got {bits!r}")
-    vec = np.zeros(2 ** len(bits), dtype=np.complex128)
-    vec[int(bits, 2)] = 1.0
-    return vec
 
 
 class BasisSet(Record):
@@ -96,83 +72,33 @@ class BasisSet(Record):
         return basis
 
 
-def _check_block_fits(block: LogicalBlock, n_total: int) -> None:
-    if 3 * block.index > n_total:
-        raise IndexError(
-            f"block {block.index} needs qubits up to {3 * block.index}, register has {n_total}"
-        )
+# Bit pattern of each single-block state on its three qubits, qubit 1 = MSB.
+_BLOCK_BITS = {"a": 0b100, "0": 0b010, "1": 0b001}
 
 
-# Single-block states a basis ranges over, mapped to their label tokens.
-_DFS_STATES = {"a": "a", "0L": "0L", "1L": "1L"}
-_LOGICAL_STATES = {"0L": "0", "1L": "1"}
+def dfs_product_basis(blocks: Sequence[int], n_blocks: int, states: str = "a01") -> BasisSet:
+    """Every assignment of ``states`` to ``blocks`` on a register of
+    ``n_blocks`` blocks; the blocks not listed sit in |0>_L.
 
-
-def _product_basis(
-    blocks: Sequence[LogicalBlock], n_total: int, spectator: str, states: dict[str, str]
-) -> BasisSet:
-    """Every assignment of ``states`` to ``blocks``, other blocks in ``spectator``.
-
-    Lexicographic order with the first listed block most significant; each
-    label joins the blocks' tokens.
+    Each character of ``states`` names a single-block state: "a" is |a>,
+    "0" is |0>_L and "1" is |1>_L. Columns run in lexicographic order with
+    the first listed block most significant, and each label joins the
+    blocks' characters: blocks (1, 2) with states "01" give |00>_L, |01>_L,
+    |10>_L, |11>_L, labelled "00", "01", "10", "11". Each column's single 1
+    is written by index.
     """
-    if not blocks or len({b.index for b in blocks}) != len(blocks):
-        raise ValueError(f"blocks must be nonempty and distinct, got {[b.index for b in blocks]}")
+    if not blocks or len(set(blocks)) != len(blocks):
+        raise ValueError(f"blocks must be nonempty and distinct, got {list(blocks)}")
+    if min(blocks) < 1 or max(blocks) > n_blocks:
+        raise IndexError(f"blocks {list(blocks)} do not fit a register of {n_blocks} blocks")
+    rows, labels = [int("010" * n_blocks, 2)], [""]
     for block in blocks:
-        _check_block_fits(block, n_total)
-    if n_total % 3 != 0:
-        raise ValueError(f"register size must be a multiple of 3, got {n_total}")
-    if spectator not in _BLOCK_PATTERNS:
-        raise ValueError(f"spectator must be one of {sorted(_BLOCK_PATTERNS)}")
-    assignments = [()]
-    for _ in blocks:
-        assignments = [a + (name,) for a in assignments for name in states]
-    columns = []
-    for assignment in assignments:
-        pattern = [_BLOCK_PATTERNS[spectator]] * (n_total // 3)
-        for block, name in zip(blocks, assignment):
-            pattern[block.index - 1] = _BLOCK_PATTERNS[name]
-        columns.append(bit_state("".join(pattern)))
-    labels = tuple("".join(states[name] for name in a) for a in assignments)
-    return BasisSet(np.column_stack(columns), labels)
-
-
-def logical_basis(
-    blocks: Sequence[LogicalBlock], n_total: int, spectator: str = "0L"
-) -> BasisSet:
-    """Computational basis of the logical register spanned by ``blocks``.
-
-    Lexicographic ordering with the first listed block as the most
-    significant logical qubit: one block gives (|0>_L, |1>_L), two give
-    (|00>_L, |01>_L, |10>_L, |11>_L).
-    """
-    return _product_basis(blocks, n_total, spectator, _LOGICAL_STATES)
-
-
-def invariant_check_basis(
-    blocks: Sequence[LogicalBlock], n_total: int, spectator: str = "0L"
-) -> BasisSet:
-    """Ancilla-completed basis on which the gate matrices are quoted.
-
-    One block: (|a>, |0>_L, |1>_L). Two blocks: the five-state invariant
-    family (|aa>, |00>_L, |01>_L, |10>_L, |11>_L).
-    """
-    if len(blocks) == 1:
-        return dfs_product_basis(blocks, n_total, spectator)
-    if len(blocks) != 2:
-        raise ValueError("invariant check basis is defined for 1 or 2 blocks")
-    ancilla = _product_basis(blocks, n_total, spectator, {"a": "a"})
-    logical = logical_basis(blocks, n_total, spectator)
-    return BasisSet(
-        np.column_stack([ancilla.vectors, logical.vectors]), ancilla.labels + logical.labels
-    )
-
-
-def dfs_product_basis(
-    blocks: Sequence[LogicalBlock], n_total: int, spectator: str = "0L"
-) -> BasisSet:
-    """Full protected space of several blocks (3^len(blocks) states)."""
-    return _product_basis(blocks, n_total, spectator, _DFS_STATES)
+        shift = 3 * (n_blocks - block)
+        rows = [row & ~(0b111 << shift) | _BLOCK_BITS[s] << shift for row in rows for s in states]
+        labels = [label + s for label in labels for s in states]
+    vectors = np.zeros((2 ** (3 * n_blocks), len(rows)), dtype=np.complex128)
+    vectors[rows, np.arange(len(rows))] = 1.0
+    return BasisSet(vectors, tuple(labels))
 
 
 def restrict(op: np.ndarray, basis: BasisSet) -> np.ndarray:

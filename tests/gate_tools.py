@@ -15,8 +15,8 @@ import numpy as np
 
 from hqcdfs.gates import target_for
 from hqcdfs.model import GateRecipe, recipe_hamiltonian
-from hqcdfs.operators import Spectrum, dagger, evolve, require_unitary
-from hqcdfs.subspace import ORTHONORMALITY_TOL, BasisSet, LogicalBlock, logical_basis, restrict
+from hqcdfs.operators import Spectrum, dagger, require_unitary
+from hqcdfs.subspace import ORTHONORMALITY_TOL, BasisSet, dfs_product_basis, restrict
 
 
 def matrix_from_json(data) -> np.ndarray:
@@ -45,13 +45,11 @@ def universal_recipes(strength: float = 1.0, phase: float = 0.0) -> tuple[GateRe
     )
 
 
-def realized_logical(recipe: GateRecipe, n_blocks: int | None = None) -> np.ndarray:
+def realized_logical(recipe: GateRecipe) -> np.ndarray:
     """Fast path: the propagator restricted to the logical basis only."""
-    if n_blocks is None:
-        n_blocks = max(recipe.blocks)
-    h = recipe_hamiltonian(recipe, n_blocks)
-    basis = logical_basis([LogicalBlock(b) for b in recipe.blocks], 3 * n_blocks)
-    return restrict(evolve(h, recipe.duration), basis)
+    n_blocks = max(recipe.blocks)
+    propagator = Spectrum(recipe_hamiltonian(recipe, n_blocks)).propagator(recipe.duration)
+    return restrict(propagator, dfs_product_basis(recipe.blocks, n_blocks, "01"))
 
 
 def rotation_sequence(axis: str, angle: float) -> list[GateRecipe]:
@@ -76,13 +74,11 @@ def compose_targets(recipes: Sequence[GateRecipe]) -> np.ndarray:
     return out
 
 
-def compose_realized(
-    recipes: Sequence[GateRecipe], n_blocks: int | None = None
-) -> np.ndarray:
+def compose_realized(recipes: Sequence[GateRecipe]) -> np.ndarray:
     """Product of realized logical gates, recipes in application order."""
-    out = realized_logical(recipes[0], n_blocks)
+    out = realized_logical(recipes[0])
     for recipe in recipes[1:]:
-        out = realized_logical(recipe, n_blocks) @ out
+        out = realized_logical(recipe) @ out
     return out
 
 

@@ -11,6 +11,7 @@ its memory, the reference takes it in one shot.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -109,6 +110,24 @@ def bitstring_state(bits: str) -> np.ndarray:
     v = np.zeros(2 ** len(bits), dtype=complex)
     v[int(bits, 2)] = 1.0
     return v
+
+
+# Bits of |a>, |0>_L and |1>_L on one block's three qubits.
+BLOCK_BITS = {"a": "100", "0": "010", "1": "001"}
+
+
+def product_states(blocks, n_blocks: int, states: str, idle: str = "0"):
+    """(vectors, labels) of every assignment of ``states`` to ``blocks``, the
+    first block most significant, the other blocks in ``idle``: a column
+    stack of ``bitstring_state`` over the joined bitstrings."""
+    columns, labels = [], []
+    for assignment in itertools.product(states, repeat=len(blocks)):
+        pattern = [BLOCK_BITS[idle]] * n_blocks
+        for block, state in zip(blocks, assignment):
+            pattern[block - 1] = BLOCK_BITS[state]
+        columns.append(bitstring_state("".join(pattern)))
+        labels.append("".join(assignment))
+    return np.column_stack(columns), tuple(labels)
 
 
 def expm_oracle(h: np.ndarray, t: float) -> np.ndarray:
@@ -322,28 +341,27 @@ def _sample_angles(ensemble):
             yield np.full(count, distribution.value)
 
 
-def noisy_fidelities(recipe, ensemble, n_blocks=None, generator=None) -> list[float]:
+def noisy_fidelities(recipe, ensemble, generator=None) -> list[float]:
     """Per-sample logical process fidelities, one sample and one kick at a time.
 
-    The full d x d propagator of the 3 * n_blocks qubit register (default:
-    just large enough for the recipe) is built kick by kick from the
-    package's segment propagator and kicks exp(-i theta G), then restricted
-    to the logical basis and traced against the target. ``generator`` is the
-    diagonal of G; the default is the brute-force collective sum_k sz_k.
+    The full d x d propagator of the recipe's register is built kick by kick
+    from the package's segment propagator and kicks exp(-i theta G), then
+    restricted to the logical basis of ``product_states`` and traced against
+    the target. ``generator`` is the diagonal of G; the default is the
+    brute-force collective sum_k sz_k.
     """
     from hqcdfs.gates import target_for
     from hqcdfs.model import recipe_hamiltonian
-    from hqcdfs.operators import evolve
-    from hqcdfs.subspace import LogicalBlock, logical_basis
+    from hqcdfs.operators import Spectrum
 
-    if n_blocks is None:
-        n_blocks = max(recipe.blocks)
+    n_blocks = max(recipe.blocks)
     n = 3 * n_blocks
     segments = ensemble.kick_count + 1
-    u_segment = evolve(recipe_hamiltonian(recipe, n_blocks), recipe.duration / segments)
+    h = recipe_hamiltonian(recipe, n_blocks)
+    u_segment = Spectrum(h).propagator(recipe.duration / segments)
     if generator is None:
         generator = np.diagonal(sum(embed_bruteforce(PAULI["z"], k, n) for k in range(1, n + 1))).real
-    vectors = logical_basis([LogicalBlock(b) for b in recipe.blocks], n).vectors
+    vectors, _ = product_states(recipe.blocks, n_blocks, "01")
     target = target_for(recipe)
     fidelities = []
     for angles in _sample_angles(ensemble):

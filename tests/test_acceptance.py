@@ -17,7 +17,7 @@ from hqcdfs.holonomy import certify
 from hqcdfs.model import GateRecipe, collective_z, recipe_hamiltonian
 from hqcdfs.noise import KickDistribution, NoiseEnsemble, noisy_realize
 from hqcdfs.operators import Spectrum, phase_aligned_distance
-from hqcdfs.subspace import LogicalBlock, logical_basis, restrict
+from hqcdfs.subspace import dfs_product_basis, restrict
 
 from gate_tools import (
     compose_realized,
@@ -84,7 +84,7 @@ def test_criterion_4_holonomy_certification():
     for recipe in universal_recipes(strength=1.0, phase=0.3):
         n_blocks = max(recipe.blocks)
         spectrum = Spectrum(recipe_hamiltonian(recipe, n_blocks))
-        basis = logical_basis([LogicalBlock(b) for b in recipe.blocks], 3 * n_blocks)
+        basis = dfs_product_basis(recipe.blocks, n_blocks, "01")
 
         step_grid = (512, 1024, 2048, 4096, 8192)
         chain_defects = []

@@ -21,10 +21,10 @@ from hqcdfs.cli import main
 from hqcdfs.holonomy import MAX_CHAIN_STEPS
 from hqcdfs.model import GateRecipe, detune
 from hqcdfs.noise import ENSEMBLE_CAP
-from hqcdfs.subspace import BasisSet, LogicalBlock, dfs_product_basis, logical_basis
+from hqcdfs.subspace import BasisSet, dfs_product_basis
 
 from gate_tools import basis_to_json, matrix_from_json
-from oracles import pauli_kron
+from oracles import bitstring_state, pauli_kron
 
 
 def write_recipe(path, recipe):
@@ -133,10 +133,8 @@ class TestHolonomyCommand:
         assert np.linalg.norm(matrix.conj().T @ matrix - np.eye(2)) <= 1e-8
 
     def test_accepts_custom_basis_json(self, tmp_path, capsys):
-        from hqcdfs.subspace import LogicalBlock, logical_basis
-
         recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.4))
-        basis = logical_basis([LogicalBlock(1)], 3)
+        basis = dfs_product_basis([1], 1, "01")
         basis_path = tmp_path / "basis.json"
         basis_path.write_text(json.dumps(basis_to_json(basis)))
         status = main(
@@ -158,10 +156,7 @@ class TestHolonomyCommand:
         # The ancilla/logical pair carries Hamiltonian coupling, so
         # certification refuses it: an in-run contract failure, not a
         # parse error.
-        from hqcdfs.subspace import BasisSet, LogicalBlock, dfs_product_basis
-
-        full = dfs_product_basis([LogicalBlock(1)], 3)
-        pair = BasisSet(full.vectors[:, :2], ("a", "0L"))
+        pair = dfs_product_basis([1], 1, "a0")
         recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.4))
         basis_path = tmp_path / "basis.json"
         basis_path.write_text(json.dumps(basis_to_json(pair)))
@@ -341,7 +336,7 @@ def sweep_argv(start, stop, points, steps):
     ]
 
 
-LOGICAL_BASIS = basis_to_json(logical_basis([LogicalBlock(1)], 3))
+LOGICAL_BASIS = basis_to_json(dfs_product_basis([1], 1, "01"))
 
 
 def basis_argv(**changes):
@@ -461,12 +456,13 @@ class TestExitStatusContract:
 
     def test_logical_rows_in_two_noise_sectors_exit_3(self, monkeypatch):
         from hqcdfs import noise
-        from hqcdfs.subspace import bit_state
 
-        def split(blocks, n_total):
-            return BasisSet(np.column_stack([bit_state("010"), bit_state("011")]), ("0L", "1L"))
+        def split(blocks, n_blocks, states):
+            return BasisSet(
+                np.column_stack([bitstring_state("010"), bitstring_state("011")]), ("0L", "1L")
+            )
 
-        monkeypatch.setattr(noise, "logical_basis", split)
+        monkeypatch.setattr(noise, "dfs_product_basis", split)
         status, out, err = run_captured(noise_argv())
         assert status == 3
         assert out == ""
@@ -780,9 +776,7 @@ class TestConsoleScript:
         assert __version__ in result.stdout
 
 
-ANCILLA_PAIR_BASIS = basis_to_json(
-    BasisSet(dfs_product_basis([LogicalBlock(1)], 3).vectors[:, :2], ("a", "0L"))
-)
+ANCILLA_PAIR_BASIS = basis_to_json(dfs_product_basis([1], 1, "a0"))
 
 # One small call per command, and one per failing exit status: (argv,
 # HQC_DFS_TOLERANCE_SCALE or None, exit status).

@@ -9,9 +9,9 @@ from hqcdfs.errors import PreconditionError, SingularChainError
 from hqcdfs import holonomy
 from hqcdfs.holonomy import certify, cyclicity_defect, defects_only_report, transport_defect
 from hqcdfs.model import GateRecipe, detune, recipe_hamiltonian
-from hqcdfs.operators import Spectrum, evolve, phase_aligned_distance, polar_unitary
+from hqcdfs.operators import Spectrum, phase_aligned_distance, polar_unitary
 from hqcdfs.serialize import encode_json
-from hqcdfs.subspace import BasisSet, LogicalBlock, dfs_product_basis, logical_basis, restrict
+from hqcdfs.subspace import BasisSet, dfs_product_basis, restrict
 
 from gate_tools import matrix_from_json, universal_recipes
 from oracles import (
@@ -26,14 +26,14 @@ from oracles import (
 def xz_setup(phi=0.3, strength=1.0):
     recipe = GateRecipe.xz(phi, strength=strength)
     h = recipe_hamiltonian(recipe, 1)
-    basis = logical_basis([LogicalBlock(1)], 3)
+    basis = dfs_product_basis([1], 1, "01")
     return recipe, h, basis
 
 
 def recipe_setup(recipe):
     n_blocks = max(recipe.blocks)
     h = recipe_hamiltonian(recipe, n_blocks)
-    basis = logical_basis([LogicalBlock(b) for b in recipe.blocks], 3 * n_blocks)
+    basis = dfs_product_basis(recipe.blocks, n_blocks, "01")
     return h, basis
 
 
@@ -59,7 +59,7 @@ class TestCyclicityDefect:
         assert abs(cyclicity_defect(Spectrum(h).propagator(t), basis) - expected) < 1e-12
 
     def test_zero_hamiltonian(self):
-        basis = logical_basis([LogicalBlock(1)], 3)
+        basis = dfs_product_basis([1], 1, "01")
         assert cyclicity_defect(Spectrum(ZERO_8).propagator(2.7), basis) <= 1e-15
 
 
@@ -72,12 +72,12 @@ class TestTransportDefect:
         j = 1.4
         recipe = GateRecipe.xz(0.6, strength=j)
         h = recipe_hamiltonian(recipe, 1)
-        full = dfs_product_basis([LogicalBlock(1)], 3)
+        full = dfs_product_basis([1], 1)
         pair = BasisSet(full.vectors[:, :2], ("a", "0L"))
         assert abs(transport_defect(Spectrum(h), pair, recipe.duration) - j) < 1e-12
 
     def test_zero_hamiltonian(self):
-        basis = dfs_product_basis([LogicalBlock(1)], 3)
+        basis = dfs_product_basis([1], 1)
         assert transport_defect(Spectrum(ZERO_8), basis, 1.0) == 0.0
 
 
@@ -100,13 +100,8 @@ TRANSPORT_CASES = {
 def transport_case(name):
     recipe, kind, _ = TRANSPORT_CASES[name]
     n_blocks = max(recipe.blocks)
-    blocks = [LogicalBlock(b) for b in recipe.blocks]
-    if kind == "dfs":
-        basis = dfs_product_basis(blocks, 3 * n_blocks)
-    else:
-        basis = logical_basis(blocks, 3 * n_blocks)
-        if kind == "first":
-            basis = BasisSet(basis.vectors[:, :1], basis.labels[:1])
+    states = {"logical": "01", "dfs": "a01", "first": "0"}[kind]
+    basis = dfs_product_basis(recipe.blocks, n_blocks, states)
     return recipe, Spectrum(recipe_hamiltonian(recipe, n_blocks)), basis
 
 
@@ -179,7 +174,7 @@ class TestProjectorChain:
         assert phase_aligned_distance(chain, quoted) <= 1e-3
 
     def test_zero_hamiltonian_gives_identity_exactly(self):
-        basis = logical_basis([LogicalBlock(1)], 3)
+        basis = dfs_product_basis([1], 1, "01")
         chain = certify(Spectrum(ZERO_8), basis, 1.0, 16).holonomy_matrix
         assert np.abs(chain - np.eye(2)).max() == 0.0
 
@@ -220,7 +215,7 @@ class TestProjectorChain:
     def test_rejects_coupled_subspace(self):
         recipe = GateRecipe.xz(0.2)
         h = recipe_hamiltonian(recipe, 1)
-        full = dfs_product_basis([LogicalBlock(1)], 3)
+        full = dfs_product_basis([1], 1)
         pair = BasisSet(full.vectors[:, :2], ("a", "0L"))
         with pytest.raises(PreconditionError):
             certify(Spectrum(h), pair, recipe.duration, 64)
@@ -251,7 +246,7 @@ class TestCertify:
         assert report.cyclicity_defect <= 1e-10
         assert report.transport_defect <= 1e-12
         assert report.reconstruction_distance <= 1e-3
-        restricted = restrict(evolve(h, recipe.duration), basis)
+        restricted = restrict(Spectrum(h).propagator(recipe.duration), basis)
         assert phase_aligned_distance(report.holonomy_matrix, restricted) <= 1e-3
 
     def test_detuned_report_has_defects_only(self):

@@ -13,7 +13,6 @@ from hqcdfs.model import (
     exchange_term,
     recipe_hamiltonian,
 )
-from hqcdfs.subspace import bit_state
 
 from oracles import (
     bitstring_state,
@@ -179,7 +178,7 @@ class TestCollectiveZ:
     def test_eigenvalue_of_single_excitation_state(self):
         z = np.diag(collective_z(3))
         for bits in ("100", "010", "001"):
-            v = bit_state(bits)
+            v = bitstring_state(bits)
             assert np.allclose(z @ v, 1.0 * v)
 
     def test_diagonal_integer_spectrum(self):
@@ -202,6 +201,12 @@ class TestRecipes:
         recipe = detune(GateRecipe.xz(0.1), 1.05)
         assert recipe.detuned
         assert abs(recipe.strength * recipe.duration - 1.05 * PULSE_AREAS["XZ"]) < 1e-12
+
+    def test_block_index_below_one(self):
+        with pytest.raises(IndexError):
+            GateRecipe.xz(0.0, block=0)
+        with pytest.raises(IndexError):
+            GateRecipe.cnot(blocks=(0, 1))
 
     def test_cnot_needs_distinct_blocks(self):
         with pytest.raises(ValueError):

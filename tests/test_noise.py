@@ -11,14 +11,15 @@ from hqcdfs.noise import (
     NoiseEnsemble,
     noisy_realize,
 )
-from hqcdfs.operators import evolve, phase_aligned_distance
-from hqcdfs.subspace import BasisSet, LogicalBlock, bit_state, dfs_product_basis, logical_basis, restrict
+from hqcdfs.operators import Spectrum, phase_aligned_distance
+from hqcdfs.subspace import BasisSet, dfs_product_basis, restrict
 
 from gate_tools import realized_logical, universal_recipes
 from oracles import (
     PAULI,
     _sample_angles,
     bare_fidelity,
+    bitstring_state,
     collective_kick,
     embed_bruteforce,
     noisy_fidelities,
@@ -44,7 +45,7 @@ class TestCollectiveKick:
         kick = package_kick(theta, 3)
         assert np.abs(kick - collective_kick(theta, 3)).max() <= 1e-14
         for bits in ("100", "010", "001"):
-            v = bit_state(bits)
+            v = bitstring_state(bits)
             assert np.allclose(kick @ v, np.exp(-1j * theta) * v, atol=1e-15)
 
     def test_diagonal_action_on_superposition(self):
@@ -170,11 +171,11 @@ class TestNoiseProperties:
         # the noiseless restriction up to one sample-dependent phase.
         rng = np.random.default_rng(31)
         recipe = GateRecipe.xz(1.1)
-        h = recipe_hamiltonian(recipe, 1)
-        protected = dfs_product_basis([LogicalBlock(1)], 3)
+        spectrum = Spectrum(recipe_hamiltonian(recipe, 1))
+        protected = dfs_product_basis([1], 1)
         segments = 5
-        u_segment = evolve(h, recipe.duration / segments)
-        noiseless = restrict(evolve(h, recipe.duration), protected)
+        u_segment = spectrum.propagator(recipe.duration / segments)
+        noiseless = restrict(spectrum.propagator(recipe.duration), protected)
         for _ in range(10):
             u = u_segment
             for theta in rng.uniform(0, 2 * np.pi, segments - 1):
@@ -209,25 +210,26 @@ class TestBatchedAgainstOracle:
 
 
 class TestSectorPropagation:
-    """noisy_realize propagates only the collective-Z sector that holds the
-    logical basis; the full-register oracle stays the reference."""
+    """noisy_realize evolves the full register through its shared spectrum,
+    behind the two collective-Z premises; the per-kick oracle stays the
+    reference."""
 
     @pytest.mark.parametrize(
-        "recipe, n_blocks",
+        "recipe",
         [
-            (GateRecipe.cnot(blocks=(2, 1)), None),
-            (detune(GateRecipe.cnot(1.3, (2, 1)), 1.1), None),
-            (GateRecipe.xz(0.8), 2),
-            (GateRecipe.zx(1.4, block=2), 2),
+            GateRecipe.cnot(blocks=(2, 1)),
+            detune(GateRecipe.cnot(1.3, (2, 1)), 1.1),
+            GateRecipe.xz(0.8, block=2),
+            GateRecipe.zx(1.4, block=2),
         ],
-        ids=["CNOT-blocks-2-1", "CNOT-detuned", "XZ-block-1-of-2", "ZX-block-2-of-2"],
+        ids=["CNOT-blocks-2-1", "CNOT-detuned", "XZ-block-2-of-2", "ZX-block-2-of-2"],
     )
-    def test_matches_full_register_oracle(self, recipe, n_blocks):
+    def test_matches_full_register_oracle(self, recipe):
         ensemble = NoiseEnsemble(4, KickDistribution("gaussian", 0.3, 1.7), samples=70, seed=13)
-        sector = noisy_realize(recipe, ensemble, n_blocks).per_sample
-        expected = noisy_fidelities(recipe, ensemble, n_blocks)
-        assert len(sector) == len(expected)
-        assert np.abs(np.subtract(sector, expected)).max() <= 1e-14
+        closed_form = noisy_realize(recipe, ensemble).per_sample
+        expected = noisy_fidelities(recipe, ensemble)
+        assert len(closed_form) == len(expected)
+        assert np.abs(np.subtract(closed_form, expected)).max() <= 1e-14
 
     def test_coupling_out_of_the_sector_is_a_contract_violation(self, monkeypatch):
         def leaky(recipe, n_blocks):
@@ -240,19 +242,21 @@ class TestSectorPropagation:
     def test_logical_rows_in_two_z_sectors_is_a_contract_violation(self, monkeypatch):
         # |0>_L on popcount 1 and |1>_L on popcount 2: a kick would shift
         # their relative phase, so F would depend on the angles.
-        def split(blocks, n_total):
-            return BasisSet(np.column_stack([bit_state("010"), bit_state("011")]), ("0L", "1L"))
+        def split(blocks, n_blocks, states):
+            return BasisSet(
+                np.column_stack([bitstring_state("010"), bitstring_state("011")]), ("0L", "1L")
+            )
 
-        monkeypatch.setattr(noise, "logical_basis", split)
+        monkeypatch.setattr(noise, "dfs_product_basis", split)
         with pytest.raises(ContractViolation, match="logical basis spans collective-Z values"):
             noisy_realize(GateRecipe.xz(0.8), uniform_ensemble())
 
-    def test_cnot_diagonalizes_one_15_dim_block(self, monkeypatch):
+    def test_cnot_diagonalizes_the_register_hamiltonian_once(self, monkeypatch):
         shapes = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda h: shapes.append(np.shape(h)) or eigh(h))
         noisy_realize(GateRecipe.cnot(), uniform_ensemble())
-        assert shapes == [(15, 15)]
+        assert shapes == [(64, 64)]
 
 
 def stream_draws(dist: KickDistribution, seed: int, shape: tuple[int, int]) -> np.ndarray:
@@ -268,11 +272,12 @@ def stream_draws(dist: KickDistribution, seed: int, shape: tuple[int, int]) -> n
 def kicked_fidelity(recipe: GateRecipe, angles: np.ndarray) -> float:
     """F of a one-block recipe with one Pade collective kick per angle between
     equal segments, propagated on the full register and then restricted."""
-    u_segment = evolve(recipe_hamiltonian(recipe, 1), recipe.duration / (len(angles) + 1))
+    spectrum = Spectrum(recipe_hamiltonian(recipe, 1))
+    u_segment = spectrum.propagator(recipe.duration / (len(angles) + 1))
     u = u_segment
     for theta in angles:
         u = u_segment @ (collective_kick(theta, 3) @ u)
-    realized = restrict(u, logical_basis([LogicalBlock(1)], 3))
+    realized = restrict(u, dfs_product_basis([1], 1, "01"))
     target = target_for(recipe)
     return float(np.abs(np.trace(target.conj().T @ realized)) / target.shape[0])
 

@@ -1,6 +1,7 @@
 """Shape of the package itself, read from its source."""
 
 import ast
+import re
 from pathlib import Path
 
 import hqcdfs
@@ -58,3 +59,12 @@ def test_every_public_method_has_a_caller_in_the_package():
     ]
     uncalled = [name for name in defined if name.rsplit(".", 1)[1] not in named]
     assert uncalled == list(TEST_ONLY_METHODS)
+
+
+def test_readme_layout_lists_every_module():
+    """The README's "Library layout" table names exactly the modules of
+    ``src/hqcdfs``, ``__init__`` aside."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `hqcdfs\.(\w+)`", section, re.MULTILINE)
+    assert sorted(listed) == sorted(Path(name).stem for name in TREES if name != "__init__.py")
