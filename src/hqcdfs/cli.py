@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import ContractViolation, SingularChainError
 from .gates import DEFAULT_CHAIN_STEPS, realize, no_go_certificate
-from .holonomy import MAX_CHAIN_STEPS, MIN_CHAIN_STEPS, certify, defects_only_report
+from .holonomy import MAX_CHAIN_STEPS, MIN_CHAIN_STEPS, certify
 from .model import GateRecipe, detune, recipe_hamiltonian
 from .noise import NoiseEnsemble, noisy_realize
 from .operators import Spectrum
@@ -99,7 +99,7 @@ def _load_json_input(source: str) -> dict:
             return json.loads(source)
         with open(source, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read JSON input {source!r}: {exc}") from exc
 
 
@@ -165,8 +165,7 @@ def _run_gate(args: argparse.Namespace, scale: float) -> int:
 
 def _run_holonomy(args: argparse.Namespace, scale: float) -> int:
     recipe = _parse(GateRecipe, args.recipe)
-    n_blocks = max(recipe.blocks)
-    spectrum = Spectrum(recipe_hamiltonian(recipe, n_blocks))
+    spectrum = Spectrum(recipe_hamiltonian(recipe))
     if args.basis:
         basis = _parse(BasisSet, args.basis)
         if basis.dim_ambient != spectrum.h.shape[0]:
@@ -175,9 +174,8 @@ def _run_holonomy(args: argparse.Namespace, scale: float) -> int:
                 f"the {spectrum.h.shape[0]}-dimensional register of this recipe"
             )
     else:
-        basis = dfs_product_basis(recipe.blocks, n_blocks, "01")
-    assess = defects_only_report if recipe.detuned else certify
-    report = assess(spectrum, basis, recipe.duration, args.steps)
+        basis = dfs_product_basis(recipe.blocks, "01")
+    report = certify(spectrum, basis, recipe.duration, args.steps, reconstruct=not recipe.detuned)
     violations = [] if recipe.detuned else _violations("holonomy", report, scale)
     input_doc = {"recipe": recipe.to_json_dict(), "steps": args.steps}
     return _emit_report(args, scale, input_doc, report.to_json_dict(), violations)
@@ -213,7 +211,7 @@ def _run_sweep(args: argparse.Namespace, scale: float) -> int:
     # ``detune`` changes only the duration: every point shares one spectrum.
     spectrum = None
     if param == "pulse_area_detuning":
-        spectrum = Spectrum(recipe_hamiltonian(template, max(template.blocks)))
+        spectrum = Spectrum(recipe_hamiltonian(template))
 
     # csv.writer's bytes, as for ``noise --format csv``.
     buffer = io.StringIO()

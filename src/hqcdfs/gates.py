@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .holonomy import HolonomyReport, certify, defects_only_report
+from .holonomy import HolonomyReport, certify
 from .model import GateRecipe, exchange_term, recipe_hamiltonian
 from .operators import SIGMA_X, Spectrum, dagger, phase_aligned_distance
 from .serialize import Record
@@ -98,13 +98,12 @@ def realize(
     fail off the pulse-area condition, so their report carries the
     condition defects without a reconstruction.
     """
-    n_blocks = max(recipe.blocks)
     if spectrum is None:
-        spectrum = Spectrum(recipe_hamiltonian(recipe, n_blocks))
+        spectrum = Spectrum(recipe_hamiltonian(recipe))
     propagator = spectrum.propagator(recipe.duration)
 
-    protected = dfs_product_basis(recipe.blocks, n_blocks)
-    logical = dfs_product_basis(recipe.blocks, n_blocks, "01")
+    protected = dfs_product_basis(recipe.blocks)
+    logical = dfs_product_basis(recipe.blocks, "01")
     restricted = restrict(propagator, logical)
     target = target_for(recipe)
     distance = phase_aligned_distance(restricted, target)
@@ -118,12 +117,13 @@ def realize(
     dfs_target = ancilla_completed_target(recipe)
     dfs_error = float(np.abs(dfs_restricted - dfs_target).max())
 
-    assess = defects_only_report if recipe.detuned else certify
-    holonomy = assess(spectrum, logical, recipe.duration, steps, propagator)
+    holonomy = certify(
+        spectrum, logical, recipe.duration, steps, propagator, reconstruct=not recipe.detuned
+    )
 
     return GateRealization(
         recipe=recipe,
-        n_blocks=n_blocks,
+        n_blocks=max(recipe.blocks),
         spectator="0L",
         distance=distance,
         invariance_defect=invariance_defect(propagator, protected),

@@ -99,41 +99,30 @@ class HolonomyReport(Record):
     tau: float
 
 
-def defects_only_report(
-    spectrum: Spectrum, basis: BasisSet, tau: float, steps: int, propagator=None
-) -> HolonomyReport:
-    """Report carrying only the condition defects (reconstruction skipped);
-    ``propagator`` is U(tau), read off ``spectrum`` when not given."""
-    if propagator is None:
-        propagator = spectrum.propagator(tau)
-    return HolonomyReport(
-        cyclicity_defect=cyclicity_defect(propagator, basis),
-        transport_defect=transport_defect(spectrum, basis, tau),
-        holonomy_matrix=None,
-        reconstruction_distance=None,
-        chain_defect=None,
-        steps=steps,
-        tau=tau,
-    )
-
-
 def certify(
-    spectrum: Spectrum, basis: BasisSet, tau: float, steps: int, propagator=None
+    spectrum: Spectrum, basis: BasisSet, tau: float, steps: int, propagator=None, reconstruct=True
 ) -> HolonomyReport:
-    """Condition defects plus the holonomy rebuilt by the projector chain.
+    """Condition defects, plus the holonomy rebuilt by the projector chain
+    when ``reconstruct`` is set; ``propagator`` is U(tau), read off
+    ``spectrum`` when not given, and serves the cyclicity check and the
+    chain.
 
-    Refuses to reconstruct (PreconditionError) when conditions (i) or (ii)
+    With ``reconstruct`` false the report carries only the two defects,
+    whatever their size, and the reconstruction fields are None: the
+    preconditions genuinely fail off the pulse-area condition. Otherwise it
+    refuses to reconstruct (PreconditionError) when conditions (i) or (ii)
     fail; their defects are never assumed away. The chained overlap matrix
     is unitarized by polar decomposition, which raises SingularChainError
-    instead of silently regularizing a rank-deficient chain. One U(tau)
-    serves the cyclicity check and the chain.
+    instead of silently regularizing a rank-deficient chain.
     """
     if not MIN_CHAIN_STEPS <= steps <= MAX_CHAIN_STEPS:
         raise ValueError(f"steps must be in [{MIN_CHAIN_STEPS}, {MAX_CHAIN_STEPS}], got {steps}")
     if propagator is None:
         propagator = spectrum.propagator(tau)
-    report = defects_only_report(spectrum, basis, tau, steps, propagator)
-    cyc, tra = report.cyclicity_defect, report.transport_defect
+    cyc = cyclicity_defect(propagator, basis)
+    tra = transport_defect(spectrum, basis, tau)
+    if not reconstruct:
+        return HolonomyReport(cyc, tra, None, None, None, steps, tau)
     if cyc > PRECONDITION_TOL or tra > PRECONDITION_TOL:
         raise PreconditionError(
             f"not a holonomic evolution on this subspace: cyclicity defect "

@@ -77,18 +77,6 @@ class GateRecipe(Record):
                     f"{PULSE_AREAS[self.kind]!r}; use detune() for deliberate offsets"
                 )
 
-    @classmethod
-    def xz(cls, phase: float, strength: float = 1.0, block: int = 1) -> "GateRecipe":
-        return cls("XZ", phase, strength, PULSE_AREAS["XZ"] / strength, (block,))
-
-    @classmethod
-    def zx(cls, phase: float, strength: float = 1.0, block: int = 1) -> "GateRecipe":
-        return cls("ZX", phase, strength, PULSE_AREAS["ZX"] / strength, (block,))
-
-    @classmethod
-    def cnot(cls, strength: float = 1.0, blocks: tuple[int, int] = (1, 2)) -> "GateRecipe":
-        return cls("CNOT", 0.0, strength, PULSE_AREAS["CNOT"] / strength, tuple(blocks))
-
     # Overrides the record layout: the input echoed as given, floats unrounded.
     def to_json_dict(self) -> dict:
         return {
@@ -158,18 +146,17 @@ def collective_z(n: int) -> np.ndarray:
     return (n - 2 * popcounts).astype(np.float64)
 
 
-def recipe_hamiltonian(recipe: GateRecipe, n_blocks: int) -> np.ndarray:
-    """Gate Hamiltonian of ``recipe`` on the full 2^(3 n_blocks) register.
+def recipe_hamiltonian(recipe: GateRecipe) -> np.ndarray:
+    """Gate Hamiltonian of ``recipe`` on the register its blocks span: the
+    2^(3 max(blocks)) states of blocks 1 to max(blocks).
 
     Single-block gates couple qubits (3b-2, 3b-1) and (3b-2, 3b) of block
     b; the CNOT with control block c and target block t couples (3c-2, 3c)
     with (3t-2, 3t-1) and (3t-2, 3t). The terms are summed onto one zero
-    matrix in the order listed.
+    matrix in the order listed. ``GateRecipe`` has already checked the
+    register against the dimension cap.
     """
-    if any(b > n_blocks for b in recipe.blocks):
-        raise IndexError(f"recipe blocks {recipe.blocks} exceed n_blocks={n_blocks}")
-    n = 3 * n_blocks
-    check_dimension_cap(n)
+    n = 3 * max(recipe.blocks)
     J = recipe.strength
     if recipe.kind == "CNOT":
         ctl, tgt = recipe.blocks

@@ -23,44 +23,33 @@ from .operators import ALGEBRA_TOL, Spectrum, dagger
 from .serialize import Record, as_float, as_int
 from .subspace import dfs_product_basis, restrict
 
-_DIST_KINDS = ("uniform", "gaussian", "fixed")
+# The parameters each kind of kick distribution reads from its input.
+_DIST_PARAMS = {"uniform": (), "gaussian": ("mean", "stddev"), "fixed": ("theta",)}
 
 
 class KickDistribution(Record):
-    """Distribution of one kick angle: uniform(0, 2pi), gaussian, or fixed."""
+    """Distribution of one kick angle: uniform(0, 2pi), gaussian with
+    ``mean`` and ``stddev``, or fixed at ``theta``.
 
-    kind: str
-    mean: float = 0.0
-    stddev: float = 0.0
-    value: float = 0.0
+    ``params`` keeps only the kind's parameters, each a finite float, so a
+    report echoes the input document's {"type", "params"} by the record
+    layout: extra keys are dropped and uniform ignores ``params``.
+    """
+
+    type: str
+    params: dict
 
     def __post_init__(self):
-        if self.kind not in _DIST_KINDS:
-            raise ValueError(f"kind must be one of {_DIST_KINDS}, got {self.kind!r}")
-        for name in ("mean", "stddev", "value"):
-            object.__setattr__(self, name, as_float(getattr(self, name), name))
-        if self.stddev < 0:
+        if self.type not in _DIST_PARAMS:
+            raise ValueError(f"kind must be one of {tuple(_DIST_PARAMS)}, got {self.type!r}")
+        params = {name: as_float(self.params[name], name) for name in _DIST_PARAMS[self.type]}
+        object.__setattr__(self, "params", params)
+        if params.get("stddev", 0.0) < 0:
             raise ValueError("stddev must be >= 0")
-
-    # Overrides the record layout: the input document's {"type", "params"}.
-    def to_json_dict(self) -> dict:
-        if self.kind == "uniform":
-            params: dict = {}
-        elif self.kind == "gaussian":
-            params = {"mean": self.mean, "stddev": self.stddev}
-        else:
-            params = {"theta": self.value}
-        return {"type": self.kind, "params": params}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "KickDistribution":
-        kind = data["type"]
-        params = data.get("params", {})
-        if kind == "gaussian":
-            return cls("gaussian", mean=params["mean"], stddev=params["stddev"])
-        if kind == "fixed":
-            return cls("fixed", value=params["theta"])
-        return cls(kind)
+        return cls(data["type"], data.get("params", {}))
 
 
 # Largest sample count, and largest kick count, that an ensemble may ask
@@ -134,10 +123,9 @@ def noisy_realize(recipe: GateRecipe, ensemble: NoiseEnsemble) -> NoisyGateResul
     """
     from .gates import target_for  # local import to avoid a module cycle
 
-    n_blocks = max(recipe.blocks)
-    h = recipe_hamiltonian(recipe, n_blocks)
-    z_diag = collective_z(3 * n_blocks)
-    basis = dfs_product_basis(recipe.blocks, n_blocks, "01")
+    h = recipe_hamiltonian(recipe)
+    z_diag = collective_z(3 * max(recipe.blocks))
+    basis = dfs_product_basis(recipe.blocks, "01")
     # min/max rather than np.unique, which would import numpy.ma.
     z_logical = z_diag[np.any(basis.vectors != 0, axis=1)]
     if z_logical.min() != z_logical.max():

@@ -76,9 +76,9 @@ class BasisSet(Record):
 _BLOCK_BITS = {"a": 0b100, "0": 0b010, "1": 0b001}
 
 
-def dfs_product_basis(blocks: Sequence[int], n_blocks: int, states: str = "a01") -> BasisSet:
-    """Every assignment of ``states`` to ``blocks`` on a register of
-    ``n_blocks`` blocks; the blocks not listed sit in |0>_L.
+def dfs_product_basis(blocks: Sequence[int], states: str = "a01") -> BasisSet:
+    """Every assignment of ``states`` to ``blocks`` on the register they
+    span, blocks 1 to max(blocks); the blocks not listed sit in |0>_L.
 
     Each character of ``states`` names a single-block state: "a" is |a>,
     "0" is |0>_L and "1" is |1>_L. Columns run in lexicographic order with
@@ -89,8 +89,9 @@ def dfs_product_basis(blocks: Sequence[int], n_blocks: int, states: str = "a01")
     """
     if not blocks or len(set(blocks)) != len(blocks):
         raise ValueError(f"blocks must be nonempty and distinct, got {list(blocks)}")
-    if min(blocks) < 1 or max(blocks) > n_blocks:
-        raise IndexError(f"blocks {list(blocks)} do not fit a register of {n_blocks} blocks")
+    if min(blocks) < 1:
+        raise IndexError(f"block indices must be >= 1, got {list(blocks)}")
+    n_blocks = max(blocks)
     rows, labels = [int("010" * n_blocks, 2)], [""]
     for block in blocks:
         shift = 3 * (n_blocks - block)

@@ -1,9 +1,10 @@
 """Test-side tools that compose or inspect gates ``hqcdfs`` already certifies.
 
-No command reports them: the three gate recipes at one strength, the
-rotation and Euler compositions of the realized gates (acceptance criterion
-5, universality by composition), the leakage profile of an evolution, the
-decoder of report matrices and the encoder of ``--basis`` documents.
+No command reports them: the pulse-area-closed recipe of each gate kind,
+the three gate recipes at one strength, the rotation and Euler
+compositions of the realized gates (acceptance criterion 5, universality
+by composition), the leakage profile of an evolution, the decoder of
+report matrices and the encoder of ``--basis`` documents.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from hqcdfs.gates import target_for
-from hqcdfs.model import GateRecipe, recipe_hamiltonian
+from hqcdfs.model import PULSE_AREAS, GateRecipe, recipe_hamiltonian
 from hqcdfs.operators import Spectrum, dagger, require_unitary
 from hqcdfs.subspace import ORTHONORMALITY_TOL, BasisSet, dfs_product_basis, restrict
 
@@ -36,20 +37,31 @@ def basis_to_json(basis: BasisSet) -> dict:
     }
 
 
+def xz(phase: float, strength: float = 1.0, block: int = 1) -> GateRecipe:
+    """The XZ recipe whose duration closes the pulse area at ``strength``."""
+    return GateRecipe("XZ", phase, strength, PULSE_AREAS["XZ"] / strength, (block,))
+
+
+def zx(phase: float, strength: float = 1.0, block: int = 1) -> GateRecipe:
+    """The ZX recipe whose duration closes the pulse area at ``strength``."""
+    return GateRecipe("ZX", phase, strength, PULSE_AREAS["ZX"] / strength, (block,))
+
+
+def cnot(strength: float = 1.0, blocks: tuple[int, int] = (1, 2)) -> GateRecipe:
+    """The CNOT recipe, control block first, whose duration closes the pulse
+    area at ``strength``."""
+    return GateRecipe("CNOT", 0.0, strength, PULSE_AREAS["CNOT"] / strength, tuple(blocks))
+
+
 def universal_recipes(strength: float = 1.0, phase: float = 0.0) -> tuple[GateRecipe, ...]:
     """The three gate recipes at a common coupling strength (CNOT on blocks 1,2)."""
-    return (
-        GateRecipe.xz(phase, strength),
-        GateRecipe.zx(phase, strength),
-        GateRecipe.cnot(strength),
-    )
+    return xz(phase, strength), zx(phase, strength), cnot(strength)
 
 
 def realized_logical(recipe: GateRecipe) -> np.ndarray:
     """Fast path: the propagator restricted to the logical basis only."""
-    n_blocks = max(recipe.blocks)
-    propagator = Spectrum(recipe_hamiltonian(recipe, n_blocks)).propagator(recipe.duration)
-    return restrict(propagator, dfs_product_basis(recipe.blocks, n_blocks, "01"))
+    propagator = Spectrum(recipe_hamiltonian(recipe)).propagator(recipe.duration)
+    return restrict(propagator, dfs_product_basis(recipe.blocks, "01"))
 
 
 def rotation_sequence(axis: str, angle: float) -> list[GateRecipe]:
@@ -60,9 +72,9 @@ def rotation_sequence(axis: str, angle: float) -> list[GateRecipe]:
     axis 'z' and exp(-i angle/2 X_L) for axis 'x'.
     """
     if axis == "z":
-        return [GateRecipe.xz(-angle / 2.0), GateRecipe.xz(0.0)]
+        return [xz(-angle / 2.0), xz(0.0)]
     if axis == "x":
-        return [GateRecipe.zx(-angle / 2.0), GateRecipe.zx(0.0)]
+        return [zx(-angle / 2.0), zx(0.0)]
     raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
 
 

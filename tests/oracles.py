@@ -332,13 +332,14 @@ def _sample_angles(ensemble):
     ``default_rng(seed)``: sample i reads the i-th run of kick_count draws."""
     rng = np.random.default_rng(ensemble.seed)
     distribution, count = ensemble.distribution, ensemble.kick_count
+    params = distribution.params
     for _ in range(ensemble.samples):
-        if distribution.kind == "uniform":
+        if distribution.type == "uniform":
             yield rng.uniform(0.0, 2.0 * np.pi, count)
-        elif distribution.kind == "gaussian":
-            yield rng.normal(distribution.mean, distribution.stddev, count)
+        elif distribution.type == "gaussian":
+            yield rng.normal(params["mean"], params["stddev"], count)
         else:
-            yield np.full(count, distribution.value)
+            yield np.full(count, params["theta"])
 
 
 def noisy_fidelities(recipe, ensemble, generator=None) -> list[float]:
@@ -357,7 +358,7 @@ def noisy_fidelities(recipe, ensemble, generator=None) -> list[float]:
     n_blocks = max(recipe.blocks)
     n = 3 * n_blocks
     segments = ensemble.kick_count + 1
-    h = recipe_hamiltonian(recipe, n_blocks)
+    h = recipe_hamiltonian(recipe)
     u_segment = Spectrum(h).propagator(recipe.duration / segments)
     if generator is None:
         generator = np.diagonal(sum(embed_bruteforce(PAULI["z"], k, n) for k in range(1, n + 1))).real

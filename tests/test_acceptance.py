@@ -14,18 +14,21 @@ import numpy as np
 
 from hqcdfs.gates import no_go_certificate, realize, two_qubit_dfs
 from hqcdfs.holonomy import certify
-from hqcdfs.model import GateRecipe, collective_z, recipe_hamiltonian
+from hqcdfs.model import collective_z, recipe_hamiltonian
 from hqcdfs.noise import KickDistribution, NoiseEnsemble, noisy_realize
 from hqcdfs.operators import Spectrum, phase_aligned_distance
 from hqcdfs.subspace import dfs_product_basis, restrict
 
 from gate_tools import (
+    cnot,
     compose_realized,
     euler_compose,
     rotation_sequence,
     rx_matrix,
     rz_matrix,
     universal_recipes,
+    xz,
+    zx,
 )
 from oracles import PAULI, bare_fidelity, loglog_slope, r_op_bruteforce, random_unitary
 
@@ -40,7 +43,7 @@ def test_criterion_1_xz_gate_matrix():
     start = time.perf_counter()
     worst = 0.0
     for phi in np.linspace(0.0, 2.0 * np.pi, 25, endpoint=False):
-        real = realize(GateRecipe.xz(float(phi)), steps=4096)
+        real = realize(xz(float(phi)), steps=4096)
         worst = max(worst, real.dfs_error)
     elapsed = time.perf_counter() - start
     _report(
@@ -55,7 +58,7 @@ def test_criterion_2_zx_gate_matrix():
     start = time.perf_counter()
     worst = 0.0
     for phi in np.linspace(0.0, 2.0 * np.pi, 25, endpoint=False):
-        real = realize(GateRecipe.zx(float(phi)), steps=4096)
+        real = realize(zx(float(phi)), steps=4096)
         worst = max(worst, real.dfs_error)
     elapsed = time.perf_counter() - start
     _report(
@@ -68,7 +71,7 @@ def test_criterion_2_zx_gate_matrix():
 
 def test_criterion_3_cnot_matrix():
     start = time.perf_counter()
-    real = realize(GateRecipe.cnot(), steps=4096)
+    real = realize(cnot(), steps=4096)
     elapsed = time.perf_counter() - start
     _report(
         3,
@@ -82,9 +85,8 @@ def test_criterion_4_holonomy_certification():
     failures = []
     details = []
     for recipe in universal_recipes(strength=1.0, phase=0.3):
-        n_blocks = max(recipe.blocks)
-        spectrum = Spectrum(recipe_hamiltonian(recipe, n_blocks))
-        basis = dfs_product_basis(recipe.blocks, n_blocks, "01")
+        spectrum = Spectrum(recipe_hamiltonian(recipe))
+        basis = dfs_product_basis(recipe.blocks, "01")
 
         step_grid = (512, 1024, 2048, 4096, 8192)
         chain_defects = []
@@ -155,7 +157,7 @@ def test_criterion_6_dfs_protection():
     for recipe in universal_recipes(strength=1.0, phase=0.7):
         for kick_count in (1, 4, 16):
             ensemble = NoiseEnsemble(
-                kick_count, KickDistribution("uniform"), samples=200, seed=2024
+                kick_count, KickDistribution("uniform", {}), samples=200, seed=2024
             )
             result = noisy_realize(recipe, ensemble)
             worst_min = min(worst_min, result.min_fidelity)
@@ -165,7 +167,7 @@ def test_criterion_6_dfs_protection():
                 )
 
     baseline = bare_fidelity(
-        0.0, NoiseEnsemble(1, KickDistribution("uniform"), samples=10_000, seed=9)
+        0.0, NoiseEnsemble(1, KickDistribution("uniform", {}), samples=10_000, seed=9)
     )
     if abs(baseline - 0.5) > 0.02:
         failures.append(f"bare baseline {baseline:.4f} outside 0.5 +/- 0.02")
@@ -173,7 +175,7 @@ def test_criterion_6_dfs_protection():
     worst_comm = 0.0
     for recipe in universal_recipes(strength=1.0, phase=0.7):
         n = 3 * max(recipe.blocks)
-        h = recipe_hamiltonian(recipe, max(recipe.blocks))
+        h = recipe_hamiltonian(recipe)
         z = np.diag(collective_z(n))
         comm = np.linalg.norm(h @ z - z @ h) / 2 ** n
         worst_comm = max(worst_comm, comm)

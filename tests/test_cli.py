@@ -23,7 +23,7 @@ from hqcdfs.model import GateRecipe, detune
 from hqcdfs.noise import ENSEMBLE_CAP
 from hqcdfs.subspace import BasisSet, dfs_product_basis
 
-from gate_tools import basis_to_json, matrix_from_json
+from gate_tools import basis_to_json, cnot, matrix_from_json, xz, zx
 from oracles import bitstring_state, pauli_kron
 
 
@@ -45,7 +45,7 @@ def write_ensemble(path, kick_count=2, samples=20, seed=4, dist=None):
 
 class TestGateCommand:
     def test_xz_recipe_passes(self, tmp_path):
-        recipe_path = write_recipe(tmp_path / "recipe.json", GateRecipe.xz(0.3))
+        recipe_path = write_recipe(tmp_path / "recipe.json", xz(0.3))
         out_path = tmp_path / "report.json"
         status = main(
             ["gate", "--recipe", recipe_path, "--steps", "512", "--out", str(out_path)]
@@ -58,7 +58,7 @@ class TestGateCommand:
         assert doc["input"]["recipe"]["kind"] == "XZ"
 
     def test_inline_json_recipe(self, tmp_path, capsys):
-        inline = json.dumps(GateRecipe.zx(1.0).to_json_dict())
+        inline = json.dumps(zx(1.0).to_json_dict())
         status = main(["gate", "--recipe", inline, "--steps", "512"])
         assert status == 0
         doc = json.loads(capsys.readouterr().out)
@@ -76,18 +76,18 @@ class TestGateCommand:
         assert main(["gate", "--recipe", str(tmp_path / "none.json")]) == 2
 
     def test_invalid_pulse_area_exits_2(self, tmp_path):
-        doc = GateRecipe.xz(0.3).to_json_dict()
+        doc = xz(0.3).to_json_dict()
         doc["duration"] *= 1.5
         bad = tmp_path / "bad_recipe.json"
         bad.write_text(json.dumps(doc))
         assert main(["gate", "--recipe", str(bad)]) == 2
 
     def test_too_few_steps_exits_2(self, tmp_path):
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.0))
+        recipe_path = write_recipe(tmp_path / "r.json", xz(0.0))
         assert main(["gate", "--recipe", recipe_path, "--steps", "4"]) == 2
 
     def test_detuned_recipe_reported_without_violations(self, tmp_path, capsys):
-        recipe_path = write_recipe(tmp_path / "r.json", detune(GateRecipe.xz(0.3), 1.05))
+        recipe_path = write_recipe(tmp_path / "r.json", detune(xz(0.3), 1.05))
         status = main(["gate", "--recipe", recipe_path, "--steps", "512"])
         assert status == 0
         doc = json.loads(capsys.readouterr().out)
@@ -98,7 +98,7 @@ class TestGateCommand:
         # A scale tiny enough to trip the distance check turns a clean run
         # into exit status 1 with a populated violations list.
         monkeypatch.setenv("HQC_DFS_TOLERANCE_SCALE", "1e-12")
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.3))
+        recipe_path = write_recipe(tmp_path / "r.json", xz(0.3))
         status = main(["gate", "--recipe", recipe_path, "--steps", "512"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["tolerance_scale"] == 1e-12
@@ -109,7 +109,7 @@ class TestGateCommand:
             assert status == 0
 
     def test_report_matrices_reload_unitary(self, tmp_path):
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.cnot())
+        recipe_path = write_recipe(tmp_path / "r.json", cnot())
         out_path = tmp_path / "cnot.json"
         assert main(["gate", "--recipe", recipe_path, "--steps", "512", "--out", str(out_path)]) == 0
         doc = json.loads(out_path.read_text())
@@ -121,7 +121,7 @@ class TestGateCommand:
 
 class TestHolonomyCommand:
     def test_certifies_recipe(self, tmp_path, capsys):
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.zx(0.7))
+        recipe_path = write_recipe(tmp_path / "r.json", zx(0.7))
         status = main(["holonomy", "--recipe", recipe_path, "--steps", "1024"])
         assert status == 0
         doc = json.loads(capsys.readouterr().out)
@@ -133,8 +133,8 @@ class TestHolonomyCommand:
         assert np.linalg.norm(matrix.conj().T @ matrix - np.eye(2)) <= 1e-8
 
     def test_accepts_custom_basis_json(self, tmp_path, capsys):
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.4))
-        basis = dfs_product_basis([1], 1, "01")
+        recipe_path = write_recipe(tmp_path / "r.json", xz(0.4))
+        basis = dfs_product_basis([1], "01")
         basis_path = tmp_path / "basis.json"
         basis_path.write_text(json.dumps(basis_to_json(basis)))
         status = main(
@@ -147,7 +147,7 @@ class TestHolonomyCommand:
     def test_rejects_mismatched_basis(self, tmp_path):
         from hqcdfs.gates import two_qubit_dfs
 
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.4))
+        recipe_path = write_recipe(tmp_path / "r.json", xz(0.4))
         basis_path = tmp_path / "basis.json"
         basis_path.write_text(json.dumps(basis_to_json(two_qubit_dfs())))
         assert main(["holonomy", "--recipe", recipe_path, "--basis", str(basis_path)]) == 2
@@ -156,8 +156,8 @@ class TestHolonomyCommand:
         # The ancilla/logical pair carries Hamiltonian coupling, so
         # certification refuses it: an in-run contract failure, not a
         # parse error.
-        pair = dfs_product_basis([1], 1, "a0")
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.4))
+        pair = dfs_product_basis([1], "a0")
+        recipe_path = write_recipe(tmp_path / "r.json", xz(0.4))
         basis_path = tmp_path / "basis.json"
         basis_path.write_text(json.dumps(basis_to_json(pair)))
         status = main(
@@ -168,7 +168,7 @@ class TestHolonomyCommand:
 
 class TestNoiseCommand:
     def test_json_summary(self, tmp_path, capsys):
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.2))
+        recipe_path = write_recipe(tmp_path / "r.json", xz(0.2))
         ensemble_path = write_ensemble(tmp_path / "e.json")
         status = main(["noise", "--recipe", recipe_path, "--ensemble", ensemble_path])
         assert status == 0
@@ -177,7 +177,7 @@ class TestNoiseCommand:
         assert len(doc["report"]["per_sample"]) == 20
 
     def test_csv_per_sample(self, tmp_path, capsys):
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.2))
+        recipe_path = write_recipe(tmp_path / "r.json", xz(0.2))
         ensemble_path = write_ensemble(tmp_path / "e.json", samples=7)
         status = main(
             ["noise", "--recipe", recipe_path, "--ensemble", ensemble_path, "--format", "csv"]
@@ -188,7 +188,7 @@ class TestNoiseCommand:
         assert len(rows) == 8
 
     def test_bad_ensemble_exits_2(self, tmp_path):
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.2))
+        recipe_path = write_recipe(tmp_path / "r.json", xz(0.2))
         assert main(["noise", "--recipe", recipe_path, "--ensemble", '{"kick_count": 1}']) == 2
 
     @pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "default"])
@@ -212,7 +212,7 @@ class TestNoiseCommand:
 
 class TestSweepCommand:
     def test_phase_sweep(self, tmp_path):
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.0))
+        recipe_path = write_recipe(tmp_path / "r.json", xz(0.0))
         out_path = tmp_path / "sweep.csv"
         status = main(
             [
@@ -222,13 +222,13 @@ class TestSweepCommand:
             ]
         )
         assert status == 0
-        rows = list(csv.reader(out_path.open()))
+        rows = list(csv.reader(out_path.read_text().splitlines()))
         assert rows[0] == ["parameter", "distance", "cyclicity_defect", "transport_defect"]
         assert len(rows) == 10
         assert all(float(r[1]) <= 1e-10 for r in rows[1:])
 
     def test_detuning_sweep_distance_nondecreasing(self, tmp_path):
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.4))
+        recipe_path = write_recipe(tmp_path / "r.json", xz(0.4))
         out_path = tmp_path / "detuning.csv"
         status = main(
             [
@@ -238,13 +238,13 @@ class TestSweepCommand:
             ]
         )
         assert status == 0
-        rows = list(csv.reader(out_path.open()))[1:]
+        rows = list(csv.reader(out_path.read_text().splitlines()))[1:]
         assert len(rows) == 11
         distances = [float(r[1]) for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(distances, distances[1:]))
 
     def test_two_point_sweep(self, tmp_path, capsys):
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.zx(0.0))
+        recipe_path = write_recipe(tmp_path / "r.json", zx(0.0))
         status = main(
             ["sweep", "--param", "phase", "--from", "0", "--to", "1",
              "--points", "2", "--recipe", recipe_path, "--steps", "512"]
@@ -254,28 +254,28 @@ class TestSweepCommand:
         assert len(rows) == 3
 
     def test_single_point_rejected(self, tmp_path):
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.zx(0.0))
+        recipe_path = write_recipe(tmp_path / "r.json", zx(0.0))
         assert main(
             ["sweep", "--param", "phase", "--from", "0", "--to", "1",
              "--points", "1", "--recipe", recipe_path]
         ) == 2
 
     def test_phase_sweep_of_cnot_rejected(self, tmp_path):
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.cnot())
+        recipe_path = write_recipe(tmp_path / "r.json", cnot())
         assert main(
             ["sweep", "--param", "phase", "--from", "0", "--to", "1",
              "--points", "3", "--recipe", recipe_path]
         ) == 2
 
     def test_detuning_below_minus_one_rejected(self, tmp_path):
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.0))
+        recipe_path = write_recipe(tmp_path / "r.json", xz(0.0))
         assert main(
             ["sweep", "--param", "pulse_area_detuning", "--from", "-2", "--to", "0",
              "--points", "3", "--recipe", recipe_path]
         ) == 2
 
     def test_unwritable_output_exits_2(self, tmp_path):
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.0))
+        recipe_path = write_recipe(tmp_path / "r.json", xz(0.0))
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.json"
         assert main(
             ["gate", "--recipe", recipe_path, "--steps", "512", "--out", str(missing_dir)]
@@ -309,7 +309,7 @@ class TestNogoCommand:
         )
 
 
-XZ = GateRecipe.xz(0.3).to_json_dict()
+XZ = xz(0.3).to_json_dict()
 ENSEMBLE = {
     "kick_count": 1,
     "distribution": {"type": "uniform", "params": {}},
@@ -336,7 +336,7 @@ def sweep_argv(start, stop, points, steps):
     ]
 
 
-LOGICAL_BASIS = basis_to_json(dfs_product_basis([1], 1, "01"))
+LOGICAL_BASIS = basis_to_json(dfs_product_basis([1], "01"))
 
 
 def basis_argv(**changes):
@@ -398,6 +398,22 @@ BAD_INPUT = {
 }
 
 
+# Files the JSON decoder cannot read: bytes that are not UTF-8, arrays
+# nested past the recursion limit, and an integer past Python's int-digit
+# limit.
+UNDECODABLE = {
+    "non-utf8": b'{"kind": "\xff"}',
+    "nested-200000": b"[" * 200_000 + b"]" * 200_000,
+    "int-5000-digits": b'{"x": ' + b"1" * 5000 + b"}",
+}
+# Each input file option, in the command that reads it.
+FILE_OPTIONS = {
+    "recipe": lambda path: ["gate", "--recipe", path],
+    "ensemble": lambda path: ["noise", "--recipe", json.dumps(XZ), "--ensemble", path],
+    "basis": lambda path: basis_argv()[:3] + ["--basis", path],
+}
+
+
 class TestBadInputExits2:
     @pytest.mark.parametrize("argv, scale", BAD_INPUT.values(), ids=BAD_INPUT.keys())
     def test_one_line_error(self, argv, scale, capsys, monkeypatch):
@@ -409,6 +425,18 @@ class TestBadInputExits2:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("option", FILE_OPTIONS)
+    @pytest.mark.parametrize("content", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+    def test_undecodable_file(self, content, option, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        assert main(FILE_OPTIONS[option](str(path))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
 
 class TestExitStatusContract:
     def test_internal_contract_violation_exits_3(self, tmp_path, monkeypatch):
@@ -419,7 +447,7 @@ class TestExitStatusContract:
             raise ContractViolation("synthetic contract failure")
 
         monkeypatch.setattr(cli, "realize", explode)
-        recipe_path = write_recipe(tmp_path / "r.json", GateRecipe.xz(0.1))
+        recipe_path = write_recipe(tmp_path / "r.json", xz(0.1))
         assert main(["gate", "--recipe", recipe_path]) == 3
 
     @pytest.mark.parametrize(
@@ -445,8 +473,8 @@ class TestExitStatusContract:
         from hqcdfs import noise
         from hqcdfs.model import recipe_hamiltonian
 
-        def leaky(recipe, n_blocks):
-            return recipe_hamiltonian(recipe, n_blocks) + pauli_kron("x", 1, 3 * n_blocks)
+        def leaky(recipe):
+            return recipe_hamiltonian(recipe) + pauli_kron("x", 1, 3 * max(recipe.blocks))
 
         monkeypatch.setattr(noise, "recipe_hamiltonian", leaky)
         status, out, err = run_captured(noise_argv())
@@ -457,7 +485,7 @@ class TestExitStatusContract:
     def test_logical_rows_in_two_noise_sectors_exit_3(self, monkeypatch):
         from hqcdfs import noise
 
-        def split(blocks, n_blocks, states):
+        def split(blocks, states):
             return BasisSet(
                 np.column_stack([bitstring_state("010"), bitstring_state("011")]), ("0L", "1L")
             )
@@ -524,11 +552,11 @@ class TestReportEnvelope:
 # ``hqcdfs noise`` cases whose stdout is pinned byte for byte: exact and
 # detuned recipes under each kick distribution, 3 kicks, 25 samples.
 PINNED_RECIPES = {
-    "XZ": GateRecipe.xz(0.3, 0.7),
-    "ZX": GateRecipe.zx(1.4),
-    "CNOT": GateRecipe.cnot(1.3, (2, 1)),
-    "XZ-detuned": detune(GateRecipe.xz(0.3, 0.7), 1.05),
-    "CNOT-detuned": detune(GateRecipe.cnot(1.3, (2, 1)), 0.97),
+    "XZ": xz(0.3, 0.7),
+    "ZX": zx(1.4),
+    "CNOT": cnot(1.3, (2, 1)),
+    "XZ-detuned": detune(xz(0.3, 0.7), 1.05),
+    "CNOT-detuned": detune(cnot(1.3, (2, 1)), 0.97),
 }
 PINNED_DISTRIBUTIONS = {
     "uniform": ({"type": "uniform", "params": {}}, 5),
@@ -585,7 +613,7 @@ class TestPinnedNoiseReports:
 PINNED_CERTIFY_RECIPES = {
     "XZ": PINNED_RECIPES["XZ"],
     "ZX": PINNED_RECIPES["ZX"],
-    "CNOT-12": GateRecipe.cnot(1.3, (1, 2)),
+    "CNOT-12": cnot(1.3, (1, 2)),
     "CNOT-21": PINNED_RECIPES["CNOT"],
     "XZ-detuned": PINNED_RECIPES["XZ-detuned"],
     "CNOT-detuned": PINNED_RECIPES["CNOT-detuned"],
@@ -707,9 +735,9 @@ def recipes(draw, counts=(0, 1, 1, 2)):
     kind = draw(st.sampled_from(["XZ", "ZX", "CNOT"]))
     strength = draw(st.floats(0.5, 2.0))
     if kind == "CNOT":
-        recipe = GateRecipe.cnot(strength, draw(st.sampled_from([(1, 2), (2, 1)])))
+        recipe = cnot(strength, draw(st.sampled_from([(1, 2), (2, 1)])))
     else:
-        factory = GateRecipe.xz if kind == "XZ" else GateRecipe.zx
+        factory = xz if kind == "XZ" else zx
         recipe = factory(draw(st.floats(-math.pi, math.pi)), strength, draw(st.sampled_from([1, 2])))
     if draw(st.booleans()):
         recipe = detune(recipe, draw(st.floats(0.5, 1.5)))
@@ -776,7 +804,7 @@ class TestConsoleScript:
         assert __version__ in result.stdout
 
 
-ANCILLA_PAIR_BASIS = basis_to_json(dfs_product_basis([1], 1, "a0"))
+ANCILLA_PAIR_BASIS = basis_to_json(dfs_product_basis([1], "a0"))
 
 # One small call per command, and one per failing exit status: (argv,
 # HQC_DFS_TOLERANCE_SCALE or None, exit status).

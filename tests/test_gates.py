@@ -17,7 +17,7 @@ from hqcdfs.gates import (
     two_qubit_dfs,
 )
 from hqcdfs.holonomy import transport_defect
-from hqcdfs.model import GateRecipe, detune, recipe_hamiltonian
+from hqcdfs.model import detune, recipe_hamiltonian
 from hqcdfs.noise import KickDistribution, NoiseEnsemble, noisy_realize
 from hqcdfs.operators import Spectrum, phase_aligned_distance
 from hqcdfs.pcg64 import PCG64Words
@@ -25,6 +25,7 @@ from hqcdfs.serialize import encode_json
 from hqcdfs.subspace import BasisSet, dfs_product_basis, restrict
 
 from gate_tools import (
+    cnot,
     compose_realized,
     compose_targets,
     euler_angles,
@@ -34,6 +35,8 @@ from gate_tools import (
     rotation_sequence,
     rx_matrix,
     rz_matrix,
+    xz,
+    zx,
 )
 from oracles import (
     PAULI,
@@ -85,7 +88,7 @@ class TestTargets:
 class TestRealize:
     def test_xz_full_restriction(self):
         phi = 0.35
-        real = realize(GateRecipe.xz(phi, strength=1.2), steps=512)
+        real = realize(xz(phi, strength=1.2), steps=512)
         expected = np.array(
             [[-1, 0, 0], [0, 0, np.exp(-1j * phi)], [0, np.exp(1j * phi), 0]]
         )
@@ -95,7 +98,7 @@ class TestRealize:
 
     def test_zx_full_restriction(self):
         phi = 1.9
-        real = realize(GateRecipe.zx(phi, strength=0.6), steps=512)
+        real = realize(zx(phi, strength=0.6), steps=512)
         expected = np.array(
             [
                 [-1, 0, 0],
@@ -107,22 +110,22 @@ class TestRealize:
         assert real.distance <= 1e-10
 
     def test_cnot_five_state_restriction(self):
-        real = realize(GateRecipe.cnot(strength=1.4), steps=512)
+        real = realize(cnot(strength=1.4), steps=512)
         expected = np.diag([-1.0, 1.0, 1.0, 0.0, 0.0]).astype(complex)
         expected[3, 4] = expected[4, 3] = 1.0
         assert np.abs(real.dfs_restricted - expected).max() <= 1e-10
         assert real.distance <= 1e-10
         assert real.invariance_defect <= 1e-10
-        assert np.abs(ancilla_completed_target(GateRecipe.cnot()) - expected).max() == 0.0
+        assert np.abs(ancilla_completed_target(cnot()) - expected).max() == 0.0
 
     def test_detuned_recipe_reported_not_rejected(self):
-        real = realize(detune(GateRecipe.xz(0.2), 1.04), steps=512)
+        real = realize(detune(xz(0.2), 1.04), steps=512)
         assert real.distance > 1e-4
         assert real.holonomy.holonomy_matrix is None
         assert real.holonomy.cyclicity_defect > 1e-4
 
     def test_realization_json_round_trip(self):
-        real = realize(GateRecipe.xz(0.9), steps=512)
+        real = realize(xz(0.9), steps=512)
         doc = json.loads("".join(encode_json(real.to_json_dict())))
         propagator = matrix_from_json(doc["propagator"])
         defect = np.linalg.norm(propagator.conj().T @ propagator - np.eye(8))
@@ -290,12 +293,12 @@ class TestOneSpectrumPerHamiltonian:
     @pytest.mark.parametrize(
         "run, hamiltonians",
         [
-            (lambda: realize(GateRecipe.xz(0.4), steps=512), 1),
-            (lambda: realize(GateRecipe.cnot(), steps=512), 1),
-            (lambda: realize(detune(GateRecipe.zx(0.4), 1.05), steps=512), 1),
+            (lambda: realize(xz(0.4), steps=512), 1),
+            (lambda: realize(cnot(), steps=512), 1),
+            (lambda: realize(detune(zx(0.4), 1.05), steps=512), 1),
             (
                 lambda: noisy_realize(
-                    GateRecipe.cnot(), NoiseEnsemble(4, KickDistribution("uniform"), 20, 5)
+                    cnot(), NoiseEnsemble(4, KickDistribution("uniform", {}), 20, 5)
                 ),
                 1,
             ),
@@ -319,8 +322,8 @@ class TestOneSpectrumPerHamiltonian:
     @pytest.mark.parametrize(
         "param, recipe, shapes",
         [
-            ("pulse_area_detuning", GateRecipe.cnot(), [(64, 64)]),
-            ("phase", GateRecipe.xz(0.4), [(8, 8)] * 6),
+            ("pulse_area_detuning", cnot(), [(64, 64)]),
+            ("phase", xz(0.4), [(8, 8)] * 6),
         ],
         ids=["detuning-CNOT", "phase-XZ"],
     )
@@ -341,7 +344,7 @@ class TestOneSpectrumPerHamiltonian:
 
     @pytest.mark.parametrize(
         "recipe",
-        [GateRecipe.xz(0.4), GateRecipe.cnot(), detune(GateRecipe.cnot(), 1.05)],
+        [xz(0.4), cnot(), detune(cnot(), 1.05)],
         ids=["XZ", "CNOT", "CNOT-detuned"],
     )
     def test_one_propagator_per_realization(self, recipe, monkeypatch):
@@ -362,7 +365,7 @@ class TestGateProperties:
         rng = np.random.default_rng(61)
         for _ in range(50):
             phi = rng.uniform(0, 2 * np.pi)
-            for make in (GateRecipe.xz, GateRecipe.zx):
+            for make in (xz, zx):
                 real = realize(make(phi), steps=512)
                 assert real.distance <= 1e-10
                 assert real.holonomy.cyclicity_defect <= 1e-10
@@ -373,12 +376,12 @@ class TestGateProperties:
                 assert unitarity <= 1e-9
 
     def test_logical_action_independent_of_spectator_state(self):
-        # XZ on block 1 of 2: the idle block 2 in |0>_L or in |1>_L gives
+        # XZ on block 2 of 2: the idle block 1 in |0>_L or in |1>_L gives
         # the same logical gate.
-        recipe = GateRecipe.xz(0.85, block=1)
-        u = Spectrum(recipe_hamiltonian(recipe, 2)).propagator(recipe.duration)
+        recipe = xz(0.85, block=2)
+        u = Spectrum(recipe_hamiltonian(recipe)).propagator(recipe.duration)
         rest_0, rest_1 = (
-            restrict(u, BasisSet(*product_states([1], 2, "01", idle))) for idle in "01"
+            restrict(u, BasisSet(*product_states([2], 2, "01", idle))) for idle in "01"
         )
         assert np.abs(rest_0 - rest_1).max() <= 1e-12
         assert phase_aligned_distance(rest_1, target_uxz(0.85)) <= 1e-10
@@ -389,10 +392,10 @@ class TestGateProperties:
         # physical; the measured phase-aligned distance is exactly 2. The
         # bare logical targets differ only by a global sign, which the
         # phase-aligned metric deliberately ignores.
-        basis = dfs_product_basis([1], 1)
+        basis = dfs_product_basis([1])
         gates = {}
-        for recipe in (GateRecipe.xz(0.0), GateRecipe.zx(0.0)):
-            u = Spectrum(recipe_hamiltonian(recipe, 1)).propagator(recipe.duration)
+        for recipe in (xz(0.0), zx(0.0)):
+            u = Spectrum(recipe_hamiltonian(recipe)).propagator(recipe.duration)
             gates[recipe.kind] = restrict(u, basis)
         forward = gates["XZ"] @ gates["ZX"]
         backward = gates["ZX"] @ gates["XZ"]
@@ -404,8 +407,8 @@ class TestGateProperties:
         ) <= 1e-12
 
     def test_cnot_consistent_under_block_swap(self):
-        forward = realize(GateRecipe.cnot(), steps=512)
-        backward = realize(GateRecipe.cnot(blocks=(2, 1)), steps=512)
+        forward = realize(cnot(), steps=512)
+        backward = realize(cnot(blocks=(2, 1)), steps=512)
         assert backward.distance <= 1e-10
         swap = qubit_permutation_matrix({1: 4, 2: 5, 3: 6, 4: 1, 5: 2, 6: 3}, 6)
         conjugated = swap @ forward.propagator @ swap.conj().T
@@ -414,7 +417,7 @@ class TestGateProperties:
     def test_detuned_distance_grows_monotonically(self):
         distances = []
         for eps in np.linspace(0.0, 0.1, 11):
-            recipe = GateRecipe.xz(0.4) if eps == 0.0 else detune(GateRecipe.xz(0.4), 1.0 + eps)
+            recipe = xz(0.4) if eps == 0.0 else detune(xz(0.4), 1.0 + eps)
             restricted = realized_logical(recipe)
             distances.append(phase_aligned_distance(restricted, target_uxz(0.4)))
         assert all(b >= a - 1e-12 for a, b in zip(distances, distances[1:]))

@@ -7,13 +7,13 @@ import pytest
 
 from hqcdfs.errors import PreconditionError, SingularChainError
 from hqcdfs import holonomy
-from hqcdfs.holonomy import certify, cyclicity_defect, defects_only_report, transport_defect
-from hqcdfs.model import GateRecipe, detune, recipe_hamiltonian
+from hqcdfs.holonomy import PRECONDITION_TOL, certify, cyclicity_defect, transport_defect
+from hqcdfs.model import detune, recipe_hamiltonian
 from hqcdfs.operators import Spectrum, phase_aligned_distance, polar_unitary
 from hqcdfs.serialize import encode_json
 from hqcdfs.subspace import BasisSet, dfs_product_basis, restrict
 
-from gate_tools import matrix_from_json, universal_recipes
+from gate_tools import cnot, matrix_from_json, universal_recipes, xz, zx
 from oracles import (
     polar_newton,
     projector_chain,
@@ -24,17 +24,14 @@ from oracles import (
 
 
 def xz_setup(phi=0.3, strength=1.0):
-    recipe = GateRecipe.xz(phi, strength=strength)
-    h = recipe_hamiltonian(recipe, 1)
-    basis = dfs_product_basis([1], 1, "01")
+    recipe = xz(phi, strength=strength)
+    h = recipe_hamiltonian(recipe)
+    basis = dfs_product_basis([1], "01")
     return recipe, h, basis
 
 
 def recipe_setup(recipe):
-    n_blocks = max(recipe.blocks)
-    h = recipe_hamiltonian(recipe, n_blocks)
-    basis = dfs_product_basis(recipe.blocks, n_blocks, "01")
-    return h, basis
+    return recipe_hamiltonian(recipe), dfs_product_basis(recipe.blocks, "01")
 
 
 ZERO_8 = np.zeros((8, 8), dtype=complex)
@@ -59,7 +56,7 @@ class TestCyclicityDefect:
         assert abs(cyclicity_defect(Spectrum(h).propagator(t), basis) - expected) < 1e-12
 
     def test_zero_hamiltonian(self):
-        basis = dfs_product_basis([1], 1, "01")
+        basis = dfs_product_basis([1], "01")
         assert cyclicity_defect(Spectrum(ZERO_8).propagator(2.7), basis) <= 1e-15
 
 
@@ -70,14 +67,14 @@ class TestTransportDefect:
 
     def test_ancilla_logical_pair_couples_at_strength(self):
         j = 1.4
-        recipe = GateRecipe.xz(0.6, strength=j)
-        h = recipe_hamiltonian(recipe, 1)
-        full = dfs_product_basis([1], 1)
+        recipe = xz(0.6, strength=j)
+        h = recipe_hamiltonian(recipe)
+        full = dfs_product_basis([1])
         pair = BasisSet(full.vectors[:, :2], ("a", "0L"))
         assert abs(transport_defect(Spectrum(h), pair, recipe.duration) - j) < 1e-12
 
     def test_zero_hamiltonian(self):
-        basis = dfs_product_basis([1], 1)
+        basis = dfs_product_basis([1])
         assert transport_defect(Spectrum(ZERO_8), basis, 1.0) == 0.0
 
 
@@ -85,24 +82,23 @@ class TestTransportDefect:
 # blocks of transport times at the default TRANSPORT_BLOCK_BYTES). "dfs"
 # adds the ancilla, so the defect reads a coupling, not roundoff.
 TRANSPORT_CASES = {
-    "XZ-1": (GateRecipe.xz(0.3, 0.7), "logical", 1),
-    "XZ-1-dfs": (GateRecipe.xz(0.3, 0.7), "dfs", 1),
-    "ZX-2": (GateRecipe.zx(1.4, block=2), "logical", 4),
-    "ZX-2-one-vector": (GateRecipe.zx(1.4, block=2), "first", 2),
-    "ZX-2-dfs": (GateRecipe.zx(1.4, block=2), "dfs", 5),
-    "CNOT-12": (GateRecipe.cnot(1.3, (1, 2)), "logical", 7),
-    "CNOT-21": (GateRecipe.cnot(1.3, (2, 1)), "logical", 7),
-    "CNOT-13": (GateRecipe.cnot(0.9, (1, 3)), "logical", 51),
+    "XZ-1": (xz(0.3, 0.7), "logical", 1),
+    "XZ-1-dfs": (xz(0.3, 0.7), "dfs", 1),
+    "ZX-2": (zx(1.4, block=2), "logical", 4),
+    "ZX-2-one-vector": (zx(1.4, block=2), "first", 2),
+    "ZX-2-dfs": (zx(1.4, block=2), "dfs", 5),
+    "CNOT-12": (cnot(1.3, (1, 2)), "logical", 7),
+    "CNOT-21": (cnot(1.3, (2, 1)), "logical", 7),
+    "CNOT-13": (cnot(0.9, (1, 3)), "logical", 51),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def transport_case(name):
     recipe, kind, _ = TRANSPORT_CASES[name]
-    n_blocks = max(recipe.blocks)
     states = {"logical": "01", "dfs": "a01", "first": "0"}[kind]
-    basis = dfs_product_basis(recipe.blocks, n_blocks, states)
-    return recipe, Spectrum(recipe_hamiltonian(recipe, n_blocks)), basis
+    basis = dfs_product_basis(recipe.blocks, states)
+    return recipe, Spectrum(recipe_hamiltonian(recipe)), basis
 
 
 def transport_blocks(basis):
@@ -174,7 +170,7 @@ class TestProjectorChain:
         assert phase_aligned_distance(chain, quoted) <= 1e-3
 
     def test_zero_hamiltonian_gives_identity_exactly(self):
-        basis = dfs_product_basis([1], 1, "01")
+        basis = dfs_product_basis([1], "01")
         chain = certify(Spectrum(ZERO_8), basis, 1.0, 16).holonomy_matrix
         assert np.abs(chain - np.eye(2)).max() == 0.0
 
@@ -213,9 +209,9 @@ class TestProjectorChain:
             certify(Spectrum(h), basis, recipe.duration / 2, 64)
 
     def test_rejects_coupled_subspace(self):
-        recipe = GateRecipe.xz(0.2)
-        h = recipe_hamiltonian(recipe, 1)
-        full = dfs_product_basis([1], 1)
+        recipe = xz(0.2)
+        h = recipe_hamiltonian(recipe)
+        full = dfs_product_basis([1])
         pair = BasisSet(full.vectors[:, :2], ("a", "0L"))
         with pytest.raises(PreconditionError):
             certify(Spectrum(h), pair, recipe.duration, 64)
@@ -250,12 +246,22 @@ class TestCertify:
         assert phase_aligned_distance(report.holonomy_matrix, restricted) <= 1e-3
 
     def test_detuned_report_has_defects_only(self):
-        recipe = detune(GateRecipe.xz(0.5), 1.07)
-        h, basis = recipe_setup(recipe)
-        report = defects_only_report(Spectrum(h), basis, recipe.duration, 512)
-        assert report.cyclicity_defect > 1e-3
-        assert report.holonomy_matrix is None
-        assert report.reconstruction_distance is None
+        # Off the pulse-area condition the preconditions fail; without
+        # reconstruction the report carries both defects and raises nothing.
+        for recipe in (detune(xz(0.5), 1.07), detune(cnot(blocks=(2, 1)), 0.96)):
+            h, basis = recipe_setup(recipe)
+            spectrum = Spectrum(h)
+            with pytest.raises(PreconditionError):
+                certify(spectrum, basis, recipe.duration, 512)
+            report = certify(spectrum, basis, recipe.duration, 512, reconstruct=False)
+            u = spectrum.propagator(recipe.duration)
+            assert report.cyclicity_defect > PRECONDITION_TOL
+            assert report.cyclicity_defect == cyclicity_defect(u, basis)
+            assert report.transport_defect == transport_defect(spectrum, basis, recipe.duration)
+            assert report.reconstruction_distance is None
+            assert report.chain_defect is None
+            assert report.holonomy_matrix is None
+            assert (report.steps, report.tau) == (512, recipe.duration)
 
     def test_report_json_round_trip(self):
         recipe, h, basis = xz_setup(phi=1.1)

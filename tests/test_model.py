@@ -22,7 +22,7 @@ from oracles import (
     r_op_kron,
     recipe_hamiltonian_kron,
 )
-from gate_tools import universal_recipes
+from gate_tools import cnot, universal_recipes, xz, zx
 
 SQRT2 = math.sqrt(2.0)
 
@@ -130,12 +130,12 @@ class TestRop:
 class TestAssembly:
     def test_xz_couplings_reproduce_gate_generator(self):
         phi, j = 0.9, 1.7
-        h = recipe_hamiltonian(GateRecipe.xz(phi, strength=j), 1)
+        h = recipe_hamiltonian(xz(phi, strength=j))
         assert np.abs(h - xz_generator(phi, j)).max() < 1e-14
 
     def test_zx_couplings_reproduce_gate_generator(self):
         phi, j = 2.1, 0.4
-        h = recipe_hamiltonian(GateRecipe.zx(phi, strength=j), 1)
+        h = recipe_hamiltonian(zx(phi, strength=j))
         assert np.abs(h - zx_generator(phi, j)).max() < 1e-14
 
     def test_four_body_pair(self):
@@ -198,19 +198,19 @@ class TestRecipes:
             assert abs(recipe.strength * recipe.duration - PULSE_AREAS[recipe.kind]) < 1e-12
 
     def test_detune_escape_hatch(self):
-        recipe = detune(GateRecipe.xz(0.1), 1.05)
+        recipe = detune(xz(0.1), 1.05)
         assert recipe.detuned
         assert abs(recipe.strength * recipe.duration - 1.05 * PULSE_AREAS["XZ"]) < 1e-12
 
     def test_block_index_below_one(self):
         with pytest.raises(IndexError):
-            GateRecipe.xz(0.0, block=0)
+            xz(0.0, block=0)
         with pytest.raises(IndexError):
-            GateRecipe.cnot(blocks=(0, 1))
+            cnot(blocks=(0, 1))
 
     def test_cnot_needs_distinct_blocks(self):
         with pytest.raises(ValueError):
-            GateRecipe.cnot(blocks=(1, 1))
+            cnot(blocks=(1, 1))
 
     def test_block_count_per_kind(self):
         with pytest.raises(ValueError):
@@ -218,47 +218,42 @@ class TestRecipes:
 
     def test_json_round_trip(self):
         for recipe in (
-            GateRecipe.xz(0.25, strength=2.0, block=2),
-            GateRecipe.cnot(strength=0.5, blocks=(2, 1)),
-            detune(GateRecipe.zx(1.2), 0.9),
+            xz(0.25, strength=2.0, block=2),
+            cnot(strength=0.5, blocks=(2, 1)),
+            detune(zx(1.2), 0.9),
         ):
             assert GateRecipe.from_json_dict(recipe.to_json_dict()) == recipe
 
 
 class TestRecipeHamiltonian:
     def test_xz_block_one(self):
-        recipe = GateRecipe.xz(0.6, strength=1.1)
-        assert np.abs(recipe_hamiltonian(recipe, 1) - xz_generator(0.6, 1.1)).max() < 1e-14
+        recipe = xz(0.6, strength=1.1)
+        assert np.abs(recipe_hamiltonian(recipe) - xz_generator(0.6, 1.1)).max() < 1e-14
 
     def test_xz_block_two_of_two(self):
         # Same pattern shifted to couplings (4,5) and (4,6).
-        recipe = GateRecipe.xz(0.6, strength=1.1, block=2)
+        recipe = xz(0.6, strength=1.1, block=2)
         expected = xz_generator(0.6, 1.1, n=6, base=(4, 5, 6))
-        assert np.abs(recipe_hamiltonian(recipe, 2) - expected).max() < 1e-14
+        assert np.abs(recipe_hamiltonian(recipe) - expected).max() < 1e-14
 
     def test_cnot_blocks_one_two(self):
-        recipe = GateRecipe.cnot(strength=0.7)
-        assert np.abs(recipe_hamiltonian(recipe, 2) - cnot_generator(0.7)).max() < 1e-14
-
-    def test_block_out_of_range(self):
-        with pytest.raises(IndexError):
-            recipe_hamiltonian(GateRecipe.xz(0.0, block=3), 2)
+        recipe = cnot(strength=0.7)
+        assert np.abs(recipe_hamiltonian(recipe) - cnot_generator(0.7)).max() < 1e-14
 
     @pytest.mark.parametrize(
         "recipe, n_blocks",
         [(recipe, max(recipe.blocks)) for recipe in universal_recipes(1.3, 0.7)]
         + [
-            (GateRecipe.cnot(0.9, (2, 1)), 2),
-            (GateRecipe.xz(2.2, 1.6, block=2), 2),
-            (GateRecipe.xz(0.8), 2),
-            (GateRecipe.zx(1.4, block=2), 2),
-            (GateRecipe.cnot(1.1, (1, 3)), 3),
+            (cnot(0.9, (2, 1)), 2),
+            (xz(2.2, 1.6, block=2), 2),
+            (zx(1.4, block=2), 2),
+            (cnot(1.1, (1, 3)), 3),
         ],
-        ids=["XZ", "ZX", "CNOT", "CNOT-blocks-2-1", "XZ-block-2-of-2", "XZ-block-1-of-2",
-             "ZX-block-2-of-2", "CNOT-blocks-1-3"],
+        ids=["XZ", "ZX", "CNOT", "CNOT-blocks-2-1", "XZ-block-2-of-2", "ZX-block-2-of-2",
+             "CNOT-blocks-1-3"],
     )
     def test_bit_identical_to_kron_chain_assembly(self, recipe, n_blocks):
-        h = recipe_hamiltonian(recipe, n_blocks)
+        h = recipe_hamiltonian(recipe)
         assert h.tobytes() == recipe_hamiltonian_kron(recipe, n_blocks).tobytes()
 
     def test_coupling_config_layout(self):
@@ -268,16 +263,16 @@ class TestRecipeHamiltonian:
             math.sin(phi / 2) * r_op_bruteforce("y", 4, 5, 6)
             - math.cos(phi / 2) * r_op_bruteforce("x", 4, 6, 6)
         )
-        h = recipe_hamiltonian(GateRecipe.zx(phi, strength=j, block=2), 2)
+        h = recipe_hamiltonian(zx(phi, strength=j, block=2))
         assert np.abs(h - expected).max() < 1e-14
 
     def test_dimension_cap_before_allocation(self):
-        # 5 blocks are 15 qubits: rejected from the qubit count, before any
-        # 2^15 x 2^15 matrix exists.
+        # A recipe on block 5 spans 15 qubits: rejected from the qubit count
+        # as the recipe is built, before any 2^15 x 2^15 matrix exists.
         tracemalloc.start()
         try:
             with pytest.raises(DimensionCapError):
-                recipe_hamiltonian(GateRecipe.xz(0.3), 5)
+                xz(0.3, block=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -300,7 +295,7 @@ class TestModelProperties:
             assert np.linalg.norm(h @ z - z @ h) <= 1e-12 * 2 ** n
 
     def test_four_body_commutes_with_collective_z(self):
-        h = recipe_hamiltonian(GateRecipe.cnot(strength=1.9), 2)
+        h = recipe_hamiltonian(cnot(strength=1.9))
         z = np.diag(collective_z(6))
         assert np.linalg.norm(h @ z - z @ h) <= 1e-12 * 64
 
@@ -312,7 +307,7 @@ class TestModelProperties:
         for _ in range(10):
             phi = rng.uniform(0, 2 * np.pi)
             j = rng.uniform(0.2, 3.0)
-            h = recipe_hamiltonian(GateRecipe.xz(phi, strength=j), 1)
+            h = recipe_hamiltonian(xz(phi, strength=j))
             restricted = basis.conj().T @ h @ basis
             quoted = j * np.array(
                 [
@@ -329,22 +324,24 @@ class TestModelProperties:
         basis = np.column_stack(
             [bitstring_state("100"), bitstring_state("010"), bitstring_state("001")]
         )
-        h = recipe_hamiltonian(GateRecipe.xz(0.77, strength=j), 1)
+        h = recipe_hamiltonian(xz(0.77, strength=j))
         eigvals = np.linalg.eigvalsh(basis.conj().T @ h @ basis)
         assert np.abs(eigvals - np.array([-SQRT2 * j, 0.0, SQRT2 * j])).max() <= 1e-12
 
     def test_block_relabeling_is_permutation_conjugation(self):
+        # Swapping the blocks turns CNOT (1, 2) into CNOT (2, 1): each term
+        # becomes the same product with its two factors, exchange terms on
+        # disjoint pairs, in the other order, and those commute.
         swap = qubit_permutation_matrix({1: 4, 2: 5, 3: 6, 4: 1, 5: 2, 6: 3}, 6)
-        for make in (lambda b: GateRecipe.xz(0.3, block=b), lambda b: GateRecipe.zx(1.1, block=b)):
-            h1 = recipe_hamiltonian(make(1), 2)
-            h2 = recipe_hamiltonian(make(2), 2)
-            assert np.linalg.norm(h2 - swap @ h1 @ swap.conj().T) <= 1e-12
+        h12 = recipe_hamiltonian(cnot(1.3, (1, 2)))
+        h21 = recipe_hamiltonian(cnot(1.3, (2, 1)))
+        assert np.linalg.norm(h21 - swap @ h12 @ swap.conj().T) <= 1e-12
 
     def test_zero_excitation_state_annihilated_exactly(self):
         vacuum3 = bitstring_state("000")
         vacuum6 = bitstring_state("000000")
         for recipe in universal_recipes(strength=1.3, phase=0.8):
             n_blocks = max(recipe.blocks)
-            h = recipe_hamiltonian(recipe, n_blocks)
+            h = recipe_hamiltonian(recipe)
             vac = vacuum3 if n_blocks == 1 else vacuum6
             assert np.abs(h @ vac).max() == 0.0

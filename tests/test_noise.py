@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,10 @@ from hqcdfs.noise import (
     noisy_realize,
 )
 from hqcdfs.operators import Spectrum, phase_aligned_distance
+from hqcdfs.serialize import encode_json
 from hqcdfs.subspace import BasisSet, dfs_product_basis, restrict
 
-from gate_tools import realized_logical, universal_recipes
+from gate_tools import cnot, realized_logical, universal_recipes, xz, zx
 from oracles import (
     PAULI,
     _sample_angles,
@@ -28,7 +31,7 @@ from oracles import (
 
 
 def uniform_ensemble(kick_count=4, samples=50, seed=5):
-    return NoiseEnsemble(kick_count, KickDistribution("uniform"), samples, seed)
+    return NoiseEnsemble(kick_count, KickDistribution("uniform", {}), samples, seed)
 
 
 def package_kick(theta: float, n: int) -> np.ndarray:
@@ -57,20 +60,44 @@ class TestCollectiveKick:
         assert np.allclose(collective_kick(theta, 1) @ plus, expected, atol=1e-14)
 
 
+# Input distribution documents and the echo the report writes for each,
+# recorded from the hand-written echo that the record layout replaced.
+KICK_ECHOES = {
+    "uniform-extra-keys": (
+        {"type": "uniform", "params": {"mean": 1, "theta": 0.5}},
+        {"type": "uniform", "params": {}},
+    ),
+    "uniform-non-dict": ({"type": "uniform", "params": 5}, {"type": "uniform", "params": {}}),
+    "uniform-no-params": ({"type": "uniform"}, {"type": "uniform", "params": {}}),
+    "gaussian-reordered-extra": (
+        {"params": {"junk": [1], "stddev": 2, "mean": -1}, "type": "gaussian"},
+        {"type": "gaussian", "params": {"mean": -1.0, "stddev": 2.0}},
+    ),
+    "gaussian": (
+        {"type": "gaussian", "params": {"mean": 0.3, "stddev": 1.7}},
+        {"type": "gaussian", "params": {"mean": 0.3, "stddev": 1.7}},
+    ),
+    "fixed-int-extra": (
+        {"type": "fixed", "params": {"theta": 2, "mean": 9.5}},
+        {"type": "fixed", "params": {"theta": 2.0}},
+    ),
+}
+
+
 class TestNoisyRealize:
     def test_encoded_gate_is_immune(self):
         for dist in (
-            KickDistribution("uniform"),
-            KickDistribution("gaussian", 0.3, 1.7),
-            KickDistribution("fixed", value=2.2),
+            KickDistribution("uniform", {}),
+            KickDistribution("gaussian", {"mean": 0.3, "stddev": 1.7}),
+            KickDistribution("fixed", {"theta": 2.2}),
         ):
             ensemble = NoiseEnsemble(3, dist, samples=25, seed=9)
-            result = noisy_realize(GateRecipe.xz(0.8), ensemble)
+            result = noisy_realize(xz(0.8), ensemble)
             assert result.min_fidelity >= 1.0 - 1e-10
 
     def test_zero_kicks_reduce_to_plain_realization(self):
-        recipe = GateRecipe.zx(1.4)
-        ensemble = NoiseEnsemble(0, KickDistribution("uniform"), samples=3, seed=1)
+        recipe = zx(1.4)
+        ensemble = NoiseEnsemble(0, KickDistribution("uniform", {}), samples=3, seed=1)
         result = noisy_realize(recipe, ensemble)
         restricted = realized_logical(recipe)
         target = target_for(recipe)
@@ -79,38 +106,45 @@ class TestNoisyRealize:
             assert abs(fidelity - plain) < 1e-14
 
     def test_cnot_under_uniform_kicks(self):
-        ensemble = NoiseEnsemble(4, KickDistribution("uniform"), samples=200, seed=3)
-        result = noisy_realize(GateRecipe.cnot(), ensemble)
+        ensemble = NoiseEnsemble(4, KickDistribution("uniform", {}), samples=200, seed=3)
+        result = noisy_realize(cnot(), ensemble)
         assert result.min_fidelity >= 1.0 - 1e-10
 
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):
-            NoiseEnsemble(-1, KickDistribution("uniform"), 10, 0)
+            NoiseEnsemble(-1, KickDistribution("uniform", {}), 10, 0)
         with pytest.raises(ValueError):
-            NoiseEnsemble(1, KickDistribution("uniform"), 0, 0)
+            NoiseEnsemble(1, KickDistribution("uniform", {}), 0, 0)
         with pytest.raises(ValueError):
-            KickDistribution("gaussian", 0.0, -1.0)
+            KickDistribution("gaussian", {"mean": 0.0, "stddev": -1.0})
 
     def test_ensemble_cap(self):
-        NoiseEnsemble(0, KickDistribution("uniform"), ENSEMBLE_CAP, 0)
-        NoiseEnsemble(ENSEMBLE_CAP, KickDistribution("uniform"), 1, 0)
+        NoiseEnsemble(0, KickDistribution("uniform", {}), ENSEMBLE_CAP, 0)
+        NoiseEnsemble(ENSEMBLE_CAP, KickDistribution("uniform", {}), 1, 0)
         # Each count is bounded on its own: kicks are never drawn.
-        NoiseEnsemble(2, KickDistribution("uniform"), ENSEMBLE_CAP // 2 + 1, 0)
-        NoiseEnsemble(ENSEMBLE_CAP, KickDistribution("uniform"), ENSEMBLE_CAP, 0)
+        NoiseEnsemble(2, KickDistribution("uniform", {}), ENSEMBLE_CAP // 2 + 1, 0)
+        NoiseEnsemble(ENSEMBLE_CAP, KickDistribution("uniform", {}), ENSEMBLE_CAP, 0)
         with pytest.raises(ValueError, match="must not exceed"):
-            NoiseEnsemble(0, KickDistribution("uniform"), ENSEMBLE_CAP + 1, 0)
+            NoiseEnsemble(0, KickDistribution("uniform", {}), ENSEMBLE_CAP + 1, 0)
         with pytest.raises(ValueError, match="must not exceed"):
-            NoiseEnsemble(ENSEMBLE_CAP + 1, KickDistribution("uniform"), 1, 0)
+            NoiseEnsemble(ENSEMBLE_CAP + 1, KickDistribution("uniform", {}), 1, 0)
         with pytest.raises(ValueError, match="must not exceed"):
-            NoiseEnsemble(10**18, KickDistribution("uniform"), 1, 0)
+            NoiseEnsemble(10**18, KickDistribution("uniform", {}), 1, 0)
 
     def test_json_round_trip(self):
         for ensemble in (
             uniform_ensemble(),
-            NoiseEnsemble(2, KickDistribution("gaussian", 0.1, 0.5), 7, 42),
-            NoiseEnsemble(0, KickDistribution("fixed", value=1.2), 3, 8),
+            NoiseEnsemble(2, KickDistribution("gaussian", {"mean": 0.1, "stddev": 0.5}), 7, 42),
+            NoiseEnsemble(0, KickDistribution("fixed", {"theta": 1.2}), 3, 8),
         ):
             assert NoiseEnsemble.from_json_dict(ensemble.to_json_dict()) == ensemble
+
+    @pytest.mark.parametrize("doc, echo", KICK_ECHOES.values(), ids=KICK_ECHOES.keys())
+    def test_distribution_echo(self, doc, echo):
+        # The echo keeps only the kind's parameters, in the kind's order,
+        # each a float; uniform ignores whatever ``params`` holds.
+        text = "".join(encode_json(KickDistribution.from_json_dict(doc).to_json_dict()))
+        assert text == json.dumps(echo, indent=2)
 
 
 class TestBareBaseline:
@@ -118,7 +152,7 @@ class TestBareBaseline:
     same kick schedule, read off the per-sample oracle."""
 
     def test_no_kick_angle_keeps_state(self):
-        ensemble = NoiseEnsemble(1, KickDistribution("fixed", value=0.0), samples=10, seed=2)
+        ensemble = NoiseEnsemble(1, KickDistribution("fixed", {"theta": 0.0}), samples=10, seed=2)
         assert abs(bare_fidelity(0.7, ensemble) - 1.0) < 1e-12
 
     def test_uniform_kick_halves_mean_fidelity(self):
@@ -127,52 +161,51 @@ class TestBareBaseline:
         # variance of cos^2 equal to 1/8.
         samples = 10_000
         sigma = np.sqrt(1.0 / 8.0 / samples)
-        ensemble = NoiseEnsemble(1, KickDistribution("uniform"), samples=samples, seed=17)
+        ensemble = NoiseEnsemble(1, KickDistribution("uniform", {}), samples=samples, seed=17)
         mean = bare_fidelity(0.0, ensemble)
         assert abs(mean - 0.5) <= 3.0 * sigma
 
     def test_quarter_turn_kick_orthogonalizes(self):
-        ensemble = NoiseEnsemble(1, KickDistribution("fixed", value=np.pi / 2), samples=4, seed=0)
+        ensemble = NoiseEnsemble(1, KickDistribution("fixed", {"theta": np.pi / 2}), samples=4, seed=0)
         assert bare_fidelity(0.0, ensemble) < 1e-24
 
 
 class TestNoiseProperties:
     def test_recipe_hamiltonians_commute_with_kick_generator(self):
         for recipe in universal_recipes(strength=1.6, phase=1.0):
-            n_blocks = max(recipe.blocks)
-            n = 3 * n_blocks
-            h = recipe_hamiltonian(recipe, n_blocks)
+            n = 3 * max(recipe.blocks)
+            h = recipe_hamiltonian(recipe)
             z = np.diag(collective_z(n))
             assert np.linalg.norm(h @ z - z @ h) <= 1e-12 * 2 ** n
 
     def test_protection_independent_of_kick_schedule(self):
         for kick_count in (1, 4, 16):
-            for dist in (KickDistribution("uniform"), KickDistribution("gaussian", 0.0, 2.5)):
+            for dist in (KickDistribution("uniform", {}), KickDistribution("gaussian", {"mean": 0.0, "stddev": 2.5})):
                 ensemble = NoiseEnsemble(kick_count, dist, samples=20, seed=23)
-                result = noisy_realize(GateRecipe.xz(0.3), ensemble)
+                result = noisy_realize(xz(0.3), ensemble)
                 assert min(result.per_sample) >= 1.0 - 1e-10
 
     def test_bare_qubit_degrades(self):
-        ensemble = NoiseEnsemble(1, KickDistribution("uniform"), samples=10_000, seed=29)
+        ensemble = NoiseEnsemble(1, KickDistribution("uniform", {}), samples=10_000, seed=29)
         assert bare_fidelity(0.0, ensemble) <= 0.55
 
     def test_identical_seeds_reproduce_bit_exactly(self):
-        a = noisy_realize(GateRecipe.zx(0.9), uniform_ensemble(seed=77))
-        b = noisy_realize(GateRecipe.zx(0.9), uniform_ensemble(seed=77))
+        a = noisy_realize(zx(0.9), uniform_ensemble(seed=77))
+        b = noisy_realize(zx(0.9), uniform_ensemble(seed=77))
         assert a.per_sample.dtype == np.float64
         assert a.per_sample.tobytes() == b.per_sample.tobytes()
         # Kicks are a global phase on the logical sector, so the seed cannot
         # change F: another seed gives the same bytes.
-        c = noisy_realize(GateRecipe.zx(0.9), uniform_ensemble(seed=78))
+        c = noisy_realize(zx(0.9), uniform_ensemble(seed=78))
         assert c.per_sample.tobytes() == a.per_sample.tobytes()
 
     def test_kicks_act_as_global_phase_on_protected_space(self):
         # The noisy propagator restricted to the protected space must equal
         # the noiseless restriction up to one sample-dependent phase.
         rng = np.random.default_rng(31)
-        recipe = GateRecipe.xz(1.1)
-        spectrum = Spectrum(recipe_hamiltonian(recipe, 1))
-        protected = dfs_product_basis([1], 1)
+        recipe = xz(1.1)
+        spectrum = Spectrum(recipe_hamiltonian(recipe))
+        protected = dfs_product_basis([1])
         segments = 5
         u_segment = spectrum.propagator(recipe.duration / segments)
         noiseless = restrict(spectrum.propagator(recipe.duration), protected)
@@ -184,9 +217,9 @@ class TestNoiseProperties:
 
 
 DISTRIBUTIONS = {
-    "uniform": KickDistribution("uniform"),
-    "gaussian": KickDistribution("gaussian", 0.3, 1.7),
-    "fixed": KickDistribution("fixed", value=2.2),
+    "uniform": KickDistribution("uniform", {}),
+    "gaussian": KickDistribution("gaussian", {"mean": 0.3, "stddev": 1.7}),
+    "fixed": KickDistribution("fixed", {"theta": 2.2}),
 }
 
 
@@ -198,7 +231,7 @@ class TestBatchedAgainstOracle:
     @pytest.mark.parametrize("dist", DISTRIBUTIONS.values(), ids=DISTRIBUTIONS.keys())
     @pytest.mark.parametrize(
         "recipe",
-        [GateRecipe.xz(0.8), GateRecipe.zx(1.4), GateRecipe.cnot()],
+        [xz(0.8), zx(1.4), cnot()],
         ids=["XZ", "ZX", "CNOT"],
     )
     def test_noisy_realize(self, recipe, dist, kick_count):
@@ -217,67 +250,67 @@ class TestSectorPropagation:
     @pytest.mark.parametrize(
         "recipe",
         [
-            GateRecipe.cnot(blocks=(2, 1)),
-            detune(GateRecipe.cnot(1.3, (2, 1)), 1.1),
-            GateRecipe.xz(0.8, block=2),
-            GateRecipe.zx(1.4, block=2),
+            cnot(blocks=(2, 1)),
+            detune(cnot(1.3, (2, 1)), 1.1),
+            xz(0.8, block=2),
+            zx(1.4, block=2),
         ],
         ids=["CNOT-blocks-2-1", "CNOT-detuned", "XZ-block-2-of-2", "ZX-block-2-of-2"],
     )
     def test_matches_full_register_oracle(self, recipe):
-        ensemble = NoiseEnsemble(4, KickDistribution("gaussian", 0.3, 1.7), samples=70, seed=13)
+        ensemble = NoiseEnsemble(4, KickDistribution("gaussian", {"mean": 0.3, "stddev": 1.7}), samples=70, seed=13)
         closed_form = noisy_realize(recipe, ensemble).per_sample
         expected = noisy_fidelities(recipe, ensemble)
         assert len(closed_form) == len(expected)
         assert np.abs(np.subtract(closed_form, expected)).max() <= 1e-14
 
     def test_coupling_out_of_the_sector_is_a_contract_violation(self, monkeypatch):
-        def leaky(recipe, n_blocks):
-            return recipe_hamiltonian(recipe, n_blocks) + pauli_kron("x", 1, 3 * n_blocks)
+        def leaky(recipe):
+            return recipe_hamiltonian(recipe) + pauli_kron("x", 1, 3 * max(recipe.blocks))
 
         monkeypatch.setattr(noise, "recipe_hamiltonian", leaky)
         with pytest.raises(ContractViolation, match="couples the collective-Z sector"):
-            noisy_realize(GateRecipe.cnot(), uniform_ensemble())
+            noisy_realize(cnot(), uniform_ensemble())
 
     def test_logical_rows_in_two_z_sectors_is_a_contract_violation(self, monkeypatch):
         # |0>_L on popcount 1 and |1>_L on popcount 2: a kick would shift
         # their relative phase, so F would depend on the angles.
-        def split(blocks, n_blocks, states):
+        def split(blocks, states):
             return BasisSet(
                 np.column_stack([bitstring_state("010"), bitstring_state("011")]), ("0L", "1L")
             )
 
         monkeypatch.setattr(noise, "dfs_product_basis", split)
         with pytest.raises(ContractViolation, match="logical basis spans collective-Z values"):
-            noisy_realize(GateRecipe.xz(0.8), uniform_ensemble())
+            noisy_realize(xz(0.8), uniform_ensemble())
 
     def test_cnot_diagonalizes_the_register_hamiltonian_once(self, monkeypatch):
         shapes = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda h: shapes.append(np.shape(h)) or eigh(h))
-        noisy_realize(GateRecipe.cnot(), uniform_ensemble())
+        noisy_realize(cnot(), uniform_ensemble())
         assert shapes == [(64, 64)]
 
 
 def stream_draws(dist: KickDistribution, seed: int, shape: tuple[int, int]) -> np.ndarray:
     """The whole ensemble's angles drawn at once from ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
-    if dist.kind == "uniform":
+    if dist.type == "uniform":
         return rng.uniform(0.0, 2.0 * np.pi, size=shape)
-    if dist.kind == "gaussian":
-        return rng.normal(dist.mean, dist.stddev, size=shape)
-    return np.full(shape, dist.value)
+    if dist.type == "gaussian":
+        return rng.normal(dist.params["mean"], dist.params["stddev"], size=shape)
+    return np.full(shape, dist.params["theta"])
 
 
 def kicked_fidelity(recipe: GateRecipe, angles: np.ndarray) -> float:
     """F of a one-block recipe with one Pade collective kick per angle between
     equal segments, propagated on the full register and then restricted."""
-    spectrum = Spectrum(recipe_hamiltonian(recipe, 1))
+    spectrum = Spectrum(recipe_hamiltonian(recipe))
     u_segment = spectrum.propagator(recipe.duration / (len(angles) + 1))
     u = u_segment
     for theta in angles:
         u = u_segment @ (collective_kick(theta, 3) @ u)
-    realized = restrict(u, dfs_product_basis([1], 1, "01"))
+    realized = restrict(u, dfs_product_basis([1], "01"))
     target = target_for(recipe)
     return float(np.abs(np.trace(target.conj().T @ realized)) / target.shape[0])
 
@@ -298,15 +331,15 @@ class TestAngleStream:
         chunks = [np.stack(rows[start : start + chunk]) for start in range(0, 30, chunk)]
         angles = np.concatenate(chunks)
         assert np.array_equal(angles, stream_draws(dist, 21, (30, 3)))
-        recipe = GateRecipe.xz(0.8)
+        recipe = xz(0.8)
         per_sample = noisy_realize(recipe, ensemble).per_sample
         expected = [kicked_fidelity(recipe, row) for block in chunks for row in block]
         assert np.abs(np.subtract(per_sample, expected)).max() <= 1e-14
 
     @pytest.mark.parametrize("dist", DISTRIBUTIONS.values(), ids=DISTRIBUTIONS.keys())
     def test_per_sample_bytes_ignore_the_kicks(self, dist):
-        still = NoiseEnsemble(0, KickDistribution("fixed", value=0.0), samples=30, seed=0)
-        for recipe in (GateRecipe.xz(0.8), GateRecipe.zx(1.4), GateRecipe.cnot()):
+        still = NoiseEnsemble(0, KickDistribution("fixed", {"theta": 0.0}), samples=30, seed=0)
+        for recipe in (xz(0.8), zx(1.4), cnot()):
             expected = noisy_realize(recipe, still).per_sample.tobytes()
             for seed in (0, 21, 78):
                 for kick_count in (0, 1, 4, 16):
@@ -317,7 +350,7 @@ class TestAngleStream:
     def test_longer_ensemble_extends_shorter_one(self, dist):
         short = NoiseEnsemble(4, dist, samples=9, seed=8)
         long = NoiseEnsemble(4, dist, samples=40, seed=8)
-        recipe = GateRecipe.cnot()
+        recipe = cnot()
         per_sample = noisy_realize(recipe, long).per_sample[:9]
         assert np.abs(np.subtract(per_sample, noisy_realize(recipe, short).per_sample)).max() <= 1e-15
 
@@ -332,11 +365,11 @@ class TestKickCountDrift:
         [
             pytest.param(recipe, kick_count, id=name + suffix)
             for suffix, kick_count in (("", 100_000), ("-cap", ENSEMBLE_CAP))
-            for name, recipe in (("XZ", GateRecipe.xz(0.3)), ("ZX", GateRecipe.zx(0.3)), ("CNOT", GateRecipe.cnot()))
+            for name, recipe in (("XZ", xz(0.3)), ("ZX", zx(0.3)), ("CNOT", cnot()))
         ],
     )
     def test_fidelity_at_1e5_kicks(self, recipe, kick_count):
-        ensemble = NoiseEnsemble(kick_count, KickDistribution("uniform"), samples=1, seed=5)
+        ensemble = NoiseEnsemble(kick_count, KickDistribution("uniform", {}), samples=1, seed=5)
         assert abs(1.0 - noisy_realize(recipe, ensemble).min_fidelity) <= 1e-11
 
 
@@ -345,10 +378,10 @@ class TestNonCollectiveKickControl:
     collective. The same oracle with a kick generator that singles out one
     qubit must see the dephasing."""
 
-    RECIPE = GateRecipe.xz(0.3)
+    RECIPE = xz(0.3)
 
     @staticmethod
-    def deficits(generator, dist=KickDistribution("uniform")):
+    def deficits(generator, dist=KickDistribution("uniform", {})):
         ensemble = NoiseEnsemble(4, dist, samples=40, seed=5)
         return 1.0 - np.array(noisy_fidelities(TestNonCollectiveKickControl.RECIPE, ensemble, generator=generator))
 
@@ -366,7 +399,7 @@ class TestNonCollectiveKickControl:
         # 1 - F grows as delta^2 for small delta.
         collective = collective_z(3)
         sz_2 = np.diagonal(embed_bruteforce(PAULI["z"], 2, 3)).real
-        fixed = KickDistribution("fixed", value=0.7)
+        fixed = KickDistribution("fixed", {"theta": 0.7})
         small, double = (self.deficits(collective + d * sz_2, fixed).mean() for d in (1e-3, 2e-3))
         assert small >= 1e-8
         assert abs(double / small - 4.0) <= 0.05

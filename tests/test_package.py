@@ -9,13 +9,6 @@ import hqcdfs
 PACKAGE = Path(hqcdfs.__file__).parent
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
-# Public methods with no caller in the package, each kept for its reason.
-TEST_ONLY_METHODS = {
-    "model.py:GateRecipe.xz": "the pulse-area-closed XZ recipe of 78 test call sites",
-    "model.py:GateRecipe.zx": "the pulse-area-closed ZX recipe of 29 test call sites",
-    "model.py:GateRecipe.cnot": "the pulse-area-closed CNOT recipe of 37 test call sites",
-}
-
 
 def names_in_package() -> set:
     """Every name and attribute read in ``src/hqcdfs`` outside ``__init__.py``."""
@@ -47,7 +40,7 @@ def test_every_public_function_has_a_caller_in_the_package():
 
 def test_every_public_method_has_a_caller_in_the_package():
     """The same for the public methods, classmethods and properties of every
-    class, but those listed in ``TEST_ONLY_METHODS``."""
+    class."""
     named = names_in_package()
     defined = [
         f"{module}:{cls.name}.{node.name}"
@@ -58,7 +51,7 @@ def test_every_public_method_has_a_caller_in_the_package():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
     uncalled = [name for name in defined if name.rsplit(".", 1)[1] not in named]
-    assert uncalled == list(TEST_ONLY_METHODS)
+    assert uncalled == []
 
 
 def test_readme_layout_lists_every_module():

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from hqcdfs import cli, serialize
 from hqcdfs.gates import no_go_certificate, realize
-from hqcdfs.model import GateRecipe, detune
+from hqcdfs.model import PULSE_AREAS, GateRecipe, detune
 from hqcdfs.noise import KickDistribution, NoiseEnsemble, NoisyGateResult
 from hqcdfs.serialize import Record, matrix_to_json, replace, round_sig
 from hqcdfs.serialize import encode_json as encode_chunks
 
+from gate_tools import cnot, xz
 from oracles import round_all
 
 STDLIB = json.JSONEncoder(indent=2, allow_nan=False)
@@ -169,7 +170,7 @@ class TestFormatChunk:
     def test_report_text_ignores_the_chunk(self, chunk, monkeypatch):
         rng = np.random.default_rng(8)
         doc = {
-            "gate": realize(GateRecipe.cnot(1.3, (1, 2)), steps=64).to_json_dict(),
+            "gate": realize(cnot(1.3, (1, 2)), steps=64).to_json_dict(),
             "per_sample": 1.0 - rng.exponential(1e-9, size=2500),
             "list": rng.normal(size=2500).tolist(),
             "rows": rng.normal(size=(300, 5)).tolist(),
@@ -183,20 +184,23 @@ class TestFormatChunk:
 
 class TestRecords:
     def test_equal_field_by_field(self):
-        assert GateRecipe.xz(0.3) == GateRecipe.xz(0.3)
-        assert hash(GateRecipe.xz(0.3)) == hash(GateRecipe.xz(0.3))
-        assert GateRecipe.xz(0.3) != GateRecipe.xz(0.4)
-        assert GateRecipe.xz(0.3) != ("XZ", 0.3)
+        assert xz(0.3) == xz(0.3)
+        assert hash(xz(0.3)) == hash(xz(0.3))
+        assert xz(0.3) != xz(0.4)
+        assert xz(0.3) != ("XZ", 0.3)
 
     def test_positional_keyword_and_default_fields(self):
-        by_position = KickDistribution("gaussian", 0.1, 0.5)
-        assert by_position == KickDistribution(kind="gaussian", stddev=0.5, mean=0.1)
-        assert by_position.value == 0.0
-        assert by_position.as_dict() == {"kind": "gaussian", "mean": 0.1, "stddev": 0.5, "value": 0.0}
+        area = PULSE_AREAS["XZ"]
+        by_position = GateRecipe("XZ", 0.1, 1.0, area, (2,))
+        assert by_position == GateRecipe(blocks=(2,), duration=area, kind="XZ", strength=1.0, phase=0.1)
+        assert by_position.detuned is False
+        assert by_position.as_dict() == {
+            "kind": "XZ", "phase": 0.1, "strength": 1.0, "duration": area, "blocks": (2,), "detuned": False
+        }
 
     @pytest.mark.parametrize(
         "args, kwargs",
-        [(("uniform", 0.0, 0.0, 0.0, 1.0), {}), (("uniform",), {"kind": "fixed"}), ((), {"angle": 1.0}), ((), {})],
+        [(("uniform", {}, 1.0), {}), (("uniform",), {"type": "fixed"}), ((), {"angle": 1.0}), ((), {})],
         ids=["too-many", "repeated", "unknown", "missing"],
     )
     def test_bad_field_sets_raise_type_error(self, args, kwargs):
@@ -204,7 +208,7 @@ class TestRecords:
             KickDistribution(*args, **kwargs)
 
     def test_assignment_and_deletion_raise(self):
-        recipe = GateRecipe.xz(0.3)
+        recipe = xz(0.3)
         with pytest.raises(AttributeError):
             recipe.phase = 1.0
         with pytest.raises(AttributeError):
@@ -213,15 +217,15 @@ class TestRecords:
 
     def test_replace_validates_again(self):
         with pytest.raises(ValueError):
-            replace(GateRecipe.xz(0.3), duration=-1.0)
+            replace(xz(0.3), duration=-1.0)
         with pytest.raises(ValueError, match="pulse area"):
-            replace(GateRecipe.xz(0.3), strength=2.0)
-        moved = replace(GateRecipe.xz(0.3), phase=0.5)
-        assert moved == GateRecipe.xz(0.5)
-        assert detune(GateRecipe.xz(0.3), 1.1).detuned
+            replace(xz(0.3), strength=2.0)
+        moved = replace(xz(0.3), phase=0.5)
+        assert moved == xz(0.5)
+        assert detune(xz(0.3), 1.1).detuned
 
     def test_post_init_normalizes(self):
-        recipe = GateRecipe("CNOT", 0, 1, GateRecipe.cnot().duration, [1, 2])
+        recipe = GateRecipe("CNOT", 0, 1, cnot().duration, [1, 2])
         assert recipe.blocks == (1, 2) and isinstance(recipe.phase, float)
 
     def test_record_subclass_without_validation(self):
@@ -235,13 +239,13 @@ class TestRecords:
 
 # Every result record a command reports, built as the commands build it.
 RESULT_RECORDS = {
-    "holonomy-certified": lambda: realize(GateRecipe.xz(0.3), steps=64).holonomy,
-    "holonomy-defects-only": lambda: realize(detune(GateRecipe.xz(0.3), 1.04), steps=64).holonomy,
-    "gate-xz": lambda: realize(GateRecipe.xz(0.3), steps=64),
-    "gate-cnot": lambda: realize(GateRecipe.cnot(), steps=64),
+    "holonomy-certified": lambda: realize(xz(0.3), steps=64).holonomy,
+    "holonomy-defects-only": lambda: realize(detune(xz(0.3), 1.04), steps=64).holonomy,
+    "gate-xz": lambda: realize(xz(0.3), steps=64),
+    "gate-cnot": lambda: realize(cnot(), steps=64),
     "nogo": lambda: no_go_certificate(5, 3),
     "noisy-gate-result": lambda: NoisyGateResult(0.5, 0.25, (0.25, 0.75)),
-    "noise-ensemble": lambda: NoiseEnsemble(3, KickDistribution("gaussian", 0.1, 0.5), 7, 2),
+    "noise-ensemble": lambda: NoiseEnsemble(3, KickDistribution("gaussian", {"mean": 0.1, "stddev": 0.5}), 7, 2),
 }
 
 
