@@ -12,8 +12,6 @@ every documented tolerance for exploratory runs and is recorded in reports.
 from __future__ import annotations
 
 import argparse
-import gc
-import io
 import json
 import os
 import sys
@@ -27,7 +25,7 @@ from .holonomy import MAX_CHAIN_STEPS, MIN_CHAIN_STEPS, certify
 from .model import GateRecipe, detune, recipe_hamiltonian
 from .noise import NoiseEnsemble, noisy_realize
 from .operators import Spectrum
-from .serialize import FORMAT_CHUNK, encode_json, replace
+from .serialize import FORMAT_CHUNK, Record, encode_json, replace
 from .subspace import BasisSet, dfs_product_basis
 
 EXIT_OK = 0
@@ -135,68 +133,70 @@ def _emit(args: argparse.Namespace, *parts: str) -> None:
         sys.stdout.writelines(parts)
 
 
-def _emit_report(
-    args: argparse.Namespace, scale: float, input_doc: dict, report: dict, violations: list
-) -> int:
-    """Emit the JSON report envelope; return the exit status it implies."""
-    doc = {
-        "tool": {"name": "hqcdfs", "version": __version__},
-        "command": args.command,
-        "tolerance_scale": scale,
-        "input": input_doc,
-        "report": report,
-        "violations": violations,
-    }
-    try:
-        chunks = encode_json(doc)
-    except ValueError as exc:
-        raise ContractViolation(f"report holds a non-finite number: {exc}") from exc
-    _emit(args, *chunks, "\n")
+def _emit_csv(args: argparse.Namespace, header: str, *columns) -> None:
+    """Write csv.writer's bytes, nothing quoted and "\r\n" after each row:
+    ``header``, then row i of the equal-length ``columns`` to 12 significant
+    digits, FORMAT_CHUNK rows per part so that the text is held once."""
+    line = ",".join(["%.12g"] * len(columns)) + "\r\n"
+    parts = [header + "\r\n"]
+    for start in range(0, len(columns[0]), FORMAT_CHUNK):
+        rows = zip(*(np.asarray(c[start:start + FORMAT_CHUNK]).tolist() for c in columns))
+        parts.append("".join(line % row for row in rows))
+    _emit(args, *parts)
+
+
+def _emit_report(args: argparse.Namespace, scale: float, report, detuned: bool, **inputs) -> int:
+    """Check ``report`` by the command's checks, none for a detuned recipe,
+    and write the JSON report envelope echoing ``inputs`` unless the report
+    went out as CSV; return the exit status the checks imply."""
+    violations = [] if detuned else _violations(args.command, report, scale)
+    if getattr(args, "format", "json") == "json":
+        doc = {
+            "tool": {"name": "hqcdfs", "version": __version__},
+            "command": args.command,
+            "tolerance_scale": scale,
+            "input": {k: v.to_json_dict() if isinstance(v, Record) else v for k, v in inputs.items()},
+            "report": report.to_json_dict(),
+            "violations": violations,
+        }
+        try:
+            chunks = encode_json(doc)
+        except ValueError as exc:
+            raise ContractViolation(f"report holds a non-finite number: {exc}") from exc
+        _emit(args, *chunks, "\n")
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
 def _run_gate(args: argparse.Namespace, scale: float) -> int:
     recipe = _parse(GateRecipe, args.recipe)
     realization = realize(recipe, steps=args.steps)
-    violations = [] if recipe.detuned else _violations("gate", realization, scale)
-    input_doc = {"recipe": recipe.to_json_dict(), "steps": args.steps}
-    return _emit_report(args, scale, input_doc, realization.to_json_dict(), violations)
+    return _emit_report(args, scale, realization, recipe.detuned, recipe=recipe, steps=args.steps)
 
 
 def _run_holonomy(args: argparse.Namespace, scale: float) -> int:
     recipe = _parse(GateRecipe, args.recipe)
-    spectrum = Spectrum(recipe_hamiltonian(recipe))
     if args.basis:
         basis = _parse(BasisSet, args.basis)
-        if basis.dim_ambient != spectrum.h.shape[0]:
+        dim = 2 ** (3 * max(recipe.blocks))
+        if basis.dim_ambient != dim:
             raise InputError(
                 f"basis ambient dimension {basis.dim_ambient} does not match "
-                f"the {spectrum.h.shape[0]}-dimensional register of this recipe"
+                f"the {dim}-dimensional register of this recipe"
             )
     else:
         basis = dfs_product_basis(recipe.blocks, "01")
+    spectrum = Spectrum(recipe_hamiltonian(recipe))
     report = certify(spectrum, basis, recipe.duration, args.steps, reconstruct=not recipe.detuned)
-    violations = [] if recipe.detuned else _violations("holonomy", report, scale)
-    input_doc = {"recipe": recipe.to_json_dict(), "steps": args.steps}
-    return _emit_report(args, scale, input_doc, report.to_json_dict(), violations)
+    return _emit_report(args, scale, report, recipe.detuned, recipe=recipe, steps=args.steps)
 
 
 def _run_noise(args: argparse.Namespace, scale: float) -> int:
     recipe = _parse(GateRecipe, args.recipe)
     ensemble = _parse(NoiseEnsemble, args.ensemble)
     result = noisy_realize(recipe, ensemble)
-    violations = [] if recipe.detuned else _violations("noise", result, scale)
     if args.format == "csv":
-        # csv.writer's bytes (nothing needs quoting, "\r\n" ends rows), one
-        # part per chunk of the fidelity array, so the text is held once.
-        parts = ["sample,fidelity\r\n"]
-        for start in range(0, ensemble.samples, FORMAT_CHUNK):
-            rows = enumerate(result.per_sample[start:start + FORMAT_CHUNK].tolist(), start)
-            parts.append("".join(f"{i},{f:.12g}\r\n" for i, f in rows))
-        _emit(args, *parts)
-        return EXIT_VIOLATIONS if violations else EXIT_OK
-    input_doc = {"recipe": recipe.to_json_dict(), "ensemble": ensemble.to_json_dict()}
-    return _emit_report(args, scale, input_doc, result.to_json_dict(), violations)
+        _emit_csv(args, "sample,fidelity", range(ensemble.samples), result.per_sample)
+    return _emit_report(args, scale, result, recipe.detuned, recipe=recipe, ensemble=ensemble)
 
 
 def _run_sweep(args: argparse.Namespace, scale: float) -> int:
@@ -213,9 +213,7 @@ def _run_sweep(args: argparse.Namespace, scale: float) -> int:
     if param == "pulse_area_detuning":
         spectrum = Spectrum(recipe_hamiltonian(template))
 
-    # csv.writer's bytes, as for ``noise --format csv``.
-    buffer = io.StringIO()
-    buffer.write("parameter,distance,cyclicity_defect,transport_defect\r\n")
+    rows = []
     for i in range(points):
         value = start + (stop - start) * i / (points - 1)
         try:
@@ -227,11 +225,8 @@ def _run_sweep(args: argparse.Namespace, scale: float) -> int:
             raise InputError(f"invalid sweep point {value!r}: {exc}") from exc
         realization = realize(recipe, steps=args.steps, spectrum=spectrum)
         hol = realization.holonomy
-        buffer.write(
-            f"{value:.12g},{realization.distance:.12g},"
-            f"{hol.cyclicity_defect:.12g},{hol.transport_defect:.12g}\r\n"
-        )
-    _emit(args, buffer.getvalue())
+        rows.append((value, realization.distance, hol.cyclicity_defect, hol.transport_defect))
+    _emit_csv(args, "parameter,distance,cyclicity_defect,transport_defect", *zip(*rows))
     return EXIT_OK
 
 
@@ -241,9 +236,7 @@ def _run_nogo(args: argparse.Namespace, scale: float) -> int:
     if args.seed < 0:
         raise InputError(f"seed must be >= 0, got {args.seed}")
     report = no_go_certificate(args.trials, args.seed)
-    violations = _violations("nogo", report, scale)
-    input_doc = {"trials": args.trials, "seed": args.seed}
-    return _emit_report(args, scale, input_doc, report.to_json_dict(), violations)
+    return _emit_report(args, scale, report, False, trials=args.trials, seed=args.seed)
 
 
 _RUNNERS = {
@@ -318,17 +311,31 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except (ContractViolation, SingularChainError) as exc:
         sys.stderr.write(f"contract violation: {exc}\n")
+        return EXIT_CONTRACT
     except Exception as exc:
-        message = " ".join(f"{type(exc).__name__}: {exc}".split())
-        sys.stderr.write(f"internal error: {message}\n")
+        return _internal_error(exc)
+
+
+def _internal_error(exc: Exception) -> int:
+    """Write ``exc`` as one ``internal error:`` line; return exit status 3."""
+    message = " ".join(f"{type(exc).__name__}: {exc}".split())
+    sys.stderr.write(f"internal error: {message}\n")
     return EXIT_CONTRACT
 
 
 def entry() -> None:
+    """The ``hqcdfs`` console script: ``main``, then a flush of its output that
+    exits 3 with one ``internal error:`` line if it fails, as on a full disk;
+    ``os._exit`` then skips the interpreter's teardown."""
     status = main()
-    # Frozen objects skip the shutdown's cycle collection; the OS frees them.
-    gc.freeze()
-    sys.exit(status)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+        except Exception as exc:
+            if status != EXIT_CONTRACT:  # exit 3 has already written its line
+                status = _internal_error(exc)
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Target gates, end-to-end realizations, and the two-qubit no-go check.
+"""End-to-end gate realizations and the two-qubit no-go check.
 
 ``realize`` runs the full pipeline for one recipe: build the Hamiltonian,
 exponentiate, restrict to the logical basis, certify the holonomic
@@ -14,56 +14,12 @@ import math
 import numpy as np
 
 from .holonomy import HolonomyReport, certify
-from .model import GateRecipe, exchange_term, recipe_hamiltonian
+from .model import GateRecipe, exchange_term, recipe_hamiltonian, target_for
 from .operators import SIGMA_X, Spectrum, dagger, phase_aligned_distance
 from .serialize import Record
 from .subspace import BasisSet, dfs_product_basis, invariance_defect, restrict
 
 DEFAULT_CHAIN_STEPS = 4096
-
-
-def target_uxz(phi: float) -> np.ndarray:
-    """Bit-flip gate with phase: [[0, e^{-i phi}], [e^{i phi}, 0]]."""
-    return np.array(
-        [[0, np.exp(-1j * phi)], [np.exp(1j * phi), 0]], dtype=np.complex128
-    )
-
-
-def target_uzx(phi: float) -> np.ndarray:
-    """Phase-flip gate with rotation: [[cos, i sin], [-i sin, -cos]]."""
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, 1j * s], [-1j * s, -c]], dtype=np.complex128)
-
-
-def target_cnot() -> np.ndarray:
-    """First logical qubit controls: |10> <-> |11>, identity elsewhere."""
-    m = np.eye(4, dtype=np.complex128)
-    m[2, 2] = m[3, 3] = 0.0
-    m[2, 3] = m[3, 2] = 1.0
-    return m
-
-
-def target_for(recipe: GateRecipe) -> np.ndarray:
-    if recipe.kind == "XZ":
-        return target_uxz(recipe.phase)
-    if recipe.kind == "ZX":
-        return target_uzx(recipe.phase)
-    return target_cnot()
-
-
-def ancilla_completed_target(recipe: GateRecipe) -> np.ndarray:
-    """The quoted gate matrix on the ancilla-completed basis.
-
-    Single-qubit gates: 3 x 3 with the -1 ancilla entry. CNOT: the 5 x 5
-    matrix diag(-1, 1, 1) + trailing swap block.
-    """
-    logical = target_for(recipe)
-    full = np.zeros(
-        (logical.shape[0] + 1, logical.shape[1] + 1), dtype=np.complex128
-    )
-    full[0, 0] = -1.0
-    full[1:, 1:] = logical
-    return full
 
 
 class GateRealization(Record):
@@ -114,7 +70,8 @@ def realize(
         protected.labels[:1] + logical.labels,
     )
     dfs_restricted = restrict(propagator, check_basis)
-    dfs_target = ancilla_completed_target(recipe)
+    dfs_target = np.pad(target, (1, 0))
+    dfs_target[0, 0] = -1.0
     dfs_error = float(np.abs(dfs_restricted - dfs_target).max())
 
     holonomy = certify(

@@ -10,8 +10,9 @@ them commute with the collective dephasing generator sum_k sz_k, which is
 what makes the single-excitation encoding decoherence-free. Logical qubit n
 occupies the contiguous physical qubits (3n-2, 3n-1, 3n).
 
-``exchange_term`` writes any product of these terms by index, and
-``recipe_hamiltonian`` sums a gate recipe's terms straight from the recipe.
+``exchange_term`` writes any product of these terms by index,
+``recipe_hamiltonian`` sums a gate recipe's terms straight from the recipe,
+and ``target_for`` is the logical gate the recipe aims at.
 """
 
 from __future__ import annotations
@@ -106,6 +107,20 @@ def detune(recipe: GateRecipe, area_scale: float) -> GateRecipe:
     if area_scale <= 0:
         raise ValueError("area_scale must be positive")
     return replace(recipe, duration=recipe.duration * area_scale, detuned=True)
+
+
+def target_for(recipe: GateRecipe) -> np.ndarray:
+    """The gate ``recipe`` aims at on its logical basis. XZ is the bit flip
+    with phase [[0, e^{-i phi}], [e^{i phi}, 0]], ZX the phase flip with
+    rotation [[cos phi, i sin phi], [-i sin phi, -cos phi]], and CNOT, its
+    first block controlling, swaps |10>_L and |11>_L."""
+    phi = recipe.phase
+    if recipe.kind == "XZ":
+        return np.array([[0, np.exp(-1j * phi)], [np.exp(1j * phi), 0]], dtype=np.complex128)
+    if recipe.kind == "ZX":
+        c, s = math.cos(phi), math.sin(phi)
+        return np.array([[c, 1j * s], [-1j * s, -c]], dtype=np.complex128)
+    return np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]]
 
 
 def exchange_term(n: int, *hops: tuple[str, int, int]) -> np.ndarray:

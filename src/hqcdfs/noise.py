@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ContractViolation
-from .model import GateRecipe, collective_z, recipe_hamiltonian
+from .model import GateRecipe, collective_z, recipe_hamiltonian, target_for
 from .operators import ALGEBRA_TOL, Spectrum, dagger
 from .serialize import Record, as_float, as_int
 from .subspace import dfs_product_basis, restrict
@@ -41,7 +41,7 @@ class KickDistribution(Record):
 
     def __post_init__(self):
         if self.type not in _DIST_PARAMS:
-            raise ValueError(f"kind must be one of {tuple(_DIST_PARAMS)}, got {self.type!r}")
+            raise ValueError(f"type must be one of {tuple(_DIST_PARAMS)}, got {self.type!r}")
         params = {name: as_float(self.params[name], name) for name in _DIST_PARAMS[self.type]}
         object.__setattr__(self, "params", params)
         if params.get("stddev", 0.0) < 0:
@@ -121,8 +121,6 @@ def noisy_realize(recipe: GateRecipe, ensemble: NoiseEnsemble) -> NoisyGateResul
     noiseless F, computed once from the register's shared ``Spectrum``,
     restricted as ``realize`` restricts, and repeated ``samples`` times.
     """
-    from .gates import target_for  # local import to avoid a module cycle
-
     h = recipe_hamiltonian(recipe)
     z_diag = collective_z(3 * max(recipe.blocks))
     basis = dfs_product_basis(recipe.blocks, "01")

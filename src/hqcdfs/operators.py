@@ -47,45 +47,38 @@ def as_complex_matrix(m, *, stacked: bool = False) -> np.ndarray:
     return out
 
 
-def _worst_frobenius(m: np.ndarray) -> float:
-    """Frobenius norm of a matrix, or the largest one over a stack."""
-    if m.ndim == 2:
-        return float(np.linalg.norm(m))
-    return float(np.linalg.norm(m, axis=(-2, -1)).max())
+# Per contract: the tolerance per dimension, the residual of a matrix whose
+# Frobenius norm is its defect, and that norm as an error names it.
+_CONTRACTS = {
+    "Hermitian": (ALGEBRA_TOL, lambda a: a - dagger(a), "||A - A^dag||_F"),
+    "unitary": (UNITARITY_TOL, lambda a: dagger(a) @ a - np.eye(a.shape[-1]), "||U^dag U - I||_F"),
+}
+
+
+def _require(contract: str, m) -> np.ndarray:
+    """``m`` as a square complex matrix or stack of them, checked that the
+    worst defect over its matrices is within the contract's tolerance."""
+    tol, residual, norm = _CONTRACTS[contract]
+    a = as_complex_matrix(m, stacked=True)
+    if a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"{contract} operator must be square, got {a.shape}")
+    tol *= a.shape[-1]
+    defect = float(np.linalg.norm(residual(a), axis=(-2, -1)).max())
+    if not defect <= tol:
+        raise ContractViolation(f"operator is not {contract}: {norm} = {defect:.3e} > {tol:.3e}")
+    return a
 
 
 def require_hermitian(m) -> np.ndarray:
-    """Validate ``||m - m^dag||_F <= ALGEBRA_TOL * dim``.
-
-    For a stack every matrix is checked and the worst defect is reported.
-    """
-    h = as_complex_matrix(m, stacked=True)
-    if h.shape[-2] != h.shape[-1]:
-        raise ValueError(f"Hermitian operator must be square, got {h.shape}")
-    tol = ALGEBRA_TOL * h.shape[-1]
-    defect = _worst_frobenius(h - dagger(h))
-    if defect > tol:
-        raise ContractViolation(
-            f"operator is not Hermitian: ||A - A^dag||_F = {defect:.3e} > {tol:.3e}"
-        )
-    return h
+    """Validate ``||m - m^dag||_F <= ALGEBRA_TOL * dim`` for a matrix, or
+    for every matrix of a stack."""
+    return _require("Hermitian", m)
 
 
 def require_unitary(m) -> np.ndarray:
-    """Validate ``||U^dag U - I||_F <= UNITARITY_TOL * dim``.
-
-    For a stack every matrix is checked and the worst defect is reported.
-    """
-    u = as_complex_matrix(m, stacked=True)
-    if u.shape[-2] != u.shape[-1]:
-        raise ValueError(f"unitary operator must be square, got {u.shape}")
-    tol = UNITARITY_TOL * u.shape[-1]
-    defect = _worst_frobenius(dagger(u) @ u - np.eye(u.shape[-1]))
-    if defect > tol:
-        raise ContractViolation(
-            f"operator is not unitary: ||U^dag U - I||_F = {defect:.3e} > {tol:.3e}"
-        )
-    return u
+    """Validate ``||U^dag U - I||_F <= UNITARITY_TOL * dim`` for a matrix,
+    or for every matrix of a stack."""
+    return _require("unitary", m)
 
 
 def check_dimension_cap(n_qubits: int) -> None:
@@ -108,24 +101,24 @@ class Spectrum:
         self.values, self.vectors = np.linalg.eigh(self.h)
 
     def propagator(self, t) -> np.ndarray:
-        """exp(-i h t), exact to roundoff and checked unitary.
+        """exp(-i h t), exact to roundoff and checked unitary, of shape
+        ``t.shape + (d, d)``.
 
-        One generator takes a scalar time and gives a (d, d) matrix. A
-        (T, d, d) stack takes times shaped (T, k) and gives the (T, k, d, d)
-        propagators, one per generator and time.
+        One generator takes a scalar time or a 1-d array of them; a (T, d, d)
+        stack takes times shaped (T, k), k per generator. Both run the one
+        stacked formula, a scalar time as a time axis of length one.
         """
-        if self.values.ndim == 1:
-            u = (self.vectors * np.exp(-1j * self.values * t)) @ dagger(self.vectors)
-            return require_unitary(u)
         t = np.asarray(t, dtype=np.float64)
         if t.shape[:-1] != self.values.shape[:-1]:
             raise ValueError(
                 f"times of shape {t.shape} do not fit a stack of "
                 f"{self.values.shape[:-1]} generators"
             )
-        phases = np.exp(-1j * self.values[..., None, :] * t[..., None])
+        times = t.reshape(self.values.shape[:-1] + (-1,))
+        phases = np.exp(-1j * self.values[..., None, :] * times[..., None])
         vectors = self.vectors[..., None, :, :]
-        return require_unitary((vectors * phases[..., None, :]) @ dagger(vectors))
+        u = (vectors * phases[..., None, :]) @ dagger(vectors)
+        return require_unitary(u.reshape(t.shape + u.shape[-2:]))
 
 
 def polar_unitary(m) -> np.ndarray:

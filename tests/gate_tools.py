@@ -14,8 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from hqcdfs.gates import target_for
-from hqcdfs.model import PULSE_AREAS, GateRecipe, recipe_hamiltonian
+from hqcdfs.model import PULSE_AREAS, GateRecipe, recipe_hamiltonian, target_for
 from hqcdfs.operators import Spectrum, dagger, require_unitary
 from hqcdfs.subspace import ORTHONORMALITY_TOL, BasisSet, dfs_product_basis, restrict
 

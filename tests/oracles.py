@@ -351,8 +351,7 @@ def noisy_fidelities(recipe, ensemble, generator=None) -> list[float]:
     the target. ``generator`` is the diagonal of G; the default is the
     brute-force collective sum_k sz_k.
     """
-    from hqcdfs.gates import target_for
-    from hqcdfs.model import recipe_hamiltonian
+    from hqcdfs.model import recipe_hamiltonian, target_for
     from hqcdfs.operators import Spectrum
 
     n_blocks = max(recipe.blocks)

@@ -152,6 +152,29 @@ class TestHolonomyCommand:
         basis_path.write_text(json.dumps(basis_to_json(two_qubit_dfs())))
         assert main(["holonomy", "--recipe", recipe_path, "--basis", str(basis_path)]) == 2
 
+    @pytest.mark.parametrize("basis", ["missing", "8-dim"])
+    def test_bad_basis_exits_2_before_any_compute(self, basis, tmp_path, capsys, monkeypatch):
+        from hqcdfs import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Hamiltonian was built before --basis was read")
+
+        monkeypatch.setattr(cli, "recipe_hamiltonian", refuse)
+        monkeypatch.setattr(cli, "Spectrum", refuse)
+        recipe_path = write_recipe(tmp_path / "r.json", xz(0.4, block=3))
+        basis_path = tmp_path / "basis.json"
+        if basis == "8-dim":
+            basis_path.write_text(json.dumps(LOGICAL_BASIS))
+        assert main(["holonomy", "--recipe", recipe_path, "--basis", str(basis_path)]) == 2
+        err = capsys.readouterr().err
+        if basis == "8-dim":
+            assert err == (
+                "error: basis ambient dimension 8 does not match "
+                "the 512-dimensional register of this recipe\n"
+            )
+        else:
+            assert err.startswith(f"error: cannot read JSON input {str(basis_path)!r}")
+
     def test_non_holonomic_basis_exits_3(self, tmp_path):
         # The ancilla/logical pair carries Hamiltonian coupling, so
         # certification refuses it: an in-run contract failure, not a
@@ -190,6 +213,14 @@ class TestNoiseCommand:
     def test_bad_ensemble_exits_2(self, tmp_path):
         recipe_path = write_recipe(tmp_path / "r.json", xz(0.2))
         assert main(["noise", "--recipe", recipe_path, "--ensemble", '{"kick_count": 1}']) == 2
+
+    def test_unknown_distribution_names_type(self):
+        status, out, err = run_captured(noise_argv({"type": "poisson"}))
+        assert (status, out) == (2, "")
+        assert err == (
+            "error: invalid NoiseEnsemble: type must be one of "
+            "('uniform', 'gaussian', 'fixed'), got 'poisson'\n"
+        )
 
     @pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "default"])
     def test_csv_text_ignores_the_chunk(self, chunk, monkeypatch):
@@ -821,11 +852,13 @@ ENTRY_CASES = {
 }
 
 
-def run_python(args):
-    """The finished ``python *args`` process, with the package on its path."""
+def run_python(args, stdout=subprocess.PIPE):
+    """The finished ``python *args`` process, with the package on its path;
+    stderr is captured, and stdout unless it is given."""
     src = str(Path(hqcdfs.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, env={**os.environ, "PYTHONPATH": path})
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env)
 
 
 def run_entry(argv):
@@ -835,8 +868,9 @@ def run_entry(argv):
 
 
 class TestEntryPoint:
-    """The console entry point (``cli.entry``, which freezes the collector
-    before the interpreter exits) prints, writes and exits as ``main``."""
+    """The console entry point (``cli.entry``, which flushes the output
+    itself and then ends the process by ``os._exit``) prints, writes and
+    exits as ``main``."""
 
     @pytest.mark.parametrize("argv, scale, status", ENTRY_CASES.values(), ids=ENTRY_CASES.keys())
     def test_matches_in_process_main(self, argv, scale, status, monkeypatch):
@@ -862,16 +896,58 @@ class TestEntryPoint:
         assert run_entry(argv + ["--out", str(path)]) == (status, b"", "")
         assert path.read_bytes() == out.encode()
 
-    def test_entry_freezes_after_main_returns(self, monkeypatch):
+    def entry_calls(self, monkeypatch, status, flush_error=None):
+        """What ``cli.entry`` does, in order, when ``main`` returns ``status``
+        and flushing stdout raises ``flush_error``."""
         from hqcdfs import cli
 
         calls = []
-        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 1)
-        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
-        with pytest.raises(SystemExit) as exit_info:
-            cli.entry()
-        assert exit_info.value.code == 1
-        assert calls == ["main", "freeze"]
+
+        class Stream:
+            def __init__(self, name):
+                self.name = name
+
+            def write(self, text):
+                calls.append(f"{self.name}: {text}")
+
+            def flush(self):
+                calls.append(f"flush {self.name}")
+                if self.name == "stdout" and flush_error is not None:
+                    raise flush_error
+
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or status)
+        monkeypatch.setattr(cli.sys, "stdout", Stream("stdout"))
+        monkeypatch.setattr(cli.sys, "stderr", Stream("stderr"))
+        monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(("exit", code)))
+        cli.entry()
+        return calls
+
+    @pytest.mark.parametrize("status", [0, 1, 2, 3])
+    def test_entry_flushes_then_exits(self, status, monkeypatch):
+        calls = self.entry_calls(monkeypatch, status)
+        assert calls == ["main", "flush stdout", "flush stderr", ("exit", status)]
+
+    @pytest.mark.parametrize("status", [0, 1, 2, 3])
+    def test_failed_flush_exits_3_with_one_line(self, status, monkeypatch):
+        calls = self.entry_calls(monkeypatch, status, OSError(28, "No space left on device"))
+        # Exit 3 already wrote its one line; the failed flush adds none.
+        line = [] if status == 3 else ["stderr: internal error: OSError: [Errno 28] No space left on device\n"]
+        assert calls == ["main", "flush stdout", *line, "flush stderr", ("exit", 3)]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize(
+        "argv",
+        [["nogo", "--trials", "5"], ["gate", "--recipe", json.dumps(cnot().to_json_dict())]],
+        ids=["nogo", "gate-cnot"],
+    )
+    def test_full_stdout_exits_3(self, argv, monkeypatch):
+        # Buffered stdout: the small nogo report fails at the final flush,
+        # the 0.2 MB CNOT report while main writes it.
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        with open("/dev/full", "w") as full:
+            result = run_python(["-m", "hqcdfs.cli", *argv], stdout=full)
+        assert result.returncode == 3
+        assert result.stderr.decode() == "internal error: OSError: [Errno 28] No space left on device\n"
 
     def test_main_leaves_the_collector_unfrozen(self):
         before = gc.get_freeze_count()

@@ -8,16 +8,12 @@ from hqcdfs.gates import (
     _NO_GO_CHUNK,
     _NO_GO_WORDS,
     _no_go_draws,
-    ancilla_completed_target,
     no_go_certificate,
     realize,
-    target_cnot,
-    target_uxz,
-    target_uzx,
     two_qubit_dfs,
 )
 from hqcdfs.holonomy import transport_defect
-from hqcdfs.model import detune, recipe_hamiltonian
+from hqcdfs.model import detune, recipe_hamiltonian, target_for
 from hqcdfs.noise import KickDistribution, NoiseEnsemble, noisy_realize
 from hqcdfs.operators import Spectrum, phase_aligned_distance
 from hqcdfs.pcg64 import PCG64Words
@@ -53,36 +49,36 @@ SIGMA_X, SIGMA_Y, SIGMA_Z = PAULI["x"], PAULI["y"], PAULI["z"]
 
 class TestTargets:
     def test_uxz_zero_phase_is_bit_flip(self):
-        assert np.abs(target_uxz(0.0) - SIGMA_X).max() == 0.0
+        assert np.abs(target_for(xz(0.0)) - SIGMA_X).max() == 0.0
 
     def test_uxz_quarter_phase_is_sigma_y(self):
-        assert np.abs(target_uxz(np.pi / 2) - SIGMA_Y).max() < 1e-15
+        assert np.abs(target_for(xz(np.pi / 2)) - SIGMA_Y).max() < 1e-15
 
     def test_uxz_determinant(self):
         for phi in (0.0, 0.4, 2.9):
-            assert abs(np.linalg.det(target_uxz(phi)) + 1.0) < 1e-14
+            assert abs(np.linalg.det(target_for(xz(phi))) + 1.0) < 1e-14
 
     def test_uzx_zero_phase_is_phase_flip(self):
-        assert np.abs(target_uzx(0.0) - SIGMA_Z).max() == 0.0
+        assert np.abs(target_for(zx(0.0)) - SIGMA_Z).max() == 0.0
 
     def test_uzx_third_phase(self):
         expected = np.array(
             [[0.5, 1j * math.sqrt(3) / 2], [-1j * math.sqrt(3) / 2, -0.5]]
         )
-        assert np.abs(target_uzx(np.pi / 3) - expected).max() < 1e-15
+        assert np.abs(target_for(zx(np.pi / 3)) - expected).max() < 1e-15
 
     def test_uzx_is_involution(self):
         for phi in (0.0, 1.1, 2.2):
-            u = target_uzx(phi)
+            u = target_for(zx(phi))
             assert np.abs(u - u.conj().T).max() < 1e-15
             assert np.abs(u @ u - np.eye(2)).max() < 1e-15
 
     def test_cnot_permutation(self):
-        cnot = target_cnot()
+        gate = target_for(cnot())
         e = np.eye(4)
-        assert np.array_equal(cnot @ e[:, 2], e[:, 3])  # |10> -> |11>
-        assert np.array_equal(cnot @ e[:, 0], e[:, 0])
-        assert np.array_equal(cnot @ cnot, np.eye(4))
+        assert np.array_equal(gate @ e[:, 2], e[:, 3])  # |10> -> |11>
+        assert np.array_equal(gate @ e[:, 0], e[:, 0])
+        assert np.array_equal(gate @ gate, np.eye(4))
 
 
 class TestRealize:
@@ -116,7 +112,7 @@ class TestRealize:
         assert np.abs(real.dfs_restricted - expected).max() <= 1e-10
         assert real.distance <= 1e-10
         assert real.invariance_defect <= 1e-10
-        assert np.abs(ancilla_completed_target(cnot()) - expected).max() == 0.0
+        assert np.abs(real.dfs_target - expected).max() == 0.0
 
     def test_detuned_recipe_reported_not_rejected(self):
         real = realize(detune(xz(0.2), 1.04), steps=512)
@@ -384,7 +380,7 @@ class TestGateProperties:
             restrict(u, BasisSet(*product_states([2], 2, "01", idle))) for idle in "01"
         )
         assert np.abs(rest_0 - rest_1).max() <= 1e-12
-        assert phase_aligned_distance(rest_1, target_uxz(0.85)) <= 1e-10
+        assert phase_aligned_distance(rest_1, target_for(xz(0.85))) <= 1e-10
 
     def test_noncommutativity_witness_on_protected_space(self):
         # The product order is observable on the ancilla-completed space,
@@ -403,7 +399,7 @@ class TestGateProperties:
         assert witness > 1.0
         assert abs(witness - 2.0) <= 1e-9
         assert phase_aligned_distance(
-            target_uxz(0.0) @ target_uzx(0.0), target_uzx(0.0) @ target_uxz(0.0)
+            target_for(xz(0.0)) @ target_for(zx(0.0)), target_for(zx(0.0)) @ target_for(xz(0.0))
         ) <= 1e-12
 
     def test_cnot_consistent_under_block_swap(self):
@@ -419,7 +415,7 @@ class TestGateProperties:
         for eps in np.linspace(0.0, 0.1, 11):
             recipe = xz(0.4) if eps == 0.0 else detune(xz(0.4), 1.0 + eps)
             restricted = realized_logical(recipe)
-            distances.append(phase_aligned_distance(restricted, target_uxz(0.4)))
+            distances.append(phase_aligned_distance(restricted, target_for(xz(0.4))))
         assert all(b >= a - 1e-12 for a, b in zip(distances, distances[1:]))
         assert distances[0] <= 1e-12
         assert distances[-1] > distances[0]

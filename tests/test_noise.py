@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from hqcdfs.errors import ContractViolation
-from hqcdfs.gates import target_for
-from hqcdfs.model import GateRecipe, collective_z, detune, recipe_hamiltonian
+from hqcdfs.model import GateRecipe, collective_z, detune, recipe_hamiltonian, target_for
 from hqcdfs import noise
 from hqcdfs.noise import (
     ENSEMBLE_CAP,

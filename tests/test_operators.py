@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,9 @@ from hqcdfs.operators import (
     require_unitary,
 )
 
+from hqcdfs.model import recipe_hamiltonian
+
+from gate_tools import cnot, xz, zx
 from oracles import (
     EYE2,
     PAULI,
@@ -131,6 +136,38 @@ class TestStackedSpectrum:
             single = Spectrum(hi)
             for j, t in enumerate(times[i]):
                 assert np.abs(stacked[i, j] - single.propagator(t)).max() <= 1e-14
+
+    @pytest.mark.parametrize("recipe", [xz(0.37), zx(1.1), cnot()], ids=["XZ", "ZX", "CNOT"])
+    def test_single_generator_is_a_stack_of_one(self, recipe):
+        # One formula serves both: bit for bit, at the gate time and at the
+        # holonomy chain's link time.
+        h = recipe_hamiltonian(recipe)
+        single, stack = Spectrum(h), Spectrum(h[None])
+        tau = recipe.duration
+        u = single.propagator(tau)
+        assert u.shape == h.shape
+        assert np.array_equal(u, stack.propagator([[tau]])[0, 0])
+        times = np.array([[tau, -tau / 4096, 0.3]])
+        stacked = stack.propagator(times)
+        assert stacked.shape == (1, 3) + h.shape
+        assert np.array_equal(single.propagator(times[0]), stacked[0])
+        for j, t in enumerate(times[0]):
+            assert np.array_equal(single.propagator(t), stacked[0, j])
+
+    def test_worst_non_hermitian_matrix_of_64_is_named(self):
+        h = self.hermitian_stack(count=64, dim=4)
+        h[37, 0, 1] += 1e-6
+        h[5, 2, 3] += 1e-13  # within ALGEBRA_TOL * 4
+        defect = np.linalg.norm(h[37] - h[37].conj().T)
+        with pytest.raises(ContractViolation, match=re.escape(f"= {defect:.3e} > 4.000e-12")):
+            require_hermitian(h)
+
+    def test_worst_non_unitary_matrix_of_64_is_named(self):
+        u = random_unitaries(np.random.default_rng(44), 64, 4)
+        u[40] *= 1.001
+        defect = np.linalg.norm(u[40].conj().T @ u[40] - np.eye(4))
+        with pytest.raises(ContractViolation, match=re.escape(f"= {defect:.3e} > 4.000e-10")):
+            require_unitary(u)
 
     def test_one_non_hermitian_matrix_fails_the_stack(self):
         h = self.hermitian_stack()

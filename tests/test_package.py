@@ -54,6 +54,21 @@ def test_every_public_method_has_a_caller_in_the_package():
     assert uncalled == []
 
 
+def test_no_function_local_package_imports():
+    """A ``from .`` import inside a function can hide a module cycle. The
+    one kept is the PCG64 reader's in ``gates._no_go_draws``, so that only
+    ``nogo`` compiles the reader."""
+    local = [
+        f"{module}:{func.name}"
+        for module, tree in TREES.items()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    ]
+    assert local == ["gates.py:_no_go_draws"]
+
+
 def test_readme_layout_lists_every_module():
     """The README's "Library layout" table names exactly the modules of
     ``src/hqcdfs``, ``__init__`` aside."""
