@@ -90,20 +90,17 @@ def tolerance_scale() -> float:
     return scale
 
 
-def _load_json_input(source: str) -> dict:
-    """Accept a file path or inline JSON (anything starting with '{')."""
+def _parse(cls, source: str):
+    """An instance of ``cls`` decoded by its ``from_json_dict`` from a file
+    path or inline JSON (anything starting with '{')."""
     try:
         if source.lstrip().startswith("{"):
-            return json.loads(source)
-        with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.loads(source)
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read JSON input {source!r}: {exc}") from exc
-
-
-def _parse(cls, source: str):
-    """An instance of ``cls`` decoded by its ``from_json_dict`` from a path or inline JSON."""
-    doc = _load_json_input(source)
     try:
         return cls.from_json_dict(doc)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
@@ -125,12 +122,16 @@ def _violations(command: str, report, scale: float) -> list:
 def _emit(args: argparse.Namespace, *parts: str) -> None:
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.writelines(parts)
+            fh = open(args.out, "w", encoding="utf-8")
         except OSError as exc:
             raise InputError(f"cannot write report to {args.out!r}: {exc}") from exc
+        with fh:  # a failed write or close is an internal failure, as on stdout
+            fh.writelines(parts)
+    elif sys.stdout is None:  # descriptor 1 was closed at start
+        raise OSError("stdout is closed")
     else:
         sys.stdout.writelines(parts)
+        sys.stdout.flush()
 
 
 def _emit_csv(args: argparse.Namespace, header: str, *columns) -> None:
@@ -292,11 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Parse and run one command; returns the process exit status.
+    """Parse and run one command and flush its report; returns the exit status.
 
-    Bad input exits 2. Any other failure, such as an exhausted allocation,
-    exits 3 with one line on stderr and no traceback, so exit 1 keeps
-    meaning tolerance violations only.
+    Bad input exits 2. Any other failure, such as an exhausted allocation
+    or a failed write, exits 3. Both write one line on stderr and no
+    traceback, so exit 1 keeps meaning tolerance violations only.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -307,35 +308,20 @@ def main(argv: list[str] | None = None) -> int:
             )
         return _RUNNERS[args.command](args, tolerance_scale())
     except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+        status, line = EXIT_PARSE, f"error: {exc}"
     except (ContractViolation, SingularChainError) as exc:
-        sys.stderr.write(f"contract violation: {exc}\n")
-        return EXIT_CONTRACT
+        status, line = EXIT_CONTRACT, f"contract violation: {exc}"
     except Exception as exc:
-        return _internal_error(exc)
-
-
-def _internal_error(exc: Exception) -> int:
-    """Write ``exc`` as one ``internal error:`` line; return exit status 3."""
-    message = " ".join(f"{type(exc).__name__}: {exc}".split())
-    sys.stderr.write(f"internal error: {message}\n")
-    return EXIT_CONTRACT
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        status, line = EXIT_CONTRACT, f"internal error: {message}"
+    sys.stderr.write(line + "\n")
+    return status
 
 
 def entry() -> None:
-    """The ``hqcdfs`` console script: ``main``, then a flush of its output that
-    exits 3 with one ``internal error:`` line if it fails, as on a full disk;
-    ``os._exit`` then skips the interpreter's teardown."""
-    status = main()
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            if stream is not None:  # None when the descriptor was closed at start
-                stream.flush()
-        except Exception as exc:
-            if status != EXIT_CONTRACT:  # exit 3 has already written its line
-                status = _internal_error(exc)
-    os._exit(status)
+    """The ``hqcdfs`` console script: ``main``, whose output is already
+    flushed, then ``os._exit``, which skips the interpreter's teardown."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

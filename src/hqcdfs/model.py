@@ -77,6 +77,10 @@ class GateRecipe(Record):
                     f"pulse area {area!r} violates the {self.kind} condition "
                     f"{PULSE_AREAS[self.kind]!r}; use detune() for deliberate offsets"
                 )
+        # Every kind's eigenvalues lie within sqrt(2) * strength of zero, up
+        # to roundoff, so this bound keeps each phase lambda * t finite.
+        if not math.isfinite(1.5 * self.strength * self.duration):
+            raise ValueError("pulse area too large: 1.5 * strength * duration must be finite")
 
     # Overrides the record layout: the input echoed as given, floats unrounded.
     def to_json_dict(self) -> dict:

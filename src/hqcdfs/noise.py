@@ -27,31 +27,6 @@ from .subspace import dfs_product_basis, restrict
 _DIST_PARAMS = {"uniform": (), "gaussian": ("mean", "stddev"), "fixed": ("theta",)}
 
 
-class KickDistribution(Record):
-    """Distribution of one kick angle: uniform(0, 2pi), gaussian with
-    ``mean`` and ``stddev``, or fixed at ``theta``.
-
-    ``params`` keeps only the kind's parameters, each a finite float, so a
-    report echoes the input document's {"type", "params"} by the record
-    layout: extra keys are dropped and uniform ignores ``params``.
-    """
-
-    type: str
-    params: dict
-
-    def __post_init__(self):
-        if self.type not in _DIST_PARAMS:
-            raise ValueError(f"type must be one of {tuple(_DIST_PARAMS)}, got {self.type!r}")
-        params = {name: as_float(self.params[name], name) for name in _DIST_PARAMS[self.type]}
-        object.__setattr__(self, "params", params)
-        if params.get("stddev", 0.0) < 0:
-            raise ValueError("stddev must be >= 0")
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "KickDistribution":
-        return cls(data["type"], data.get("params", {}))
-
-
 # Largest sample count, and largest kick count, that an ensemble may ask
 # for, each checked on its own before anything is allocated. The per-sample
 # fidelities and their report grow with the sample count. Kicks are never
@@ -61,15 +36,26 @@ ENSEMBLE_CAP = 2 ** 20
 
 
 class NoiseEnsemble(Record):
-    """Kick schedule: how many kicks per gate, their distribution, and the
-    sample count under a seed."""
+    """Kick schedule: how many kicks per gate, their angle's distribution,
+    and the sample count under a seed. ``distribution`` is {"type", "params"}:
+    uniform(0, 2pi), gaussian with ``mean`` and ``stddev``, or fixed at
+    ``theta``. It is checked first and kept with only the kind's parameters,
+    each a finite float, so the report echo drops any other key."""
 
     kick_count: int
-    distribution: KickDistribution
+    distribution: dict
     samples: int
     seed: int
 
     def __post_init__(self):
+        kind = self.distribution["type"]
+        if kind not in _DIST_PARAMS:
+            raise ValueError(f"type must be one of {tuple(_DIST_PARAMS)}, got {kind!r}")
+        given = self.distribution.get("params", {})
+        params = {name: as_float(given[name], name) for name in _DIST_PARAMS[kind]}
+        if params.get("stddev", 0.0) < 0:
+            raise ValueError("stddev must be >= 0")
+        object.__setattr__(self, "distribution", {"type": kind, "params": params})
         for name in ("kick_count", "samples", "seed"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.kick_count < 0:
@@ -88,7 +74,7 @@ class NoiseEnsemble(Record):
     def from_json_dict(cls, data: Mapping) -> "NoiseEnsemble":
         return cls(
             kick_count=data["kick_count"],
-            distribution=KickDistribution.from_json_dict(data["distribution"]),
+            distribution=data["distribution"],
             samples=data["samples"],
             seed=data["seed"],
         )

@@ -332,11 +332,11 @@ def _sample_angles(ensemble):
     ``default_rng(seed)``: sample i reads the i-th run of kick_count draws."""
     rng = np.random.default_rng(ensemble.seed)
     distribution, count = ensemble.distribution, ensemble.kick_count
-    params = distribution.params
+    params = distribution["params"]
     for _ in range(ensemble.samples):
-        if distribution.type == "uniform":
+        if distribution["type"] == "uniform":
             yield rng.uniform(0.0, 2.0 * np.pi, count)
-        elif distribution.type == "gaussian":
+        elif distribution["type"] == "gaussian":
             yield rng.normal(params["mean"], params["stddev"], count)
         else:
             yield np.full(count, params["theta"])

@@ -15,7 +15,7 @@ import numpy as np
 from hqcdfs.gates import no_go_certificate, realize, two_qubit_dfs
 from hqcdfs.holonomy import certify
 from hqcdfs.model import collective_z, recipe_hamiltonian
-from hqcdfs.noise import KickDistribution, NoiseEnsemble, noisy_realize
+from hqcdfs.noise import NoiseEnsemble, noisy_realize
 from hqcdfs.operators import Spectrum, phase_aligned_distance
 from hqcdfs.subspace import dfs_product_basis, restrict
 
@@ -157,7 +157,7 @@ def test_criterion_6_dfs_protection():
     for recipe in universal_recipes(strength=1.0, phase=0.7):
         for kick_count in (1, 4, 16):
             ensemble = NoiseEnsemble(
-                kick_count, KickDistribution("uniform", {}), samples=200, seed=2024
+                kick_count, {"type": "uniform", "params": {}}, samples=200, seed=2024
             )
             result = noisy_realize(recipe, ensemble)
             worst_min = min(worst_min, result.min_fidelity)
@@ -167,7 +167,7 @@ def test_criterion_6_dfs_protection():
                 )
 
     baseline = bare_fidelity(
-        0.0, NoiseEnsemble(1, KickDistribution("uniform", {}), samples=10_000, seed=9)
+        0.0, NoiseEnsemble(1, {"type": "uniform", "params": {}}, samples=10_000, seed=9)
     )
     if abs(baseline - 0.5) > 0.02:
         failures.append(f"bare baseline {baseline:.4f} outside 0.5 +/- 0.02")

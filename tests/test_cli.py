@@ -82,6 +82,11 @@ class TestGateCommand:
         bad.write_text(json.dumps(doc))
         assert main(["gate", "--recipe", str(bad)]) == 2
 
+    def test_largest_pulse_area_runs(self, capsys):
+        # 1e308 is within the bound that rejects 1.3e308 (see BAD_INPUT).
+        assert main(gate_argv(strength=1e154, duration=1e154, detuned=True)) == 0
+        assert json.loads(capsys.readouterr().out)["input"]["recipe"]["strength"] == 1e154
+
     def test_too_few_steps_exits_2(self, tmp_path):
         recipe_path = write_recipe(tmp_path / "r.json", xz(0.0))
         assert main(["gate", "--recipe", recipe_path, "--steps", "4"]) == 2
@@ -389,6 +394,8 @@ BAD_INPUT = {
     "strength-inf": (gate_argv(strength=float("inf")), None),
     "duration-nan": (gate_argv(duration=float("nan")), None),
     "phase-int-beyond-float": (gate_argv(phase=10 ** 400), None),
+    "pulse-area-inf": (gate_argv(strength=1e300, duration=1e300, detuned=True), None),
+    "pulse-area-1.3e308": (gate_argv(strength=1e154, duration=1.3e154, detuned=True), None),
     "ensemble-seed-negative": (noise_argv(seed=-1), None),
     "ensemble-seed-fractional": (noise_argv(seed=1.5), None),
     "distribution-unknown": (noise_argv({"type": "cauchy", "params": {}}), None),
@@ -445,7 +452,46 @@ FILE_OPTIONS = {
 }
 
 
+# Malformed ensembles, each with the message its one stderr line ends with,
+# as recorded before the distribution was validated inside NoiseEnsemble.
+# None where Python, not the package, wrote the message: only the prefix is
+# pinned then.
+MALFORMED_ENSEMBLES = {
+    "missing-stddev": ({"type": "gaussian", "params": {"mean": 0.0}}, "'stddev'"),
+    "negative-stddev": (gaussian(stddev=-1.0), "stddev must be >= 0"),
+    "string-theta": (
+        {"type": "fixed", "params": {"theta": "1.0"}},
+        "theta must be a finite number, got '1.0'",
+    ),
+    "unknown-type": (
+        {"type": "cauchy", "params": {}},
+        "type must be one of ('uniform', 'gaussian', 'fixed'), got 'cauchy'",
+    ),
+    "list": ([1, 2], None),
+    "string": ("uniform", None),
+    "empty": ({}, "'type'"),
+    "params-null": ({"type": "gaussian", "params": None}, None),
+    "number": (42, None),
+    "missing": (None, "'distribution'"),
+}
+
+
 class TestBadInputExits2:
+    @pytest.mark.parametrize(
+        "distribution, message", MALFORMED_ENSEMBLES.values(), ids=MALFORMED_ENSEMBLES.keys()
+    )
+    def test_malformed_ensemble_line(self, distribution, message):
+        ensemble = {**ENSEMBLE, "distribution": distribution}
+        if distribution is None:
+            del ensemble["distribution"]
+        argv = ["noise", "--recipe", json.dumps(XZ), "--ensemble", json.dumps(ensemble)]
+        status, out, err = run_captured(argv)
+        assert (status, out) == (2, "")
+        prefix = "error: invalid NoiseEnsemble: "
+        assert err.startswith(prefix) and err.count("\n") == 1
+        if message is not None:
+            assert err == prefix + message + "\n"
+
     @pytest.mark.parametrize("argv, scale", BAD_INPUT.values(), ids=BAD_INPUT.keys())
     def test_one_line_error(self, argv, scale, capsys, monkeypatch):
         if scale is not None:
@@ -852,13 +898,16 @@ ENTRY_CASES = {
 }
 
 
-def run_python(args, stdout=subprocess.PIPE):
-    """The finished ``python *args`` process, with the package on its path;
-    stderr is captured, and stdout unless it is given."""
+def run_python(args, stdout=subprocess.PIPE, preexec_fn=None):
+    """The finished ``python *args`` process, with the package on its path
+    and every warning an error; stderr is captured, and stdout unless it is
+    given. ``preexec_fn`` runs in the child before Python starts."""
     src = str(Path(hqcdfs.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env)
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"}
+    return subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env, preexec_fn=preexec_fn
+    )
 
 
 def run_entry(argv):
@@ -868,9 +917,9 @@ def run_entry(argv):
 
 
 class TestEntryPoint:
-    """The console entry point (``cli.entry``, which flushes the output
-    itself and then ends the process by ``os._exit``) prints, writes and
-    exits as ``main``."""
+    """The console entry point (``cli.entry``, which ends the process by
+    ``os._exit`` with the status of ``main``, whose output is already
+    flushed) prints, writes and exits as ``main``."""
 
     @pytest.mark.parametrize("argv, scale, status", ENTRY_CASES.values(), ids=ENTRY_CASES.keys())
     def test_matches_in_process_main(self, argv, scale, status, monkeypatch):
@@ -896,43 +945,31 @@ class TestEntryPoint:
         assert run_entry(argv + ["--out", str(path)]) == (status, b"", "")
         assert path.read_bytes() == out.encode()
 
-    def entry_calls(self, monkeypatch, status, flush_error=None):
-        """What ``cli.entry`` does, in order, when ``main`` returns ``status``
-        and flushing stdout raises ``flush_error``."""
-        from hqcdfs import cli
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_out_write_failure_exits_3(self):
+        # The file opens but its write fails: an internal failure, not bad input.
+        status, out, err = run_entry(["nogo", "--trials", "5", "--out", "/dev/full"])
+        assert (status, out) == (3, b"")
+        assert err == "internal error: OSError: [Errno 28] No space left on device\n"
 
-        calls = []
+    def test_out_that_cannot_be_opened_exits_2(self, tmp_path):
+        path = str(tmp_path / "missing" / "x")
+        status, out, err = run_entry(["nogo", "--trials", "5", "--out", path])
+        assert (status, out) == (2, b"")
+        reason = f"[Errno 2] No such file or directory: {path!r}"
+        assert err == f"error: cannot write report to {path!r}: {reason}\n"
 
-        class Stream:
-            def __init__(self, name):
-                self.name = name
-
-            def write(self, text):
-                calls.append(f"{self.name}: {text}")
-
-            def flush(self):
-                calls.append(f"flush {self.name}")
-                if self.name == "stdout" and flush_error is not None:
-                    raise flush_error
-
-        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or status)
-        monkeypatch.setattr(cli.sys, "stdout", Stream("stdout"))
-        monkeypatch.setattr(cli.sys, "stderr", Stream("stderr"))
-        monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(("exit", code)))
-        cli.entry()
-        return calls
-
-    @pytest.mark.parametrize("status", [0, 1, 2, 3])
-    def test_entry_flushes_then_exits(self, status, monkeypatch):
-        calls = self.entry_calls(monkeypatch, status)
-        assert calls == ["main", "flush stdout", "flush stderr", ("exit", status)]
-
-    @pytest.mark.parametrize("status", [0, 1, 2, 3])
-    def test_failed_flush_exits_3_with_one_line(self, status, monkeypatch):
-        calls = self.entry_calls(monkeypatch, status, OSError(28, "No space left on device"))
-        # Exit 3 already wrote its one line; the failed flush adds none.
-        line = [] if status == 3 else ["stderr: internal error: OSError: [Errno 28] No space left on device\n"]
-        assert calls == ["main", "flush stdout", *line, "flush stderr", ("exit", 3)]
+    def test_closed_stdout_exits_3(self):
+        # As ``>&-`` does: descriptor 1 is closed before Python starts, which
+        # then sets sys.stdout to None; in process, redirect_stdout does.
+        argv = ["nogo", "--trials", "5"]
+        result = run_python(["-m", "hqcdfs.cli", *argv], stdout=None, preexec_fn=lambda: os.close(1))
+        line = "internal error: OSError: stdout is closed\n"
+        assert (result.returncode, result.stderr.decode()) == (3, line)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(None), contextlib.redirect_stderr(err):
+            assert main(argv) == 3
+        assert err.getvalue() == line
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
     @pytest.mark.parametrize(

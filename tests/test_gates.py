@@ -14,7 +14,7 @@ from hqcdfs.gates import (
 )
 from hqcdfs.holonomy import transport_defect
 from hqcdfs.model import detune, recipe_hamiltonian, target_for
-from hqcdfs.noise import KickDistribution, NoiseEnsemble, noisy_realize
+from hqcdfs.noise import NoiseEnsemble, noisy_realize
 from hqcdfs.operators import Spectrum, phase_aligned_distance
 from hqcdfs.pcg64 import PCG64Words
 from hqcdfs.serialize import encode_json
@@ -294,7 +294,7 @@ class TestOneSpectrumPerHamiltonian:
             (lambda: realize(detune(zx(0.4), 1.05), steps=512), 1),
             (
                 lambda: noisy_realize(
-                    cnot(), NoiseEnsemble(4, KickDistribution("uniform", {}), 20, 5)
+                    cnot(), NoiseEnsemble(4, {"type": "uniform", "params": {}}, 20, 5)
                 ),
                 1,
             ),

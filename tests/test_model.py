@@ -13,6 +13,7 @@ from hqcdfs.model import (
     exchange_term,
     recipe_hamiltonian,
 )
+from hqcdfs.serialize import replace
 
 from oracles import (
     bitstring_state,
@@ -201,6 +202,17 @@ class TestRecipes:
         recipe = detune(xz(0.1), 1.05)
         assert recipe.detuned
         assert abs(recipe.strength * recipe.duration - 1.05 * PULSE_AREAS["XZ"]) < 1e-12
+
+    def test_pulse_area_bounded_before_phases_overflow(self):
+        # Every kind's eigenvalues lie within sqrt(2) * strength, up to roundoff.
+        for recipe in universal_recipes(strength=1.7, phase=0.4):
+            bound = np.abs(np.linalg.eigvalsh(recipe_hamiltonian(recipe))).max()
+            assert bound <= SQRT2 * recipe.strength * (1 + 1e-14)
+        edge = GateRecipe("XZ", 0.0, 1e154, 1e154, (1,), detuned=True)
+        with pytest.raises(ValueError, match="too large"):
+            detune(edge, 1.3)
+        with pytest.raises(ValueError, match="too large"):
+            replace(edge, strength=1e300, duration=1e300)
 
     def test_block_index_below_one(self):
         with pytest.raises(IndexError):

@@ -8,7 +8,6 @@ from hqcdfs.model import GateRecipe, collective_z, detune, recipe_hamiltonian, t
 from hqcdfs import noise
 from hqcdfs.noise import (
     ENSEMBLE_CAP,
-    KickDistribution,
     NoiseEnsemble,
     noisy_realize,
 )
@@ -30,7 +29,7 @@ from oracles import (
 
 
 def uniform_ensemble(kick_count=4, samples=50, seed=5):
-    return NoiseEnsemble(kick_count, KickDistribution("uniform", {}), samples, seed)
+    return NoiseEnsemble(kick_count, {"type": "uniform", "params": {}}, samples, seed)
 
 
 def package_kick(theta: float, n: int) -> np.ndarray:
@@ -86,9 +85,9 @@ KICK_ECHOES = {
 class TestNoisyRealize:
     def test_encoded_gate_is_immune(self):
         for dist in (
-            KickDistribution("uniform", {}),
-            KickDistribution("gaussian", {"mean": 0.3, "stddev": 1.7}),
-            KickDistribution("fixed", {"theta": 2.2}),
+            {"type": "uniform", "params": {}},
+            {"type": "gaussian", "params": {"mean": 0.3, "stddev": 1.7}},
+            {"type": "fixed", "params": {"theta": 2.2}},
         ):
             ensemble = NoiseEnsemble(3, dist, samples=25, seed=9)
             result = noisy_realize(xz(0.8), ensemble)
@@ -96,7 +95,7 @@ class TestNoisyRealize:
 
     def test_zero_kicks_reduce_to_plain_realization(self):
         recipe = zx(1.4)
-        ensemble = NoiseEnsemble(0, KickDistribution("uniform", {}), samples=3, seed=1)
+        ensemble = NoiseEnsemble(0, {"type": "uniform", "params": {}}, samples=3, seed=1)
         result = noisy_realize(recipe, ensemble)
         restricted = realized_logical(recipe)
         target = target_for(recipe)
@@ -105,36 +104,36 @@ class TestNoisyRealize:
             assert abs(fidelity - plain) < 1e-14
 
     def test_cnot_under_uniform_kicks(self):
-        ensemble = NoiseEnsemble(4, KickDistribution("uniform", {}), samples=200, seed=3)
+        ensemble = NoiseEnsemble(4, {"type": "uniform", "params": {}}, samples=200, seed=3)
         result = noisy_realize(cnot(), ensemble)
         assert result.min_fidelity >= 1.0 - 1e-10
 
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):
-            NoiseEnsemble(-1, KickDistribution("uniform", {}), 10, 0)
+            NoiseEnsemble(-1, {"type": "uniform", "params": {}}, 10, 0)
         with pytest.raises(ValueError):
-            NoiseEnsemble(1, KickDistribution("uniform", {}), 0, 0)
-        with pytest.raises(ValueError):
-            KickDistribution("gaussian", {"mean": 0.0, "stddev": -1.0})
+            NoiseEnsemble(1, {"type": "uniform", "params": {}}, 0, 0)
+        with pytest.raises(ValueError, match="stddev"):
+            NoiseEnsemble(1, {"type": "gaussian", "params": {"mean": 0.0, "stddev": -1.0}}, 10, 0)
 
     def test_ensemble_cap(self):
-        NoiseEnsemble(0, KickDistribution("uniform", {}), ENSEMBLE_CAP, 0)
-        NoiseEnsemble(ENSEMBLE_CAP, KickDistribution("uniform", {}), 1, 0)
+        NoiseEnsemble(0, {"type": "uniform", "params": {}}, ENSEMBLE_CAP, 0)
+        NoiseEnsemble(ENSEMBLE_CAP, {"type": "uniform", "params": {}}, 1, 0)
         # Each count is bounded on its own: kicks are never drawn.
-        NoiseEnsemble(2, KickDistribution("uniform", {}), ENSEMBLE_CAP // 2 + 1, 0)
-        NoiseEnsemble(ENSEMBLE_CAP, KickDistribution("uniform", {}), ENSEMBLE_CAP, 0)
+        NoiseEnsemble(2, {"type": "uniform", "params": {}}, ENSEMBLE_CAP // 2 + 1, 0)
+        NoiseEnsemble(ENSEMBLE_CAP, {"type": "uniform", "params": {}}, ENSEMBLE_CAP, 0)
         with pytest.raises(ValueError, match="must not exceed"):
-            NoiseEnsemble(0, KickDistribution("uniform", {}), ENSEMBLE_CAP + 1, 0)
+            NoiseEnsemble(0, {"type": "uniform", "params": {}}, ENSEMBLE_CAP + 1, 0)
         with pytest.raises(ValueError, match="must not exceed"):
-            NoiseEnsemble(ENSEMBLE_CAP + 1, KickDistribution("uniform", {}), 1, 0)
+            NoiseEnsemble(ENSEMBLE_CAP + 1, {"type": "uniform", "params": {}}, 1, 0)
         with pytest.raises(ValueError, match="must not exceed"):
-            NoiseEnsemble(10**18, KickDistribution("uniform", {}), 1, 0)
+            NoiseEnsemble(10**18, {"type": "uniform", "params": {}}, 1, 0)
 
     def test_json_round_trip(self):
         for ensemble in (
             uniform_ensemble(),
-            NoiseEnsemble(2, KickDistribution("gaussian", {"mean": 0.1, "stddev": 0.5}), 7, 42),
-            NoiseEnsemble(0, KickDistribution("fixed", {"theta": 1.2}), 3, 8),
+            NoiseEnsemble(2, {"type": "gaussian", "params": {"mean": 0.1, "stddev": 0.5}}, 7, 42),
+            NoiseEnsemble(0, {"type": "fixed", "params": {"theta": 1.2}}, 3, 8),
         ):
             assert NoiseEnsemble.from_json_dict(ensemble.to_json_dict()) == ensemble
 
@@ -142,7 +141,7 @@ class TestNoisyRealize:
     def test_distribution_echo(self, doc, echo):
         # The echo keeps only the kind's parameters, in the kind's order,
         # each a float; uniform ignores whatever ``params`` holds.
-        text = "".join(encode_json(KickDistribution.from_json_dict(doc).to_json_dict()))
+        text = "".join(encode_json(NoiseEnsemble(0, doc, 1, 0).to_json_dict()["distribution"]))
         assert text == json.dumps(echo, indent=2)
 
 
@@ -151,7 +150,7 @@ class TestBareBaseline:
     same kick schedule, read off the per-sample oracle."""
 
     def test_no_kick_angle_keeps_state(self):
-        ensemble = NoiseEnsemble(1, KickDistribution("fixed", {"theta": 0.0}), samples=10, seed=2)
+        ensemble = NoiseEnsemble(1, {"type": "fixed", "params": {"theta": 0.0}}, samples=10, seed=2)
         assert abs(bare_fidelity(0.7, ensemble) - 1.0) < 1e-12
 
     def test_uniform_kick_halves_mean_fidelity(self):
@@ -160,12 +159,12 @@ class TestBareBaseline:
         # variance of cos^2 equal to 1/8.
         samples = 10_000
         sigma = np.sqrt(1.0 / 8.0 / samples)
-        ensemble = NoiseEnsemble(1, KickDistribution("uniform", {}), samples=samples, seed=17)
+        ensemble = NoiseEnsemble(1, {"type": "uniform", "params": {}}, samples=samples, seed=17)
         mean = bare_fidelity(0.0, ensemble)
         assert abs(mean - 0.5) <= 3.0 * sigma
 
     def test_quarter_turn_kick_orthogonalizes(self):
-        ensemble = NoiseEnsemble(1, KickDistribution("fixed", {"theta": np.pi / 2}), samples=4, seed=0)
+        ensemble = NoiseEnsemble(1, {"type": "fixed", "params": {"theta": np.pi / 2}}, samples=4, seed=0)
         assert bare_fidelity(0.0, ensemble) < 1e-24
 
 
@@ -179,13 +178,13 @@ class TestNoiseProperties:
 
     def test_protection_independent_of_kick_schedule(self):
         for kick_count in (1, 4, 16):
-            for dist in (KickDistribution("uniform", {}), KickDistribution("gaussian", {"mean": 0.0, "stddev": 2.5})):
+            for dist in ({"type": "uniform", "params": {}}, {"type": "gaussian", "params": {"mean": 0.0, "stddev": 2.5}}):
                 ensemble = NoiseEnsemble(kick_count, dist, samples=20, seed=23)
                 result = noisy_realize(xz(0.3), ensemble)
                 assert min(result.per_sample) >= 1.0 - 1e-10
 
     def test_bare_qubit_degrades(self):
-        ensemble = NoiseEnsemble(1, KickDistribution("uniform", {}), samples=10_000, seed=29)
+        ensemble = NoiseEnsemble(1, {"type": "uniform", "params": {}}, samples=10_000, seed=29)
         assert bare_fidelity(0.0, ensemble) <= 0.55
 
     def test_identical_seeds_reproduce_bit_exactly(self):
@@ -216,9 +215,9 @@ class TestNoiseProperties:
 
 
 DISTRIBUTIONS = {
-    "uniform": KickDistribution("uniform", {}),
-    "gaussian": KickDistribution("gaussian", {"mean": 0.3, "stddev": 1.7}),
-    "fixed": KickDistribution("fixed", {"theta": 2.2}),
+    "uniform": {"type": "uniform", "params": {}},
+    "gaussian": {"type": "gaussian", "params": {"mean": 0.3, "stddev": 1.7}},
+    "fixed": {"type": "fixed", "params": {"theta": 2.2}},
 }
 
 
@@ -257,7 +256,7 @@ class TestSectorPropagation:
         ids=["CNOT-blocks-2-1", "CNOT-detuned", "XZ-block-2-of-2", "ZX-block-2-of-2"],
     )
     def test_matches_full_register_oracle(self, recipe):
-        ensemble = NoiseEnsemble(4, KickDistribution("gaussian", {"mean": 0.3, "stddev": 1.7}), samples=70, seed=13)
+        ensemble = NoiseEnsemble(4, {"type": "gaussian", "params": {"mean": 0.3, "stddev": 1.7}}, samples=70, seed=13)
         closed_form = noisy_realize(recipe, ensemble).per_sample
         expected = noisy_fidelities(recipe, ensemble)
         assert len(closed_form) == len(expected)
@@ -291,14 +290,15 @@ class TestSectorPropagation:
         assert shapes == [(64, 64)]
 
 
-def stream_draws(dist: KickDistribution, seed: int, shape: tuple[int, int]) -> np.ndarray:
+def stream_draws(dist: dict, seed: int, shape: tuple[int, int]) -> np.ndarray:
     """The whole ensemble's angles drawn at once from ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
-    if dist.type == "uniform":
+    params = dist["params"]
+    if dist["type"] == "uniform":
         return rng.uniform(0.0, 2.0 * np.pi, size=shape)
-    if dist.type == "gaussian":
-        return rng.normal(dist.params["mean"], dist.params["stddev"], size=shape)
-    return np.full(shape, dist.params["theta"])
+    if dist["type"] == "gaussian":
+        return rng.normal(params["mean"], params["stddev"], size=shape)
+    return np.full(shape, params["theta"])
 
 
 def kicked_fidelity(recipe: GateRecipe, angles: np.ndarray) -> float:
@@ -337,7 +337,7 @@ class TestAngleStream:
 
     @pytest.mark.parametrize("dist", DISTRIBUTIONS.values(), ids=DISTRIBUTIONS.keys())
     def test_per_sample_bytes_ignore_the_kicks(self, dist):
-        still = NoiseEnsemble(0, KickDistribution("fixed", {"theta": 0.0}), samples=30, seed=0)
+        still = NoiseEnsemble(0, {"type": "fixed", "params": {"theta": 0.0}}, samples=30, seed=0)
         for recipe in (xz(0.8), zx(1.4), cnot()):
             expected = noisy_realize(recipe, still).per_sample.tobytes()
             for seed in (0, 21, 78):
@@ -368,7 +368,7 @@ class TestKickCountDrift:
         ],
     )
     def test_fidelity_at_1e5_kicks(self, recipe, kick_count):
-        ensemble = NoiseEnsemble(kick_count, KickDistribution("uniform", {}), samples=1, seed=5)
+        ensemble = NoiseEnsemble(kick_count, {"type": "uniform", "params": {}}, samples=1, seed=5)
         assert abs(1.0 - noisy_realize(recipe, ensemble).min_fidelity) <= 1e-11
 
 
@@ -380,7 +380,7 @@ class TestNonCollectiveKickControl:
     RECIPE = xz(0.3)
 
     @staticmethod
-    def deficits(generator, dist=KickDistribution("uniform", {})):
+    def deficits(generator, dist={"type": "uniform", "params": {}}):
         ensemble = NoiseEnsemble(4, dist, samples=40, seed=5)
         return 1.0 - np.array(noisy_fidelities(TestNonCollectiveKickControl.RECIPE, ensemble, generator=generator))
 
@@ -398,7 +398,7 @@ class TestNonCollectiveKickControl:
         # 1 - F grows as delta^2 for small delta.
         collective = collective_z(3)
         sz_2 = np.diagonal(embed_bruteforce(PAULI["z"], 2, 3)).real
-        fixed = KickDistribution("fixed", {"theta": 0.7})
+        fixed = {"type": "fixed", "params": {"theta": 0.7}}
         small, double = (self.deficits(collective + d * sz_2, fixed).mean() for d in (1e-3, 2e-3))
         assert small >= 1e-8
         assert abs(double / small - 4.0) <= 0.05

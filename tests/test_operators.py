@@ -17,6 +17,7 @@ from hqcdfs.operators import (
 )
 
 from hqcdfs.model import recipe_hamiltonian
+from hqcdfs.subspace import dfs_product_basis, restrict
 
 from gate_tools import cnot, xz, zx
 from oracles import (
@@ -32,6 +33,7 @@ from oracles import (
     random_hermitian,
     random_unitaries,
     random_unitary,
+    three_level_rotation,
 )
 
 SIGMA_Y, SIGMA_Z = PAULI["y"], PAULI["z"]
@@ -105,6 +107,16 @@ class TestEvolve:
         u = Spectrum(h3).propagator(np.pi / (np.sqrt(2.0) * j))
         expected = np.array([[-1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
         assert np.abs(u - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, 1.7])
+    @pytest.mark.parametrize("fraction", [1 / 3, 1 / 2, 0.8], ids=["tau/3", "tau/2", "0.8tau"])
+    def test_xz_block_runs_forward_in_time(self, fraction, phi):
+        # The XZ propagator on (|a>, |0>_L, |1>_L) against the closed-form
+        # rotation, entry by entry: exp(+iht) misses it by about 1.
+        recipe = xz(phi)
+        t = fraction * recipe.duration
+        u = restrict(Spectrum(recipe_hamiltonian(recipe)).propagator(t), dfs_product_basis([1]))
+        assert np.abs(u - three_level_rotation(phi, recipe.strength, t)).max() <= 1e-12
 
     def test_matches_pade_oracle(self):
         rng = np.random.default_rng(3)

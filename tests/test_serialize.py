@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hqcdfs import cli, serialize
 from hqcdfs.gates import no_go_certificate, realize
 from hqcdfs.model import PULSE_AREAS, GateRecipe, detune
-from hqcdfs.noise import KickDistribution, NoiseEnsemble, NoisyGateResult
+from hqcdfs.noise import NoiseEnsemble, NoisyGateResult
 from hqcdfs.serialize import Record, matrix_to_json, replace, round_sig
 from hqcdfs.serialize import encode_json as encode_chunks
 
@@ -200,12 +200,17 @@ class TestRecords:
 
     @pytest.mark.parametrize(
         "args, kwargs",
-        [(("uniform", {}, 1.0), {}), (("uniform",), {"type": "fixed"}), ((), {"angle": 1.0}), ((), {})],
+        [
+            ((1.0, 1.0, (1.0,), 1.0), {}),
+            ((1.0,), {"mean_fidelity": 1.0}),
+            ((), {"angle": 1.0}),
+            ((), {}),
+        ],
         ids=["too-many", "repeated", "unknown", "missing"],
     )
     def test_bad_field_sets_raise_type_error(self, args, kwargs):
         with pytest.raises(TypeError):
-            KickDistribution(*args, **kwargs)
+            NoisyGateResult(*args, **kwargs)
 
     def test_assignment_and_deletion_raise(self):
         recipe = xz(0.3)
@@ -245,7 +250,7 @@ RESULT_RECORDS = {
     "gate-cnot": lambda: realize(cnot(), steps=64),
     "nogo": lambda: no_go_certificate(5, 3),
     "noisy-gate-result": lambda: NoisyGateResult(0.5, 0.25, (0.25, 0.75)),
-    "noise-ensemble": lambda: NoiseEnsemble(3, KickDistribution("gaussian", {"mean": 0.1, "stddev": 0.5}), 7, 2),
+    "noise-ensemble": lambda: NoiseEnsemble(3, {"type": "gaussian", "params": {"mean": 0.1, "stddev": 0.5}}, 7, 2),
 }
 
 
