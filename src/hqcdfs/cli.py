@@ -19,13 +19,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ContractViolation, SingularChainError
 from .gates import DEFAULT_CHAIN_STEPS, realize, no_go_certificate
 from .holonomy import MAX_CHAIN_STEPS, MIN_CHAIN_STEPS, certify
 from .model import GateRecipe, detune, recipe_hamiltonian
 from .noise import NoiseEnsemble, noisy_realize
-from .operators import Spectrum
-from .serialize import FORMAT_CHUNK, Record, encode_json, replace
+from .operators import ContractViolation, Spectrum
+from .serialize import Record, encode_csv, encode_json, replace
 from .subspace import BasisSet, dfs_product_basis
 
 EXIT_OK = 0
@@ -134,18 +133,6 @@ def _emit(args: argparse.Namespace, *parts: str) -> None:
         sys.stdout.flush()
 
 
-def _emit_csv(args: argparse.Namespace, header: str, *columns) -> None:
-    """Write csv.writer's bytes, nothing quoted and "\r\n" after each row:
-    ``header``, then row i of the equal-length ``columns`` to 12 significant
-    digits, FORMAT_CHUNK rows per part so that the text is held once."""
-    line = ",".join(["%.12g"] * len(columns)) + "\r\n"
-    parts = [header + "\r\n"]
-    for start in range(0, len(columns[0]), FORMAT_CHUNK):
-        rows = zip(*(np.asarray(c[start:start + FORMAT_CHUNK]).tolist() for c in columns))
-        parts.append("".join(line % row for row in rows))
-    _emit(args, *parts)
-
-
 def _emit_report(args: argparse.Namespace, scale: float, report, detuned: bool, **inputs) -> int:
     """Check ``report`` by the command's checks, none for a detuned recipe,
     and write the JSON report envelope echoing ``inputs`` unless the report
@@ -176,16 +163,15 @@ def _run_gate(args: argparse.Namespace, scale: float) -> int:
 
 def _run_holonomy(args: argparse.Namespace, scale: float) -> int:
     recipe = _parse(GateRecipe, args.recipe)
+    basis = dfs_product_basis(recipe.blocks, "01")
     if args.basis:
-        basis = _parse(BasisSet, args.basis)
-        dim = 2 ** (3 * max(recipe.blocks))
-        if basis.dim_ambient != dim:
+        custom = _parse(BasisSet, args.basis)
+        if custom.dim_ambient != basis.dim_ambient:
             raise InputError(
-                f"basis ambient dimension {basis.dim_ambient} does not match "
-                f"the {dim}-dimensional register of this recipe"
+                f"basis ambient dimension {custom.dim_ambient} does not match "
+                f"the {basis.dim_ambient}-dimensional register of this recipe"
             )
-    else:
-        basis = dfs_product_basis(recipe.blocks, "01")
+        basis = custom
     spectrum = Spectrum(recipe_hamiltonian(recipe))
     report = certify(spectrum, basis, recipe.duration, args.steps, reconstruct=not recipe.detuned)
     return _emit_report(args, scale, report, recipe.detuned, recipe=recipe, steps=args.steps)
@@ -196,7 +182,7 @@ def _run_noise(args: argparse.Namespace, scale: float) -> int:
     ensemble = _parse(NoiseEnsemble, args.ensemble)
     result = noisy_realize(recipe, ensemble)
     if args.format == "csv":
-        _emit_csv(args, "sample,fidelity", range(ensemble.samples), result.per_sample)
+        _emit(args, *encode_csv("sample,fidelity", range(ensemble.samples), result.per_sample))
     return _emit_report(args, scale, result, recipe.detuned, recipe=recipe, ensemble=ensemble)
 
 
@@ -227,7 +213,7 @@ def _run_sweep(args: argparse.Namespace, scale: float) -> int:
         realization = realize(recipe, steps=args.steps, spectrum=spectrum)
         hol = realization.holonomy
         rows.append((value, realization.distance, hol.cyclicity_defect, hol.transport_defect))
-    _emit_csv(args, "parameter,distance,cyclicity_defect,transport_defect", *zip(*rows))
+    _emit(args, *encode_csv("parameter,distance,cyclicity_defect,transport_defect", *zip(*rows)))
     return EXIT_OK
 
 
@@ -309,12 +295,15 @@ def main(argv: list[str] | None = None) -> int:
         return _RUNNERS[args.command](args, tolerance_scale())
     except InputError as exc:
         status, line = EXIT_PARSE, f"error: {exc}"
-    except (ContractViolation, SingularChainError) as exc:
+    except ContractViolation as exc:
         status, line = EXIT_CONTRACT, f"contract violation: {exc}"
     except Exception as exc:
         message = " ".join(f"{type(exc).__name__}: {exc}".split())
         status, line = EXIT_CONTRACT, f"internal error: {message}"
-    sys.stderr.write(line + "\n")
+    try:  # as argparse does: a closed (None) or failing stderr keeps the status
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError):
+        pass
     return status
 
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError
-from .operators import Spectrum, dagger, phase_aligned_distance, polar_unitary
+from .operators import ContractViolation, Spectrum, dagger, phase_aligned_distance, polar_unitary
 from .serialize import Record
 from .subspace import BasisSet, restrict
 
@@ -110,9 +109,9 @@ def certify(
     With ``reconstruct`` false the report carries only the two defects,
     whatever their size, and the reconstruction fields are None: the
     preconditions genuinely fail off the pulse-area condition. Otherwise it
-    refuses to reconstruct (PreconditionError) when conditions (i) or (ii)
+    refuses to reconstruct (ContractViolation) when conditions (i) or (ii)
     fail; their defects are never assumed away. The chained overlap matrix
-    is unitarized by polar decomposition, which raises SingularChainError
+    is unitarized by polar decomposition, which raises ContractViolation
     instead of silently regularizing a rank-deficient chain.
     """
     if not MIN_CHAIN_STEPS <= steps <= MAX_CHAIN_STEPS:
@@ -124,7 +123,7 @@ def certify(
     if not reconstruct:
         return HolonomyReport(cyc, tra, None, None, None, steps, tau)
     if cyc > PRECONDITION_TOL or tra > PRECONDITION_TOL:
-        raise PreconditionError(
+        raise ContractViolation(
             f"not a holonomic evolution on this subspace: cyclicity defect "
             f"{cyc:.3e}, transport defect {tra:.3e} (tolerance {PRECONDITION_TOL:.0e})"
         )

@@ -17,9 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ContractViolation
 from .model import GateRecipe, collective_z, recipe_hamiltonian, target_for
-from .operators import ALGEBRA_TOL, Spectrum, dagger
+from .operators import ALGEBRA_TOL, ContractViolation, Spectrum, dagger
 from .serialize import Record, as_float, as_int
 from .subspace import dfs_product_basis, restrict
 

@@ -2,7 +2,7 @@
 
 All operators are plain ``numpy.ndarray`` values of dtype complex128. The
 checks here enforce their algebraic contracts (finite, Hermitian, unitary)
-and raise :class:`~hqcdfs.errors.ContractViolation` on failure;
+and raise :class:`ContractViolation` on failure;
 ``check_dimension_cap`` bounds a register before it is allocated, and
 ``Spectrum`` turns one generator into its propagators. Basis-state indexing
 convention, fixed package-wide: qubit 1 is the most significant bit of the
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionCapError, SingularChainError
-
 # Design envelope: at most two logical qubits (64-dim) plus headroom.
 DIMENSION_CAP = 2 ** 14
 
@@ -23,6 +21,12 @@ ALGEBRA_TOL = 1e-12
 UNITARITY_TOL = 1e-10
 # Smallest singular value a matrix may have and still be unitarized.
 MIN_SINGULAR = 1e-12
+
+
+class ContractViolation(ValueError):
+    """An algebraic contract failed: a non-Hermitian or non-unitary operator,
+    a non-orthonormal basis, a rank-deficient chain or an unmet precondition."""
+
 
 # Pauli X: the no-go witness restricts to it exactly.
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -82,9 +86,9 @@ def require_unitary(m) -> np.ndarray:
 
 
 def check_dimension_cap(n_qubits: int) -> None:
-    """Raise DimensionCapError before a 2^n_qubits register is allocated."""
+    """Raise ValueError before a 2^n_qubits register is allocated."""
     if n_qubits >= DIMENSION_CAP.bit_length():
-        raise DimensionCapError(f"2^{n_qubits} exceeds dimension cap {DIMENSION_CAP}")
+        raise ValueError(f"2^{n_qubits} exceeds dimension cap {DIMENSION_CAP}")
 
 
 class Spectrum:
@@ -124,7 +128,7 @@ class Spectrum:
 def polar_unitary(m) -> np.ndarray:
     """Unitary factor of the polar decomposition m = U P, P positive.
 
-    U is the Frobenius-closest unitary to m. Raises SingularChainError when
+    U is the Frobenius-closest unitary to m. Raises ContractViolation when
     m is (numerically) rank-deficient, its smallest singular value at most
     MIN_SINGULAR, in which case no meaningful unitary factor exists.
     """
@@ -133,7 +137,7 @@ def polar_unitary(m) -> np.ndarray:
         raise ValueError(f"polar decomposition needs a square matrix, got {m.shape}")
     u, s, vh = np.linalg.svd(m)
     if s.min() <= MIN_SINGULAR:
-        raise SingularChainError(
+        raise ContractViolation(
             f"matrix is rank-deficient (smallest singular value {s.min():.3e})"
         )
     return u @ vh

@@ -6,7 +6,8 @@ and fractional counts there. ``Record.to_json_dict`` is the one report
 layout: complex matrices become nested [re, im] pairs and every float is
 rounded to 12 significant digits so emitted reports diff stably.
 ``encode_json`` writes the indent-2 report text and rounds float64 arrays,
-such as those of ``matrix_to_json``, as it writes them.
+such as those of ``matrix_to_json``, as it writes them; ``encode_csv``
+writes the CSV reports.
 """
 
 from __future__ import annotations
@@ -232,4 +233,17 @@ def encode_json(doc) -> list[str]:
     """
     out: list[str] = []
     _encode(doc, 0, out)
+    return out
+
+
+def encode_csv(header: str, *columns) -> list[str]:
+    """Chunks of the text ``csv.writer`` makes, nothing quoted and "\r\n"
+    after each row: ``header``, then row i of the equal-length ``columns``
+    to SIG_DIGITS significant digits, FORMAT_CHUNK rows per chunk so that
+    the text is held once."""
+    line = ",".join([f"%.{SIG_DIGITS}g"] * len(columns)) + "\r\n"
+    out = [header + "\r\n"]
+    for start in range(0, len(columns[0]), FORMAT_CHUNK):
+        rows = zip(*(np.asarray(c[start:start + FORMAT_CHUNK]).tolist() for c in columns))
+        out.append("".join(line % row for row in rows))
     return out

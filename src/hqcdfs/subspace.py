@@ -14,8 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolation
-from .operators import as_complex_matrix, dagger
+from .operators import ContractViolation, as_complex_matrix, dagger
 from .serialize import Record, as_float, as_int
 
 ORTHONORMALITY_TOL = 1e-12

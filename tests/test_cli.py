@@ -229,7 +229,7 @@ class TestNoiseCommand:
 
     @pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "default"])
     def test_csv_text_ignores_the_chunk(self, chunk, monkeypatch):
-        from hqcdfs import cli, serialize
+        from hqcdfs import serialize
         from hqcdfs.noise import NoiseEnsemble, noisy_realize
 
         ensemble = {**ENSEMBLE, "samples": 2500}
@@ -240,7 +240,6 @@ class TestNoiseCommand:
         writer.writerows((i, f"{f:.12g}") for i, f in enumerate(result.per_sample.tolist()))
         if chunk is not None:
             monkeypatch.setattr(serialize, "FORMAT_CHUNK", chunk)
-            monkeypatch.setattr(cli, "FORMAT_CHUNK", chunk)
         status, out, _ = run_captured(noise_argv(samples=2500) + ["--format", "csv"])
         assert status == 0
         assert out == expected.getvalue()
@@ -365,9 +364,9 @@ def noise_argv(distribution=None, **changes):
     return ["noise", "--recipe", json.dumps(XZ), "--ensemble", json.dumps(ensemble)]
 
 
-def sweep_argv(start, stop, points, steps):
+def sweep_argv(start, stop, points, steps, param="pulse_area_detuning"):
     return [
-        "sweep", "--param", "pulse_area_detuning", "--from", start, "--to", stop,
+        "sweep", "--param", param, "--from", start, "--to", stop,
         "--points", str(points), "--recipe", json.dumps(XZ), "--steps", steps,
     ]
 
@@ -412,6 +411,10 @@ BAD_INPUT = {
     "mean-bool": (noise_argv(gaussian(mean=True)), None),
     "kind-int": (gate_argv(kind=1), None),
     "nogo-seed-negative": (["nogo", "--trials", "3", "--seed", "-1"], None),
+    "nogo-trials-0": (["nogo", "--trials", "0"], None),
+    "sweep-phase-from-inf": (sweep_argv("inf", "0.1", 3, "64", param="phase"), None),
+    "sweep-detuning-from-nan": (sweep_argv("nan", "0.1", 3, "64"), None),
+    "sweep-detuning-to-1e308": (sweep_argv("-0.1", "1e308", 3, "64"), None),
     "sweep-steps-exact-point": (sweep_argv("-0.1", "0.1", 3, "4"), None),
     "sweep-steps-all-detuned": (sweep_argv("-0.1", "0.1", 2, "4"), None),
     "sweep-steps-negative": (sweep_argv("-0.1", "0.1", 3, "-5"), None),
@@ -431,8 +434,17 @@ BAD_INPUT = {
     "basis-labels-int": (basis_argv(labels=[0, 1]), None),
     "basis-dim-ambient-64": (basis_argv(dim_ambient=64), None),
     "basis-dim-ambient-string": (basis_argv(dim_ambient="3"), None),
+    "basis-2-vectors-1-label": (basis_argv(labels=["0"]), None),
+    "basis-9-vectors-in-8-dims": (
+        basis_argv(
+            vectors=[[[float(i == j), 0.0] for i in range(8)] for j in [*range(8), 0]],
+            labels=list("012345678"),
+        ),
+        None,
+    ),
     "tolerance-scale-nan": (gate_argv(), "nan"),
     "tolerance-scale-inf": (gate_argv(), "inf"),
+    "tolerance-scale-abc": (gate_argv(), "abc"),
 }
 
 
@@ -518,7 +530,7 @@ class TestBadInputExits2:
 class TestExitStatusContract:
     def test_internal_contract_violation_exits_3(self, tmp_path, monkeypatch):
         from hqcdfs import cli
-        from hqcdfs.errors import ContractViolation
+        from hqcdfs.operators import ContractViolation
 
         def explode(*args, **kwargs):
             raise ContractViolation("synthetic contract failure")
@@ -970,6 +982,35 @@ class TestEntryPoint:
         with contextlib.redirect_stdout(None), contextlib.redirect_stderr(err):
             assert main(argv) == 3
         assert err.getvalue() == line
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["gate", "--recipe", "{bad"], 2),
+            pytest.param(
+                ["nogo", "--trials", "3", "--out", "/dev/full"],
+                3,
+                marks=pytest.mark.skipif(
+                    not os.path.exists("/dev/full"), reason="needs the /dev/full device"
+                ),
+            ),
+        ],
+        ids=["bad-input", "out-write-failure"],
+    )
+    def test_closed_stderr_keeps_the_status(self, argv, status):
+        # As ``2>&-`` does: Python sets sys.stderr to None, so the failure
+        # line is lost, but exit 1 still means tolerance violations only.
+        result = run_python(["-m", "hqcdfs.cli", *argv], preexec_fn=lambda: os.close(2))
+        assert (result.returncode, result.stdout) == (status, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_full_stderr_keeps_the_status(self):
+        def full_stderr():
+            os.dup2(os.open("/dev/full", os.O_WRONLY), 2)
+
+        argv = ["-m", "hqcdfs.cli", "gate", "--recipe", "{bad"]
+        result = run_python(argv, preexec_fn=full_stderr)
+        assert (result.returncode, result.stdout) == (2, b"")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
     @pytest.mark.parametrize(

@@ -5,11 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hqcdfs.errors import PreconditionError, SingularChainError
 from hqcdfs import holonomy
 from hqcdfs.holonomy import PRECONDITION_TOL, certify, cyclicity_defect, transport_defect
 from hqcdfs.model import detune, recipe_hamiltonian
-from hqcdfs.operators import Spectrum, phase_aligned_distance, polar_unitary
+from hqcdfs.operators import ContractViolation, Spectrum, phase_aligned_distance, polar_unitary
 from hqcdfs.serialize import encode_json
 from hqcdfs.subspace import BasisSet, dfs_product_basis, restrict
 
@@ -205,7 +204,7 @@ class TestProjectorChain:
 
     def test_rejects_non_cyclic_window(self):
         recipe, h, basis = xz_setup()
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ContractViolation, match="not a holonomic evolution"):
             certify(Spectrum(h), basis, recipe.duration / 2, 64)
 
     def test_rejects_coupled_subspace(self):
@@ -213,7 +212,7 @@ class TestProjectorChain:
         h = recipe_hamiltonian(recipe)
         full = dfs_product_basis([1])
         pair = BasisSet(full.vectors[:, :2], ("a", "0L"))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ContractViolation, match="not a holonomic evolution"):
             certify(Spectrum(h), pair, recipe.duration, 64)
 
     def test_rejects_too_few_steps(self):
@@ -230,7 +229,7 @@ class TestProjectorChain:
         # Four full loops across 8 steps put consecutive planes at right
         # angles, so the chained overlap is exactly rank-deficient.
         recipe, h, basis = xz_setup()
-        with pytest.raises(SingularChainError):
+        with pytest.raises(ContractViolation, match="rank-deficient"):
             certify(Spectrum(h), basis, 4 * recipe.duration, 8)
 
 
@@ -251,7 +250,7 @@ class TestCertify:
         for recipe in (detune(xz(0.5), 1.07), detune(cnot(blocks=(2, 1)), 0.96)):
             h, basis = recipe_setup(recipe)
             spectrum = Spectrum(h)
-            with pytest.raises(PreconditionError):
+            with pytest.raises(ContractViolation, match="not a holonomic evolution"):
                 certify(spectrum, basis, recipe.duration, 512)
             report = certify(spectrum, basis, recipe.duration, 512, reconstruct=False)
             u = spectrum.propagator(recipe.duration)

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from hqcdfs.errors import ContractViolation
 from hqcdfs.model import GateRecipe, collective_z, detune, recipe_hamiltonian, target_for
 from hqcdfs import noise
 from hqcdfs.noise import (
@@ -11,7 +10,7 @@ from hqcdfs.noise import (
     NoiseEnsemble,
     noisy_realize,
 )
-from hqcdfs.operators import Spectrum, phase_aligned_distance
+from hqcdfs.operators import ContractViolation, Spectrum, phase_aligned_distance
 from hqcdfs.serialize import encode_json
 from hqcdfs.subspace import BasisSet, dfs_product_basis, restrict
 

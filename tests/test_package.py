@@ -1,6 +1,7 @@
 """Shape of the package itself, read from its source."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -76,3 +77,21 @@ def test_readme_layout_lists_every_module():
     section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"^\| `hqcdfs\.(\w+)`", section, re.MULTILINE)
     assert sorted(listed) == sorted(Path(name).stem for name in TREES if name != "__init__.py")
+
+
+def test_two_exception_types():
+    """``src/hqcdfs`` defines exactly two exception types, one per failing
+    exit status of the CLI: ``operators.ContractViolation`` (3) and
+    ``cli.InputError`` (2). Every other failure is a built-in type."""
+    defined = []
+    for name in TREES:
+        stem = Path(name).stem
+        module = importlib.import_module("hqcdfs" if stem == "__init__" else f"hqcdfs.{stem}")
+        defined += [
+            f"{stem}.{obj.__name__}"
+            for obj in vars(module).values()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        ]
+    assert sorted(defined) == ["cli.InputError", "operators.ContractViolation"]

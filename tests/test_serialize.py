@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqcdfs import cli, serialize
+from hqcdfs import serialize
 from hqcdfs.gates import no_go_certificate, realize
 from hqcdfs.model import PULSE_AREAS, GateRecipe, detune
 from hqcdfs.noise import NoiseEnsemble, NoisyGateResult
@@ -178,7 +178,6 @@ class TestFormatChunk:
         expected = stdlib(as_rounded_lists(doc))
         if chunk is not None:
             monkeypatch.setattr(serialize, "FORMAT_CHUNK", chunk)
-            monkeypatch.setattr(cli, "FORMAT_CHUNK", chunk)
         assert encode_json(doc) == expected
 
 

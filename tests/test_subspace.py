@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from hqcdfs.errors import ContractViolation
 from hqcdfs.model import collective_z, recipe_hamiltonian
-from hqcdfs.operators import Spectrum
+from hqcdfs.operators import ContractViolation, Spectrum
 from hqcdfs.subspace import BasisSet, dfs_product_basis, invariance_defect, restrict
 
 from gate_tools import basis_to_json, leakage_profile, universal_recipes, xz, zx
