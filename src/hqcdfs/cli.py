@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -192,9 +193,26 @@ def _run_sweep(args: argparse.Namespace, scale: float) -> int:
         raise InputError(f"sweep needs at least 2 points, got {points}")
     if param == "pulse_area_detuning" and min(start, stop) <= -1.0:
         raise InputError("detuning must stay above -1 to keep the pulse area positive")
+    if not all(math.isfinite(x) for x in (start, stop, stop - start)):
+        raise InputError(f"--from {start!r} and --to {stop!r} must be finite and a finite distance apart")
     template = _parse(GateRecipe, args.recipe)
     if param == "phase" and template.kind == "CNOT":
         raise InputError("phase sweep is undefined for CNOT recipes")
+
+    def point(i: int):
+        value = start + (stop - start) * i / (points - 1)
+        try:
+            if param == "phase":
+                return value, replace(template, phase=value)
+            return value, detune(template, 1.0 + value) if value != 0.0 else template
+        except ValueError as exc:
+            raise InputError(f"invalid sweep point {value!r}: {exc}") from exc
+
+    # The values run monotonically from start to stop, and a recipe's
+    # validity changes at most once along them (a detuned duration scales
+    # linearly, any finite phase is valid): valid ends make every point valid.
+    point(0)
+    point(points - 1)
     # ``detune`` changes only the duration: every point shares one spectrum.
     spectrum = None
     if param == "pulse_area_detuning":
@@ -202,14 +220,7 @@ def _run_sweep(args: argparse.Namespace, scale: float) -> int:
 
     rows = []
     for i in range(points):
-        value = start + (stop - start) * i / (points - 1)
-        try:
-            if param == "phase":
-                recipe = replace(template, phase=value)
-            else:
-                recipe = detune(template, 1.0 + value) if value != 0.0 else template
-        except ValueError as exc:
-            raise InputError(f"invalid sweep point {value!r}: {exc}") from exc
+        value, recipe = point(i)
         realization = realize(recipe, steps=args.steps, spectrum=spectrum)
         hol = realization.holonomy
         rows.append((value, realization.distance, hol.cyclicity_defect, hol.transport_defect))
@@ -261,7 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     noise.add_argument("--ensemble", required=True, help="ensemble file path or inline JSON")
     noise.add_argument("--format", choices=("json", "csv"), default="json")
 
-    sweep = sub.add_parser("sweep", help="sweep a recipe parameter, one CSV row per point")
+    sweep = sub.add_parser(
+        "sweep",
+        help="sweep a recipe parameter, one CSV row per point",
+        description="Sweep a recipe parameter, one CSV row per point. "
+        "Both grid ends are checked before any point runs.",
+    )
     sweep.add_argument("--param", required=True, choices=("phase", "pulse_area_detuning"))
     sweep.add_argument("--from", dest="start", type=float, required=True)
     sweep.add_argument("--to", dest="stop", type=float, required=True)

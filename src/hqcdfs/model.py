@@ -18,7 +18,6 @@ and ``target_for`` is the logical gate the recipe aims at.
 from __future__ import annotations
 
 import math
-from typing import Mapping
 
 import numpy as np
 
@@ -39,6 +38,7 @@ PULSE_AREA_TOL = 1e-12
 
 class GateRecipe(Record):
     """Pulse prescription for one gate: kind, phase, strength, duration, blocks.
+    The phase defaults to 0, and a bare-int ``blocks`` is one block.
 
     The constructor enforces the exact pulse-area condition for the kind
     (pi/sqrt(2) for XZ and CNOT, pi for ZX) unless ``detuned`` is set, which
@@ -46,7 +46,7 @@ class GateRecipe(Record):
     """
 
     kind: str
-    phase: float
+    phase: float = 0.0
     strength: float
     duration: float
     blocks: tuple[int, ...]
@@ -61,7 +61,8 @@ class GateRecipe(Record):
             object.__setattr__(self, name, as_float(getattr(self, name), name))
         if self.strength <= 0 or self.duration <= 0:
             raise ValueError("strength and duration must be positive")
-        object.__setattr__(self, "blocks", tuple(as_int(b, "block index") for b in self.blocks))
+        blocks = (self.blocks,) if isinstance(self.blocks, int) else self.blocks
+        object.__setattr__(self, "blocks", tuple(as_int(b, "block index") for b in blocks))
         expected = 2 if self.kind == "CNOT" else 1
         if len(self.blocks) != expected:
             raise ValueError(f"{self.kind} recipe needs {expected} block index(es)")
@@ -84,26 +85,7 @@ class GateRecipe(Record):
 
     # Overrides the record layout: the input echoed as given, floats unrounded.
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "phase": self.phase,
-            "strength": self.strength,
-            "duration": self.duration,
-            "blocks": list(self.blocks),
-            "detuned": self.detuned,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "GateRecipe":
-        blocks = data["blocks"]
-        return cls(
-            kind=data["kind"],
-            phase=data.get("phase", 0.0),
-            strength=data["strength"],
-            duration=data["duration"],
-            blocks=(blocks,) if isinstance(blocks, int) else blocks,
-            detuned=data.get("detuned", False),
-        )
+        return self.as_dict()
 
 
 def detune(recipe: GateRecipe, area_scale: float) -> GateRecipe:

@@ -13,8 +13,6 @@ the per-sample, per-kick loop as the reference.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from .model import GateRecipe, collective_z, recipe_hamiltonian, target_for
@@ -68,15 +66,6 @@ class NoiseEnsemble(Record):
                 f"samples ({self.samples}) and kick_count ({self.kick_count}) "
                 f"must not exceed {ENSEMBLE_CAP}"
             )
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "NoiseEnsemble":
-        return cls(
-            kick_count=data["kick_count"],
-            distribution=data["distribution"],
-            samples=data["samples"],
-            seed=data["seed"],
-        )
 
 
 class NoisyGateResult(Record):

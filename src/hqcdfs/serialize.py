@@ -2,7 +2,8 @@
 
 Records validate in ``__post_init__``, also when ``replace`` derives one
 from another; ``as_float`` and ``as_int`` reject NaN, Inf, bools, strings
-and fractional counts there. ``Record.to_json_dict`` is the one report
+and fractional counts there. ``Record.from_json_dict`` is the one input
+decode rule, by field name, and ``Record.to_json_dict`` the one report
 layout: complex matrices become nested [re, im] pairs and every float is
 rounded to 12 significant digits so emitted reports diff stably.
 ``encode_json`` writes the indent-2 report text and rounds float64 arrays,
@@ -68,6 +69,13 @@ class Record:
     def as_dict(self) -> dict:
         """Field name to value, in field order."""
         return {field: getattr(self, field) for field in self._fields}
+
+    @classmethod
+    def from_json_dict(cls, doc) -> "Record":
+        """The record of an input document: each field's value under its
+        name, or its class default where the key is missing. Other keys are
+        ignored."""
+        return cls(**{f: doc[f] for f in cls._fields if f in doc or f not in cls._defaults})
 
     def to_json_dict(self) -> dict:
         """The report layout: each field under its name, in field order. A

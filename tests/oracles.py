@@ -215,6 +215,85 @@ def phase_min_scan(u: np.ndarray, v: np.ndarray, grid: int = 20001) -> float:
     return float(np.sqrt((np.abs(diffs) ** 2).sum(axis=(1, 2)).min()))
 
 
+def phase_aligned_eigen(u: np.ndarray, v: np.ndarray, iterations: int = 20) -> float:
+    """min over phi of ||u - e^{i phi} v||_F for unitaries u and v, from the
+    eigenphases theta_k of v^dag u: the distance is
+    sqrt(sum_k 4 sin^2((theta_k - phi) / 2)), least where
+    sum_k sin(theta_k - phi) = 0, which Newton's method solves from the
+    mean eigenphase. Exact to roundoff, unlike ``phase_min_scan``, for
+    eigenphases that lie close together."""
+    eigenvalues = np.linalg.eigvals(np.asarray(v).conj().T @ np.asarray(u))
+    theta = np.angle(eigenvalues / eigenvalues[0])
+    phi = theta.mean()
+    for _ in range(iterations):
+        phi += np.sin(theta - phi).sum() / np.cos(theta - phi).sum()
+    return float(np.sqrt((4.0 * np.sin((theta - phi) / 2.0) ** 2).sum()))
+
+
+def report_from_oracles(command: str, recipe, steps: int) -> dict:
+    """The JSON document ``hqcdfs holonomy`` prints for ``recipe`` at
+    ``steps`` chain steps and tolerance scale 1, built from the oracles and
+    from no ``Spectrum``: ``recipe_hamiltonian_kron`` and ``product_states``
+    give the Hamiltonian and the logical basis, ``expm_oracle`` gives
+    U(tau) for the cyclicity defect and the TRANSPORT_SAMPLES frames of the
+    transport defect, ``projector_chain`` the raw chain and its defect, and
+    ``polar_newton`` the holonomy matrix, aligned by ``phase_aligned_eigen``.
+    A detuned recipe gets the two defects only. Floats are left unrounded."""
+    from hqcdfs import __version__
+    from hqcdfs.cli import TOLERANCES
+    from hqcdfs.holonomy import TRANSPORT_SAMPLES
+
+    if command != "holonomy":
+        raise ValueError(f"no oracle report for {command!r}")
+    n_blocks = max(recipe.blocks)
+    h = recipe_hamiltonian_kron(recipe, n_blocks)
+    vectors, _ = product_states(recipe.blocks, n_blocks, "01")
+    tau = recipe.duration
+    u = expm_oracle(h, tau)
+    p0 = vectors @ vectors.conj().T
+    frames = [expm_oracle(h, t) @ vectors for t in np.linspace(0.0, tau, TRANSPORT_SAMPLES)]
+    report = {
+        "cyclicity_defect": float(np.linalg.norm(u @ p0 @ u.conj().T - p0)),
+        "transport_defect": max(float(np.abs(f.conj().T @ h @ f).max()) for f in frames),
+        "reconstruction_distance": None,
+        "chain_defect": None,
+        "holonomy_matrix": None,
+        "steps": steps,
+        "tau": tau,
+    }
+    violations = []
+    if not recipe.detuned:
+        restricted = vectors.conj().T @ u @ vectors
+        raw = projector_chain(h, vectors, tau, steps)
+        holonomy = polar_newton(raw)
+        report["reconstruction_distance"] = phase_aligned_eigen(holonomy, restricted)
+        report["chain_defect"] = float(np.linalg.norm(raw - restricted))
+        report["holonomy_matrix"] = [[[z.real, z.imag] for z in row] for row in holonomy.tolist()]
+        violations = [
+            {"check": name, "value": report[name], "tolerance": TOLERANCES[name]}
+            for name in ("cyclicity_defect", "transport_defect", "reconstruction_distance")
+            if not report[name] <= TOLERANCES[name]
+        ]
+    return {
+        "tool": {"name": "hqcdfs", "version": __version__},
+        "command": command,
+        "tolerance_scale": 1.0,
+        "input": {
+            "recipe": {
+                "kind": recipe.kind,
+                "phase": recipe.phase,
+                "strength": recipe.strength,
+                "duration": recipe.duration,
+                "blocks": list(recipe.blocks),
+                "detuned": recipe.detuned,
+            },
+            "steps": steps,
+        },
+        "report": report,
+        "violations": violations,
+    }
+
+
 def qubit_permutation_matrix(mapping: dict[int, int], n: int) -> np.ndarray:
     """Permutation operator sending qubit k's state to qubit mapping[k].
 

@@ -17,14 +17,15 @@ from hypothesis import strategies as st
 
 import hqcdfs
 from hqcdfs import __version__
-from hqcdfs.cli import main
+from hqcdfs.cli import _CHECKS, TOLERANCES, main
+from hqcdfs.gates import DEFAULT_CHAIN_STEPS
 from hqcdfs.holonomy import MAX_CHAIN_STEPS
 from hqcdfs.model import GateRecipe, detune
 from hqcdfs.noise import ENSEMBLE_CAP
 from hqcdfs.subspace import BasisSet, dfs_product_basis
 
 from gate_tools import basis_to_json, cnot, matrix_from_json, xz, zx
-from oracles import bitstring_state, pauli_kron
+from oracles import bitstring_state, pauli_kron, report_from_oracles
 
 
 def write_recipe(path, recipe):
@@ -86,6 +87,16 @@ class TestGateCommand:
         # 1e308 is within the bound that rejects 1.3e308 (see BAD_INPUT).
         assert main(gate_argv(strength=1e154, duration=1e154, detuned=True)) == 0
         assert json.loads(capsys.readouterr().out)["input"]["recipe"]["strength"] == 1e154
+
+    def test_recipe_document_read_by_field_name(self, capsys):
+        # No phase or detuned key, a bare-int block and a key no field names.
+        doc = {"kind": "XZ", "strength": 1.0, "duration": XZ["duration"], "blocks": 1, "note": "x"}
+        assert main(["gate", "--recipe", json.dumps(doc), "--steps", "64"]) == 0
+        echo = json.loads(capsys.readouterr().out)["input"]["recipe"]
+        assert echo == {
+            "kind": "XZ", "phase": 0.0, "strength": 1.0, "duration": XZ["duration"],
+            "blocks": [1], "detuned": False,
+        }
 
     def test_too_few_steps_exits_2(self, tmp_path):
         recipe_path = write_recipe(tmp_path / "r.json", xz(0.0))
@@ -456,12 +467,21 @@ UNDECODABLE = {
     "nested-200000": b"[" * 200_000 + b"]" * 200_000,
     "int-5000-digits": b'{"x": ' + b"1" * 5000 + b"}",
 }
-# Each input file option, in the command that reads it.
+# Sweep grids that fail at an end, with their one stderr line.
+BAD_SWEEP_GRIDS = {
+    "sweep-phase-from-inf": "--from inf and --to 0.1 must be finite and a finite distance apart",
+    # The last point's interpolation overflows: (1e308 + 0.1) * 2 / 2.
+    "sweep-detuning-to-1e308": "invalid sweep point inf: duration must be a finite number, got inf",
+}
+# Files whose JSON is not an object, so no field can be read from them.
+NON_OBJECTS = {"list": b"[1, 2]", "int": b"42", "null": b"null", "string": b'"XZ"'}
+# Each input file option, in the command that reads it, and the record it decodes.
 FILE_OPTIONS = {
     "recipe": lambda path: ["gate", "--recipe", path],
     "ensemble": lambda path: ["noise", "--recipe", json.dumps(XZ), "--ensemble", path],
     "basis": lambda path: basis_argv()[:3] + ["--basis", path],
 }
+FILE_RECORDS = {"recipe": "GateRecipe", "ensemble": "NoiseEnsemble", "basis": "BasisSet"}
 
 
 # Malformed ensembles, each with the message its one stderr line ends with,
@@ -525,6 +545,38 @@ class TestBadInputExits2:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("option", FILE_OPTIONS)
+    @pytest.mark.parametrize("content", NON_OBJECTS.values(), ids=NON_OBJECTS.keys())
+    def test_non_object_file(self, content, option, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        status, out, err = run_captured(FILE_OPTIONS[option](str(path)))
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: invalid {FILE_RECORDS[option]}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [({}, "kind"), ({"strength": 1.0}, "kind"), ({"kind": "XZ"}, "strength")],
+        ids=["empty", "strength-only", "kind-only"],
+    )
+    def test_missing_recipe_field_is_named(self, doc, key):
+        # Fields are read in order, and phase and detuned have defaults.
+        status, out, err = run_captured(["gate", "--recipe", json.dumps(doc)])
+        assert (status, out, err) == (2, "", f"error: invalid GateRecipe: {key!r}\n")
+
+    @pytest.mark.parametrize("row", BAD_SWEEP_GRIDS)
+    def test_bad_sweep_grid_exits_2_before_any_point(self, row, capsys, monkeypatch):
+        from hqcdfs import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep point was realized before the grid was checked")
+
+        monkeypatch.setattr(cli, "realize", refuse)
+        assert main(BAD_INPUT[row][0]) == 2
+        assert capsys.readouterr().err == f"error: {BAD_SWEEP_GRIDS[row]}\n"
 
 
 class TestExitStatusContract:
@@ -733,6 +785,38 @@ class TestPinnedCertifyReports:
         status, out, _ = run_captured([command, "--recipe", recipe])
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CERTIFY_SHA256[command, gate]
+
+    @pytest.mark.parametrize("gate", [g for c, g in PINNED_CERTIFY_SHA256 if c == "holonomy"])
+    def test_holonomy_report_matches_the_oracles(self, gate, monkeypatch):
+        # The same document rebuilt from the test oracles and no Spectrum.
+        monkeypatch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
+        recipe = PINNED_CERTIFY_RECIPES[gate]
+        status, out, _ = run_captured(["holonomy", "--recipe", json.dumps(recipe.to_json_dict())])
+        assert status == 0
+        printed = json.loads(out)
+        expected = report_from_oracles("holonomy", recipe, DEFAULT_CHAIN_STEPS)
+        assert_documents_agree(printed, expected)
+        for name, _ in _CHECKS["holonomy"]:
+            value, oracle = printed["report"][name], expected["report"][name]
+            if oracle is not None:
+                assert (value <= TOLERANCES[name]) == (oracle <= TOLERANCES[name]), name
+
+
+def assert_documents_agree(printed, expected, path="$", atol=1e-11):
+    """The same keys in the same order, list lengths, strings, ints, bools
+    and None, and floats within ``atol``."""
+    if isinstance(expected, dict):
+        assert isinstance(printed, dict) and list(printed) == list(expected), path
+        for key in expected:
+            assert_documents_agree(printed[key], expected[key], f"{path}.{key}", atol)
+    elif isinstance(expected, list):
+        assert isinstance(printed, list) and len(printed) == len(expected), path
+        for i, (a, b) in enumerate(zip(printed, expected)):
+            assert_documents_agree(a, b, f"{path}[{i}]", atol)
+    elif isinstance(expected, float):
+        assert isinstance(printed, float) and abs(printed - expected) <= atol, (path, printed, expected)
+    else:
+        assert type(printed) is type(expected) and printed == expected, (path, printed, expected)
 
 
 # ``hqcdfs nogo`` stdout pinned byte for byte across chunk boundaries

@@ -95,3 +95,19 @@ def test_two_exception_types():
             and obj.__module__ == module.__name__
         ]
     assert sorted(defined) == ["cli.InputError", "operators.ContractViolation"]
+
+
+def test_one_decode_rule_and_one_layout_rule():
+    """A record reads its input document by ``Record.from_json_dict`` and
+    writes its report by ``Record.to_json_dict``. Only ``BasisSet``, whose
+    ``--basis`` document is not its fields, has its own decoder, and only
+    ``GateRecipe``, which echoes its input floats unrounded, its own layout."""
+    defining = {"from_json_dict": [], "to_json_dict": []}
+    for tree in TREES.values():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and node.name in defining:
+                        defining[node.name].append(cls.name)
+    assert sorted(defining["from_json_dict"]) == ["BasisSet", "Record"]
+    assert sorted(defining["to_json_dict"]) == ["GateRecipe", "Record"]
