@@ -294,6 +294,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_float_values(argv: list[str]) -> list[str]:
+    """``argv`` with ``--from X`` and ``--to X`` joined as ``--from=X``, which
+    argparse parses even where X reads as an option name, as ``-1e-3`` does."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in ("--from", "--to") and not token.startswith("--"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     """Parse and run one command and flush its report; returns the exit status.
 
@@ -301,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     or a failed write, exits 3. Both write one line on stderr and no
     traceback, so exit 1 keeps meaning tolerance violations only.
     """
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     try:
         if "steps" in args and not MIN_CHAIN_STEPS <= args.steps <= MAX_CHAIN_STEPS:
             raise InputError(

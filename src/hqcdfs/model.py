@@ -21,7 +21,6 @@ import math
 
 import numpy as np
 
-from .operators import check_dimension_cap
 from .serialize import Record, as_float, as_int, replace
 
 GATE_KINDS = ("XZ", "ZX", "CNOT")
@@ -34,6 +33,10 @@ PULSE_AREAS = {
 }
 
 PULSE_AREA_TOL = 1e-12
+
+# Register budget: block indices run from 1 to MAX_BLOCKS, so a register has
+# at most 9 qubits (512-dim): the universal set's two blocks and an idle one.
+MAX_BLOCKS = 3
 
 
 class GateRecipe(Record):
@@ -68,7 +71,8 @@ class GateRecipe(Record):
             raise ValueError(f"{self.kind} recipe needs {expected} block index(es)")
         if any(b < 1 for b in self.blocks):
             raise IndexError(f"block indices must be >= 1, got {self.blocks}")
-        check_dimension_cap(3 * max(self.blocks))
+        if max(self.blocks) > MAX_BLOCKS:
+            raise ValueError(f"block indices must be <= {MAX_BLOCKS}, got {self.blocks}")
         if self.kind == "CNOT" and self.blocks[0] == self.blocks[1]:
             raise ValueError("CNOT control and target blocks must differ")
         if not self.detuned:
@@ -125,7 +129,6 @@ def exchange_term(n: int, *hops: tuple[str, int, int]) -> np.ndarray:
             raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
         if not (1 <= k < l <= n):
             raise IndexError(f"need 1 <= k < l <= n, got k={k}, l={l}, n={n}")
-    check_dimension_cap(n)
     rows = np.arange(2 ** n)
     amplitudes = np.ones(2 ** n, dtype=np.complex128)
     for axis, k, l in reversed(hops):
@@ -140,9 +143,6 @@ def exchange_term(n: int, *hops: tuple[str, int, int]) -> np.ndarray:
 def collective_z(n: int) -> np.ndarray:
     """Diagonal of the collective dephasing generator sum_k sz_k, which is
     diagonal: the float64 array n - 2 * popcount of each basis index."""
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
-    check_dimension_cap(n)
     popcounts = (np.arange(2 ** n)[:, None] >> np.arange(n) & 1).sum(axis=1)
     return (n - 2 * popcounts).astype(np.float64)
 
@@ -154,8 +154,7 @@ def recipe_hamiltonian(recipe: GateRecipe) -> np.ndarray:
     Single-block gates couple qubits (3b-2, 3b-1) and (3b-2, 3b) of block
     b; the CNOT with control block c and target block t couples (3c-2, 3c)
     with (3t-2, 3t-1) and (3t-2, 3t). The terms are summed onto one zero
-    matrix in the order listed. ``GateRecipe`` has already checked the
-    register against the dimension cap.
+    matrix in the order listed; ``GateRecipe`` caps max(blocks) at ``MAX_BLOCKS``.
     """
     n = 3 * max(recipe.blocks)
     J = recipe.strength

@@ -2,19 +2,16 @@
 
 All operators are plain ``numpy.ndarray`` values of dtype complex128. The
 checks here enforce their algebraic contracts (finite, Hermitian, unitary)
-and raise :class:`ContractViolation` on failure;
-``check_dimension_cap`` bounds a register before it is allocated, and
-``Spectrum`` turns one generator into its propagators. Basis-state indexing
-convention, fixed package-wide: qubit 1 is the most significant bit of the
-computational-basis index, so for three qubits ``|100>`` is index 4.
+and raise :class:`ContractViolation` on failure, and ``Spectrum`` turns one
+generator into its propagators. The register's size is bounded once, by
+``model.GateRecipe``, before any operator on it is built. Basis-state
+indexing convention, fixed package-wide: qubit 1 is the most significant bit
+of the computational-basis index, so for three qubits ``|100>`` is index 4.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Design envelope: at most two logical qubits (64-dim) plus headroom.
-DIMENSION_CAP = 2 ** 14
 
 # Per-dimension tolerance scales for double-precision spectral methods.
 ALGEBRA_TOL = 1e-12
@@ -83,12 +80,6 @@ def require_unitary(m) -> np.ndarray:
     """Validate ``||U^dag U - I||_F <= UNITARITY_TOL * dim`` for a matrix,
     or for every matrix of a stack."""
     return _require("unitary", m)
-
-
-def check_dimension_cap(n_qubits: int) -> None:
-    """Raise ValueError before a 2^n_qubits register is allocated."""
-    if n_qubits >= DIMENSION_CAP.bit_length():
-        raise ValueError(f"2^{n_qubits} exceeds dimension cap {DIMENSION_CAP}")
 
 
 class Spectrum:

@@ -358,6 +358,15 @@ def no_go_draws(trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return couplings, times
 
 
+def two_qubit_dfs():
+    """The protected two-state space of two collectively dephasing qubits,
+    |01> and |10>, as a ``BasisSet`` of identity columns, where the package
+    selects basis states 1 and 2 by index."""
+    from hqcdfs.subspace import BasisSet
+
+    return BasisSet(np.eye(4)[:, 1:3], ("01", "10"))
+
+
 def no_go_trials(trials: int, seed: int) -> dict:
     """The randomized two-qubit no-go check, one 4x4 problem per trial.
 
@@ -366,7 +375,7 @@ def no_go_trials(trials: int, seed: int) -> dict:
     its own, one time at a time. Returns the ``NoGoReport`` fields that the
     trials determine.
     """
-    from hqcdfs.gates import NO_GO_TOL, two_qubit_dfs
+    from hqcdfs.gates import NO_GO_TOL
     from hqcdfs.operators import Spectrum
     from hqcdfs.subspace import invariance_defect, restrict
 

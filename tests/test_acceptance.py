@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hqcdfs.gates import no_go_certificate, realize, two_qubit_dfs
+from hqcdfs.gates import no_go_certificate, realize
 from hqcdfs.holonomy import certify
 from hqcdfs.model import collective_z, recipe_hamiltonian
 from hqcdfs.noise import NoiseEnsemble, noisy_realize
@@ -30,7 +30,14 @@ from gate_tools import (
     xz,
     zx,
 )
-from oracles import PAULI, bare_fidelity, loglog_slope, r_op_bruteforce, random_unitary
+from oracles import (
+    PAULI,
+    bare_fidelity,
+    loglog_slope,
+    r_op_bruteforce,
+    random_unitary,
+    two_qubit_dfs,
+)
 
 
 def _report(criterion: int, description: str, passed: bool, detail: str) -> None:

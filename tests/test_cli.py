@@ -20,12 +20,12 @@ from hqcdfs import __version__
 from hqcdfs.cli import _CHECKS, TOLERANCES, main
 from hqcdfs.gates import DEFAULT_CHAIN_STEPS
 from hqcdfs.holonomy import MAX_CHAIN_STEPS
-from hqcdfs.model import GateRecipe, detune
+from hqcdfs.model import MAX_BLOCKS, GateRecipe, detune
 from hqcdfs.noise import ENSEMBLE_CAP
 from hqcdfs.subspace import BasisSet, dfs_product_basis
 
 from gate_tools import basis_to_json, cnot, matrix_from_json, xz, zx
-from oracles import bitstring_state, pauli_kron, report_from_oracles
+from oracles import bitstring_state, pauli_kron, report_from_oracles, two_qubit_dfs
 
 
 def write_recipe(path, recipe):
@@ -87,6 +87,16 @@ class TestGateCommand:
         # 1e308 is within the bound that rejects 1.3e308 (see BAD_INPUT).
         assert main(gate_argv(strength=1e154, duration=1e154, detuned=True)) == 0
         assert json.loads(capsys.readouterr().out)["input"]["recipe"]["strength"] == 1e154
+
+    @pytest.mark.parametrize(
+        "recipe", [xz(0.3, block=MAX_BLOCKS), cnot(blocks=(1, MAX_BLOCKS))], ids=["XZ-3", "CNOT-1-3"]
+    )
+    def test_largest_register_runs(self, recipe, tmp_path):
+        # A 512-dim register, the largest a recipe may span.
+        out_path = tmp_path / "report.json"
+        argv = ["gate", "--recipe", json.dumps(recipe.to_json_dict()), "--steps", "64"]
+        assert main(argv + ["--out", str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["report"]["n_blocks"] == MAX_BLOCKS
 
     def test_recipe_document_read_by_field_name(self, capsys):
         # No phase or detuned key, a bare-int block and a key no field names.
@@ -161,8 +171,6 @@ class TestHolonomyCommand:
         assert doc["report"]["transport_defect"] <= 1e-12
 
     def test_rejects_mismatched_basis(self, tmp_path):
-        from hqcdfs.gates import two_qubit_dfs
-
         recipe_path = write_recipe(tmp_path / "r.json", xz(0.4))
         basis_path = tmp_path / "basis.json"
         basis_path.write_text(json.dumps(basis_to_json(two_qubit_dfs())))
@@ -256,6 +264,15 @@ class TestNoiseCommand:
         assert out == expected.getvalue()
 
 
+# Negative --from values, each with the exit status and stderr of its sweep.
+DETUNING_BELOW_MINUS_ONE = "error: detuning must stay above -1 to keep the pulse area positive\n"
+NEGATIVE_STARTS = {
+    "-1e-3": (0, ""),
+    "-inf": (2, DETUNING_BELOW_MINUS_ONE),
+    "-1e308": (2, DETUNING_BELOW_MINUS_ONE),
+}
+
+
 class TestSweepCommand:
     def test_phase_sweep(self, tmp_path):
         recipe_path = write_recipe(tmp_path / "r.json", xz(0.0))
@@ -319,6 +336,15 @@ class TestSweepCommand:
             ["sweep", "--param", "pulse_area_detuning", "--from", "-2", "--to", "0",
              "--points", "3", "--recipe", recipe_path]
         ) == 2
+
+    @pytest.mark.parametrize("start", NEGATIVE_STARTS)
+    def test_spaced_negative_value_parses_as_joined(self, start):
+        # argparse reads a spaced "-1e-3" or "-inf" as an option name.
+        spaced = run_captured(sweep_argv(start, "0.1", 2, "64"))
+        joined = sweep_argv(start, "0.1", 2, "64")
+        joined[3:5] = [f"--from={start}"]
+        assert spaced == run_captured(joined)
+        assert (spaced[0], spaced[2]) == NEGATIVE_STARTS[start]
 
     def test_unwritable_output_exits_2(self, tmp_path):
         recipe_path = write_recipe(tmp_path / "r.json", xz(0.0))
@@ -473,6 +499,17 @@ BAD_SWEEP_GRIDS = {
     # The last point's interpolation overflows: (1e308 + 0.1) * 2 / 2.
     "sweep-detuning-to-1e308": "invalid sweep point inf: duration must be a finite number, got inf",
 }
+# A recipe for each command on a block past MAX_BLOCKS.
+OVER_BUDGET_XZ = json.dumps({**XZ, "blocks": [MAX_BLOCKS + 1]})
+OVER_BUDGET = {
+    "gate": ["gate", "--recipe", OVER_BUDGET_XZ],
+    "holonomy": ["holonomy", "--recipe", OVER_BUDGET_XZ],
+    "noise": ["noise", "--recipe", OVER_BUDGET_XZ, "--ensemble", json.dumps(ENSEMBLE)],
+    "sweep": [
+        "sweep", "--param", "pulse_area_detuning", "--from", "0", "--to", "0.1", "--points", "2",
+        "--recipe", json.dumps({**cnot().to_json_dict(), "blocks": [1, MAX_BLOCKS + 1]}),
+    ],
+}
 # Files whose JSON is not an object, so no field can be read from them.
 NON_OBJECTS = {"list": b"[1, 2]", "int": b"42", "null": b"null", "string": b'"XZ"'}
 # Each input file option, in the command that reads it, and the record it decodes.
@@ -577,6 +614,21 @@ class TestBadInputExits2:
         monkeypatch.setattr(cli, "realize", refuse)
         assert main(BAD_INPUT[row][0]) == 2
         assert capsys.readouterr().err == f"error: {BAD_SWEEP_GRIDS[row]}\n"
+
+
+    @pytest.mark.parametrize("argv", OVER_BUDGET.values(), ids=OVER_BUDGET.keys())
+    def test_register_over_budget_exits_2_before_any_hamiltonian(self, argv, monkeypatch):
+        from hqcdfs import model
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hamiltonian was built for a register past MAX_BLOCKS")
+
+        # Every recipe Hamiltonian is a sum of exchange terms.
+        monkeypatch.setattr(model, "exchange_term", refuse)
+        status, out, err = run_captured(argv)
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: invalid GateRecipe: block indices must be <= {MAX_BLOCKS}")
+        assert err.count("\n") == 1
 
 
 class TestExitStatusContract:

@@ -10,7 +10,6 @@ from hqcdfs.gates import (
     _no_go_draws,
     no_go_certificate,
     realize,
-    two_qubit_dfs,
 )
 from hqcdfs.holonomy import transport_defect
 from hqcdfs.model import detune, recipe_hamiltonian, target_for
@@ -42,6 +41,7 @@ from oracles import (
     qubit_permutation_matrix,
     r_op_bruteforce,
     random_unitary,
+    two_qubit_dfs,
 )
 
 SIGMA_X, SIGMA_Y, SIGMA_Z = PAULI["x"], PAULI["y"], PAULI["z"]

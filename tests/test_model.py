@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hqcdfs.model import (
+    MAX_BLOCKS,
     PULSE_AREAS,
     GateRecipe,
     collective_z,
@@ -121,10 +122,6 @@ class TestRop:
     def test_axis_errors_raise_value_error(self, hops):
         with pytest.raises(ValueError, match="axis must be 'x' or 'y'"):
             exchange_term(6, *hops)
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError, match="exceeds dimension cap"):
-            exchange_term(15, ("x", 1, 2))
 
 
 class TestAssembly:
@@ -278,12 +275,12 @@ class TestRecipeHamiltonian:
         assert np.abs(h - expected).max() < 1e-14
 
     def test_dimension_cap_before_allocation(self):
-        # A recipe on block 5 spans 15 qubits: rejected from the qubit count
-        # as the recipe is built, before any 2^15 x 2^15 matrix exists.
+        # A recipe on block 4 spans 12 qubits, one block past MAX_BLOCKS:
+        # rejected as the recipe is built, before any 2^12 x 2^12 matrix exists.
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="exceeds dimension cap"):
-                xz(0.3, block=5)
+            with pytest.raises(ValueError, match=f"block indices must be <= {MAX_BLOCKS}"):
+                xz(0.3, block=MAX_BLOCKS + 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

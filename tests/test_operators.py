@@ -9,7 +9,6 @@ from hqcdfs.operators import (
     SIGMA_X,
     ContractViolation,
     Spectrum,
-    check_dimension_cap,
     phase_aligned_distance,
     polar_unitary,
     require_hermitian,
@@ -74,12 +73,6 @@ class TestPauliOn:
         expected = kron_bruteforce(EYE2, SIGMA_X)
         assert np.allclose(pauli_kron("x", 2, 2), expected)
         assert np.allclose(pauli_kron("x", 2, 2) @ bitstring_state("00"), bitstring_state("01"))
-
-    def test_dimension_cap(self):
-        # Rejected from the qubit count, before any 2^15 register exists.
-        check_dimension_cap(14)
-        with pytest.raises(ValueError, match="exceeds dimension cap"):
-            check_dimension_cap(15)
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_hermitian_unitary_involutory(self, axis):
