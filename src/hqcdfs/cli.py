@@ -20,12 +20,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .gates import DEFAULT_CHAIN_STEPS, realize, no_go_certificate
-from .holonomy import MAX_CHAIN_STEPS, MIN_CHAIN_STEPS, certify
+from .gates import no_go_certificate, realize
+from .holonomy import DEFAULT_CHAIN_STEPS, certify, check_chain_steps
 from .model import GateRecipe, detune, recipe_hamiltonian
 from .noise import NoiseEnsemble, noisy_realize
 from .operators import ContractViolation, Spectrum
-from .serialize import Record, encode_csv, encode_json, replace
+from .serialize import InputError, Record, encode_csv, encode_json, replace
 from .subspace import BasisSet, dfs_product_basis
 
 EXIT_OK = 0
@@ -48,7 +48,7 @@ TOLERANCES = {
 }
 
 
-# Checked quantities per command: (tolerance name, getter on the command's report).
+# Checked quantities per command (a sweep has none): (tolerance name, getter on the report).
 _CHECKS = {
     "gate": (
         ("distance", lambda g: g.distance),
@@ -73,10 +73,6 @@ _CHECKS = {
         ("witness_error", lambda r: r.witness_error),
     ),
 }
-
-
-class InputError(Exception):
-    """Unparseable or invalid command input (exit status 2)."""
 
 
 def tolerance_scale() -> float:
@@ -112,19 +108,19 @@ def _violations(command: str, report, scale: float) -> list:
     exact and keeps its type, so the integer bound on counterexamples is
     reported as 0."""
     violations = []
-    for name, get in _CHECKS[command]:
+    for name, get in _CHECKS.get(command, ()):
         value, bound = get(report), TOLERANCES[name] and TOLERANCES[name] * scale
         if not value <= bound:  # a NaN never passes
             violations.append({"check": name, "value": value, "tolerance": bound})
     return violations
 
 
-def _emit(args: argparse.Namespace, *parts: str) -> None:
-    if args.out:
+def _emit(out: str | None, parts: list[str]) -> None:
+    if out:
         try:
-            fh = open(args.out, "w", encoding="utf-8")
+            fh = open(out, "w", encoding="utf-8")
         except OSError as exc:
-            raise InputError(f"cannot write report to {args.out!r}: {exc}") from exc
+            raise InputError(f"cannot write report to {out!r}: {exc}") from exc
         with fh:  # a failed write or close is an internal failure, as on stdout
             fh.writelines(parts)
     elif sys.stdout is None:  # descriptor 1 was closed at start
@@ -134,35 +130,12 @@ def _emit(args: argparse.Namespace, *parts: str) -> None:
         sys.stdout.flush()
 
 
-def _emit_report(args: argparse.Namespace, scale: float, report, detuned: bool, **inputs) -> int:
-    """Check ``report`` by the command's checks, none for a detuned recipe,
-    and write the JSON report envelope echoing ``inputs`` unless the report
-    went out as CSV; return the exit status the checks imply."""
-    violations = [] if detuned else _violations(args.command, report, scale)
-    if getattr(args, "format", "json") == "json":
-        doc = {
-            "tool": {"name": "hqcdfs", "version": __version__},
-            "command": args.command,
-            "tolerance_scale": scale,
-            "input": {k: v.to_json_dict() if isinstance(v, Record) else v for k, v in inputs.items()},
-            "report": report.to_json_dict(),
-            "violations": violations,
-        }
-        try:
-            chunks = encode_json(doc)
-        except ValueError as exc:
-            raise ContractViolation(f"report holds a non-finite number: {exc}") from exc
-        _emit(args, *chunks, "\n")
-    return EXIT_VIOLATIONS if violations else EXIT_OK
-
-
-def _run_gate(args: argparse.Namespace, scale: float) -> int:
+def _run_gate(args: argparse.Namespace):
     recipe = _parse(GateRecipe, args.recipe)
-    realization = realize(recipe, steps=args.steps)
-    return _emit_report(args, scale, realization, recipe.detuned, recipe=recipe, steps=args.steps)
+    return realize(recipe, steps=args.steps), {"recipe": recipe, "steps": args.steps}, None
 
 
-def _run_holonomy(args: argparse.Namespace, scale: float) -> int:
+def _run_holonomy(args: argparse.Namespace):
     recipe = _parse(GateRecipe, args.recipe)
     basis = dfs_product_basis(recipe.blocks, "01")
     if args.basis:
@@ -175,24 +148,23 @@ def _run_holonomy(args: argparse.Namespace, scale: float) -> int:
         basis = custom
     spectrum = Spectrum(recipe_hamiltonian(recipe))
     report = certify(spectrum, basis, recipe.duration, args.steps, reconstruct=not recipe.detuned)
-    return _emit_report(args, scale, report, recipe.detuned, recipe=recipe, steps=args.steps)
+    return report, {"recipe": recipe, "steps": args.steps}, None
 
 
-def _run_noise(args: argparse.Namespace, scale: float) -> int:
+def _run_noise(args: argparse.Namespace):
     recipe = _parse(GateRecipe, args.recipe)
     ensemble = _parse(NoiseEnsemble, args.ensemble)
     result = noisy_realize(recipe, ensemble)
+    text = None
     if args.format == "csv":
-        _emit(args, *encode_csv("sample,fidelity", range(ensemble.samples), result.per_sample))
-    return _emit_report(args, scale, result, recipe.detuned, recipe=recipe, ensemble=ensemble)
+        text = encode_csv("sample,fidelity", range(ensemble.samples), result.per_sample)
+    return result, {"recipe": recipe, "ensemble": ensemble}, text
 
 
-def _run_sweep(args: argparse.Namespace, scale: float) -> int:
+def _run_sweep(args: argparse.Namespace):
     param, start, stop, points = args.param, args.start, args.stop, args.points
     if points < 2:
         raise InputError(f"sweep needs at least 2 points, got {points}")
-    if param == "pulse_area_detuning" and min(start, stop) <= -1.0:
-        raise InputError("detuning must stay above -1 to keep the pulse area positive")
     if not all(math.isfinite(x) for x in (start, stop, stop - start)):
         raise InputError(f"--from {start!r} and --to {stop!r} must be finite and a finite distance apart")
     template = _parse(GateRecipe, args.recipe)
@@ -204,7 +176,7 @@ def _run_sweep(args: argparse.Namespace, scale: float) -> int:
         try:
             if param == "phase":
                 return value, replace(template, phase=value)
-            return value, detune(template, 1.0 + value) if value != 0.0 else template
+            return value, detune(template, 1.0 + value)
         except ValueError as exc:
             raise InputError(f"invalid sweep point {value!r}: {exc}") from exc
 
@@ -214,9 +186,7 @@ def _run_sweep(args: argparse.Namespace, scale: float) -> int:
     point(0)
     point(points - 1)
     # ``detune`` changes only the duration: every point shares one spectrum.
-    spectrum = None
-    if param == "pulse_area_detuning":
-        spectrum = Spectrum(recipe_hamiltonian(template))
+    spectrum = Spectrum(recipe_hamiltonian(template)) if param == "pulse_area_detuning" else None
 
     rows = []
     for i in range(points):
@@ -224,19 +194,16 @@ def _run_sweep(args: argparse.Namespace, scale: float) -> int:
         realization = realize(recipe, steps=args.steps, spectrum=spectrum)
         hol = realization.holonomy
         rows.append((value, realization.distance, hol.cyclicity_defect, hol.transport_defect))
-    _emit(args, *encode_csv("parameter,distance,cyclicity_defect,transport_defect", *zip(*rows)))
-    return EXIT_OK
+    return None, {}, encode_csv("parameter,distance,cyclicity_defect,transport_defect", *zip(*rows))
 
 
-def _run_nogo(args: argparse.Namespace, scale: float) -> int:
-    if args.trials < 1:
-        raise InputError(f"trials must be >= 1, got {args.trials}")
-    if args.seed < 0:
-        raise InputError(f"seed must be >= 0, got {args.seed}")
+def _run_nogo(args: argparse.Namespace):
     report = no_go_certificate(args.trials, args.seed)
-    return _emit_report(args, scale, report, False, trials=args.trials, seed=args.seed)
+    return report, {"trials": args.trials, "seed": args.seed}, None
 
 
+# Each runner returns (report, inputs, text): the report to check, the inputs
+# the JSON envelope echoes, and the CSV chunks, or None to write the envelope.
 _RUNNERS = {
     "gate": _run_gate,
     "holonomy": _run_holonomy,
@@ -246,8 +213,16 @@ _RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose failures raise InputError, for ``main`` to report,
+    instead of printing the usage text and exiting."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hqcdfs",
         description="Simulate and certify holonomic gates on decoherence-free encoded qubits.",
     )
@@ -256,16 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gate = sub.add_parser("gate", help="realize a gate recipe and report the comparison")
     gate.add_argument("--recipe", required=True, help="recipe file path or inline JSON")
-    gate.add_argument("--steps", type=int, default=DEFAULT_CHAIN_STEPS)
 
     hol = sub.add_parser("holonomy", help="certify the holonomic character of a recipe")
     hol.add_argument("--recipe", required=True)
-    hol.add_argument(
-        "--basis",
-        default=None,
-        help="basis-set JSON (path or inline) to certify instead of the logical basis",
-    )
-    hol.add_argument("--steps", type=int, default=DEFAULT_CHAIN_STEPS)
+    hol.add_argument("--basis", help="basis-set JSON (path or inline) instead of the logical basis")
 
     noise = sub.add_parser("noise", help="gate fidelity under collective phase kicks")
     noise.add_argument("--recipe", required=True)
@@ -283,23 +252,27 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--to", dest="stop", type=float, required=True)
     sweep.add_argument("--points", type=int, required=True)
     sweep.add_argument("--recipe", required=True)
-    sweep.add_argument("--steps", type=int, default=DEFAULT_CHAIN_STEPS)
 
     nogo = sub.add_parser("nogo", help="randomized two-qubit no-go certificate")
     nogo.add_argument("--trials", type=int, default=1000)
     nogo.add_argument("--seed", type=int, default=0)
 
+    for command in (gate, hol, sweep):
+        command.add_argument("--steps", type=int, default=DEFAULT_CHAIN_STEPS)
     for command in sub.choices.values():
-        command.add_argument("--out", default=None)
+        command.add_argument("--out")
     return parser
 
 
 def _join_float_values(argv: list[str]) -> list[str]:
     """``argv`` with ``--from X`` and ``--to X`` joined as ``--from=X``, which
-    argparse parses even where X reads as an option name, as ``-1e-3`` does."""
+    argparse parses even where X reads as an option name, as ``-1e-3`` does;
+    so is every prefix that argparse resolves to them, ``--fro X`` or ``--t X``."""
     joined = []
     for token in argv:
-        if joined and joined[-1] in ("--from", "--to") and not token.startswith("--"):
+        option = joined[-1] if joined else ""
+        spells = len(option) > 2 and ("--from".startswith(option) or "--to".startswith(option))
+        if spells and not token.startswith("--"):
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -307,20 +280,37 @@ def _join_float_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Parse and run one command and flush its report; returns the exit status.
-
-    Bad input exits 2. Any other failure, such as an exhausted allocation
-    or a failed write, exits 3. Both write one line on stderr and no
-    traceback, so exit 1 keeps meaning tolerance violations only.
+    """Parse and run one command, check its report (a detuned recipe's
+    not), then write and flush it; returns the exit status. The program's
+    one way out: bad input, argparse's included, exits 2, and any other
+    failure, such as an exhausted allocation or a failed write, exits 3,
+    each with one stderr line and no traceback, so exit 1 keeps meaning
+    tolerance violations only.
     """
-    args = build_parser().parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     try:
-        if "steps" in args and not MIN_CHAIN_STEPS <= args.steps <= MAX_CHAIN_STEPS:
-            raise InputError(
-                f"steps must be in [{MIN_CHAIN_STEPS}, {MAX_CHAIN_STEPS}] "
-                f"for {args.command}, got {args.steps}"
-            )
-        return _RUNNERS[args.command](args, tolerance_scale())
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser().parse_args(_join_float_values(argv))
+        if "steps" in args:
+            check_chain_steps(args.steps)
+        scale = tolerance_scale()
+        report, inputs, text = _RUNNERS[args.command](args)
+        detuned = "recipe" in inputs and inputs["recipe"].detuned
+        violations = [] if detuned else _violations(args.command, report, scale)
+        if text is None:
+            doc = {
+                "tool": {"name": "hqcdfs", "version": __version__},
+                "command": args.command,
+                "tolerance_scale": scale,
+                "input": {k: v.to_json_dict() if isinstance(v, Record) else v for k, v in inputs.items()},
+                "report": report.to_json_dict(),
+                "violations": violations,
+            }
+            try:
+                text = encode_json(doc) + ["\n"]
+            except ValueError as exc:
+                raise ContractViolation(f"report holds a non-finite number: {exc}") from exc
+        _emit(args.out, text)
+        return EXIT_VIOLATIONS if violations else EXIT_OK
     except InputError as exc:
         status, line = EXIT_PARSE, f"error: {exc}"
     except ContractViolation as exc:

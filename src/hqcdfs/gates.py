@@ -13,13 +13,11 @@ import math
 
 import numpy as np
 
-from .holonomy import HolonomyReport, certify
+from .holonomy import DEFAULT_CHAIN_STEPS, HolonomyReport, certify
 from .model import GateRecipe, exchange_term, recipe_hamiltonian, target_for
 from .operators import SIGMA_X, Spectrum, dagger, phase_aligned_distance
-from .serialize import Record
+from .serialize import InputError, Record
 from .subspace import BasisSet, dfs_product_basis, invariance_defect, restrict
-
-DEFAULT_CHAIN_STEPS = 4096
 
 
 class GateRealization(Record):
@@ -187,10 +185,11 @@ def no_go_certificate(trials: int, seed: int) -> NoGoReport:
     The trials arrive from ``_no_go_draws`` in chunks of at most
     ``_NO_GO_CHUNK``: one stacked ``Spectrum`` and one stacked propagator
     call per chunk, with every check an array reduction, so memory stays
-    the same whatever the trial count.
+    the same whatever the trial count. A trial count below 1 raises
+    InputError here, and a negative seed when the PCG64 reader reads it.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise InputError(f"trials must be >= 1, got {trials}")
     r_x, r_y = exchange_term(2, ("x", 1, 2)), exchange_term(2, ("y", 1, 2))
     eye = np.eye(2)
 

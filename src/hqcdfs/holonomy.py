@@ -22,12 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from .operators import ContractViolation, Spectrum, dagger, phase_aligned_distance, polar_unitary
-from .serialize import Record
+from .serialize import InputError, Record
 from .subspace import BasisSet, restrict
 
 # Conditions (i)/(ii) must hold at this level before reconstruction runs.
 PRECONDITION_TOL = 1e-8
 
+DEFAULT_CHAIN_STEPS = 4096
 MIN_CHAIN_STEPS = 8
 # Above about 1e15 steps the roundoff of the link, raised to the power steps,
 # swamps the chain (XZ at 1e15 reads reconstruction distance 0.039); at 2^30
@@ -42,6 +43,12 @@ TRANSPORT_SAMPLES = 101
 # times at once trace 1.3 MB on the 64-dim register). The 8-dim XZ and ZX
 # registers take all 101 times in one block, the 64-dim CNOT register 16.
 TRANSPORT_BLOCK_BYTES = 2 ** 16
+
+
+def check_chain_steps(steps: int) -> None:
+    """Raise InputError unless MIN_CHAIN_STEPS <= ``steps`` <= MAX_CHAIN_STEPS."""
+    if not MIN_CHAIN_STEPS <= steps <= MAX_CHAIN_STEPS:
+        raise InputError(f"steps must be in [{MIN_CHAIN_STEPS}, {MAX_CHAIN_STEPS}], got {steps}")
 
 
 def cyclicity_defect(propagator: np.ndarray, basis: BasisSet) -> float:
@@ -114,8 +121,7 @@ def certify(
     is unitarized by polar decomposition, which raises ContractViolation
     instead of silently regularizing a rank-deficient chain.
     """
-    if not MIN_CHAIN_STEPS <= steps <= MAX_CHAIN_STEPS:
-        raise ValueError(f"steps must be in [{MIN_CHAIN_STEPS}, {MAX_CHAIN_STEPS}], got {steps}")
+    check_chain_steps(steps)
     if propagator is None:
         propagator = spectrum.propagator(tau)
     cyc = cyclicity_defect(propagator, basis)

@@ -17,6 +17,8 @@ import operator
 
 import numpy as np
 
+from .serialize import InputError
+
 _MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 
@@ -24,7 +26,7 @@ _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 def _seed_words(seed: int) -> list[int]:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` as Python ints."""
     if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise InputError(f"seed must be >= 0, got {seed}")
     entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     const = 0x43B0D7E5
 

@@ -230,20 +230,59 @@ def phase_aligned_eigen(u: np.ndarray, v: np.ndarray, iterations: int = 20) -> f
     return float(np.sqrt((4.0 * np.sin((theta - phi) / 2.0) ** 2).sum()))
 
 
+def phase_min_golden(u: np.ndarray, v: np.ndarray, grid: int = 2001, iterations: int = 100) -> float:
+    """min over phi of ||u - e^{i phi} v||_F for any u and v of one shape,
+    unitary or not: the best phase of a uniform grid, refined by
+    golden-section search on the entrywise norm within one grid step of it."""
+
+    def norm(phi):
+        return float(np.linalg.norm(u - np.exp(1j * phi) * v))
+
+    phases = np.linspace(0.0, 2.0 * np.pi, grid)
+    best = min(phases, key=norm)
+    lo, hi = best - phases[1], best + phases[1]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(iterations):
+        a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        lo, hi = (lo, b) if norm(a) < norm(b) else (a, hi)
+    return min(norm(best), norm((lo + hi) / 2.0))
+
+
+def target_oracle(recipe) -> np.ndarray:
+    """The logical gate ``recipe`` aims at, from Pauli matrices:
+    cos(phi) X + sin(phi) Y for XZ, cos(phi) Z - sin(phi) Y for ZX, and for
+    CNOT |0><0| (x) I + |1><1| (x) X, its first block controlling."""
+    c, s = math.cos(recipe.phase), math.sin(recipe.phase)
+    if recipe.kind == "XZ":
+        return c * PAULI["x"] + s * PAULI["y"]
+    if recipe.kind == "ZX":
+        return c * PAULI["z"] - s * PAULI["y"]
+    return np.kron(np.diag([1.0, 0.0]), EYE2) + np.kron(np.diag([0.0, 1.0]), PAULI["x"])
+
+
+def _pairs(m: np.ndarray) -> list:
+    return [[[z.real, z.imag] for z in row] for row in m.tolist()]
+
+
 def report_from_oracles(command: str, recipe, steps: int) -> dict:
-    """The JSON document ``hqcdfs holonomy`` prints for ``recipe`` at
-    ``steps`` chain steps and tolerance scale 1, built from the oracles and
-    from no ``Spectrum``: ``recipe_hamiltonian_kron`` and ``product_states``
-    give the Hamiltonian and the logical basis, ``expm_oracle`` gives
-    U(tau) for the cyclicity defect and the TRANSPORT_SAMPLES frames of the
-    transport defect, ``projector_chain`` the raw chain and its defect, and
-    ``polar_newton`` the holonomy matrix, aligned by ``phase_aligned_eigen``.
-    A detuned recipe gets the two defects only. Floats are left unrounded."""
+    """The JSON document ``hqcdfs gate`` or ``hqcdfs holonomy`` prints for
+    ``recipe`` at ``steps`` chain steps and tolerance scale 1, built from
+    the oracles and from no ``Spectrum``: ``recipe_hamiltonian_kron`` and
+    ``product_states`` give the Hamiltonian and the bases, ``expm_oracle``
+    gives U(tau) for the cyclicity defect and the TRANSPORT_SAMPLES frames
+    of the transport defect, ``projector_chain`` the raw chain and its
+    defect, and ``polar_newton`` the holonomy matrix, aligned by
+    ``phase_aligned_eigen``. ``gate`` adds the restrictions of U(tau) to
+    the logical and the ancilla-completed bases, ``target_oracle`` and its
+    ancilla-completed form, the invariance defect of the protected space
+    from its projector, and the distance by ``phase_min_golden``. A detuned
+    recipe gets the two defects only and no checks. Floats are left
+    unrounded."""
     from hqcdfs import __version__
     from hqcdfs.cli import TOLERANCES
     from hqcdfs.holonomy import TRANSPORT_SAMPLES
 
-    if command != "holonomy":
+    if command not in ("gate", "holonomy"):
         raise ValueError(f"no oracle report for {command!r}")
     n_blocks = max(recipe.blocks)
     h = recipe_hamiltonian_kron(recipe, n_blocks)
@@ -252,7 +291,8 @@ def report_from_oracles(command: str, recipe, steps: int) -> dict:
     u = expm_oracle(h, tau)
     p0 = vectors @ vectors.conj().T
     frames = [expm_oracle(h, t) @ vectors for t in np.linspace(0.0, tau, TRANSPORT_SAMPLES)]
-    report = {
+    restricted = vectors.conj().T @ u @ vectors
+    holonomy = {
         "cyclicity_defect": float(np.linalg.norm(u @ p0 @ u.conj().T - p0)),
         "transport_defect": max(float(np.abs(f.conj().T @ h @ f).max()) for f in frames),
         "reconstruction_distance": None,
@@ -261,34 +301,55 @@ def report_from_oracles(command: str, recipe, steps: int) -> dict:
         "steps": steps,
         "tau": tau,
     }
-    violations = []
     if not recipe.detuned:
-        restricted = vectors.conj().T @ u @ vectors
         raw = projector_chain(h, vectors, tau, steps)
-        holonomy = polar_newton(raw)
-        report["reconstruction_distance"] = phase_aligned_eigen(holonomy, restricted)
-        report["chain_defect"] = float(np.linalg.norm(raw - restricted))
-        report["holonomy_matrix"] = [[[z.real, z.imag] for z in row] for row in holonomy.tolist()]
-        violations = [
-            {"check": name, "value": report[name], "tolerance": TOLERANCES[name]}
-            for name in ("cyclicity_defect", "transport_defect", "reconstruction_distance")
-            if not report[name] <= TOLERANCES[name]
-        ]
+        matrix = polar_newton(raw)
+        holonomy["reconstruction_distance"] = phase_aligned_eigen(matrix, restricted)
+        holonomy["chain_defect"] = float(np.linalg.norm(raw - restricted))
+        holonomy["holonomy_matrix"] = _pairs(matrix)
+    report = holonomy
+    checked = {n: holonomy[n] for n in ("cyclicity_defect", "transport_defect", "reconstruction_distance")}
+    echo = {
+        "kind": recipe.kind,
+        "phase": recipe.phase,
+        "strength": recipe.strength,
+        "duration": recipe.duration,
+        "blocks": list(recipe.blocks),
+        "detuned": recipe.detuned,
+    }
+    if command == "gate":
+        protected, _ = product_states(recipe.blocks, n_blocks, "a01")
+        ancilla, _ = product_states(recipe.blocks, n_blocks, "a")
+        completed = np.column_stack([ancilla, vectors])
+        dfs_restricted = completed.conj().T @ u @ completed
+        target = target_oracle(recipe)
+        dfs_target = scipy.linalg.block_diag([[-1.0]], target)
+        p = protected @ protected.conj().T
+        report = {
+            "recipe": echo,
+            "n_blocks": n_blocks,
+            "spectator": "0L",
+            "distance": phase_min_golden(restricted, target),
+            "invariance_defect": float(np.linalg.norm((np.eye(len(p)) - p) @ u @ p)),
+            "dfs_error": float(np.abs(dfs_restricted - dfs_target).max()),
+            "restricted": _pairs(restricted),
+            "target": _pairs(target),
+            "dfs_restricted": _pairs(dfs_restricted),
+            "dfs_target": _pairs(dfs_target),
+            "propagator": _pairs(u),
+            "holonomy": holonomy,
+        }
+        checked = {n: report[n] for n in ("distance", "dfs_error", "invariance_defect")} | checked
+    violations = [
+        {"check": name, "value": value, "tolerance": TOLERANCES[name]}
+        for name, value in checked.items()
+        if not recipe.detuned and not value <= TOLERANCES[name]
+    ]
     return {
         "tool": {"name": "hqcdfs", "version": __version__},
         "command": command,
         "tolerance_scale": 1.0,
-        "input": {
-            "recipe": {
-                "kind": recipe.kind,
-                "phase": recipe.phase,
-                "strength": recipe.strength,
-                "duration": recipe.duration,
-                "blocks": list(recipe.blocks),
-                "detuned": recipe.detuned,
-            },
-            "steps": steps,
-        },
+        "input": {"recipe": echo, "steps": steps},
         "report": report,
         "violations": violations,
     }

@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 import hqcdfs
 from hqcdfs import __version__
 from hqcdfs.cli import _CHECKS, TOLERANCES, main
-from hqcdfs.gates import DEFAULT_CHAIN_STEPS
-from hqcdfs.holonomy import MAX_CHAIN_STEPS
+from hqcdfs.holonomy import DEFAULT_CHAIN_STEPS, MAX_CHAIN_STEPS
 from hqcdfs.model import MAX_BLOCKS, GateRecipe, detune
 from hqcdfs.noise import ENSEMBLE_CAP
 from hqcdfs.subspace import BasisSet, dfs_product_basis
@@ -265,11 +264,20 @@ class TestNoiseCommand:
 
 
 # Negative --from values, each with the exit status and stderr of its sweep.
-DETUNING_BELOW_MINUS_ONE = "error: detuning must stay above -1 to keep the pulse area positive\n"
 NEGATIVE_STARTS = {
     "-1e-3": (0, ""),
-    "-inf": (2, DETUNING_BELOW_MINUS_ONE),
-    "-1e308": (2, DETUNING_BELOW_MINUS_ONE),
+    "-inf": (2, "error: --from -inf and --to 0.1 must be finite and a finite distance apart\n"),
+    "-1e308": (2, "error: invalid sweep point -1e+308: duration must be a finite number, got -inf\n"),
+}
+# Prefixes that argparse resolves to --from or --to, each spaced from a
+# negative value, with the exit status of the sweep from -0.1 to 0.1 it edits.
+NEGATIVE_PREFIXES = {
+    "--f -1e-3": 0,
+    "--fr -1e-3": 0,
+    "--fro -1e-3": 0,
+    "--fro -inf": 2,
+    "--t -0.05": 0,
+    "--t -1e308": 2,
 }
 
 
@@ -345,6 +353,19 @@ class TestSweepCommand:
         joined[3:5] = [f"--from={start}"]
         assert spaced == run_captured(joined)
         assert (spaced[0], spaced[2]) == NEGATIVE_STARTS[start]
+
+    @pytest.mark.parametrize("spelling", NEGATIVE_PREFIXES)
+    def test_spaced_negative_value_after_a_prefix_parses_as_joined(self, spelling):
+        option, value = spelling.split()
+        at = 3 if "--from".startswith(option) else 5
+        spaced = sweep_argv("-0.1", "0.1", 2, "64")
+        spaced[at:at + 2] = [option, value]
+        joined = sweep_argv("-0.1", "0.1", 2, "64")
+        joined[at:at + 2] = [f"{option}={value}"]
+        status, out, err = run_captured(spaced)
+        assert (status, out, err) == run_captured(joined)
+        assert status == NEGATIVE_PREFIXES[spelling]
+        assert (out == "") == (status == 2) and err.count("\n") == (status == 2)
 
     def test_unwritable_output_exits_2(self, tmp_path):
         recipe_path = write_recipe(tmp_path / "r.json", xz(0.0))
@@ -510,6 +531,21 @@ OVER_BUDGET = {
         "--recipe", json.dumps({**cnot().to_json_dict(), "blocks": [1, MAX_BLOCKS + 1]}),
     ],
 }
+# Command lines that argparse refuses, each with the option its one stderr
+# line names; argparse printed its usage text before these lines too.
+PARSER_FAILURES = {
+    "gate-without-recipe": (["gate"], "--recipe"),
+    "steps-abc": (gate_argv()[:3] + ["--steps", "abc"], "--steps"),
+    "param-bad": (sweep_argv("0", "0.1", 2, "64", param="bad"), "--param"),
+    "unknown-option": (gate_argv() + ["--bogus", "1"], "--bogus"),
+    "to-without-value": (sweep_argv("0", "0.1", 2, "64")[:5] + ["--to"], "--to"),
+}
+# Each command that takes --steps, on an XZ recipe.
+STEPS_ARGV = {
+    "gate": ["gate", "--recipe", json.dumps(XZ)],
+    "holonomy": ["holonomy", "--recipe", json.dumps(XZ)],
+    "sweep": sweep_argv("-0.1", "0.1", 3, "64")[:-2],
+}
 # Files whose JSON is not an object, so no field can be read from them.
 NON_OBJECTS = {"list": b"[1, 2]", "int": b"42", "null": b"null", "string": b'"XZ"'}
 # Each input file option, in the command that reads it, and the record it decodes.
@@ -615,6 +651,26 @@ class TestBadInputExits2:
         assert main(BAD_INPUT[row][0]) == 2
         assert capsys.readouterr().err == f"error: {BAD_SWEEP_GRIDS[row]}\n"
 
+
+    @pytest.mark.parametrize("argv, option", PARSER_FAILURES.values(), ids=PARSER_FAILURES.keys())
+    def test_parser_failure_is_one_line(self, argv, option):
+        status, out, err = run_captured(argv)
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert option in err and "usage:" not in err
+
+    @pytest.mark.parametrize("steps", [4, MAX_CHAIN_STEPS + 1])
+    @pytest.mark.parametrize("command", STEPS_ARGV)
+    def test_bad_steps_exit_2_before_any_hamiltonian(self, command, steps, monkeypatch):
+        from hqcdfs import model
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hamiltonian was built before --steps was checked")
+
+        monkeypatch.setattr(model, "exchange_term", refuse)
+        status, out, err = run_captured(STEPS_ARGV[command] + ["--steps", str(steps)])
+        assert (status, out) == (2, "")
+        assert err == f"error: steps must be in [8, {MAX_CHAIN_STEPS}], got {steps}\n"
 
     @pytest.mark.parametrize("argv", OVER_BUDGET.values(), ids=OVER_BUDGET.keys())
     def test_register_over_budget_exits_2_before_any_hamiltonian(self, argv, monkeypatch):
@@ -848,10 +904,32 @@ class TestPinnedCertifyReports:
         printed = json.loads(out)
         expected = report_from_oracles("holonomy", recipe, DEFAULT_CHAIN_STEPS)
         assert_documents_agree(printed, expected)
-        for name, _ in _CHECKS["holonomy"]:
-            value, oracle = printed["report"][name], expected["report"][name]
-            if oracle is not None:
-                assert (value <= TOLERANCES[name]) == (oracle <= TOLERANCES[name]), name
+        assert_checks_agree("holonomy", printed, expected)
+
+    @pytest.mark.parametrize("gate", [g for c, g in PINNED_CERTIFY_SHA256 if c == "gate"])
+    def test_gate_report_matches_the_oracles(self, gate, monkeypatch):
+        # The same document rebuilt from the test oracles and no Spectrum.
+        monkeypatch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
+        recipe = PINNED_CERTIFY_RECIPES[gate]
+        status, out, _ = run_captured(["gate", "--recipe", json.dumps(recipe.to_json_dict())])
+        assert status == 0
+        printed = json.loads(out)
+        expected = report_from_oracles("gate", recipe, DEFAULT_CHAIN_STEPS)
+        assert_documents_agree(printed, expected)
+        assert_checks_agree("gate", printed, expected)
+
+
+def assert_checks_agree(command, printed, expected):
+    """Every check of ``command`` that the oracle document can evaluate
+    falls on the same side of its tolerance in both documents. A gate
+    report holds the holonomy checks in its ``holonomy`` sub-report."""
+    for name, _ in _CHECKS[command]:
+        value, oracle = (
+            doc["report"][name] if name in doc["report"] else doc["report"]["holonomy"][name]
+            for doc in (printed, expected)
+        )
+        if oracle is not None:
+            assert (value <= TOLERANCES[name]) == (oracle <= TOLERANCES[name]), name
 
 
 def assert_documents_agree(printed, expected, path="$", atol=1e-11):
@@ -1027,6 +1105,16 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert __version__ in result.stdout
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [(["--help"], b"usage: hqcdfs "), (["gate", "--help"], b"usage: hqcdfs gate ")],
+        ids=["hqcdfs", "gate"],
+    )
+    def test_help_flag(self, argv, usage):
+        status, out, err = run_entry(argv)
+        assert (status, err) == (0, "")
+        assert out.startswith(usage)
 
 
 ANCILLA_PAIR_BASIS = basis_to_json(dfs_product_basis([1], "a0"))

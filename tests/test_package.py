@@ -39,19 +39,31 @@ def test_every_public_function_has_a_caller_in_the_package():
     assert [name for name in defined if name.split(":")[1] not in named] == []
 
 
+def overrides(module: str, cls: str, method: str) -> bool:
+    """Whether ``method`` of class ``cls`` in ``module`` overrides a method
+    of a base class, through which its callers call it."""
+    obj = getattr(importlib.import_module(f"hqcdfs.{Path(module).stem}"), cls)
+    return any(method in vars(base) for base in obj.__mro__[1:])
+
+
 def test_every_public_method_has_a_caller_in_the_package():
     """The same for the public methods, classmethods and properties of every
-    class."""
+    class, except those that override a base-class method: the base class's
+    callers call them, as argparse calls the CLI parser's ``error``."""
     named = names_in_package()
     defined = [
-        f"{module}:{cls.name}.{node.name}"
+        (module, cls.name, node.name)
         for module, tree in TREES.items()
         for cls in tree.body
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     ]
-    uncalled = [name for name in defined if name.rsplit(".", 1)[1] not in named]
+    uncalled = [
+        f"{module}:{cls}.{method}"
+        for module, cls, method in defined
+        if method not in named and not overrides(module, cls, method)
+    ]
     assert uncalled == []
 
 
@@ -82,7 +94,7 @@ def test_readme_layout_lists_every_module():
 def test_two_exception_types():
     """``src/hqcdfs`` defines exactly two exception types, one per failing
     exit status of the CLI: ``operators.ContractViolation`` (3) and
-    ``cli.InputError`` (2). Every other failure is a built-in type."""
+    ``serialize.InputError`` (2). Every other failure is a built-in type."""
     defined = []
     for name in TREES:
         stem = Path(name).stem
@@ -94,7 +106,28 @@ def test_two_exception_types():
             and issubclass(obj, BaseException)
             and obj.__module__ == module.__name__
         ]
-    assert sorted(defined) == ["cli.InputError", "operators.ContractViolation"]
+    assert sorted(defined) == ["operators.ContractViolation", "serialize.InputError"]
+
+
+def test_one_way_out():
+    """``cli.main`` alone writes to ``sys.stderr`` and calls ``_emit``, at
+    one site, and nothing in ``src/hqcdfs`` calls ``print`` or ``sys.exit``:
+    every report and every failure line leaves through ``main``."""
+    main = next(node for node in TREES["cli.py"].body if getattr(node, "name", None) == "main")
+    in_main = {id(node) for node in ast.walk(main)}
+    found = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+            elif isinstance(node, ast.Attribute):
+                name = ast.unparse(node)
+            else:
+                continue
+            if name in ("print", "sys.exit", "_emit", "sys.stderr"):
+                found.append((module, name, id(node) in in_main))
+    assert sorted(set(found)) == [("cli.py", "_emit", True), ("cli.py", "sys.stderr", True)]
+    assert found.count(("cli.py", "_emit", True)) == 1
 
 
 def test_one_decode_rule_and_one_layout_rule():
