@@ -281,15 +281,21 @@ def _join_float_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     """Parse and run one command, check its report (a detuned recipe's
-    not), then write and flush it; returns the exit status. The program's
-    one way out: bad input, argparse's included, exits 2, and any other
-    failure, such as an exhausted allocation or a failed write, exits 3,
-    each with one stderr line and no traceback, so exit 1 keeps meaning
-    tolerance violations only.
+    not), then write and flush it; returns the exit status, 0 after
+    ``--help`` and ``--version`` too. The program's one way out: bad
+    input, argparse's included, exits 2, and any other failure, such as
+    an exhausted allocation or a failed write, exits 3, each with one
+    stderr line and no traceback, so exit 1 keeps meaning tolerance
+    violations only.
     """
     try:
         argv = sys.argv[1:] if argv is None else argv
-        args = build_parser().parse_args(_join_float_values(argv))
+        try:
+            args = build_parser().parse_args(_join_float_values(argv))
+        except SystemExit:  # --help or --version wrote its text; error() raises
+            if sys.stdout is not None:
+                sys.stdout.flush()
+            return EXIT_OK
         if "steps" in args:
             check_chain_steps(args.steps)
         scale = tolerance_scale()

@@ -122,11 +122,6 @@ def exchange_term(n: int, *hops: tuple[str, int, int]) -> np.ndarray:
     of the product therefore holds at most one entry, and the product
     conserves total excitation number.
     """
-    for axis, k, l in hops:
-        if axis not in ("x", "y"):
-            raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-        if not (1 <= k < l <= n):
-            raise IndexError(f"need 1 <= k < l <= n, got k={k}, l={l}, n={n}")
     rows = np.arange(2 ** n)
     amplitudes = np.ones(2 ** n, dtype=np.complex128)
     for axis, k, l in reversed(hops):

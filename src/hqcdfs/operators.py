@@ -1,12 +1,13 @@
 """Validated dense operator algebra for multi-qubit systems.
 
-All operators are plain ``numpy.ndarray`` values of dtype complex128. The
-checks here enforce their algebraic contracts (finite, Hermitian, unitary)
-and raise :class:`ContractViolation` on failure, and ``Spectrum`` turns one
-generator into its propagators. The register's size is bounded once, by
-``model.GateRecipe``, before any operator on it is built. Basis-state
-indexing convention, fixed package-wide: qubit 1 is the most significant bit
-of the computational-basis index, so for three qubits ``|100>`` is index 4.
+All operators are plain ``numpy.ndarray`` values of dtype complex128,
+checked where they are made: ``Spectrum`` checks its generator Hermitian
+and each propagator unitary, ``subspace.BasisSet`` its vectors orthonormal,
+each raising :class:`ContractViolation`, and their consumers trust them and
+check no shapes. The register's size is bounded once, by ``model.GateRecipe``,
+before any operator on it is built. Basis-state indexing convention, fixed
+package-wide: qubit 1 is the most significant bit of the computational-basis
+index, so for three qubits ``|100>`` is index 4.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ def _require(contract: str, m) -> np.ndarray:
     worst defect over its matrices is within the contract's tolerance."""
     tol, residual, norm = _CONTRACTS[contract]
     a = as_complex_matrix(m, stacked=True)
-    if a.shape[-2] != a.shape[-1]:
-        raise ValueError(f"{contract} operator must be square, got {a.shape}")
     tol *= a.shape[-1]
     defect = float(np.linalg.norm(residual(a), axis=(-2, -1)).max())
     if not defect <= tol:
@@ -104,11 +103,6 @@ class Spectrum:
         stacked formula, a scalar time as a time axis of length one.
         """
         t = np.asarray(t, dtype=np.float64)
-        if t.shape[:-1] != self.values.shape[:-1]:
-            raise ValueError(
-                f"times of shape {t.shape} do not fit a stack of "
-                f"{self.values.shape[:-1]} generators"
-            )
         times = t.reshape(self.values.shape[:-1] + (-1,))
         phases = np.exp(-1j * self.values[..., None, :] * times[..., None])
         vectors = self.vectors[..., None, :, :]
@@ -123,9 +117,6 @@ def polar_unitary(m) -> np.ndarray:
     m is (numerically) rank-deficient, its smallest singular value at most
     MIN_SINGULAR, in which case no meaningful unitary factor exists.
     """
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"polar decomposition needs a square matrix, got {m.shape}")
     u, s, vh = np.linalg.svd(m)
     if s.min() <= MIN_SINGULAR:
         raise ContractViolation(
@@ -142,9 +133,5 @@ def phase_aligned_distance(u, v) -> float:
     directly is algebraically the same as sqrt(2 d - 2 |Tr(v^dag u)|) but
     avoids the cancellation that caps that expression near sqrt(eps).
     """
-    u = as_complex_matrix(u)
-    v = as_complex_matrix(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     phase = np.angle(np.trace(dagger(v) @ u))
     return float(np.linalg.norm(u - np.exp(1j * phase) * v))

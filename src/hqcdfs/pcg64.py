@@ -85,9 +85,7 @@ class PCG64Words:
         self._offset_hi, self._offset_lo = _limbs(offsets)
 
     def random_raw(self, size: int) -> np.ndarray:
-        """The next ``size`` output words, as uint64."""
-        if not 0 <= size <= self._block:
-            raise ValueError(f"size must be in [0, {self._block}], got {size}")
+        """The next ``size`` output words, as uint64, for 0 <= size <= block."""
         if size == 0:
             return np.empty(0, dtype=np.uint64)
         high, low = np.uint64(self._state >> 64), np.uint64(self._state & _MASK64)

@@ -86,10 +86,6 @@ def dfs_product_basis(blocks: Sequence[int], states: str = "a01") -> BasisSet:
     |10>_L, |11>_L, labelled "00", "01", "10", "11". Each column's single 1
     is written by index.
     """
-    if not blocks or len(set(blocks)) != len(blocks):
-        raise ValueError(f"blocks must be nonempty and distinct, got {list(blocks)}")
-    if min(blocks) < 1:
-        raise IndexError(f"block indices must be >= 1, got {list(blocks)}")
     n_blocks = max(blocks)
     rows, labels = [int("010" * n_blocks, 2)], [""]
     for block in blocks:
@@ -108,21 +104,11 @@ def restrict(op: np.ndarray, basis: BasisSet) -> np.ndarray:
     The restriction of a unitary is unitary exactly when the span is
     invariant; see :func:`invariance_defect`.
     """
-    op = as_complex_matrix(op, stacked=True)
-    if op.shape[-2:] != (basis.dim_ambient, basis.dim_ambient):
-        raise ValueError(
-            f"operator shape {op.shape} does not match ambient dimension {basis.dim_ambient}"
-        )
     return dagger(basis.vectors) @ op @ basis.vectors
 
 
 def invariance_defect(u: np.ndarray, basis: BasisSet) -> float:
     """|| (I - P) u P ||_F; zero iff span(basis) is invariant under u."""
-    u = as_complex_matrix(u)
-    if u.shape != (basis.dim_ambient, basis.dim_ambient):
-        raise ValueError(
-            f"operator shape {u.shape} does not match ambient dimension {basis.dim_ambient}"
-        )
     mapped = u @ basis.vectors                      # u P, column form
     outside = mapped - basis.vectors @ (dagger(basis.vectors) @ mapped)
     return float(np.linalg.norm(outside))

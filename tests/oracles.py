@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 
 import numpy as np
 import scipy.linalg
@@ -264,51 +265,62 @@ def _pairs(m: np.ndarray) -> list:
     return [[[z.real, z.imag] for z in row] for row in m.tolist()]
 
 
-def report_from_oracles(command: str, recipe, steps: int) -> dict:
-    """The JSON document ``hqcdfs gate`` or ``hqcdfs holonomy`` prints for
-    ``recipe`` at ``steps`` chain steps and tolerance scale 1, built from
-    the oracles and from no ``Spectrum``: ``recipe_hamiltonian_kron`` and
-    ``product_states`` give the Hamiltonian and the bases, ``expm_oracle``
-    gives U(tau) for the cyclicity defect and the TRANSPORT_SAMPLES frames
-    of the transport defect, ``projector_chain`` the raw chain and its
-    defect, and ``polar_newton`` the holonomy matrix, aligned by
-    ``phase_aligned_eigen``. ``gate`` adds the restrictions of U(tau) to
-    the logical and the ancilla-completed bases, ``target_oracle`` and its
-    ancilla-completed form, the invariance defect of the protected space
-    from its projector, and the distance by ``phase_min_golden``. A detuned
-    recipe gets the two defects only and no checks. Floats are left
-    unrounded."""
-    from hqcdfs import __version__
-    from hqcdfs.cli import TOLERANCES
-    from hqcdfs.holonomy import TRANSPORT_SAMPLES
-
-    if command not in ("gate", "holonomy"):
-        raise ValueError(f"no oracle report for {command!r}")
+def _recipe_oracles(recipe):
+    """(h, logical vectors, U(tau), restricted U(tau)) of ``recipe`` on the
+    register of its blocks: ``recipe_hamiltonian_kron``, ``product_states``
+    and ``expm_oracle``."""
     n_blocks = max(recipe.blocks)
     h = recipe_hamiltonian_kron(recipe, n_blocks)
     vectors, _ = product_states(recipe.blocks, n_blocks, "01")
-    tau = recipe.duration
-    u = expm_oracle(h, tau)
+    u = expm_oracle(h, recipe.duration)
+    return h, vectors, u, vectors.conj().T @ u @ vectors
+
+
+def _condition_defects(h, vectors, u, tau: float) -> tuple[float, float]:
+    """Cyclicity defect of span(vectors) from U(tau) = ``u``, and transport
+    defect over TRANSPORT_SAMPLES frames of ``expm_oracle``."""
+    from hqcdfs.holonomy import TRANSPORT_SAMPLES
+
     p0 = vectors @ vectors.conj().T
     frames = [expm_oracle(h, t) @ vectors for t in np.linspace(0.0, tau, TRANSPORT_SAMPLES)]
-    restricted = vectors.conj().T @ u @ vectors
-    holonomy = {
-        "cyclicity_defect": float(np.linalg.norm(u @ p0 @ u.conj().T - p0)),
-        "transport_defect": max(float(np.abs(f.conj().T @ h @ f).max()) for f in frames),
-        "reconstruction_distance": None,
-        "chain_defect": None,
-        "holonomy_matrix": None,
-        "steps": steps,
-        "tau": tau,
-    }
-    if not recipe.detuned:
-        raw = projector_chain(h, vectors, tau, steps)
-        matrix = polar_newton(raw)
-        holonomy["reconstruction_distance"] = phase_aligned_eigen(matrix, restricted)
-        holonomy["chain_defect"] = float(np.linalg.norm(raw - restricted))
-        holonomy["holonomy_matrix"] = _pairs(matrix)
-    report = holonomy
-    checked = {n: holonomy[n] for n in ("cyclicity_defect", "transport_defect", "reconstruction_distance")}
+    return (
+        float(np.linalg.norm(u @ p0 @ u.conj().T - p0)),
+        max(float(np.abs(f.conj().T @ h @ f).max()) for f in frames),
+    )
+
+
+def report_from_oracles(command: str, recipe, steps: int | None = None, ensemble=None, grid=None):
+    """The document ``hqcdfs gate``, ``holonomy``, ``noise`` or ``sweep``
+    prints for ``recipe`` at tolerance scale 1, built from the oracles and
+    from no ``Spectrum``. Floats are left unrounded.
+
+    ``gate`` and ``holonomy`` run at ``steps`` chain steps.
+    ``recipe_hamiltonian_kron`` and ``product_states`` give the Hamiltonian
+    and the bases, ``expm_oracle`` gives U(tau) for the cyclicity defect
+    and the TRANSPORT_SAMPLES frames of the transport defect,
+    ``projector_chain`` the raw chain and its defect, and ``polar_newton``
+    the holonomy matrix, aligned by ``phase_aligned_eigen``. ``gate`` adds
+    the restrictions of U(tau) to the logical and the ancilla-completed
+    bases, ``target_oracle`` and its ancilla-completed form, the invariance
+    defect of the protected space from its projector, and the distance by
+    ``phase_min_golden``.
+
+    ``noise`` takes the ``ensemble`` input document. Its fidelity is
+    |Tr(target^dag restricted)| / L of the restricted U(tau), repeated
+    ``samples`` times: every kick is one global phase on the logical
+    sector (``noisy_fidelities`` kicks sample by sample).
+
+    ``sweep`` takes ``grid`` = (param, start, stop, points) and gives the
+    CSV rows: the header's names, then per point of ``np.linspace`` the
+    parameter, distance and the two condition defects, each point's recipe
+    with that phase, or with its duration scaled by 1 + the detuning.
+
+    A detuned recipe gets no reconstruction and no checks."""
+    from hqcdfs import __version__
+    from hqcdfs.cli import TOLERANCES
+
+    if command not in ("gate", "holonomy", "noise", "sweep"):
+        raise ValueError(f"no oracle report for {command!r}")
     echo = {
         "kind": recipe.kind,
         "phase": recipe.phase,
@@ -317,12 +329,60 @@ def report_from_oracles(command: str, recipe, steps: int) -> dict:
         "blocks": list(recipe.blocks),
         "detuned": recipe.detuned,
     }
+    if command == "sweep":
+        param, start, stop, points = grid
+        rows = [["parameter", "distance", "cyclicity_defect", "transport_defect"]]
+        for value in np.linspace(start, stop, points).tolist():
+            point = types.SimpleNamespace(**echo)
+            if param == "phase":
+                point.phase = value
+            else:
+                point.duration *= 1.0 + value
+            h, vectors, u, restricted = _recipe_oracles(point)
+            distance = phase_min_golden(restricted, target_oracle(point))
+            rows.append([value, distance, *_condition_defects(h, vectors, u, point.duration)])
+        return rows
+
+    h, vectors, u, restricted = _recipe_oracles(recipe)
+    target = target_oracle(recipe)
+    inputs = {"recipe": echo, "steps": steps}
+    if command == "noise":
+        fidelity = float(np.abs(np.trace(target.conj().T @ restricted))) / len(target)
+        report = {
+            "mean_fidelity": fidelity,
+            "min_fidelity": fidelity,
+            "per_sample": [fidelity] * ensemble["samples"],
+        }
+        checked = {"fidelity_deficit": 1.0 - fidelity, "excess_fidelity": fidelity - 1.0}
+        fields = ("kick_count", "distribution", "samples", "seed")
+        inputs = {"recipe": echo, "ensemble": {k: ensemble[k] for k in fields}}
+    else:
+        tau = recipe.duration
+        cyclicity, transport = _condition_defects(h, vectors, u, tau)
+        holonomy = {
+            "cyclicity_defect": cyclicity,
+            "transport_defect": transport,
+            "reconstruction_distance": None,
+            "chain_defect": None,
+            "holonomy_matrix": None,
+            "steps": steps,
+            "tau": tau,
+        }
+        if not recipe.detuned:
+            raw = projector_chain(h, vectors, tau, steps)
+            matrix = polar_newton(raw)
+            holonomy["reconstruction_distance"] = phase_aligned_eigen(matrix, restricted)
+            holonomy["chain_defect"] = float(np.linalg.norm(raw - restricted))
+            holonomy["holonomy_matrix"] = _pairs(matrix)
+        report = holonomy
+        names = ("cyclicity_defect", "transport_defect", "reconstruction_distance")
+        checked = {n: holonomy[n] for n in names}
     if command == "gate":
+        n_blocks = max(recipe.blocks)
         protected, _ = product_states(recipe.blocks, n_blocks, "a01")
         ancilla, _ = product_states(recipe.blocks, n_blocks, "a")
         completed = np.column_stack([ancilla, vectors])
         dfs_restricted = completed.conj().T @ u @ completed
-        target = target_oracle(recipe)
         dfs_target = scipy.linalg.block_diag([[-1.0]], target)
         p = protected @ protected.conj().T
         report = {
@@ -349,7 +409,7 @@ def report_from_oracles(command: str, recipe, steps: int) -> dict:
         "tool": {"name": "hqcdfs", "version": __version__},
         "command": command,
         "tolerance_scale": 1.0,
-        "input": {"recipe": echo, "steps": steps},
+        "input": inputs,
         "report": report,
         "violations": violations,
     }

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,35 @@ BAD_SWEEP_GRIDS = {
     # The last point's interpolation overflows: (1e308 + 0.1) * 2 / 2.
     "sweep-detuning-to-1e308": "invalid sweep point inf: duration must be a finite number, got inf",
 }
+# Each rule of the three input records that no other row reaches, with its
+# one stderr line: the record is the rule's only owner, and the library
+# takes the values it checked without checking them again.
+RECORD_RULES = {
+    "cnot-one-block": (
+        gate_argv(kind="CNOT", blocks=[1]),
+        "GateRecipe: CNOT recipe needs 2 block index(es)",
+    ),
+    "xz-no-blocks": (gate_argv(blocks=[]), "GateRecipe: XZ recipe needs 1 block index(es)"),
+    "cnot-same-blocks": (
+        gate_argv(kind="CNOT", blocks=[2, 2]),
+        "GateRecipe: CNOT control and target blocks must differ",
+    ),
+    "block-0": (gate_argv(blocks=[0]), "GateRecipe: block indices must be >= 1, got (0,)"),
+    "kick-count-negative": (noise_argv(kick_count=-1), "NoiseEnsemble: kick_count must be >= 0"),
+    "samples-0": (noise_argv(samples=0), "NoiseEnsemble: samples must be >= 1"),
+    "basis-labels-repeated": (
+        basis_argv(labels=["a", "a"]),
+        "BasisSet: labels must be unique, got ('a', 'a')",
+    ),
+    "basis-vectors-equal": (
+        basis_argv(vectors=[LOGICAL_BASIS["vectors"][0]] * 2),
+        "BasisSet: basis is not orthonormal: ||G - I||_F = 1.414e+00",
+    ),
+    "basis-vectors-empty": (
+        basis_argv(vectors=[[]]),
+        "BasisSet: expected a 2-d matrix, got shape (0, 1)",
+    ),
+}
 # A recipe for each command on a block past MAX_BLOCKS.
 OVER_BUDGET_XZ = json.dumps({**XZ, "blocks": [MAX_BLOCKS + 1]})
 OVER_BUDGET = {
@@ -651,6 +681,9 @@ class TestBadInputExits2:
         assert main(BAD_INPUT[row][0]) == 2
         assert capsys.readouterr().err == f"error: {BAD_SWEEP_GRIDS[row]}\n"
 
+    @pytest.mark.parametrize("argv, message", RECORD_RULES.values(), ids=RECORD_RULES.keys())
+    def test_record_rule_is_one_line(self, argv, message):
+        assert run_captured(argv) == (2, "", f"error: invalid {message}\n")
 
     @pytest.mark.parametrize("argv, option", PARSER_FAILURES.values(), ids=PARSER_FAILURES.keys())
     def test_parser_failure_is_one_line(self, argv, option):
@@ -855,6 +888,30 @@ class TestPinnedNoiseReports:
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_NOISE_SHA256[gate, dist, fmt]
 
+    @pytest.mark.parametrize(
+        "gate, dist, fmt", PINNED_NOISE_SHA256, ids=["-".join(k) for k in PINNED_NOISE_SHA256]
+    )
+    def test_report_matches_the_oracles(self, gate, dist, fmt, monkeypatch):
+        # The same document, or its CSV rows, rebuilt from the test oracles.
+        monkeypatch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
+        distribution, seed = PINNED_DISTRIBUTIONS[dist]
+        ensemble = {"kick_count": 3, "distribution": distribution, "samples": 25, "seed": seed}
+        recipe = PINNED_RECIPES[gate]
+        argv = ["noise", "--recipe", json.dumps(recipe.to_json_dict())]
+        status, out, _ = run_captured(argv + ["--ensemble", json.dumps(ensemble), "--format", fmt])
+        assert status == 0
+        expected = report_from_oracles("noise", recipe, ensemble=ensemble)
+        if fmt == "json":
+            printed = json.loads(out)
+            assert_documents_agree(printed, expected)
+        else:
+            oracle = [[float(i), f] for i, f in enumerate(expected["report"]["per_sample"])]
+            rows = csv_rows(out)
+            assert_documents_agree(rows, [["sample", "fidelity"]] + oracle)
+            fidelities = [fidelity for _, fidelity in rows[1:]]
+            printed = {"report": {"min_fidelity": min(fidelities), "per_sample": fidelities}}
+        assert_checks_agree("noise", printed, expected)
+
 
 # ``hqcdfs gate`` and ``hqcdfs holonomy`` cases whose stdout is pinned byte for
 # byte at the default 4096 chain steps: the CNOT on both block orders, and
@@ -919,17 +976,29 @@ class TestPinnedCertifyReports:
         assert_checks_agree("gate", printed, expected)
 
 
+def as_namespace(doc):
+    """A report document whose fields read as attributes, as ``_CHECKS``
+    reads a report."""
+    if isinstance(doc, dict):
+        return types.SimpleNamespace(**{key: as_namespace(value) for key, value in doc.items()})
+    return doc
+
+
 def assert_checks_agree(command, printed, expected):
     """Every check of ``command`` that the oracle document can evaluate
-    falls on the same side of its tolerance in both documents. A gate
-    report holds the holonomy checks in its ``holonomy`` sub-report."""
-    for name, _ in _CHECKS[command]:
-        value, oracle = (
-            doc["report"][name] if name in doc["report"] else doc["report"]["holonomy"][name]
-            for doc in (printed, expected)
-        )
+    falls on the same side of its tolerance in both documents, each read by
+    the CLI's own getter."""
+    for name, get in _CHECKS[command]:
+        value, oracle = (get(as_namespace(doc["report"])) for doc in (printed, expected))
         if oracle is not None:
             assert (value <= TOLERANCES[name]) == (oracle <= TOLERANCES[name]), name
+
+
+def csv_rows(text):
+    """The rows of a CSV report: the header's names, then each row's
+    numbers as floats."""
+    header, *rows = csv.reader(io.StringIO(text))
+    return [header] + [[float(cell) for cell in row] for row in rows]
 
 
 def assert_documents_agree(printed, expected, path="$", atol=1e-11):
@@ -1011,6 +1080,22 @@ class TestPinnedSweepReports:
         status, out, _ = run_captured(argv + ["--recipe", json.dumps(recipe.to_json_dict())])
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP_SHA256[param]
+
+    @pytest.mark.parametrize("param", PINNED_SWEEP_SHA256)
+    def test_rows_match_the_oracles(self, param):
+        # Each point rebuilt from the test oracles, each value on the same
+        # side of its tolerance as the oracle's.
+        recipe, start, stop = PINNED_SWEEPS[param]
+        argv = ["sweep", "--param", param, "--from", start, "--to", stop, "--points", "5"]
+        status, out, _ = run_captured(argv + ["--recipe", json.dumps(recipe.to_json_dict())])
+        assert status == 0
+        rows = csv_rows(out)
+        expected = report_from_oracles("sweep", recipe, grid=(param, float(start), float(stop), 5))
+        assert_documents_agree(rows, expected)
+        names = expected[0][1:]
+        for row, oracle in zip(rows[1:], expected[1:]):
+            for name, value, rebuilt in zip(names, row[1:], oracle[1:]):
+                assert (value <= TOLERANCES[name]) == (rebuilt <= TOLERANCES[name]), (row[0], name)
 
 
 # Wrong values a field of the JSON input may take instead of a valid one:
@@ -1115,6 +1200,19 @@ class TestConsoleScript:
         status, out, err = run_entry(argv)
         assert (status, err) == (0, "")
         assert out.startswith(usage)
+
+
+class TestHelpAndVersion:
+    """``--help`` and ``--version`` return 0 from ``main``, their text on
+    stdout, as every other run returns its status."""
+
+    def test_version_returns_0(self):
+        assert run_captured(["--version"]) == (0, f"hqcdfs {__version__}\n", "")
+
+    def test_command_help_returns_0(self):
+        status, out, err = run_captured(["gate", "--help"])
+        assert (status, err) == (0, "")
+        assert out.startswith("usage: hqcdfs gate ") and "--recipe" in out
 
 
 ANCILLA_PAIR_BASIS = basis_to_json(dfs_product_basis([1], "a0"))

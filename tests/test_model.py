@@ -106,23 +106,6 @@ class TestRop:
             expected = r_op_bruteforce(a, k, l, n) @ r_op_bruteforce(b, p, q, n)
             assert np.array_equal(exchange_term(n, (a, k, l), (b, p, q)), expected)
 
-    def test_index_errors(self):
-        for n, hops in (
-            (3, [("x", 2, 1)]),
-            (3, [("x", 1, 4)]),
-            (6, [("x", 2, 2)]),
-            (6, [("y", 0, 1)]),
-            (6, [("x", 1, 3), ("x", 5, 4)]),
-            (6, [("y", 4, 7), ("x", 1, 3)]),
-        ):
-            with pytest.raises(IndexError, match="need 1 <= k < l <= n"):
-                exchange_term(n, *hops)
-
-    @pytest.mark.parametrize("hops", [[("z", 1, 2)], [("x", 1, 3), ("xy", 4, 5)]], ids=["z", "xy"])
-    def test_axis_errors_raise_value_error(self, hops):
-        with pytest.raises(ValueError, match="axis must be 'x' or 'y'"):
-            exchange_term(6, *hops)
-
 
 class TestAssembly:
     def test_xz_couplings_reproduce_gate_generator(self):

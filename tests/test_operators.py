@@ -195,12 +195,6 @@ class TestStackedSpectrum:
         with pytest.raises(ContractViolation):
             Spectrum(h)
 
-    def test_times_must_match_the_stack(self):
-        spectrum = Spectrum(self.hermitian_stack())
-        for times in (0.5, np.zeros(5), np.zeros((4, 2))):
-            with pytest.raises(ValueError):
-                spectrum.propagator(times)
-
 
 class TestPolarUnitary:
     def test_positive_diagonal(self):

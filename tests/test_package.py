@@ -144,3 +144,62 @@ def test_one_decode_rule_and_one_layout_rule():
                         defining[node.name].append(cls.name)
     assert sorted(defining["from_json_dict"]) == ["BasisSet", "Record"]
     assert sorted(defining["to_json_dict"]) == ["GateRecipe", "Record"]
+
+
+# Input rules may fail only where a value enters the program: anywhere in
+# ``cli``, in a record's ``__post_init__`` or ``from_json_dict``, in these
+# owners of input fields, the ``--steps`` range, the no-go trial count and
+# seed, and in the encoder's non-finite guard.
+INPUT_OWNERS = {
+    "as_int",
+    "as_float",
+    "as_complex_matrix",
+    "check_chain_steps",
+    "no_go_certificate",
+    "_seed_words",
+}
+INPUT_ERRORS = {"ValueError", "IndexError", "InputError"}
+
+
+def input_error_raises() -> list:
+    """(module, owner, raised expression) of each raise of an input-error
+    type in ``src/hqcdfs``, with its owner the module-level function or the
+    ``Class.method`` around it, and ``Record`` subclasses' names kept as
+    ``Record:Class``; a raise outside any function has owner None."""
+    found = []
+    for module, tree in TREES.items():
+        owners = {}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                owners[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                prefix = "Record:" if "Record" in [ast.unparse(b) for b in node.bases] else ""
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        owners[f"{prefix}{node.name}.{method.name}"] = method
+        owner_of = {id(n): owner for owner, func in owners.items() for n in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(exc) in INPUT_ERRORS:
+                    found.append((module, owner_of.get(id(node)), node.exc))
+    return found
+
+
+def owns_input(module: str, owner: str | None, exc: ast.expr) -> bool:
+    owner = owner or ""
+    methods = (".__post_init__", ".from_json_dict")
+    record_rule = owner.startswith("Record:") and owner.endswith(methods)
+    message = ast.unparse(exc.args[0]) if isinstance(exc, ast.Call) and exc.args else ""
+    non_finite = module == "serialize.py" and message.startswith("_NON_FINITE")
+    return module == "cli.py" or owner in INPUT_OWNERS or record_rule or non_finite
+
+
+def test_values_are_checked_where_they_enter():
+    """``ValueError``, ``IndexError`` and ``InputError`` are raised only by
+    the owners of input: the pipeline takes the values they checked, and
+    what it builds from them, without checking them again. Computed results
+    fail by ``ContractViolation`` instead."""
+    raises = input_error_raises()
+    assert INPUT_OWNERS <= {owner for _, owner, _ in raises}
+    assert [f"{m}:{o}" for m, o, exc in raises if not owns_input(m, o, exc)] == []

@@ -39,8 +39,3 @@ class TestPCG64Words:
             np.random.PCG64(-1)
         with pytest.raises(ValueError):
             PCG64Words(-1, BLOCK)
-
-    @pytest.mark.parametrize("size", [-1, BLOCK + 1])
-    def test_request_outside_the_block_raises(self, size):
-        with pytest.raises(ValueError):
-            PCG64Words(0, BLOCK).random_raw(size)

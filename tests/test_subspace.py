@@ -27,10 +27,6 @@ class TestLogicalBlock:
             idle = {3 * c - 1 for c in range(1, block)}
             assert qubits == {3 * block - 2} | idle
 
-    def test_rejects_nonpositive_index(self):
-        with pytest.raises(IndexError):
-            dfs_product_basis([0])
-
 
 class TestBasisSet:
     def test_rejects_non_orthonormal(self):
@@ -81,13 +77,6 @@ class TestDfsBasis:
     def test_duplicate_blocks_rejected(self):
         for blocks in ((1, 1), ()):
             with pytest.raises(ValueError):
-                dfs_product_basis(blocks)
-
-    def test_index_overflow(self):
-        # A block below 1 is out of range wherever it stands; any block
-        # above 1 only widens the register.
-        for blocks in ((0,), (0, 2), (3, -1)):
-            with pytest.raises(IndexError):
                 dfs_product_basis(blocks)
 
     def test_single_block_states(self):
