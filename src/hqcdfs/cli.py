@@ -168,8 +168,6 @@ def _run_sweep(args: argparse.Namespace):
     if not all(math.isfinite(x) for x in (start, stop, stop - start)):
         raise InputError(f"--from {start!r} and --to {stop!r} must be finite and a finite distance apart")
     template = _parse(GateRecipe, args.recipe)
-    if param == "phase" and template.kind == "CNOT":
-        raise InputError("phase sweep is undefined for CNOT recipes")
 
     def point(i: int):
         value = start + (stop - start) * i / (points - 1)
@@ -182,7 +180,8 @@ def _run_sweep(args: argparse.Namespace):
 
     # The values run monotonically from start to stop, and a recipe's
     # validity changes at most once along them (a detuned duration scales
-    # linearly, any finite phase is valid): valid ends make every point valid.
+    # linearly, any finite phase is valid but a CNOT's, which must be 0):
+    # valid ends make every point valid.
     point(0)
     point(points - 1)
     # ``detune`` changes only the duration: every point shares one spectrum.
@@ -191,7 +190,7 @@ def _run_sweep(args: argparse.Namespace):
     rows = []
     for i in range(points):
         value, recipe = point(i)
-        realization = realize(recipe, steps=args.steps, spectrum=spectrum)
+        realization = realize(recipe, spectrum=spectrum)
         hol = realization.holonomy
         rows.append((value, realization.distance, hol.cyclicity_defect, hol.transport_defect))
     return None, {}, encode_csv("parameter,distance,cyclicity_defect,transport_defect", *zip(*rows))
@@ -257,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     nogo.add_argument("--trials", type=int, default=1000)
     nogo.add_argument("--seed", type=int, default=0)
 
-    for command in (gate, hol, sweep):
+    for command in (gate, hol):
         command.add_argument("--steps", type=int, default=DEFAULT_CHAIN_STEPS)
     for command in sub.choices.values():
         command.add_argument("--out")

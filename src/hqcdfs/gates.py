@@ -63,10 +63,7 @@ def realize(
     distance = phase_aligned_distance(restricted, target)
 
     # Ancilla-completed: the all-ancilla state, then the logical basis.
-    check_basis = BasisSet(
-        np.column_stack([protected.vectors[:, 0], logical.vectors]),
-        protected.labels[:1] + logical.labels,
-    )
+    check_basis = BasisSet(np.column_stack([protected.vectors[:, 0], logical.vectors]))
     dfs_restricted = restrict(propagator, check_basis)
     dfs_target = np.pad(target, (1, 0))
     dfs_target[0, 0] = -1.0

@@ -41,7 +41,8 @@ MAX_BLOCKS = 3
 
 class GateRecipe(Record):
     """Pulse prescription for one gate: kind, phase, strength, duration, blocks.
-    The phase defaults to 0, and a bare-int ``blocks`` is one block.
+    The phase defaults to 0 and a CNOT takes none; a bare-int ``blocks`` is
+    one block.
 
     The constructor enforces the exact pulse-area condition for the kind
     (pi/sqrt(2) for XZ and CNOT, pi for ZX) unless ``detuned`` is set, which
@@ -61,7 +62,9 @@ class GateRecipe(Record):
         if not isinstance(self.detuned, bool):
             raise ValueError(f"detuned must be true or false, got {self.detuned!r}")
         for name in ("phase", "strength", "duration"):
-            object.__setattr__(self, name, as_float(getattr(self, name), name))
+            value = getattr(self, name)
+            if name == "phase" or value != -math.inf:  # -inf is refused as non-positive
+                object.__setattr__(self, name, as_float(value, name))
         if self.strength <= 0 or self.duration <= 0:
             raise ValueError("strength and duration must be positive")
         blocks = (self.blocks,) if isinstance(self.blocks, int) else self.blocks
@@ -75,6 +78,8 @@ class GateRecipe(Record):
             raise ValueError(f"block indices must be <= {MAX_BLOCKS}, got {self.blocks}")
         if self.kind == "CNOT" and self.blocks[0] == self.blocks[1]:
             raise ValueError("CNOT control and target blocks must differ")
+        if self.kind == "CNOT" and self.phase != 0:
+            raise ValueError(f"a CNOT recipe takes no phase, got {self.phase!r}")
         if not self.detuned:
             area = self.strength * self.duration
             if abs(area - PULSE_AREAS[self.kind]) > PULSE_AREA_TOL:

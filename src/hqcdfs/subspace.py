@@ -15,33 +15,23 @@ from typing import Sequence
 import numpy as np
 
 from .operators import ContractViolation, as_complex_matrix, dagger
-from .serialize import Record, as_float, as_int
+from .serialize import Record, as_float
 
 ORTHONORMALITY_TOL = 1e-12
 
 
 class BasisSet(Record):
-    """Ordered orthonormal vectors spanning a subspace, with unique labels.
+    """Ordered orthonormal vectors spanning a subspace.
 
     ``vectors`` holds the k basis vectors as the columns of a
     (dim_ambient, k) array.
     """
 
     vectors: np.ndarray
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         v = as_complex_matrix(self.vectors)
         object.__setattr__(self, "vectors", v)
-        if isinstance(self.labels, str) or not all(isinstance(s, str) for s in self.labels):
-            raise ValueError(f"labels must be a sequence of strings, got {self.labels!r}")
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) != v.shape[1]:
-            raise ValueError(
-                f"{v.shape[1]} vectors but {len(self.labels)} labels"
-            )
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"labels must be unique, got {self.labels}")
         if v.shape[1] > v.shape[0]:
             raise ValueError("more basis vectors than ambient dimensions")
         gram = dagger(v) @ v
@@ -61,14 +51,13 @@ class BasisSet(Record):
 
     @classmethod
     def from_json_dict(cls, data) -> "BasisSet":
+        """The basis of the columns under ``vectors``, each a list of
+        [re, im] pairs; other keys are ignored."""
         cols = [
             np.array([complex(as_float(re, "re"), as_float(im, "im")) for re, im in column])
             for column in data["vectors"]
         ]
-        basis = cls(np.column_stack(cols), data["labels"])
-        if as_int(data["dim_ambient"], "dim_ambient") != basis.dim_ambient:
-            raise ValueError(f"dim_ambient {data['dim_ambient']!r} is not {basis.dim_ambient}")
-        return basis
+        return cls(np.column_stack(cols))
 
 
 # Bit pattern of each single-block state on its three qubits, qubit 1 = MSB.
@@ -81,20 +70,18 @@ def dfs_product_basis(blocks: Sequence[int], states: str = "a01") -> BasisSet:
 
     Each character of ``states`` names a single-block state: "a" is |a>,
     "0" is |0>_L and "1" is |1>_L. Columns run in lexicographic order with
-    the first listed block most significant, and each label joins the
-    blocks' characters: blocks (1, 2) with states "01" give |00>_L, |01>_L,
-    |10>_L, |11>_L, labelled "00", "01", "10", "11". Each column's single 1
-    is written by index.
+    the first listed block most significant: blocks (1, 2) with states "01"
+    give |00>_L, |01>_L, |10>_L, |11>_L. Each column's single 1 is written
+    by index.
     """
     n_blocks = max(blocks)
-    rows, labels = [int("010" * n_blocks, 2)], [""]
+    rows = [int("010" * n_blocks, 2)]
     for block in blocks:
         shift = 3 * (n_blocks - block)
         rows = [row & ~(0b111 << shift) | _BLOCK_BITS[s] << shift for row in rows for s in states]
-        labels = [label + s for label in labels for s in states]
     vectors = np.zeros((2 ** (3 * n_blocks), len(rows)), dtype=np.complex128)
     vectors[rows, np.arange(len(rows))] = 1.0
-    return BasisSet(vectors, tuple(labels))
+    return BasisSet(vectors)
 
 
 def restrict(op: np.ndarray, basis: BasisSet) -> np.ndarray:

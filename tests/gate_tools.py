@@ -30,8 +30,6 @@ def basis_to_json(basis: BasisSet) -> dict:
     """The ``--basis`` document of ``basis``, which ``BasisSet.from_json_dict``
     reads back: each vector a list of [re, im] pairs."""
     return {
-        "dim_ambient": basis.dim_ambient,
-        "labels": list(basis.labels),
         "vectors": [[[float(z.real), float(z.imag)] for z in column] for column in basis.vectors.T],
     }
 

@@ -118,17 +118,16 @@ BLOCK_BITS = {"a": "100", "0": "010", "1": "001"}
 
 
 def product_states(blocks, n_blocks: int, states: str, idle: str = "0"):
-    """(vectors, labels) of every assignment of ``states`` to ``blocks``, the
+    """The vectors of every assignment of ``states`` to ``blocks``, the
     first block most significant, the other blocks in ``idle``: a column
     stack of ``bitstring_state`` over the joined bitstrings."""
-    columns, labels = [], []
+    columns = []
     for assignment in itertools.product(states, repeat=len(blocks)):
         pattern = [BLOCK_BITS[idle]] * n_blocks
         for block, state in zip(blocks, assignment):
             pattern[block - 1] = BLOCK_BITS[state]
         columns.append(bitstring_state("".join(pattern)))
-        labels.append("".join(assignment))
-    return np.column_stack(columns), tuple(labels)
+    return np.column_stack(columns)
 
 
 def expm_oracle(h: np.ndarray, t: float) -> np.ndarray:
@@ -271,7 +270,7 @@ def _recipe_oracles(recipe):
     and ``expm_oracle``."""
     n_blocks = max(recipe.blocks)
     h = recipe_hamiltonian_kron(recipe, n_blocks)
-    vectors, _ = product_states(recipe.blocks, n_blocks, "01")
+    vectors = product_states(recipe.blocks, n_blocks, "01")
     u = expm_oracle(h, recipe.duration)
     return h, vectors, u, vectors.conj().T @ u @ vectors
 
@@ -379,8 +378,8 @@ def report_from_oracles(command: str, recipe, steps: int | None = None, ensemble
         checked = {n: holonomy[n] for n in names}
     if command == "gate":
         n_blocks = max(recipe.blocks)
-        protected, _ = product_states(recipe.blocks, n_blocks, "a01")
-        ancilla, _ = product_states(recipe.blocks, n_blocks, "a")
+        protected = product_states(recipe.blocks, n_blocks, "a01")
+        ancilla = product_states(recipe.blocks, n_blocks, "a")
         completed = np.column_stack([ancilla, vectors])
         dfs_restricted = completed.conj().T @ u @ completed
         dfs_target = scipy.linalg.block_diag([[-1.0]], target)
@@ -485,7 +484,7 @@ def two_qubit_dfs():
     selects basis states 1 and 2 by index."""
     from hqcdfs.subspace import BasisSet
 
-    return BasisSet(np.eye(4)[:, 1:3], ("01", "10"))
+    return BasisSet(np.eye(4)[:, 1:3])
 
 
 def no_go_trials(trials: int, seed: int) -> dict:
@@ -570,7 +569,7 @@ def noisy_fidelities(recipe, ensemble, generator=None) -> list[float]:
     u_segment = Spectrum(h).propagator(recipe.duration / segments)
     if generator is None:
         generator = np.diagonal(sum(embed_bruteforce(PAULI["z"], k, n) for k in range(1, n + 1))).real
-    vectors, _ = product_states(recipe.blocks, n_blocks, "01")
+    vectors = product_states(recipe.blocks, n_blocks, "01")
     target = target_for(recipe)
     fidelities = []
     for angles in _sample_angles(ensemble):

@@ -145,6 +145,17 @@ class TestGateCommand:
             assert defect <= 1e-10 * dim
 
 
+# Keys a --basis document may hold beside its vectors: a basis is its
+# vectors, and the other keys are ignored.
+BASIS_EXTRA_KEYS = {
+    "basis-labels-int": {"labels": [0, 1]},
+    "basis-labels-repeated": {"labels": ["a", "a"]},
+    "basis-2-vectors-1-label": {"labels": ["0"]},
+    "basis-dim-ambient-string": {"dim_ambient": "3"},
+    "basis-labels-and-dim-ambient": {"labels": ["0", "1"], "dim_ambient": 64},
+}
+
+
 class TestHolonomyCommand:
     def test_certifies_recipe(self, tmp_path, capsys):
         recipe_path = write_recipe(tmp_path / "r.json", zx(0.7))
@@ -169,6 +180,12 @@ class TestHolonomyCommand:
         assert status == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["report"]["transport_defect"] <= 1e-12
+
+    @pytest.mark.parametrize("extra", BASIS_EXTRA_KEYS.values(), ids=BASIS_EXTRA_KEYS.keys())
+    def test_basis_keys_beside_vectors_are_ignored(self, extra):
+        vectors_only = run_captured(basis_argv())
+        assert vectors_only[0] == 0
+        assert run_captured(basis_argv(**extra)) == vectors_only
 
     def test_rejects_mismatched_basis(self, tmp_path):
         recipe_path = write_recipe(tmp_path / "r.json", xz(0.4))
@@ -268,7 +285,7 @@ class TestNoiseCommand:
 NEGATIVE_STARTS = {
     "-1e-3": (0, ""),
     "-inf": (2, "error: --from -inf and --to 0.1 must be finite and a finite distance apart\n"),
-    "-1e308": (2, "error: invalid sweep point -1e+308: duration must be a finite number, got -inf\n"),
+    "-1e308": (2, "error: invalid sweep point -1e+308: strength and duration must be positive\n"),
 }
 # Prefixes that argparse resolves to --from or --to, each spaced from a
 # negative value, with the exit status of the sweep from -0.1 to 0.1 it edits.
@@ -289,7 +306,7 @@ class TestSweepCommand:
         status = main(
             [
                 "sweep", "--param", "phase", "--from", "0", "--to", "6.283185307179586",
-                "--points", "9", "--recipe", recipe_path, "--steps", "512",
+                "--points", "9", "--recipe", recipe_path,
                 "--out", str(out_path),
             ]
         )
@@ -305,7 +322,7 @@ class TestSweepCommand:
         status = main(
             [
                 "sweep", "--param", "pulse_area_detuning", "--from", "0", "--to", "0.1",
-                "--points", "11", "--recipe", recipe_path, "--steps", "512",
+                "--points", "11", "--recipe", recipe_path,
                 "--out", str(out_path),
             ]
         )
@@ -319,7 +336,7 @@ class TestSweepCommand:
         recipe_path = write_recipe(tmp_path / "r.json", zx(0.0))
         status = main(
             ["sweep", "--param", "phase", "--from", "0", "--to", "1",
-             "--points", "2", "--recipe", recipe_path, "--steps", "512"]
+             "--points", "2", "--recipe", recipe_path]
         )
         assert status == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
@@ -333,11 +350,26 @@ class TestSweepCommand:
         ) == 2
 
     def test_phase_sweep_of_cnot_rejected(self, tmp_path):
+        # The recipe owns the rule, so the grid-end check names the point.
         recipe_path = write_recipe(tmp_path / "r.json", cnot())
-        assert main(
+        assert run_captured(
             ["sweep", "--param", "phase", "--from", "0", "--to", "1",
              "--points", "3", "--recipe", recipe_path]
-        ) == 2
+        ) == (2, "", "error: invalid sweep point 1.0: a CNOT recipe takes no phase, got 1.0\n")
+
+    def test_phase_sweep_of_cnot_at_zero_runs(self, tmp_path):
+        recipe_path = write_recipe(tmp_path / "r.json", cnot())
+        status, out, err = run_captured(
+            ["sweep", "--param", "phase", "--from", "0", "--to", "0",
+             "--points", "2", "--recipe", recipe_path]
+        )
+        assert (status, err) == (0, "")
+        assert [row[0] for row in csv_rows(out)[1:]] == [0.0, 0.0]
+
+    def test_steps_is_not_an_option(self):
+        # Only gate and holonomy run the projector chain that --steps sets.
+        argv = sweep_argv("-0.1", "0.1", 3) + ["--steps", "512"]
+        assert run_captured(argv) == (2, "", "error: unrecognized arguments: --steps 512\n")
 
     def test_detuning_below_minus_one_rejected(self, tmp_path):
         recipe_path = write_recipe(tmp_path / "r.json", xz(0.0))
@@ -349,8 +381,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize("start", NEGATIVE_STARTS)
     def test_spaced_negative_value_parses_as_joined(self, start):
         # argparse reads a spaced "-1e-3" or "-inf" as an option name.
-        spaced = run_captured(sweep_argv(start, "0.1", 2, "64"))
-        joined = sweep_argv(start, "0.1", 2, "64")
+        spaced = run_captured(sweep_argv(start, "0.1", 2))
+        joined = sweep_argv(start, "0.1", 2)
         joined[3:5] = [f"--from={start}"]
         assert spaced == run_captured(joined)
         assert (spaced[0], spaced[2]) == NEGATIVE_STARTS[start]
@@ -359,9 +391,9 @@ class TestSweepCommand:
     def test_spaced_negative_value_after_a_prefix_parses_as_joined(self, spelling):
         option, value = spelling.split()
         at = 3 if "--from".startswith(option) else 5
-        spaced = sweep_argv("-0.1", "0.1", 2, "64")
+        spaced = sweep_argv("-0.1", "0.1", 2)
         spaced[at:at + 2] = [option, value]
-        joined = sweep_argv("-0.1", "0.1", 2, "64")
+        joined = sweep_argv("-0.1", "0.1", 2)
         joined[at:at + 2] = [f"{option}={value}"]
         status, out, err = run_captured(spaced)
         assert (status, out, err) == run_captured(joined)
@@ -423,10 +455,10 @@ def noise_argv(distribution=None, **changes):
     return ["noise", "--recipe", json.dumps(XZ), "--ensemble", json.dumps(ensemble)]
 
 
-def sweep_argv(start, stop, points, steps, param="pulse_area_detuning"):
+def sweep_argv(start, stop, points, param="pulse_area_detuning"):
     return [
         "sweep", "--param", param, "--from", start, "--to", stop,
-        "--points", str(points), "--recipe", json.dumps(XZ), "--steps", steps,
+        "--points", str(points), "--recipe", json.dumps(XZ),
     ]
 
 
@@ -436,6 +468,11 @@ LOGICAL_BASIS = basis_to_json(dfs_product_basis([1], "01"))
 def basis_argv(**changes):
     basis = json.dumps({**LOGICAL_BASIS, **changes})
     return ["holonomy", "--recipe", json.dumps(XZ), "--basis", basis, "--steps", "64"]
+
+
+# A 64-dimensional basis, the logical basis of block 2, for the
+# 8-dimensional register of the one-block XZ recipe.
+BASIS_64_ARGV = basis_argv(**basis_to_json(dfs_product_basis([2], "01")))
 
 
 def gaussian(**params):
@@ -471,13 +508,17 @@ BAD_INPUT = {
     "kind-int": (gate_argv(kind=1), None),
     "nogo-seed-negative": (["nogo", "--trials", "3", "--seed", "-1"], None),
     "nogo-trials-0": (["nogo", "--trials", "0"], None),
-    "sweep-phase-from-inf": (sweep_argv("inf", "0.1", 3, "64", param="phase"), None),
-    "sweep-detuning-from-nan": (sweep_argv("nan", "0.1", 3, "64"), None),
-    "sweep-detuning-to-1e308": (sweep_argv("-0.1", "1e308", 3, "64"), None),
-    "sweep-steps-exact-point": (sweep_argv("-0.1", "0.1", 3, "4"), None),
-    "sweep-steps-all-detuned": (sweep_argv("-0.1", "0.1", 2, "4"), None),
-    "sweep-steps-negative": (sweep_argv("-0.1", "0.1", 3, "-5"), None),
-    "sweep-steps-over-max": (sweep_argv("-0.1", "0.1", 3, str(MAX_CHAIN_STEPS + 1)), None),
+    "sweep-phase-from-inf": (sweep_argv("inf", "0.1", 3, param="phase"), None),
+    "sweep-detuning-from-nan": (sweep_argv("nan", "0.1", 3), None),
+    "sweep-detuning-to-1e308": (sweep_argv("-0.1", "1e308", 3), None),
+    # A sweep runs no projector chain and takes no --steps.
+    "sweep-steps-exact-point": (sweep_argv("-0.1", "0.1", 3) + ["--steps", "4"], None),
+    "sweep-steps-all-detuned": (sweep_argv("-0.1", "0.1", 2) + ["--steps", "4"], None),
+    "sweep-steps-negative": (sweep_argv("-0.1", "0.1", 3) + ["--steps", "-5"], None),
+    "sweep-steps-over-max": (
+        sweep_argv("-0.1", "0.1", 3) + ["--steps", str(MAX_CHAIN_STEPS + 1)],
+        None,
+    ),
     "gate-steps-over-max": (gate_argv() + ["--steps", str(MAX_CHAIN_STEPS + 1)], None),
     "holonomy-steps-1e15": (basis_argv() + ["--steps", str(10 ** 15)], None),
     "holonomy-steps-1e18": (basis_argv() + ["--steps", str(10 ** 18)], None),
@@ -490,15 +531,9 @@ BAD_INPUT = {
         ),
         None,
     ),
-    "basis-labels-int": (basis_argv(labels=[0, 1]), None),
-    "basis-dim-ambient-64": (basis_argv(dim_ambient=64), None),
-    "basis-dim-ambient-string": (basis_argv(dim_ambient="3"), None),
-    "basis-2-vectors-1-label": (basis_argv(labels=["0"]), None),
+    "basis-dim-ambient-64": (BASIS_64_ARGV, None),
     "basis-9-vectors-in-8-dims": (
-        basis_argv(
-            vectors=[[[float(i == j), 0.0] for i in range(8)] for j in [*range(8), 0]],
-            labels=list("012345678"),
-        ),
+        basis_argv(vectors=[[[float(i == j), 0.0] for i in range(8)] for j in [*range(8), 0]]),
         None,
     ),
     "tolerance-scale-nan": (gate_argv(), "nan"),
@@ -534,13 +569,13 @@ RECORD_RULES = {
         gate_argv(kind="CNOT", blocks=[2, 2]),
         "GateRecipe: CNOT control and target blocks must differ",
     ),
+    "cnot-phase": (
+        gate_argv(kind="CNOT", blocks=[1, 2], phase=0.7),
+        "GateRecipe: a CNOT recipe takes no phase, got 0.7",
+    ),
     "block-0": (gate_argv(blocks=[0]), "GateRecipe: block indices must be >= 1, got (0,)"),
     "kick-count-negative": (noise_argv(kick_count=-1), "NoiseEnsemble: kick_count must be >= 0"),
     "samples-0": (noise_argv(samples=0), "NoiseEnsemble: samples must be >= 1"),
-    "basis-labels-repeated": (
-        basis_argv(labels=["a", "a"]),
-        "BasisSet: labels must be unique, got ('a', 'a')",
-    ),
     "basis-vectors-equal": (
         basis_argv(vectors=[LOGICAL_BASIS["vectors"][0]] * 2),
         "BasisSet: basis is not orthonormal: ||G - I||_F = 1.414e+00",
@@ -566,15 +601,15 @@ OVER_BUDGET = {
 PARSER_FAILURES = {
     "gate-without-recipe": (["gate"], "--recipe"),
     "steps-abc": (gate_argv()[:3] + ["--steps", "abc"], "--steps"),
-    "param-bad": (sweep_argv("0", "0.1", 2, "64", param="bad"), "--param"),
+    "param-bad": (sweep_argv("0", "0.1", 2, param="bad"), "--param"),
     "unknown-option": (gate_argv() + ["--bogus", "1"], "--bogus"),
-    "to-without-value": (sweep_argv("0", "0.1", 2, "64")[:5] + ["--to"], "--to"),
+    "to-without-value": (sweep_argv("0", "0.1", 2)[:5] + ["--to"], "--to"),
 }
-# Each command that takes --steps, on an XZ recipe.
+# Each command given --steps, on an XZ recipe.
 STEPS_ARGV = {
     "gate": ["gate", "--recipe", json.dumps(XZ)],
     "holonomy": ["holonomy", "--recipe", json.dumps(XZ)],
-    "sweep": sweep_argv("-0.1", "0.1", 3, "64")[:-2],
+    "sweep": sweep_argv("-0.1", "0.1", 3),
 }
 # Files whose JSON is not an object, so no field can be read from them.
 NON_OBJECTS = {"list": b"[1, 2]", "int": b"42", "null": b"null", "string": b'"XZ"'}
@@ -702,8 +737,10 @@ class TestBadInputExits2:
 
         monkeypatch.setattr(model, "exchange_term", refuse)
         status, out, err = run_captured(STEPS_ARGV[command] + ["--steps", str(steps)])
-        assert (status, out) == (2, "")
-        assert err == f"error: steps must be in [8, {MAX_CHAIN_STEPS}], got {steps}\n"
+        line = f"steps must be in [8, {MAX_CHAIN_STEPS}], got {steps}"
+        if command == "sweep":  # a sweep runs no projector chain and takes no --steps
+            line = f"unrecognized arguments: --steps {steps}"
+        assert (status, out, err) == (2, "", f"error: {line}\n")
 
     @pytest.mark.parametrize("argv", OVER_BUDGET.values(), ids=OVER_BUDGET.keys())
     def test_register_over_budget_exits_2_before_any_hamiltonian(self, argv, monkeypatch):
@@ -768,9 +805,7 @@ class TestExitStatusContract:
         from hqcdfs import noise
 
         def split(blocks, states):
-            return BasisSet(
-                np.column_stack([bitstring_state("010"), bitstring_state("011")]), ("0L", "1L")
-            )
+            return BasisSet(np.column_stack([bitstring_state("010"), bitstring_state("011")]))
 
         monkeypatch.setattr(noise, "dfs_product_basis", split)
         status, out, err = run_captured(noise_argv())
@@ -1059,33 +1094,38 @@ class TestPinnedNoGoReports:
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_NOGO_SHA256[seed, trials]
 
 
-# One ``hqcdfs sweep`` per parameter, five points at the default chain steps;
-# stdout pinned byte for byte as csv.writer printed it.
+# Five-point ``hqcdfs sweep`` runs, (param, recipe, from, to) each; stdout
+# pinned byte for byte as csv.writer printed it. Flipping the sign of R^y
+# maps an XZ phase phi to -phi, which changes the gate by a global phase
+# only at multiples of pi/2: the points of the quarter-period grid. The
+# off-quarter grid is the one that reads that sign.
 PINNED_SWEEPS = {
-    "phase": (PINNED_RECIPES["XZ"], "0", "6.283185307179586"),
-    "pulse_area_detuning": (PINNED_RECIPES["CNOT"], "-0.05", "0.05"),
+    "phase": ("phase", PINNED_RECIPES["XZ"], "0", "6.283185307179586"),
+    "pulse_area_detuning": ("pulse_area_detuning", PINNED_RECIPES["CNOT"], "-0.05", "0.05"),
+    "phase-off-quarter": ("phase", PINNED_RECIPES["XZ"], "0.3", "2.5"),
 }
 PINNED_SWEEP_SHA256 = {
     "phase": "edb5e8c2c58a2cba8a1354c026d3ca5891207a868123c3fedc8822e809c0ced4",
     "pulse_area_detuning": "a334e6cbfbe22213946ebed241109fbec3ad8efe6a5eb4e8102b615f3b018885",
+    "phase-off-quarter": "af1f67cd385a90fab45b651534420e2ec2fba317ca1ba107dd8d42ce5a0e7c30",
 }
 
 
 class TestPinnedSweepReports:
-    @pytest.mark.parametrize("param", PINNED_SWEEP_SHA256)
-    def test_stdout_bytes(self, param, monkeypatch):
+    @pytest.mark.parametrize("name", PINNED_SWEEP_SHA256)
+    def test_stdout_bytes(self, name, monkeypatch):
         monkeypatch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
-        recipe, start, stop = PINNED_SWEEPS[param]
+        param, recipe, start, stop = PINNED_SWEEPS[name]
         argv = ["sweep", "--param", param, "--from", start, "--to", stop, "--points", "5"]
         status, out, _ = run_captured(argv + ["--recipe", json.dumps(recipe.to_json_dict())])
         assert status == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP_SHA256[param]
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP_SHA256[name]
 
-    @pytest.mark.parametrize("param", PINNED_SWEEP_SHA256)
-    def test_rows_match_the_oracles(self, param):
+    @pytest.mark.parametrize("name", PINNED_SWEEP_SHA256)
+    def test_rows_match_the_oracles(self, name):
         # Each point rebuilt from the test oracles, each value on the same
         # side of its tolerance as the oracle's.
-        recipe, start, stop = PINNED_SWEEPS[param]
+        param, recipe, start, stop = PINNED_SWEEPS[name]
         argv = ["sweep", "--param", param, "--from", start, "--to", stop, "--points", "5"]
         status, out, _ = run_captured(argv + ["--recipe", json.dumps(recipe.to_json_dict())])
         assert status == 0
@@ -1223,10 +1263,10 @@ ENTRY_CASES = {
     "gate": (gate_argv(), None, 0),
     "holonomy": (basis_argv(), None, 0),
     "noise-csv": (noise_argv() + ["--format", "csv"], None, 0),
-    "sweep": (sweep_argv("-0.1", "0.1", 3, "64"), None, 0),
+    "sweep": (sweep_argv("-0.1", "0.1", 3), None, 0),
     "nogo": (["nogo", "--trials", "20", "--seed", "3"], None, 0),
     "exit-1": (gate_argv(), "1e-30", 1),
-    "exit-2": (basis_argv(dim_ambient=64), None, 2),
+    "exit-2": (BASIS_64_ARGV, None, 2),
     # Certification refuses the ancilla/logical pair, which the recipe couples.
     "exit-3": (basis_argv(**ANCILLA_PAIR_BASIS), None, 3),
 }

@@ -334,7 +334,7 @@ class TestOneSpectrumPerHamiltonian:
             np.linalg, "eigh", lambda h: diagonalized.append(np.shape(h)) or eigh(h)
         )
         argv = ["sweep", "--param", param, "--from", "-0.1", "--to", "0.1", "--points", "6"]
-        assert main(argv + ["--recipe", json.dumps(recipe.to_json_dict()), "--steps", "64"]) == 0
+        assert main(argv + ["--recipe", json.dumps(recipe.to_json_dict())]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 7
         assert diagonalized == shapes
 
@@ -377,7 +377,7 @@ class TestGateProperties:
         recipe = xz(0.85, block=2)
         u = Spectrum(recipe_hamiltonian(recipe)).propagator(recipe.duration)
         rest_0, rest_1 = (
-            restrict(u, BasisSet(*product_states([2], 2, "01", idle))) for idle in "01"
+            restrict(u, BasisSet(product_states([2], 2, "01", idle))) for idle in "01"
         )
         assert np.abs(rest_0 - rest_1).max() <= 1e-12
         assert phase_aligned_distance(rest_1, target_for(xz(0.85))) <= 1e-10

@@ -69,7 +69,7 @@ class TestTransportDefect:
         recipe = xz(0.6, strength=j)
         h = recipe_hamiltonian(recipe)
         full = dfs_product_basis([1])
-        pair = BasisSet(full.vectors[:, :2], ("a", "0L"))
+        pair = BasisSet(full.vectors[:, :2])
         assert abs(transport_defect(Spectrum(h), pair, recipe.duration) - j) < 1e-12
 
     def test_zero_hamiltonian(self):
@@ -211,7 +211,7 @@ class TestProjectorChain:
         recipe = xz(0.2)
         h = recipe_hamiltonian(recipe)
         full = dfs_product_basis([1])
-        pair = BasisSet(full.vectors[:, :2], ("a", "0L"))
+        pair = BasisSet(full.vectors[:, :2])
         with pytest.raises(ContractViolation, match="not a holonomic evolution"):
             certify(Spectrum(h), pair, recipe.duration, 64)
 
@@ -280,7 +280,7 @@ class TestHolonomyProperties:
         for _ in range(20):
             gauge = random_unitary(rng, 2)
             rotated = certify(
-                Spectrum(h), BasisSet(basis.vectors @ gauge, basis.labels), recipe.duration, 256
+                Spectrum(h), BasisSet(basis.vectors @ gauge), recipe.duration, 256
             ).holonomy_matrix
             expected = gauge.conj().T @ reference @ gauge
             assert np.abs(rotated - expected).max() <= 1e-8
@@ -305,7 +305,7 @@ class TestHolonomyProperties:
     def test_defects_invariant_under_basis_phases(self):
         recipe, h, basis = xz_setup(phi=0.25)
         phases = np.exp(1j * np.array([0.4, -1.9]))
-        rephased = BasisSet(basis.vectors * phases, basis.labels)
+        rephased = BasisSet(basis.vectors * phases)
         t = recipe.duration / 3
         spectrum = Spectrum(h)
         u = spectrum.propagator(t)

@@ -273,9 +273,7 @@ class TestSectorPropagation:
         # |0>_L on popcount 1 and |1>_L on popcount 2: a kick would shift
         # their relative phase, so F would depend on the angles.
         def split(blocks, states):
-            return BasisSet(
-                np.column_stack([bitstring_state("010"), bitstring_state("011")]), ("0L", "1L")
-            )
+            return BasisSet(np.column_stack([bitstring_state("010"), bitstring_state("011")]))
 
         monkeypatch.setattr(noise, "dfs_product_basis", split)
         with pytest.raises(ContractViolation, match="logical basis spans collective-Z values"):

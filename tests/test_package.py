@@ -1,11 +1,13 @@
 """Shape of the package itself, read from its source."""
 
+import argparse
 import ast
 import importlib
 import re
 from pathlib import Path
 
 import hqcdfs
+from hqcdfs.cli import build_parser
 
 PACKAGE = Path(hqcdfs.__file__).parent
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -133,7 +135,7 @@ def test_one_way_out():
 def test_one_decode_rule_and_one_layout_rule():
     """A record reads its input document by ``Record.from_json_dict`` and
     writes its report by ``Record.to_json_dict``. Only ``BasisSet``, whose
-    ``--basis`` document is not its fields, has its own decoder, and only
+    ``--basis`` vectors arrive as [re, im] pairs, has its own decoder, and only
     ``GateRecipe``, which echoes its input floats unrounded, its own layout."""
     defining = {"from_json_dict": [], "to_json_dict": []}
     for tree in TREES.values():
@@ -203,3 +205,24 @@ def test_values_are_checked_where_they_enter():
     raises = input_error_raises()
     assert INPUT_OWNERS <= {owner for _, owner, _ in raises}
     assert [f"{m}:{o}" for m, o, exc in raises if not owns_input(m, o, exc)] == []
+
+
+def test_cli_option_surface():
+    """Every option string of each subcommand, read from ``build_parser``
+    in declaration order: adding or removing a knob is an edit here."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: [s for action in command._actions for s in action.option_strings]
+        for name, command in sub.choices.items()
+    }
+    assert [s for action in parser._actions for s in action.option_strings] == [
+        "-h", "--help", "--version",
+    ]
+    assert surface == {
+        "gate": ["-h", "--help", "--recipe", "--steps", "--out"],
+        "holonomy": ["-h", "--help", "--recipe", "--basis", "--steps", "--out"],
+        "noise": ["-h", "--help", "--recipe", "--ensemble", "--format", "--out"],
+        "sweep": ["-h", "--help", "--param", "--from", "--to", "--points", "--recipe", "--out"],
+        "nogo": ["-h", "--help", "--trials", "--seed", "--out"],
+    }

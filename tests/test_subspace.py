@@ -32,12 +32,7 @@ class TestBasisSet:
     def test_rejects_non_orthonormal(self):
         v = np.column_stack([bitstring_state("00"), bitstring_state("00")])
         with pytest.raises(ContractViolation):
-            BasisSet(v, ("a", "b"))
-
-    def test_rejects_duplicate_labels(self):
-        v = np.column_stack([bitstring_state("00"), bitstring_state("01")])
-        with pytest.raises(ValueError):
-            BasisSet(v, ("a", "a"))
+            BasisSet(v)
 
     def test_projector_idempotent(self):
         basis = dfs_product_basis([1])
@@ -47,7 +42,6 @@ class TestBasisSet:
     def test_json_round_trip(self):
         basis = dfs_product_basis([1])
         rebuilt = BasisSet.from_json_dict(basis_to_json(basis))
-        assert rebuilt.labels == basis.labels
         assert np.allclose(rebuilt.vectors, basis.vectors)
 
 
@@ -70,9 +64,7 @@ class TestDfsBasis:
         # most significant, idle blocks in |0>_L.
         blocks, n_blocks = layout
         basis = dfs_product_basis(blocks, states)
-        vectors, labels = product_states(blocks, n_blocks, states)
-        assert np.array_equal(basis.vectors, vectors)
-        assert basis.labels == labels
+        assert np.array_equal(basis.vectors, product_states(blocks, n_blocks, states))
 
     def test_duplicate_blocks_rejected(self):
         for blocks in ((1, 1), ()):
@@ -85,9 +77,6 @@ class TestDfsBasis:
             [bitstring_state("100"), bitstring_state("010"), bitstring_state("001")]
         )
         assert np.array_equal(basis.vectors, expected)
-
-    def test_labels(self):
-        assert dfs_product_basis([1]).labels == ("a", "0", "1")
 
     def test_second_block_with_spectator(self):
         # Tensor-construction oracle: idle block 1 pinned to |0>_L = |010>.
@@ -105,15 +94,10 @@ class TestLogicalBasis:
         assert np.array_equal(
             basis.vectors, np.column_stack([bitstring_state("010"), bitstring_state("001")])
         )
-        assert basis.labels == ("0", "1")
 
     def test_two_blocks_third_element(self):
         basis = dfs_product_basis([1, 2], "01")
         assert np.array_equal(basis.vectors[:, 2], bitstring_state("001010"))  # |1>_L |0>_L
-
-    def test_two_block_labels(self):
-        basis = dfs_product_basis([1, 2], "01")
-        assert basis.labels == ("00", "01", "10", "11")
 
     def test_duplicate_blocks_rejected(self):
         with pytest.raises(ValueError):
@@ -124,9 +108,9 @@ class TestLogicalBasis:
         # basis, then the four logical states follow.
         protected = dfs_product_basis([1, 2])
         logical = dfs_product_basis([1, 2], "01")
-        labels = protected.labels[:1] + logical.labels
-        assert labels == ("aa", "00", "01", "10", "11")
-        assert np.array_equal(protected.vectors[:, 0], bitstring_state("100100"))
+        states = ("100100", "010010", "010001", "001010", "001001")
+        check = np.column_stack([protected.vectors[:, 0], logical.vectors])
+        assert np.array_equal(check, np.column_stack([bitstring_state(s) for s in states]))
 
 
 class TestRestrict:
@@ -258,6 +242,6 @@ class TestSubspaceProperties:
         for _ in range(5):
             gauge = random_unitary(rng, 3)
             full = dfs_product_basis([1])
-            basis = BasisSet(full.vectors @ gauge, full.labels)
+            basis = BasisSet(full.vectors @ gauge)
             gram = basis.vectors.conj().T @ basis.vectors
             assert np.linalg.norm(gram - np.eye(3)) <= 1e-12
