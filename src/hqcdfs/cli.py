@@ -21,12 +21,12 @@ import numpy as np
 
 from . import __version__
 from .gates import no_go_certificate, realize
-from .holonomy import DEFAULT_CHAIN_STEPS, certify, check_chain_steps
-from .model import GateRecipe, detune, recipe_hamiltonian
+from .holonomy import DEFAULT_CHAIN_STEPS, certify, check_chain_steps, cyclicity_defect, transport_defect
+from .model import GateRecipe, detune, recipe_hamiltonian, target_for
 from .noise import NoiseEnsemble, noisy_realize
-from .operators import ContractViolation, Spectrum
+from .operators import ContractViolation, Spectrum, phase_aligned_distance
 from .serialize import InputError, Record, encode_csv, encode_json, replace
-from .subspace import BasisSet, dfs_product_basis
+from .subspace import BasisSet, dfs_product_basis, restrict
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -138,6 +138,7 @@ def _run_gate(args: argparse.Namespace):
 def _run_holonomy(args: argparse.Namespace):
     recipe = _parse(GateRecipe, args.recipe)
     basis = dfs_product_basis(recipe.blocks, "01")
+    inputs = {"recipe": recipe, "steps": args.steps}
     if args.basis:
         custom = _parse(BasisSet, args.basis)
         if custom.dim_ambient != basis.dim_ambient:
@@ -145,20 +146,18 @@ def _run_holonomy(args: argparse.Namespace):
                 f"basis ambient dimension {custom.dim_ambient} does not match "
                 f"the {basis.dim_ambient}-dimensional register of this recipe"
             )
-        basis = custom
+        basis = inputs["basis"] = custom
     spectrum = Spectrum(recipe_hamiltonian(recipe))
     report = certify(spectrum, basis, recipe.duration, args.steps, reconstruct=not recipe.detuned)
-    return report, {"recipe": recipe, "steps": args.steps}, None
+    return report, inputs, None
 
 
 def _run_noise(args: argparse.Namespace):
     recipe = _parse(GateRecipe, args.recipe)
     ensemble = _parse(NoiseEnsemble, args.ensemble)
     result = noisy_realize(recipe, ensemble)
-    text = None
-    if args.format == "csv":
-        text = encode_csv("sample,fidelity", range(ensemble.samples), result.per_sample)
-    return result, {"recipe": recipe, "ensemble": ensemble}, text
+    table = ("sample,fidelity", range(ensemble.samples), result.per_sample)
+    return result, {"recipe": recipe, "ensemble": ensemble}, table if args.format == "csv" else None
 
 
 def _run_sweep(args: argparse.Namespace):
@@ -184,16 +183,18 @@ def _run_sweep(args: argparse.Namespace):
     # valid ends make every point valid.
     point(0)
     point(points - 1)
+    logical = dfs_product_basis(template.blocks, "01")
     # ``detune`` changes only the duration: every point shares one spectrum.
-    spectrum = Spectrum(recipe_hamiltonian(template)) if param == "pulse_area_detuning" else None
-
+    shared = Spectrum(recipe_hamiltonian(template)) if param == "pulse_area_detuning" else None
     rows = []
     for i in range(points):
         value, recipe = point(i)
-        realization = realize(recipe, spectrum=spectrum)
-        hol = realization.holonomy
-        rows.append((value, realization.distance, hol.cyclicity_defect, hol.transport_defect))
-    return None, {}, encode_csv("parameter,distance,cyclicity_defect,transport_defect", *zip(*rows))
+        spectrum = shared or Spectrum(recipe_hamiltonian(recipe))
+        u = spectrum.propagator(recipe.duration)
+        distance = phase_aligned_distance(restrict(u, logical), target_for(recipe))
+        transport = transport_defect(spectrum, logical, recipe.duration)
+        rows.append((value, distance, cyclicity_defect(u, logical), transport))
+    return None, {}, ("parameter,distance,cyclicity_defect,transport_defect", *zip(*rows))
 
 
 def _run_nogo(args: argparse.Namespace):
@@ -201,8 +202,8 @@ def _run_nogo(args: argparse.Namespace):
     return report, {"trials": args.trials, "seed": args.seed}, None
 
 
-# Each runner returns (report, inputs, text): the report to check, the inputs
-# the JSON envelope echoes, and the CSV chunks, or None to write the envelope.
+# Each runner returns (report, inputs, table): the report to check, the inputs
+# the JSON envelope echoes, and the CSV header and columns, or None for JSON.
 _RUNNERS = {
     "gate": _run_gate,
     "holonomy": _run_holonomy,
@@ -298,10 +299,10 @@ def main(argv: list[str] | None = None) -> int:
         if "steps" in args:
             check_chain_steps(args.steps)
         scale = tolerance_scale()
-        report, inputs, text = _RUNNERS[args.command](args)
+        report, inputs, table = _RUNNERS[args.command](args)
         detuned = "recipe" in inputs and inputs["recipe"].detuned
         violations = [] if detuned else _violations(args.command, report, scale)
-        if text is None:
+        if table is None:
             doc = {
                 "tool": {"name": "hqcdfs", "version": __version__},
                 "command": args.command,
@@ -310,10 +311,10 @@ def main(argv: list[str] | None = None) -> int:
                 "report": report.to_json_dict(),
                 "violations": violations,
             }
-            try:
-                text = encode_json(doc) + ["\n"]
-            except ValueError as exc:
-                raise ContractViolation(f"report holds a non-finite number: {exc}") from exc
+        try:
+            text = encode_json(doc) + ["\n"] if table is None else encode_csv(*table)
+        except ValueError as exc:
+            raise ContractViolation(f"report holds a non-finite number: {exc}") from exc
         _emit(args.out, text)
         return EXIT_VIOLATIONS if violations else EXIT_OK
     except InputError as exc:

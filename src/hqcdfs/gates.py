@@ -38,22 +38,15 @@ class GateRealization(Record):
     holonomy: HolonomyReport
 
 
-def realize(
-    recipe: GateRecipe,
-    steps: int = DEFAULT_CHAIN_STEPS,
-    spectrum: Spectrum | None = None,
-) -> GateRealization:
+def realize(recipe: GateRecipe, steps: int = DEFAULT_CHAIN_STEPS) -> GateRealization:
     """Recipe -> propagator -> restriction -> certification -> comparison.
 
     The register holds ``max(recipe.blocks)`` blocks, those the recipe does
-    not name idle in |0>_L. A given ``spectrum`` is that of the recipe's
-    Hamiltonian, shared by recipes differing only in duration. Detuned
-    recipes are reported, not rejected: the holonomy preconditions genuinely
-    fail off the pulse-area condition, so their report carries the
-    condition defects without a reconstruction.
+    not name idle in |0>_L. Detuned recipes are reported, not rejected: the
+    holonomy preconditions genuinely fail off the pulse-area condition, so
+    their report carries the condition defects without a reconstruction.
     """
-    if spectrum is None:
-        spectrum = Spectrum(recipe_hamiltonian(recipe))
+    spectrum = Spectrum(recipe_hamiltonian(recipe))
     propagator = spectrum.propagator(recipe.duration)
 
     protected = dfs_product_basis(recipe.blocks)

@@ -176,6 +176,13 @@ def _rounded_reprs(values: np.ndarray) -> list[str]:
     ]
 
 
+def _finite(text: str) -> str:
+    """Formatted numbers ``text``, unless a NaN or an infinity is among them."""
+    if "n" in text:  # only "nan", "inf" and "-inf" put an "n" in formatted numbers
+        raise ValueError(_NON_FINITE + next(t for t in text.replace(",", " ").split() if "n" in t))
+    return text
+
+
 def _encode_block(shape: list[int], leaves: np.ndarray, level: int, out: list) -> None:
     """Append the layout of a float64 array, formatting whole rows at a
     time and writing each float as ``round_sig`` of it."""
@@ -187,10 +194,7 @@ def _encode_block(shape: list[int], leaves: np.ndarray, level: int, out: list) -
     for start in range(0, shape[0], rows):
         count = min(rows, shape[0] - start)
         part = leaves[start * per_row:(start + count) * per_row]
-        text = ("," + inner).join([row] * count) % tuple(_rounded_reprs(part))
-        if "n" in text:  # only nan and inf put an "n" in a float block
-            bad = next(x for x in part if not math.isfinite(x))
-            raise ValueError(_NON_FINITE + repr(float(bad)))
+        text = _finite(("," + inner).join([row] * count) % tuple(_rounded_reprs(part)))
         out.append(text if start == 0 else "," + inner + text)
     out.append("\n" + "  " * level + "]")
 
@@ -207,9 +211,7 @@ def _encode(o, level: int, out: list) -> None:
     elif isinstance(o, int):
         out.append(int.__repr__(o))
     elif isinstance(o, float):
-        if not math.isfinite(o):
-            raise ValueError(_NON_FINITE + repr(o))
-        out.append(float.__repr__(o))
+        out.append(_finite(float.__repr__(o)))
     elif isinstance(o, np.ndarray) and o.size:
         _encode_block(list(o.shape), o.ravel(), level, out)
     elif isinstance(o, (list, tuple, dict)):
@@ -252,10 +254,10 @@ def encode_csv(header: str, *columns) -> list[str]:
     """Chunks of the text ``csv.writer`` makes, nothing quoted and "\r\n"
     after each row: ``header``, then row i of the equal-length ``columns``
     to SIG_DIGITS significant digits, FORMAT_CHUNK rows per chunk so that
-    the text is held once."""
+    the text is held once; a NaN or an infinity raises as in ``encode_json``."""
     line = ",".join([f"%.{SIG_DIGITS}g"] * len(columns)) + "\r\n"
     out = [header + "\r\n"]
     for start in range(0, len(columns[0]), FORMAT_CHUNK):
         rows = zip(*(np.asarray(c[start:start + FORMAT_CHUNK]).tolist() for c in columns))
-        out.append("".join(line % row for row in rows))
+        out.append(_finite("".join(line % row for row in rows)))
     return out

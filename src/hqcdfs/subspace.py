@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .operators import ContractViolation, as_complex_matrix, dagger
-from .serialize import Record, as_float
+from .serialize import Record, as_float, matrix_to_json
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -58,6 +58,10 @@ class BasisSet(Record):
             for column in data["vectors"]
         ]
         return cls(np.column_stack(cols))
+
+    def to_json_dict(self) -> dict:
+        """The ``--basis`` document that ``from_json_dict`` reads back."""
+        return {"vectors": matrix_to_json(self.vectors.T)}
 
 
 # Bit pattern of each single-block state on its three qubits, qubit 1 = MSB.

@@ -181,6 +181,15 @@ class TestHolonomyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["report"]["transport_defect"] <= 1e-12
 
+    def test_basis_is_echoed_as_its_document(self):
+        status, out, _ = run_captured(basis_argv())
+        assert status == 0
+        echo = json.loads(out)["input"]
+        assert list(echo) == ["recipe", "steps", "basis"]
+        assert echo["basis"] == LOGICAL_BASIS
+        # Read back as --basis, the echo gives the same stdout, byte for byte.
+        assert run_captured(basis_argv(**echo["basis"])) == (status, out, "")
+
     @pytest.mark.parametrize("extra", BASIS_EXTRA_KEYS.values(), ids=BASIS_EXTRA_KEYS.keys())
     def test_basis_keys_beside_vectors_are_ignored(self, extra):
         vectors_only = run_captured(basis_argv())
@@ -707,12 +716,13 @@ class TestBadInputExits2:
 
     @pytest.mark.parametrize("row", BAD_SWEEP_GRIDS)
     def test_bad_sweep_grid_exits_2_before_any_point(self, row, capsys, monkeypatch):
-        from hqcdfs import cli
+        from hqcdfs import model
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a sweep point was realized before the grid was checked")
+            raise AssertionError("a Hamiltonian was built before the grid was checked")
 
-        monkeypatch.setattr(cli, "realize", refuse)
+        # Every recipe Hamiltonian is a sum of exchange terms.
+        monkeypatch.setattr(model, "exchange_term", refuse)
         assert main(BAD_INPUT[row][0]) == 2
         assert capsys.readouterr().err == f"error: {BAD_SWEEP_GRIDS[row]}\n"
 
@@ -864,6 +874,19 @@ class TestReportEnvelope:
         assert status == 3
         assert out == ""
         assert err.startswith("contract violation: report holds a non-finite number")
+
+    def test_non_finite_csv_writes_nothing(self, monkeypatch):
+        # The same exit status and stderr line as the JSON report's.
+        from hqcdfs import cli
+        from hqcdfs.noise import NoisyGateResult
+
+        per_sample = (1.0,) * 50 + (float("nan"),)
+        result = NoisyGateResult(float("nan"), float("nan"), per_sample)
+        monkeypatch.setattr(cli, "noisy_realize", lambda recipe, ensemble: result)
+        argv = noise_argv(samples=len(per_sample))
+        status, out, err = run_captured(argv)
+        assert (status, out) == (3, "") and err.count("\n") == 1
+        assert run_captured(argv + ["--format", "csv"]) == (status, out, err)
 
 
 # ``hqcdfs noise`` cases whose stdout is pinned byte for byte: exact and
@@ -1136,6 +1159,38 @@ class TestPinnedSweepReports:
         for row, oracle in zip(rows[1:], expected[1:]):
             for name, value, rebuilt in zip(names, row[1:], oracle[1:]):
                 assert (value <= TOLERANCES[name]) == (rebuilt <= TOLERANCES[name]), (row[0], name)
+
+
+@st.composite
+def drawn_sweeps(draw):
+    """An XZ or ZX recipe and a sweep of 2 to 4 points over its phase,
+    with ends within 1 of it, or over a detuning in [-0.5, 0.5]."""
+    factory = draw(st.sampled_from([xz, zx]))
+    recipe = factory(draw(st.floats(-7.0, 7.0)), draw(st.floats(0.2, 5.0)))
+    param = draw(st.sampled_from(["phase", "pulse_area_detuning"]))
+    center, reach = (recipe.phase, 1.0) if param == "phase" else (0.0, 0.5)
+    start, stop = (center + draw(st.floats(-reach, reach)) for _ in range(2))
+    return recipe, (param, start, stop, draw(st.integers(2, 4)))
+
+
+class TestDrawnSweepReports:
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(drawn_sweeps())
+    def test_rows_match_the_oracles(self, case):
+        # Each float within max(1, |x|) * 1e-11: a row prints 12 significant
+        # digits, so the rounding of a value above 1 grows with it.
+        recipe, grid = case
+        param, start, stop, points = grid
+        argv = ["sweep", "--param", param, "--from", repr(start), "--to", repr(stop)]
+        argv += ["--points", str(points), "--recipe", json.dumps(recipe.to_json_dict())]
+        status, out, err = run_captured(argv)
+        assert (status, err) == (0, "")
+        rows = csv_rows(out)
+        expected = report_from_oracles("sweep", recipe, grid=grid)
+        assert rows[0] == expected[0] and len(rows) == len(expected)
+        for row, oracle in zip(rows[1:], expected[1:]):
+            for name, value, rebuilt in zip(expected[0], row, oracle):
+                assert abs(value - rebuilt) <= max(1.0, abs(rebuilt)) * 1e-11, (row[0], name)
 
 
 # Wrong values a field of the JSON input may take instead of a valid one:

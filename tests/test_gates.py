@@ -283,6 +283,16 @@ class TestNoGoDraws:
         assert max(requests) <= _NO_GO_WORDS * _NO_GO_CHUNK == 10 * _NO_GO_CHUNK
 
 
+# Six-point sweeps from -0.1 to 0.1: an XZ phase sweep, whose points each
+# have their own Hamiltonian, and a CNOT detuning sweep, whose points share one.
+SWEEPS = {"phase-XZ": ("phase", xz(0.4)), "detuning-CNOT": ("pulse_area_detuning", cnot())}
+
+
+def sweep_argv(param, recipe):
+    argv = ["sweep", "--param", param, "--from", "-0.1", "--to", "0.1", "--points", "6"]
+    return argv + ["--recipe", json.dumps(recipe.to_json_dict())]
+
+
 class TestOneSpectrumPerHamiltonian:
     """Each Hamiltonian is diagonalized once, whatever consumes its spectrum."""
 
@@ -337,6 +347,45 @@ class TestOneSpectrumPerHamiltonian:
         assert main(argv + ["--recipe", json.dumps(recipe.to_json_dict())]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 7
         assert diagonalized == shapes
+
+    @pytest.mark.parametrize("param, recipe", SWEEPS.values(), ids=SWEEPS.keys())
+    def test_one_propagator_per_sweep_point(self, param, recipe, monkeypatch, capsys):
+        # U(tau) at each point's duration serves its distance and its
+        # cyclicity defect; a sweep runs no chain, so no link U(-tau / steps).
+        from hqcdfs.cli import main
+
+        times = []
+        propagator = Spectrum.propagator
+        monkeypatch.setattr(
+            Spectrum, "propagator", lambda self, t: times.append(t) or propagator(self, t)
+        )
+        assert main(sweep_argv(param, recipe)) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 7
+        if param == "phase":
+            durations = [recipe.duration] * 6
+        else:
+            durations = [recipe.duration * (1.0 + v) for v in np.linspace(-0.1, 0.1, 6)]
+        assert times == pytest.approx(durations, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("param, recipe", SWEEPS.values(), ids=SWEEPS.keys())
+    def test_one_logical_basis_per_sweep(self, param, recipe, monkeypatch):
+        # Every point restricts to the same logical basis, built once; no
+        # other basis is built.
+        import sys
+
+        from hqcdfs.cli import main
+
+        built = []
+
+        def counting(blocks, states="a01"):
+            built.append(states)
+            return dfs_product_basis(blocks, states)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hqcdfs") and hasattr(module, "dfs_product_basis"):
+                monkeypatch.setattr(module, "dfs_product_basis", counting)
+        assert main(sweep_argv(param, recipe)) == 0
+        assert built == ["01"]
 
     @pytest.mark.parametrize(
         "recipe",

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib
+import math
 import re
 from pathlib import Path
 
@@ -67,6 +68,63 @@ def test_every_public_method_has_a_caller_in_the_package():
         if method not in named and not overrides(module, cls, method)
     ]
     assert uncalled == []
+
+
+def passes(call: ast.Call, name: str, index: int) -> bool:
+    """Whether ``call`` gives the parameter ``name``, at position ``index``
+    of its call, by keyword or by position; a ``*`` or ``**`` argument may
+    give any."""
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    keywords = [kw.arg for kw in call.keywords]
+    return starred or None in keywords or name in keywords or index < len(call.args)
+
+
+# Defaulted parameters that no package call sets: ``cli.main``'s ``argv``
+# is the in-process test entry, and the console script passes none.
+UNSET_DEFAULTS = ["cli.py:main(argv)"]
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    """Each defaulted parameter of a public function or method is passed at
+    some call site in ``src/hqcdfs``: a knob that the package never sets
+    belongs to the tests, or nowhere."""
+    calls = [
+        node
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+    unset = []
+    for module, tree in TREES.items():
+        functions = [(node, False) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += [
+            (node, not any(ast.unparse(d) == "staticmethod" for d in node.decorator_list))
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+        ]
+        for func, bound in functions:
+            if func.name.startswith("_"):
+                continue
+            positional = func.args.posonlyargs + func.args.args
+            named = [(arg.arg, i - bound) for i, arg in enumerate(positional)]
+            defaulted = named[len(named) - len(func.args.defaults):] if func.args.defaults else []
+            defaulted += [
+                (arg.arg, math.inf)
+                for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults)
+                if default is not None
+            ]
+            to_func = [
+                call for call in calls
+                if func.name == getattr(call.func, "id", getattr(call.func, "attr", None))
+            ]
+            unset += [
+                f"{module}:{func.name}({name})"
+                for name, index in defaulted
+                if not any(passes(call, name, index) for call in to_func)
+            ]
+    assert unset == UNSET_DEFAULTS
 
 
 def test_no_function_local_package_imports():
@@ -135,8 +193,10 @@ def test_one_way_out():
 def test_one_decode_rule_and_one_layout_rule():
     """A record reads its input document by ``Record.from_json_dict`` and
     writes its report by ``Record.to_json_dict``. Only ``BasisSet``, whose
-    ``--basis`` vectors arrive as [re, im] pairs, has its own decoder, and only
-    ``GateRecipe``, which echoes its input floats unrounded, its own layout."""
+    ``--basis`` vectors arrive as columns of [re, im] pairs, has its own
+    decoder, and its own layout, which echoes them as they arrived; and only
+    ``GateRecipe``, which echoes its input floats unrounded, has its own
+    layout too."""
     defining = {"from_json_dict": [], "to_json_dict": []}
     for tree in TREES.values():
         for cls in ast.walk(tree):
@@ -145,7 +205,7 @@ def test_one_decode_rule_and_one_layout_rule():
                     if isinstance(node, ast.FunctionDef) and node.name in defining:
                         defining[node.name].append(cls.name)
     assert sorted(defining["from_json_dict"]) == ["BasisSet", "Record"]
-    assert sorted(defining["to_json_dict"]) == ["GateRecipe", "Record"]
+    assert sorted(defining["to_json_dict"]) == ["BasisSet", "GateRecipe", "Record"]
 
 
 # Input rules may fail only where a value enters the program: anywhere in

@@ -14,7 +14,7 @@ from hqcdfs import serialize
 from hqcdfs.gates import no_go_certificate, realize
 from hqcdfs.model import PULSE_AREAS, GateRecipe, detune
 from hqcdfs.noise import NoiseEnsemble, NoisyGateResult
-from hqcdfs.serialize import Record, matrix_to_json, replace, round_sig
+from hqcdfs.serialize import Record, encode_csv, matrix_to_json, replace, round_sig
 from hqcdfs.serialize import encode_json as encode_chunks
 
 from gate_tools import cnot, xz
@@ -151,6 +151,15 @@ class TestBulkRounding:
         array[-1] = bad
         with pytest.raises(ValueError, match=f"compliant: {bad!r}"):
             encode_json({"per_sample": array})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", [0, 2500], ids=["first-chunk", "late-chunk"])
+    def test_non_finite_csv_row_raises(self, bad, row):
+        # As in JSON, with the same message; the header is not checked.
+        column = np.full(2501, 0.25)
+        column[row] = bad
+        with pytest.raises(ValueError, match=f"compliant: {bad!r}$"):
+            encode_csv("sample,nonfinite", range(len(column)), column)
 
 
 def as_rounded_lists(doc):
