@@ -103,7 +103,7 @@ class NoGoReport(Record):
 _DFS, _OUTSIDE_DFS = slice(1, 3), [0, 3]
 
 NO_GO_TOL = 1e-10
-# Evolution times sampled per no-go trial, and the trials stacked per chunk.
+# Evolution times sampled per no-go trial, and the trials batched per chunk.
 # Memory stays flat whatever the trial count; 128- to 512-trial chunks saved
 # at most about 1 ms of a 500-trial call and raised its peak RSS from 37.4
 # to 38.2-40.3 MB.
@@ -173,7 +173,7 @@ def no_go_certificate(trials: int, seed: int) -> NoGoReport:
     with unit XY coupling, whose restricted Hamiltonian is exactly sigma_x.
 
     The trials arrive from ``_no_go_draws`` in chunks of at most
-    ``_NO_GO_CHUNK``: one stacked ``Spectrum`` and one stacked propagator
+    ``_NO_GO_CHUNK``: one batched ``Spectrum`` and one batched propagator
     call per chunk, with every check an array reduction, so memory stays
     the same whatever the trial count. A trial count below 1 raises
     InputError here, and a negative seed when the PCG64 reader reads it.

@@ -119,16 +119,16 @@ def certify(
     refuses to reconstruct (ContractViolation) when conditions (i) or (ii)
     fail; their defects are never assumed away. The chained overlap matrix
     is unitarized by polar decomposition, which raises ContractViolation
-    instead of silently regularizing a rank-deficient chain.
+    instead of silently regularizing a rank-deficient chain. ``steps`` is
+    taken as given: ``cli.main`` checks it where it enters.
     """
-    check_chain_steps(steps)
     if propagator is None:
         propagator = spectrum.propagator(tau)
     cyc = cyclicity_defect(propagator, basis)
     tra = transport_defect(spectrum, basis, tau)
     if not reconstruct:
         return HolonomyReport(cyc, tra, None, None, None, steps, tau)
-    if cyc > PRECONDITION_TOL or tra > PRECONDITION_TOL:
+    if not cyc <= PRECONDITION_TOL or not tra <= PRECONDITION_TOL:
         raise ContractViolation(
             f"not a holonomic evolution on this subspace: cyclicity defect "
             f"{cyc:.3e}, transport defect {tra:.3e} (tolerance {PRECONDITION_TOL:.0e})"

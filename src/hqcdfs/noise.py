@@ -106,7 +106,7 @@ def noisy_realize(recipe: GateRecipe, ensemble: NoiseEnsemble) -> NoisyGateResul
         )
     sector = z_diag == z_logical[0]
     leak = np.abs(h[np.not_equal.outer(sector, sector)]).max(initial=0.0)
-    if leak > ALGEBRA_TOL:
+    if not leak <= ALGEBRA_TOL:
         raise ContractViolation(f"Hamiltonian couples the collective-Z sector out by {leak:.3e}")
     target = target_for(recipe)
     restricted = restrict(Spectrum(h).propagator(recipe.duration), basis)

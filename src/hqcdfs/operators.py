@@ -4,7 +4,8 @@ All operators are plain ``numpy.ndarray`` values of dtype complex128,
 checked where they are made: ``Spectrum`` checks its generator Hermitian
 and each propagator unitary, ``subspace.BasisSet`` its vectors orthonormal,
 each raising :class:`ContractViolation`, and their consumers trust them and
-check no shapes. The register's size is bounded once, by ``model.GateRecipe``,
+check no shapes. Every check is written so that a NaN fails it, so no entry
+is scanned for one. The register's size is bounded once, by ``model.GateRecipe``,
 before any operator on it is built. Basis-state indexing convention, fixed
 package-wide: qubit 1 is the most significant bit of the computational-basis
 index, so for three qubits ``|100>`` is index 4.
@@ -35,50 +36,14 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def as_complex_matrix(m, *, stacked: bool = False) -> np.ndarray:
-    """Coerce to a finite 2-d complex matrix; reject NaN/Inf entries.
-
-    With ``stacked``, a stack of such matrices (leading axes first) is
-    accepted too.
-    """
-    out = np.asarray(m, dtype=np.complex128)
-    if out.ndim < 2 or (out.ndim > 2 and not stacked) or min(out.shape) < 1:
-        raise ValueError(f"expected a 2-d matrix, got shape {out.shape}")
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise ContractViolation("matrix contains non-finite entries")
-    return out
-
-
-# Per contract: the tolerance per dimension, the residual of a matrix whose
-# Frobenius norm is its defect, and that norm as an error names it.
-_CONTRACTS = {
-    "Hermitian": (ALGEBRA_TOL, lambda a: a - dagger(a), "||A - A^dag||_F"),
-    "unitary": (UNITARITY_TOL, lambda a: dagger(a) @ a - np.eye(a.shape[-1]), "||U^dag U - I||_F"),
-}
-
-
-def _require(contract: str, m) -> np.ndarray:
-    """``m`` as a square complex matrix or stack of them, checked that the
-    worst defect over its matrices is within the contract's tolerance."""
-    tol, residual, norm = _CONTRACTS[contract]
-    a = as_complex_matrix(m, stacked=True)
-    tol *= a.shape[-1]
-    defect = float(np.linalg.norm(residual(a), axis=(-2, -1)).max())
+def _require(contract: str, residual: np.ndarray, tol: float, norm: str) -> None:
+    """Raise ContractViolation unless the Frobenius norm ``norm`` of
+    ``residual``, worst over a matrix or each of a stack, is at most ``tol``
+    per dimension; a NaN residual never is."""
+    tol *= residual.shape[-1]
+    defect = float(np.linalg.norm(residual, axis=(-2, -1)).max())
     if not defect <= tol:
         raise ContractViolation(f"operator is not {contract}: {norm} = {defect:.3e} > {tol:.3e}")
-    return a
-
-
-def require_hermitian(m) -> np.ndarray:
-    """Validate ``||m - m^dag||_F <= ALGEBRA_TOL * dim`` for a matrix, or
-    for every matrix of a stack."""
-    return _require("Hermitian", m)
-
-
-def require_unitary(m) -> np.ndarray:
-    """Validate ``||U^dag U - I||_F <= UNITARITY_TOL * dim`` for a matrix,
-    or for every matrix of a stack."""
-    return _require("unitary", m)
 
 
 class Spectrum:
@@ -91,7 +56,8 @@ class Spectrum:
     """
 
     def __init__(self, h):
-        self.h = require_hermitian(h)
+        self.h = np.asarray(h, dtype=np.complex128)
+        _require("Hermitian", self.h - dagger(self.h), ALGEBRA_TOL, "||A - A^dag||_F")
         self.values, self.vectors = np.linalg.eigh(self.h)
 
     def propagator(self, t) -> np.ndarray:
@@ -100,14 +66,15 @@ class Spectrum:
 
         One generator takes a scalar time or a 1-d array of them; a (T, d, d)
         stack takes times shaped (T, k), k per generator. Both run the one
-        stacked formula, a scalar time as a time axis of length one.
+        batched formula, a scalar time as a time axis of length one.
         """
         t = np.asarray(t, dtype=np.float64)
         times = t.reshape(self.values.shape[:-1] + (-1,))
         phases = np.exp(-1j * self.values[..., None, :] * times[..., None])
         vectors = self.vectors[..., None, :, :]
         u = (vectors * phases[..., None, :]) @ dagger(vectors)
-        return require_unitary(u.reshape(t.shape + u.shape[-2:]))
+        _require("unitary", dagger(u) @ u - np.eye(u.shape[-1]), UNITARITY_TOL, "||U^dag U - I||_F")
+        return u.reshape(t.shape + u.shape[-2:])
 
 
 def polar_unitary(m) -> np.ndarray:
@@ -118,7 +85,7 @@ def polar_unitary(m) -> np.ndarray:
     MIN_SINGULAR, in which case no meaningful unitary factor exists.
     """
     u, s, vh = np.linalg.svd(m)
-    if s.min() <= MIN_SINGULAR:
+    if not s.min() > MIN_SINGULAR:
         raise ContractViolation(
             f"matrix is rank-deficient (smallest singular value {s.min():.3e})"
         )

@@ -116,8 +116,6 @@ SIG_DIGITS = 12
 
 
 def round_sig(x: float) -> float:
-    if x is None or not math.isfinite(x):
-        return x
     return float(f"{x:.{SIG_DIGITS}g}")
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import ContractViolation, as_complex_matrix, dagger
+from .operators import ContractViolation, dagger
 from .serialize import Record, as_float, matrix_to_json
 
 ORTHONORMALITY_TOL = 1e-12
@@ -30,13 +30,15 @@ class BasisSet(Record):
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = as_complex_matrix(self.vectors)
+        v = np.asarray(self.vectors, dtype=np.complex128)
+        if v.ndim != 2 or min(v.shape) < 1:
+            raise ValueError(f"expected a 2-d matrix, got shape {v.shape}")
         object.__setattr__(self, "vectors", v)
         if v.shape[1] > v.shape[0]:
             raise ValueError("more basis vectors than ambient dimensions")
         gram = dagger(v) @ v
         defect = np.linalg.norm(gram - np.eye(v.shape[1]))
-        if defect > ORTHONORMALITY_TOL * max(v.shape[1], 1):
+        if not defect <= ORTHONORMALITY_TOL * v.shape[1]:
             raise ContractViolation(
                 f"basis is not orthonormal: ||G - I||_F = {defect:.3e}"
             )

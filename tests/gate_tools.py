@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from hqcdfs.model import PULSE_AREAS, GateRecipe, recipe_hamiltonian, target_for
-from hqcdfs.operators import Spectrum, dagger, require_unitary
+from hqcdfs.operators import Spectrum, dagger
 from hqcdfs.subspace import ORTHONORMALITY_TOL, BasisSet, dfs_product_basis, restrict
 
 
@@ -119,9 +119,10 @@ def euler_angles(target: np.ndarray) -> tuple[float, float, float, float]:
     gamma = 0 whenever beta is 0 or pi (where only alpha + gamma or
     alpha - gamma is defined).
     """
-    u = require_unitary(target)
+    u = np.asarray(target, dtype=np.complex128)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 unitary, got {u.shape}")
+    assert np.linalg.norm(dagger(u) @ u - np.eye(2)) <= 2e-10, "target is not unitary"
     v = np.exp(-0.5j * np.angle(np.linalg.det(u))) * u
     beta = 2.0 * math.atan2(abs(v[0, 1]), abs(v[0, 0]))
     if abs(v[0, 1]) <= _AXIS_TOL:

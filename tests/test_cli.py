@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import hqcdfs
 from hqcdfs import __version__
-from hqcdfs.cli import _CHECKS, TOLERANCES, main
+from hqcdfs.cli import _CHECKS, MAX_SWEEP_POINTS, TOLERANCES, main
 from hqcdfs.holonomy import DEFAULT_CHAIN_STEPS, MAX_CHAIN_STEPS
 from hqcdfs.model import MAX_BLOCKS, GateRecipe, detune
 from hqcdfs.noise import ENSEMBLE_CAP
@@ -358,6 +358,13 @@ class TestSweepCommand:
              "--points", "1", "--recipe", recipe_path]
         ) == 2
 
+    def test_points_cap_is_inclusive(self, monkeypatch):
+        from hqcdfs import cli
+
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 3)
+        assert run_captured(sweep_argv("-0.1", "0.1", 3))[0] == 0
+        assert run_captured(sweep_argv("-0.1", "0.1", 4)) == (2, "", "error: sweep needs 2 to 3 points, got 4\n")
+
     def test_phase_sweep_of_cnot_rejected(self, tmp_path):
         # The recipe owns the rule, so the grid-end check names the point.
         recipe_path = write_recipe(tmp_path / "r.json", cnot())
@@ -520,6 +527,7 @@ BAD_INPUT = {
     "sweep-phase-from-inf": (sweep_argv("inf", "0.1", 3, param="phase"), None),
     "sweep-detuning-from-nan": (sweep_argv("nan", "0.1", 3), None),
     "sweep-detuning-to-1e308": (sweep_argv("-0.1", "1e308", 3), None),
+    "sweep-points-over-cap": (sweep_argv("-0.1", "0.1", MAX_SWEEP_POINTS + 1), None),
     # A sweep runs no projector chain and takes no --steps.
     "sweep-steps-exact-point": (sweep_argv("-0.1", "0.1", 3) + ["--steps", "4"], None),
     "sweep-steps-all-detuned": (sweep_argv("-0.1", "0.1", 2) + ["--steps", "4"], None),
@@ -564,6 +572,7 @@ BAD_SWEEP_GRIDS = {
     "sweep-phase-from-inf": "--from inf and --to 0.1 must be finite and a finite distance apart",
     # The last point's interpolation overflows: (1e308 + 0.1) * 2 / 2.
     "sweep-detuning-to-1e308": "invalid sweep point inf: duration must be a finite number, got inf",
+    "sweep-points-over-cap": f"sweep needs 2 to {MAX_SWEEP_POINTS} points, got {MAX_SWEEP_POINTS + 1}",
 }
 # Each rule of the three input records that no other row reaches, with its
 # one stderr line: the record is the rule's only owner, and the library
@@ -1059,19 +1068,21 @@ def csv_rows(text):
     return [header] + [[float(cell) for cell in row] for row in rows]
 
 
-def assert_documents_agree(printed, expected, path="$", atol=1e-11):
+def assert_documents_agree(printed, expected, path="$", atol=1e-11, relative=False):
     """The same keys in the same order, list lengths, strings, ints, bools
-    and None, and floats within ``atol``."""
+    and None, and floats within ``atol``, or within max(1, |x|) * ``atol``
+    of the expected x when ``relative``."""
     if isinstance(expected, dict):
         assert isinstance(printed, dict) and list(printed) == list(expected), path
         for key in expected:
-            assert_documents_agree(printed[key], expected[key], f"{path}.{key}", atol)
+            assert_documents_agree(printed[key], expected[key], f"{path}.{key}", atol, relative)
     elif isinstance(expected, list):
         assert isinstance(printed, list) and len(printed) == len(expected), path
         for i, (a, b) in enumerate(zip(printed, expected)):
-            assert_documents_agree(a, b, f"{path}[{i}]", atol)
+            assert_documents_agree(a, b, f"{path}[{i}]", atol, relative)
     elif isinstance(expected, float):
-        assert isinstance(printed, float) and abs(printed - expected) <= atol, (path, printed, expected)
+        bound = atol * max(1.0, abs(expected)) if relative else atol
+        assert isinstance(printed, float) and abs(printed - expected) <= bound, (path, printed, expected)
     else:
         assert type(printed) is type(expected) and printed == expected, (path, printed, expected)
 
@@ -1191,6 +1202,35 @@ class TestDrawnSweepReports:
         for row, oracle in zip(rows[1:], expected[1:]):
             for name, value, rebuilt in zip(expected[0], row, oracle):
                 assert abs(value - rebuilt) <= max(1.0, abs(rebuilt)) * 1e-11, (row[0], name)
+
+
+@st.composite
+def drawn_recipes(draw):
+    """An XZ or ZX recipe on block 1, in half of the draws detuned by a
+    pulse-area factor in [0.5, 1.5], and a chain step count."""
+    factory = draw(st.sampled_from([xz, zx]))
+    recipe = factory(draw(st.floats(-7.0, 7.0)), draw(st.floats(0.2, 5.0)))
+    if draw(st.booleans()):
+        recipe = detune(recipe, draw(st.floats(0.5, 1.5)))
+    return recipe, draw(st.sampled_from([8, 64, 512, DEFAULT_CHAIN_STEPS]))
+
+
+class TestDrawnCertifyReports:
+    @pytest.mark.parametrize("command", ["gate", "holonomy"])
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(case=drawn_recipes())
+    def test_report_matches_the_oracles(self, command, case):
+        # Each float within max(1, |x|) * 1e-11, as in a drawn sweep.
+        recipe, steps = case
+        argv = [command, "--recipe", json.dumps(recipe.to_json_dict()), "--steps", str(steps)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
+            status, out, err = run_captured(argv)
+        expected = report_from_oracles(command, recipe, steps)
+        assert (status, err) == (1 if expected["violations"] else 0, "")
+        printed = json.loads(out)
+        assert_documents_agree(printed, expected, relative=True)
+        assert_checks_agree(command, printed, expected)
 
 
 # Wrong values a field of the JSON input may take instead of a valid one:

@@ -269,6 +269,18 @@ class TestSectorPropagation:
         with pytest.raises(ContractViolation, match="couples the collective-Z sector"):
             noisy_realize(cnot(), uniform_ensemble())
 
+    def test_nan_coupling_out_of_the_sector_is_a_contract_violation(self, monkeypatch):
+        def nan_leak(recipe):
+            h = recipe_hamiltonian(recipe)
+            z = collective_z(3 * max(recipe.blocks))
+            logical = z[0b010]  # |0>_L of block 1
+            h[np.flatnonzero(z == logical)[0], np.flatnonzero(z != logical)[0]] = np.nan
+            return h
+
+        monkeypatch.setattr(noise, "recipe_hamiltonian", nan_leak)
+        with pytest.raises(ContractViolation, match="couples the collective-Z sector out by nan$"):
+            noisy_realize(xz(0.8), uniform_ensemble())
+
     def test_logical_rows_in_two_z_sectors_is_a_contract_violation(self, monkeypatch):
         # |0>_L on popcount 1 and |1>_L on popcount 2: a kick would shift
         # their relative phase, so F would depend on the angles.

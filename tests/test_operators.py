@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from hqcdfs.operators import (
     SIGMA_X,
+    UNITARITY_TOL,
     ContractViolation,
     Spectrum,
+    dagger,
     phase_aligned_distance,
     polar_unitary,
-    require_hermitian,
-    require_unitary,
 )
 
 from hqcdfs.model import recipe_hamiltonian
@@ -123,7 +123,8 @@ class TestEvolve:
             Spectrum(np.array([[0, 1], [0, 0]], dtype=complex)).propagator(1.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ContractViolation):
+        # No entry is scanned: a NaN fails the Hermiticity check itself.
+        with pytest.raises(ContractViolation, match=re.escape("||A - A^dag||_F = nan > ")):
             Spectrum(np.array([[np.nan, 0], [0, 1]])).propagator(1.0)
 
 
@@ -165,34 +166,36 @@ class TestStackedSpectrum:
         h[5, 2, 3] += 1e-13  # within ALGEBRA_TOL * 4
         defect = np.linalg.norm(h[37] - h[37].conj().T)
         with pytest.raises(ContractViolation, match=re.escape(f"= {defect:.3e} > 4.000e-12")):
-            require_hermitian(h)
+            Spectrum(h)
 
     def test_worst_non_unitary_matrix_of_64_is_named(self):
-        u = random_unitaries(np.random.default_rng(44), 64, 4)
-        u[40] *= 1.001
-        defect = np.linalg.norm(u[40].conj().T @ u[40] - np.eye(4))
+        # At t = 0 each propagator is V V^dag, unitary only if V is.
+        spectrum = Spectrum(self.hermitian_stack(count=64, dim=4))
+        spectrum.vectors = random_unitaries(np.random.default_rng(44), 64, 4)
+        spectrum.vectors[40] *= 1.001
+        u = spectrum.vectors[40] @ dagger(spectrum.vectors[40])
+        defect = np.linalg.norm(dagger(u) @ u - np.eye(4))
         with pytest.raises(ContractViolation, match=re.escape(f"= {defect:.3e} > 4.000e-10")):
-            require_unitary(u)
+            spectrum.propagator(np.zeros((64, 1)))
 
     def test_one_non_hermitian_matrix_fails_the_stack(self):
         h = self.hermitian_stack()
         h[3, 0, 1] += 1e-6
         with pytest.raises(ContractViolation, match="not Hermitian"):
             Spectrum(h)
-        with pytest.raises(ContractViolation, match="not Hermitian"):
-            require_hermitian(h)
 
     def test_one_non_unitary_matrix_fails_the_stack(self):
-        u = random_unitaries(np.random.default_rng(43), 4, 3)
-        require_unitary(u)
-        u[2] *= 1.001
+        spectrum = Spectrum(self.hermitian_stack(count=4, dim=3))
+        spectrum.vectors = random_unitaries(np.random.default_rng(43), 4, 3)
+        spectrum.propagator(np.zeros((4, 2)))
+        spectrum.vectors[2] *= 1.001
         with pytest.raises(ContractViolation, match="not unitary"):
-            require_unitary(u)
+            spectrum.propagator(np.zeros((4, 2)))
 
     def test_non_finite_entry_fails_the_stack(self):
         h = self.hermitian_stack()
         h[1, 2, 2] = np.nan
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match=re.escape("||A - A^dag||_F = nan > ")):
             Spectrum(h)
 
 
@@ -322,7 +325,7 @@ class TestAlgebraProperties:
 
     def test_evolve_output_validated(self):
         u = Spectrum(random_hermitian(np.random.default_rng(2), 5)).propagator(1.3)
-        require_unitary(u)
+        assert np.linalg.norm(dagger(u) @ u - np.eye(5)) <= UNITARITY_TOL * 5
 
     def test_pauli_anticommutation(self):
         assert np.abs(SIGMA_X @ SIGMA_Y + SIGMA_Y @ SIGMA_X).max() == 0.0

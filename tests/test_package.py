@@ -215,7 +215,6 @@ def test_one_decode_rule_and_one_layout_rule():
 INPUT_OWNERS = {
     "as_int",
     "as_float",
-    "as_complex_matrix",
     "check_chain_steps",
     "no_go_certificate",
     "_seed_words",
@@ -265,6 +264,36 @@ def test_values_are_checked_where_they_enter():
     raises = input_error_raises()
     assert INPUT_OWNERS <= {owner for _, owner, _ in raises}
     assert [f"{m}:{o}" for m, o, exc in raises if not owns_input(m, o, exc)] == []
+
+
+def refuses_nan(test: ast.expr) -> bool:
+    """Whether ``test`` is true whenever a NaN is compared in it: ``not`` of a
+    comparison without ``!=``, a ``!=``, or an ``or`` of such tests."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or):
+        return all(refuses_nan(value) for value in test.values)
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        test = test.operand
+        return isinstance(test, ast.Compare) and not any(isinstance(op, ast.NotEq) for op in test.ops)
+    return isinstance(test, ast.Compare) and all(isinstance(op, ast.NotEq) for op in test.ops)
+
+
+def test_every_contract_guard_refuses_a_nan():
+    """Each ``if`` whose body raises ``ContractViolation`` fires on a NaN: a
+    comparison with a NaN is false, so ``x > tol`` lets a NaN defect
+    through where ``not x <= tol`` refuses it."""
+    guards = [
+        (module, node.test)
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and any(
+            isinstance(stmt, ast.Raise)
+            and ast.unparse(getattr(stmt.exc, "func", stmt.exc)) == "ContractViolation"
+            for stmt in node.body
+        )
+    ]
+    assert guards
+    assert [f"{module}:{ast.unparse(test)}" for module, test in guards if not refuses_nan(test)] == []
 
 
 def test_cli_option_surface():

@@ -34,6 +34,12 @@ class TestBasisSet:
         with pytest.raises(ContractViolation):
             BasisSet(v)
 
+    def test_rejects_nan_column(self):
+        v = dfs_product_basis([1]).vectors.copy()
+        v[0, 1] = np.nan
+        with pytest.raises(ContractViolation, match=r"not orthonormal: \|\|G - I\|\|_F = nan$"):
+            BasisSet(v)
+
     def test_projector_idempotent(self):
         basis = dfs_product_basis([1])
         p = basis.projector()
