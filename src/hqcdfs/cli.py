@@ -1,12 +1,14 @@
 """Command-line front end emitting machine-readable reports.
 
-Commands: ``gate``, ``holonomy``, ``noise``, ``sweep``, ``nogo``. Every
-report embeds the full input configuration and the tool version. Exit
-status contract: 0 all checks within tolerance, 1 tolerance violations
-(listed in the report), 2 unparseable input, 3 internal contract violation
+Commands: ``gate``, ``holonomy``, ``noise``, ``sweep``, ``nogo``. Every JSON
+report embeds the full input configuration, the tool version and its
+violations; the CSV reports, ``sweep`` and ``noise --format csv``, print
+their rows only. Exit status contract: 0 all checks within tolerance, 1
+tolerance violations (listed in the JSON report, or on one stderr line
+beside a CSV report), 2 unparseable input, 3 internal contract violation
 or any other internal failure (one stderr line, no traceback).
 The environment variable HQC_DFS_TOLERANCE_SCALE (default 1) multiplies
-every documented tolerance for exploratory runs and is recorded in reports.
+every documented tolerance for exploratory runs and is recorded in JSON reports.
 """
 
 from __future__ import annotations
@@ -292,7 +294,8 @@ def main(argv: list[str] | None = None) -> int:
     input, argparse's included, exits 2, and any other failure, such as
     an exhausted allocation or a failed write, exits 3, each with one
     stderr line and no traceback, so exit 1 keeps meaning tolerance
-    violations only.
+    violations only. A CSV report holds no violations list, so its exit 1
+    names them on one ``violations:`` stderr line.
     """
     try:
         argv = sys.argv[1:] if argv is None else argv
@@ -322,7 +325,11 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             raise ContractViolation(f"report holds a non-finite number: {exc}") from exc
         _emit(args.out, text)
-        return EXIT_VIOLATIONS if violations else EXIT_OK
+        # A JSON report lists its violations; a CSV report's go to stderr.
+        if table is None or not violations:
+            return EXIT_VIOLATIONS if violations else EXIT_OK
+        checks = (f"{v['check']} = {v['value']:.3e}, tolerance {v['tolerance']:.3e}" for v in violations)
+        status, line = EXIT_VIOLATIONS, "violations: " + "; ".join(checks)
     except InputError as exc:
         status, line = EXIT_PARSE, f"error: {exc}"
     except ContractViolation as exc:

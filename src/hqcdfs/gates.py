@@ -4,7 +4,8 @@
 exponentiate, restrict to the logical basis, certify the holonomic
 character, and compare against the target both phase-aligned on the logical
 subspace and entrywise on the ancilla-completed basis (where the ancilla
-picks up a physical -1).
+picks up a physical -1). ``no_go_certificate`` draws its trials from raw
+PCG64 words, read by ``PCG64Words`` without ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .holonomy import DEFAULT_CHAIN_STEPS, HolonomyReport, certify
 from .model import GateRecipe, exchange_term, recipe_hamiltonian, target_for
-from .operators import SIGMA_X, Spectrum, dagger, phase_aligned_distance
+from .operators import Spectrum, dagger, phase_aligned_distance
 from .serialize import InputError, Record
 from .subspace import BasisSet, dfs_product_basis, invariance_defect, restrict
 
@@ -112,6 +113,109 @@ _NO_GO_CHUNK = 64
 # Raw words one trial can take: its coupling flag, a zero flag and a
 # magnitude per axis, one fresh word for its two signs, and its times.
 _NO_GO_WORDS = 1 + 2 * 2 + 1 + _NO_GO_TIMES
+# Pauli X: the no-go witness restricts to it exactly.
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+
+# PCG64's 128-bit LCG multiplier.
+_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` as Python ints,
+    for a seed >= 0."""
+    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(value))
+    const, halves = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        halves.append(value ^ value >> 16)
+    return [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) uint64 limbs of 128-bit integers."""
+    pairs = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values), dtype="<u8")
+    return pairs[1::2].astype(np.uint64), pairs[0::2].astype(np.uint64)
+
+
+# Array-typed constants: a Python int operand costs a conversion per ufunc call.
+_LOW32, _32, _58, _63 = (np.uint64(v) for v in (_MASK32, 32, 58, 63))
+
+
+class PCG64Words:
+    """The raw output words of NumPy's PCG64 bit generator, without
+    ``numpy.random``, read in requests of at most one chunk of no-go trials.
+
+    ``PCG64Words(seed).random_raw(n)`` returns, bit for bit, the words that
+    ``numpy.random.PCG64(seed).random_raw(n)`` returns over the same sequence
+    of calls, for any ``n`` up to ``_NO_GO_WORDS * _NO_GO_CHUNK``. The seed,
+    an int >= 0, is hashed as NumPy's ``SeedSequence`` hashes it. PCG64
+    (O'Neill, HMC-CS-2014-0905, 2014) steps a 128-bit LCG and emits the
+    XSL-RR permutation of each state. The k-th next state is
+    ``A_k s + C_k`` (mod 2^128), read off a table of jump-ahead multipliers
+    and offsets (Brown, "Random number generation with arbitrary strides",
+    1994) built once per generator, so a request is one vectorized pass over
+    uint64 limbs.
+    """
+
+    def __init__(self, seed: int):
+        words = _seed_words(seed)
+        increment = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
+        self._state = ((increment + (words[0] << 64 | words[1])) * _MULTIPLIER + increment) & _MASK128
+        multipliers, offsets = [_MULTIPLIER], [increment]
+        for _ in range(_NO_GO_WORDS * _NO_GO_CHUNK - 1):
+            multipliers.append(multipliers[-1] * _MULTIPLIER & _MASK128)
+            offsets.append((offsets[-1] * _MULTIPLIER + increment) & _MASK128)
+        self._mult_hi, self._mult_lo = _limbs(multipliers)
+        self._mult_lo_halves = self._mult_lo & _LOW32, self._mult_lo >> _32
+        self._offset_hi, self._offset_lo = _limbs(offsets)
+
+    def random_raw(self, size: int) -> np.ndarray:
+        """The next ``size`` output words, as uint64, for 0 <= size <= its table's length."""
+        if size == 0:
+            return np.empty(0, dtype=np.uint64)
+        high, low = np.uint64(self._state >> 64), np.uint64(self._state & _MASK64)
+        # The high limb of mult_lo * low (the 128-bit product), from 32-bit
+        # halves; no partial sum below exceeds 2^64 - 1.
+        a0, a1 = (half[:size] for half in self._mult_lo_halves)
+        b0, b1 = low & _LOW32, low >> _32
+        lower = a1 * b0 + (a0 * b0 >> _32)
+        upper = a0 * b1 + (lower & _LOW32)
+        state_hi = a1 * b1 + (lower >> _32) + (upper >> _32)
+        # state_k = multiplier_k * state + offset_k (mod 2^128), k = 1 .. size.
+        mult_lo, offset_lo = self._mult_lo[:size], self._offset_lo[:size]
+        state_lo = mult_lo * low + offset_lo
+        state_hi += mult_lo * high
+        state_hi += self._mult_hi[:size] * low
+        state_hi += self._offset_hi[:size]
+        state_hi += state_lo < offset_lo
+        self._state = int(state_hi[-1]) << 64 | int(state_lo[-1])
+        # XSL-RR: the two halves xor-ed, rotated right by the top six bits.
+        mixed, rotation = state_hi ^ state_lo, state_hi >> _58
+        return mixed >> rotation | mixed << (-rotation & _63)
 
 
 def _no_go_draws(trials: int, seed: int):
@@ -128,9 +232,7 @@ def _no_go_draws(trials: int, seed: int):
     carry over. The words are those of ``numpy.random.PCG64(seed)``, read by
     ``PCG64Words`` so that ``numpy.random`` is never imported.
     """
-    from .pcg64 import PCG64Words  # local: only nogo compiles the reader
-
-    bits = PCG64Words(seed, _NO_GO_WORDS * _NO_GO_CHUNK)
+    bits = PCG64Words(seed)
     words, high = np.empty(0, dtype=np.uint64), None
     for start in range(0, trials, _NO_GO_CHUNK):
         size = min(_NO_GO_CHUNK, trials - start)
@@ -175,11 +277,13 @@ def no_go_certificate(trials: int, seed: int) -> NoGoReport:
     The trials arrive from ``_no_go_draws`` in chunks of at most
     ``_NO_GO_CHUNK``: one batched ``Spectrum`` and one batched propagator
     call per chunk, with every check an array reduction, so memory stays
-    the same whatever the trial count. A trial count below 1 raises
-    InputError here, and a negative seed when the PCG64 reader reads it.
+    the same whatever the trial count. A trial count below 1 or a negative
+    seed raises InputError here.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     r_x, r_y = exchange_term(2, ("x", 1, 2)), exchange_term(2, ("y", 1, 2))
     eye = np.eye(2)
 

@@ -27,10 +27,6 @@ class ContractViolation(ValueError):
     a non-orthonormal basis, a rank-deficient chain or an unmet precondition."""
 
 
-# Pauli X: the no-go witness restricts to it exactly.
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of every matrix in a stack."""
     return m.conj().swapaxes(-1, -2)

@@ -842,6 +842,21 @@ class TestExitStatusContract:
         assert status == 1
         assert [v["check"] for v in json.loads(out)["violations"]] == ["excess_fidelity"]
 
+    def test_csv_report_names_its_violations_on_stderr(self, monkeypatch):
+        # The rows print as they would pass; one line lists what the JSON
+        # report's violations would.
+        from hqcdfs import cli
+        from hqcdfs.noise import NoisyGateResult
+
+        result = NoisyGateResult(0.75, 0.5, (0.5, 1.0 + 1e-9))
+        monkeypatch.setattr(cli, "noisy_realize", lambda recipe, ensemble: result)
+        status, out, err = run_captured(noise_argv(samples=2) + ["--format", "csv"])
+        assert (status, out) == (1, "sample,fidelity\r\n0,0.5\r\n1,1.000000001\r\n")
+        assert err == (
+            "violations: fidelity_deficit = 5.000e-01, tolerance 1.000e-10; "
+            "excess_fidelity = 1.000e-09, tolerance 1.000e-10\n"
+        )
+
     def test_nan_never_passes_a_check(self):
         from hqcdfs.cli import _violations
         from hqcdfs.noise import NoisyGateResult
@@ -1233,6 +1248,67 @@ class TestDrawnCertifyReports:
         assert_checks_agree(command, printed, expected)
 
 
+@st.composite
+def drawn_noise_cases(draw):
+    """An XZ or ZX recipe on block 1 or a CNOT on blocks (1, 2) or (2, 1),
+    in half of the draws detuned by a pulse-area factor in [0.5, 1.5]; an
+    ensemble of any kick distribution, with drawn parameters, 1 to 64
+    samples and 0 to 8 kicks; and an output format."""
+    if draw(st.integers(0, 3)) == 0:
+        recipe = cnot(draw(st.floats(0.2, 5.0)), draw(st.sampled_from([(1, 2), (2, 1)])))
+    else:
+        factory = draw(st.sampled_from([xz, zx]))
+        recipe = factory(draw(st.floats(-7.0, 7.0)), draw(st.floats(0.2, 5.0)))
+    if draw(st.booleans()):
+        recipe = detune(recipe, draw(st.floats(0.5, 1.5)))
+    # Each parameter's range, in the order the report echoes them.
+    kind, ranges = draw(
+        st.sampled_from(
+            [
+                ("uniform", {}),
+                ("gaussian", {"mean": (-10.0, 10.0), "stddev": (0.0, 5.0)}),
+                ("fixed", {"theta": (-10.0, 10.0)}),
+            ]
+        )
+    )
+    params = {name: draw(st.floats(*bounds)) for name, bounds in ranges.items()}
+    ensemble = {
+        "kick_count": draw(st.integers(0, 8)),
+        "distribution": {"type": kind, "params": params},
+        "samples": draw(st.integers(1, 64)),
+        "seed": draw(st.integers(0, 2 ** 32)),
+    }
+    return recipe, ensemble, draw(st.sampled_from(["json", "csv"]))
+
+
+class TestDrawnNoiseReports:
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(case=drawn_noise_cases())
+    def test_report_matches_the_oracles(self, case):
+        # Each float within max(1, |x|) * 1e-11, as in a drawn sweep; a CSV
+        # report is its rows, and its violations the stderr line.
+        recipe, ensemble, fmt = case
+        argv = ["noise", "--recipe", json.dumps(recipe.to_json_dict())]
+        argv += ["--ensemble", json.dumps(ensemble), "--format", fmt]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
+            status, out, err = run_captured(argv)
+        expected = report_from_oracles("noise", recipe, ensemble=ensemble)
+        assert status == (1 if expected["violations"] else 0)
+        if fmt == "json":
+            assert err == ""
+            printed = json.loads(out)
+            assert_documents_agree(printed, expected, relative=True)
+        else:
+            assert err.startswith("violations: ") == bool(status)
+            oracle = [[float(i), f] for i, f in enumerate(expected["report"]["per_sample"])]
+            rows = csv_rows(out)
+            assert_documents_agree(rows, [["sample", "fidelity"]] + oracle, relative=True)
+            fidelities = [fidelity for _, fidelity in rows[1:]]
+            printed = {"report": {"min_fidelity": min(fidelities), "per_sample": fidelities}}
+        assert_checks_agree("noise", printed, expected)
+
+
 # Wrong values a field of the JSON input may take instead of a valid one:
 # missing (see ``mutated``), mistyped, non-finite, negative, or huge. Huge
 # counts exceed a cap, so a fuzzed run never allocates much.
@@ -1361,6 +1437,8 @@ ENTRY_CASES = {
     "sweep": (sweep_argv("-0.1", "0.1", 3), None, 0),
     "nogo": (["nogo", "--trials", "20", "--seed", "3"], None, 0),
     "exit-1": (gate_argv(), "1e-30", 1),
+    # Roundoff moves the XZ fidelity off 1, by 4.4e-16 on x86-64, past 1e-40.
+    "exit-1-csv": (noise_argv() + ["--format", "csv"], "1e-30", 1),
     "exit-2": (BASIS_64_ARGV, None, 2),
     # Certification refuses the ancilla/logical pair, which the recipe couples.
     "exit-3": (basis_argv(**ANCILLA_PAIR_BASIS), None, 3),
@@ -1399,8 +1477,11 @@ class TestEntryPoint:
         assert expected_status == status
         assert run_entry(argv) == (status, out.encode(), err)
         assert "Traceback" not in err
-        # Exit 1 lists its violations in the report; 2 and 3 print one line.
-        assert err.count("\n") == (status >= 2)
+        # Exit 1 lists its violations in a JSON report, and beside a CSV
+        # report on one stderr line; 2 and 3 print one line.
+        csv_violations = status == 1 and "csv" in argv
+        assert err.count("\n") == (status >= 2 or csv_violations)
+        assert err.startswith("violations: ") == csv_violations
         assert (out == "") == (status >= 2)
 
     @pytest.mark.parametrize("name", ["gate", "noise-csv", "sweep", "nogo", "exit-1"])
@@ -1500,8 +1581,8 @@ def imported_modules(args):
 
 class TestImportGuard:
     """No command imports ``numpy.random`` (and OpenSSL under it) or
-    ``numpy.ma``: ``nogo`` reads its words through the PCG64 reader, which
-    only it compiles, and ``noise`` draws no angles at all."""
+    ``numpy.ma``: ``nogo`` reads its words through ``gates.PCG64Words``,
+    and ``noise`` draws no angles at all."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -1522,11 +1603,13 @@ class TestImportGuard:
         assert "numpy" in modules
         assert "numpy.random" not in modules
         assert "numpy.ma" not in modules
-        assert ("hqcdfs.pcg64" in modules) == (argv[0] == "nogo")
 
     def test_cli_import_skips_the_reader(self):
+        # ``numpy.random`` stays out, and every package module is loaded:
+        # ``perfbench/run.py --trace 1`` reads each from sys.modules.
         status, modules = imported_modules(["-c", "import hqcdfs.cli"])
         assert status == 0
-        assert "hqcdfs.cli" in modules
-        assert "hqcdfs.pcg64" not in modules
+        package = {f"hqcdfs.{path.stem}" for path in Path(hqcdfs.__file__).parent.glob("[!_]*.py")}
+        assert "hqcdfs.cli" in package
+        assert package <= modules
         assert "numpy.random" not in modules

@@ -7,6 +7,7 @@ import pytest
 from hqcdfs.gates import (
     _NO_GO_CHUNK,
     _NO_GO_WORDS,
+    PCG64Words,
     _no_go_draws,
     no_go_certificate,
     realize,
@@ -15,7 +16,6 @@ from hqcdfs.holonomy import transport_defect
 from hqcdfs.model import detune, recipe_hamiltonian, target_for
 from hqcdfs.noise import NoiseEnsemble, noisy_realize
 from hqcdfs.operators import Spectrum, phase_aligned_distance
-from hqcdfs.pcg64 import PCG64Words
 from hqcdfs.serialize import encode_json
 from hqcdfs.subspace import BasisSet, dfs_product_basis, restrict
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqcdfs.operators import (
-    SIGMA_X,
     UNITARITY_TOL,
     ContractViolation,
     Spectrum,
@@ -35,7 +34,7 @@ from oracles import (
     three_level_rotation,
 )
 
-SIGMA_Y, SIGMA_Z = PAULI["y"], PAULI["z"]
+SIGMA_X, SIGMA_Y, SIGMA_Z = PAULI["x"], PAULI["y"], PAULI["z"]
 
 
 class TestTensorProduct:

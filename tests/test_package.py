@@ -128,9 +128,7 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
 
 
 def test_no_function_local_package_imports():
-    """A ``from .`` import inside a function can hide a module cycle. The
-    one kept is the PCG64 reader's in ``gates._no_go_draws``, so that only
-    ``nogo`` compiles the reader."""
+    """A ``from .`` import inside a function can hide a module cycle."""
     local = [
         f"{module}:{func.name}"
         for module, tree in TREES.items()
@@ -139,7 +137,7 @@ def test_no_function_local_package_imports():
         for node in ast.walk(func)
         if isinstance(node, ast.ImportFrom) and node.level > 0
     ]
-    assert local == ["gates.py:_no_go_draws"]
+    assert local == []
 
 
 def test_readme_layout_lists_every_module():
@@ -211,13 +209,13 @@ def test_one_decode_rule_and_one_layout_rule():
 # Input rules may fail only where a value enters the program: anywhere in
 # ``cli``, in a record's ``__post_init__`` or ``from_json_dict``, in these
 # owners of input fields, the ``--steps`` range, the no-go trial count and
-# seed, and in the encoder's non-finite guard.
+# seed (both checked by ``no_go_certificate``), and in the encoder's
+# non-finite guard.
 INPUT_OWNERS = {
     "as_int",
     "as_float",
     "check_chain_steps",
     "no_go_certificate",
-    "_seed_words",
 }
 INPUT_ERRORS = {"ValueError", "IndexError", "InputError"}
 
