@@ -4,13 +4,14 @@
 exponentiate, restrict to the logical basis, certify the holonomic
 character, and compare against the target both phase-aligned on the logical
 subspace and entrywise on the ancilla-completed basis (where the ancilla
-picks up a physical -1). ``no_go_certificate`` draws its trials from raw
-PCG64 words, read by ``PCG64Words`` without ``numpy.random``.
+picks up a physical -1). ``no_go_certificate`` draws its trials from the
+standard library's ``random.Random``, so no command imports ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -105,162 +106,37 @@ _DFS, _OUTSIDE_DFS = slice(1, 3), [0, 3]
 
 NO_GO_TOL = 1e-10
 # Evolution times sampled per no-go trial, and the trials batched per chunk.
-# Memory stays flat whatever the trial count; 128- to 512-trial chunks saved
-# at most about 1 ms of a 500-trial call and raised its peak RSS from 37.4
-# to 38.2-40.3 MB.
+# Memory stays flat whatever the trial count; 128- to 512-trial chunks
+# raised the peak RSS of a 500-trial call from 31.1 to 31.5-33.3 MB
+# (os.wait4, medians of 21 alternating runs pinned to one CPU).
 _NO_GO_TIMES = 4
 _NO_GO_CHUNK = 64
-# Raw words one trial can take: its coupling flag, a zero flag and a
-# magnitude per axis, one fresh word for its two signs, and its times.
-_NO_GO_WORDS = 1 + 2 * 2 + 1 + _NO_GO_TIMES
 # Pauli X: the no-go witness restricts to it exactly.
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-
-# PCG64's 128-bit LCG multiplier.
-_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
-_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-
-
-def _seed_words(seed: int) -> list[int]:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` as Python ints,
-    for a seed >= 0."""
-    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * 0x931E8875 & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for value in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(value))
-    const, halves = 0x8B51F9DD, []
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * 0x58F38DED & _MASK32
-        value = value * const & _MASK32
-        halves.append(value ^ value >> 16)
-    return [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low) uint64 limbs of 128-bit integers."""
-    pairs = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values), dtype="<u8")
-    return pairs[1::2].astype(np.uint64), pairs[0::2].astype(np.uint64)
-
-
-# Array-typed constants: a Python int operand costs a conversion per ufunc call.
-_LOW32, _32, _58, _63 = (np.uint64(v) for v in (_MASK32, 32, 58, 63))
-
-
-class PCG64Words:
-    """The raw output words of NumPy's PCG64 bit generator, without
-    ``numpy.random``, read in requests of at most one chunk of no-go trials.
-
-    ``PCG64Words(seed).random_raw(n)`` returns, bit for bit, the words that
-    ``numpy.random.PCG64(seed).random_raw(n)`` returns over the same sequence
-    of calls, for any ``n`` up to ``_NO_GO_WORDS * _NO_GO_CHUNK``. The seed,
-    an int >= 0, is hashed as NumPy's ``SeedSequence`` hashes it. PCG64
-    (O'Neill, HMC-CS-2014-0905, 2014) steps a 128-bit LCG and emits the
-    XSL-RR permutation of each state. The k-th next state is
-    ``A_k s + C_k`` (mod 2^128), read off a table of jump-ahead multipliers
-    and offsets (Brown, "Random number generation with arbitrary strides",
-    1994) built once per generator, so a request is one vectorized pass over
-    uint64 limbs.
-    """
-
-    def __init__(self, seed: int):
-        words = _seed_words(seed)
-        increment = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
-        self._state = ((increment + (words[0] << 64 | words[1])) * _MULTIPLIER + increment) & _MASK128
-        multipliers, offsets = [_MULTIPLIER], [increment]
-        for _ in range(_NO_GO_WORDS * _NO_GO_CHUNK - 1):
-            multipliers.append(multipliers[-1] * _MULTIPLIER & _MASK128)
-            offsets.append((offsets[-1] * _MULTIPLIER + increment) & _MASK128)
-        self._mult_hi, self._mult_lo = _limbs(multipliers)
-        self._mult_lo_halves = self._mult_lo & _LOW32, self._mult_lo >> _32
-        self._offset_hi, self._offset_lo = _limbs(offsets)
-
-    def random_raw(self, size: int) -> np.ndarray:
-        """The next ``size`` output words, as uint64, for 0 <= size <= its table's length."""
-        if size == 0:
-            return np.empty(0, dtype=np.uint64)
-        high, low = np.uint64(self._state >> 64), np.uint64(self._state & _MASK64)
-        # The high limb of mult_lo * low (the 128-bit product), from 32-bit
-        # halves; no partial sum below exceeds 2^64 - 1.
-        a0, a1 = (half[:size] for half in self._mult_lo_halves)
-        b0, b1 = low & _LOW32, low >> _32
-        lower = a1 * b0 + (a0 * b0 >> _32)
-        upper = a0 * b1 + (lower & _LOW32)
-        state_hi = a1 * b1 + (lower >> _32) + (upper >> _32)
-        # state_k = multiplier_k * state + offset_k (mod 2^128), k = 1 .. size.
-        mult_lo, offset_lo = self._mult_lo[:size], self._offset_lo[:size]
-        state_lo = mult_lo * low + offset_lo
-        state_hi += mult_lo * high
-        state_hi += self._mult_hi[:size] * low
-        state_hi += self._offset_hi[:size]
-        state_hi += state_lo < offset_lo
-        self._state = int(state_hi[-1]) << 64 | int(state_lo[-1])
-        # XSL-RR: the two halves xor-ed, rotated right by the top six bits.
-        mixed, rotation = state_hi ^ state_lo, state_hi >> _58
-        return mixed >> rotation | mixed << (-rotation & _63)
 
 
 def _no_go_draws(trials: int, seed: int):
     """Yield the couplings and evolution times of each chunk of trials.
 
-    They equal, bit for bit, the per-trial ``default_rng(seed)`` draws:
-    ``random() >= 0.25`` couples the trial; then per axis J is zero if
-    ``random() < 0.2``, else ``uniform(0.1, 2.0) * choice([-1, 1])``; then
-    ``uniform(0.25, 3.0, size=4)`` gives the times. They are read in that
-    order from raw PCG64 words w: a double is ``(w >> 11) * 2**-53``; a sign
-    is the top bit of the next 32-bit half (Lemire's bounded draw), the low
-    half of a fresh word first and the high half kept for the next sign.
-    Each chunk reads at most ``_NO_GO_WORDS`` words per trial; unused words
-    carry over. The words are those of ``numpy.random.PCG64(seed)``, read by
-    ``PCG64Words`` so that ``numpy.random`` is never imported.
+    Each value is one ``random.Random(seed).random()`` draw u, in trial
+    order: u >= 0.25 couples the trial; then per axis J is zero if u < 0.2,
+    else its magnitude is 0.1 + 1.9 u and the next draw makes it negative
+    below 0.5; then the trial's four times are 0.25 + 2.75 u. Only
+    ``random()`` is called, whose stream Python keeps across versions.
     """
-    bits = PCG64Words(seed)
-    words, high = np.empty(0, dtype=np.uint64), None
+    draw = random.Random(seed).random
     for start in range(0, trials, _NO_GO_CHUNK):
-        size = min(_NO_GO_CHUNK, trials - start)
-        words = np.concatenate([words, bits.random_raw(max(0, _NO_GO_WORDS * size - len(words)))])
-        unit = (words >> 11) * 2.0**-53
-        flags, raw = unit.tolist(), words.tolist()
-        couplings, time_at, pos = [], [], 0
-        for _ in range(size):
+        couplings, times = [], []
+        for _ in range(min(_NO_GO_CHUNK, trials - start)):
             pair = [0.0, 0.0]
-            pos += 1
-            if flags[pos - 1] >= 0.25:
+            if draw() >= 0.25:
                 for axis in (0, 1):
-                    pos += 1
-                    if flags[pos - 1] >= 0.2:
-                        magnitude = 0.1 + (2.0 - 0.1) * flags[pos]
-                        pos += 1
-                        if high is None:
-                            sign, high = raw[pos] >> 31 & 1, raw[pos] >> 63
-                            pos += 1
-                        else:
-                            sign, high = high, None
-                        pair[axis] = magnitude if sign else -magnitude
+                    if draw() >= 0.2:
+                        magnitude = 0.1 + 1.9 * draw()
+                        pair[axis] = -magnitude if draw() < 0.5 else magnitude
             couplings.append(pair)
-            time_at.append(pos)
-            pos += _NO_GO_TIMES
-        times = 0.25 + (3.0 - 0.25) * unit[np.add.outer(time_at, range(_NO_GO_TIMES))]
-        words = words[pos:]
-        yield np.array(couplings), times
+            times.append([draw() for _ in range(_NO_GO_TIMES)])
+        yield np.array(couplings), 0.25 + 2.75 * np.array(times)
 
 
 def no_go_certificate(trials: int, seed: int) -> NoGoReport:
@@ -278,7 +154,7 @@ def no_go_certificate(trials: int, seed: int) -> NoGoReport:
     ``_NO_GO_CHUNK``: one batched ``Spectrum`` and one batched propagator
     call per chunk, with every check an array reduction, so memory stays
     the same whatever the trial count. A trial count below 1 or a negative
-    seed raises InputError here.
+    seed raises InputError here; ``random.Random`` would take ``abs(seed)``.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")

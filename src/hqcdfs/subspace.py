@@ -36,8 +36,9 @@ class BasisSet(Record):
         object.__setattr__(self, "vectors", v)
         if v.shape[1] > v.shape[0]:
             raise ValueError("more basis vectors than ambient dimensions")
-        gram = dagger(v) @ v
-        defect = np.linalg.norm(gram - np.eye(v.shape[1]))
+        # Huge entries overflow to inf or NaN, which the guard refuses.
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = np.linalg.norm(dagger(v) @ v - np.eye(v.shape[1]))
         if not defect <= ORTHONORMALITY_TOL * v.shape[1]:
             raise ContractViolation(
                 f"basis is not orthonormal: ||G - I||_F = {defect:.3e}"

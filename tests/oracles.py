@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import types
 
 import numpy as np
@@ -462,19 +463,21 @@ def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> 
 
 def no_go_draws(trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Couplings (trials x 2) and evolution times (trials x 4) of the
-    randomized two-qubit no-go check, drawn with one ``Generator`` call per
-    value in trial order: the stream ``gates.no_go_certificate`` reads in
-    bulk from raw PCG64 output.
+    randomized two-qubit no-go check, one ``random.Random(seed).random()``
+    call per value in trial order, each written into its array slot as it
+    is drawn: the stream ``gates.no_go_certificate`` reads chunk by chunk.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     couplings = np.zeros((trials, 2))
     times = np.empty((trials, 4))
     for i in range(trials):
         if rng.random() >= 0.25:
             for axis in range(2):
                 if rng.random() >= 0.2:
-                    couplings[i, axis] = rng.uniform(0.1, 2.0) * rng.choice([-1, 1])
-        times[i] = rng.uniform(0.25, 3.0, size=4)
+                    magnitude = 0.1 + 1.9 * rng.random()
+                    couplings[i, axis] = magnitude * (-1.0 if rng.random() < 0.5 else 1.0)
+        for k in range(4):
+            times[i, k] = 0.25 + 2.75 * rng.random()
     return couplings, times
 
 

@@ -447,7 +447,7 @@ class TestNogoCommand:
         assert doc["violations"] == [{"check": "witness_error", "value": 2.0, "tolerance": 0.0}]
         # The whole report, pinned byte for byte.
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "b389f7054781152df4a03e289770ea07d216292f4adcff8c3a2ccd9d1e566ad1"
+            "5b7ec494a10526ed75726fa1af2bc2bc9dac0f32b5c1cbc539fbf03903b11a95"
         )
 
 
@@ -601,6 +601,11 @@ RECORD_RULES = {
     "basis-vectors-empty": (
         basis_argv(vectors=[[]]),
         "BasisSet: expected a 2-d matrix, got shape (0, 1)",
+    ),
+    # Its Gram matrix overflows, with no warning printed.
+    "basis-vector-overflows": (
+        basis_argv(vectors=[[[1e308, 1e308]] * 8]),
+        "BasisSet: basis is not orthonormal: ||G - I||_F = nan",
     ),
 }
 # A recipe for each command on a block past MAX_BLOCKS.
@@ -1103,32 +1108,32 @@ def assert_documents_agree(printed, expected, path="$", atol=1e-11, relative=Fal
 
 
 # ``hqcdfs nogo`` stdout pinned byte for byte across chunk boundaries
-# (64 trials per chunk), as the per-trial ``Generator`` draws printed it.
+# (64 trials per chunk), as the per-value ``random.Random`` draws print it.
 PINNED_NOGO_SHA256 = {
-    (0, 1): "68acbd0a581e70a78f2a99f1ad55b78d599adf19a22560c9cf73eda300d66d98",
-    (0, 63): "ccbab7855c4e140e37cfbdd8f9a51c3a6945cc3a1f04ca90efa4ef5b83c7677c",
-    (0, 64): "080bc32835950f7926e7c91192574dfd8c37962faca952e430ddcf68bb8306a5",
-    (0, 65): "cddc90b0a7076accac2dfa0365d86f7a76a1aa8b4b141918eb23edf46f61c34d",
-    (0, 500): "cec661cf0f34f34474e6106ff2c3ffb8539cc869f4285c644822c66486f8b1b5",
-    (0, 1000): "7dbea3ace519a68976df15c0be4e7e12c82149ab42215723195130d45f4ddb03",
+    (0, 1): "da911d76adc2ffc2dcd183ada59b30de2ce2995365eba77bfdfc0884ce1adc68",
+    (0, 63): "32254b59a665b08a46634db834f5034c03885f3fb5821bc5cf1c0c5134624612",
+    (0, 64): "cdc92c5ad6bbc5225169e1d86419854f79b95c2d52c58f9d85f018933ecfdee8",
+    (0, 65): "e09f5e3bcbb5d45f9820497aa5d3907b2b59db1fa7d93da8a401d0c561de21e0",
+    (0, 500): "820a0ffaf16fbb1d3103f9324f6b7a5e9264c19334dc6cf576bf005e1a2c9e16",
+    (0, 1000): "19037d015216a890d88bde5e750825437aceb97ffdd819ac47dbb669002b870e",
     (3, 1): "a3d6554aec7afed7443865df79aa25dec894128f82a146c2d04341ac8652c79a",
-    (3, 63): "b4ae634e026f57eb21fa102e6f1998d7bd51b119db664fde04818221b8b79af8",
-    (3, 64): "ccb9424b9727c009e879860f53841fdeb0bb71e3c3852c244ea3ff76e6b014a6",
-    (3, 65): "f7b6c8c0cb05e145a868d840fc23c48df37f810856891d97e12af2ab81657793",
-    (3, 500): "63f69c28728db54bfb36c097989bc66686057db26e901cd4b88d09b088854335",
-    (3, 1000): "3282630f36f6f6e8f97eb2e8b06ecebee8125c3d41e8a759e21307bbc765de44",
-    (7, 1): "27ede75afb65f63b577e78f0573884e629bee48115b3c2e49b299b79c34b4c67",
-    (7, 63): "aaf29d51a35ba62e7563d36db83b5cf8d399a6d769afb101be648b0b802e524d",
-    (7, 64): "79acc87e92dd7d2bd9d620d0c9ed2549f2bc7770c7b3b9de1366d5a4f1451726",
-    (7, 65): "0db5ee46063520f77eea4a81ea1a5b7737fdf9b508df978106fe7af16c36b368",
-    (7, 500): "0bf57b0887ae29812a29ef44255f899436dd4363785a8fa28b876b46985ab451",
-    (7, 1000): "59fd1e414ea5228ff345e83b36b03f2855748acfe2adf877d41f98bb5fd75137",
-    (11, 1): "fdc0a38609d152e87831061a142c7a89df1fca0cb1be5b1cbf65aa154226dc54",
-    (11, 63): "0fefae9f99a86262ec9872ce63b4861075b6c95bf6532c387b00bf2f2a7f2d42",
-    (11, 64): "2d5d90a0ac0caff3fb34cba5718bfe345f9d416d5fee9089a65932760d8967b0",
-    (11, 65): "76e882e737c24000ed38b7bbf56298ff9b5a77e60ca449b5b1c5f1dc00f73abb",
-    (11, 500): "475c37fe5d2169a1835326a7208684e44e10006e97cc648f73f0dd459898927c",
-    (11, 1000): "46b079bc621dd98a053cb3da98541205235cb2a141c74a8de253c652342873bd",
+    (3, 63): "03997178b7f1cd017704de4ea61ee1eec18ea36e7c1f204f660211956e9b2d53",
+    (3, 64): "8eb588d1231477b99599c6af2da453a2e16f623e6b5c300108314c98233438c1",
+    (3, 65): "6c39468d1cc2f56a1cefe129d3e500a2f4e7d7518ae20bfc531c6bb8ea7782a1",
+    (3, 500): "b6783313cb343b008cc2f8196de685ccda71d32a0fdb1d088c5fc254030e19d0",
+    (3, 1000): "0b5c1bc1d97d8a0b8db5fc33a09d767e0f60c845abd64d8fd6506a1fa60ac26b",
+    (7, 1): "7f94181d948978cacd64ee34b0369a5a41e6c135b6a728429279cf30fd3b6281",
+    (7, 63): "f00fc82214c057abd67032cc244076fed23f7e85bd45a5e2797014c057b38f38",
+    (7, 64): "517c60d577ba813fbce7cc412631fe7a49d53db0913d92552df97ff1a7d3973c",
+    (7, 65): "8dd788550eeb6ad5e2bff637fd819af00bb12d328c9a7c655b3dd057c4c04ff0",
+    (7, 500): "0abb2b1fcba263e47c6aae032e484797f193f0218a0534b1b31bd390b3de057d",
+    (7, 1000): "438bf3c614cb146f3ddcf1332651aa7247f0140b8492b23ade43535a7dd200b6",
+    (11, 1): "4a1f8e3a061e9d556d00b3686616ef9169419102d2b9c0c10b446e073406f2e3",
+    (11, 63): "8f89877fbd0c169259b31fa24dd59bf57adcf427988c20b54a9112dd1ea2162f",
+    (11, 64): "ad3c198f62861ab2232868ad8c6c782fe87b7e1e07e73b4a209591f219c45dd6",
+    (11, 65): "d732e4e5b5c09221eb3490e9ae3265a336df4439de5538010598b3a49ff856c8",
+    (11, 500): "cbe2cedcd24b89ed183f11bccea00962bd13e2ea4c0e4f3c0c056750a7db2a46",
+    (11, 1000): "6c6bbb4f478a03a2175d5098c48d977933a4077b1c8d5c8c3ba4878c11104191",
 }
 
 
@@ -1230,13 +1235,34 @@ def drawn_recipes(draw):
     return recipe, draw(st.sampled_from([8, 64, 512, DEFAULT_CHAIN_STEPS]))
 
 
+@st.composite
+def drawn_cnot_recipes(draw):
+    """A CNOT recipe on blocks (1, 2) or (2, 1), in half of the draws
+    detuned as ``drawn_recipes`` detunes, and a chain step count short
+    enough for the oracle's projector chain on the 64-dim register."""
+    blocks = (2, 1) if draw(st.booleans()) else (1, 2)
+    recipe = cnot(draw(st.floats(0.2, 5.0)), blocks)
+    if draw(st.booleans()):
+        recipe = detune(recipe, draw(st.floats(0.5, 1.5)))
+    return recipe, draw(st.sampled_from([8, 64, 512]))
+
+
 class TestDrawnCertifyReports:
     @pytest.mark.parametrize("command", ["gate", "holonomy"])
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(case=drawn_recipes())
     def test_report_matches_the_oracles(self, command, case):
+        self.check_report(command, *case)
+
+    @pytest.mark.parametrize("command", ["gate", "holonomy"])
+    @settings(max_examples=3, derandomize=True, deadline=None)
+    @given(case=drawn_cnot_recipes())
+    def test_cnot_report_matches_the_oracles(self, command, case):
+        self.check_report(command, *case)
+
+    @staticmethod
+    def check_report(command, recipe, steps):
         # Each float within max(1, |x|) * 1e-11, as in a drawn sweep.
-        recipe, steps = case
         argv = [command, "--recipe", json.dumps(recipe.to_json_dict()), "--steps", str(steps)]
         with pytest.MonkeyPatch.context() as patch:
             patch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
@@ -1581,8 +1607,8 @@ def imported_modules(args):
 
 class TestImportGuard:
     """No command imports ``numpy.random`` (and OpenSSL under it) or
-    ``numpy.ma``: ``nogo`` reads its words through ``gates.PCG64Words``,
-    and ``noise`` draws no angles at all."""
+    ``numpy.ma``: ``nogo`` draws its trials from the standard library's
+    ``random.Random``, and ``noise`` draws no angles at all."""
 
     @pytest.mark.parametrize(
         "argv",

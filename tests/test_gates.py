@@ -4,14 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hqcdfs.gates import (
-    _NO_GO_CHUNK,
-    _NO_GO_WORDS,
-    PCG64Words,
-    _no_go_draws,
-    no_go_certificate,
-    realize,
-)
+from hqcdfs.gates import _NO_GO_CHUNK, _no_go_draws, no_go_certificate, realize
 from hqcdfs.holonomy import transport_defect
 from hqcdfs.model import detune, recipe_hamiltonian, target_for
 from hqcdfs.noise import NoiseEnsemble, noisy_realize
@@ -43,8 +36,11 @@ from oracles import (
     random_unitary,
     two_qubit_dfs,
 )
+from test_cli import PINNED_NOGO_SHA256
 
 SIGMA_X, SIGMA_Y, SIGMA_Z = PAULI["x"], PAULI["y"], PAULI["z"]
+# Test ids of the trial counts at a chunk boundary.
+TRIAL_IDS = {1: "one", _NO_GO_CHUNK - 1: "chunk-1", _NO_GO_CHUNK: "chunk", _NO_GO_CHUNK + 1: "chunk+1"}
 
 
 class TestTargets:
@@ -223,12 +219,15 @@ class TestNoGo:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             no_go_certificate(0, seed=1)
+        # ``random.Random(-1)`` would draw the trials of seed 1.
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            no_go_certificate(1, -1)
 
-    @pytest.mark.parametrize("seed", [0, 3, 11])
+    # Every (seed, trials) pair whose ``nogo`` stdout is pinned.
     @pytest.mark.parametrize(
-        "trials",
-        [1, _NO_GO_CHUNK - 1, _NO_GO_CHUNK, _NO_GO_CHUNK + 1],
-        ids=["one", "chunk-1", "chunk", "chunk+1"],
+        "seed, trials",
+        PINNED_NOGO_SHA256,
+        ids=[f"{TRIAL_IDS.get(t, t)}-{s}" for s, t in PINNED_NOGO_SHA256],
     )
     def test_batched_matches_per_trial_oracle(self, seed, trials):
         report = no_go_certificate(trials, seed).as_dict()
@@ -240,8 +239,8 @@ class TestNoGo:
 
 
 class TestNoGoDraws:
-    """The bulk read of raw PCG64 output yields, bit for bit, what one
-    ``Generator`` call per value draws."""
+    """The chunked draws yield, bit for bit, what one ``random()`` call per
+    value draws."""
 
     CASES = [
         (seed, trials)
@@ -258,29 +257,13 @@ class TestNoGoDraws:
         assert np.concatenate([t for _, t in chunks]).tobytes() == times.tobytes()
 
     def test_cases_cover_the_stream_edges(self):
-        # A first trial coupled on both axes takes all _NO_GO_WORDS words.
+        # A first trial coupled on both axes takes every branch of a trial.
         assert any(np.all(no_go_draws(1, seed)[0][0] != 0) for seed, _ in self.CASES)
-        # An odd sign count in the first chunk leaves a high half buffered
-        # for the next chunk's first sign.
-        assert any(
-            trials > _NO_GO_CHUNK
-            and np.count_nonzero(no_go_draws(trials, seed)[0][:_NO_GO_CHUNK]) % 2
-            for seed, trials in self.CASES
-        )
-
-    def test_raw_reads_stay_within_one_chunk(self, monkeypatch):
-        requests = []
-        random_raw = PCG64Words.random_raw
-
-        def counting_random_raw(self, size):
-            requests.append(size)
-            return random_raw(self, size)
-
-        monkeypatch.setattr(PCG64Words, "random_raw", counting_random_raw)
-        for _ in _no_go_draws(10_000, seed=5):
-            pass
-        assert len(requests) == -(-10_000 // _NO_GO_CHUNK)
-        assert max(requests) <= _NO_GO_WORDS * _NO_GO_CHUNK == 10 * _NO_GO_CHUNK
+        # The cases draw trivial trials, and both signs on both axes.
+        couplings = np.concatenate([no_go_draws(trials, seed)[0] for seed, trials in self.CASES])
+        assert np.any(np.all(couplings == 0, axis=1))
+        for axis in (0, 1):
+            assert np.any(couplings[:, axis] < 0) and np.any(couplings[:, axis] > 0)
 
 
 # Six-point sweeps from -0.1 to 0.1: an XZ phase sweep, whose points each
