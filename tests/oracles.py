@@ -276,13 +276,33 @@ def _recipe_oracles(recipe):
     return h, vectors, u, vectors.conj().T @ u @ vectors
 
 
-def _condition_defects(h, vectors, u, tau: float) -> tuple[float, float]:
-    """Cyclicity defect of span(vectors) from U(tau) = ``u``, and transport
-    defect over TRANSPORT_SAMPLES frames of ``expm_oracle``."""
+# Registers above this dimension step their transport frames from one Pade
+# propagator: 101 separate ``expm_oracle`` calls on the 512-dim register
+# take about 15 s, one call and 100 products about 0.1 s.
+STEPPED_FRAMES_DIM = 64
+
+
+def transport_frames(h, vectors, tau: float) -> list[np.ndarray]:
+    """The frames exp(-i h t) V at TRANSPORT_SAMPLES times evenly spaced in
+    [0, tau]: each its own ``expm_oracle`` call, or on a register above
+    STEPPED_FRAMES_DIM the previous frame times one ``expm_oracle`` step."""
     from hqcdfs.holonomy import TRANSPORT_SAMPLES
 
+    times = np.linspace(0.0, tau, TRANSPORT_SAMPLES)
+    if len(h) <= STEPPED_FRAMES_DIM:
+        return [expm_oracle(h, t) @ vectors for t in times]
+    step = expm_oracle(h, tau / (TRANSPORT_SAMPLES - 1))
+    frames = [np.asarray(vectors, dtype=complex)]
+    for _ in times[1:]:
+        frames.append(step @ frames[-1])
+    return frames
+
+
+def _condition_defects(h, vectors, u, tau: float) -> tuple[float, float]:
+    """Cyclicity defect of span(vectors) from U(tau) = ``u``, and transport
+    defect over the frames of ``transport_frames``."""
     p0 = vectors @ vectors.conj().T
-    frames = [expm_oracle(h, t) @ vectors for t in np.linspace(0.0, tau, TRANSPORT_SAMPLES)]
+    frames = transport_frames(h, vectors, tau)
     return (
         float(np.linalg.norm(u @ p0 @ u.conj().T - p0)),
         max(float(np.abs(f.conj().T @ h @ f).max()) for f in frames),
@@ -296,8 +316,8 @@ def report_from_oracles(command: str, recipe, steps: int | None = None, ensemble
 
     ``gate`` and ``holonomy`` run at ``steps`` chain steps.
     ``recipe_hamiltonian_kron`` and ``product_states`` give the Hamiltonian
-    and the bases, ``expm_oracle`` gives U(tau) for the cyclicity defect
-    and the TRANSPORT_SAMPLES frames of the transport defect,
+    and the bases, ``expm_oracle`` gives U(tau) for the cyclicity defect,
+    ``transport_frames`` the frames of the transport defect,
     ``projector_chain`` the raw chain and its defect, and ``polar_newton``
     the holonomy matrix, aligned by ``phase_aligned_eigen``. ``gate`` adds
     the restrictions of U(tau) to the logical and the ancilla-completed

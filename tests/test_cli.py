@@ -1025,6 +1025,20 @@ PINNED_CERTIFY_SHA256 = {
     ("holonomy", "CNOT-21"): "e440c8f9dbc0998df4d38c2f4958f34f9100a8db5b959cdc84f33ca1c97d04da",
     ("holonomy", "CNOT-detuned"): "3596b2c15270b5a4949e02f580dffd12dc48e3750f643f9cf8b0fe2a40bbf2fb",
 }
+# Recipes on the 512-dim register of three blocks, checked against the
+# oracles only: a ``gate`` report there prints 13 MB.
+THREE_BLOCK_RECIPES = {
+    "XZ-3": xz(0.3, 0.7, block=3),
+    "CNOT-13": cnot(1.3, (1, 3)),
+    "XZ-3-detuned": detune(xz(0.3, 0.7, block=3), 1.05),
+}
+THREE_BLOCK_CASES = [
+    ("gate", "XZ-3"),
+    ("holonomy", "XZ-3"),
+    ("gate", "CNOT-13"),
+    ("holonomy", "CNOT-13"),
+    ("gate", "XZ-3-detuned"),
+]
 
 
 class TestPinnedCertifyReports:
@@ -1061,6 +1075,24 @@ class TestPinnedCertifyReports:
         expected = report_from_oracles("gate", recipe, DEFAULT_CHAIN_STEPS)
         assert_documents_agree(printed, expected)
         assert_checks_agree("gate", printed, expected)
+
+    @pytest.mark.parametrize(
+        "command, gate", THREE_BLOCK_CASES, ids=["-".join(case) for case in THREE_BLOCK_CASES]
+    )
+    def test_three_block_report_matches_the_oracles(self, command, gate, monkeypatch):
+        # The 512-dim register, the largest a recipe may ask for, at the
+        # fewest chain steps, which keeps the oracle's chain to six Pade
+        # propagators. At the pulse area U(tau) is Hermitian, so only the
+        # detuned gate report reads the direction of time.
+        monkeypatch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
+        recipe = THREE_BLOCK_RECIPES[gate]
+        argv = [command, "--recipe", json.dumps(recipe.to_json_dict()), "--steps", "8"]
+        status, out, _ = run_captured(argv)
+        assert status == 0
+        printed = json.loads(out)
+        expected = report_from_oracles(command, recipe, 8)
+        assert_documents_agree(printed, expected)
+        assert_checks_agree(command, printed, expected)
 
 
 def as_namespace(doc):
