@@ -26,9 +26,9 @@ from .gates import no_go_certificate, realize
 from .holonomy import DEFAULT_CHAIN_STEPS, certify, check_chain_steps, cyclicity_defect, transport_defect
 from .model import GateRecipe, detune, recipe_hamiltonian, target_for
 from .noise import NoiseEnsemble, noisy_realize
-from .operators import ContractViolation, Spectrum, phase_aligned_distance
+from .operators import ContractViolation, Spectrum, dagger, phase_aligned_distance
 from .serialize import InputError, Record, encode_csv, encode_json, replace
-from .subspace import BasisSet, dfs_product_basis, restrict
+from .subspace import BasisSet, dfs_product_basis
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -198,10 +198,11 @@ def _run_sweep(args: argparse.Namespace):
     for i in range(points):
         value, recipe = point(i)
         spectrum = shared or Spectrum(recipe_hamiltonian(recipe))
-        u = spectrum.propagator(recipe.duration)
-        distance = phase_aligned_distance(restrict(u, logical), target_for(recipe))
-        transport = transport_defect(spectrum, logical, recipe.duration)
-        rows.append((value, distance, cyclicity_defect(u, logical), transport))
+        frames = spectrum.frames(recipe.duration, logical.vectors)
+        restricted = dagger(logical.vectors) @ frames
+        distance = phase_aligned_distance(restricted, target_for(recipe))
+        transport = transport_defect(spectrum.h, logical)
+        rows.append((value, distance, cyclicity_defect(frames, logical), transport))
     return None, {}, ("parameter,distance,cyclicity_defect,transport_defect", *zip(*rows))
 
 

@@ -64,9 +64,7 @@ def realize(recipe: GateRecipe, steps: int = DEFAULT_CHAIN_STEPS) -> GateRealiza
     dfs_target[0, 0] = -1.0
     dfs_error = float(np.abs(dfs_restricted - dfs_target).max())
 
-    holonomy = certify(
-        spectrum, logical, recipe.duration, steps, propagator, reconstruct=not recipe.detuned
-    )
+    holonomy = certify(spectrum, logical, recipe.duration, steps, reconstruct=not recipe.detuned)
 
     return GateRealization(
         recipe=recipe,

@@ -10,14 +10,21 @@ Fukui, Hatsugai & Suzuki, JPSJ 74, 1674 (2005)): chaining the evolved
 projectors P(t_N) ... P(t_1) over a uniform time grid and unitarizing the
 resulting overlap matrix.
 
-Because the generator is constant, every link V_{j+1}^dag V_j of that chain
-equals the same small matrix B = V_0^dag U(-tau/N) V_0, so the chain is
-evaluated in closed form as restrict(U(tau)) B^N with O(log N) products.
-The explicit projector product is kept as the reference in the test
-oracles.
+All three are computed on the k-dim span B (k = 2 or 4) from its evolved
+frame U(tau) B and the spectrum h = V Lambda V^dag, with no d x d
+propagator. h commutes with its own propagator, so the transport defect at
+every time is max |(B^dag h B)_kl|. For unitary U,
+||U P U^dag - P||_F^2 = 2 ||(I - P) U P||_F^2, which gives the cyclicity
+defect from the frame. Every link V_{j+1}^dag V_j of the chain equals the
+same k x k matrix c^dag e^{+i Lambda tau/N} c with c = V^dag B, so the
+chain is evaluated in closed form as (B^dag U(tau) B) link^N with
+O(log N) products. The test oracles keep the sampled frames, the
+projectors and the explicit projector product as the reference.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,18 +38,9 @@ PRECONDITION_TOL = 1e-8
 DEFAULT_CHAIN_STEPS = 4096
 MIN_CHAIN_STEPS = 8
 # Above about 1e15 steps the roundoff of the link, raised to the power steps,
-# swamps the chain (XZ at 1e15 reads reconstruction distance 0.039); at 2^30
+# swamps the chain (XZ at 1e15 reads reconstruction distance 0.013); at 2^30
 # the chain defect of XZ, ZX and CNOT is at most 9.3e-7.
 MAX_CHAIN_STEPS = 2 ** 30
-
-# Times in [0, tau] at which the transport defect is sampled.
-TRANSPORT_SAMPLES = 101
-# Bytes of one (times, d, k) complex stack per block of transport times. A
-# block holds about four such stacks, 256 KB, which fits a per-core L2
-# cache and keeps a CNOT call near the peak RSS of the 8-dim ones (all 101
-# times at once trace 1.3 MB on the 64-dim register). The 8-dim XZ and ZX
-# registers take all 101 times in one block, the 64-dim CNOT register 16.
-TRANSPORT_BLOCK_BYTES = 2 ** 16
 
 
 def check_chain_steps(steps: int) -> None:
@@ -51,38 +49,19 @@ def check_chain_steps(steps: int) -> None:
         raise InputError(f"steps must be in [{MIN_CHAIN_STEPS}, {MAX_CHAIN_STEPS}], got {steps}")
 
 
-def cyclicity_defect(propagator: np.ndarray, basis: BasisSet) -> float:
-    """|| P(tau) - P(0) ||_F with P(t) the evolved projector of the span and
-    ``propagator`` = U(tau)."""
-    p0 = basis.projector()
-    return float(np.linalg.norm(propagator @ p0 @ dagger(propagator) - p0))
+def cyclicity_defect(frames: np.ndarray, basis: BasisSet) -> float:
+    """|| P(tau) - P(0) ||_F with P(t) the evolved projector of the span,
+    from ``frames`` = U(tau) B: sqrt(2) || (I - P) U(tau) B ||_F, which is
+    equal for unitary U(tau)."""
+    outside = frames - basis.vectors @ (dagger(basis.vectors) @ frames)
+    return math.sqrt(2.0) * float(np.linalg.norm(outside))
 
 
-def transport_defect(spectrum: Spectrum, basis: BasisSet, tau: float) -> float:
-    """max over TRANSPORT_SAMPLES times t in [0, tau] and k, l of
-    |<phi_k(t)| h |phi_l(t)>|.
-
-    The transported states are phi_k(t) = exp(-i h t) b_k. For a constant
-    generator this equals the t = 0 value because h commutes with its own
-    propagator; the time sampling keeps the check honest against that very
-    assumption.
-
-    The times run ``TRANSPORT_BLOCK_BYTES // (16 d k)`` per block, each
-    through the same per-slice products, so the maximum does not depend on
-    the blocking; ``np.maximum`` keeps a NaN of any block.
-    """
-    d, k = basis.vectors.shape
-    block = max(1, TRANSPORT_BLOCK_BYTES // (16 * d * k))
-    step = tau / (TRANSPORT_SAMPLES - 1)
-    coeffs = dagger(spectrum.vectors) @ basis.vectors
-    worst = 0.0
-    for start in range(0, TRANSPORT_SAMPLES, block):
-        times = np.arange(start, min(start + block, TRANSPORT_SAMPLES)) * step
-        phases = np.exp(-1j * np.outer(times, spectrum.values))
-        frames = spectrum.vectors @ (phases[..., None] * coeffs)
-        couplings = frames.conj().swapaxes(1, 2) @ (spectrum.h @ frames)
-        worst = np.maximum(worst, np.abs(couplings).max())
-    return float(worst)
+def transport_defect(h: np.ndarray, basis: BasisSet) -> float:
+    """max over k, l of |<phi_k(t)| h |phi_l(t)>| with phi_k(t) = exp(-i h t) b_k:
+    h commutes with its own propagator, so at every t this is
+    max |(B^dag h B)_kl|, the value at t = 0."""
+    return float(np.abs(restrict(h, basis)).max())
 
 
 class HolonomyReport(Record):
@@ -106,12 +85,10 @@ class HolonomyReport(Record):
 
 
 def certify(
-    spectrum: Spectrum, basis: BasisSet, tau: float, steps: int, propagator=None, reconstruct=True
+    spectrum: Spectrum, basis: BasisSet, tau: float, steps: int, reconstruct=True
 ) -> HolonomyReport:
     """Condition defects, plus the holonomy rebuilt by the projector chain
-    when ``reconstruct`` is set; ``propagator`` is U(tau), read off
-    ``spectrum`` when not given, and serves the cyclicity check and the
-    chain.
+    when ``reconstruct`` is set, all from the evolved frame U(tau) B.
 
     With ``reconstruct`` false the report carries only the two defects,
     whatever their size, and the reconstruction fields are None: the
@@ -122,10 +99,9 @@ def certify(
     instead of silently regularizing a rank-deficient chain. ``steps`` is
     taken as given: ``cli.main`` checks it where it enters.
     """
-    if propagator is None:
-        propagator = spectrum.propagator(tau)
-    cyc = cyclicity_defect(propagator, basis)
-    tra = transport_defect(spectrum, basis, tau)
+    frames = spectrum.frames(tau, basis.vectors)
+    cyc = cyclicity_defect(frames, basis)
+    tra = transport_defect(spectrum.h, basis)
     if not reconstruct:
         return HolonomyReport(cyc, tra, None, None, None, steps, tau)
     if not cyc <= PRECONDITION_TOL or not tra <= PRECONDITION_TOL:
@@ -133,8 +109,9 @@ def certify(
             f"not a holonomic evolution on this subspace: cyclicity defect "
             f"{cyc:.3e}, transport defect {tra:.3e} (tolerance {PRECONDITION_TOL:.0e})"
         )
-    restricted = restrict(propagator, basis)
-    link = restrict(spectrum.propagator(-tau / steps), basis)
+    restricted = dagger(basis.vectors) @ frames
+    coeffs = dagger(spectrum.vectors) @ basis.vectors
+    link = dagger(coeffs) @ (np.exp(1j * spectrum.values * (tau / steps))[:, None] * coeffs)
     raw = restricted @ np.linalg.matrix_power(link, steps)
     holonomy_matrix = polar_unitary(raw)
     return HolonomyReport(

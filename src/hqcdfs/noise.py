@@ -18,7 +18,7 @@ import numpy as np
 from .model import GateRecipe, collective_z, recipe_hamiltonian, target_for
 from .operators import ALGEBRA_TOL, ContractViolation, Spectrum, dagger
 from .serialize import Record, as_float, as_int
-from .subspace import dfs_product_basis, restrict
+from .subspace import dfs_product_basis
 
 # The parameters each kind of kick distribution reads from its input.
 _DIST_PARAMS = {"uniform": (), "gaussian": ("mean", "stddev"), "fixed": ("theta",)}
@@ -93,7 +93,7 @@ def noisy_realize(recipe: GateRecipe, ensemble: NoiseEnsemble) -> NoisyGateResul
     collective-Z value, and no Hamiltonian entry couples that collective-Z
     sector to the rest of the register. Each sample's F then equals the
     noiseless F, computed once from the register's shared ``Spectrum``,
-    restricted as ``realize`` restricts, and repeated ``samples`` times.
+    restricted from the evolved logical frame, and repeated ``samples`` times.
     """
     h = recipe_hamiltonian(recipe)
     z_diag = collective_z(3 * max(recipe.blocks))
@@ -109,7 +109,7 @@ def noisy_realize(recipe: GateRecipe, ensemble: NoiseEnsemble) -> NoisyGateResul
     if not leak <= ALGEBRA_TOL:
         raise ContractViolation(f"Hamiltonian couples the collective-Z sector out by {leak:.3e}")
     target = target_for(recipe)
-    restricted = restrict(Spectrum(h).propagator(recipe.duration), basis)
+    restricted = dagger(basis.vectors) @ Spectrum(h).frames(recipe.duration, basis.vectors)
     fidelity = float(np.abs(np.trace(dagger(target) @ restricted))) / target.shape[0]
     return NoisyGateResult(
         mean_fidelity=fidelity,

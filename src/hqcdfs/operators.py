@@ -1,14 +1,16 @@
 """Validated dense operator algebra for multi-qubit systems.
 
 All operators are plain ``numpy.ndarray`` values of dtype complex128,
-checked where they are made: ``Spectrum`` checks its generator Hermitian
-and each propagator unitary, ``subspace.BasisSet`` its vectors orthonormal,
-each raising :class:`ContractViolation`, and their consumers trust them and
-check no shapes. Every check is written so that a NaN fails it, so no entry
-is scanned for one. The register's size is bounded once, by ``model.GateRecipe``,
-before any operator on it is built. Basis-state indexing convention, fixed
-package-wide: qubit 1 is the most significant bit of the computational-basis
-index, so for three qubits ``|100>`` is index 4.
+checked where they are made: ``Spectrum`` checks its generator Hermitian,
+each propagator unitary and each evolved frame orthonormal, and
+``subspace.BasisSet`` its vectors orthonormal, each raising
+:class:`ContractViolation`; their consumers trust them and check no
+shapes. Every check is written so that a NaN fails it, so no entry is
+scanned for one. The register's size is bounded once, by
+``model.GateRecipe``, before any operator on it is built. Basis-state
+indexing convention, fixed package-wide: qubit 1 is the most significant
+bit of the computational-basis index, so for three qubits ``|100>`` is
+index 4.
 """
 
 from __future__ import annotations
@@ -71,6 +73,15 @@ class Spectrum:
         u = (vectors * phases[..., None, :]) @ dagger(vectors)
         _require("unitary", dagger(u) @ u - np.eye(u.shape[-1]), UNITARITY_TOL, "||U^dag U - I||_F")
         return u.reshape(t.shape + u.shape[-2:])
+
+    def frames(self, t: float, vectors: np.ndarray) -> np.ndarray:
+        """exp(-i h t) B for the d x k orthonormal columns B of ``vectors``,
+        as V e^{-i Lambda t} (V^dag B): O(d^2 k) work, where the propagator
+        takes O(d^3). Checked orthonormal by the Gram defect of the frames."""
+        coeffs = dagger(self.vectors) @ vectors
+        f = self.vectors @ (np.exp(-1j * self.values * t)[:, None] * coeffs)
+        _require("orthonormal", dagger(f) @ f - np.eye(f.shape[-1]), UNITARITY_TOL, "||F^dag F - I||_F")
+        return f
 
 
 def polar_unitary(m) -> np.ndarray:

@@ -48,10 +48,6 @@ class BasisSet(Record):
     def dim_ambient(self) -> int:
         return self.vectors.shape[0]
 
-    def projector(self) -> np.ndarray:
-        """P = sum |b_i><b_i| built from the stored vectors."""
-        return self.vectors @ dagger(self.vectors)
-
     @classmethod
     def from_json_dict(cls, data) -> "BasisSet":
         """The basis of the columns under ``vectors``, each a list of

@@ -178,7 +178,8 @@ def leakage_profile(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    inside = basis_outer.projector() @ basis_inner.vectors
+    outer = basis_outer.vectors
+    inside = outer @ (dagger(outer) @ basis_inner.vectors)
     nesting = np.linalg.norm(basis_inner.vectors - inside)
     if nesting > ORTHONORMALITY_TOL * basis_inner.dim_ambient:
         raise ValueError(

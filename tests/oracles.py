@@ -5,8 +5,8 @@ package: explicit index loops and Kronecker chains instead of index-built
 exchange terms, Pade approximation instead of spectral exponentials,
 Newton iteration instead of SVD polar factors, closed-form three-level
 rotations instead of generic propagators, and grid scans instead of
-closed-form phase minima. Where the package takes work in blocks to bound
-its memory, the reference takes it in one shot.
+closed-form phase minima. Where the package reads a closed form on the
+encoded span, the reference samples evolved frames and builds projectors.
 """
 
 from __future__ import annotations
@@ -160,13 +160,16 @@ def projector_chain(h: np.ndarray, vectors: np.ndarray, tau: float, steps: int) 
     return chain
 
 
-def transport_defect_stacked(spectrum, basis, tau: float) -> float:
-    """``holonomy.transport_defect`` with all TRANSPORT_SAMPLES times at once:
-    four (times, d, k) complex stacks built in one shot, the same per-slice
-    products and one ``max``, so the package's blocked maximum must equal
-    it bit for bit."""
-    from hqcdfs.holonomy import TRANSPORT_SAMPLES
+# Times in [0, tau] at which the transport defect is sampled.
+TRANSPORT_SAMPLES = 101
 
+
+def transport_defect_stacked(spectrum, basis, tau: float) -> float:
+    """The transport defect sampled: max over TRANSPORT_SAMPLES times t in
+    [0, tau] and k, l of |<phi_k(t)| h |phi_l(t)>|, from four (times, d, k)
+    complex stacks of spectral frames built in one shot. It equals
+    ``holonomy.transport_defect``'s closed form to roundoff only if h
+    commutes with its own propagator."""
     coeffs = spectrum.vectors.conj().T @ basis.vectors
     times = np.arange(TRANSPORT_SAMPLES) * (tau / (TRANSPORT_SAMPLES - 1))
     phases = np.exp(-1j * np.outer(times, spectrum.values))
@@ -286,8 +289,6 @@ def transport_frames(h, vectors, tau: float) -> list[np.ndarray]:
     """The frames exp(-i h t) V at TRANSPORT_SAMPLES times evenly spaced in
     [0, tau]: each its own ``expm_oracle`` call, or on a register above
     STEPPED_FRAMES_DIM the previous frame times one ``expm_oracle`` step."""
-    from hqcdfs.holonomy import TRANSPORT_SAMPLES
-
     times = np.linspace(0.0, tau, TRANSPORT_SAMPLES)
     if len(h) <= STEPPED_FRAMES_DIM:
         return [expm_oracle(h, t) @ vectors for t in times]

@@ -239,6 +239,21 @@ class TestHolonomyCommand:
         assert status == 3
 
 
+class TestStrengthGrid:
+    @pytest.mark.parametrize("strength", [1e-4, 1.0, 1e4, 1e150])
+    @pytest.mark.parametrize("recipe", [xz, zx, cnot], ids=["XZ", "ZX", "CNOT-12"])
+    @pytest.mark.parametrize("command", ["gate", "holonomy"])
+    def test_exact_recipe_passes_at_any_strength(self, command, recipe, strength, monkeypatch):
+        # The logical entries of h are exact zeros at every strength, so the
+        # transport defect, an energy checked against an absolute
+        # tolerance, reads 0 however strong the coupling.
+        monkeypatch.delenv("HQC_DFS_TOLERANCE_SCALE", raising=False)
+        exact = cnot(strength) if recipe is cnot else recipe(0.3, strength)
+        status, out, err = run_captured([command, "--recipe", json.dumps(exact.to_json_dict())])
+        assert (status, err) == (0, "")
+        assert json.loads(out)["violations"] == []
+
+
 class TestNoiseCommand:
     def test_json_summary(self, tmp_path, capsys):
         recipe_path = write_recipe(tmp_path / "r.json", xz(0.2))
@@ -1014,16 +1029,16 @@ PINNED_CERTIFY_RECIPES = {
 # SHA-256 of stdout as the pure-Python indent-2 JSON encoder printed it, with
 # one round_sig call per float.
 PINNED_CERTIFY_SHA256 = {
-    ("gate", "XZ"): "4a251ec34fdd151e46654f7a645346a3ace2c14195f7c2f408d6bfa4429021da",
-    ("gate", "ZX"): "95f4f12e06dfd15dc9c6718ef3d77b30a53660f5b1fd5eab645cda6845463081",
-    ("gate", "CNOT-12"): "fa2b7673895b1a3bcd2cd08882e483545ec02f8da30f8dd84b3debafe13952b0",
-    ("gate", "CNOT-21"): "c098e56048de15b3174eb57de496d5e0cba36483850f0074b3a05a791be5c094",
-    ("gate", "XZ-detuned"): "0e0ffb13c1ce9fe773aa418b5c69c3c4ff2dc04b40e06e78f1faa545903ba3cc",
-    ("holonomy", "XZ"): "90ca5c92834ac5396847df7fc1d1232c01a058b863cf37d8b1a5d8d4e26ca7df",
-    ("holonomy", "ZX"): "7a02016df112896a9d3b4cc4421b69b8f1b6d32034dacaf57d105e4ce962537d",
-    ("holonomy", "CNOT-12"): "553fefbd5a995e7f76dbf9986e32bae91ea7bb205622497a3626a7b8f673f3f4",
-    ("holonomy", "CNOT-21"): "e440c8f9dbc0998df4d38c2f4958f34f9100a8db5b959cdc84f33ca1c97d04da",
-    ("holonomy", "CNOT-detuned"): "3596b2c15270b5a4949e02f580dffd12dc48e3750f643f9cf8b0fe2a40bbf2fb",
+    ("gate", "XZ"): "0d4c76224487463660c5bec1f6f685693187eeaa882635d7535c44636d30a54b",
+    ("gate", "ZX"): "61c844d76692c4ccc57236e0c514ff04b6aaba93db1cc5449668ade8cf622d79",
+    ("gate", "CNOT-12"): "7c88d5e55a28c779b676445ef13408b958bd824dcc7cc2157dc3ac4758c8a725",
+    ("gate", "CNOT-21"): "4b3ca417b866853ca5a082706dc89162e16174935900b3d8b4c8f8d4b140c51c",
+    ("gate", "XZ-detuned"): "3445e0b33e1dfc85b8ccb09fc62d977cbe70a082dbe2819fe62fc87805d04779",
+    ("holonomy", "XZ"): "c130592b78b9e3b9eb67473d7695caf1fbdad30736e2ae504fc2e4defc2bd05d",
+    ("holonomy", "ZX"): "31a2c2ba5ef0ea37028db717b314e7e33722c74baafade9d6b6b5bc07d62d809",
+    ("holonomy", "CNOT-12"): "a27dceff142108df9d762c022932202bd9c6d50ef46f5381c5810c84f54a120d",
+    ("holonomy", "CNOT-21"): "69bfd37469c00f2a69734855f25137ed51bccd26995191f7cc965d9cd827b182",
+    ("holonomy", "CNOT-detuned"): "d8407f3bb931cdc183a30cc7120279ea40a07b84917369b5d0e7e60f45de5aa3",
 }
 # Recipes on the 512-dim register of three blocks, checked against the
 # oracles only: a ``gate`` report there prints 13 MB.
@@ -1191,9 +1206,9 @@ PINNED_SWEEPS = {
     "phase-off-quarter": ("phase", PINNED_RECIPES["XZ"], "0.3", "2.5"),
 }
 PINNED_SWEEP_SHA256 = {
-    "phase": "edb5e8c2c58a2cba8a1354c026d3ca5891207a868123c3fedc8822e809c0ced4",
-    "pulse_area_detuning": "a334e6cbfbe22213946ebed241109fbec3ad8efe6a5eb4e8102b615f3b018885",
-    "phase-off-quarter": "af1f67cd385a90fab45b651534420e2ec2fba317ca1ba107dd8d42ce5a0e7c30",
+    "phase": "33f2e0b7b692bd1d7d6eac2fc9e974294aae9fd6e59fe3ceece11ba97f18e6e1",
+    "pulse_area_detuning": "140fa9bd9483c00f289c1ba8422079f99e27c6d1667b9c898565a56732a643c5",
+    "phase-off-quarter": "bc943d80957a1af001f1cdda686f5c2271c15d692fdd6edd5367ffda5ebf1947",
 }
 
 

@@ -200,12 +200,12 @@ class TestNoGo:
         h = r_op_bruteforce("x", 1, 2, 2)
         restricted = restrict(h, dfs)
         assert np.array_equal(restricted, SIGMA_X)
-        assert abs(transport_defect(Spectrum(h), dfs, 2.0) - 1.0) <= 1e-12
+        assert abs(transport_defect(h, dfs) - 1.0) <= 1e-12
 
     def test_zero_config_is_trivial(self):
         dfs = two_qubit_dfs()
         h = np.zeros((4, 4), dtype=complex)
-        assert transport_defect(Spectrum(h), dfs, 2.0) == 0.0
+        assert transport_defect(h, dfs) == 0.0
         assert np.abs(restrict(Spectrum(h).propagator(1.7), dfs) - np.eye(2)).max() <= 1e-14
 
     def test_randomized_equivalence_holds(self):
@@ -276,6 +276,20 @@ def sweep_argv(param, recipe):
     return argv + ["--recipe", json.dumps(recipe.to_json_dict())]
 
 
+def count_evolutions(monkeypatch) -> list:
+    """The (method name, time) of every ``Spectrum.propagator`` and
+    ``Spectrum.frames`` call from now on, in call order."""
+    calls = []
+    propagator, frames = Spectrum.propagator, Spectrum.frames
+    monkeypatch.setattr(
+        Spectrum, "propagator", lambda self, t: calls.append(("propagator", t)) or propagator(self, t)
+    )
+    monkeypatch.setattr(
+        Spectrum, "frames", lambda self, t, b: calls.append(("frames", t)) or frames(self, t, b)
+    )
+    return calls
+
+
 class TestOneSpectrumPerHamiltonian:
     """Each Hamiltonian is diagonalized once, whatever consumes its spectrum."""
 
@@ -333,22 +347,19 @@ class TestOneSpectrumPerHamiltonian:
 
     @pytest.mark.parametrize("param, recipe", SWEEPS.values(), ids=SWEEPS.keys())
     def test_one_propagator_per_sweep_point(self, param, recipe, monkeypatch, capsys):
-        # U(tau) at each point's duration serves its distance and its
-        # cyclicity defect; a sweep runs no chain, so no link U(-tau / steps).
+        # The logical frame U(tau) B at each point's duration serves its
+        # distance and its cyclicity defect; no d x d propagator is built.
         from hqcdfs.cli import main
 
-        times = []
-        propagator = Spectrum.propagator
-        monkeypatch.setattr(
-            Spectrum, "propagator", lambda self, t: times.append(t) or propagator(self, t)
-        )
+        calls = count_evolutions(monkeypatch)
         assert main(sweep_argv(param, recipe)) == 0
         assert len(capsys.readouterr().out.splitlines()) == 7
         if param == "phase":
             durations = [recipe.duration] * 6
         else:
             durations = [recipe.duration * (1.0 + v) for v in np.linspace(-0.1, 0.1, 6)]
-        assert times == pytest.approx(durations, rel=1e-14, abs=0)
+        assert [t for _, t in calls] == pytest.approx(durations, rel=1e-14, abs=0)
+        assert {name for name, _ in calls} == {"frames"}
 
     @pytest.mark.parametrize("param, recipe", SWEEPS.values(), ids=SWEEPS.keys())
     def test_one_logical_basis_per_sweep(self, param, recipe, monkeypatch):
@@ -376,16 +387,36 @@ class TestOneSpectrumPerHamiltonian:
         ids=["XZ", "CNOT", "CNOT-detuned"],
     )
     def test_one_propagator_per_realization(self, recipe, monkeypatch):
-        # U(tau) serves the comparison, the cyclicity check and the chain;
-        # only the chain's link U(-tau / steps) is a second propagator.
-        times = []
-        propagator = Spectrum.propagator
-        monkeypatch.setattr(
-            Spectrum, "propagator", lambda self, t: times.append(t) or propagator(self, t)
-        )
+        # U(tau) serves the comparison; the certificate reads the logical
+        # frame U(tau) B and builds no link propagator.
+        calls = count_evolutions(monkeypatch)
         realize(recipe, steps=512)
-        link = [] if recipe.detuned else [-recipe.duration / 512]
-        assert times == [recipe.duration] + link
+        assert calls == [("propagator", recipe.duration), ("frames", recipe.duration)]
+
+    @pytest.mark.parametrize(
+        "argv, propagators",
+        [
+            (["gate", "--recipe", json.dumps(cnot().to_json_dict())], 1),
+            (["holonomy", "--recipe", json.dumps(cnot().to_json_dict())], 0),
+            (sweep_argv(*SWEEPS["detuning-CNOT"]), 0),
+            (
+                ["noise", "--recipe", json.dumps(cnot().to_json_dict()), "--ensemble"]
+                + ['{"kick_count": 3, "distribution": {"type": "uniform"}, "samples": 4, "seed": 1}'],
+                0,
+            ),
+            (["nogo", "--trials", "5"], 1),
+        ],
+        ids=["gate", "holonomy", "sweep", "noise", "nogo"],
+    )
+    def test_only_gate_builds_a_register_propagator(self, argv, propagators, monkeypatch, capsys):
+        # Every command but ``gate`` reads evolved frames of the encoded
+        # span; ``nogo``'s one batched call evolves 4x4 two-qubit registers.
+        from hqcdfs.cli import main
+
+        calls = count_evolutions(monkeypatch)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert [name for name, _ in calls].count("propagator") == propagators
 
 
 class TestGateProperties:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqcdfs import holonomy
 from hqcdfs.holonomy import PRECONDITION_TOL, certify, cyclicity_defect, transport_defect
@@ -14,6 +16,7 @@ from hqcdfs.subspace import BasisSet, dfs_product_basis, restrict
 
 from gate_tools import cnot, matrix_from_json, universal_recipes, xz, zx
 from oracles import (
+    expm_oracle,
     polar_newton,
     projector_chain,
     random_unitary,
@@ -39,7 +42,7 @@ ZERO_8 = np.zeros((8, 8), dtype=complex)
 class TestCyclicityDefect:
     def test_full_pulse_closes_the_loop(self):
         recipe, h, basis = xz_setup()
-        assert cyclicity_defect(Spectrum(h).propagator(recipe.duration), basis) <= 1e-10
+        assert cyclicity_defect(Spectrum(h).frames(recipe.duration, basis.vectors), basis) <= 1e-10
 
     def test_half_pulse_leaves_subspace_open(self):
         # Closed-form three-level rotation oracle: build the evolved logical
@@ -52,17 +55,17 @@ class TestCyclicityDefect:
         p_start = np.diag([0.0, 1.0, 1.0]).astype(complex)
         expected = float(np.linalg.norm(p_evolved - p_start))
         assert expected > 0.5
-        assert abs(cyclicity_defect(Spectrum(h).propagator(t), basis) - expected) < 1e-12
+        assert abs(cyclicity_defect(Spectrum(h).frames(t, basis.vectors), basis) - expected) < 1e-12
 
     def test_zero_hamiltonian(self):
         basis = dfs_product_basis([1], "01")
-        assert cyclicity_defect(Spectrum(ZERO_8).propagator(2.7), basis) <= 1e-15
+        assert cyclicity_defect(Spectrum(ZERO_8).frames(2.7, basis.vectors), basis) <= 1e-15
 
 
 class TestTransportDefect:
     def test_logical_subspace_carries_no_coupling(self):
         recipe, h, basis = xz_setup(phi=0.9)
-        assert transport_defect(Spectrum(h), basis, recipe.duration) <= 1e-12
+        assert transport_defect(h, basis) <= 1e-12
 
     def test_ancilla_logical_pair_couples_at_strength(self):
         j = 1.4
@@ -70,94 +73,98 @@ class TestTransportDefect:
         h = recipe_hamiltonian(recipe)
         full = dfs_product_basis([1])
         pair = BasisSet(full.vectors[:, :2])
-        assert abs(transport_defect(Spectrum(h), pair, recipe.duration) - j) < 1e-12
+        assert abs(transport_defect(h, pair) - j) < 1e-12
 
     def test_zero_hamiltonian(self):
         basis = dfs_product_basis([1])
-        assert transport_defect(Spectrum(ZERO_8), basis, 1.0) == 0.0
+        assert transport_defect(ZERO_8, basis) == 0.0
 
 
-# Registers and bases for the blocked transport check: (recipe, basis,
-# blocks of transport times at the default TRANSPORT_BLOCK_BYTES). "dfs"
-# adds the ancilla, so the defect reads a coupling, not roundoff.
+# Registers of one to three blocks and bases for the transport check:
+# (recipe, basis). "dfs" adds the ancilla, so the defect reads a coupling,
+# not roundoff.
 TRANSPORT_CASES = {
-    "XZ-1": (xz(0.3, 0.7), "logical", 1),
-    "XZ-1-dfs": (xz(0.3, 0.7), "dfs", 1),
-    "ZX-2": (zx(1.4, block=2), "logical", 4),
-    "ZX-2-one-vector": (zx(1.4, block=2), "first", 2),
-    "ZX-2-dfs": (zx(1.4, block=2), "dfs", 5),
-    "CNOT-12": (cnot(1.3, (1, 2)), "logical", 7),
-    "CNOT-21": (cnot(1.3, (2, 1)), "logical", 7),
-    "CNOT-13": (cnot(0.9, (1, 3)), "logical", 51),
+    "XZ-1": (xz(0.3, 0.7), "logical"),
+    "XZ-1-dfs": (xz(0.3, 0.7), "dfs"),
+    "ZX-2": (zx(1.4, block=2), "logical"),
+    "ZX-2-one-vector": (zx(1.4, block=2), "first"),
+    "ZX-2-dfs": (zx(1.4, block=2), "dfs"),
+    "CNOT-12": (cnot(1.3, (1, 2)), "logical"),
+    "CNOT-21": (cnot(1.3, (2, 1)), "logical"),
+    "CNOT-13": (cnot(0.9, (1, 3)), "logical"),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def transport_case(name):
-    recipe, kind, _ = TRANSPORT_CASES[name]
+    recipe, kind = TRANSPORT_CASES[name]
     states = {"logical": "01", "dfs": "a01", "first": "0"}[kind]
     basis = dfs_product_basis(recipe.blocks, states)
     return recipe, Spectrum(recipe_hamiltonian(recipe)), basis
 
 
-def transport_blocks(basis):
-    d, k = basis.vectors.shape
-    per_block = max(1, holonomy.TRANSPORT_BLOCK_BYTES // (16 * d * k))
-    return -(-holonomy.TRANSPORT_SAMPLES // per_block)
-
-
 class TestTransportBlocks:
-    """The blocked transport check against the one-shot stacked oracle."""
+    """The closed-form transport defect, max |(B^dag h B)_kl|, against the
+    oracle that samples TRANSPORT_SAMPLES evolved frames in one shot, on
+    registers of one to three blocks."""
 
     @pytest.mark.parametrize("detuned", [False, True], ids=["pulse-area", "detuned"])
     @pytest.mark.parametrize("name", TRANSPORT_CASES)
     def test_equals_one_shot_oracle(self, name, detuned):
         recipe, spectrum, basis = transport_case(name)
-        assert transport_blocks(basis) == TRANSPORT_CASES[name][2]
         tau = detune(recipe, 1.37).duration if detuned else recipe.duration
-        blocked = transport_defect(spectrum, basis, tau)
-        assert blocked == transport_defect_stacked(spectrum, basis, tau)
+        closed = transport_defect(spectrum.h, basis)
+        assert abs(closed - transport_defect_stacked(spectrum, basis, tau)) <= 1e-12
         if TRANSPORT_CASES[name][1] == "dfs":
-            assert blocked > 0.5  # a coupling to the ancilla, not roundoff
-
-    @pytest.mark.parametrize("times_per_block", [1, 2, 7, 50, 100, 101, 1000])
-    def test_any_block_size_equals_one_shot_oracle(self, times_per_block, monkeypatch):
-        recipe, spectrum, basis = transport_case("CNOT-12")
-        d, k = basis.vectors.shape
-        monkeypatch.setattr(holonomy, "TRANSPORT_BLOCK_BYTES", 16 * d * k * times_per_block)
-        tau = detune(recipe, 0.81).duration
-        assert transport_defect(spectrum, basis, tau) == transport_defect_stacked(
-            spectrum, basis, tau
-        )
-
-    def test_budget_below_one_time_takes_one_time_per_block(self, monkeypatch):
-        recipe, spectrum, basis = transport_case("XZ-1-dfs")
-        monkeypatch.setattr(holonomy, "TRANSPORT_BLOCK_BYTES", 1)
-        assert transport_blocks(basis) == holonomy.TRANSPORT_SAMPLES
-        expected = transport_defect_stacked(spectrum, basis, recipe.duration)
-        assert transport_defect(spectrum, basis, recipe.duration) == expected
-
-    def test_nan_in_a_late_block_is_reported(self, monkeypatch):
-        _, spectrum, basis = transport_case("CNOT-12")
-        values = spectrum.values.copy()
-        # t * 1e308 overflows, and exp(-i inf) is NaN, only for t > 1.8. At
-        # tau = 10 the first block of 16 times ends at t = 1.5.
-        values[-1] = 1e308
-        monkeypatch.setattr(spectrum, "values", values)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isfinite(transport_defect(spectrum, basis, 1.5))
-            assert np.isnan(transport_defect(spectrum, basis, 10.0))
+            assert closed > 0.5  # a coupling to the ancilla, not roundoff
+        else:
+            assert closed == 0.0  # the logical entries of h are exact zeros
 
     def test_traced_peak_on_cnot_register(self):
-        # The one-shot evaluation traced 1.31 MB on this 64-dim register.
+        # The one-shot evaluation of 101 frames traced 1.31 MB on this
+        # 64-dim register.
         recipe, spectrum, basis = transport_case("CNOT-12")
         tracemalloc.start()
         try:
-            transport_defect(spectrum, basis, recipe.duration)
+            transport_defect(spectrum.h, basis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 500_000
+
+
+class TestEvolvedFrames:
+    @pytest.mark.parametrize("fraction", [1.0, 1.0 / 3.0, 1.37], ids=["tau", "tau/3", "detuned"])
+    @pytest.mark.parametrize("name", ["XZ-1-dfs", "ZX-2", "CNOT-12", "CNOT-13"])
+    def test_equal_pade_oracle(self, name, fraction):
+        recipe, spectrum, basis = transport_case(name)
+        t = fraction * recipe.duration
+        frames = spectrum.frames(t, basis.vectors)
+        assert np.abs(frames - expm_oracle(spectrum.h, t) @ basis.vectors).max() <= 1e-12
+
+    def test_nan_in_the_frames_is_refused(self, monkeypatch):
+        _, spectrum, basis = transport_case("CNOT-12")
+        values = spectrum.values.copy()
+        # t * 1e308 overflows, and exp(-i inf) is NaN, only for t > 1.8.
+        values[-1] = 1e308
+        monkeypatch.setattr(spectrum, "values", values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(spectrum.frames(1.5, basis.vectors)).all()
+            with pytest.raises(ContractViolation, match="not orthonormal: .* = nan"):
+                spectrum.frames(10.0, basis.vectors)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.integers(2, 16), st.data())
+    def test_cyclicity_equals_projector_oracle(self, dim, data):
+        # sqrt(2) ||(I - P) U B||_F against ||U P U^dag - P||_F, for a random
+        # unitary U and a random k-dim span B.
+        k = data.draw(st.integers(1, dim))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        u = random_unitary(rng, dim)
+        basis = BasisSet(random_unitary(rng, dim)[:, :k])
+        p = basis.vectors @ basis.vectors.conj().T
+        expected = np.linalg.norm(u @ p @ u.conj().T - p)
+        assert abs(cyclicity_defect(u @ basis.vectors, basis) - expected) <= 1e-12 * dim
 
 
 class TestProjectorChain:
@@ -190,7 +197,7 @@ class TestProjectorChain:
     @pytest.mark.parametrize("steps", [8, 256, 4096, 8192])
     @pytest.mark.parametrize("recipe", universal_recipes(strength=1.0, phase=0.3))
     def test_closed_form_matches_explicit_chain(self, recipe, steps, monkeypatch):
-        # certify evaluates the chain as restrict(U(tau)) B^N; the oracle
+        # certify evaluates the chain as (B^dag U(tau) B) link^N; the oracle
         # forms and multiplies every link of the projector product.
         h, basis = recipe_setup(recipe)
         raw = []
@@ -249,10 +256,10 @@ class TestCertify:
             with pytest.raises(ContractViolation, match="not a holonomic evolution"):
                 certify(spectrum, basis, recipe.duration, 512)
             report = certify(spectrum, basis, recipe.duration, 512, reconstruct=False)
-            u = spectrum.propagator(recipe.duration)
+            frames = spectrum.frames(recipe.duration, basis.vectors)
             assert report.cyclicity_defect > PRECONDITION_TOL
-            assert report.cyclicity_defect == cyclicity_defect(u, basis)
-            assert report.transport_defect == transport_defect(spectrum, basis, recipe.duration)
+            assert report.cyclicity_defect == cyclicity_defect(frames, basis)
+            assert report.transport_defect == transport_defect(h, basis)
             assert report.reconstruction_distance is None
             assert report.chain_defect is None
             assert report.holonomy_matrix is None
@@ -284,8 +291,8 @@ class TestHolonomyProperties:
     @pytest.mark.parametrize("recipe", universal_recipes(strength=0.9, phase=1.3))
     def test_sampled_transport_equals_initial_restriction(self, recipe):
         h, basis = recipe_setup(recipe)
-        sampled = transport_defect(Spectrum(h), basis, recipe.duration)
-        initial = float(np.abs(restrict(h, basis)).max())
+        sampled = transport_defect_stacked(Spectrum(h), basis, recipe.duration)
+        initial = transport_defect(h, basis)
         assert abs(sampled - initial) <= 1e-12
 
     @pytest.mark.parametrize("recipe", universal_recipes(strength=1.0, phase=0.2))
@@ -304,8 +311,8 @@ class TestHolonomyProperties:
         rephased = BasisSet(basis.vectors * phases)
         t = recipe.duration / 3
         spectrum = Spectrum(h)
-        u = spectrum.propagator(t)
-        assert abs(cyclicity_defect(u, basis) - cyclicity_defect(u, rephased)) <= 1e-12
         assert abs(
-            transport_defect(spectrum, basis, t) - transport_defect(spectrum, rephased, t)
+            cyclicity_defect(spectrum.frames(t, basis.vectors), basis)
+            - cyclicity_defect(spectrum.frames(t, rephased.vectors), rephased)
         ) <= 1e-12
+        assert abs(transport_defect(h, basis) - transport_defect(h, rephased)) <= 1e-12

@@ -42,7 +42,7 @@ class TestBasisSet:
 
     def test_projector_idempotent(self):
         basis = dfs_product_basis([1])
-        p = basis.projector()
+        p = basis.vectors @ basis.vectors.conj().T
         assert np.abs(p @ p - p).max() < 1e-14
 
     def test_json_round_trip(self):
