@@ -1,7 +1,8 @@
 """Holonomic quantum gates on decoherence-free encoded qubits.
 
-Simulation and certification toolkit: spin-chain gate Hamiltonians, exact
-propagators, subspace diagnostics, frame-free holonomy reconstruction,
+Simulation and certification toolkit: spin-chain gate Hamiltonians, one
+exact evolution formula (``Spectrum.frames``) for propagators and evolved
+frames, subspace diagnostics, frame-free holonomy reconstruction,
 collective-dephasing noise ensembles, and a JSON-reporting command line.
 """
 

@@ -49,7 +49,7 @@ def realize(recipe: GateRecipe, steps: int = DEFAULT_CHAIN_STEPS) -> GateRealiza
     their report carries the condition defects without a reconstruction.
     """
     spectrum = Spectrum(recipe_hamiltonian(recipe))
-    propagator = spectrum.propagator(recipe.duration)
+    propagator = spectrum.frames(recipe.duration)
 
     protected = dfs_product_basis(recipe.blocks)
     logical = dfs_product_basis(recipe.blocks, "01")
@@ -71,7 +71,7 @@ def realize(recipe: GateRecipe, steps: int = DEFAULT_CHAIN_STEPS) -> GateRealiza
         n_blocks=max(recipe.blocks),
         spectator="0L",
         distance=distance,
-        invariance_defect=invariance_defect(propagator, protected),
+        invariance_defect=invariance_defect(propagator @ protected.vectors, protected),
         dfs_error=dfs_error,
         restricted=restricted,
         target=target,
@@ -149,10 +149,11 @@ def no_go_certificate(trials: int, seed: int) -> NoGoReport:
     with unit XY coupling, whose restricted Hamiltonian is exactly sigma_x.
 
     The trials arrive from ``_no_go_draws`` in chunks of at most
-    ``_NO_GO_CHUNK``: one batched ``Spectrum`` and one batched propagator
-    call per chunk, with every check an array reduction, so memory stays
-    the same whatever the trial count. A trial count below 1 or a negative
-    seed raises InputError here; ``random.Random`` would take ``abs(seed)``.
+    ``_NO_GO_CHUNK``: one batched ``Spectrum`` and one batched ``frames``
+    call per chunk, which evolves only the two protected columns, with
+    every check an array reduction, so memory stays the same whatever the
+    trial count. A trial count below 1 or a negative seed raises InputError
+    here; ``random.Random`` would take ``abs(seed)``.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
@@ -173,8 +174,7 @@ def no_go_certificate(trials: int, seed: int) -> NoGoReport:
         h += couplings[:, 1, None, None] * r_y
 
         h_norm = np.abs(h[:, _DFS, _DFS]).max(axis=(1, 2))
-        u = Spectrum(h).propagator(times)
-        frames = u[..., _DFS]
+        frames = Spectrum(h).frames(times, np.eye(4)[:, _DFS])
         inside = frames[..., _DFS, :]
         outside = frames[..., _OUTSIDE_DFS, :]
         # On the full h: nothing is assumed about where h vanishes.

@@ -10,13 +10,13 @@ Fukui, Hatsugai & Suzuki, JPSJ 74, 1674 (2005)): chaining the evolved
 projectors P(t_N) ... P(t_1) over a uniform time grid and unitarizing the
 resulting overlap matrix.
 
-All three are computed on the k-dim span B (k = 2 or 4) from its evolved
-frame U(tau) B and the spectrum h = V Lambda V^dag, with no d x d
-propagator. h commutes with its own propagator, so the transport defect at
-every time is max |(B^dag h B)_kl|. For unitary U,
-||U P U^dag - P||_F^2 = 2 ||(I - P) U P||_F^2, which gives the cyclicity
-defect from the frame. Every link V_{j+1}^dag V_j of the chain equals the
-same k x k matrix c^dag e^{+i Lambda tau/N} c with c = V^dag B, so the
+All three are computed on the k-dim span B (k = 2 or 4) from two evolved
+frames of it, read from ``Spectrum.frames`` with no d x d propagator. h
+commutes with its own propagator, so the transport defect at every time is
+max |(B^dag h B)_kl|. For unitary U, ||U P U^dag - P||_F^2 =
+2 ||(I - P) U P||_F^2, which gives the cyclicity defect from the frame
+U(tau) B. Every link V_{j+1}^dag V_j of the chain equals the same k x k
+matrix B^dag U(-tau/N) B, from the frame evolved one step back, so the
 chain is evaluated in closed form as (B^dag U(tau) B) link^N with
 O(log N) products. The test oracles keep the sampled frames, the
 projectors and the explicit projector product as the reference.
@@ -30,7 +30,7 @@ import numpy as np
 
 from .operators import ContractViolation, Spectrum, dagger, phase_aligned_distance, polar_unitary
 from .serialize import InputError, Record
-from .subspace import BasisSet, restrict
+from .subspace import BasisSet, invariance_defect, restrict
 
 # Conditions (i)/(ii) must hold at this level before reconstruction runs.
 PRECONDITION_TOL = 1e-8
@@ -53,8 +53,7 @@ def cyclicity_defect(frames: np.ndarray, basis: BasisSet) -> float:
     """|| P(tau) - P(0) ||_F with P(t) the evolved projector of the span,
     from ``frames`` = U(tau) B: sqrt(2) || (I - P) U(tau) B ||_F, which is
     equal for unitary U(tau)."""
-    outside = frames - basis.vectors @ (dagger(basis.vectors) @ frames)
-    return math.sqrt(2.0) * float(np.linalg.norm(outside))
+    return math.sqrt(2.0) * invariance_defect(frames, basis)
 
 
 def transport_defect(h: np.ndarray, basis: BasisSet) -> float:
@@ -110,8 +109,7 @@ def certify(
             f"{cyc:.3e}, transport defect {tra:.3e} (tolerance {PRECONDITION_TOL:.0e})"
         )
     restricted = dagger(basis.vectors) @ frames
-    coeffs = dagger(spectrum.vectors) @ basis.vectors
-    link = dagger(coeffs) @ (np.exp(1j * spectrum.values * (tau / steps))[:, None] * coeffs)
+    link = dagger(basis.vectors) @ spectrum.frames(-tau / steps, basis.vectors)
     raw = restricted @ np.linalg.matrix_power(link, steps)
     holonomy_matrix = polar_unitary(raw)
     return HolonomyReport(

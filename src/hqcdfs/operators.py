@@ -1,16 +1,15 @@
 """Validated dense operator algebra for multi-qubit systems.
 
 All operators are plain ``numpy.ndarray`` values of dtype complex128,
-checked where they are made: ``Spectrum`` checks its generator Hermitian,
-each propagator unitary and each evolved frame orthonormal, and
-``subspace.BasisSet`` its vectors orthonormal, each raising
-:class:`ContractViolation`; their consumers trust them and check no
-shapes. Every check is written so that a NaN fails it, so no entry is
-scanned for one. The register's size is bounded once, by
-``model.GateRecipe``, before any operator on it is built. Basis-state
-indexing convention, fixed package-wide: qubit 1 is the most significant
-bit of the computational-basis index, so for three qubits ``|100>`` is
-index 4.
+checked where they are made: ``Spectrum`` checks its generator Hermitian
+and each evolved frame orthonormal, and ``subspace.BasisSet`` its vectors
+orthonormal, each raising :class:`ContractViolation`; their consumers
+trust them and check no shapes. Every check is written so that a NaN
+fails it, so no entry is scanned for one. The register's size is bounded
+once, by ``model.GateRecipe``, before any operator on it is built.
+Basis-state indexing convention, fixed package-wide: qubit 1 is the most
+significant bit of the computational-basis index, so for three qubits
+``|100>`` is index 4.
 """
 
 from __future__ import annotations
@@ -49,8 +48,9 @@ class Spectrum:
     of a (T, d, d) stack of them.
 
     Hermiticity is validated and ``np.linalg.eigh`` runs once, at
-    construction, over the whole stack; every propagator and evolved frame
-    of the generator is then read off ``values`` and ``vectors``.
+    construction, over the whole stack; ``frames``, the one evolution
+    formula, then reads every propagator and evolved frame off ``values``
+    and ``vectors``.
     """
 
     def __init__(self, h):
@@ -58,30 +58,25 @@ class Spectrum:
         _require("Hermitian", self.h - dagger(self.h), ALGEBRA_TOL, "||A - A^dag||_F")
         self.values, self.vectors = np.linalg.eigh(self.h)
 
-    def propagator(self, t) -> np.ndarray:
-        """exp(-i h t), exact to roundoff and checked unitary, of shape
-        ``t.shape + (d, d)``.
+    def frames(self, t, vectors=None) -> np.ndarray:
+        """exp(-i h t) B, the evolved frame of the d x k orthonormal columns
+        B of ``vectors``, as V e^{-i Lambda t} (V^dag B), of shape
+        ``t.shape + (d, k)``, in O(d^2 k) work; with ``vectors`` omitted,
+        V^dag stands for V^dag B and the frame is the register's U(t).
 
         One generator takes a scalar time or a 1-d array of them; a (T, d, d)
-        stack takes times shaped (T, k), k per generator. Both run the one
-        batched formula, a scalar time as a time axis of length one.
+        stack takes times shaped (T, k_t), k_t per generator, and shares B.
+        Checked orthonormal by the Gram defect of each frame, which for a
+        square frame is its unitarity defect.
         """
         t = np.asarray(t, dtype=np.float64)
         times = t.reshape(self.values.shape[:-1] + (-1,))
+        coeffs = dagger(self.vectors) if vectors is None else dagger(self.vectors) @ vectors
         phases = np.exp(-1j * self.values[..., None, :] * times[..., None])
-        vectors = self.vectors[..., None, :, :]
-        u = (vectors * phases[..., None, :]) @ dagger(vectors)
-        _require("unitary", dagger(u) @ u - np.eye(u.shape[-1]), UNITARITY_TOL, "||U^dag U - I||_F")
-        return u.reshape(t.shape + u.shape[-2:])
-
-    def frames(self, t: float, vectors: np.ndarray) -> np.ndarray:
-        """exp(-i h t) B for the d x k orthonormal columns B of ``vectors``,
-        as V e^{-i Lambda t} (V^dag B): O(d^2 k) work, where the propagator
-        takes O(d^3). Checked orthonormal by the Gram defect of the frames."""
-        coeffs = dagger(self.vectors) @ vectors
-        f = self.vectors @ (np.exp(-1j * self.values * t)[:, None] * coeffs)
-        _require("orthonormal", dagger(f) @ f - np.eye(f.shape[-1]), UNITARITY_TOL, "||F^dag F - I||_F")
-        return f
+        f = self.vectors[..., None, :, :] @ (phases[..., None] * coeffs[..., None, :, :])
+        gram = dagger(f) @ f - np.eye(f.shape[-1])
+        _require("orthonormal", gram, UNITARITY_TOL, "||F^dag F - I||_F")
+        return f.reshape(t.shape + f.shape[-2:])
 
 
 def polar_unitary(m) -> np.ndarray:

@@ -97,8 +97,8 @@ def restrict(op: np.ndarray, basis: BasisSet) -> np.ndarray:
     return dagger(basis.vectors) @ op @ basis.vectors
 
 
-def invariance_defect(u: np.ndarray, basis: BasisSet) -> float:
-    """|| (I - P) u P ||_F; zero iff span(basis) is invariant under u."""
-    mapped = u @ basis.vectors                      # u P, column form
-    outside = mapped - basis.vectors @ (dagger(basis.vectors) @ mapped)
+def invariance_defect(frames: np.ndarray, basis: BasisSet) -> float:
+    """|| (I - P) F ||_F for the evolved frames F = u B of the basis B, which
+    is || (I - P) u P ||_F; zero iff span(basis) is invariant under u."""
+    outside = frames - basis.vectors @ (dagger(basis.vectors) @ frames)
     return float(np.linalg.norm(outside))

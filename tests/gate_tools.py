@@ -57,7 +57,7 @@ def universal_recipes(strength: float = 1.0, phase: float = 0.0) -> tuple[GateRe
 
 def realized_logical(recipe: GateRecipe) -> np.ndarray:
     """Fast path: the propagator restricted to the logical basis only."""
-    propagator = Spectrum(recipe_hamiltonian(recipe)).propagator(recipe.duration)
+    propagator = Spectrum(recipe_hamiltonian(recipe)).frames(recipe.duration)
     return restrict(propagator, dfs_product_basis(recipe.blocks, "01"))
 
 
@@ -189,7 +189,7 @@ def leakage_profile(
     profile = []
     for j in range(steps + 1):
         t = tau * j / steps
-        evolved = spectrum.propagator(t) @ basis_inner.vectors
+        evolved = spectrum.frames(t, basis_inner.vectors)
         pop_outer = 1.0 - np.sum(np.abs(dagger(basis_outer.vectors) @ evolved) ** 2, axis=0)
         pop_inner = 1.0 - np.sum(np.abs(dagger(basis_inner.vectors) @ evolved) ** 2, axis=0)
         profile.append((t, float(pop_outer.max()), float(pop_inner.max())))

@@ -516,14 +516,16 @@ def no_go_trials(trials: int, seed: int) -> dict:
 
     Takes the draws of ``no_go_draws`` but builds each Hamiltonian from the
     brute-force exchange terms, and diagonalizes and checks each trial on
-    its own, one time at a time. Returns the ``NoGoReport`` fields that the
+    its own, one time at a time, its invariance defect ||(I - P) U P||_F
+    from the formed projector P. Returns the ``NoGoReport`` fields that the
     trials determine.
     """
     from hqcdfs.gates import NO_GO_TOL
     from hqcdfs.operators import Spectrum
-    from hqcdfs.subspace import invariance_defect, restrict
+    from hqcdfs.subspace import restrict
 
     dfs = two_qubit_dfs()
+    p = dfs.vectors @ dfs.vectors.conj().T
     eye = np.eye(2)
     trivial = nontrivial = counterexamples = 0
     max_invariance = max_trivial_transport = 0.0
@@ -535,8 +537,8 @@ def no_go_trials(trials: int, seed: int) -> dict:
         spectrum = Spectrum(h)
         transport = identity_dist = 0.0
         for t in trial_times:
-            u = spectrum.propagator(t)
-            max_invariance = max(max_invariance, invariance_defect(u, dfs))
+            u = spectrum.frames(t)
+            max_invariance = max(max_invariance, float(np.linalg.norm((np.eye(4) - p) @ u @ p)))
             frame = u @ dfs.vectors
             transport = max(transport, float(np.abs(frame.conj().T @ h @ frame).max()))
             identity_dist = max(identity_dist, float(np.linalg.norm(restrict(u, dfs) - eye)))
@@ -590,7 +592,7 @@ def noisy_fidelities(recipe, ensemble, generator=None) -> list[float]:
     n = 3 * n_blocks
     segments = ensemble.kick_count + 1
     h = recipe_hamiltonian(recipe)
-    u_segment = Spectrum(h).propagator(recipe.duration / segments)
+    u_segment = Spectrum(h).frames(recipe.duration / segments)
     if generator is None:
         generator = np.diagonal(sum(embed_bruteforce(PAULI["z"], k, n) for k in range(1, n + 1))).real
     vectors = product_states(recipe.blocks, n_blocks, "01")

@@ -1029,11 +1029,11 @@ PINNED_CERTIFY_RECIPES = {
 # SHA-256 of stdout as the pure-Python indent-2 JSON encoder printed it, with
 # one round_sig call per float.
 PINNED_CERTIFY_SHA256 = {
-    ("gate", "XZ"): "0d4c76224487463660c5bec1f6f685693187eeaa882635d7535c44636d30a54b",
-    ("gate", "ZX"): "61c844d76692c4ccc57236e0c514ff04b6aaba93db1cc5449668ade8cf622d79",
-    ("gate", "CNOT-12"): "7c88d5e55a28c779b676445ef13408b958bd824dcc7cc2157dc3ac4758c8a725",
+    ("gate", "XZ"): "d0c7961fba85cbbec68fbddb89634c40224cae119259d7f1cb1e3258ea4e0f5a",
+    ("gate", "ZX"): "d8a2d29345590b8dae5e96501d5c0ab44eae0103b2a4886e41c719938e238cb3",
+    ("gate", "CNOT-12"): "1b3efc694807dd065d96f498850c33bdbbcc8b15431cc40fa92b140d76d2e4d2",
     ("gate", "CNOT-21"): "4b3ca417b866853ca5a082706dc89162e16174935900b3d8b4c8f8d4b140c51c",
-    ("gate", "XZ-detuned"): "3445e0b33e1dfc85b8ccb09fc62d977cbe70a082dbe2819fe62fc87805d04779",
+    ("gate", "XZ-detuned"): "bb20ce87117b7fa41291ba8573b9c7b70fef53d1f21ae259f7e7857812552e78",
     ("holonomy", "XZ"): "c130592b78b9e3b9eb67473d7695caf1fbdad30736e2ae504fc2e4defc2bd05d",
     ("holonomy", "ZX"): "31a2c2ba5ef0ea37028db717b314e7e33722c74baafade9d6b6b5bc07d62d809",
     ("holonomy", "CNOT-12"): "a27dceff142108df9d762c022932202bd9c6d50ef46f5381c5810c84f54a120d",

@@ -206,7 +206,7 @@ class TestNoGo:
         dfs = two_qubit_dfs()
         h = np.zeros((4, 4), dtype=complex)
         assert transport_defect(h, dfs) == 0.0
-        assert np.abs(restrict(Spectrum(h).propagator(1.7), dfs) - np.eye(2)).max() <= 1e-14
+        assert np.abs(restrict(Spectrum(h).frames(1.7), dfs) - np.eye(2)).max() <= 1e-14
 
     def test_randomized_equivalence_holds(self):
         report = no_go_certificate(200, seed=11)
@@ -277,16 +277,17 @@ def sweep_argv(param, recipe):
 
 
 def count_evolutions(monkeypatch) -> list:
-    """The (method name, time) of every ``Spectrum.propagator`` and
-    ``Spectrum.frames`` call from now on, in call order."""
+    """The (time, column count) of every ``Spectrum.frames`` call from now
+    on, in call order; a call without ``vectors`` evolves the whole
+    register, and counts its size."""
     calls = []
-    propagator, frames = Spectrum.propagator, Spectrum.frames
-    monkeypatch.setattr(
-        Spectrum, "propagator", lambda self, t: calls.append(("propagator", t)) or propagator(self, t)
-    )
-    monkeypatch.setattr(
-        Spectrum, "frames", lambda self, t, b: calls.append(("frames", t)) or frames(self, t, b)
-    )
+    frames = Spectrum.frames
+
+    def counting(self, t, vectors=None):
+        calls.append((t, self.h.shape[-1] if vectors is None else vectors.shape[-1]))
+        return frames(self, t, vectors)
+
+    monkeypatch.setattr(Spectrum, "frames", counting)
     return calls
 
 
@@ -358,8 +359,8 @@ class TestOneSpectrumPerHamiltonian:
             durations = [recipe.duration] * 6
         else:
             durations = [recipe.duration * (1.0 + v) for v in np.linspace(-0.1, 0.1, 6)]
-        assert [t for _, t in calls] == pytest.approx(durations, rel=1e-14, abs=0)
-        assert {name for name, _ in calls} == {"frames"}
+        assert [t for t, _ in calls] == pytest.approx(durations, rel=1e-14, abs=0)
+        assert {k for _, k in calls} == {2 ** len(recipe.blocks)}
 
     @pytest.mark.parametrize("param, recipe", SWEEPS.values(), ids=SWEEPS.keys())
     def test_one_logical_basis_per_sweep(self, param, recipe, monkeypatch):
@@ -388,35 +389,46 @@ class TestOneSpectrumPerHamiltonian:
     )
     def test_one_propagator_per_realization(self, recipe, monkeypatch):
         # U(tau) serves the comparison; the certificate reads the logical
-        # frame U(tau) B and builds no link propagator.
+        # frame U(tau) B and, unless detuned, the chain link's frame
+        # U(-tau/steps) B, and builds no d x d link propagator.
         calls = count_evolutions(monkeypatch)
         realize(recipe, steps=512)
-        assert calls == [("propagator", recipe.duration), ("frames", recipe.duration)]
+        d, k = 2 ** (3 * max(recipe.blocks)), 2 ** len(recipe.blocks)
+        expected = [(recipe.duration, d), (recipe.duration, k)]
+        if not recipe.detuned:
+            expected.append((-recipe.duration / 512, k))
+        assert calls == expected
 
     @pytest.mark.parametrize(
-        "argv, propagators",
+        "argv, register, propagators",
         [
-            (["gate", "--recipe", json.dumps(cnot().to_json_dict())], 1),
-            (["holonomy", "--recipe", json.dumps(cnot().to_json_dict())], 0),
-            (sweep_argv(*SWEEPS["detuning-CNOT"]), 0),
+            (["gate", "--recipe", json.dumps(cnot().to_json_dict())], 64, 1),
+            (["holonomy", "--recipe", json.dumps(cnot().to_json_dict())], 64, 0),
+            (sweep_argv(*SWEEPS["detuning-CNOT"]), 64, 0),
             (
                 ["noise", "--recipe", json.dumps(cnot().to_json_dict()), "--ensemble"]
                 + ['{"kick_count": 3, "distribution": {"type": "uniform"}, "samples": 4, "seed": 1}'],
+                64,
                 0,
             ),
-            (["nogo", "--trials", "5"], 1),
+            (["nogo", "--trials", "5"], 4, 0),
         ],
         ids=["gate", "holonomy", "sweep", "noise", "nogo"],
     )
-    def test_only_gate_builds_a_register_propagator(self, argv, propagators, monkeypatch, capsys):
-        # Every command but ``gate`` reads evolved frames of the encoded
-        # span; ``nogo``'s one batched call evolves 4x4 two-qubit registers.
+    def test_only_gate_builds_a_register_propagator(
+        self, argv, register, propagators, monkeypatch, capsys
+    ):
+        # A propagator evolves as many columns as the register has
+        # dimensions. Every command but ``gate`` reads evolved frames of the
+        # encoded span; ``nogo``'s one batched call evolves the two
+        # protected columns of its 4x4 two-qubit registers.
         from hqcdfs.cli import main
 
         calls = count_evolutions(monkeypatch)
         assert main(argv) == 0
         capsys.readouterr()
-        assert [name for name, _ in calls].count("propagator") == propagators
+        assert calls
+        assert [k for _, k in calls].count(register) == propagators
 
 
 class TestGateProperties:
@@ -438,7 +450,7 @@ class TestGateProperties:
         # XZ on block 2 of 2: the idle block 1 in |0>_L or in |1>_L gives
         # the same logical gate.
         recipe = xz(0.85, block=2)
-        u = Spectrum(recipe_hamiltonian(recipe)).propagator(recipe.duration)
+        u = Spectrum(recipe_hamiltonian(recipe)).frames(recipe.duration)
         rest_0, rest_1 = (
             restrict(u, BasisSet(product_states([2], 2, "01", idle))) for idle in "01"
         )
@@ -454,7 +466,7 @@ class TestGateProperties:
         basis = dfs_product_basis([1])
         gates = {}
         for recipe in (xz(0.0), zx(0.0)):
-            u = Spectrum(recipe_hamiltonian(recipe)).propagator(recipe.duration)
+            u = Spectrum(recipe_hamiltonian(recipe)).frames(recipe.duration)
             gates[recipe.kind] = restrict(u, basis)
         forward = gates["XZ"] @ gates["ZX"]
         backward = gates["ZX"] @ gates["XZ"]

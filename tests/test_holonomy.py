@@ -244,7 +244,7 @@ class TestCertify:
         assert report.cyclicity_defect <= 1e-10
         assert report.transport_defect <= 1e-12
         assert report.reconstruction_distance <= 1e-3
-        restricted = restrict(Spectrum(h).propagator(recipe.duration), basis)
+        restricted = restrict(Spectrum(h).frames(recipe.duration), basis)
         assert phase_aligned_distance(report.holonomy_matrix, restricted) <= 1e-3
 
     def test_detuned_report_has_defects_only(self):

@@ -204,8 +204,8 @@ class TestNoiseProperties:
         spectrum = Spectrum(recipe_hamiltonian(recipe))
         protected = dfs_product_basis([1])
         segments = 5
-        u_segment = spectrum.propagator(recipe.duration / segments)
-        noiseless = restrict(spectrum.propagator(recipe.duration), protected)
+        u_segment = spectrum.frames(recipe.duration / segments)
+        noiseless = restrict(spectrum.frames(recipe.duration), protected)
         for _ in range(10):
             u = u_segment
             for theta in rng.uniform(0, 2 * np.pi, segments - 1):
@@ -314,7 +314,7 @@ def kicked_fidelity(recipe: GateRecipe, angles: np.ndarray) -> float:
     """F of a one-block recipe with one Pade collective kick per angle between
     equal segments, propagated on the full register and then restricted."""
     spectrum = Spectrum(recipe_hamiltonian(recipe))
-    u_segment = spectrum.propagator(recipe.duration / (len(angles) + 1))
+    u_segment = spectrum.frames(recipe.duration / (len(angles) + 1))
     u = u_segment
     for theta in angles:
         u = u_segment @ (collective_kick(theta, 3) @ u)

@@ -84,19 +84,19 @@ class TestEvolve:
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(11)
         h = random_hermitian(rng, 6)
-        assert np.allclose(Spectrum(h).propagator(0.0), np.eye(6), atol=1e-14)
+        assert np.allclose(Spectrum(h).frames(0.0), np.eye(6), atol=1e-14)
 
     def test_diagonal_generator(self):
         t = 0.83
         expected = np.diag([np.exp(-1j * t), np.exp(1j * t)])
-        assert np.allclose(Spectrum(SIGMA_Z).propagator(t), expected, atol=1e-14)
+        assert np.allclose(Spectrum(SIGMA_Z).frames(t), expected, atol=1e-14)
 
     def test_three_level_gate_matrix(self):
         # Restriction of the zero-phase gate generator, evolved for a
         # pulse area pi/sqrt(2): flips the logical pair, -1 on the ancilla.
         j = 1.0
         h3 = j * np.array([[0, 1, -1], [1, 0, 0], [-1, 0, 0]], dtype=complex)
-        u = Spectrum(h3).propagator(np.pi / (np.sqrt(2.0) * j))
+        u = Spectrum(h3).frames(np.pi / (np.sqrt(2.0) * j))
         expected = np.array([[-1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
         assert np.abs(u - expected).max() < 1e-12
 
@@ -107,7 +107,7 @@ class TestEvolve:
         # rotation, entry by entry: exp(+iht) misses it by about 1.
         recipe = xz(phi)
         t = fraction * recipe.duration
-        u = restrict(Spectrum(recipe_hamiltonian(recipe)).propagator(t), dfs_product_basis([1]))
+        u = restrict(Spectrum(recipe_hamiltonian(recipe)).frames(t), dfs_product_basis([1]))
         assert np.abs(u - three_level_rotation(phi, recipe.strength, t)).max() <= 1e-12
 
     def test_matches_pade_oracle(self):
@@ -115,16 +115,16 @@ class TestEvolve:
         for dim in (2, 5, 8):
             h = random_hermitian(rng, dim)
             t = rng.uniform(-3, 3)
-            assert np.allclose(Spectrum(h).propagator(t), expm_oracle(h, t), atol=1e-11)
+            assert np.allclose(Spectrum(h).frames(t), expm_oracle(h, t), atol=1e-11)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractViolation):
-            Spectrum(np.array([[0, 1], [0, 0]], dtype=complex)).propagator(1.0)
+            Spectrum(np.array([[0, 1], [0, 0]], dtype=complex)).frames(1.0)
 
     def test_rejects_non_finite(self):
         # No entry is scanned: a NaN fails the Hermiticity check itself.
         with pytest.raises(ContractViolation, match=re.escape("||A - A^dag||_F = nan > ")):
-            Spectrum(np.array([[np.nan, 0], [0, 1]])).propagator(1.0)
+            Spectrum(np.array([[np.nan, 0], [0, 1]])).frames(1.0)
 
 
 class TestStackedSpectrum:
@@ -135,12 +135,12 @@ class TestStackedSpectrum:
     def test_propagators_match_per_matrix_spectra(self):
         h = self.hermitian_stack()
         times = np.random.default_rng(42).uniform(-3, 3, size=(len(h), 3))
-        stacked = Spectrum(h).propagator(times)
+        stacked = Spectrum(h).frames(times)
         assert stacked.shape == (5, 3, 6, 6)
         for i, hi in enumerate(h):
             single = Spectrum(hi)
             for j, t in enumerate(times[i]):
-                assert np.abs(stacked[i, j] - single.propagator(t)).max() <= 1e-14
+                assert np.abs(stacked[i, j] - single.frames(t)).max() <= 1e-14
 
     @pytest.mark.parametrize("recipe", [xz(0.37), zx(1.1), cnot()], ids=["XZ", "ZX", "CNOT"])
     def test_single_generator_is_a_stack_of_one(self, recipe):
@@ -149,15 +149,27 @@ class TestStackedSpectrum:
         h = recipe_hamiltonian(recipe)
         single, stack = Spectrum(h), Spectrum(h[None])
         tau = recipe.duration
-        u = single.propagator(tau)
+        u = single.frames(tau)
         assert u.shape == h.shape
-        assert np.array_equal(u, stack.propagator([[tau]])[0, 0])
+        assert np.array_equal(u, stack.frames([[tau]])[0, 0])
         times = np.array([[tau, -tau / 4096, 0.3]])
-        stacked = stack.propagator(times)
+        stacked = stack.frames(times)
         assert stacked.shape == (1, 3) + h.shape
-        assert np.array_equal(single.propagator(times[0]), stacked[0])
+        assert np.array_equal(single.frames(times[0]), stacked[0])
         for j, t in enumerate(times[0]):
-            assert np.array_equal(single.propagator(t), stacked[0, j])
+            assert np.array_equal(single.frames(t), stacked[0, j])
+
+    def test_stacked_frames_are_columns_of_each_full_evolution(self):
+        # The no-go's call shape: k shared columns evolved under every
+        # generator of a stack, at times shaped (T, k_t).
+        h = self.hermitian_stack(count=4, dim=4)
+        times = np.random.default_rng(45).uniform(-3, 3, size=(len(h), 3))
+        columns = np.eye(4)[:, 1:3]
+        stacked = Spectrum(h).frames(times, columns)
+        assert stacked.shape == (4, 3, 4, 2)
+        for i, hi in enumerate(h):
+            full = Spectrum(hi).frames(times[i])
+            assert np.abs(stacked[i] - full[..., 1:3]).max() <= 1e-14
 
     def test_worst_non_hermitian_matrix_of_64_is_named(self):
         h = self.hermitian_stack(count=64, dim=4)
@@ -175,7 +187,7 @@ class TestStackedSpectrum:
         u = spectrum.vectors[40] @ dagger(spectrum.vectors[40])
         defect = np.linalg.norm(dagger(u) @ u - np.eye(4))
         with pytest.raises(ContractViolation, match=re.escape(f"= {defect:.3e} > 4.000e-10")):
-            spectrum.propagator(np.zeros((64, 1)))
+            spectrum.frames(np.zeros((64, 1)))
 
     def test_one_non_hermitian_matrix_fails_the_stack(self):
         h = self.hermitian_stack()
@@ -186,10 +198,10 @@ class TestStackedSpectrum:
     def test_one_non_unitary_matrix_fails_the_stack(self):
         spectrum = Spectrum(self.hermitian_stack(count=4, dim=3))
         spectrum.vectors = random_unitaries(np.random.default_rng(43), 4, 3)
-        spectrum.propagator(np.zeros((4, 2)))
+        spectrum.frames(np.zeros((4, 2)))
         spectrum.vectors[2] *= 1.001
-        with pytest.raises(ContractViolation, match="not unitary"):
-            spectrum.propagator(np.zeros((4, 2)))
+        with pytest.raises(ContractViolation, match="not orthonormal"):
+            spectrum.frames(np.zeros((4, 2)))
 
     def test_non_finite_entry_fails_the_stack(self):
         h = self.hermitian_stack()
@@ -267,14 +279,14 @@ class TestAlgebraProperties:
     def test_evolve_additivity(self, s, t, seed):
         h = random_hermitian(np.random.default_rng(seed), 4)
         spectrum = Spectrum(h)
-        composed = spectrum.propagator(s) @ spectrum.propagator(t)
-        assert phase_aligned_distance(composed, spectrum.propagator(s + t)) <= 1e-9
+        composed = spectrum.frames(s) @ spectrum.frames(t)
+        assert phase_aligned_distance(composed, spectrum.frames(s + t)) <= 1e-9
 
     def test_evolve_unitarity_up_to_dim_64(self):
         rng = np.random.default_rng(23)
         for dim in (2, 3, 8, 16, 32, 64):
             h = random_hermitian(rng, dim)
-            u = Spectrum(h).propagator(rng.uniform(-2, 2))
+            u = Spectrum(h).frames(rng.uniform(-2, 2))
             defect = np.linalg.norm(u.conj().T @ u - np.eye(dim))
             assert defect <= 1e-10 * dim
 
@@ -323,7 +335,7 @@ class TestAlgebraProperties:
         assert distances.min() >= base - 1e-12
 
     def test_evolve_output_validated(self):
-        u = Spectrum(random_hermitian(np.random.default_rng(2), 5)).propagator(1.3)
+        u = Spectrum(random_hermitian(np.random.default_rng(2), 5)).frames(1.3)
         assert np.linalg.norm(dagger(u) @ u - np.eye(5)) <= UNITARITY_TOL * 5
 
     def test_pauli_anticommutation(self):

@@ -140,6 +140,28 @@ def test_no_function_local_package_imports():
     assert local == []
 
 
+def test_only_operators_reads_a_spectrum():
+    """Only ``operators.py`` calls ``eigh`` or reads a ``.values`` attribute,
+    so no other module can rebuild e^{-i Lambda t} from the eigenvalues by
+    hand: every evolution goes through ``Spectrum.frames``. A call such as
+    ``dict.values()`` is not such a read."""
+    called = {
+        id(node.func)
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    found = set()
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "eigh":
+                found.add((module, "eigh"))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if node.attr == "eigh" or node.attr == "values" and id(node) not in called:
+                    found.add((module, node.attr))
+    assert sorted(found) == [("operators.py", "eigh"), ("operators.py", "values")]
+
+
 def test_readme_layout_lists_every_module():
     """The README's "Library layout" table names exactly the modules of
     ``src/hqcdfs``, ``__init__`` aside."""

@@ -152,16 +152,16 @@ class TestInvarianceDefect:
         spectrum = Spectrum(recipe_hamiltonian(xz(0.4)))
         basis = dfs_product_basis([1])
         for _ in range(10):
-            u = spectrum.propagator(rng.uniform(0, 5))
-            assert invariance_defect(u, basis) <= 1e-10
+            frames = spectrum.frames(rng.uniform(0, 5), basis.vectors)
+            assert invariance_defect(frames, basis) <= 1e-10
 
     def test_single_pauli_leaves_protected_space(self):
         basis = dfs_product_basis([1])
-        assert invariance_defect(pauli_kron("x", 1, 3), basis) > 0.9
+        assert invariance_defect(pauli_kron("x", 1, 3) @ basis.vectors, basis) > 0.9
 
     def test_identity_has_zero_defect(self):
         basis = dfs_product_basis([1])
-        assert invariance_defect(np.eye(8), basis) == 0.0
+        assert invariance_defect(np.eye(8) @ basis.vectors, basis) == 0.0
 
 
 class TestLeakageProfile:
@@ -223,10 +223,10 @@ class TestSubspaceProperties:
         spectrum = Spectrum(recipe_hamiltonian(zx(0.7)))
         basis = dfs_product_basis([1])
         for _ in range(10):
-            u = spectrum.propagator(rng.uniform(0, 4))
-            v = spectrum.propagator(rng.uniform(0, 4))
-            assert invariance_defect(u, basis) <= 1e-10
-            assert invariance_defect(v, basis) <= 1e-10
+            u = spectrum.frames(rng.uniform(0, 4))
+            v = spectrum.frames(rng.uniform(0, 4))
+            assert invariance_defect(u @ basis.vectors, basis) <= 1e-10
+            assert invariance_defect(v @ basis.vectors, basis) <= 1e-10
             lhs = restrict(u @ v, basis)
             rhs = restrict(u, basis) @ restrict(v, basis)
             assert np.abs(lhs - rhs).max() <= 1e-10
