@@ -23,11 +23,13 @@ import numpy as np
 
 from . import __version__
 from .gates import no_go_certificate, realize
-from .holonomy import DEFAULT_CHAIN_STEPS, certify, check_chain_steps, cyclicity_defect, transport_defect
+from .holonomy import (
+    DEFAULT_CHAIN_STEPS, MAX_CHAIN_STEPS, MIN_CHAIN_STEPS, certify, cyclicity_defect, transport_defect,
+)
 from .model import GateRecipe, detune, recipe_hamiltonian, target_for
 from .noise import NoiseEnsemble, noisy_realize
 from .operators import ContractViolation, Spectrum, dagger, phase_aligned_distance
-from .serialize import InputError, Record, encode_csv, encode_json, replace
+from .serialize import Record, encode_csv, encode_json, replace
 from .subspace import BasisSet, dfs_product_basis
 
 EXIT_OK = 0
@@ -83,6 +85,10 @@ _CHECKS = {
 MAX_SWEEP_POINTS = 2 ** 14
 
 
+class InputError(ValueError):
+    """Unparseable or invalid command input (exit status 2)."""
+
+
 def tolerance_scale() -> float:
     raw = os.environ.get("HQC_DFS_TOLERANCE_SCALE", "1")
     try:
@@ -124,7 +130,7 @@ def _violations(command: str, report, scale: float) -> list:
 
 
 def _emit(out: str | None, parts: list[str]) -> None:
-    if out:
+    if out is not None:
         try:
             fh = open(out, "w", encoding="utf-8")
         except OSError as exc:
@@ -147,7 +153,7 @@ def _run_holonomy(args: argparse.Namespace):
     recipe = _parse(GateRecipe, args.recipe)
     basis = dfs_product_basis(recipe.blocks, "01")
     inputs = {"recipe": recipe, "steps": args.steps}
-    if args.basis:
+    if args.basis is not None:
         custom = _parse(BasisSet, args.basis)
         if custom.dim_ambient != basis.dim_ambient:
             raise InputError(
@@ -207,6 +213,10 @@ def _run_sweep(args: argparse.Namespace):
 
 
 def _run_nogo(args: argparse.Namespace):
+    if args.trials < 1:
+        raise InputError(f"trials must be >= 1, got {args.trials}")
+    if args.seed < 0:  # random.Random would take abs(seed)
+        raise InputError(f"seed must be >= 0, got {args.seed}")
     report = no_go_certificate(args.trials, args.seed)
     return report, {"trials": args.trials, "seed": args.seed}, None
 
@@ -306,8 +316,8 @@ def main(argv: list[str] | None = None) -> int:
             if sys.stdout is not None:
                 sys.stdout.flush()
             return EXIT_OK
-        if "steps" in args:
-            check_chain_steps(args.steps)
+        if "steps" in args and not MIN_CHAIN_STEPS <= args.steps <= MAX_CHAIN_STEPS:
+            raise InputError(f"steps must be in [{MIN_CHAIN_STEPS}, {MAX_CHAIN_STEPS}], got {args.steps}")
         scale = tolerance_scale()
         report, inputs, table = _RUNNERS[args.command](args)
         detuned = "recipe" in inputs and inputs["recipe"].detuned

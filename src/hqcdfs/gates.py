@@ -18,7 +18,7 @@ import numpy as np
 from .holonomy import DEFAULT_CHAIN_STEPS, HolonomyReport, certify
 from .model import GateRecipe, exchange_term, recipe_hamiltonian, target_for
 from .operators import Spectrum, dagger, phase_aligned_distance
-from .serialize import InputError, Record
+from .serialize import Record
 from .subspace import BasisSet, dfs_product_basis, invariance_defect, restrict
 
 
@@ -152,13 +152,9 @@ def no_go_certificate(trials: int, seed: int) -> NoGoReport:
     ``_NO_GO_CHUNK``: one batched ``Spectrum`` and one batched ``frames``
     call per chunk, which evolves only the two protected columns, with
     every check an array reduction, so memory stays the same whatever the
-    trial count. A trial count below 1 or a negative seed raises InputError
-    here; ``random.Random`` would take ``abs(seed)``.
+    trial count. ``trials`` >= 1 and ``seed`` >= 0 are taken as given, as
+    ``certify`` takes its steps: ``cli`` checks them where they enter.
     """
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
     r_x, r_y = exchange_term(2, ("x", 1, 2)), exchange_term(2, ("y", 1, 2))
     eye = np.eye(2)
 

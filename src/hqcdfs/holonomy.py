@@ -29,24 +29,19 @@ import math
 import numpy as np
 
 from .operators import ContractViolation, Spectrum, dagger, phase_aligned_distance, polar_unitary
-from .serialize import InputError, Record
+from .serialize import Record
 from .subspace import BasisSet, invariance_defect, restrict
 
 # Conditions (i)/(ii) must hold at this level before reconstruction runs.
 PRECONDITION_TOL = 1e-8
 
+# The --steps range, which cli checks; certify takes the steps it is given.
 DEFAULT_CHAIN_STEPS = 4096
 MIN_CHAIN_STEPS = 8
 # Above about 1e15 steps the roundoff of the link, raised to the power steps,
 # swamps the chain (XZ at 1e15 reads reconstruction distance 0.013); at 2^30
 # the chain defect of XZ, ZX and CNOT is at most 9.3e-7.
 MAX_CHAIN_STEPS = 2 ** 30
-
-
-def check_chain_steps(steps: int) -> None:
-    """Raise InputError unless MIN_CHAIN_STEPS <= ``steps`` <= MAX_CHAIN_STEPS."""
-    if not MIN_CHAIN_STEPS <= steps <= MAX_CHAIN_STEPS:
-        raise InputError(f"steps must be in [{MIN_CHAIN_STEPS}, {MAX_CHAIN_STEPS}], got {steps}")
 
 
 def cyclicity_defect(frames: np.ndarray, basis: BasisSet) -> float:

@@ -73,7 +73,7 @@ class GateRecipe(Record):
         if len(self.blocks) != expected:
             raise ValueError(f"{self.kind} recipe needs {expected} block index(es)")
         if any(b < 1 for b in self.blocks):
-            raise IndexError(f"block indices must be >= 1, got {self.blocks}")
+            raise ValueError(f"block indices must be >= 1, got {self.blocks}")
         if max(self.blocks) > MAX_BLOCKS:
             raise ValueError(f"block indices must be <= {MAX_BLOCKS}, got {self.blocks}")
         if self.kind == "CNOT" and self.blocks[0] == self.blocks[1]:

@@ -127,10 +127,6 @@ FORMAT_CHUNK = 2 ** 10
 _NON_FINITE = "Out of range float values are not JSON compliant: "
 
 
-class InputError(ValueError):
-    """Unparseable or invalid command input (exit status 2)."""
-
-
 def as_int(value, name: str) -> int:
     """``value`` as an int; rejects bools, strings and non-integral numbers."""
     if isinstance(value, float) and value.is_integer():

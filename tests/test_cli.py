@@ -539,6 +539,9 @@ BAD_INPUT = {
     "kind-int": (gate_argv(kind=1), None),
     "nogo-seed-negative": (["nogo", "--trials", "3", "--seed", "-1"], None),
     "nogo-trials-0": (["nogo", "--trials", "0"], None),
+    # An empty path names no file; it is not the default.
+    "holonomy-basis-empty": (["holonomy", "--recipe", json.dumps(XZ), "--basis", ""], None),
+    "nogo-out-empty": (["nogo", "--trials", "2", "--out", ""], None),
     "sweep-phase-from-inf": (sweep_argv("inf", "0.1", 3, param="phase"), None),
     "sweep-detuning-from-nan": (sweep_argv("nan", "0.1", 3), None),
     "sweep-detuning-to-1e308": (sweep_argv("-0.1", "1e308", 3), None),
@@ -642,6 +645,13 @@ PARSER_FAILURES = {
     "param-bad": (sweep_argv("0", "0.1", 2, param="bad"), "--param"),
     "unknown-option": (gate_argv() + ["--bogus", "1"], "--bogus"),
     "to-without-value": (sweep_argv("0", "0.1", 2)[:5] + ["--to"], "--to"),
+}
+# Bad no-go command lines, each with its one stderr line: the trial count is
+# checked first.
+NOGO_REFUSALS = {
+    "trials-0": (["nogo", "--trials", "0"], "trials must be >= 1, got 0"),
+    "seed-negative": (["nogo", "--trials", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
+    "trials-0-seed-negative": (["nogo", "--trials", "0", "--seed", "-1"], "trials must be >= 1, got 0"),
 }
 # Each command given --steps, on an XZ recipe.
 STEPS_ARGV = {
@@ -780,6 +790,17 @@ class TestBadInputExits2:
         if command == "sweep":  # a sweep runs no projector chain and takes no --steps
             line = f"unrecognized arguments: --steps {steps}"
         assert (status, out, err) == (2, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("argv, line", NOGO_REFUSALS.values(), ids=NOGO_REFUSALS.keys())
+    def test_bad_nogo_exits_2_before_any_draw(self, argv, line, monkeypatch):
+        from hqcdfs import gates
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a no-go trial ran before --trials and --seed were checked")
+
+        # Every trial's Hamiltonian is a sum of the two exchange terms.
+        monkeypatch.setattr(gates, "exchange_term", refuse)
+        assert run_captured(argv) == (2, "", f"error: {line}\n")
 
     @pytest.mark.parametrize("argv", OVER_BUDGET.values(), ids=OVER_BUDGET.keys())
     def test_register_over_budget_exits_2_before_any_hamiltonian(self, argv, monkeypatch):

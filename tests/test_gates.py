@@ -216,13 +216,6 @@ class TestNoGo:
         assert report.max_dfs_invariance_defect <= 1e-12
         assert report.min_nontrivial_transport_defect > 1e-3
 
-    def test_trials_validation(self):
-        with pytest.raises(ValueError):
-            no_go_certificate(0, seed=1)
-        # ``random.Random(-1)`` would draw the trials of seed 1.
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            no_go_certificate(1, -1)
-
     # Every (seed, trials) pair whose ``nogo`` stdout is pinned.
     @pytest.mark.parametrize(
         "seed, trials",

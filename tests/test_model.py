@@ -194,9 +194,9 @@ class TestRecipes:
             replace(edge, strength=1e300, duration=1e300)
 
     def test_block_index_below_one(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             xz(0.0, block=0)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             cnot(blocks=(0, 1))
 
     def test_cnot_needs_distinct_blocks(self):

@@ -174,7 +174,7 @@ def test_readme_layout_lists_every_module():
 def test_two_exception_types():
     """``src/hqcdfs`` defines exactly two exception types, one per failing
     exit status of the CLI: ``operators.ContractViolation`` (3) and
-    ``serialize.InputError`` (2). Every other failure is a built-in type."""
+    ``cli.InputError`` (2). Every other failure is a built-in type."""
     defined = []
     for name in TREES:
         stem = Path(name).stem
@@ -186,7 +186,7 @@ def test_two_exception_types():
             and issubclass(obj, BaseException)
             and obj.__module__ == module.__name__
         ]
-    assert sorted(defined) == ["operators.ContractViolation", "serialize.InputError"]
+    assert sorted(defined) == ["cli.InputError", "operators.ContractViolation"]
 
 
 def test_one_way_out():
@@ -229,17 +229,11 @@ def test_one_decode_rule_and_one_layout_rule():
 
 
 # Input rules may fail only where a value enters the program: anywhere in
-# ``cli``, in a record's ``__post_init__`` or ``from_json_dict``, in these
-# owners of input fields, the ``--steps`` range, the no-go trial count and
-# seed (both checked by ``no_go_certificate``), and in the encoder's
-# non-finite guard.
-INPUT_OWNERS = {
-    "as_int",
-    "as_float",
-    "check_chain_steps",
-    "no_go_certificate",
-}
-INPUT_ERRORS = {"ValueError", "IndexError", "InputError"}
+# ``cli``, which alone raises ``InputError``, in a record's ``__post_init__``
+# or ``from_json_dict``, in these owners of record fields, and in the
+# encoder's non-finite guard. The library takes every other value as given.
+INPUT_OWNERS = {"as_int", "as_float"}
+INPUT_ERRORS = {"ValueError", "InputError"}
 
 
 def input_error_raises() -> list:
@@ -277,13 +271,15 @@ def owns_input(module: str, owner: str | None, exc: ast.expr) -> bool:
 
 
 def test_values_are_checked_where_they_enter():
-    """``ValueError``, ``IndexError`` and ``InputError`` are raised only by
-    the owners of input: the pipeline takes the values they checked, and
-    what it builds from them, without checking them again. Computed results
-    fail by ``ContractViolation`` instead."""
+    """``ValueError`` and ``InputError`` are raised only by the owners of
+    input, and ``InputError`` only in ``cli``: the pipeline takes the values
+    they checked, and what it builds from them, without checking them
+    again. Computed results fail by ``ContractViolation`` instead."""
     raises = input_error_raises()
     assert INPUT_OWNERS <= {owner for _, owner, _ in raises}
     assert [f"{m}:{o}" for m, o, exc in raises if not owns_input(m, o, exc)] == []
+    input_errors = [m for m, _, exc in raises if ast.unparse(getattr(exc, "func", exc)) == "InputError"]
+    assert set(input_errors) == {"cli.py"}
 
 
 def refuses_nan(test: ast.expr) -> bool:
