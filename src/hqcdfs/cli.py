@@ -13,7 +13,6 @@ every documented tolerance for exploratory runs and is recorded in JSON reports.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -144,17 +143,17 @@ def _emit(out: str | None, parts: list[str]) -> None:
         sys.stdout.flush()
 
 
-def _run_gate(args: argparse.Namespace):
-    recipe = _parse(GateRecipe, args.recipe)
-    return realize(recipe, steps=args.steps), {"recipe": recipe, "steps": args.steps}, None
+def _run_gate(args: dict):
+    recipe = _parse(GateRecipe, args["recipe"])
+    return realize(recipe, steps=args["steps"]), {"recipe": recipe, "steps": args["steps"]}, None
 
 
-def _run_holonomy(args: argparse.Namespace):
-    recipe = _parse(GateRecipe, args.recipe)
+def _run_holonomy(args: dict):
+    recipe = _parse(GateRecipe, args["recipe"])
     basis = dfs_product_basis(recipe.blocks, "01")
-    inputs = {"recipe": recipe, "steps": args.steps}
-    if args.basis is not None:
-        custom = _parse(BasisSet, args.basis)
+    inputs = {"recipe": recipe, "steps": args["steps"]}
+    if args["basis"] is not None:
+        custom = _parse(BasisSet, args["basis"])
         if custom.dim_ambient != basis.dim_ambient:
             raise InputError(
                 f"basis ambient dimension {custom.dim_ambient} does not match "
@@ -162,25 +161,25 @@ def _run_holonomy(args: argparse.Namespace):
             )
         basis = inputs["basis"] = custom
     spectrum = Spectrum(recipe_hamiltonian(recipe))
-    report = certify(spectrum, basis, recipe.duration, args.steps, reconstruct=not recipe.detuned)
+    report = certify(spectrum, basis, recipe.duration, args["steps"], reconstruct=not recipe.detuned)
     return report, inputs, None
 
 
-def _run_noise(args: argparse.Namespace):
-    recipe = _parse(GateRecipe, args.recipe)
-    ensemble = _parse(NoiseEnsemble, args.ensemble)
+def _run_noise(args: dict):
+    recipe = _parse(GateRecipe, args["recipe"])
+    ensemble = _parse(NoiseEnsemble, args["ensemble"])
     result = noisy_realize(recipe, ensemble)
     table = ("sample,fidelity", range(ensemble.samples), result.per_sample)
-    return result, {"recipe": recipe, "ensemble": ensemble}, table if args.format == "csv" else None
+    return result, {"recipe": recipe, "ensemble": ensemble}, table if args["format"] == "csv" else None
 
 
-def _run_sweep(args: argparse.Namespace):
-    param, start, stop, points = args.param, args.start, args.stop, args.points
+def _run_sweep(args: dict):
+    param, start, stop, points = args["param"], args["from"], args["to"], args["points"]
     if not 2 <= points <= MAX_SWEEP_POINTS:
         raise InputError(f"sweep needs 2 to {MAX_SWEEP_POINTS} points, got {points}")
     if not all(math.isfinite(x) for x in (start, stop, stop - start)):
         raise InputError(f"--from {start!r} and --to {stop!r} must be finite and a finite distance apart")
-    template = _parse(GateRecipe, args.recipe)
+    template = _parse(GateRecipe, args["recipe"])
 
     def point(i: int):
         value = start + (stop - start) * i / (points - 1)
@@ -212,13 +211,13 @@ def _run_sweep(args: argparse.Namespace):
     return None, {}, ("parameter,distance,cyclicity_defect,transport_defect", *zip(*rows))
 
 
-def _run_nogo(args: argparse.Namespace):
-    if args.trials < 1:
-        raise InputError(f"trials must be >= 1, got {args.trials}")
-    if args.seed < 0:  # random.Random would take abs(seed)
-        raise InputError(f"seed must be >= 0, got {args.seed}")
-    report = no_go_certificate(args.trials, args.seed)
-    return report, {"trials": args.trials, "seed": args.seed}, None
+def _run_nogo(args: dict):
+    trials, seed = args["trials"], args["seed"]
+    if trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
+    if seed < 0:  # random.Random would take abs(seed)
+        raise InputError(f"seed must be >= 0, got {seed}")
+    return no_go_certificate(trials, seed), {"trials": trials, "seed": seed}, None
 
 
 # Each runner returns (report, inputs, table): the report to check, the inputs
@@ -232,100 +231,146 @@ _RUNNERS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """A parser whose failures raise InputError, for ``main`` to report,
-    instead of printing the usage text and exiting."""
-
-    def error(self, message: str):
-        raise InputError(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="hqcdfs",
-        description="Simulate and certify holonomic gates on decoherence-free encoded qubits.",
-    )
-    parser.add_argument("--version", action="version", version=f"hqcdfs {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gate = sub.add_parser("gate", help="realize a gate recipe and report the comparison")
-    gate.add_argument("--recipe", required=True, help="recipe file path or inline JSON")
-
-    hol = sub.add_parser("holonomy", help="certify the holonomic character of a recipe")
-    hol.add_argument("--recipe", required=True)
-    hol.add_argument("--basis", help="basis-set JSON (path or inline) instead of the logical basis")
-
-    noise = sub.add_parser("noise", help="gate fidelity under collective phase kicks")
-    noise.add_argument("--recipe", required=True)
-    noise.add_argument("--ensemble", required=True, help="ensemble file path or inline JSON")
-    noise.add_argument("--format", choices=("json", "csv"), default="json")
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="sweep a recipe parameter, one CSV row per point",
-        description="Sweep a recipe parameter, one CSV row per point. "
-        "Both grid ends are checked before any point runs.",
-    )
-    sweep.add_argument("--param", required=True, choices=("phase", "pulse_area_detuning"))
-    sweep.add_argument("--from", dest="start", type=float, required=True)
-    sweep.add_argument("--to", dest="stop", type=float, required=True)
-    sweep.add_argument("--points", type=int, required=True)
-    sweep.add_argument("--recipe", required=True)
-
-    nogo = sub.add_parser("nogo", help="randomized two-qubit no-go certificate")
-    nogo.add_argument("--trials", type=int, default=1000)
-    nogo.add_argument("--seed", type=int, default=0)
-
-    for command in (gate, hol):
-        command.add_argument("--steps", type=int, default=DEFAULT_CHAIN_STEPS)
-    for command in sub.choices.values():
-        command.add_argument("--out")
-    return parser
+# The command line, one table: each command's help line and its options in
+# the order --help lists them, and the program's own before the command. An
+# option maps its spellings, joined by "/", to (type, default, help): a tuple
+# type lists the choices, the default _REQUIRED makes it required, and the
+# type None marks -h/--help and --version, which print instead of a report.
+_REQUIRED = object()
+_HELP = {"-h/--help": (None, None, "show this help message and exit")}
+PROGRAM = ("Simulate and certify holonomic gates on decoherence-free encoded qubits.", {
+    **_HELP, "--version": (None, None, "show program's version number and exit")})
+COMMANDS = {
+    "gate": ("realize a gate recipe and report the comparison", {**_HELP,
+        "--recipe": (str, _REQUIRED, "recipe file path or inline JSON"),
+        "--steps": (int, DEFAULT_CHAIN_STEPS, ""),
+        "--out": (str, None, "")}),
+    "holonomy": ("certify the holonomic character of a recipe", {**_HELP,
+        "--recipe": (str, _REQUIRED, ""),
+        "--basis": (str, None, "basis-set JSON (path or inline) instead of the logical basis"),
+        "--steps": (int, DEFAULT_CHAIN_STEPS, ""),
+        "--out": (str, None, "")}),
+    "noise": ("gate fidelity under collective phase kicks", {**_HELP,
+        "--recipe": (str, _REQUIRED, ""),
+        "--ensemble": (str, _REQUIRED, "ensemble file path or inline JSON"),
+        "--format": (("json", "csv"), "json", ""),
+        "--out": (str, None, "")}),
+    "sweep": ("sweep a recipe parameter, one CSV row per point", {**_HELP,
+        "--param": (("phase", "pulse_area_detuning"), _REQUIRED, ""),
+        "--from": (float, _REQUIRED, ""),
+        "--to": (float, _REQUIRED, ""),
+        "--points": (int, _REQUIRED, ""),
+        "--recipe": (str, _REQUIRED, ""),
+        "--out": (str, None, "")}),
+    "nogo": ("randomized two-qubit no-go certificate", {**_HELP,
+        "--trials": (int, 1000, ""),
+        "--seed": (int, 0, ""),
+        "--out": (str, None, "")}),
+}
 
 
-def _join_float_values(argv: list[str]) -> list[str]:
-    """``argv`` with ``--from X`` and ``--to X`` joined as ``--from=X``, which
-    argparse parses even where X reads as an option name, as ``-1e-3`` does;
-    so is every prefix that argparse resolves to them, ``--fro X`` or ``--t X``."""
-    joined = []
-    for token in argv:
-        option = joined[-1] if joined else ""
-        spells = len(option) > 2 and ("--from".startswith(option) or "--to".startswith(option))
-        if spells and not token.startswith("--"):
-            joined[-1] += "=" + token
-        else:
-            joined.append(token)
-    return joined
+def _option(token: str, options: dict) -> str | None:
+    """The name in ``options`` of the option that ``token``, up to any "=",
+    spells exactly or, for a long option, by a unique prefix; None if none."""
+    spelled = token.partition("=")[0] if token.startswith("--") else token
+    spellings = {spelling: name for name in options for spelling in name.split("/")}
+    matches = [s for s in spellings if s == spelled] or [
+        s for s in spellings if len(spelled) > 2 and spelled.startswith("--") and s.startswith(spelled)
+    ]
+    if len(matches) > 1:
+        raise InputError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    return spellings[matches[0]] if matches else None
+
+
+def _value(name: str, kind, value: str):
+    """``value`` read as the argument ``name`` of type ``kind``, a callable
+    or a tuple of choices."""
+    if not isinstance(kind, tuple):
+        try:
+            return kind(value)
+        except ValueError:
+            raise InputError(f"argument {name}: invalid {kind.__name__} value: {value!r}") from None
+    if value not in kind:
+        listed = ", ".join(map(repr, kind))
+        raise InputError(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+    return value
+
+
+def _help(command: str | None) -> str:
+    """The -h/--help text of ``command``, or of the program for None."""
+    about, options = COMMANDS[command] if command else PROGRAM
+    usage, rows = ["usage: hqcdfs" + (f" {command}" if command else "")], []
+    for name, (kind, default, text) in options.items():
+        metavar = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else name[2:].upper()
+        spelled = name.split("/")[0] if kind is None else f"{name} {metavar}"
+        usage.append(spelled if default is _REQUIRED else f"[{spelled}]")
+        rows.append((name if kind is None else spelled, text))
+    if command is None:
+        usage.append("{%s} ..." % ",".join(COMMANDS))
+        rows += [(name, entry[0]) for name, entry in COMMANDS.items()]
+    width = 2 + max(len(left) for left, _ in rows)
+    rows = [f"  {left:<{width}}{text}".rstrip() for left, text in rows]
+    return "\n".join([" ".join(usage), "", about, "", *rows]) + "\n"
+
+
+def parse_args(argv: list[str]) -> dict | str:
+    """The options of ``argv`` by name, ``command`` among them and each
+    default filled in, or the text that -h/--help or --version asks for. A
+    long option may be a unique prefix, its value joined by "=" or the next
+    token verbatim, so ``--from -1e-3`` parses; the last value wins. Each
+    failure raises InputError in argparse's words."""
+    args, extras, options = {}, [], PROGRAM[1]
+    tokens = iter(argv)
+    for token in tokens:
+        name = _option(token, options)
+        if name is None:
+            if "command" in args or token.startswith("-"):
+                extras.append(token)  # reported after the required options
+            else:
+                args["command"] = _value("command", tuple(COMMANDS), token)
+                options = COMMANDS[token][1]
+            continue
+        kind = options[name][0]
+        _, joined, value = token.partition("=")
+        if kind is None:
+            return _help(args.get("command")) if name == "-h/--help" else f"hqcdfs {__version__}\n"
+        if not joined and (value := next(tokens, None)) is None:
+            raise InputError(f"argument {name}: expected one argument")
+        args[name[2:]] = _value(name, kind, value)
+    missing = [name for name, option in options.items() if option[1] is _REQUIRED and name[2:] not in args]
+    if missing or "command" not in args:  # the program's own options are never required
+        raise InputError(f"the following arguments are required: {', '.join(missing or ['command'])}")
+    if extras:
+        raise InputError(f"unrecognized arguments: {' '.join(extras)}")
+    return {name[2:]: option[1] for name, option in options.items() if option[0] is not None} | args
 
 
 def main(argv: list[str] | None = None) -> int:
     """Parse and run one command, check its report (a detuned recipe's
     not), then write and flush it; returns the exit status, 0 after
     ``--help`` and ``--version`` too. The program's one way out: bad
-    input, argparse's included, exits 2, and any other failure, such as
-    an exhausted allocation or a failed write, exits 3, each with one
-    stderr line and no traceback, so exit 1 keeps meaning tolerance
+    input, the command line's included, exits 2, and any other failure,
+    such as an exhausted allocation or a failed write, exits 3, each with
+    one stderr line and no traceback, so exit 1 keeps meaning tolerance
     violations only. A CSV report holds no violations list, so its exit 1
     names them on one ``violations:`` stderr line.
     """
     try:
-        argv = sys.argv[1:] if argv is None else argv
-        try:
-            args = build_parser().parse_args(_join_float_values(argv))
-        except SystemExit:  # --help or --version wrote its text; error() raises
-            if sys.stdout is not None:
-                sys.stdout.flush()
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # the text of --help or --version
+            sys.stdout.write(args)
+            sys.stdout.flush()
             return EXIT_OK
-        if "steps" in args and not MIN_CHAIN_STEPS <= args.steps <= MAX_CHAIN_STEPS:
-            raise InputError(f"steps must be in [{MIN_CHAIN_STEPS}, {MAX_CHAIN_STEPS}], got {args.steps}")
+        if "steps" in args and not MIN_CHAIN_STEPS <= args["steps"] <= MAX_CHAIN_STEPS:
+            raise InputError(f"steps must be in [{MIN_CHAIN_STEPS}, {MAX_CHAIN_STEPS}], got {args['steps']}")
         scale = tolerance_scale()
-        report, inputs, table = _RUNNERS[args.command](args)
+        report, inputs, table = _RUNNERS[args["command"]](args)
         detuned = "recipe" in inputs and inputs["recipe"].detuned
-        violations = [] if detuned else _violations(args.command, report, scale)
+        violations = [] if detuned else _violations(args["command"], report, scale)
         if table is None:
             doc = {
                 "tool": {"name": "hqcdfs", "version": __version__},
-                "command": args.command,
+                "command": args["command"],
                 "tolerance_scale": scale,
                 "input": {k: v.to_json_dict() if isinstance(v, Record) else v for k, v in inputs.items()},
                 "report": report.to_json_dict(),
@@ -335,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
             text = encode_json(doc) + ["\n"] if table is None else encode_csv(*table)
         except ValueError as exc:
             raise ContractViolation(f"report holds a non-finite number: {exc}") from exc
-        _emit(args.out, text)
+        _emit(args["out"], text)
         # A JSON report lists its violations; a CSV report's go to stderr.
         if table is None or not violations:
             return EXIT_VIOLATIONS if violations else EXIT_OK
@@ -348,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         message = " ".join(f"{type(exc).__name__}: {exc}".split())
         status, line = EXIT_CONTRACT, f"internal error: {message}"
-    try:  # as argparse does: a closed (None) or failing stderr keeps the status
+    try:  # a closed (None) or failing stderr keeps the status
         sys.stderr.write(line + "\n")
     except (AttributeError, OSError):
         pass

@@ -311,7 +311,7 @@ NEGATIVE_STARTS = {
     "-inf": (2, "error: --from -inf and --to 0.1 must be finite and a finite distance apart\n"),
     "-1e308": (2, "error: invalid sweep point -1e+308: strength and duration must be positive\n"),
 }
-# Prefixes that argparse resolves to --from or --to, each spaced from a
+# Prefixes that the parser resolves to --from or --to, each spaced from a
 # negative value, with the exit status of the sweep from -0.1 to 0.1 it edits.
 NEGATIVE_PREFIXES = {
     "--f -1e-3": 0,
@@ -411,7 +411,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("start", NEGATIVE_STARTS)
     def test_spaced_negative_value_parses_as_joined(self, start):
-        # argparse reads a spaced "-1e-3" or "-inf" as an option name.
+        # argparse read a spaced "-1e-3" or "-inf" as an option name.
         spaced = run_captured(sweep_argv(start, "0.1", 2))
         joined = sweep_argv(start, "0.1", 2)
         joined[3:5] = [f"--from={start}"]
@@ -637,14 +637,36 @@ OVER_BUDGET = {
         "--recipe", json.dumps({**cnot().to_json_dict(), "blocks": [1, MAX_BLOCKS + 1]}),
     ],
 }
-# Command lines that argparse refuses, each with the option its one stderr
-# line names; argparse printed its usage text before these lines too.
+# Command lines that the parser refuses, each with the option its one stderr
+# line names, or with that whole line, as argparse wrote it; argparse printed
+# its usage text before these lines too.
 PARSER_FAILURES = {
     "gate-without-recipe": (["gate"], "--recipe"),
     "steps-abc": (gate_argv()[:3] + ["--steps", "abc"], "--steps"),
     "param-bad": (sweep_argv("0", "0.1", 2, param="bad"), "--param"),
     "unknown-option": (gate_argv() + ["--bogus", "1"], "--bogus"),
     "to-without-value": (sweep_argv("0", "0.1", 2)[:5] + ["--to"], "--to"),
+    "ambiguous-prefix": (
+        ["sweep", "--p", *sweep_argv("0", "0.1", 2)[2:]],
+        "error: ambiguous option: --p could match --param, --points\n",
+    ),
+    "no-command": ([], "error: the following arguments are required: command\n"),
+    "unknown-command": (
+        ["frob"],
+        "error: argument command: invalid choice: 'frob' "
+        "(choose from 'gate', 'holonomy', 'noise', 'sweep', 'nogo')\n",
+    ),
+    "format-joined-bad": (
+        noise_argv() + ["--format=xml"],
+        "error: argument --format: invalid choice: 'xml' (choose from 'json', 'csv')\n",
+    ),
+    "steps-without-value": (gate_argv()[:3] + ["--steps"], "error: argument --steps: expected one argument\n"),
+}
+# Command lines the parser accepts, each with the plain spelling whose run it
+# must match: a joined value, and a repeated option, whose last value wins.
+PARSER_SPELLINGS = {
+    "recipe-joined": (["gate", f"--recipe={json.dumps(XZ)}", "--steps", "64"], gate_argv()),
+    "trials-repeated": (["nogo", "--trials", "0", "--trials", "3"], ["nogo", "--trials", "3"]),
 }
 # Bad no-go command lines, each with its one stderr line: the trial count is
 # checked first.
@@ -775,6 +797,8 @@ class TestBadInputExits2:
         assert (status, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert option in err and "usage:" not in err
+        if option.endswith("\n"):
+            assert err == option
 
     @pytest.mark.parametrize("steps", [4, MAX_CHAIN_STEPS + 1])
     @pytest.mark.parametrize("command", STEPS_ARGV)
@@ -815,6 +839,14 @@ class TestBadInputExits2:
         assert (status, out) == (2, "")
         assert err.startswith(f"error: invalid GateRecipe: block indices must be <= {MAX_BLOCKS}")
         assert err.count("\n") == 1
+
+
+class TestParserSpellings:
+    @pytest.mark.parametrize("argv, plain", PARSER_SPELLINGS.values(), ids=PARSER_SPELLINGS.keys())
+    def test_spelling_runs_as_the_plain_one(self, argv, plain):
+        status, out, err = run_captured(argv)
+        assert (status, err) == (0, "")
+        assert (status, out, err) == run_captured(plain)
 
 
 class TestExitStatusContract:
@@ -1697,6 +1729,7 @@ class TestImportGuard:
         assert "numpy" in modules
         assert "numpy.random" not in modules
         assert "numpy.ma" not in modules
+        assert not {"argparse", "gettext", "locale"} & modules
 
     def test_cli_import_skips_the_reader(self):
         # ``numpy.random`` stays out, and every package module is loaded:
@@ -1707,3 +1740,4 @@ class TestImportGuard:
         assert "hqcdfs.cli" in package
         assert package <= modules
         assert "numpy.random" not in modules
+        assert not {"argparse", "gettext", "locale"} & modules

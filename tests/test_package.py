@@ -1,6 +1,5 @@
 """Shape of the package itself, read from its source."""
 
-import argparse
 import ast
 import importlib
 import math
@@ -8,7 +7,7 @@ import re
 from pathlib import Path
 
 import hqcdfs
-from hqcdfs.cli import build_parser
+from hqcdfs.cli import COMMANDS, PROGRAM
 
 PACKAGE = Path(hqcdfs.__file__).parent
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -52,7 +51,7 @@ def overrides(module: str, cls: str, method: str) -> bool:
 def test_every_public_method_has_a_caller_in_the_package():
     """The same for the public methods, classmethods and properties of every
     class, except those that override a base-class method: the base class's
-    callers call them, as argparse calls the CLI parser's ``error``."""
+    callers call them."""
     named = names_in_package()
     defined = [
         (module, cls.name, node.name)
@@ -313,15 +312,13 @@ def test_every_contract_guard_refuses_a_nan():
 
 
 def test_cli_option_surface():
-    """Every option string of each subcommand, read from ``build_parser``
-    in declaration order: adding or removing a knob is an edit here."""
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    """Every option string of each subcommand, read from the CLI's option
+    table in declaration order: adding or removing a knob is an edit here."""
     surface = {
-        name: [s for action in command._actions for s in action.option_strings]
-        for name, command in sub.choices.items()
+        name: [s for option in options for s in option.split("/")]
+        for name, (_, options) in COMMANDS.items()
     }
-    assert [s for action in parser._actions for s in action.option_strings] == [
+    assert [s for option in PROGRAM[1] for s in option.split("/")] == [
         "-h", "--help", "--version",
     ]
     assert surface == {
