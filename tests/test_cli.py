@@ -411,7 +411,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("start", NEGATIVE_STARTS)
     def test_spaced_negative_value_parses_as_joined(self, start):
-        # argparse read a spaced "-1e-3" or "-inf" as an option name.
+        # A spaced "-1e-3" or "-inf" reads like an option name.
         spaced = run_captured(sweep_argv(start, "0.1", 2))
         joined = sweep_argv(start, "0.1", 2)
         joined[3:5] = [f"--from={start}"]
@@ -638,8 +638,8 @@ OVER_BUDGET = {
     ],
 }
 # Command lines that the parser refuses, each with the option its one stderr
-# line names, or with that whole line, as argparse wrote it; argparse printed
-# its usage text before these lines too.
+# line names, or with that whole line (a row ending in a newline), in
+# argparse's words and with no usage text.
 PARSER_FAILURES = {
     "gate-without-recipe": (["gate"], "--recipe"),
     "steps-abc": (gate_argv()[:3] + ["--steps", "abc"], "--steps"),
