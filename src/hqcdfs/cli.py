@@ -51,32 +51,6 @@ TOLERANCES = {
 }
 
 
-# Checked quantities per command (a sweep has none): (tolerance name, getter on the report).
-_CHECKS = {
-    "gate": (
-        ("distance", lambda g: g.distance),
-        ("dfs_error", lambda g: g.dfs_error),
-        ("invariance_defect", lambda g: g.invariance_defect),
-        ("cyclicity_defect", lambda g: g.holonomy.cyclicity_defect),
-        ("transport_defect", lambda g: g.holonomy.transport_defect),
-        ("reconstruction_distance", lambda g: g.holonomy.reconstruction_distance),
-    ),
-    "holonomy": (
-        ("cyclicity_defect", lambda h: h.cyclicity_defect),
-        ("transport_defect", lambda h: h.transport_defect),
-        ("reconstruction_distance", lambda h: h.reconstruction_distance),
-    ),
-    "noise": (
-        ("fidelity_deficit", lambda n: 1.0 - n.min_fidelity),
-        # F > 1 means the propagation inflated the norm; the deficit passes it.
-        ("excess_fidelity", lambda n: float(np.max(n.per_sample)) - 1.0),
-    ),
-    "nogo": (
-        ("counterexamples", lambda r: r.counterexamples),
-        ("witness_error", lambda r: r.witness_error),
-    ),
-}
-
 # Most points a sweep may ask for: its rows grow by about 0.3 KB a point. An
 # XZ phase sweep of 2^14 points ran 5.6 s and peaked at 36.4 MB RSS, 5.5 MB
 # above a two-point one (2-core x86-64, Python 3.11, numpy 2.4); 2^16 points
@@ -121,7 +95,7 @@ def _violations(command: str, report, scale: float) -> list:
     exact and keeps its type, so the integer bound on counterexamples is
     reported as 0."""
     violations = []
-    for name, get in _CHECKS.get(command, ()):
+    for name, get in COMMANDS[command][3]:
         value, bound = get(report), TOLERANCES[name] and TOLERANCES[name] * scale
         if not value <= bound:  # a NaN never passes
             violations.append({"check": name, "value": value, "tolerance": bound})
@@ -220,22 +194,14 @@ def _run_nogo(args: dict):
     return no_go_certificate(trials, seed), {"trials": trials, "seed": seed}, None
 
 
-# Each runner returns (report, inputs, table): the report to check, the inputs
-# the JSON envelope echoes, and the CSV header and columns, or None for JSON.
-_RUNNERS = {
-    "gate": _run_gate,
-    "holonomy": _run_holonomy,
-    "noise": _run_noise,
-    "sweep": _run_sweep,
-    "nogo": _run_nogo,
-}
-
-
-# The command line, one table: each command's help line and its options in
-# the order --help lists them, and the program's own before the command. An
-# option maps its spellings, joined by "/", to (type, default, help): a tuple
-# type lists the choices, the default _REQUIRED makes it required, and the
-# type None marks -h/--help and --version, which print instead of a report.
+# The command line, one table: the program's options, then per command its
+# help line, its options in the order --help lists them, its runner and its
+# checks. An option maps its spellings, joined by "/", to (type, default,
+# help): a tuple type lists the choices, the default _REQUIRED makes it
+# required, and the type None marks -h/--help and --version, which print
+# instead of a report. A runner returns (report, inputs, table): the report to
+# check, the inputs the JSON envelope echoes, and the CSV header and columns,
+# or None for JSON. A check pairs a tolerance name with a getter on the report.
 _REQUIRED = object()
 _HELP = {"-h/--help": (None, None, "show this help message and exit")}
 PROGRAM = ("Simulate and certify holonomic gates on decoherence-free encoded qubits.", {
@@ -244,28 +210,42 @@ COMMANDS = {
     "gate": ("realize a gate recipe and report the comparison", {**_HELP,
         "--recipe": (str, _REQUIRED, "recipe file path or inline JSON"),
         "--steps": (int, DEFAULT_CHAIN_STEPS, ""),
-        "--out": (str, None, "")}),
+        "--out": (str, None, "")}, _run_gate, (
+        ("distance", lambda g: g.distance),
+        ("dfs_error", lambda g: g.dfs_error),
+        ("invariance_defect", lambda g: g.invariance_defect),
+        ("cyclicity_defect", lambda g: g.holonomy.cyclicity_defect),
+        ("transport_defect", lambda g: g.holonomy.transport_defect),
+        ("reconstruction_distance", lambda g: g.holonomy.reconstruction_distance))),
     "holonomy": ("certify the holonomic character of a recipe", {**_HELP,
         "--recipe": (str, _REQUIRED, ""),
         "--basis": (str, None, "basis-set JSON (path or inline) instead of the logical basis"),
         "--steps": (int, DEFAULT_CHAIN_STEPS, ""),
-        "--out": (str, None, "")}),
+        "--out": (str, None, "")}, _run_holonomy, (
+        ("cyclicity_defect", lambda h: h.cyclicity_defect),
+        ("transport_defect", lambda h: h.transport_defect),
+        ("reconstruction_distance", lambda h: h.reconstruction_distance))),
     "noise": ("gate fidelity under collective phase kicks", {**_HELP,
         "--recipe": (str, _REQUIRED, ""),
         "--ensemble": (str, _REQUIRED, "ensemble file path or inline JSON"),
         "--format": (("json", "csv"), "json", ""),
-        "--out": (str, None, "")}),
+        "--out": (str, None, "")}, _run_noise, (
+        ("fidelity_deficit", lambda n: 1.0 - n.min_fidelity),
+        # F > 1 means the propagation inflated the norm; the deficit passes it.
+        ("excess_fidelity", lambda n: float(np.max(n.per_sample)) - 1.0))),
     "sweep": ("sweep a recipe parameter, one CSV row per point", {**_HELP,
         "--param": (("phase", "pulse_area_detuning"), _REQUIRED, ""),
         "--from": (float, _REQUIRED, ""),
         "--to": (float, _REQUIRED, ""),
         "--points": (int, _REQUIRED, ""),
         "--recipe": (str, _REQUIRED, ""),
-        "--out": (str, None, "")}),
+        "--out": (str, None, "")}, _run_sweep, ()),
     "nogo": ("randomized two-qubit no-go certificate", {**_HELP,
         "--trials": (int, 1000, ""),
         "--seed": (int, 0, ""),
-        "--out": (str, None, "")}),
+        "--out": (str, None, "")}, _run_nogo, (
+        ("counterexamples", lambda r: r.counterexamples),
+        ("witness_error", lambda r: r.witness_error))),
 }
 
 
@@ -298,7 +278,7 @@ def _value(name: str, kind, value: str):
 
 def _help(command: str | None) -> str:
     """The -h/--help text of ``command``, or of the program for None."""
-    about, options = COMMANDS[command] if command else PROGRAM
+    about, options = (COMMANDS[command] if command else PROGRAM)[:2]
     usage, rows = ["usage: hqcdfs" + (f" {command}" if command else "")], []
     for name, (kind, default, text) in options.items():
         metavar = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else name[2:].upper()
@@ -357,29 +337,29 @@ def main(argv: list[str] | None = None) -> int:
     """
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        if isinstance(args, str):  # the text of --help or --version
-            sys.stdout.write(args)
-            sys.stdout.flush()
-            return EXIT_OK
-        if "steps" in args and not MIN_CHAIN_STEPS <= args["steps"] <= MAX_CHAIN_STEPS:
-            raise InputError(f"steps must be in [{MIN_CHAIN_STEPS}, {MAX_CHAIN_STEPS}], got {args['steps']}")
-        scale = tolerance_scale()
-        report, inputs, table = _RUNNERS[args["command"]](args)
-        detuned = "recipe" in inputs and inputs["recipe"].detuned
-        violations = [] if detuned else _violations(args["command"], report, scale)
-        if table is None:
-            doc = {
-                "tool": {"name": "hqcdfs", "version": __version__},
-                "command": args["command"],
-                "tolerance_scale": scale,
-                "input": {k: v.to_json_dict() if isinstance(v, Record) else v for k, v in inputs.items()},
-                "report": report.to_json_dict(),
-                "violations": violations,
-            }
-        try:
-            text = encode_json(doc) + ["\n"] if table is None else encode_csv(*table)
-        except ValueError as exc:
-            raise ContractViolation(f"report holds a non-finite number: {exc}") from exc
+        if isinstance(args, str):  # the text of --help or --version, never checked
+            args, text, table, violations = {"out": None}, [args], None, []
+        else:
+            if "steps" in args and not MIN_CHAIN_STEPS <= args["steps"] <= MAX_CHAIN_STEPS:
+                raise InputError(
+                    f"steps must be in [{MIN_CHAIN_STEPS}, {MAX_CHAIN_STEPS}], got {args['steps']}")
+            scale = tolerance_scale()
+            report, inputs, table = COMMANDS[args["command"]][2](args)
+            detuned = "recipe" in inputs and inputs["recipe"].detuned
+            violations = [] if detuned else _violations(args["command"], report, scale)
+            if table is None:
+                doc = {
+                    "tool": {"name": "hqcdfs", "version": __version__},
+                    "command": args["command"],
+                    "tolerance_scale": scale,
+                    "input": {k: v.to_json_dict() if isinstance(v, Record) else v for k, v in inputs.items()},
+                    "report": report.to_json_dict(),
+                    "violations": violations,
+                }
+            try:
+                text = encode_json(doc) + ["\n"] if table is None else encode_csv(*table)
+            except ValueError as exc:
+                raise ContractViolation(f"report holds a non-finite number: {exc}") from exc
         _emit(args["out"], text)
         # A JSON report lists its violations; a CSV report's go to stderr.
         if table is None or not violations:

@@ -53,13 +53,13 @@ def realize(recipe: GateRecipe, steps: int = DEFAULT_CHAIN_STEPS) -> GateRealiza
 
     protected = dfs_product_basis(recipe.blocks)
     logical = dfs_product_basis(recipe.blocks, "01")
-    restricted = restrict(propagator, logical)
-    target = target_for(recipe)
-    distance = phase_aligned_distance(restricted, target)
-
-    # Ancilla-completed: the all-ancilla state, then the logical basis.
+    # Ancilla-completed: the all-ancilla state, then the logical basis. Its
+    # columns are one-hot, so its logical block is the logical restriction, bit for bit.
     check_basis = BasisSet(np.column_stack([protected.vectors[:, 0], logical.vectors]))
     dfs_restricted = restrict(propagator, check_basis)
+    restricted = dfs_restricted[1:, 1:]
+    target = target_for(recipe)
+    distance = phase_aligned_distance(restricted, target)
     dfs_target = np.pad(target, (1, 0))
     dfs_target[0, 0] = -1.0
     dfs_error = float(np.abs(dfs_restricted - dfs_target).max())

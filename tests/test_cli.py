@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import hqcdfs
 from hqcdfs import __version__
-from hqcdfs.cli import _CHECKS, MAX_SWEEP_POINTS, TOLERANCES, main
+from hqcdfs.cli import COMMANDS, MAX_SWEEP_POINTS, TOLERANCES, main
 from hqcdfs.holonomy import DEFAULT_CHAIN_STEPS, MAX_CHAIN_STEPS
 from hqcdfs.model import MAX_BLOCKS, GateRecipe, detune
 from hqcdfs.noise import ENSEMBLE_CAP
@@ -872,7 +872,7 @@ class TestExitStatusContract:
         def explode(*args, **kwargs):
             raise error
 
-        monkeypatch.setitem(cli._RUNNERS, "nogo", explode)
+        monkeypatch.setattr(cli, "no_go_certificate", explode)
         assert main(["nogo", "--trials", "3"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1164,8 +1164,8 @@ class TestPinnedCertifyReports:
 
 
 def as_namespace(doc):
-    """A report document whose fields read as attributes, as ``_CHECKS``
-    reads a report."""
+    """A report document whose fields read as attributes, as a check's
+    getter in ``COMMANDS`` reads a report."""
     if isinstance(doc, dict):
         return types.SimpleNamespace(**{key: as_namespace(value) for key, value in doc.items()})
     return doc
@@ -1174,8 +1174,8 @@ def as_namespace(doc):
 def assert_checks_agree(command, printed, expected):
     """Every check of ``command`` that the oracle document can evaluate
     falls on the same side of its tolerance in both documents, each read by
-    the CLI's own getter."""
-    for name, get in _CHECKS[command]:
+    the getter of the command's ``COMMANDS`` entry."""
+    for name, get in COMMANDS[command][3]:
         value, oracle = (get(as_namespace(doc["report"])) for doc in (printed, expected))
         if oracle is not None:
             assert (value <= TOLERANCES[name]) == (oracle <= TOLERANCES[name]), name
@@ -1539,6 +1539,81 @@ class TestConsoleScript:
         assert out.startswith(usage)
 
 
+# The full --help text of the program and of each command: a help row
+# dropped, reordered or reworded fails.
+HELP_TEXTS = {
+    "hqcdfs": (
+        "usage: hqcdfs [-h] [--version] {gate,holonomy,noise,sweep,nogo} ...\n"
+        "\n"
+        "Simulate and certify holonomic gates on decoherence-free encoded qubits.\n"
+        "\n"
+        "  -h/--help  show this help message and exit\n"
+        "  --version  show program's version number and exit\n"
+        "  gate       realize a gate recipe and report the comparison\n"
+        "  holonomy   certify the holonomic character of a recipe\n"
+        "  noise      gate fidelity under collective phase kicks\n"
+        "  sweep      sweep a recipe parameter, one CSV row per point\n"
+        "  nogo       randomized two-qubit no-go certificate\n"
+    ),
+    "gate": (
+        "usage: hqcdfs gate [-h] --recipe RECIPE [--steps STEPS] [--out OUT]\n"
+        "\n"
+        "realize a gate recipe and report the comparison\n"
+        "\n"
+        "  -h/--help        show this help message and exit\n"
+        "  --recipe RECIPE  recipe file path or inline JSON\n"
+        "  --steps STEPS\n"
+        "  --out OUT\n"
+    ),
+    "holonomy": (
+        "usage: hqcdfs holonomy [-h] --recipe RECIPE [--basis BASIS] [--steps STEPS] [--out OUT]\n"
+        "\n"
+        "certify the holonomic character of a recipe\n"
+        "\n"
+        "  -h/--help        show this help message and exit\n"
+        "  --recipe RECIPE\n"
+        "  --basis BASIS    basis-set JSON (path or inline) instead of the logical basis\n"
+        "  --steps STEPS\n"
+        "  --out OUT\n"
+    ),
+    "noise": (
+        "usage: hqcdfs noise [-h] --recipe RECIPE --ensemble ENSEMBLE [--format {json,csv}] [--out OUT]\n"
+        "\n"
+        "gate fidelity under collective phase kicks\n"
+        "\n"
+        "  -h/--help            show this help message and exit\n"
+        "  --recipe RECIPE\n"
+        "  --ensemble ENSEMBLE  ensemble file path or inline JSON\n"
+        "  --format {json,csv}\n"
+        "  --out OUT\n"
+    ),
+    "sweep": (
+        "usage: hqcdfs sweep [-h] --param {phase,pulse_area_detuning} --from FROM --to TO"
+        " --points POINTS --recipe RECIPE [--out OUT]\n"
+        "\n"
+        "sweep a recipe parameter, one CSV row per point\n"
+        "\n"
+        "  -h/--help                            show this help message and exit\n"
+        "  --param {phase,pulse_area_detuning}\n"
+        "  --from FROM\n"
+        "  --to TO\n"
+        "  --points POINTS\n"
+        "  --recipe RECIPE\n"
+        "  --out OUT\n"
+    ),
+    "nogo": (
+        "usage: hqcdfs nogo [-h] [--trials TRIALS] [--seed SEED] [--out OUT]\n"
+        "\n"
+        "randomized two-qubit no-go certificate\n"
+        "\n"
+        "  -h/--help        show this help message and exit\n"
+        "  --trials TRIALS\n"
+        "  --seed SEED\n"
+        "  --out OUT\n"
+    ),
+}
+
+
 class TestHelpAndVersion:
     """``--help`` and ``--version`` return 0 from ``main``, their text on
     stdout, as every other run returns its status."""
@@ -1550,6 +1625,11 @@ class TestHelpAndVersion:
         status, out, err = run_captured(["gate", "--help"])
         assert (status, err) == (0, "")
         assert out.startswith("usage: hqcdfs gate ") and "--recipe" in out
+
+    @pytest.mark.parametrize("name", HELP_TEXTS)
+    def test_help_text_is_pinned(self, name):
+        argv = ["--help"] if name == "hqcdfs" else [name, "--help"]
+        assert run_captured(argv) == (0, HELP_TEXTS[name], "")
 
 
 ANCILLA_PAIR_BASIS = basis_to_json(dfs_product_basis([1], "a0"))
@@ -1637,15 +1717,16 @@ class TestEntryPoint:
 
     def test_closed_stdout_exits_3(self):
         # As ``>&-`` does: descriptor 1 is closed before Python starts, which
-        # then sets sys.stdout to None; in process, redirect_stdout does.
-        argv = ["nogo", "--trials", "5"]
-        result = run_python(["-m", "hqcdfs.cli", *argv], stdout=None, preexec_fn=lambda: os.close(1))
+        # then sets sys.stdout to None; in process, redirect_stdout does. The
+        # help and version texts leave as a report does, and fail as it does.
         line = "internal error: OSError: stdout is closed\n"
-        assert (result.returncode, result.stderr.decode()) == (3, line)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(None), contextlib.redirect_stderr(err):
-            assert main(argv) == 3
-        assert err.getvalue() == line
+        for argv in (["nogo", "--trials", "5"], ["--help"], ["gate", "--help"], ["--version"]):
+            result = run_python(["-m", "hqcdfs.cli", *argv], stdout=None, preexec_fn=lambda: os.close(1))
+            assert (result.returncode, result.stderr.decode()) == (3, line), argv
+            err = io.StringIO()
+            with contextlib.redirect_stdout(None), contextlib.redirect_stderr(err):
+                assert main(argv) == 3
+            assert err.getvalue() == line
 
     @pytest.mark.parametrize(
         "argv, status",

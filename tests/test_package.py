@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import hqcdfs
-from hqcdfs.cli import COMMANDS, PROGRAM
+from hqcdfs.cli import COMMANDS, PROGRAM, TOLERANCES
 
 PACKAGE = Path(hqcdfs.__file__).parent
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -316,7 +316,7 @@ def test_cli_option_surface():
     table in declaration order: adding or removing a knob is an edit here."""
     surface = {
         name: [s for option in options for s in option.split("/")]
-        for name, (_, options) in COMMANDS.items()
+        for name, (_, options, _, _) in COMMANDS.items()
     }
     assert [s for option in PROGRAM[1] for s in option.split("/")] == [
         "-h", "--help", "--version",
@@ -328,3 +328,9 @@ def test_cli_option_surface():
         "sweep": ["-h", "--help", "--param", "--from", "--to", "--points", "--recipe", "--out"],
         "nogo": ["-h", "--help", "--trials", "--seed", "--out"],
     }
+
+
+def test_every_tolerance_is_checked():
+    """The check names over all ``COMMANDS`` entries are the keys of
+    ``TOLERANCES``: neither table holds a name the other lacks."""
+    assert {name for *_, checks in COMMANDS.values() for name, _ in checks} == set(TOLERANCES)
