@@ -22,12 +22,10 @@ import numpy as np
 
 from . import __version__
 from .gates import no_go_certificate, realize
-from .holonomy import (
-    DEFAULT_CHAIN_STEPS, MAX_CHAIN_STEPS, MIN_CHAIN_STEPS, certify, cyclicity_defect, transport_defect,
-)
+from .holonomy import DEFAULT_CHAIN_STEPS, MAX_CHAIN_STEPS, MIN_CHAIN_STEPS, certify, evolve_span
 from .model import GateRecipe, detune, recipe_hamiltonian, target_for
 from .noise import NoiseEnsemble, noisy_realize
-from .operators import ContractViolation, Spectrum, dagger, phase_aligned_distance
+from .operators import ContractViolation, Spectrum, phase_aligned_distance
 from .serialize import Record, encode_csv, encode_json, replace
 from .subspace import BasisSet, dfs_product_basis
 
@@ -177,11 +175,8 @@ def _run_sweep(args: dict):
     for i in range(points):
         value, recipe = point(i)
         spectrum = shared or Spectrum(recipe_hamiltonian(recipe))
-        frames = spectrum.frames(recipe.duration, logical.vectors)
-        restricted = dagger(logical.vectors) @ frames
-        distance = phase_aligned_distance(restricted, target_for(recipe))
-        transport = transport_defect(spectrum.h, logical)
-        rows.append((value, distance, cyclicity_defect(frames, logical), transport))
+        restricted, cyclicity, transport = evolve_span(spectrum, logical, recipe.duration)
+        rows.append((value, phase_aligned_distance(restricted, target_for(recipe)), cyclicity, transport))
     return None, {}, ("parameter,distance,cyclicity_defect,transport_defect", *zip(*rows))
 
 

@@ -11,15 +11,14 @@ projectors P(t_N) ... P(t_1) over a uniform time grid and unitarizing the
 resulting overlap matrix.
 
 All three are computed on the k-dim span B (k = 2 or 4) from two evolved
-frames of it, read from ``Spectrum.frames`` with no d x d propagator. h
-commutes with its own propagator, so the transport defect at every time is
-max |(B^dag h B)_kl|. For unitary U, ||U P U^dag - P||_F^2 =
-2 ||(I - P) U P||_F^2, which gives the cyclicity defect from the frame
-U(tau) B. Every link V_{j+1}^dag V_j of the chain equals the same k x k
-matrix B^dag U(-tau/N) B, from the frame evolved one step back, so the
-chain is evaluated in closed form as (B^dag U(tau) B) link^N with
-O(log N) products. The test oracles keep the sampled frames, the
-projectors and the explicit projector product as the reference.
+frames of it, read from ``Spectrum.frames`` with no d x d propagator. The
+one span stage, ``evolve_span``, reads B^dag U(tau) B and both defects from
+U(tau) B for ``certify``, ``sweep`` and ``noise``. Every link
+V_{j+1}^dag V_j of the chain equals the same k x k matrix B^dag U(-tau/N) B,
+from the frame evolved one step back, so the chain is evaluated in closed
+form as (B^dag U(tau) B) link^N with O(log N) products. The test oracles
+keep the sampled frames, the projectors and the explicit projector product
+as the reference.
 """
 
 from __future__ import annotations
@@ -44,18 +43,24 @@ MIN_CHAIN_STEPS = 8
 MAX_CHAIN_STEPS = 2 ** 30
 
 
-def cyclicity_defect(frames: np.ndarray, basis: BasisSet) -> float:
-    """|| P(tau) - P(0) ||_F with P(t) the evolved projector of the span,
-    from ``frames`` = U(tau) B: sqrt(2) || (I - P) U(tau) B ||_F, which is
-    equal for unitary U(tau)."""
-    return math.sqrt(2.0) * invariance_defect(frames, basis)
+def evolve_span(spectrum: Spectrum, basis: BasisSet, tau: float) -> tuple[np.ndarray, float, float]:
+    """The span stage: (B^dag U(tau) B, cyclicity defect, transport defect)
+    of the span B of ``basis`` under the propagator of ``spectrum``, from
+    one evolved frame U(tau) B.
 
-
-def transport_defect(h: np.ndarray, basis: BasisSet) -> float:
-    """max over k, l of |<phi_k(t)| h |phi_l(t)>| with phi_k(t) = exp(-i h t) b_k:
-    h commutes with its own propagator, so at every t this is
-    max |(B^dag h B)_kl|, the value at t = 0."""
-    return float(np.abs(restrict(h, basis)).max())
+    The cyclicity defect is || P(tau) - P(0) ||_F with P(t) the evolved
+    projector of the span: sqrt(2) || (I - P) U(tau) B ||_F, which is equal
+    for unitary U(tau). The transport defect is max over k, l of
+    |<phi_k(t)| h |phi_l(t)>| with phi_k(t) = exp(-i h t) b_k: h commutes
+    with its own propagator, so at every t this is max |(B^dag h B)_kl|,
+    the value at t = 0.
+    """
+    frames = spectrum.frames(tau, basis.vectors)
+    return (
+        dagger(basis.vectors) @ frames,
+        math.sqrt(2.0) * invariance_defect(frames, basis),
+        float(np.abs(restrict(spectrum.h, basis)).max()),
+    )
 
 
 class HolonomyReport(Record):
@@ -82,7 +87,7 @@ def certify(
     spectrum: Spectrum, basis: BasisSet, tau: float, steps: int, reconstruct=True
 ) -> HolonomyReport:
     """Condition defects, plus the holonomy rebuilt by the projector chain
-    when ``reconstruct`` is set, all from the evolved frame U(tau) B.
+    when ``reconstruct`` is set, all from the span stage ``evolve_span``.
 
     With ``reconstruct`` false the report carries only the two defects,
     whatever their size, and the reconstruction fields are None: the
@@ -93,9 +98,7 @@ def certify(
     instead of silently regularizing a rank-deficient chain. ``steps`` is
     taken as given: ``cli.main`` checks it where it enters.
     """
-    frames = spectrum.frames(tau, basis.vectors)
-    cyc = cyclicity_defect(frames, basis)
-    tra = transport_defect(spectrum.h, basis)
+    restricted, cyc, tra = evolve_span(spectrum, basis, tau)
     if not reconstruct:
         return HolonomyReport(cyc, tra, None, None, None, steps, tau)
     if not cyc <= PRECONDITION_TOL or not tra <= PRECONDITION_TOL:
@@ -103,7 +106,6 @@ def certify(
             f"not a holonomic evolution on this subspace: cyclicity defect "
             f"{cyc:.3e}, transport defect {tra:.3e} (tolerance {PRECONDITION_TOL:.0e})"
         )
-    restricted = dagger(basis.vectors) @ frames
     link = dagger(basis.vectors) @ spectrum.frames(-tau / steps, basis.vectors)
     raw = restricted @ np.linalg.matrix_power(link, steps)
     holonomy_matrix = polar_unitary(raw)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .holonomy import evolve_span
 from .model import GateRecipe, collective_z, recipe_hamiltonian, target_for
 from .operators import ALGEBRA_TOL, ContractViolation, Spectrum, dagger
 from .serialize import Record, as_float, as_int
@@ -92,8 +93,8 @@ def noisy_realize(recipe: GateRecipe, ensemble: NoiseEnsemble) -> NoisyGateResul
     each raises ContractViolation when it fails: the logical rows carry one
     collective-Z value, and no Hamiltonian entry couples that collective-Z
     sector to the rest of the register. Each sample's F then equals the
-    noiseless F, computed once from the register's shared ``Spectrum``,
-    restricted from the evolved logical frame, and repeated ``samples`` times.
+    noiseless F, computed once from the restriction of the span stage
+    ``holonomy.evolve_span`` and repeated ``samples`` times.
     """
     h = recipe_hamiltonian(recipe)
     z_diag = collective_z(3 * max(recipe.blocks))
@@ -109,7 +110,7 @@ def noisy_realize(recipe: GateRecipe, ensemble: NoiseEnsemble) -> NoisyGateResul
     if not leak <= ALGEBRA_TOL:
         raise ContractViolation(f"Hamiltonian couples the collective-Z sector out by {leak:.3e}")
     target = target_for(recipe)
-    restricted = dagger(basis.vectors) @ Spectrum(h).frames(recipe.duration, basis.vectors)
+    restricted = evolve_span(Spectrum(h), basis, recipe.duration)[0]
     fidelity = float(np.abs(np.trace(dagger(target) @ restricted))) / target.shape[0]
     return NoisyGateResult(
         mean_fidelity=fidelity,

@@ -168,7 +168,7 @@ def transport_defect_stacked(spectrum, basis, tau: float) -> float:
     """The transport defect sampled: max over TRANSPORT_SAMPLES times t in
     [0, tau] and k, l of |<phi_k(t)| h |phi_l(t)>|, from four (times, d, k)
     complex stacks of spectral frames built in one shot. It equals
-    ``holonomy.transport_defect``'s closed form to roundoff only if h
+    the closed form of ``holonomy.evolve_span`` to roundoff only if h
     commutes with its own propagator."""
     coeffs = spectrum.vectors.conj().T @ basis.vectors
     times = np.arange(TRANSPORT_SAMPLES) * (tau / (TRANSPORT_SAMPLES - 1))

@@ -366,6 +366,28 @@ class TestSweepCommand:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("detuning", [0.0, 0.03], ids=["pulse-area", "detuned"])
+    @pytest.mark.parametrize(
+        "recipe", [xz(0.3), zx(0.3, block=2), cnot(blocks=(1, 2))], ids=["XZ-1", "ZX-2", "CNOT-12"]
+    )
+    def test_defects_agree_with_holonomy(self, recipe, detuning):
+        # A sweep from v to v and ``holonomy`` on the recipe detuned by v
+        # print the same two defects, to the last printed digit.
+        value = repr(detuning)
+        status, out, _ = run_captured(
+            ["sweep", "--param", "pulse_area_detuning", "--from", value, "--to", value,
+             "--points", "2", "--recipe", json.dumps(recipe.to_json_dict())]
+        )
+        assert status == 0
+        certified = detune(recipe, 1.0 + detuning) if detuning else recipe
+        status, printed, _ = run_captured(["holonomy", "--recipe", json.dumps(certified.to_json_dict())])
+        assert status == 0
+        report = strict_json(printed)["report"]
+        rows = csv_rows(out)
+        assert rows[0][2:] == ["cyclicity_defect", "transport_defect"]
+        for row in rows[1:]:
+            assert row[2:] == [report["cyclicity_defect"], report["transport_defect"]]
+
     def test_single_point_rejected(self, tmp_path):
         recipe_path = write_recipe(tmp_path / "r.json", zx(0.0))
         assert main(

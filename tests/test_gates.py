@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hqcdfs.gates import _NO_GO_CHUNK, _no_go_draws, no_go_certificate, realize
-from hqcdfs.holonomy import transport_defect
+from hqcdfs.holonomy import evolve_span
 from hqcdfs.model import detune, recipe_hamiltonian, target_for
 from hqcdfs.noise import NoiseEnsemble, noisy_realize
 from hqcdfs.operators import Spectrum, phase_aligned_distance
@@ -200,12 +200,12 @@ class TestNoGo:
         h = r_op_bruteforce("x", 1, 2, 2)
         restricted = restrict(h, dfs)
         assert np.array_equal(restricted, SIGMA_X)
-        assert abs(transport_defect(h, dfs) - 1.0) <= 1e-12
+        assert abs(evolve_span(Spectrum(h), dfs, 1.7)[2] - 1.0) <= 1e-12
 
     def test_zero_config_is_trivial(self):
         dfs = two_qubit_dfs()
         h = np.zeros((4, 4), dtype=complex)
-        assert transport_defect(h, dfs) == 0.0
+        assert evolve_span(Spectrum(h), dfs, 1.7)[2] == 0.0
         assert np.abs(restrict(Spectrum(h).frames(1.7), dfs) - np.eye(2)).max() <= 1e-14
 
     def test_randomized_equivalence_holds(self):

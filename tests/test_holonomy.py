@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqcdfs import holonomy
-from hqcdfs.holonomy import PRECONDITION_TOL, certify, cyclicity_defect, transport_defect
+from hqcdfs.holonomy import PRECONDITION_TOL, certify, evolve_span
 from hqcdfs.model import detune, recipe_hamiltonian
 from hqcdfs.operators import ContractViolation, Spectrum, phase_aligned_distance, polar_unitary
 from hqcdfs.serialize import encode_json
@@ -42,7 +42,7 @@ ZERO_8 = np.zeros((8, 8), dtype=complex)
 class TestCyclicityDefect:
     def test_full_pulse_closes_the_loop(self):
         recipe, h, basis = xz_setup()
-        assert cyclicity_defect(Spectrum(h).frames(recipe.duration, basis.vectors), basis) <= 1e-10
+        assert evolve_span(Spectrum(h), basis, recipe.duration)[1] <= 1e-10
 
     def test_half_pulse_leaves_subspace_open(self):
         # Closed-form three-level rotation oracle: build the evolved logical
@@ -55,17 +55,17 @@ class TestCyclicityDefect:
         p_start = np.diag([0.0, 1.0, 1.0]).astype(complex)
         expected = float(np.linalg.norm(p_evolved - p_start))
         assert expected > 0.5
-        assert abs(cyclicity_defect(Spectrum(h).frames(t, basis.vectors), basis) - expected) < 1e-12
+        assert abs(evolve_span(Spectrum(h), basis, t)[1] - expected) < 1e-12
 
     def test_zero_hamiltonian(self):
         basis = dfs_product_basis([1], "01")
-        assert cyclicity_defect(Spectrum(ZERO_8).frames(2.7, basis.vectors), basis) <= 1e-15
+        assert evolve_span(Spectrum(ZERO_8), basis, 2.7)[1] <= 1e-15
 
 
 class TestTransportDefect:
     def test_logical_subspace_carries_no_coupling(self):
         recipe, h, basis = xz_setup(phi=0.9)
-        assert transport_defect(h, basis) <= 1e-12
+        assert evolve_span(Spectrum(h), basis, recipe.duration)[2] <= 1e-12
 
     def test_ancilla_logical_pair_couples_at_strength(self):
         j = 1.4
@@ -73,11 +73,11 @@ class TestTransportDefect:
         h = recipe_hamiltonian(recipe)
         full = dfs_product_basis([1])
         pair = BasisSet(full.vectors[:, :2])
-        assert abs(transport_defect(h, pair) - j) < 1e-12
+        assert abs(evolve_span(Spectrum(h), pair, recipe.duration)[2] - j) < 1e-12
 
     def test_zero_hamiltonian(self):
         basis = dfs_product_basis([1])
-        assert transport_defect(ZERO_8, basis) == 0.0
+        assert evolve_span(Spectrum(ZERO_8), basis, 2.7)[2] == 0.0
 
 
 # Registers of one to three blocks and bases for the transport check:
@@ -113,7 +113,7 @@ class TestTransportBlocks:
     def test_equals_one_shot_oracle(self, name, detuned):
         recipe, spectrum, basis = transport_case(name)
         tau = detune(recipe, 1.37).duration if detuned else recipe.duration
-        closed = transport_defect(spectrum.h, basis)
+        closed = evolve_span(spectrum, basis, tau)[2]
         assert abs(closed - transport_defect_stacked(spectrum, basis, tau)) <= 1e-12
         if TRANSPORT_CASES[name][1] == "dfs":
             assert closed > 0.5  # a coupling to the ancilla, not roundoff
@@ -126,7 +126,7 @@ class TestTransportBlocks:
         recipe, spectrum, basis = transport_case("CNOT-12")
         tracemalloc.start()
         try:
-            transport_defect(spectrum.h, basis)
+            evolve_span(spectrum, basis, recipe.duration)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -156,15 +156,18 @@ class TestEvolvedFrames:
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(st.integers(2, 16), st.data())
     def test_cyclicity_equals_projector_oracle(self, dim, data):
-        # sqrt(2) ||(I - P) U B||_F against ||U P U^dag - P||_F, for a random
-        # unitary U and a random k-dim span B.
+        # sqrt(2) ||(I - P) U B||_F against ||U P U^dag - P||_F, for the
+        # propagator U = exp(-i H t) of a random Hermitian H and a random
+        # k-dim span B.
         k = data.draw(st.integers(1, dim))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        u = random_unitary(rng, dim)
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        spectrum, t = Spectrum(x + x.conj().T), rng.uniform(0.0, 2 * np.pi)
+        u = spectrum.frames(t)
         basis = BasisSet(random_unitary(rng, dim)[:, :k])
         p = basis.vectors @ basis.vectors.conj().T
         expected = np.linalg.norm(u @ p @ u.conj().T - p)
-        assert abs(cyclicity_defect(u @ basis.vectors, basis) - expected) <= 1e-12 * dim
+        assert abs(evolve_span(spectrum, basis, t)[1] - expected) <= 1e-12 * dim
 
 
 class TestProjectorChain:
@@ -224,7 +227,8 @@ class TestProjectorChain:
 
     def test_nan_transport_defect_refuses_reconstruction(self, monkeypatch):
         recipe, h, basis = xz_setup()
-        monkeypatch.setattr(holonomy, "transport_defect", lambda *args: float("nan"))
+        span = holonomy.evolve_span
+        monkeypatch.setattr(holonomy, "evolve_span", lambda *args: (*span(*args)[:2], float("nan")))
         with pytest.raises(ContractViolation, match="transport defect nan "):
             certify(Spectrum(h), basis, recipe.duration, 64)
 
@@ -256,10 +260,10 @@ class TestCertify:
             with pytest.raises(ContractViolation, match="not a holonomic evolution"):
                 certify(spectrum, basis, recipe.duration, 512)
             report = certify(spectrum, basis, recipe.duration, 512, reconstruct=False)
-            frames = spectrum.frames(recipe.duration, basis.vectors)
+            _, cyclicity, transport = evolve_span(spectrum, basis, recipe.duration)
             assert report.cyclicity_defect > PRECONDITION_TOL
-            assert report.cyclicity_defect == cyclicity_defect(frames, basis)
-            assert report.transport_defect == transport_defect(h, basis)
+            assert report.cyclicity_defect == cyclicity
+            assert report.transport_defect == transport
             assert report.reconstruction_distance is None
             assert report.chain_defect is None
             assert report.holonomy_matrix is None
@@ -292,7 +296,7 @@ class TestHolonomyProperties:
     def test_sampled_transport_equals_initial_restriction(self, recipe):
         h, basis = recipe_setup(recipe)
         sampled = transport_defect_stacked(Spectrum(h), basis, recipe.duration)
-        initial = transport_defect(h, basis)
+        initial = evolve_span(Spectrum(h), basis, 0.0)[2]
         assert abs(sampled - initial) <= 1e-12
 
     @pytest.mark.parametrize("recipe", universal_recipes(strength=1.0, phase=0.2))
@@ -311,8 +315,7 @@ class TestHolonomyProperties:
         rephased = BasisSet(basis.vectors * phases)
         t = recipe.duration / 3
         spectrum = Spectrum(h)
-        assert abs(
-            cyclicity_defect(spectrum.frames(t, basis.vectors), basis)
-            - cyclicity_defect(spectrum.frames(t, rephased.vectors), rephased)
-        ) <= 1e-12
-        assert abs(transport_defect(h, basis) - transport_defect(h, rephased)) <= 1e-12
+        _, cyclicity, transport = evolve_span(spectrum, basis, t)
+        _, rephased_cyclicity, rephased_transport = evolve_span(spectrum, rephased, t)
+        assert abs(cyclicity - rephased_cyclicity) <= 1e-12
+        assert abs(transport - rephased_transport) <= 1e-12
