@@ -2,7 +2,7 @@
 
 Simulation and certification toolkit: spin-chain gate Hamiltonians, one
 exact evolution formula (``Spectrum.frames``) for propagators and evolved
-frames, subspace diagnostics, frame-free holonomy reconstruction,
+frames, encoded bases, span defects, frame-free holonomy reconstruction,
 collective-dephasing noise ensembles, and a JSON-reporting command line.
 """
 

@@ -126,10 +126,10 @@ def _run_holonomy(args: dict):
     inputs = {"recipe": recipe, "steps": args["steps"]}
     if args["basis"] is not None:
         custom = _parse(BasisSet, args["basis"])
-        if custom.dim_ambient != basis.dim_ambient:
+        if custom.vectors.shape[0] != basis.vectors.shape[0]:
             raise InputError(
-                f"basis ambient dimension {custom.dim_ambient} does not match "
-                f"the {basis.dim_ambient}-dimensional register of this recipe"
+                f"basis ambient dimension {custom.vectors.shape[0]} does not match "
+                f"the {basis.vectors.shape[0]}-dimensional register of this recipe"
             )
         basis = inputs["basis"] = custom
     spectrum = Spectrum(recipe_hamiltonian(recipe))

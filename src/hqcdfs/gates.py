@@ -19,7 +19,7 @@ from .holonomy import DEFAULT_CHAIN_STEPS, HolonomyReport, certify
 from .model import GateRecipe, exchange_term, recipe_hamiltonian, target_for
 from .operators import Spectrum, dagger, phase_aligned_distance
 from .serialize import Record
-from .subspace import BasisSet, dfs_product_basis, invariance_defect, restrict
+from .subspace import dfs_product_basis
 
 
 class GateRealization(Record):
@@ -51,12 +51,12 @@ def realize(recipe: GateRecipe, steps: int = DEFAULT_CHAIN_STEPS) -> GateRealiza
     spectrum = Spectrum(recipe_hamiltonian(recipe))
     propagator = spectrum.frames(recipe.duration)
 
-    protected = dfs_product_basis(recipe.blocks)
+    protected = dfs_product_basis(recipe.blocks).vectors
     logical = dfs_product_basis(recipe.blocks, "01")
     # Ancilla-completed: the all-ancilla state, then the logical basis. Its
     # columns are one-hot, so its logical block is the logical restriction, bit for bit.
-    check_basis = BasisSet(np.column_stack([protected.vectors[:, 0], logical.vectors]))
-    dfs_restricted = restrict(propagator, check_basis)
+    completed = np.column_stack([protected[:, 0], logical.vectors])
+    dfs_restricted = dagger(completed) @ propagator @ completed
     restricted = dfs_restricted[1:, 1:]
     target = target_for(recipe)
     distance = phase_aligned_distance(restricted, target)
@@ -64,6 +64,8 @@ def realize(recipe: GateRecipe, steps: int = DEFAULT_CHAIN_STEPS) -> GateRealiza
     dfs_target[0, 0] = -1.0
     dfs_error = float(np.abs(dfs_restricted - dfs_target).max())
 
+    moved = propagator @ protected  # || (I - P) U(tau) P ||_F is the norm of its part outside P
+    invariance = float(np.linalg.norm(moved - protected @ (dagger(protected) @ moved)))
     holonomy = certify(spectrum, logical, recipe.duration, steps, reconstruct=not recipe.detuned)
 
     return GateRealization(
@@ -71,7 +73,7 @@ def realize(recipe: GateRecipe, steps: int = DEFAULT_CHAIN_STEPS) -> GateRealiza
         n_blocks=max(recipe.blocks),
         spectator="0L",
         distance=distance,
-        invariance_defect=invariance_defect(propagator @ protected.vectors, protected),
+        invariance_defect=invariance,
         dfs_error=dfs_error,
         restricted=restricted,
         target=target,

@@ -12,8 +12,8 @@ resulting overlap matrix.
 
 All three are computed on the k-dim span B (k = 2 or 4) from two evolved
 frames of it, read from ``Spectrum.frames`` with no d x d propagator. The
-one span stage, ``evolve_span``, reads B^dag U(tau) B and both defects from
-U(tau) B for ``certify``, ``sweep`` and ``noise``. Every link
+one span stage, ``evolve_span``, forms B^dag U(tau) B once, with both
+defects, for ``certify``, ``sweep`` and ``noise``. Every link
 V_{j+1}^dag V_j of the chain equals the same k x k matrix B^dag U(-tau/N) B,
 from the frame evolved one step back, so the chain is evaluated in closed
 form as (B^dag U(tau) B) link^N with O(log N) products. The test oracles
@@ -29,7 +29,7 @@ import numpy as np
 
 from .operators import ContractViolation, Spectrum, dagger, phase_aligned_distance, polar_unitary
 from .serialize import Record
-from .subspace import BasisSet, invariance_defect, restrict
+from .subspace import BasisSet
 
 # Conditions (i)/(ii) must hold at this level before reconstruction runs.
 PRECONDITION_TOL = 1e-8
@@ -49,17 +49,18 @@ def evolve_span(spectrum: Spectrum, basis: BasisSet, tau: float) -> tuple[np.nda
     one evolved frame U(tau) B.
 
     The cyclicity defect is || P(tau) - P(0) ||_F with P(t) the evolved
-    projector of the span: sqrt(2) || (I - P) U(tau) B ||_F, which is equal
-    for unitary U(tau). The transport defect is max over k, l of
+    projector of the span: sqrt(2) || F - B (B^dag F) ||_F for F = U(tau) B,
+    equal for unitary U(tau). The transport defect is max over k, l of
     |<phi_k(t)| h |phi_l(t)>| with phi_k(t) = exp(-i h t) b_k: h commutes
     with its own propagator, so at every t this is max |(B^dag h B)_kl|,
     the value at t = 0.
     """
     frames = spectrum.frames(tau, basis.vectors)
+    restricted = dagger(basis.vectors) @ frames
     return (
-        dagger(basis.vectors) @ frames,
-        math.sqrt(2.0) * invariance_defect(frames, basis),
-        float(np.abs(restrict(spectrum.h, basis)).max()),
+        restricted,
+        math.sqrt(2.0) * float(np.linalg.norm(frames - basis.vectors @ restricted)),
+        float(np.abs(dagger(basis.vectors) @ spectrum.h @ basis.vectors).max()),
     )
 
 

@@ -4,8 +4,8 @@ One logical qubit lives on three physical qubits. The single-excitation
 states |100>, |010>, |001> share the collective-dephasing eigenvalue +1 and
 span the protected space; the logical basis is |0>_L = |010>, |1>_L = |001>
 with |a> = |100> as the ancilla through which gate evolution transits.
-Every basis the package certifies on is a product of these states over a
-recipe's blocks, built by ``dfs_product_basis``.
+This module holds the bases only: ``dfs_product_basis`` builds the products
+of these states over a recipe's blocks, and ``BasisSet`` reads any --basis.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ ORTHONORMALITY_TOL = 1e-12
 class BasisSet(Record):
     """Ordered orthonormal vectors spanning a subspace.
 
-    ``vectors`` holds the k basis vectors as the columns of a
-    (dim_ambient, k) array.
+    ``vectors`` holds the k basis vectors as the columns of a (d, k) array,
+    d the dimension of the register.
     """
 
     vectors: np.ndarray
@@ -43,10 +43,6 @@ class BasisSet(Record):
             raise ContractViolation(
                 f"basis is not orthonormal: ||G - I||_F = {defect:.3e}"
             )
-
-    @property
-    def dim_ambient(self) -> int:
-        return self.vectors.shape[0]
 
     @classmethod
     def from_json_dict(cls, data) -> "BasisSet":
@@ -85,20 +81,3 @@ def dfs_product_basis(blocks: Sequence[int], states: str = "a01") -> BasisSet:
     vectors = np.zeros((2 ** (3 * n_blocks), len(rows)), dtype=np.complex128)
     vectors[rows, np.arange(len(rows))] = 1.0
     return BasisSet(vectors)
-
-
-def restrict(op: np.ndarray, basis: BasisSet) -> np.ndarray:
-    """Matrix of entries <b_i| op |b_j> in basis order, for one operator or
-    for each in a stack.
-
-    The restriction of a unitary is unitary exactly when the span is
-    invariant; see :func:`invariance_defect`.
-    """
-    return dagger(basis.vectors) @ op @ basis.vectors
-
-
-def invariance_defect(frames: np.ndarray, basis: BasisSet) -> float:
-    """|| (I - P) F ||_F for the evolved frames F = u B of the basis B, which
-    is || (I - P) u P ||_F; zero iff span(basis) is invariant under u."""
-    outside = frames - basis.vectors @ (dagger(basis.vectors) @ frames)
-    return float(np.linalg.norm(outside))

@@ -16,7 +16,7 @@ import numpy as np
 
 from hqcdfs.model import PULSE_AREAS, GateRecipe, recipe_hamiltonian, target_for
 from hqcdfs.operators import Spectrum, dagger
-from hqcdfs.subspace import ORTHONORMALITY_TOL, BasisSet, dfs_product_basis, restrict
+from hqcdfs.subspace import ORTHONORMALITY_TOL, BasisSet, dfs_product_basis
 
 
 def matrix_from_json(data) -> np.ndarray:
@@ -53,6 +53,11 @@ def cnot(strength: float = 1.0, blocks: tuple[int, int] = (1, 2)) -> GateRecipe:
 def universal_recipes(strength: float = 1.0, phase: float = 0.0) -> tuple[GateRecipe, ...]:
     """The three gate recipes at a common coupling strength (CNOT on blocks 1,2)."""
     return xz(phase, strength), zx(phase, strength), cnot(strength)
+
+
+def restrict(op: np.ndarray, basis: BasisSet) -> np.ndarray:
+    """B^dag op B for the columns B of ``basis``, for one operator or a stack."""
+    return dagger(basis.vectors) @ op @ basis.vectors
 
 
 def realized_logical(recipe: GateRecipe) -> np.ndarray:
@@ -181,7 +186,7 @@ def leakage_profile(
     outer = basis_outer.vectors
     inside = outer @ (dagger(outer) @ basis_inner.vectors)
     nesting = np.linalg.norm(basis_inner.vectors - inside)
-    if nesting > ORTHONORMALITY_TOL * basis_inner.dim_ambient:
+    if nesting > ORTHONORMALITY_TOL * basis_inner.vectors.shape[0]:
         raise ValueError(
             f"inner basis is not contained in outer span (defect {nesting:.3e})"
         )

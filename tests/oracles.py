@@ -522,10 +522,9 @@ def no_go_trials(trials: int, seed: int) -> dict:
     """
     from hqcdfs.gates import NO_GO_TOL
     from hqcdfs.operators import Spectrum
-    from hqcdfs.subspace import restrict
 
-    dfs = two_qubit_dfs()
-    p = dfs.vectors @ dfs.vectors.conj().T
+    dfs = two_qubit_dfs().vectors
+    p = dfs @ dfs.conj().T
     eye = np.eye(2)
     trivial = nontrivial = counterexamples = 0
     max_invariance = max_trivial_transport = 0.0
@@ -533,15 +532,15 @@ def no_go_trials(trials: int, seed: int) -> dict:
     r_x, r_y = r_op_bruteforce("x", 1, 2, 2), r_op_bruteforce("y", 1, 2, 2)
     for (jx, jy), trial_times in zip(*no_go_draws(trials, seed)):
         h = jx * r_x + jy * r_y
-        h_norm = float(np.abs(restrict(h, dfs)).max())
+        h_norm = float(np.abs(dfs.conj().T @ h @ dfs).max())
         spectrum = Spectrum(h)
         transport = identity_dist = 0.0
         for t in trial_times:
             u = spectrum.frames(t)
             max_invariance = max(max_invariance, float(np.linalg.norm((np.eye(4) - p) @ u @ p)))
-            frame = u @ dfs.vectors
+            frame = u @ dfs
             transport = max(transport, float(np.abs(frame.conj().T @ h @ frame).max()))
-            identity_dist = max(identity_dist, float(np.linalg.norm(restrict(u, dfs) - eye)))
+            identity_dist = max(identity_dist, float(np.linalg.norm(dfs.conj().T @ u @ dfs - eye)))
         flags = (transport <= NO_GO_TOL, h_norm <= NO_GO_TOL, identity_dist <= NO_GO_TOL)
         if len(set(flags)) != 1:
             counterexamples += 1

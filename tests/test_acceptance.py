@@ -17,12 +17,13 @@ from hqcdfs.holonomy import certify
 from hqcdfs.model import collective_z, recipe_hamiltonian
 from hqcdfs.noise import NoiseEnsemble, noisy_realize
 from hqcdfs.operators import Spectrum, phase_aligned_distance
-from hqcdfs.subspace import dfs_product_basis, restrict
+from hqcdfs.subspace import dfs_product_basis
 
 from gate_tools import (
     cnot,
     compose_realized,
     euler_compose,
+    restrict,
     rotation_sequence,
     rx_matrix,
     rz_matrix,

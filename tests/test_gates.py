@@ -10,7 +10,7 @@ from hqcdfs.model import detune, recipe_hamiltonian, target_for
 from hqcdfs.noise import NoiseEnsemble, noisy_realize
 from hqcdfs.operators import Spectrum, phase_aligned_distance
 from hqcdfs.serialize import encode_json
-from hqcdfs.subspace import BasisSet, dfs_product_basis, restrict
+from hqcdfs.subspace import BasisSet, dfs_product_basis
 
 from gate_tools import (
     cnot,
@@ -20,6 +20,7 @@ from gate_tools import (
     euler_compose,
     matrix_from_json,
     realized_logical,
+    restrict,
     rotation_sequence,
     rx_matrix,
     rz_matrix,

@@ -12,9 +12,9 @@ from hqcdfs.holonomy import PRECONDITION_TOL, certify, evolve_span
 from hqcdfs.model import detune, recipe_hamiltonian
 from hqcdfs.operators import ContractViolation, Spectrum, phase_aligned_distance, polar_unitary
 from hqcdfs.serialize import encode_json
-from hqcdfs.subspace import BasisSet, dfs_product_basis, restrict
+from hqcdfs.subspace import BasisSet, dfs_product_basis
 
-from gate_tools import cnot, matrix_from_json, universal_recipes, xz, zx
+from gate_tools import cnot, matrix_from_json, restrict, universal_recipes, xz, zx
 from oracles import (
     expm_oracle,
     polar_newton,

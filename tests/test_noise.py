@@ -12,9 +12,9 @@ from hqcdfs.noise import (
 )
 from hqcdfs.operators import ContractViolation, Spectrum, phase_aligned_distance
 from hqcdfs.serialize import encode_json
-from hqcdfs.subspace import BasisSet, dfs_product_basis, restrict
+from hqcdfs.subspace import BasisSet, dfs_product_basis
 
-from gate_tools import cnot, realized_logical, universal_recipes, xz, zx
+from gate_tools import cnot, realized_logical, restrict, universal_recipes, xz, zx
 from oracles import (
     PAULI,
     _sample_angles,

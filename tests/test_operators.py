@@ -15,9 +15,9 @@ from hqcdfs.operators import (
 )
 
 from hqcdfs.model import recipe_hamiltonian
-from hqcdfs.subspace import dfs_product_basis, restrict
+from hqcdfs.subspace import dfs_product_basis
 
-from gate_tools import cnot, xz, zx
+from gate_tools import cnot, restrict, xz, zx
 from oracles import (
     EYE2,
     PAULI,
