@@ -6,16 +6,16 @@ and fractional counts there. ``Record.from_json_dict`` is the one input
 decode rule, by field name, and ``Record.to_json_dict`` the one report
 layout: complex matrices become nested [re, im] pairs and every float is
 rounded to 12 significant digits so emitted reports diff stably.
-``encode_json`` writes the indent-2 report text and rounds float64 arrays,
-such as those of ``matrix_to_json``, as it writes them; ``encode_csv``
-writes the CSV reports.
+``encode_json`` has the stdlib encoder write the indent-2 report text and
+writes only its float64 arrays, such as those of ``matrix_to_json``,
+rounding them as it writes them; ``encode_csv`` writes the CSV reports.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -193,54 +193,38 @@ def _encode_block(shape: list[int], leaves: np.ndarray, level: int, out: list) -
     out.append("\n" + "  " * level + "]")
 
 
-def _encode(o, level: int, out: list) -> None:
-    if isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_finite(float.__repr__(o)))
-    elif isinstance(o, np.ndarray) and o.size:
-        _encode_block(list(o.shape), o.ravel(), level, out)
-    elif isinstance(o, (list, tuple, dict)):
-        if isinstance(o, dict):  # a non-str key raises TypeError here
-            items, close = [(encode_basestring_ascii(k) + ": ", v) for k, v in o.items()], "}"
-        else:
-            items, close = [("", item) for item in o], "]"
-        opening = "{" if close == "}" else "["
-        if not items:
-            out.append(opening + close)
-            return
-        inner = "\n" + "  " * (level + 1)
-        for i, (prefix, item) in enumerate(items):
-            out.append((opening + inner if i == 0 else "," + inner) + prefix)
-            _encode(item, level + 1, out)
-        out.append("\n" + "  " * level + close)
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def encode_json(doc) -> list[str]:
     """Chunks of the text that ``json.JSONEncoder(indent=2, allow_nan=False)``
-    makes of ``doc``, for documents of dicts with string keys, lists, tuples,
-    strings, ints, floats, bools and None.
+    makes of ``doc``, each nonempty float64 array written as the nested
+    list of ``round_sig`` of its values.
 
-    Lists and tuples are written item by item, each float as ``json``
-    writes it. A nonempty float64 array, such as an [re, im] matrix of
-    ``matrix_to_json``, is written in bulk, one layout template per chunk of
-    rows, as the nested list of ``round_sig`` of its values, straight from
-    its "%.12g" text, so that list is never built. A NaN or an infinity
-    anywhere raises ValueError, before anything is returned. The chunks are
-    not joined, so a large report is not held twice.
-    """
+    The stdlib encoder writes everything but those arrays. An array, such
+    as an [re, im] matrix of ``matrix_to_json``, is written in bulk, one
+    layout template per chunk of rows, from its "%.12g" text, so its nested
+    list is never built. A NaN or an infinity anywhere raises ValueError
+    before anything is returned. The chunks are not joined, so a large
+    report is not held twice."""
+    held: list[np.ndarray] = []
+
+    def hold(o):
+        if not (isinstance(o, np.ndarray) and o.size):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        held.append(o)
+
+    # Int, float, bool and None dict keys encode as the stdlib encodes them;
+    # no report has such a key. The pure-Python ``iterencode`` (any indent
+    # selects it) yields the ``null`` that stands for a held array as its
+    # own chunk, right after calling ``hold``. The array's level is the
+    # indent after the last newline written.
     out: list[str] = []
-    _encode(doc, 0, out)
+    for chunk in json.JSONEncoder(indent=2, allow_nan=False, default=hold).iterencode(doc):
+        if held and chunk == "null":
+            line = next((c for c in reversed(out) if "\n" in c), "\n")
+            level = (len(line) - 1 - line.rindex("\n")) // 2
+            array = held.pop()
+            _encode_block(list(array.shape), array.ravel(), level, out)
+        else:
+            out.append(chunk)
     return out
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hqcdfs import serialize
 from hqcdfs.gates import no_go_certificate, realize
@@ -35,8 +36,9 @@ scalars = st.one_of(
     st.sampled_from(EDGE_STRINGS),
     st.text(max_size=8),
 )
-# Regular float blocks, the bulk path: float lists and [re, im] matrices
-# of any shape, the 1 x 1 and non-square ones included.
+# Regular float blocks as nested lists, which the stdlib writes item by
+# item: float lists and [re, im] pair lists of any shape, the 1 x 1 and
+# non-square ones included. Only a nonempty ndarray takes the bulk path.
 blocks = st.one_of(
     st.lists(floats, min_size=1, max_size=8),
     st.integers(1, 4).flatmap(
@@ -47,15 +49,35 @@ blocks = st.one_of(
         )
     ),
 )
-documents = st.recursive(
-    st.one_of(scalars, blocks),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.one_of(st.text(max_size=8), st.sampled_from(EDGE_STRINGS)), children, max_size=4),
+# Float64 arrays of 1 to 3 dimensions, some with a last axis of 2 ([re, im]
+# pairs): the leaves that ``encode_json`` writes itself, in bulk.
+arrays = hnp.arrays(
+    np.float64,
+    st.one_of(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+        st.lists(st.integers(1, 4), max_size=2).map(lambda shape: (*shape, 2)),
     ),
-    max_leaves=16,
+    elements=floats,
 )
+
+
+def documents_of(leaves):
+    """Dicts, lists and tuples nested to any depth over ``leaves``."""
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.one_of(st.text(max_size=8), st.sampled_from(EDGE_STRINGS)), children, max_size=4),
+        ),
+        max_leaves=16,
+    )
+
+
+# What the stdlib encoder takes, and the same with arrays anywhere: at the
+# top level, in lists and tuples, and as dict values.
+documents = documents_of(st.one_of(scalars, blocks))
+documents_with_arrays = documents_of(st.one_of(scalars, blocks, arrays))
 
 
 def stdlib(doc):
@@ -71,6 +93,16 @@ class TestEncoderMatchesStdlib:
     @given(documents)
     def test_identical_text(self, doc):
         assert encode_json(doc) == stdlib(doc)
+
+    # Also pins that the stdlib's ``iterencode`` yields the ``null`` of each
+    # held array as a chunk of its own, which ``encode_json`` swaps for the
+    # array at the indent of the line it is on. Every draw puts an array at
+    # the top level, after a null in a dict, and three levels down.
+    @settings(max_examples=200, deadline=None)
+    @given(documents_with_arrays, arrays)
+    def test_arrays_anywhere(self, doc, array):
+        for wrapped in [doc, array, {"n": None, "a": array}, [doc, {"t": (None, array)}, doc]]:
+            assert encode_json(wrapped) == stdlib(as_rounded_lists(wrapped))
 
     @settings(max_examples=50, deadline=None)
     @given(documents, st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 4))
@@ -89,6 +121,9 @@ class TestEncoderMatchesStdlib:
 
     @pytest.mark.parametrize("shape", [(3 * 4096 + 5,), (2, 5000), (700, 9, 2), (1, 1, 2), (3, 1, 2), (1, 4, 2)])
     def test_blocks_across_chunk_boundaries(self, shape):
+        """Long nested float lists, which the stdlib writes item by item;
+        they cross no FORMAT_CHUNK boundary, which only an ndarray has
+        (``test_array_across_chunk_boundaries``)."""
         rng = np.random.default_rng(3)
         block = rng.normal(size=shape).tolist()
         assert encode_json({"block": block}) == stdlib({"block": block})
@@ -102,7 +137,11 @@ class TestEncoderMatchesStdlib:
         with pytest.raises(TypeError):
             encode_json({"a": np.int64(3)})
         with pytest.raises(TypeError):
-            encode_json({1: 2.0})
+            encode_json({"a": np.zeros((0, 2))})
+        with pytest.raises(TypeError):
+            encode_json({(1,): 2.0})
+        # An int key is written as the stdlib writes it; no report has one.
+        assert encode_json({1: 2.0}) == stdlib({1: 2.0}) == '{\n  "1": 2.0\n}'
 
 
 class TestBulkRounding:
@@ -169,6 +208,8 @@ def as_rounded_lists(doc):
         return np.reshape(round_all(doc.ravel()), doc.shape).tolist()
     if isinstance(doc, dict):
         return {k: as_rounded_lists(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [as_rounded_lists(v) for v in doc]
     return doc
 
 
